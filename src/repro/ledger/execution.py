@@ -22,45 +22,52 @@ from .store import YcsbStore
 _results_digest_memo: dict = {}
 _RESULTS_MEMO_MAX = 4096
 
-# Write-only batches (the paper's YCSB workload is write-heavy; the
-# default benchmarks are pure-write) produce results that do not depend
-# on store state: every update/insert/noop yields "ok" and the state
-# change is a plain sequence of key overwrites.  Since the simulator
-# hands the *same* batch tuple to every replica, the per-transaction
-# walk can be compiled once into a (writes, results) plan and applied
-# everywhere else with one C-level ``dict.update``.  Keyed by object
-# identity with a strong reference retained, so a recycled id can never
-# alias a different batch (the ``is`` check rejects stale entries).
+# Batches of writes (the paper's YCSB workload is write-heavy; the
+# default benchmarks are pure-write, the payment workload pure-modify)
+# need no per-transaction interpretation: update/insert/noop yield "ok",
+# a modify a receipt the store computes from its own state.  Every
+# replica is handed the *same* batch tuple, so it is compiled once into
+# a (steps, results) plan applied with one ``YcsbStore._apply`` call.
+# Keyed by object identity with a strong reference retained, so a recycled
+# id can never alias a different batch (``is`` rejects stale entries).
 _batch_plan_memo: dict = {}
 _PLAN_MEMO_MAX = 4096
 
 
 def _compile_plan(batch: Batch):
-    """``(max_key, write_pairs, results)`` for a write-only batch.
+    """``(max_key, ops, results)`` for a batch of writes.
 
-    Returns ``None`` when the batch contains any state-dependent or
-    unknown operation (reads, read-modify-writes) or a negative key —
-    those take the per-transaction path with its exact sequential
-    semantics.
+    ``ops`` is the step list :meth:`YcsbStore._apply` takes (each run of
+    blind overwrites one pair list, each ``modify`` one step); ``results``
+    holds ``"ok"`` in every slot no receipt will overwrite.  ``None`` when
+    the batch has a read, an unknown operation or a negative key — those
+    take the per-transaction path with its exact sequential semantics.
     """
-    pairs: list = []
+    ops: list = []
     results: list = []
+    run = None
     max_key = -1
     for txn in batch:
         op = txn.op
-        if op == "update" or op == "insert":
+        if op != "noop":
             key = txn.key
             if key < 0:
                 return None
             if key > max_key:
                 max_key = key
-            pairs.append((key, txn.value))
-            results.append("ok")
-        elif op == "noop":
-            results.append("ok")
-        else:
-            return None
-    return (max_key, pairs, results)
+            if op == "update" or op == "insert":
+                if run is None:
+                    run = []
+                    ops += [run]  # no call: write-only compiles cost as before
+                run.append((key, txn.value))
+            elif op == "modify":
+                run = None
+                ops.append((len(results), key, txn.value,
+                            ("|" + txn.value).encode()))
+            else:
+                return None
+        results.append("ok")
+    return (max_key, ops, results)
 
 
 class ExecutionEngine:
@@ -102,13 +109,12 @@ class ExecutionEngine:
     def execute_batch(self, batch: Batch) -> List[str]:
         """Execute a batch in order, returning per-transaction results.
 
-        Write-only batches take a compiled-plan fast path (see
-        :func:`_compile_plan`): identical observable behaviour — same
-        results, same store state, same counters — at a fraction of the
-        per-transaction interpretation cost.  Batches that could raise
-        (a key outside the active set) or read state fall back to the
-        sequential path so error and partial-application semantics stay
-        exactly as before.
+        Batches of writes apply a compiled plan (:func:`_compile_plan`):
+        same results, store state and counters at a fraction of the
+        interpretation cost.  Batches that read state or could raise (a
+        key outside the active set) run through :meth:`execute_txn`, the
+        sequential reference, keeping its error and partial-application
+        semantics exactly.
         """
         entry = _batch_plan_memo.get(id(batch))
         if entry is not None and entry[0] is batch:
@@ -118,19 +124,14 @@ class ExecutionEngine:
             if len(_batch_plan_memo) >= _PLAN_MEMO_MAX:
                 _batch_plan_memo.pop(next(iter(_batch_plan_memo)))
             _batch_plan_memo[id(batch)] = (batch, plan)
-        if plan is None:
+        if plan is None or plan[0] >= self._store.record_count:
             return [self.execute_txn(txn) for txn in batch]
-        max_key, pairs, results = plan
-        store = self._store
-        if max_key >= store.record_count:
-            # Would raise mid-batch: keep sequential partial application.
-            return [self.execute_txn(txn) for txn in batch]
-        if pairs:
-            # Keys were validated at plan compile time (non-negative)
-            # and against this store's active set just above.
-            store._apply_writes(pairs)
+        results = list(plan[2])
+        if plan[1]:
+            # Keys are validated: >= 0 at compile time, in range just above.
+            self._store._apply(plan[1], results)
         self._executed_txns += len(results)
-        return list(results)
+        return results
 
     def results_digest(self, results: List[str]) -> bytes:
         """Digest of a result list — what clients compare across the

@@ -11,6 +11,7 @@ keeps large simulations cheap without changing observable behaviour.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.digests import digest_of
@@ -24,6 +25,17 @@ def _initial_value(key: int) -> str:
     return f"init-{key}"
 
 
+def receipt_of(value: str) -> str:
+    """The receipt of a record value: its UTF-8 byte length and CRC-32.
+
+    *Results are receipts, state carries the journal*: ``modify`` returns
+    this, not the value — it differs whenever the executed history differs,
+    at a size independent of that history.
+    """
+    data = value.encode()
+    return "%d:%08x" % (len(data), zlib.crc32(data))
+
+
 class YcsbStore:
     """A deterministic key-value table with YCSB-style operations."""
 
@@ -34,6 +46,10 @@ class YcsbStore:
             )
         self._record_count = record_count
         self._data: Dict[int, str] = {}
+        # key -> [byte length, CRC-32, pending suffix, ...]: the running
+        # receipt of a journaled record, then the appends not yet joined
+        # into ``_data[key]``.  Derived; dropped by any overwrite.
+        self._journals: Dict[int, list] = {}
         self._writes = 0
         self._reads = 0
 
@@ -62,13 +78,17 @@ class YcsbStore:
         """Read a record (its initial value if never written)."""
         self._check_key(key)
         self._reads += 1
-        return self._data.get(key, _initial_value(key))
+        if key in self._journals:
+            self._joined(key)
+        return self._data[key] if key in self._data else _initial_value(key)
 
     def update(self, key: int, value: str) -> None:
         """Overwrite a record."""
         self._check_key(key)
         self._writes += 1
         self._data[key] = value
+        if self._journals:
+            self._journals.pop(key, None)
 
     def insert(self, key: int, value: str) -> None:
         """Insert behaves as update on the fixed active set (YCSB-D style
@@ -81,31 +101,54 @@ class YcsbStore:
         All-or-nothing — keys are validated up front and nothing is
         applied on a violation (callers needing the sequential
         partial-application semantics use :meth:`update` per record).
-        Equivalent to updating each pair in a loop, at C speed; the
-        execution engine's write-only batch fast path relies on it.
+        Equivalent to updating each pair in a loop, at C speed.
         """
         if pairs:
             keys = [k for k, _ in pairs]
-            low, high = min(keys), max(keys)
-            if low < 0 or high >= self._record_count:
-                bad = low if low < 0 else high
-                raise WorkloadError(
-                    f"key {bad} outside active set [0, {self._record_count})"
-                )
-            self._apply_writes(pairs)
+            low = min(keys)
+            self._check_key(low if low < 0 else max(keys))
+            self._apply([pairs], [])
 
-    def _apply_writes(self, pairs: List[Tuple[int, str]]) -> None:
-        """Bulk overwrite with no key validation — callers (the
-        execution engine's compiled-plan path) have already bounds-
-        checked every key against the active set."""
-        self._writes += len(pairs)
-        self._data.update(pairs)
+    def _apply(self, ops: list, results: List[str]) -> None:
+        """Apply compiled steps in order; callers (:meth:`update_many`,
+        :meth:`modify`, the engine's batch plan) bounds-checked each key.
+
+        A step is a list of ``(key, value)`` pairs — a run of blind
+        overwrites, one C-level ``dict.update`` — or a ``(slot, key,
+        suffix, ("|" + suffix).encode())`` journal append whose receipt
+        goes to ``results[slot]``.
+        """
+        data, journals, crc32 = self._data, self._journals, zlib.crc32
+        writes = appends = 0
+        for step in ops:
+            if step.__class__ is list:
+                writes += len(step)
+                data.update(step)
+                if journals:
+                    for key, _ in step:
+                        journals.pop(key, None)
+                continue
+            slot, key, suffix, encoded = step
+            if key not in journals:
+                base = data.setdefault(key, _initial_value(key)).encode()
+                journals[key] = [len(base), crc32(base)]
+            journal = journals[key]
+            journal[0] = size = journal[0] + len(encoded)
+            journal[1] = crc = crc32(encoded, journal[1])
+            journal.append(suffix)
+            results[slot] = "%d:%08x" % (size, crc)
+            appends += 1
+        self._writes += writes + appends
+        self._reads += appends
 
     def modify(self, key: int, suffix: str) -> str:
-        """Read-modify-write: append ``suffix`` and return the new value."""
-        new_value = self.read(key) + "|" + suffix
-        self.update(key, new_value)
-        return new_value
+        """Read-modify-write: append ``"|" + suffix`` to the record's
+        journal and return the :func:`receipt_of` its new value — not the
+        value, which :meth:`read` serves — in O(len(suffix))."""
+        self._check_key(key)
+        results = [""]
+        self._apply([(0, key, suffix, ("|" + suffix).encode())], results)
+        return results[0]
 
     def scan(self, start_key: int, length: int) -> List[Tuple[int, str]]:
         """Read ``length`` consecutive records starting at ``start_key``."""
@@ -121,12 +164,21 @@ class YcsbStore:
         histories produce identical digests, so a quorum of matching
         checkpoint digests proves a consistent prefix.
         """
-        items = tuple(sorted(self._data.items()))
+        items = tuple(sorted(self._joined().items()))
         return digest_of(("ycsb", self._record_count, items))
 
     def snapshot(self) -> Dict[int, str]:
         """Copy of the materialized (written) records."""
-        return dict(self._data)
+        return dict(self._joined())
+
+    def _joined(self, *keys: int) -> Dict[int, str]:
+        """``_data`` with pending suffixes of ``keys`` (default all) joined."""
+        for key in keys or self._journals:
+            journal = self._journals[key]
+            if len(journal) > 2:
+                self._data[key] = "|".join([self._data[key], *journal[2:]])
+                del journal[2:]
+        return self._data
 
     def restore(self, snapshot: Dict[int, str],
                 record_count: Optional[int] = None) -> None:
@@ -134,3 +186,4 @@ class YcsbStore:
         if record_count is not None:
             self._record_count = record_count
         self._data = dict(snapshot)
+        self._journals = {}

@@ -9,6 +9,9 @@ one record whose value accumulates a transfer journal), so deterministic
 execution (§2.4) guarantees every replica derives the same account
 histories — and the ``modify`` ops make execution order-sensitive, so
 non-divergence is actually exercised, unlike blind YCSB updates.
+Results are receipts, state carries the journal: a transfer's client
+result is the fixed-size :func:`~repro.ledger.store.receipt_of` the
+account's new value; ``store.read(account)`` returns the journal.
 
 Promoted from ``examples/payment_network.py`` into the workload package
 so the ``payment_network`` scenario (and the overload campaign) can
@@ -60,19 +63,22 @@ class PaymentWorkload:
         """Generate ``size`` transfers (journal-appending modify ops)."""
         if size < 1:
             raise WorkloadError(f"batch size must be >= 1, got {size}")
+        randrange, randint = self._rng.randrange, self._rng.randint
+        branch, accounts = self._branch, self._accounts
+        first = self._counter + 1
+        self._counter += size
         batch = []
-        for _ in range(size):
-            self._counter += 1
-            src = self._rng.randrange(self._accounts)
-            dst = self._rng.randrange(self._accounts)
-            amount = self._rng.randint(1, 500)
+        for counter in range(first, first + size):
+            src = randrange(accounts)
+            dst = randrange(accounts)
+            amount = randint(1, 500)
             # A transfer appends a journal entry to the source account's
             # record.
             txn = Transaction(
-                txn_id=f"{prefix}pay{self._counter}",
+                txn_id=f"{prefix}pay{counter}",
                 op="modify",
                 key=src,
-                value=f"{self._branch}->acct{dst}:{amount}",
+                value=f"{branch}->acct{dst}:{amount}",
             )
             batch.append(txn.prime_encoding())
         return tuple(batch)

@@ -1,13 +1,15 @@
 """Tests for the YCSB store and the execution engine."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
+from repro.crypto.digests import digest_of
 from repro.errors import WorkloadError
 from repro.ledger.block import Transaction
 from repro.ledger.execution import ExecutionEngine
-from repro.ledger.store import YcsbStore
+from repro.ledger.store import YcsbStore, receipt_of
 
 
 class TestYcsbStore:
@@ -26,11 +28,25 @@ class TestYcsbStore:
         assert store.read(7) == "x"
 
     def test_modify_appends(self):
+        """Results are receipts, state carries the journal."""
         store = YcsbStore(100)
         first = store.read(3)
         result = store.modify(3, "s")
-        assert result == first + "|s"
-        assert store.read(3) == result
+        assert store.read(3) == first + "|s"
+        assert result == receipt_of(store.read(3))
+
+    def test_modify_receipt_size_independent_of_journal_length(self):
+        store = YcsbStore(100)
+        one = store.modify(3, "s")
+        for _ in range(9_998):
+            store.modify(3, "s")
+        last = store.modify(3, "s")
+        journal = store.read(3)
+        assert journal == "init-3" + "|s" * 10_000
+        assert last == receipt_of(journal) != one
+        # "<byte length>:<crc32 hex>": only the decimal length can widen.
+        assert one.startswith("8:") and len(one) == 10
+        assert last.startswith("20006:") and len(last) == 14
 
     def test_scan(self):
         store = YcsbStore(10)
@@ -98,7 +114,8 @@ class TestExecutionEngine:
         assert engine.execute_txn(Transaction("t2", "read", 1)) == "v"
         assert engine.execute_txn(Transaction("t3", "insert", 2, "w")) == "ok"
         assert engine.execute_txn(
-            Transaction("t4", "modify", 2, "s")) == "w|s"
+            Transaction("t4", "modify", 2, "s")) == receipt_of("w|s")
+        assert engine.store.read(2) == "w|s"
         assert engine.execute_txn(Transaction.noop()) == "ok"
         assert engine.executed_txns == 5
 
@@ -123,3 +140,195 @@ class TestExecutionEngine:
     def test_results_digest_sensitive_to_results(self):
         engine = ExecutionEngine(YcsbStore(10))
         assert engine.results_digest(["a"]) != engine.results_digest(["b"])
+
+    def test_compiled_batches_match_per_txn_reference(self):
+        """Write-only, modify-only and mixed batches: the compiled plan
+        and ``execute_txn`` give the same results, state and counters."""
+        write = [Transaction(f"w{i}", "update", i % 3, f"v{i}")
+                 for i in range(6)]
+        modify = [Transaction(f"m{i}", "modify", i % 3, f"s{i}")
+                  for i in range(6)]
+        mixed = [t for pair in zip(modify, write) for t in pair]
+        mixed.insert(4, Transaction.noop())
+        fast = ExecutionEngine(YcsbStore(10))
+        slow = ExecutionEngine(YcsbStore(10))
+        for batch in (modify, write, mixed, modify, mixed[::-1], write):
+            assert fast.execute_batch(tuple(batch)) == [
+                slow.execute_txn(txn) for txn in batch]
+            assert fast.executed_txns == slow.executed_txns
+            assert fast.store.write_count == slow.store.write_count
+            assert fast.store.read_count == slow.store.read_count
+        assert fast.state_digest() == slow.state_digest()
+        assert fast.store.snapshot() == slow.store.snapshot()
+
+    def test_write_only_plan_drops_pending_journal_suffixes(self):
+        engine = ExecutionEngine(YcsbStore(10))
+        engine.execute_batch((Transaction("m1", "modify", 4, "a"),
+                              Transaction("m2", "modify", 4, "b")))
+        engine.execute_batch((Transaction("w1", "update", 4, "fresh"),))
+        assert engine.execute_batch(
+            (Transaction("m3", "modify", 4, "c"),)) == [receipt_of("fresh|c")]
+        assert engine.store.read(4) == "fresh|c"
+
+    def test_restore_over_pending_journal_suffixes(self):
+        store = YcsbStore(10)
+        store.modify(1, "a")
+        snap = store.snapshot()
+        store.modify(1, "b")
+        store.modify(2, "c")
+        store.restore(snap)
+        assert store.snapshot() == {1: "init-1|a"}
+        assert store.modify(1, "d") == receipt_of("init-1|a|d")
+        assert store.modify(2, "e") == receipt_of("init-2|e")
+
+
+class _NaiveStore:
+    """Reference model: a dict of eagerly concatenated strings."""
+
+    def __init__(self, record_count):
+        self.n, self.data = record_count, {}
+        self.reads = self.writes = self.executed = 0
+
+    def _check(self, key):
+        if not 0 <= key < self.n:
+            raise WorkloadError(f"key {key}")
+
+    def read(self, key):
+        self._check(key)
+        self.reads += 1
+        return self.data.get(key, f"init-{key}")
+
+    def update(self, key, value):
+        self._check(key)
+        self.writes += 1
+        self.data[key] = value
+
+    def modify(self, key, suffix):
+        value = self.read(key) + "|" + suffix
+        self.update(key, value)
+        return receipt_of(value)
+
+    def execute(self, txn):
+        if txn.op == "read":
+            result = self.read(txn.key)
+        elif txn.op in ("update", "insert"):
+            self.update(txn.key, txn.value)
+            result = "ok"
+        elif txn.op == "modify":
+            result = self.modify(txn.key, txn.value)
+        elif txn.op == "noop":
+            result = "ok"
+        else:
+            raise WorkloadError(txn.op)
+        self.executed += 1
+        return result
+
+    def state_digest(self):
+        return digest_of(("ycsb", self.n, tuple(sorted(self.data.items()))))
+
+
+_N = 6
+_keys = st.integers(0, _N - 1)
+_any_keys = st.one_of(_keys, _keys, _keys, st.sampled_from([-1, _N, _N + 3]))
+_values = st.text(alphabet="ab|é€", max_size=3)
+_OP_MIXES = (("update", "insert", "noop"), ("modify",),
+             ("update", "modify", "noop"), ("update", "modify", "read"),
+             ("modify", "drop-table"))
+
+
+@st.composite
+def _batches(draw):
+    ops = st.sampled_from(draw(st.sampled_from(_OP_MIXES)))
+    return tuple(
+        Transaction(f"t{i}", op, key, value) for i, (op, key, value)
+        in enumerate(draw(st.lists(st.tuples(ops, _any_keys, _values),
+                                   max_size=8))))
+
+
+def _outcome(call):
+    """A call's result, or the error type it raises."""
+    try:
+        return call()
+    except WorkloadError:
+        return WorkloadError
+
+
+class StoreDifferentialMachine(RuleBasedStateMachine):
+    """Random interleavings against the naive model.  Only the rules
+    observe values — an invariant that read the store after every step
+    would join every pending suffix and hide the interesting states."""
+
+    def __init__(self):
+        super().__init__()
+        self.engine = ExecutionEngine(YcsbStore(_N))
+        self.store = self.engine.store
+        self.model = _NaiveStore(_N)
+        self.snaps = None
+
+    def _same(self, real, naive):
+        assert _outcome(real) == _outcome(naive)
+        assert self.store.read_count == self.model.reads
+        assert self.store.write_count == self.model.writes
+        assert self.engine.executed_txns == self.model.executed
+
+    @rule(key=_any_keys)
+    def read(self, key):
+        self._same(lambda: self.store.read(key), lambda: self.model.read(key))
+
+    @rule(key=_any_keys, value=_values, insert=st.booleans())
+    def update(self, key, value, insert):
+        write = self.store.insert if insert else self.store.update
+        self._same(lambda: write(key, value),
+                   lambda: self.model.update(key, value))
+
+    @rule(key=_any_keys, suffix=_values)
+    def modify(self, key, suffix):
+        self._same(lambda: self.store.modify(key, suffix),
+                   lambda: self.model.modify(key, suffix))
+
+    @rule(start=_keys, length=st.integers(0, _N + 2))
+    def scan(self, start, length):
+        self._same(
+            lambda: self.store.scan(start, length),
+            lambda: [(k, self.model.read(k))
+                     for k in range(start, min(start + length, _N))])
+
+    @rule(pairs=st.lists(st.tuples(_any_keys, _values), max_size=5))
+    def update_many(self, pairs):
+        def naive():
+            for key, _ in pairs:
+                self.model._check(key)  # all-or-nothing
+            for key, value in pairs:
+                self.model.update(key, value)
+        self._same(lambda: self.store.update_many(pairs), naive)
+
+    @rule(batch=_batches())
+    def execute_batch(self, batch):
+        # On a bad key or unknown op both sides have applied the same
+        # prefix of the batch before raising.
+        self._same(lambda: self.engine.execute_batch(batch),
+                   lambda: [self.model.execute(txn) for txn in batch])
+
+    @rule()
+    def snapshot(self):
+        self.snaps = (self.store.snapshot(), dict(self.model.data))
+        assert self.snaps[0] == self.snaps[1]
+
+    @rule()
+    def restore(self):
+        if self.snaps is not None:
+            self.store.restore(self.snaps[0])
+            self.model.data = dict(self.snaps[1])
+
+    @rule()
+    def state_digest(self):
+        assert self.store.state_digest() == self.model.state_digest()
+
+    def teardown(self):
+        assert self.store.snapshot() == self.model.data
+
+
+TestStoreDifferential = StoreDifferentialMachine.TestCase
+TestStoreDifferential.settings = settings(max_examples=150,
+                                          stateful_step_count=40,
+                                          deadline=None)
