@@ -60,7 +60,7 @@ def main() -> None:
     forged = Block(
         original.height, original.round_id, original.cluster_id,
         (Transaction("stolen-funds", "update", 0, "1e9"),),
-        original.batch_digest, original.certificate_digest,
+        original.batch_digest, original.certificate,
         original.prev_hash,
     )
     saboteur.ledger.tamper_for_test(2, forged)

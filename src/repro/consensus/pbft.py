@@ -1006,9 +1006,7 @@ class PbftReplica(BaseReplica):
                    certificate: CommitCertificate) -> None:
         results, done_at = self.execute_batch(request.batch)
         self.ledger.append(seq, self._engine.cluster_id, request.batch,
-                           certificate,
-                           batch_digest=request.digest(),
-                           certificate_digest=certificate.digest())
+                           certificate, batch_digest=request.digest())
         instr = self._instrumentation
         if instr is not None:
             instr.phase("executed", self.node_id, self._engine.cluster_id,

@@ -285,9 +285,7 @@ class StewardReplica(BaseReplica):
             instr.phase("ordered", self.node_id, self._own_cluster, gseq)
         results, done_at = self.execute_batch(request.batch)
         self.ledger.append(gseq, self._primary_cluster, request.batch,
-                           certificate,
-                           batch_digest=request.digest(),
-                           certificate_digest=certificate.digest())
+                           certificate, batch_digest=request.digest())
         if instr is not None:
             instr.phase("executed", self.node_id, self._own_cluster, gseq)
         if (request.signature is not None

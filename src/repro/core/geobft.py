@@ -488,8 +488,7 @@ class GeoBftReplica(BaseReplica):
         for cluster, request, certificate in ordered:
             results, done_at = self.execute_batch(request.batch)
             self.ledger.append(round_id, cluster, request.batch, certificate,
-                               batch_digest=request.digest(),
-                               certificate_digest=certificate.digest())
+                               batch_digest=request.digest())
             if (cluster == self._own_cluster
                     and request.signature is not None):
                 reply = ClientReply(

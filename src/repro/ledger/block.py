@@ -96,13 +96,14 @@ def batch_digest(batch: Batch) -> bytes:
 class Block:
     """One ledger entry: an executed batch plus its commitment proof.
 
-    ``certificate_digest`` records the commit certificate this replica
-    holds for the block.  It is *not* covered by the block hash: any
-    valid certificate proves the same request (Lemma 2.3), but different
+    ``certificate`` is the commit certificate this replica holds for the
+    block (paper §3).  It is *not* covered by the block hash: any valid
+    certificate proves the same request (Lemma 2.3), but different
     replicas legitimately assemble certificates from different quorum
     subsets of commit signatures, and the hash chain must agree across
     replicas.  Certificates are fully verified at admission instead, and
-    retained by :class:`~repro.ledger.blockchain.Blockchain` for audit.
+    kept here for audit; :attr:`certificate_digest` is derived from the
+    one retained, on demand, so it cannot disagree with it.
     """
 
     height: int
@@ -110,8 +111,13 @@ class Block:
     cluster_id: ClusterId
     batch: Batch
     batch_digest: bytes
-    certificate_digest: bytes
+    certificate: Any
     prev_hash: bytes
+
+    @property
+    def certificate_digest(self) -> bytes:
+        """Digest of the retained certificate (encodes it; audit only)."""
+        return digest_of(self.certificate)
 
     def payload(self) -> tuple:
         """Canonical primitive form of everything the hash covers.
@@ -131,8 +137,20 @@ class Block:
         )
 
     def block_hash(self) -> bytes:
-        """SHA256 over the block payload (cached by the blockchain)."""
-        return digest_of(self.payload())
+        """SHA256 over the block payload (cached by the blockchain).
+
+        One interpolation, byte-identical to ``digest_of(self.payload())``
+        for exact ``int``/``bytes`` fields (the ledger tests pin this).
+        """
+        height = b"%d" % self.height
+        round_id = b"%d" % self.round_id
+        cluster = b"%d" % self.cluster_id
+        digest, prev = self.batch_digest, self.prev_hash
+        return hashlib.sha256(
+            b"l6:s5:blocki%d:%bi%d:%bi%d:%bb%d:%bb%d:%b;"
+            % (len(height), height, len(round_id), round_id,
+               len(cluster), cluster, len(digest), digest,
+               len(prev), prev)).digest()
 
     def verify_content(self) -> bool:
         """Whether the stored transactions match ``batch_digest``."""
@@ -142,26 +160,23 @@ class Block:
 def make_block(height: int, round_id: RoundId, cluster_id: ClusterId,
                batch: Batch, certificate: Any,
                prev_hash: Optional[bytes],
-               precomputed_batch_digest: Optional[bytes] = None,
-               precomputed_certificate_digest: Optional[bytes] = None,
-               ) -> Block:
-    """Construct a block, hashing the certificate into it.
+               precomputed_batch_digest: Optional[bytes] = None) -> Block:
+    """Construct a block carrying ``certificate``.
 
     ``certificate`` may be any canonically encodable object (commit
-    certificates expose ``payload()``).  Digests that protocol code has
-    already computed (and cached on its message objects) can be passed
-    in to avoid re-encoding large batches on the hot path.
+    certificates expose ``payload()``); it is stored, not encoded.  A
+    batch digest that protocol code has already computed (and cached on
+    its request) can be passed in to avoid re-hashing the batch on the
+    hot path.
     """
     if precomputed_batch_digest is None:
         precomputed_batch_digest = batch_digest(tuple(batch))
-    if precomputed_certificate_digest is None:
-        precomputed_certificate_digest = digest_of(certificate)
     return Block(
         height=height,
         round_id=round_id,
         cluster_id=cluster_id,
         batch=tuple(batch),
         batch_digest=precomputed_batch_digest,
-        certificate_digest=precomputed_certificate_digest,
+        certificate=certificate,
         prev_hash=prev_hash if prev_hash is not None else GENESIS_HASH,
     )

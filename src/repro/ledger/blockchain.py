@@ -25,7 +25,6 @@ class Blockchain:
     def __init__(self) -> None:
         self._blocks: List[Block] = []
         self._hashes: List[bytes] = []
-        self._certificates: List[Any] = []
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -53,23 +52,18 @@ class Blockchain:
             ) from exc
 
     def certificate(self, height: int) -> Any:
-        """The commit certificate retained for the block at ``height``."""
-        try:
-            return self._certificates[height]
-        except IndexError as exc:
-            raise LedgerError(
-                f"no certificate at height {height}"
-            ) from exc
+        """The commit certificate the block at ``height`` carries."""
+        return self.block(height).certificate
 
     def append(self, round_id: RoundId, cluster_id: ClusterId, batch: Batch,
                certificate: Any,
-               batch_digest: Optional[bytes] = None,
-               certificate_digest: Optional[bytes] = None) -> Block:
+               batch_digest: Optional[bytes] = None) -> Block:
         """Append the next block for ``batch``, linking it to the head.
 
-        ``batch_digest``/``certificate_digest`` accept digests the
-        caller already holds (protocol messages cache them), avoiding a
-        re-hash of the full batch on the append path.
+        ``batch_digest`` accepts the digest the caller already holds
+        (requests cache it), avoiding a re-hash of the full batch on the
+        append path.  ``certificate`` is stored on the block as is —
+        appending encodes nothing.
         """
         block = make_block(
             height=self.height,
@@ -79,11 +73,9 @@ class Blockchain:
             certificate=certificate,
             prev_hash=self.head_hash,
             precomputed_batch_digest=batch_digest,
-            precomputed_certificate_digest=certificate_digest,
         )
         self._blocks.append(block)
         self._hashes.append(block.block_hash())
-        self._certificates.append(certificate)
         return block
 
     def verify(self, deep: bool = True) -> None:

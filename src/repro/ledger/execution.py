@@ -38,10 +38,11 @@ def _compile_plan(batch: Batch):
     """``(max_key, ops, results)`` for a batch of writes.
 
     ``ops`` is the step list :meth:`YcsbStore._apply` takes (each run of
-    blind overwrites one pair list, each ``modify`` one step); ``results``
-    holds ``"ok"`` in every slot no receipt will overwrite.  ``None`` when
-    the batch has a read, an unknown operation or a negative key — those
-    take the per-transaction path with its exact sequential semantics.
+    blind overwrites one ``[pair count, last-writer-wins dict]`` step, each
+    ``modify`` one step); ``results`` holds ``"ok"`` in every slot no
+    receipt will overwrite.  ``None`` when the batch has a read, an unknown
+    operation or a negative key — those take the per-transaction path with
+    its exact sequential semantics.
     """
     ops: list = []
     results: list = []
@@ -57,9 +58,10 @@ def _compile_plan(batch: Batch):
                 max_key = key
             if op == "update" or op == "insert":
                 if run is None:
-                    run = []
+                    run = [0, {}]
                     ops += [run]  # no call: write-only compiles cost as before
-                run.append((key, txn.value))
+                run[0] += 1
+                run[1][key] = txn.value
             elif op == "modify":
                 run = None
                 ops.append((len(results), key, txn.value,

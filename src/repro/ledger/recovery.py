@@ -61,9 +61,7 @@ def recover_from_peer(peer_ledger: Blockchain,
     for block in peer_ledger:
         rebuilt = fresh.append(
             block.round_id, block.cluster_id, block.batch,
-            peer_ledger.certificate(block.height),
-            batch_digest=block.batch_digest,
-            certificate_digest=block.certificate_digest,
+            block.certificate, batch_digest=block.batch_digest,
         )
         if rebuilt.block_hash() != block.block_hash():
             raise TamperedLedgerError(

@@ -107,25 +107,28 @@ class YcsbStore:
             keys = [k for k, _ in pairs]
             low = min(keys)
             self._check_key(low if low < 0 else max(keys))
-            self._apply([pairs], [])
+            self._apply([[len(pairs), dict(pairs)]], [])
 
     def _apply(self, ops: list, results: List[str]) -> None:
         """Apply compiled steps in order; callers (:meth:`update_many`,
         :meth:`modify`, the engine's batch plan) bounds-checked each key.
 
-        A step is a list of ``(key, value)`` pairs — a run of blind
-        overwrites, one C-level ``dict.update`` — or a ``(slot, key,
-        suffix, ("|" + suffix).encode())`` journal append whose receipt
-        goes to ``results[slot]``.
+        A step is ``[pair count, {key: value}]`` — a run of blind
+        overwrites folded last-writer-wins in first-write order, so one
+        dict-to-dict ``update`` leaves the state and insertion order the
+        pairs would one by one, and every pair still counts as a write —
+        or a ``(slot, key, suffix, ("|" + suffix).encode())`` journal
+        append whose receipt goes to ``results[slot]``.
         """
         data, journals, crc32 = self._data, self._journals, zlib.crc32
         writes = appends = 0
         for step in ops:
             if step.__class__ is list:
-                writes += len(step)
-                data.update(step)
+                count, run = step
+                writes += count
+                data.update(run)
                 if journals:
-                    for key, _ in step:
+                    for key in run:
                         journals.pop(key, None)
                 continue
             slot, key, suffix, encoded = step

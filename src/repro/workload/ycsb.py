@@ -83,10 +83,22 @@ class YcsbWorkload:
         """
         if size < 1:
             raise WorkloadError(f"batch size must be >= 1, got {size}")
-        return tuple(
-            self.next_txn(f"{prefix}t{self._counter + 1}")
-            for _ in range(size)
-        )
+        # ``next_txn`` unrolled with its lookups hoisted: same draw order
+        # (key, then write/read), ids, values and primed encodings.
+        next_key, random_ = self._keys.next, self._rng.random
+        write_fraction, value_size = self._write_fraction, self._value_size
+        first = self._counter + 1
+        self._counter += size
+        batch = []
+        for counter in range(first, first + size):
+            key = next_key()
+            if random_() < write_fraction:
+                txn = Transaction(f"{prefix}t{counter}", "update", key,
+                                  f"v{counter}".ljust(value_size, "x"))
+            else:
+                txn = Transaction(f"{prefix}t{counter}", "read", key)
+            batch.append(txn.prime_encoding())
+        return tuple(batch)
 
     # ------------------------------------------------------------------
     # Standard YCSB workload presets

@@ -14,7 +14,7 @@ from repro.bench.instrumentation import (
     WorkerInstrumentation,
 )
 from repro.bench.metrics import Metrics
-from repro.crypto.digests import EncodingCacheStats
+from repro.crypto.digests import EncodingCacheStats, digest_of
 from repro.crypto.signatures import VerificationCache
 from repro.types import replica_id
 
@@ -508,8 +508,16 @@ def test_deployment_cache_and_runtime_telemetry():
     deployment = Deployment(small_config("geobft", fast_crypto=True,
                                          duration=1.0, warmup=0.2))
     deployment.run()
-    delta = deployment.encoding_cache_delta()
-    assert delta["splice_hits"] > 0  # re-broadcasts reuse cached bytes
+    # fast_crypto signs nothing and appending a block encodes nothing,
+    # so the run encodes no message at all.
+    assert not any(deployment.encoding_cache_delta().values())
+    blocks = [block for replica in deployment.replicas.values()
+              for block in replica.ledger]
+    assert blocks
+    assert not any(hasattr(block.certificate, "_encoded_cache")
+                   for block in blocks)
+    assert blocks[0].certificate_digest == digest_of(blocks[0].certificate)
+    assert deployment.encoding_cache_delta()["encode_misses"] == 1
     assert deployment.sim.max_queue_depth > 0
     net = deployment.network.telemetry()
     assert net["sends"] > 0
@@ -520,6 +528,8 @@ def test_real_crypto_populates_verification_cache():
     deployment = Deployment(small_config("geobft", fast_crypto=False,
                                          duration=1.0, warmup=0.2))
     deployment.run()
+    # Signing a message splices the cached bytes of what it embeds.
+    assert deployment.encoding_cache_delta()["splice_hits"] > 0
     cache = deployment.verification_cache
     assert cache.hits > 0
     assert "sig" in cache.kind_stats()

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto.digests import ENCODING_STATS, digest_of
+from repro.crypto.signatures import KeyRegistry
 from repro.errors import LedgerError, TamperedLedgerError
 from repro.ledger.block import (
     GENESIS_HASH,
@@ -13,6 +15,8 @@ from repro.ledger.block import (
     make_block,
 )
 from repro.ledger.blockchain import Blockchain
+
+from .test_messages import make_certificate
 
 
 def batch(*ids):
@@ -48,6 +52,16 @@ class TestBlocks:
         assert b1.block_hash() == b2.block_hash()
         assert b1.certificate_digest != b2.certificate_digest
 
+    @given(st.integers(0, 2**70), st.integers(0, 2**70),
+           st.integers(0, 2**70), st.binary(max_size=64),
+           st.binary(max_size=64))
+    def test_block_hash_is_the_digest_of_the_payload(
+            self, height, round_id, cluster_id, batch_digest_, prev_hash):
+        """The one-interpolation hash emits the generic encoder's bytes."""
+        block = Block(height, round_id, cluster_id, (), batch_digest_,
+                      None, prev_hash)
+        assert block.block_hash() == digest_of(block.payload())
+
 
 class TestBlockchain:
     def test_append_and_height(self):
@@ -79,7 +93,7 @@ class TestBlockchain:
         tampered = Block(
             original.height, original.round_id, original.cluster_id,
             batch("evil"), original.batch_digest,
-            original.certificate_digest, original.prev_hash,
+            original.certificate, original.prev_hash,
         )
         chain.tamper_for_test(0, tampered)
         with pytest.raises(TamperedLedgerError):
@@ -94,7 +108,7 @@ class TestBlockchain:
         tampered = Block(
             original.height, original.round_id, original.cluster_id,
             batch("evil"), original.batch_digest,
-            original.certificate_digest, original.prev_hash,
+            original.certificate, original.prev_hash,
         )
         chain.tamper_for_test(0, tampered)
         chain.verify(deep=False)  # structure intact
@@ -109,7 +123,7 @@ class TestBlockchain:
         tampered = Block(
             original.height, original.round_id, original.cluster_id,
             original.batch, b"\x00" * 32,
-            original.certificate_digest, original.prev_hash,
+            original.certificate, original.prev_hash,
         )
         chain.tamper_for_test(0, tampered)
         with pytest.raises(TamperedLedgerError):
@@ -124,6 +138,22 @@ class TestBlockchain:
         chain.tamper_for_test(1, b0)
         with pytest.raises(TamperedLedgerError):
             chain.verify()
+
+    def test_append_encodes_nothing(self):
+        """A fresh certificate is stored as is: no encode, digest or
+        splice until someone asks for ``certificate_digest``."""
+        certificate = make_certificate(KeyRegistry(), batch_size=5)
+        request = certificate.request
+        digest = request.digest()  # protocol code holds it before append
+        chain = Blockchain()
+        before = ENCODING_STATS.snapshot()
+        block = chain.append(1, 1, request.batch, certificate,
+                             batch_digest=digest)
+        assert not any(ENCODING_STATS.delta_since(before).values())
+        assert not hasattr(certificate, "_encoded_cache")
+        assert block.certificate is chain.certificate(0) is certificate
+        assert block.certificate_digest == digest_of(certificate)
+        assert ENCODING_STATS.delta_since(before)["encode_misses"] == 1
 
     def test_certificate_retained(self):
         chain = Blockchain()

@@ -143,23 +143,34 @@ class TestExecutionEngine:
 
     def test_compiled_batches_match_per_txn_reference(self):
         """Write-only, modify-only and mixed batches: the compiled plan
-        and ``execute_txn`` give the same results, state and counters."""
+        and ``execute_txn`` give the same results, state and counters.
+        ``triple`` overwrites one journaled key three times among new
+        keys: the dict-merged run keeps the last value, counts every
+        write, inserts in first-write order and drops the journal."""
         write = [Transaction(f"w{i}", "update", i % 3, f"v{i}")
                  for i in range(6)]
         modify = [Transaction(f"m{i}", "modify", i % 3, f"s{i}")
                   for i in range(6)]
         mixed = [t for pair in zip(modify, write) for t in pair]
         mixed.insert(4, Transaction.noop())
+        triple = [Transaction("a", "update", 1, "first"),
+                  Transaction("b", "update", 7, "x"),
+                  Transaction("c", "insert", 1, "second"),
+                  Transaction("d", "update", 5, "y"),
+                  Transaction("e", "update", 1, "third")]
         fast = ExecutionEngine(YcsbStore(10))
         slow = ExecutionEngine(YcsbStore(10))
-        for batch in (modify, write, mixed, modify, mixed[::-1], write):
+        for batch in (modify, write, mixed, modify, triple, modify,
+                      mixed[::-1], write):
             assert fast.execute_batch(tuple(batch)) == [
                 slow.execute_txn(txn) for txn in batch]
             assert fast.executed_txns == slow.executed_txns
             assert fast.store.write_count == slow.store.write_count
             assert fast.store.read_count == slow.store.read_count
         assert fast.state_digest() == slow.state_digest()
-        assert fast.store.snapshot() == slow.store.snapshot()
+        assert (list(fast.store.snapshot().items())
+                == list(slow.store.snapshot().items()))
+        assert list(fast.store.snapshot()) == [0, 1, 2, 7, 5]
 
     def test_write_only_plan_drops_pending_journal_suffixes(self):
         engine = ExecutionEngine(YcsbStore(10))
@@ -312,7 +323,7 @@ class StoreDifferentialMachine(RuleBasedStateMachine):
     @rule()
     def snapshot(self):
         self.snaps = (self.store.snapshot(), dict(self.model.data))
-        assert self.snaps[0] == self.snaps[1]
+        assert list(self.snaps[0].items()) == list(self.snaps[1].items())
 
     @rule()
     def restore(self):
@@ -325,7 +336,8 @@ class StoreDifferentialMachine(RuleBasedStateMachine):
         assert self.store.state_digest() == self.model.state_digest()
 
     def teardown(self):
-        assert self.store.snapshot() == self.model.data
+        assert (list(self.store.snapshot().items())
+                == list(self.model.data.items()))
 
 
 TestStoreDifferential = StoreDifferentialMachine.TestCase

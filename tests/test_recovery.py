@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.deployment import Deployment
+from repro.crypto.digests import digest_of
 from repro.errors import TamperedLedgerError
 from repro.ledger.block import Block, Transaction
 from repro.ledger.recovery import (
@@ -35,7 +36,7 @@ class TestAudit:
         evil = Block(
             original.height, original.round_id, original.cluster_id,
             (Transaction("evil", "update", 0, "bad"),),
-            original.batch_digest, original.certificate_digest,
+            original.batch_digest, original.certificate,
             original.prev_hash,
         )
         peer.ledger.tamper_for_test(0, evil)
@@ -76,7 +77,7 @@ class TestRebuild:
         original = peer.ledger.block(1)
         evil = Block(
             original.height, original.round_id, original.cluster_id,
-            original.batch, b"\x11" * 32, original.certificate_digest,
+            original.batch, b"\x11" * 32, original.certificate,
             original.prev_hash,
         )
         peer.ledger.tamper_for_test(1, evil)
@@ -86,3 +87,26 @@ class TestRebuild:
                                   deployment.config.record_count)
         finally:
             peer.ledger.tamper_for_test(1, original)
+
+    def test_forged_certificate_digest_cannot_be_planted(
+            self, finished_deployment):
+        """The block hash does not cover the certificate, so no audit
+        could notice a forged stored digest — a block therefore stores
+        none: the digest is derived from the certificate it carries."""
+        deployment = finished_deployment
+        peer = deployment.replicas[replica_id(2, 3)]
+        original = peer.ledger.block(1)
+        with pytest.raises(AttributeError):
+            original.certificate_digest = b"\x11" * 32
+        with pytest.raises(TypeError):
+            Block(
+                original.height, original.round_id, original.cluster_id,
+                original.batch, original.batch_digest, original.certificate,
+                original.prev_hash, certificate_digest=b"\x11" * 32,
+            )
+        ledger, _store = recover_from_peer(
+            peer.ledger, deployment.config.record_count)
+        assert ledger.height == peer.ledger.height > 1
+        for height in range(ledger.height):
+            assert (ledger.block(height).certificate_digest
+                    == digest_of(peer.ledger.certificate(height)))

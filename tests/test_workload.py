@@ -114,6 +114,28 @@ class TestYcsbWorkload:
         assert all(t.txn_id.startswith("c1-") for t in b)
         assert wl.generated_txns == 10
 
+    @pytest.mark.parametrize("distribution", ["zipfian", "uniform"])
+    @pytest.mark.parametrize("write_fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    def test_next_batch_equals_successive_next_txn(
+            self, seed, write_fraction, distribution):
+        """The unrolled batch loop draws (key, then write/read) and mints
+        ids, values and primed encodings exactly as ``next_txn`` does."""
+        def twin():
+            return YcsbWorkload(record_count=100, seed=seed,
+                                write_fraction=write_fraction,
+                                distribution=distribution, value_size=9)
+        batched, single = twin(), twin()
+        for size, prefix in ((7, "c1-"), (1, ""), (12, "c2-")):
+            batch = batched.next_batch(size, prefix)
+            reference = tuple(
+                single.next_txn(f"{prefix}t{single.generated_txns + 1}")
+                for _ in range(size))
+            assert batch == reference
+            assert ([t._encoded_cache for t in batch]
+                    == [t._encoded_cache for t in reference])
+            assert batched.generated_txns == single.generated_txns
+
     def test_batch_size_validation(self):
         wl = YcsbWorkload(record_count=100, seed=1)
         with pytest.raises(WorkloadError):
