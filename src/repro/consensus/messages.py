@@ -89,7 +89,7 @@ class ClientRequestBatch(CachedEncodable):
     def payload(self) -> tuple:
         # Embedding the Transaction objects (not their payload() tuples)
         # is byte-identical under canonical encoding and lets the encoder
-        # splice each transaction's cached bytes.
+        # splice each transaction's one-interpolation bytes.
         return (
             "request",
             self.batch_id,

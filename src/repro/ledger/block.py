@@ -14,51 +14,58 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from ..crypto.digests import CachedEncodable, digest_of
+from ..crypto.digests import digest_of, encode_canonical
 from ..types import ClusterId, RoundId
 
 GENESIS_HASH = b"\x00" * 32
 
 
-@dataclass(frozen=True)
-class Transaction(CachedEncodable):
+@dataclass(frozen=True, init=False)
+class Transaction:
     """One client operation against the YCSB table.
 
     ``op`` is one of ``"read"``, ``"update"``, ``"insert"``,
     ``"modify"`` (read-modify-write), or ``"noop"``.
 
-    Transactions are encoded into every request, pre-prepare, and
-    certificate that carries them; :class:`CachedEncodable` makes that a
-    one-time cost per transaction instance.
+    Stores its four fields and nothing else: the ledger pins every
+    minted transaction for the whole run, so the canonical bytes are
+    derived when asked (:meth:`canonical_bytes`), never kept.
     """
+
+    __slots__ = ("txn_id", "op", "key", "value")
 
     txn_id: str
     op: str
     key: int
-    value: str = ""
+    value: str
+
+    # By hand: a ``value = ""`` class attribute would collide with the slot.
+    def __init__(self, txn_id: str, op: str, key: int, value: str = ""):
+        set_field = object.__setattr__
+        set_field(self, "txn_id", txn_id)
+        set_field(self, "op", op)
+        set_field(self, "key", key)
+        set_field(self, "value", value)
+
+    def __reduce__(self) -> tuple:  # pickle's setattr would hit the freeze
+        return (Transaction, (self.txn_id, self.op, self.key, self.value))
 
     def payload(self) -> tuple:
         """Canonical primitive form for hashing/signing."""
         return ("txn", self.txn_id, self.op, self.key, self.value)
 
-    def prime_encoding(self) -> "Transaction":
-        """Precompute the canonical encoding in one interpolation.
-
-        Byte-identical to what the generic encoder would cache on first
-        use (the determinism suite pins this); callers that mint
-        transactions at workload rates (YCSB) prime eagerly so the hot
-        batch-digest path never enters the encoder's dispatch loop.
-        Only valid for exact ``str``/``int`` field types.
-        """
-        tid = self.txn_id.encode()
-        op = self.op.encode()
-        val = self.value.encode()
-        key = b"%d" % self.key
-        object.__setattr__(
-            self, "_encoded_cache",
-            b"l5:s3:txns%d:%bs%d:%bi%d:%bs%d:%b;"
-            % (len(tid), tid, len(op), op, len(key), key, len(val), val))
-        return self
+    def canonical_bytes(self) -> bytes:
+        """Canonical encoding of :meth:`payload`, in one interpolation
+        (the generic encoder for fields that are not exactly ``str``/
+        ``int``: a ``bool`` key encodes as ``T``, not ``1``)."""
+        txn_id, op, key, value = self.txn_id, self.op, self.key, self.value
+        if not (txn_id.__class__ is str and op.__class__ is str
+                and key.__class__ is int and value.__class__ is str):
+            return encode_canonical(self.payload())
+        tid, op, val = txn_id.encode(), op.encode(), value.encode()
+        key = b"%d" % key
+        return (b"l5:s3:txns%d:%bs%d:%bi%d:%bs%d:%b;"
+                % (len(tid), tid, len(op), op, len(key), key, len(val), val))
 
     @classmethod
     def noop(cls, txn_id: str = "noop") -> "Transaction":
@@ -72,24 +79,11 @@ Batch = Tuple[Transaction, ...]
 
 
 def batch_digest(batch: Batch) -> bytes:
-    """SHA256 digest of a request batch.
-
-    Encoding a :class:`Transaction` object is byte-identical to encoding
-    its ``payload()`` tuple, so this digest matches the historical
-    definition while reusing each transaction's cached bytes.  When
-    every transaction's encoding is already cached (workload-minted
-    batches always are), the digest is one join + one hash — the
-    encoder's dispatch loop is skipped entirely.
-    """
-    parts = [b"l%d:" % len(batch)]
-    append = parts.append
-    for txn in batch:
-        try:
-            append(txn._encoded_cache)
-        except AttributeError:
-            return digest_of(tuple(batch))
-    append(b";")
-    return hashlib.sha256(b"".join(parts)).digest()
+    """SHA256 digest of a request batch: equals
+    ``digest_of(tuple(t.payload() for t in batch))``, since a transaction
+    encodes to the bytes of its ``payload()`` tuple."""
+    body = b"".join([txn.canonical_bytes() for txn in batch])
+    return hashlib.sha256(b"l%d:%b;" % (len(batch), body)).digest()
 
 
 @dataclass(frozen=True)
@@ -106,6 +100,9 @@ class Block:
     one retained, on demand, so it cannot disagree with it.
     """
 
+    __slots__ = ("height", "round_id", "cluster_id", "batch",
+                 "batch_digest", "certificate", "prev_hash")
+
     height: int
     round_id: RoundId
     cluster_id: ClusterId
@@ -113,6 +110,9 @@ class Block:
     batch_digest: bytes
     certificate: Any
     prev_hash: bytes
+
+    def __reduce__(self) -> tuple:  # as Transaction: frozen and slotted
+        return (Block, tuple(getattr(self, name) for name in self.__slots__))
 
     @property
     def certificate_digest(self) -> bytes:
@@ -169,13 +169,14 @@ def make_block(height: int, round_id: RoundId, cluster_id: ClusterId,
     its request) can be passed in to avoid re-hashing the batch on the
     hot path.
     """
+    batch = tuple(batch)
     if precomputed_batch_digest is None:
-        precomputed_batch_digest = batch_digest(tuple(batch))
+        precomputed_batch_digest = batch_digest(batch)
     return Block(
         height=height,
         round_id=round_id,
         cluster_id=cluster_id,
-        batch=tuple(batch),
+        batch=batch,
         batch_digest=precomputed_batch_digest,
         certificate=certificate,
         prev_hash=prev_hash if prev_hash is not None else GENESIS_HASH,

@@ -17,10 +17,13 @@ from .block import Batch, Transaction
 from .store import YcsbStore
 
 
-# Result lists repeat across replicas (deterministic execution), so their
-# digests are memoized process-wide, FIFO-bounded.
+# Bound of both process-wide FIFO memos (a miss only recomputes, an entry
+# pins up to 20 KB): twice the largest measured reuse distance, 179
+# distinct batches (EXPERIMENTS.md, "Resident bytes per transaction").
+_MEMO_MAX = 512
+
+# Result lists repeat across replicas (deterministic execution).
 _results_digest_memo: dict = {}
-_RESULTS_MEMO_MAX = 4096
 
 # Batches of writes (the paper's YCSB workload is write-heavy; the
 # default benchmarks are pure-write, the payment workload pure-modify)
@@ -31,7 +34,6 @@ _RESULTS_MEMO_MAX = 4096
 # Keyed by object identity with a strong reference retained, so a recycled
 # id can never alias a different batch (``is`` rejects stale entries).
 _batch_plan_memo: dict = {}
-_PLAN_MEMO_MAX = 4096
 
 
 def _compile_plan(batch: Batch):
@@ -123,7 +125,7 @@ class ExecutionEngine:
             plan = entry[1]
         else:
             plan = _compile_plan(batch)
-            if len(_batch_plan_memo) >= _PLAN_MEMO_MAX:
+            if len(_batch_plan_memo) >= _MEMO_MAX:
                 _batch_plan_memo.pop(next(iter(_batch_plan_memo)))
             _batch_plan_memo[id(batch)] = (batch, plan)
         if plan is None or plan[0] >= self._store.record_count:
@@ -148,7 +150,7 @@ class ExecutionEngine:
         cached = _results_digest_memo.get(key)
         if cached is None:
             cached = digest_of(key)
-            if len(_results_digest_memo) >= _RESULTS_MEMO_MAX:
+            if len(_results_digest_memo) >= _MEMO_MAX:
                 _results_digest_memo.pop(next(iter(_results_digest_memo)))
             _results_digest_memo[key] = cached
         return cached

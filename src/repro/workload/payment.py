@@ -74,13 +74,12 @@ class PaymentWorkload:
             amount = randint(1, 500)
             # A transfer appends a journal entry to the source account's
             # record.
-            txn = Transaction(
+            batch.append(Transaction(
                 txn_id=f"{prefix}pay{counter}",
                 op="modify",
                 key=src,
                 value=f"{branch}->acct{dst}:{amount}",
-            )
-            batch.append(txn.prime_encoding())
+            ))
         return tuple(batch)
 
 

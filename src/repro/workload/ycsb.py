@@ -67,13 +67,8 @@ class YcsbWorkload:
             txn_id = f"t{self._counter}"
         key = self._keys.next()
         if self._rng.random() < self._write_fraction:
-            txn = Transaction(txn_id, "update", key, self._next_value())
-        else:
-            txn = Transaction(txn_id, "read", key)
-        # Workload-rate minting: cache the canonical bytes now, in one
-        # interpolation, instead of via the encoder's dispatch loop the
-        # first time a batch digest touches the transaction.
-        return txn.prime_encoding()
+            return Transaction(txn_id, "update", key, self._next_value())
+        return Transaction(txn_id, "read", key)
 
     def next_batch(self, size: int, prefix: str = "") -> Batch:
         """Generate a batch of ``size`` transactions.
@@ -84,7 +79,7 @@ class YcsbWorkload:
         if size < 1:
             raise WorkloadError(f"batch size must be >= 1, got {size}")
         # ``next_txn`` unrolled with its lookups hoisted: same draw order
-        # (key, then write/read), ids, values and primed encodings.
+        # (key, then write/read), ids and values.
         next_key, random_ = self._keys.next, self._rng.random
         write_fraction, value_size = self._write_fraction, self._value_size
         first = self._counter + 1
@@ -97,7 +92,7 @@ class YcsbWorkload:
                                   f"v{counter}".ljust(value_size, "x"))
             else:
                 txn = Transaction(f"{prefix}t{counter}", "read", key)
-            batch.append(txn.prime_encoding())
+            batch.append(txn)
         return tuple(batch)
 
     # ------------------------------------------------------------------

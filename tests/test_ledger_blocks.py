@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.digests import ENCODING_STATS, digest_of
+from repro.crypto.digests import ENCODING_STATS, digest_of, encode_canonical
 from repro.crypto.signatures import KeyRegistry
 from repro.errors import LedgerError, TamperedLedgerError
 from repro.ledger.block import (
@@ -23,7 +23,31 @@ def batch(*ids):
     return tuple(Transaction(i, "update", 1, "v") for i in ids)
 
 
+# Every constructible transaction: empty and non-ASCII text, keys 0,
+# negative, beyond 2**63 and ``bool`` (``b"%d" % True`` would be ``1``
+# where the canonical encoder writes ``T``), every op, and the no-op.
+_texts = st.text(max_size=12)
+_transactions = st.one_of(
+    st.builds(Transaction, _texts,
+              st.sampled_from(["read", "update", "insert", "modify", "noop"]),
+              st.one_of(st.integers(-2**70, 2**70), st.booleans()), _texts),
+    st.builds(Transaction.noop, _texts),
+)
+
+
 class TestTransactions:
+    @given(st.lists(_transactions, max_size=6).map(tuple))
+    def test_derived_encoding_is_the_encoding_of_the_payload(self, txns):
+        """No transaction stores bytes; what it derives is what the
+        generic encoder makes of ``payload()``, for the batch digest and
+        for any message that embeds the transaction."""
+        for txn in txns:
+            assert encode_canonical(txn) == encode_canonical(txn.payload())
+        payloads = tuple(txn.payload() for txn in txns)
+        assert batch_digest(txns) == digest_of(payloads)
+        assert encode_canonical(("request", txns)) == encode_canonical(
+            ("request", payloads))
+
     def test_noop(self):
         txn = Transaction.noop("n1")
         assert txn.op == "noop"

@@ -1,12 +1,21 @@
 """Tests for the Zipfian generators and the YCSB workload."""
 
+import copy
+import dataclasses
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.consensus.messages import ClientRequestBatch
+from repro.crypto.digests import digest_of
 from repro.errors import WorkloadError
+from repro.ledger.block import Block, Transaction, batch_digest
+from repro.types import client_id
+from repro.workload.payment import PaymentWorkload
 from repro.workload.ycsb import YcsbWorkload
 from repro.workload.zipfian import (
     ScrambledZipfianGenerator,
@@ -120,7 +129,8 @@ class TestYcsbWorkload:
     def test_next_batch_equals_successive_next_txn(
             self, seed, write_fraction, distribution):
         """The unrolled batch loop draws (key, then write/read) and mints
-        ids, values and primed encodings exactly as ``next_txn`` does."""
+        ids and values exactly as ``next_txn`` does (equal transactions
+        derive equal bytes: ``tests/test_ledger_blocks.py``)."""
         def twin():
             return YcsbWorkload(record_count=100, seed=seed,
                                 write_fraction=write_fraction,
@@ -132,8 +142,8 @@ class TestYcsbWorkload:
                 single.next_txn(f"{prefix}t{single.generated_txns + 1}")
                 for _ in range(size))
             assert batch == reference
-            assert ([t._encoded_cache for t in batch]
-                    == [t._encoded_cache for t in reference])
+            assert batch_digest(batch) == digest_of(
+                tuple(t.payload() for t in reference))
             assert batched.generated_txns == single.generated_txns
 
     def test_batch_size_validation(self):
@@ -158,3 +168,51 @@ class TestYcsbWorkload:
         wl = YcsbWorkload(record_count=50, seed=2)
         for _ in range(500):
             assert 0 <= wl.next_txn().key < 50
+
+
+class TestTransactionFootprint:
+    """Every minted transaction stays pinned by the ledger for the whole
+    run, so bytes per transaction are what peak RSS is made of."""
+
+    def test_retained_bytes_per_transaction(self):
+        """Four fields, two of them fresh strings, and nothing else:
+        digesting a batch must leave no per-transaction bytes behind
+        (351 B each when the encoding was stored on the instance)."""
+        ycsb = YcsbWorkload(record_count=10_000, seed=2)
+        payment = PaymentWorkload("branch0", seed=2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batches = [generator.next_batch(100, prefix="client0.1-")
+                       for generator in (ycsb, payment) for _ in range(100)]
+            digests = [batch_digest(batch) for batch in batches]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(set(digests)) == 200
+        assert retained / 20_000 <= 240
+
+    def test_no_instance_dict(self):
+        txn = Transaction("t1", "update", 1, "v")
+        block = Block(0, 1, 1, (txn,), batch_digest((txn,)), None, b"")
+        for obj in (txn, block):
+            assert not hasattr(obj, "__dict__")
+            assert not hasattr(obj, "__weakref__")
+
+    def test_request_survives_pickling(self):
+        """The parallel engine ships request batches between workers."""
+        batch = YcsbWorkload(record_count=100, seed=1).next_batch(5, "c-")
+        request = ClientRequestBatch(
+            "c:0", client_id(1, 1), batch + (Transaction.noop(),), None)
+        clone = pickle.loads(pickle.dumps(request))
+        assert clone == request
+        assert clone.digest() == request.digest()
+        assert clone.encoded() == request.encoded()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.batch[0].key = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.batch_id = "c:1"
+        block = Block(0, 1, 1, batch, request.digest(), None, b"\x00" * 32)
+        for restored in (pickle.loads(pickle.dumps(block)), copy.copy(block)):
+            assert restored == block
+            assert restored.block_hash() == block.block_hash()
