@@ -37,15 +37,13 @@ for the fault taxonomy, and ``benchmarks/`` for the scripts that
 regenerate every table and figure of the paper.
 """
 
+from . import api
 from .api import (
     PROTOCOLS,
     SCENARIOS,
-    Campaign,
-    CampaignOutcome,
     ChaosContext,
     CrashFault,
     Deployment,
-    EngineReport,
     EquivocateFault,
     ExperimentConfig,
     ExperimentResult,
@@ -58,11 +56,7 @@ from .api import (
     LinkDelayFault,
     MessageLossFault,
     OmissionFault,
-    ParallelRun,
     PartitionFault,
-    ReportSpec,
-    ResultStore,
-    RunSpec,
     TRAFFIC_PROCESSES,
     TamperFault,
     TrafficSpec,
@@ -70,23 +64,12 @@ from .api import (
     PaymentWorkload,
     WorkerInstrumentation,
     apply_scenario,
-    calibrate_host,
-    campaign_names,
     chaos_smoke_timeline,
-    cluster_affinity_pairs,
     deployment_digest,
-    expand_grid,
     fault_from_dict,
-    get_campaign,
     load_trace_jsonl,
-    lookahead_s,
-    parallel_unsupported_reason,
-    partition_clusters,
-    register_campaign,
     register_scenario,
-    run_campaign,
     run_experiment,
-    run_parallel,
     scenario_names,
     traffic_summary,
 )
@@ -111,6 +94,15 @@ from .workload.client import QuorumClient
 from .workload.ycsb import YcsbWorkload
 
 __version__ = "1.1.0"
+
+
+def __getattr__(name: str):
+    # The parallel-engine and campaign names load on first access; see
+    # ``repro.api``.
+    if name in api._LAZY:
+        return getattr(api, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     # stable API (repro.api)

@@ -69,6 +69,8 @@ Typical staged run::
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from .bench.deployment import (
     PROTOCOLS,
     Deployment,
@@ -82,15 +84,6 @@ from .bench.instrumentation import (
     Instrumentation,
     LatencyHistogram,
     WorkerInstrumentation,
-)
-from .bench.parallel import (
-    EngineReport,
-    ParallelRun,
-    cluster_affinity_pairs,
-    lookahead_s,
-    parallel_unsupported_reason,
-    partition_clusters,
-    run_parallel,
 )
 from .bench.tracing import load_trace_jsonl
 from .bench.scenarios import (
@@ -121,19 +114,44 @@ from .workload.traffic import (
     TrafficSpec,
     traffic_summary,
 )
-from .sweep import (
-    Campaign,
-    CampaignOutcome,
-    ReportSpec,
-    ResultStore,
-    RunSpec,
-    calibrate_host,
-    campaign_names,
-    expand_grid,
-    get_campaign,
-    register_campaign,
-    run_campaign,
-)
+
+#: The parallel engine and the campaign layer pull in ``multiprocessing``,
+#: ``sqlite3`` and the result stores, which a single run never touches:
+#: their names resolve on first access (PEP 562) instead of at import.
+_LAZY = {
+    **dict.fromkeys((
+        "EngineReport",
+        "ParallelRun",
+        "cluster_affinity_pairs",
+        "lookahead_s",
+        "parallel_unsupported_reason",
+        "partition_clusters",
+        "run_parallel",
+    ), ".bench.parallel"),
+    **dict.fromkeys((
+        "Campaign",
+        "CampaignOutcome",
+        "ReportSpec",
+        "ResultStore",
+        "RunSpec",
+        "calibrate_host",
+        "campaign_names",
+        "expand_grid",
+        "get_campaign",
+        "register_campaign",
+        "run_campaign",
+    ), ".sweep"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __package__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     # experiments

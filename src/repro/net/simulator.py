@@ -36,6 +36,14 @@ exact (deadline, seq) total order:
   bucket is sorted once when the clock reaches it.  Ties always land in
   the same bucket (same deadline ⇒ same bucket), so (deadline, seq)
   ordering is preserved exactly.
+
+Almost every timer the protocols arm is cancelled long before its
+multi-second deadline, so a cancelled timer must not stay resident until
+then: a timer bound for a future bucket is filed in that bucket's
+:class:`_TimerIndex` rather than its list, :meth:`Timer.cancel` removes
+it from there, and only its ``(deadline, seq)`` pair stays behind.  The
+cancelled event is still popped, counted and skipped at exactly the
+position it always held.
 """
 
 from __future__ import annotations
@@ -43,8 +51,10 @@ from __future__ import annotations
 import gc
 import heapq
 import random
+from array import array
 from bisect import insort
 from collections import deque
+from itertools import repeat
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
@@ -54,22 +64,45 @@ class Timer:
     """Handle to a scheduled event, allowing cancellation.
 
     Replicas use timers for failure detection (PBFT view-change timers,
-    GeoBFT remote view-change timers).  Cancelling is O(1): the event
-    stays in the queue but fires as a no-op.
+    GeoBFT remote view-change timers).  Cancelling is O(1) and releases
+    the callback and its arguments at once; the event itself still
+    counts as queued and is skipped as a no-op at its deadline.
     """
 
-    __slots__ = ("deadline", "_fn", "_args", "_cancelled", "_fired")
+    __slots__ = ("deadline", "_fn", "_args", "_cancelled", "_fired",
+                 "_index")
 
     def __init__(self, deadline: float, fn: Callable[..., None], args: tuple):
         self.deadline = deadline
-        self._fn = fn
-        self._args = args
+        # Both are dropped by cancel().
+        self._fn: Optional[Callable[..., None]] = fn
+        self._args: Optional[tuple] = args
         self._cancelled = False
         self._fired = False
+        # The _TimerIndex this timer is filed in, if it went to a future
+        # calendar bucket; None for lane/active-bucket timers, which own
+        # an ordinary queue entry.
+        self._index: Optional[_TimerIndex] = None
 
     def cancel(self) -> None:
-        """Prevent the timer from firing (idempotent)."""
+        """Prevent the timer from firing (idempotent).
+
+        A no-op once the timer has fired — including from inside its own
+        callback.
+        """
+        if self._fired or self._cancelled:
+            return
         self._cancelled = True
+        self._fn = self._args = None
+        index = self._index
+        if index is not None:
+            self._index = None
+            seq = index.live.pop(self, None)
+            # None: the bucket has been activated, a queue entry holds
+            # the timer now and the loop will skip it by its flag.
+            if seq is not None:
+                index.dead_deadlines.append(self.deadline)
+                index.dead_seqs.append(seq)
 
     @property
     def cancelled(self) -> bool:
@@ -88,6 +121,12 @@ class Timer:
         self._fn(*self._args)
 
 
+#: Stands in the queue for every timer cancelled while it was filed in a
+#: :class:`_TimerIndex`; the loops skip it like any cancelled timer.
+_CANCELLED = Timer(0.0, lambda: None, ())
+_CANCELLED.cancel()
+
+
 #: Width of one calendar bucket, in simulated seconds.  One millisecond
 #: sits between the shortest intra-region one-way latencies (~0.25 ms)
 #: and the WAN latencies (tens to hundreds of ms), so at paper scale a
@@ -95,6 +134,36 @@ class Timer:
 #: are O(1) appends into future buckets, small enough that sorting the
 #: active bucket stays cheap.
 _BUCKET_WIDTH = 1e-3
+
+
+class _TimerIndex:
+    """The timers filed in one future calendar bucket.
+
+    ``live`` maps each still-armed :class:`Timer` to its sequence number;
+    a cancelled timer leaves it and keeps only its ``(deadline, seq)``
+    pair, 16 bytes in the two parallel arrays — enough for
+    :meth:`merge_into` to put a cancelled placeholder at the exact
+    queue position the timer held.
+    """
+
+    __slots__ = ("live", "dead_deadlines", "dead_seqs")
+
+    def __init__(self) -> None:
+        self.live: dict = {}
+        self.dead_deadlines = array("d")
+        self.dead_seqs = array("q")
+
+    def merge_into(self, entries: list) -> None:
+        """Append one queue entry per filed timer, live or cancelled."""
+        live = self.live
+        entries.extend([(timer.deadline, seq, timer, None, None)
+                        for timer, seq in live.items()])
+        # The timers still point here; emptying ``live`` breaks that
+        # reference cycle (the run loop keeps the collector off) and
+        # leaves a later cancel() nothing to unfile.
+        live.clear()
+        entries.extend(zip(self.dead_deadlines, self.dead_seqs,
+                           repeat(_CANCELLED), repeat(None), repeat(None)))
 
 
 class _CalendarQueue:
@@ -107,10 +176,13 @@ class _CalendarQueue:
     each instead of degrading a fixed-size calendar.
 
     * **push** into a future bucket: ``list.append`` (unsorted) — O(1).
-    * **pop**: the minimum-epoch bucket is *activated* — sorted once,
-      then consumed front-to-back through an index cursor.  Inserts that
-      land in the already-active bucket use ``bisect.insort`` past the
-      cursor, preserving order.
+    * **push_timer** into a future bucket files the timer in that
+      bucket's :class:`_TimerIndex` instead, where cancelling it is a
+      dict delete.
+    * **pop**: the minimum-epoch bucket is *activated* — its timer index
+      merged in, sorted once, then consumed front-to-back through an
+      index cursor.  Inserts that land in the already-active bucket use
+      ``bisect.insort`` past the cursor, preserving order.
     * an insert *earlier* than the active bucket (possible after the
       clock jumped over empty buckets) deactivates the current bucket
       back into the dict; the next pop re-activates the true minimum.
@@ -120,12 +192,13 @@ class _CalendarQueue:
     property the determinism suite asserts byte-for-byte.
     """
 
-    __slots__ = ("_width", "_buckets", "_epochs", "_active", "_active_epoch",
-                 "_cursor", "_size")
+    __slots__ = ("_width", "_buckets", "_timers", "_epochs", "_active",
+                 "_active_epoch", "_cursor", "_size")
 
     def __init__(self, width: float = _BUCKET_WIDTH):
         self._width = width
         self._buckets: dict = {}     # epoch -> unsorted list of entries
+        self._timers: dict = {}      # epoch -> _TimerIndex (subset of above)
         self._epochs: list = []      # min-heap of epochs present in _buckets
         self._active: Optional[list] = None   # sorted; consumed via cursor
         self._active_epoch = 0
@@ -158,6 +231,22 @@ class _CalendarQueue:
             bucket.append(entry)
         self._size += 1
 
+    def push_timer(self, timer: Timer, seq: int) -> None:
+        """Queue ``timer`` at ``(timer.deadline, seq)``."""
+        epoch = int(timer.deadline / self._width)
+        if self._active is not None and epoch <= self._active_epoch:
+            self.push((timer.deadline, seq, timer, None, None))
+            return
+        index = self._timers.get(epoch)
+        if index is None:
+            index = self._timers[epoch] = _TimerIndex()
+            if epoch not in self._buckets:
+                self._buckets[epoch] = []
+                heapq.heappush(self._epochs, epoch)
+        index.live[timer] = seq
+        timer._index = index
+        self._size += 1
+
     def peek(self) -> Optional[tuple]:
         """The minimum entry, or ``None`` when empty (does not remove)."""
         active = self._active
@@ -167,6 +256,9 @@ class _CalendarQueue:
                 return None
             epoch = heapq.heappop(self._epochs)
             active = self._buckets.pop(epoch)
+            index = self._timers.pop(epoch, None)
+            if index is not None:
+                index.merge_into(active)
             active.sort()
             self._active = active
             self._active_epoch = epoch
@@ -203,9 +295,11 @@ class Simulation:
         self._now = 0.0
         self._seq = 0
         # Queue entries are (deadline, seq, timer, fn, args): ``schedule``
-        # pushes (deadline, seq, Timer, None, None); ``post`` pushes
-        # (deadline, seq, None, fn, args).  ``seq`` is unique, so tuple
-        # comparison never reaches the non-comparable tail.
+        # queues (deadline, seq, Timer, None, None) — materialised only
+        # at bucket activation for a timer filed in a _TimerIndex;
+        # ``post`` pushes (deadline, seq, None, fn, args).  ``seq`` is
+        # unique, so tuple comparison never reaches the non-comparable
+        # tail.
         self._calendar = _CalendarQueue()
         # Zero-delay FIFO lane: every entry's deadline equals the current
         # instant (the lane drains before time advances), so plain FIFO
@@ -260,12 +354,11 @@ class Simulation:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
         timer = Timer(self._now + delay, fn, args)
-        entry = (timer.deadline, self._seq, timer, None, None)
-        self._seq += 1
         if delay == 0.0:
-            self._lane.append(entry)
+            self._lane.append((timer.deadline, self._seq, timer, None, None))
         else:
-            self._calendar.push(entry)
+            self._calendar.push_timer(timer, self._seq)
+        self._seq += 1
         depth = self._depth + 1
         self._depth = depth
         if depth > self._max_queue:
@@ -580,6 +673,8 @@ class WorkerSimulation(Simulation):
         timer = Timer(self._now + delay, fn, args)
         k = self._k
         self._k = k + self._stride
+        # Always a full entry, never a _TimerIndex filing: a composite
+        # tie key does not fit the index's integer array.
         entry = (timer.deadline,
                  (self._now, self._parent_post, self._rank, k), timer,
                  None, None)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,31 @@ class TestSurface:
     def test_package_all_resolves(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_import_defers_campaign_and_parallel_machinery(self):
+        """A single run never touches the sweep stores or the worker
+        engine, so ``import repro`` must not load them; their names
+        still import from the package root."""
+        probe = (
+            "import sys, repro\n"
+            "heavy = {'sqlite3', 'multiprocessing', 'repro.sweep',\n"
+            "         'repro.bench.parallel'}\n"
+            "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
+            "assert all(hasattr(repro, n) for n in repro.__all__)\n"
+            "from repro import Campaign, run_parallel\n"
+            "import repro.sweep, repro.bench.parallel\n"
+            "assert Campaign is repro.sweep.Campaign is repro.api.Campaign\n"
+            "assert run_parallel is repro.bench.parallel.run_parallel\n"
+            "assert 'Campaign' in vars(repro.api)  # resolved once\n"
+            "try:\n"
+            "    repro.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('unknown names must not resolve')\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                       timeout=60)
 
     def test_core_entry_points_present(self):
         for name in ("ExperimentConfig", "run_experiment",

@@ -1,8 +1,13 @@
 """Tests for the discrete-event simulator."""
 
+import gc
+import weakref
+from bisect import insort
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import SimulationError
 from repro.net.simulator import Simulation
@@ -138,6 +143,62 @@ class TestTimers:
         sim.run()
         timer.cancel()
         assert timer.fired
+        assert not timer.cancelled
+
+    def test_self_cancel_inside_callback_counts_as_fired(self):
+        """A timer that cancels itself while firing (PBFT's progress
+        timeout does, via ``start_view_change``) has fired: ``max_events``
+        counts it."""
+        sim = Simulation()
+        timers = []
+        for delay in (1.0, 2.0, 3.0):
+            timers.append(sim.schedule(delay,
+                                       lambda i=len(timers): timers[i].cancel()))
+        sim.run(max_events=2)
+        assert [t.fired for t in timers] == [True, True, False]
+        assert not any(t.cancelled for t in timers)
+        assert sim.events_processed == 2
+
+    def test_cancel_releases_the_callback_arguments(self):
+        """After ``cancel()`` nothing reachable from the simulation — or
+        from the handle — refers to the timer's arguments, wherever the
+        timer was queued."""
+        class Payload:
+            pass
+
+        sim = Simulation()
+        sim.post(0.5, lambda: None)
+        sim.run(until=0.1)             # activates the t=0.5 bucket
+        refs, handles = [], []
+        for delay in (0.0, 0.4, 5.0):  # lane, active bucket, future bucket
+            payload = Payload()
+            refs.append(weakref.ref(payload))
+            handles.append(sim.schedule(delay, lambda p: None, payload))
+        del payload
+        for timer in handles:
+            timer.cancel()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert sim.pending_events == 4
+
+    def test_cancelled_future_timer_leaves_the_calendar(self):
+        """No cancelled timer still bound for a future bucket is
+        reachable from the simulation; it is still counted and skipped
+        at its deadline."""
+        sim = Simulation()
+        keep = sim.schedule(5.0, lambda: None)
+        doomed = [sim.schedule(2.0 + i / 7, lambda: None) for i in range(20)]
+        for timer in doomed:
+            timer.cancel()
+        calendar = sim._calendar
+        assert [entry for bucket in calendar._buckets.values()
+                for entry in bucket] == []
+        assert [timer for index in calendar._timers.values()
+                for timer in index.live] == [keep]
+        assert sim.pending_events == 21
+        sim.run()
+        assert sim.events_processed == 21 and sim.now == 5.0
+        assert keep.fired and not any(t.fired for t in doomed)
 
     def test_step_skips_cancelled_events(self):
         sim = Simulation()
@@ -310,3 +371,186 @@ class TestLaneCalendarInterleaving:
         # Cancelling again after the queue drained stays a no-op.
         timer.cancel()
         assert not timer.fired
+
+
+def test_deployment_run_leaves_no_cancelled_timer_in_future_buckets():
+    """GeoBFT arms a timer per awaited share and PBFT one per decision;
+    fault-free, all are cancelled.  After a run the calendar must hold
+    them only as (deadline, seq) pairs — still counted as pending."""
+    from repro import Deployment, ExperimentConfig
+
+    deployment = Deployment(ExperimentConfig(
+        protocol="geobft", num_clusters=2, replicas_per_cluster=4,
+        batch_size=10, duration=0.5, warmup=0.1, fast_crypto=True))
+    deployment.run()
+    sim = deployment.sim
+    calendar = sim._calendar
+    future = [entry for bucket in calendar._buckets.values()
+              for entry in bucket]
+    filed = [timer for index in calendar._timers.values()
+             for timer in index.live]
+    pairs = sum(len(index.dead_seqs) for index in calendar._timers.values())
+    assert not [e for e in future if e[2] is not None and e[2].cancelled]
+    assert not [timer for timer in filed if timer.cancelled]
+    assert pairs > 100
+    active = len(calendar._active) - calendar._cursor
+    assert sim.pending_events == (len(sim._lane) + active + len(future)
+                                  + len(filed) + pairs)
+
+
+class _ReferenceTimer:
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+        self.cancelled = self.fired = False
+
+    def cancel(self):
+        if not self.fired:
+            self.cancelled = True
+
+
+class _ReferenceSimulation:
+    """The specification: one sorted list, cancellation by flag."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = self.max_queue_depth = self._seq = 0
+        self._queue = []
+
+    @property
+    def pending_events(self):
+        return len(self._queue)
+
+    def post_group(self, delay, count, fn, *args):
+        timer = _ReferenceTimer(fn, args)
+        insort(self._queue, (self.now + delay, self._seq, timer))
+        self._seq += count
+        self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
+        return timer
+
+    def schedule(self, delay, fn, *args):
+        return self.post_group(delay, 1, fn, *args)
+
+    post = schedule
+
+    def step(self, until=float("inf")):
+        while self._queue and self._queue[0][0] <= until:
+            self.now, _, timer = self._queue.pop(0)
+            self.events_processed += 1
+            if not timer.cancelled:
+                timer.fired = True
+                timer.fn(*timer.args)
+                return True
+        return False
+
+    def run(self, until):
+        while self.step(until):
+            pass
+        self.now = max(self.now, until)
+
+
+class _Driver:
+    """Applies one stream of operations to one simulator.  A callback's
+    behaviour is data (``action``), so both sides schedule the same
+    thing and each fires it against its own simulator."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.timers = []
+        self.log = []
+
+    def schedule(self, delay, action):
+        self.timers.append(self.sim.schedule(
+            delay, self.fire, len(self.timers), action))
+
+    def fire(self, label, action):
+        self.log.append((label, self.sim.now))
+        kind, arg = action
+        if kind == "post":
+            self.sim.post(arg, self.fire, "child", ("log", None))
+        elif kind == "schedule":
+            self.schedule(arg, ("log", None))
+        elif kind == "cancel":
+            self.cancel(arg)
+        elif kind == "cancel_self" and label != "child":
+            self.cancel(label)
+
+    def cancel(self, index):
+        if self.timers:
+            self.timers[index % len(self.timers)].cancel()
+
+    def observe(self):
+        sim = self.sim
+        return (self.log, sim.now, sim.events_processed, sim.pending_events,
+                sim.max_queue_depth,
+                [(t.cancelled, t.fired) for t in self.timers])
+
+
+# Bucket width is 1 ms: zero delay (the lane), sub-bucket steps (the
+# active bucket), neighbouring and far buckets, and few enough distinct
+# values that equal deadlines — ties broken by sequence — are common.
+_delays = st.sampled_from([0.0, 0.0, 0.0002, 0.0005, 0.001, 0.0015, 0.004,
+                           0.25, 2.0])
+_actions = st.one_of(
+    st.just(("log", None)),
+    st.tuples(st.sampled_from(["post", "schedule"]), _delays),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.just(("cancel_self", None)),
+)
+
+
+class CalendarDifferentialMachine(RuleBasedStateMachine):
+    """Random schedule/post/cancel/run/step interleavings against the
+    reference; everything observable must agree after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.sides = (_Driver(Simulation()), _Driver(_ReferenceSimulation()))
+
+    @rule(delay=_delays, action=_actions)
+    def schedule(self, delay, action):
+        for side in self.sides:
+            side.schedule(delay, action)
+
+    @rule(delay=_delays, action=_actions)
+    def post(self, delay, action):
+        for side in self.sides:
+            side.sim.post(delay, side.fire, "child", action)
+
+    @rule(delay=_delays, count=st.integers(1, 3), action=_actions)
+    def post_group(self, delay, count, action):
+        for side in self.sides:
+            side.sim.post_group(delay, count, side.fire, "child", action)
+
+    @rule(index=st.integers(0, 50), twice=st.booleans())
+    def cancel(self, index, twice):
+        for side in self.sides:
+            side.cancel(index)
+            if twice:
+                side.cancel(index)
+
+    @rule(delta=st.one_of(_delays, st.floats(0.0, 3.0)))
+    def run_until(self, delta):
+        for side in self.sides:
+            side.sim.run(until=side.sim.now + delta)
+
+    @rule()
+    def step(self):
+        real, reference = self.sides
+        assert real.sim.step() == reference.sim.step()
+
+    @invariant()
+    def agree(self):
+        real, reference = self.sides
+        assert real.observe() == reference.observe()
+
+    def teardown(self):
+        for side in self.sides:
+            side.sim.run(until=side.sim.now + 10.0)
+        self.agree()
+        assert self.sides[0].sim.pending_events == 0
+
+
+TestCalendarDifferential = CalendarDifferentialMachine.TestCase
+TestCalendarDifferential.settings = settings(max_examples=200,
+                                             stateful_step_count=50,
+                                             deadline=None)
