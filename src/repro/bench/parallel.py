@@ -294,7 +294,7 @@ def _worker_loop(conn, spec) -> None:
                     "wait_s": wait_s,
                     "events": sim.events_processed - events_before,
                     "exports": len(exports),
-                    "export_events": sum(len(rec.dsts) for rec in exports),
+                    "export_events": len(exports),
                     "imports": len(imports),
                 })
                 window_start = end
@@ -529,7 +529,7 @@ def run_parallel(config: ExperimentConfig, timeline=None,
                 # unfired; dropping them keeps event counts identical.
                 if rec.arrival > duration:
                     continue
-                inboxes[owner_of[rec.dsts[0].cluster]].append(rec)
+                inboxes[owner_of[rec.dst.cluster]].append(rec)
 
         for k in range(1, n_windows + 1):
             end = min(k * lookahead, duration)

@@ -85,9 +85,13 @@ class HotStuffReplica(BaseReplica):
         self._quorum = self._n - self._f
         self._pipeline_depth = pipeline_depth
         self._instance = self._members.index(node_id)
-        # Every vote carries exactly one signature (see
-        # verification_cost); let deliver() skip the call.
-        self._const_verify_costs[HsVote] = self.costs.verify
+        self._routes.update({
+            ClientRequestBatch: (self._request_cost,
+                                 self._on_client_request),
+            HsProposal: (self._proposal_cost, self._on_proposal),
+            # Every vote carries exactly one signature.
+            HsVote: (self.costs.verify, self._on_vote),
+        })
 
         # Leader-side state for the instance this replica leads.
         self._queue: List[ClientRequestBatch] = []
@@ -113,34 +117,19 @@ class HotStuffReplica(BaseReplica):
         """Batches executed from ``instance`` (safety-test hook)."""
         return self._executed_per_instance.get(instance, 0)
 
-    def verification_cost(self, message, sender: NodeId) -> float:
-        """Certify-thread work for HotStuff's message types.
+    def _proposal_cost(self, message: HsProposal, sender: NodeId) -> float:
+        """Certify-thread work for a proposal.
 
         Without threshold signatures, every non-prepare proposal carries
         an ``N - F``-signature QC that must be verified signature by
         signature — the cost the paper blames for HotStuff's throughput
         ceiling (§4.1).
         """
-        costs = self.costs
-        if isinstance(message, ClientRequestBatch):
-            return costs.verify if message.signature is not None else 0.0
-        if isinstance(message, HsVote):
-            return costs.verify
-        if isinstance(message, HsProposal):
-            if message.phase == "prepare":
-                return costs.verify  # embedded client signature
-            if message.justify is not None:
-                return costs.verify * len(message.justify.signatures)
+        if message.phase == "prepare":
+            return self._costs.verify  # embedded client signature
+        if message.justify is not None:
+            return self._costs.verify * len(message.justify.signatures)
         return 0.0
-
-    def handle(self, message, sender: NodeId) -> None:
-        """Route HotStuff messages."""
-        if isinstance(message, ClientRequestBatch):
-            self._on_client_request(message, sender)
-        elif isinstance(message, HsProposal):
-            self._on_proposal(message, sender)
-        elif isinstance(message, HsVote):
-            self._on_vote(message, sender)
 
     # ------------------------------------------------------------------
     # Leader side

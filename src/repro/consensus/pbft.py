@@ -168,6 +168,11 @@ class PbftEngine:
         # to one attribute load + comparison.  getattr: test harnesses
         # drive engines with owners that predate the attribute.
         self._instr = getattr(owner, "instrumentation", None)
+        # One signature verification: its cost on the owner's certify
+        # thread, and the PKI check itself (bound once; every commit
+        # goes through it).
+        self._verify_cost = owner.costs.verify
+        self._verify = owner.registry.verify
 
         self._view: ViewId = 0
         self._slots: Dict[SeqNum, _Slot] = {}
@@ -333,8 +338,7 @@ class PbftEngine:
             # Only single-transaction no-ops may be unsigned.
             return len(request.batch) == 1 and request.batch[0].op == "noop"
         # CPU cost was charged on the certify lane at delivery.
-        return self._owner.registry.verify(request,
-                                           request.signature)
+        return self._verify(request, request.signature)
 
     def pump(self) -> None:
         """Re-check whether queued requests may now be proposed (called
@@ -383,28 +387,31 @@ class PbftEngine:
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def handle(self, message, sender: NodeId) -> bool:
-        """Route one PBFT message.  Returns ``False`` if the message is
-        not a PBFT type (so owners can try other sub-protocols)."""
-        if isinstance(message, PrePrepare):
-            self._on_preprepare(message, sender)
-        elif isinstance(message, Prepare):
-            self._on_prepare(message, sender)
-        elif isinstance(message, Commit):
-            self._on_commit(message, sender)
-        elif isinstance(message, Checkpoint):
-            self._on_checkpoint(message, sender)
-        elif isinstance(message, ViewChange):
-            self._on_view_change_msg(message, sender)
-        elif isinstance(message, NewView):
-            self._on_new_view(message, sender)
-        elif isinstance(message, FetchDecision):
-            self._on_fetch_decision(message, sender)
-        elif isinstance(message, DecisionTransfer):
-            self._on_decision_transfer(message, sender)
-        else:
-            return False
-        return True
+    def routes(self) -> dict:
+        """The engine's rows of its owner's route table (see
+        :class:`~repro.consensus.replica.BaseReplica`).
+
+        Pre-prepare and prepare are MAC-authenticated; what a
+        pre-prepare pays for is its embedded client signature.
+        """
+        verify = self._verify_cost
+        return {
+            PrePrepare: (self._preprepare_cost, self._on_preprepare),
+            Prepare: (0.0, self._on_prepare),
+            Commit: (verify, self._on_commit),
+            Checkpoint: (verify, self._on_checkpoint),
+            ViewChange: (verify, self._on_view_change_msg),
+            NewView: (self._new_view_cost, self._on_new_view),
+            FetchDecision: (0.0, self._on_fetch_decision),
+            DecisionTransfer: (verify * self._quorum,
+                               self._on_decision_transfer),
+        }
+
+    def _preprepare_cost(self, msg: PrePrepare, sender: NodeId) -> float:
+        return self._verify_cost if msg.request.signature is not None else 0.0
+
+    def _new_view_cost(self, msg: NewView, sender: NodeId) -> float:
+        return self._verify_cost * max(1, len(msg.preprepares))
 
     def _slot(self, seq: SeqNum) -> _Slot:
         slot = self._slots.get(seq)
@@ -481,17 +488,24 @@ class PbftEngine:
     def _on_prepare(self, msg: Prepare, sender: NodeId) -> None:
         if msg.cluster_id != self._cluster_id or msg.view != self._view:
             return
-        if sender not in self._member_set or msg.seq <= self._stable_seq:
+        seq = msg.seq
+        if sender not in self._member_set or seq <= self._stable_seq:
             return
-        slot = self._slot(msg.seq)
-        voters = slot.prepares.get(msg.digest)
+        slot = self._slots.get(seq)
+        if slot is None:
+            slot = self._slots[seq] = _Slot()
+        digest = msg.digest
+        voters = slot.prepares.get(digest)
         if voters is None:
-            voters = slot.prepares[msg.digest] = set()
+            voters = slot.prepares[digest] = set()
         if sender not in voters:
             voters.add(sender)
-            if msg.digest == slot.digest:
+            if digest == slot.digest:
                 slot.prepared_count += 1
-        self._maybe_send_commit(msg.seq, slot)
+        # n - 1 prepares reach every replica per slot and one of them
+        # completes the quorum: only that one pays the call.
+        if slot.prepared_count >= self._quorum and not slot.sent_commit:
+            self._maybe_send_commit(seq, slot)
 
     def _maybe_send_commit(self, seq: SeqNum, slot: _Slot) -> None:
         if slot.sent_commit or slot.decided or slot.digest is None:
@@ -521,20 +535,25 @@ class PbftEngine:
     def _on_commit(self, msg: Commit, sender: NodeId) -> None:
         if msg.cluster_id != self._cluster_id:
             return
-        if sender not in self._member_set or msg.seq <= self._stable_seq:
+        seq = msg.seq
+        if sender not in self._member_set or seq <= self._stable_seq:
             return
         if msg.replica != sender or msg.signature is None:
             return
-        if not self._owner.registry.verify(msg, msg.signature):
+        if not self._verify(msg, msg.signature):
             return
-        slot = self._slot(msg.seq)
-        commits = slot.commits.get(msg.digest)
+        slot = self._slots.get(seq)
+        if slot is None:
+            slot = self._slots[seq] = _Slot()
+        digest = msg.digest
+        commits = slot.commits.get(digest)
         if commits is None:
-            commits = slot.commits[msg.digest] = {}
-        if sender not in commits and msg.digest == slot.digest:
+            commits = slot.commits[digest] = {}
+        if sender not in commits and digest == slot.digest:
             slot.commit_count += 1
         commits[sender] = msg
-        self._maybe_decide(msg.seq, slot)
+        if slot.commit_count >= self._quorum and not slot.decided:
+            self._maybe_decide(seq, slot)
 
     def _maybe_decide(self, seq: SeqNum, slot: _Slot) -> None:
         if slot.decided or slot.preprepare is None or slot.digest is None:
@@ -603,7 +622,7 @@ class PbftEngine:
             return
         if msg.replica != sender or msg.signature is None:
             return
-        if not self._owner.registry.verify(msg, msg.signature):
+        if not self._verify(msg, msg.signature):
             return
         self._record_checkpoint(msg, sender)
 
@@ -788,7 +807,7 @@ class PbftEngine:
             return
         if msg.signature is None:
             return
-        if not self._owner.registry.verify(msg, msg.signature):
+        if not self._verify(msg, msg.signature):
             return
         self._record_view_change(msg, sender)
 
@@ -909,39 +928,6 @@ class PbftEngine:
             self._on_new_view_cb(self._view)
 
 
-
-
-def engine_verification_cost(costs, quorum: int, message) -> float:
-    """Certify-thread cost of the PBFT message types.
-
-    Shared by every replica that embeds a :class:`PbftEngine` (the flat
-    baseline, GeoBFT, Steward).  Returns 0 for unsigned/MAC-only types.
-
-    Prepares and commits dominate the message mix (n - 1 of each per
-    replica per slot), so they dispatch on an exact class check before
-    the generic isinstance chain.
-    """
-    cls = message.__class__
-    if cls is Prepare:
-        return 0.0
-    if cls is Commit:
-        return costs.verify
-    if isinstance(message, ClientRequestBatch):
-        return costs.verify if message.signature is not None else 0.0
-    if isinstance(message, PrePrepare):
-        # The embedded client request's signature.
-        if message.request.signature is not None:
-            return costs.verify
-        return 0.0
-    if isinstance(message, (Commit, Checkpoint, ViewChange)):
-        return costs.verify
-    if isinstance(message, NewView):
-        return costs.verify * max(1, len(message.preprepares))
-    if isinstance(message, DecisionTransfer):
-        return costs.verify * quorum
-    return 0.0
-
-
 class PbftReplica(BaseReplica):
     """The flat PBFT baseline of the evaluation (§4).
 
@@ -972,27 +958,16 @@ class PbftReplica(BaseReplica):
             config=config or PbftConfig(),
             on_decide=self._on_decide,
         )
-        # Prepare/commit certify costs are constants (see
-        # engine_verification_cost); let deliver() skip the call.
-        self._const_verify_costs[Prepare] = 0.0
-        self._const_verify_costs[Commit] = self.costs.verify
+        self._routes.update({
+            **self._engine.routes(),
+            ClientRequestBatch: (self._request_cost,
+                                 self._on_client_request),
+        })
 
     @property
     def engine(self) -> PbftEngine:
         """The underlying PBFT state machine."""
         return self._engine
-
-    def verification_cost(self, message, sender: NodeId) -> float:
-        """Certify-thread work for the flat baseline's message types."""
-        return engine_verification_cost(self.costs, self._engine.quorum,
-                                        message)
-
-    def handle(self, message, sender: NodeId) -> None:
-        """Route client requests and PBFT messages."""
-        if isinstance(message, ClientRequestBatch):
-            self._on_client_request(message, sender)
-            return
-        self._engine.handle(message, sender)
 
     def _on_client_request(self, request: ClientRequestBatch,
                            sender: NodeId) -> None:

@@ -16,8 +16,7 @@ engine, and helpers to send/broadcast with CPU accounting.
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappop, heappush
+from heapq import heapify, heapreplace
 from typing import Iterable, List, Optional, Sequence
 
 from ..crypto.costs import CryptoCostModel
@@ -47,14 +46,15 @@ class CpuModel:
     def __init__(self, sim: Simulation, cores: int = DEFAULT_CORES):
         self._sim = sim
         self._free_at: List[float] = [0.0] * max(1, cores)
-        heapq.heapify(self._free_at)
+        heapify(self._free_at)
 
     def acquire(self, cost: float) -> float:
         """Book ``cost`` seconds of CPU; returns absolute completion time."""
-        soonest = heapq.heappop(self._free_at)
-        start = max(soonest, self._sim.now)
-        done = start + cost
-        heapq.heappush(self._free_at, done)
+        free_at = self._free_at
+        soonest = free_at[0]
+        now = self._sim._now
+        done = (soonest if soonest > now else now) + cost
+        heapreplace(free_at, done)
         return done
 
     def utilization_horizon(self) -> float:
@@ -65,8 +65,12 @@ class CpuModel:
 class BaseReplica:
     """Common runtime shared by all protocol replicas.
 
-    Subclasses implement :meth:`handle` (protocol logic) and may override
-    :meth:`message_cost` to charge protocol-specific verification work.
+    Subclasses register one route per message class they consume in
+    ``_routes``: ``{message class: (certify cost, bound handler)}``.
+    The certify cost — seconds on the serial certify thread, i.e. the
+    digital signatures the message carries — is a ``float``, or a
+    ``(message, sender) -> float`` callable where it depends on the
+    message.  :meth:`handle` receives only classes nobody registered.
     """
 
     def __init__(self,
@@ -103,22 +107,20 @@ class BaseReplica:
         # batches execute serially on this lane, independent of the
         # worker cores.
         self._exec_free_at = 0.0
-        # Constant worker-pool cost of ingesting one message (the
-        # default message_cost); precomputed once per replica.
+        # Worker-pool cost of ingesting one message: per-message
+        # overhead plus one MAC verification (all transport is
+        # authenticated).
         self._base_ingest_cost = (self._costs.message_overhead
                                   + self._costs.mac_verify)
-        # deliver() skips the message_cost call entirely when the
-        # subclass keeps the default flat ingest cost.
-        self._flat_ingest = (type(self).message_cost
-                             is BaseReplica.message_cost)
         # Direct reference to the failure model's crash set (mutated in
         # place, never replaced) — checked on every dispatch.
         self._crashed_nodes = network.failures._crashed
-        # Message classes whose certify cost is a constant for this
-        # replica (e.g. every Commit costs one signature verify).
-        # Subclasses populate it; classes absent from the dict fall
-        # through to the full verification_cost call.
-        self._const_verify_costs: dict = {}
+        # message class -> (certify cost, bound handler); see the class
+        # docstring.  Subclasses fill it at construction, deliver()
+        # caches what it resolves for classes they did not name.
+        self._routes: dict = {}
+        # Bound once: every queued dispatch event carries this callback.
+        self._post_dispatch = self._dispatch
         # The dedicated certify thread (§3, Figure 9): all signature
         # verification serializes here.  This is the ceiling that keeps
         # signature-heavy protocols (HotStuff QCs without threshold
@@ -193,70 +195,67 @@ class BaseReplica:
     # Inbound path
     # ------------------------------------------------------------------
     def deliver(self, message, sender: NodeId) -> None:
-        """Network entry point: charge CPU, then dispatch to ``handle``.
+        """Network entry point: charge CPU, then dispatch to the route.
 
         The message first passes the worker pool (deserialize + MAC),
         then — if it carries signatures — the serial certify thread.
         A crashed replica (per the failure model) never gets here — the
         network drops deliveries to crashed nodes.
         """
-        if self._flat_ingest:
-            cost = self._base_ingest_cost
-        else:
-            cost = self.message_cost(message, sender)
+        try:
+            verify_cost, handler = self._routes[message.__class__]
+        except KeyError:
+            verify_cost, handler = self._resolve_route(message.__class__)
         # CpuModel.acquire, inlined: this is the single hottest replica
-        # call site (every delivery), so the heap ops run without an
+        # call site (every delivery), so the heap op runs without an
         # extra Python frame.
         sim = self._sim
         now = sim._now
         cpu_free = self._cpu._free_at
-        soonest = heappop(cpu_free)
-        start = soonest if soonest > now else now
-        done = start + cost
-        heappush(cpu_free, done)
-        verify_cost = self._const_verify_costs.get(message.__class__)
-        if verify_cost is None:
-            verify_cost = self.verification_cost(message, sender)
+        soonest = cpu_free[0]
+        done = (soonest if soonest > now else now) + self._base_ingest_cost
+        heapreplace(cpu_free, done)
+        if verify_cost.__class__ is not float:
+            verify_cost = verify_cost(message, sender)
         if verify_cost > 0:
             certify_free = self._certify_free_at
             start = certify_free if certify_free > done else done
             done = start + verify_cost
             self._certify_free_at = done
         # Dispatches are never cancelled: use the allocation-free path.
-        sim.post(done - now, self._dispatch, message, sender)
+        sim.post(done - now, self._post_dispatch, handler, message, sender)
 
-    def _dispatch(self, message, sender: NodeId) -> None:
+    def _resolve_route(self, cls) -> tuple:
+        """Route for a class absent from the table, cached: its nearest
+        registered base class's, else :meth:`handle` at no certify cost."""
+        routes = self._routes
+        for base in cls.__mro__[1:]:
+            route = routes.get(base)
+            if route is not None:
+                break
+        else:
+            route = (0.0, self.handle)
+        routes[cls] = route
+        return route
+
+    def _dispatch(self, handler, message, sender: NodeId) -> None:
         # Inlined FailureModel.is_crashed (the model instance — and its
         # crash set — live for the whole deployment).
         if self._node_id in self._crashed_nodes:
             return
-        self.handle(message, sender)
+        handler(message, sender)
 
-    def message_cost(self, message, sender: NodeId) -> float:
-        """Worker-pool CPU seconds to ingest ``message``.
-
-        Default: per-message overhead plus one MAC verification (all
-        transport is authenticated).
-        """
-        return self._base_ingest_cost
-
-    def verification_cost(self, message, sender: NodeId) -> float:
-        """Certify-thread seconds ``message`` needs before handling.
-
-        Protocol replicas override this with the number of digital
-        signatures the message carries (client signatures, commit
-        signatures, quorum certificates...).  The work serializes on a
-        single simulated thread, mirroring the paper's architecture.
-        """
-        return 0.0
+    def _request_cost(self, request, sender: NodeId) -> float:
+        """Certify cost of a client batch: its signature, if signed
+        (no-op fills are not)."""
+        return self._costs.verify if request.signature is not None else 0.0
 
     def certify_backlog(self) -> float:
         """Outstanding certify-thread work, in seconds (diagnostics)."""
         return max(0.0, self._certify_free_at - self._sim.now)
 
     def handle(self, message, sender: NodeId) -> None:
-        """Protocol logic — implemented by subclasses."""
-        raise NotImplementedError
+        """Receives messages of classes without a route; dropped here."""
 
     # ------------------------------------------------------------------
     # Outbound path

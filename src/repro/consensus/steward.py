@@ -42,7 +42,7 @@ from .messages import (
     StewardForward,
     StewardGlobalOrder,
 )
-from .pbft import PbftConfig, PbftEngine, engine_verification_cost
+from .pbft import PbftConfig, PbftEngine
 from .replica import BaseReplica
 
 #: Message classes that travel *between* clusters: the site -> primary
@@ -86,6 +86,14 @@ class StewardReplica(BaseReplica):
             config=self._config,
             on_decide=self._on_engine_decide,
         )
+        self._routes.update({
+            **self._engine.routes(),
+            ClientRequestBatch: (self._request_cost,
+                                 self._on_client_request),
+            StewardForward: (self._forward_cost, self._on_forward),
+            StewardGlobalOrder: (self._global_order_cost,
+                                 self._on_global_order),
+        })
 
         # Site side: locally agreed requests whose global order is
         # pending; global side: bookkeeping for dissemination.
@@ -129,36 +137,26 @@ class StewardReplica(BaseReplica):
         """Highest globally ordered request executed."""
         return self._executed_upto
 
-    def verification_cost(self, message, sender: NodeId) -> float:
-        """Certify-thread work for Steward's message types.
+    def _forward_cost(self, message: StewardForward,
+                      sender: NodeId) -> float:
+        """Certify-thread work for a site's forward.
 
         A single threshold-signature verification stands in for a
         site's aggregated (RSA-era) proof; the inflated Steward cost
-        model makes these expensive, as in the original protocol.
+        model makes these expensive, as in the original protocol.  A
+        copy of what this replica already holds costs nothing.
         """
-        costs = self.costs
-        if isinstance(message, StewardForward):
-            if message.request.batch_id in self._submitted_to_global:
-                return 0.0
-            return costs.threshold_verify
-        if isinstance(message, StewardGlobalOrder):
-            if (message.global_seq <= self._executed_upto
-                    or message.global_seq in self._exec_buffer):
-                return 0.0
-            return costs.threshold_verify
-        return engine_verification_cost(costs, self._engine.quorum,
-                                        message)
+        if message.request.batch_id in self._submitted_to_global:
+            return 0.0
+        return self._costs.threshold_verify
 
-    def handle(self, message, sender: NodeId) -> None:
-        """Route Steward messages."""
-        if isinstance(message, ClientRequestBatch):
-            self._on_client_request(message, sender)
-        elif isinstance(message, StewardForward):
-            self._on_forward(message, sender)
-        elif isinstance(message, StewardGlobalOrder):
-            self._on_global_order(message, sender)
-        else:
-            self._engine.handle(message, sender)
+    def _global_order_cost(self, message: StewardGlobalOrder,
+                           sender: NodeId) -> float:
+        """As :meth:`_forward_cost`, for the primary cluster's order."""
+        if (message.global_seq <= self._executed_upto
+                or message.global_seq in self._exec_buffer):
+            return 0.0
+        return self._costs.threshold_verify
 
     # ------------------------------------------------------------------
     # Site side

@@ -56,9 +56,14 @@ class ZyzzyvaReplica(BaseReplica):
         self._next_seq: SeqNum = 1     # primary-side assignment
         self._last_exec: SeqNum = 0    # replica-side speculative frontier
         self._history: bytes = b"genesis"
-        # Every ordered request carries the embedded client signature
-        # (see verification_cost); let deliver() skip the call.
-        self._const_verify_costs[OrderedRequest] = self.costs.verify
+        self._routes.update({
+            ClientRequestBatch: (self._request_cost,
+                                 self._on_client_request),
+            # The embedded client signature.
+            OrderedRequest: (self.costs.verify, self._on_ordered_request),
+            ZyzzyvaCommitCert: (self._commit_cert_cost,
+                                self._on_commit_cert),
+        })
         self._pending_orders: Dict[SeqNum, OrderedRequest] = {}
         self._seen_batch_ids: Set[str] = set()
         self._committed: Set[SeqNum] = set()
@@ -78,25 +83,9 @@ class ZyzzyvaReplica(BaseReplica):
         """Highest speculatively executed sequence number."""
         return self._last_exec
 
-    def verification_cost(self, message, sender: NodeId) -> float:
-        """Certify-thread work for Zyzzyva's message types."""
-        costs = self.costs
-        if isinstance(message, ClientRequestBatch):
-            return costs.verify if message.signature is not None else 0.0
-        if isinstance(message, OrderedRequest):
-            return costs.verify  # embedded client signature
-        if isinstance(message, ZyzzyvaCommitCert):
-            return costs.verify * len(message.responses)
-        return 0.0
-
-    def handle(self, message, sender: NodeId) -> None:
-        """Route Zyzzyva messages."""
-        if isinstance(message, ClientRequestBatch):
-            self._on_client_request(message, sender)
-        elif isinstance(message, OrderedRequest):
-            self._on_ordered_request(message, sender)
-        elif isinstance(message, ZyzzyvaCommitCert):
-            self._on_commit_cert(message, sender)
+    def _commit_cert_cost(self, message: ZyzzyvaCommitCert,
+                          sender: NodeId) -> float:
+        return self._costs.verify * len(message.responses)
 
     # ------------------------------------------------------------------
     # Primary: ordering
@@ -323,9 +312,10 @@ class ZyzzyvaClient:
 
     def deliver(self, message, sender: NodeId) -> None:
         """Receive speculative responses and local commits."""
-        if isinstance(message, SpecResponse):
+        cls = message.__class__
+        if cls is SpecResponse:
             self._on_spec_response(message, sender)
-        elif isinstance(message, LocalCommit):
+        elif cls is LocalCommit:
             self._on_local_commit(message, sender)
 
     def _on_spec_response(self, response: SpecResponse,

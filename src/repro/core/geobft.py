@@ -29,17 +29,14 @@ from ..consensus.messages import (
     CertShare,
     ClientReply,
     ClientRequestBatch,
-    Commit,
     CommitCertificate,
     Drvc,
     GlobalShare,
-    Prepare,
-    PrePrepare,
     Rvc,
     ThresholdCommitCertificate,
     certificate_statement,
 )
-from ..consensus.pbft import PbftEngine, engine_verification_cost
+from ..consensus.pbft import PbftEngine
 from ..consensus.replica import BaseReplica
 from ..errors import (
     ConfigurationError,
@@ -95,12 +92,6 @@ class GeoBftReplica(BaseReplica):
         }
         self._own_cluster = node_id.cluster
         self._members = self._clusters[self._own_cluster]
-        # Local-replication traffic dominates; its certify costs are
-        # constants (see verification_cost), so deliver() can skip the
-        # method call for these classes entirely.
-        self._const_verify_costs[Prepare] = 0.0
-        self._const_verify_costs[Commit] = self.costs.verify
-
         self._engine = PbftEngine(
             owner=self,
             cluster_id=self._own_cluster,
@@ -124,11 +115,19 @@ class GeoBftReplica(BaseReplica):
                 len(self._clusters[cluster])),
             on_resend_requested=self._on_resend_requested,
         )
+        self._routes.update({
+            **self._engine.routes(),
+            ClientRequestBatch: (self._request_cost,
+                                 self._on_client_request),
+            GlobalShare: (self._global_share_cost, self._on_global_share),
+            Drvc: (0.0, self._rvc.handle_drvc),
+            Rvc: (self.costs.verify, self._rvc.handle_rvc),
+            CertShare: (self.costs.threshold_verify, self._on_cert_share),
+        })
 
         # (cluster, round) -> the GlobalShare message, retained briefly
         # after execution for DRVC replies (Figure 7 lines 5-7).
         self._shares: Dict[Tuple[ClusterId, RoundId], GlobalShare] = {}
-        self._have_share: Set[Tuple[ClusterId, RoundId]] = set()
         # Rounds at or below this mark have been share-GCed; pruning
         # advances it incrementally instead of rescanning every key.
         self._shares_gc_upto: RoundId = 0
@@ -207,69 +206,25 @@ class GeoBftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Message routing
     # ------------------------------------------------------------------
-    def verification_cost(self, message, sender: NodeId) -> float:
-        """Certify-thread work per GeoBFT message type.
+    def _global_share_cost(self, share: GlobalShare,
+                           sender: NodeId) -> float:
+        """Certify-thread work for a certificate from another cluster.
 
         Global shares already held (duplicates from the local
         re-broadcast) cost nothing — the real implementation checks its
         index before re-verifying a certificate.
         """
-        costs = self.costs
-        # Local-replication traffic (prepares/commits) outnumbers every
-        # other type by an order of magnitude; settle it before the
-        # isinstance chain.
-        cls = message.__class__
-        if cls is Prepare:
+        cluster = share.cluster_id
+        if ((cluster, share.round_id) in self._shares
+                or self._ordering.has_share(share.round_id, cluster)):
             return 0.0
-        if cls is Commit:
-            return costs.verify
-        if isinstance(message, GlobalShare):
-            key = (message.cluster_id, message.round_id)
-            if (key in self._have_share
-                    or self._ordering.has_share(message.round_id,
-                                                message.cluster_id)):
-                return 0.0
-            if isinstance(message.certificate, ThresholdCommitCertificate):
-                return costs.threshold_verify
-            members = self._clusters.get(message.cluster_id)
-            if members is None:
-                return 0.0
-            quorum = len(members) - max_faulty(len(members))
-            return costs.verify * quorum
-        if isinstance(message, Rvc):
-            return costs.verify
-        if isinstance(message, CertShare):
-            return costs.threshold_verify
-        return engine_verification_cost(costs, self._engine.quorum,
-                                        message)
-
-    def handle(self, message, sender: NodeId) -> None:
-        """Dispatch to the sub-protocol that owns the message type."""
-        cls = message.__class__
-        # Local-replication traffic dominates; route it straight to the
-        # engine's handlers, skipping its isinstance dispatch ladder.
-        engine = self._engine
-        if cls is Prepare:
-            engine._on_prepare(message, sender)
-            return
-        if cls is Commit:
-            engine._on_commit(message, sender)
-            return
-        if cls is PrePrepare:
-            engine._on_preprepare(message, sender)
-            return
-        if isinstance(message, ClientRequestBatch):
-            self._on_client_request(message, sender)
-        elif isinstance(message, GlobalShare):
-            self._on_global_share(message, sender)
-        elif isinstance(message, Drvc):
-            self._rvc.handle_drvc(message, sender)
-        elif isinstance(message, Rvc):
-            self._rvc.handle_rvc(message, sender)
-        elif isinstance(message, CertShare):
-            self._on_cert_share(message, sender)
-        else:
-            self._engine.handle(message, sender)
+        if isinstance(share.certificate, ThresholdCommitCertificate):
+            return self._costs.threshold_verify
+        members = self._clusters.get(cluster)
+        if members is None:
+            return 0.0
+        quorum = len(members) - max_faulty(len(members))
+        return self._costs.verify * quorum
 
     def _on_client_request(self, request: ClientRequestBatch,
                            sender: NodeId) -> None:
@@ -405,8 +360,8 @@ class GeoBftReplica(BaseReplica):
             return
         round_id = share.round_id
         key = (cluster, round_id)
-        if key in self._have_share or self._ordering.has_share(round_id,
-                                                               cluster):
+        if key in self._shares or self._ordering.has_share(round_id,
+                                                           cluster):
             return
         certificate = share.certificate
         if (certificate.cluster_id != cluster
@@ -428,7 +383,6 @@ class GeoBftReplica(BaseReplica):
             except InvalidCertificateError:
                 return
         self._shares[key] = share
-        self._have_share.add(key)
         instr = self._instrumentation
         if instr is not None:
             # detail carries the receiving cluster, giving the hub the
@@ -526,13 +480,11 @@ class GeoBftReplica(BaseReplica):
         # held), so only the window since the last prune needs visiting
         # — no full-dict scan per round.
         shares = self._shares
-        have = self._have_share
         for round_id in range(self._shares_gc_upto + 1, horizon + 1):
             for cluster in self._clusters:
                 key = (cluster, round_id)
                 if key in shares:
                     del shares[key]
-                    have.discard(key)
         self._shares_gc_upto = horizon
 
     # ------------------------------------------------------------------

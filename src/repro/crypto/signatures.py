@@ -68,14 +68,11 @@ class VerificationCache:
         self._kind_hits: Dict[str, int] = {}
         self._kind_misses: Dict[str, int] = {}
 
-    @staticmethod
-    def _kind_of(key: Tuple) -> str:
-        head = key[0] if key else None
-        return head if isinstance(head, str) else "other"
-
     def get(self, key: Tuple) -> Optional[bool]:
         """Cached outcome for ``key``, or ``None`` on a miss."""
-        kind = self._kind_of(key)
+        kind = key[0] if key else None
+        if kind.__class__ is not str:
+            kind = "other"
         outcome = self._entries.get(key)
         if outcome is None:
             self.misses += 1

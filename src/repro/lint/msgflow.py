@@ -2,9 +2,9 @@
 
 For each protocol named in :mod:`repro.lint.specs` this module builds
 the **message-flow graph**: message class → construction sites (with
-their fan-out classification) → dispatch sites (``isinstance`` ladders)
-→ annotated ``_on_*``/``handle*`` consumers.  Three whole-program rules
-check the graph:
+their fan-out classification) → dispatch sites (route tables and
+``isinstance`` ladders) → annotated ``_on_*``/``handle*`` consumers.
+Three whole-program rules check the graph:
 
 * ``flow-orphan-message`` — a message is constructed and put on the
   wire inside a protocol's scope but nothing in that scope dispatches
@@ -255,12 +255,18 @@ def _handler_message(fn: FunctionInfo,
     return None
 
 
-def _isinstance_targets(fn: FunctionInfo,
-                        messages: Dict[str, ClassInfo]) -> Set[str]:
-    """Message classes this function type-tests (dispatch site)."""
+def _dispatch_targets(fn: FunctionInfo,
+                      messages: Dict[str, ClassInfo]) -> Set[str]:
+    """Message classes this function dispatches on: the keys of a dict
+    literal it builds (a route table, also as the argument of
+    ``.update({...})``) and the classes it type-tests."""
     found: Set[str] = set()
     for node in ast.walk(fn.node):
-        if (isinstance(node, ast.Call)
+        if isinstance(node, ast.Dict):
+            for key in node.keys:  # None stands for a ``**spread``
+                if isinstance(key, ast.Name) and key.id in messages:
+                    found.add(key.id)
+        elif (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance"
                 and len(node.args) == 2):
@@ -310,7 +316,7 @@ def extract_flows(index: ProjectIndex,
                 entry.handled_in.add(fn.qualname)
                 entry.handler_sites.setdefault(
                     fn.qualname, (fn.path, fn.lineno))
-            for dispatched in _isinstance_targets(fn, messages):
+            for dispatched in _dispatch_targets(fn, messages):
                 flow.flow(dispatched).dispatched_in.add(fn.qualname)
     return flows
 
@@ -426,9 +432,9 @@ class FlowDeadHandler(_FlowRule):
     rationale = (
         "An _on_*/handle* method annotated with a message class but "
         "never referenced anywhere in the program is dead protocol "
-        "surface: the dispatch ladder was edited without it, so the "
+        "surface: the route table was edited without it, so the "
         "messages it was written for are silently dropped.  Either "
-        "wire it into the dispatcher or delete it."
+        "give it a route or delete it."
     )
 
     def run_project(self, project: ProjectIndex) -> List["Finding"]:

@@ -24,12 +24,8 @@ Fan-out fast path
 every phase of every protocol).  When no failure machinery is armed it
 resolves the sender, message size, and per-region link parameters once
 per call instead of once per destination, dedups repeated destinations,
-batches the per-destination uplink bookkeeping into one pass, and emits
-a *single grouped delivery event* for each run of consecutive
-destinations sharing an arrival instant.  Grouped events consume one
-sequence number per destination and credit the skipped events back to
-the simulator, so event counts, tie-breaking, and therefore the
-deployment digest are byte-identical to the per-destination path.
+and does the uplink bookkeeping and the posting of each destination's
+delivery event in one pass over the destinations.
 """
 
 from __future__ import annotations
@@ -77,16 +73,13 @@ class ExportedSend(NamedTuple):
     serialization, propagation, failure delay rules are all sender-side
     state) plus the ordering token the serial engine's sequence number
     stands for; the orchestrator routes the record to the destination
-    worker, which injects it into its calendar verbatim.  ``dsts``
-    holds one destination for a unicast delivery and a same-instant run
-    for a grouped multicast delivery (which stands in for
-    ``len(dsts)`` events, exactly like :meth:`Simulation.post_group`).
+    worker, which injects it into its calendar verbatim.
     """
 
     arrival: float          # absolute virtual arrival time
     tie: tuple              # ordering token minted by the source worker
     src: NodeId
-    dsts: Tuple[NodeId, ...]
+    dst: NodeId
     message: object
     fingerprint: Optional[bytes]  # sanitizer snapshot, when armed
 
@@ -130,7 +123,8 @@ class Network:
                  "_notify", "_group_notify", "_sanitizer", "_sends",
                  "_self_sends", "_suppressed_sends", "_in_flight_drops",
                  "_receiver_drops", "_tampered_sends", "_delayed_sends",
-                 "_owned", "_exports")
+                 "_owned", "_exports", "_post_deliver",
+                 "_post_deliver_checked")
 
     def __init__(self, sim: Simulation, topology: Topology,
                  failures: Optional[FailureModel] = None,
@@ -173,6 +167,9 @@ class Network:
         self._receiver_drops = 0
         self._tampered_sends = 0
         self._delayed_sends = 0
+        # Bound once: every queued delivery event carries one of these.
+        self._post_deliver = self._deliver
+        self._post_deliver_checked = self._deliver_checked
 
     @property
     def topology(self) -> Topology:
@@ -251,10 +248,10 @@ class Network:
         if src == dst:
             self._self_sends += 1
             if sanitizer is not None:
-                self._sim.post(0.0, self._deliver_checked, src, dst,
+                self._sim.post(0.0, self._post_deliver_checked, src, dst,
                                message, sanitizer.fingerprint(message))
             else:
-                self._sim.post(0.0, self._deliver, src, dst, message)
+                self._sim.post(0.0, self._post_deliver, src, dst, message)
             return
         sender = self.node(src)
         receiver = self.node(dst)
@@ -303,16 +300,17 @@ class Network:
         if owned is not None and dst not in owned:
             self._exports.append(ExportedSend(
                 self._sim.now + arrival_delay,
-                self._sim.reserve_export_tie(), src, (dst,), message,
+                self._sim.reserve_export_tie(), src, dst, message,
                 sanitizer.fingerprint(message) if sanitizer is not None
                 else None))
             return
         # Deliveries are never cancelled: use the allocation-free path.
         if sanitizer is not None:
-            self._sim.post(arrival_delay, self._deliver_checked, src, dst,
-                           message, sanitizer.fingerprint(message))
+            self._sim.post(arrival_delay, self._post_deliver_checked, src,
+                           dst, message, sanitizer.fingerprint(message))
         else:
-            self._sim.post(arrival_delay, self._deliver, src, dst, message)
+            self._sim.post(arrival_delay, self._post_deliver, src, dst,
+                           message)
 
     def multicast(self, src: NodeId, dsts: Iterable[NodeId],
                   message: SizedMessage) -> None:
@@ -324,11 +322,9 @@ class Network:
         (and the sender transmits) exactly one copy.
 
         With no failure machinery armed this runs a single-pass fast
-        path: sender/size/link resolution happens once, uplink clocks
-        are advanced in one sweep, and consecutive destinations sharing
-        an arrival instant collapse into one grouped delivery event
-        (sequence numbers and processed-event counts are preserved, so
-        determinism digests do not change).
+        path: sender/size/link resolution happens once, and each
+        destination's uplink clock advance and delivery event happen
+        in the same sweep.
         """
         self._multicast_distinct(src, list(dict.fromkeys(dsts)), message)
 
@@ -366,17 +362,19 @@ class Network:
         local_free = wan_free = -1.0
         local_key = wan_key = None
         sends = 0
-        # One pass: resolve, advance uplink clocks, collect arrivals.
-        deliveries = []  # (arrival_delay, dst)
-        append = deliveries.append
+        post = sim.post
+        owned = self._owned
+        deliver = self._post_deliver
+        deliver_checked = self._post_deliver_checked
+        # One pass: resolve, advance the uplink clock, post the delivery.
         for dst in dsts:
             if dst == src:
                 self._self_sends += 1
-                if fingerprint is not None:
-                    sim.post(0.0, self._deliver_checked, src, dst,
-                             message, fingerprint)
+                if fingerprint is None:
+                    post(0.0, deliver, src, dst, message)
                 else:
-                    sim.post(0.0, self._deliver, src, dst, message)
+                    post(0.0, deliver_checked, src, dst, message,
+                         fingerprint)
                 continue
             if size is None:
                 size = _message_size(message)
@@ -411,7 +409,15 @@ class Network:
                 (local_dsts if is_local else wan_dsts).append(dst)
             elif notify is not None:
                 notify(src, dst, message, size, is_local)
-            append(((start - now) + transmit + latency, dst))
+            delay = (start - now) + transmit + latency
+            if owned is not None and dst not in owned:
+                self._exports.append(ExportedSend(
+                    now + delay, sim.reserve_export_tie(), src, dst,
+                    message, fingerprint))
+            elif fingerprint is None:
+                post(delay, deliver, src, dst, message)
+            else:
+                post(delay, deliver_checked, src, dst, message, fingerprint)
         self._sends += sends
         if group_notify is not None:
             if local_dsts:
@@ -422,85 +428,6 @@ class Network:
             free_at[local_key] = local_free
         if wan_key is not None:
             free_at[wan_key] = wan_free
-        # Emit delivery events, grouping consecutive equal-arrival runs.
-        i = 0
-        count = len(deliveries)
-        post = sim.post
-        post_group = sim.post_group
-        owned = self._owned
-        while i < count:
-            delay, dst = deliveries[i]
-            j = i + 1
-            while j < count and deliveries[j][0] == delay:
-                j += 1
-            if owned is not None:
-                self._emit_partitioned_run(sim, now, owned, deliveries,
-                                           i, j, delay, src, message,
-                                           fingerprint)
-                i = j
-                continue
-            if j == i + 1:
-                if fingerprint is not None:
-                    post(delay, self._deliver_checked, src, dst, message,
-                         fingerprint)
-                else:
-                    post(delay, self._deliver, src, dst, message)
-            else:
-                group = tuple(d for _, d in deliveries[i:j])
-                if fingerprint is not None:
-                    post_group(delay, len(group),
-                               self._deliver_group_checked, src, group,
-                               message, fingerprint)
-                else:
-                    post_group(delay, len(group), self._deliver_group,
-                               src, group, message)
-            i = j
-
-    def _emit_partitioned_run(self, sim, now, owned, deliveries, i, j,
-                              delay, src, message, fingerprint) -> None:
-        """Emit one equal-arrival multicast run under partitioning.
-
-        The run is split into maximal segments of equal ownership (and,
-        for foreign segments, equal destination cluster — one export
-        must route to exactly one worker), order preserved: each
-        segment's tie counters stay consecutive, so the serial engine's
-        grouping invariant (no foreign event can sort between grouped
-        members) survives the split — owned segments post locally,
-        foreign segments become one export each.
-        """
-        s = i
-        while s < j:
-            first = deliveries[s][1]
-            seg_owned = first in owned
-            cluster = first.cluster
-            e = s + 1
-            while e < j:
-                dst_e = deliveries[e][1]
-                if (dst_e in owned) != seg_owned:
-                    break
-                if not seg_owned and dst_e.cluster != cluster:
-                    break
-                e += 1
-            seg = tuple(d for _, d in deliveries[s:e])
-            if not seg_owned:
-                self._exports.append(ExportedSend(
-                    now + delay, sim.reserve_export_tie(len(seg)), src,
-                    seg, message, fingerprint))
-            elif len(seg) == 1:
-                if fingerprint is not None:
-                    sim.post(delay, self._deliver_checked, src, seg[0],
-                             message, fingerprint)
-                else:
-                    sim.post(delay, self._deliver, src, seg[0], message)
-            else:
-                if fingerprint is not None:
-                    sim.post_group(delay, len(seg),
-                                   self._deliver_group_checked, src, seg,
-                                   message, fingerprint)
-                else:
-                    sim.post_group(delay, len(seg), self._deliver_group,
-                                   src, seg, message)
-            s = e
 
     def _deliver(self, src: NodeId, dst: NodeId, message) -> None:
         failures = self._failures
@@ -519,27 +446,6 @@ class Network:
         """Sanitized delivery: re-verify the send-time fingerprint first."""
         self._sanitizer.check(message, fingerprint, src)
         self._deliver(src, dst, message)
-
-    def _deliver_group_checked(self, src: NodeId, dsts: Tuple[NodeId, ...],
-                               message, fingerprint: bytes) -> None:
-        """Sanitized grouped delivery: one check covers the whole group
-        (they fire at the same instant on the same aliased object)."""
-        self._sanitizer.check(message, fingerprint, src)
-        self._deliver_group(src, dsts, message)
-
-    def _deliver_group(self, src: NodeId, dsts: Tuple[NodeId, ...],
-                       message) -> None:
-        """Deliver one multicast copy to each of a same-instant group.
-
-        Stands in for ``len(dsts)`` individual delivery events (their
-        sequence numbers were consecutive, so no foreign event can sort
-        between them); the skipped events are credited back so
-        ``events_processed`` matches the per-destination schedule.
-        """
-        self._sim.count_extra_events(len(dsts) - 1)
-        deliver = self._deliver
-        for dst in dsts:
-            deliver(src, dst, message)
 
     # ------------------------------------------------------------------
     # Parallel-backend partitioning
@@ -570,23 +476,13 @@ class Network:
         receiver-side failure checks still run at delivery time against
         this worker's (identical) failure model.
         """
-        tie = rec.tie
-        sim = self._sim
-        if len(rec.dsts) == 1:
-            if rec.fingerprint is not None:
-                sim.inject(rec.arrival, tie, self._deliver_checked,
-                           rec.src, rec.dsts[0], rec.message,
-                           rec.fingerprint)
-            else:
-                sim.inject(rec.arrival, tie, self._deliver, rec.src,
-                           rec.dsts[0], rec.message)
+        if rec.fingerprint is not None:
+            self._sim.inject(rec.arrival, rec.tie,
+                             self._post_deliver_checked, rec.src, rec.dst,
+                             rec.message, rec.fingerprint)
         else:
-            if rec.fingerprint is not None:
-                sim.inject(rec.arrival, tie, self._deliver_group_checked,
-                           rec.src, rec.dsts, rec.message, rec.fingerprint)
-            else:
-                sim.inject(rec.arrival, tie, self._deliver_group,
-                           rec.src, rec.dsts, rec.message)
+            self._sim.inject(rec.arrival, rec.tie, self._post_deliver,
+                             rec.src, rec.dst, rec.message)
 
     def telemetry(self) -> Dict[str, int]:
         """Send/drop counters (observability only).

@@ -335,9 +335,9 @@ class Simulation:
     def count_extra_events(self, extra: int) -> None:
         """Credit ``extra`` additional processed events to the loop.
 
-        Used by batched dispatchers (e.g. the network's grouped multicast
-        delivery) that fire what used to be ``k`` separate queue entries
-        from a single one: crediting ``k - 1`` here keeps
+        Used by batched dispatchers (the open-loop traffic source's
+        per-tick injection) that fire what used to be ``k`` separate
+        queue entries from a single one: crediting ``k - 1`` here keeps
         :attr:`events_processed` — and therefore the deployment digest —
         identical to the unbatched schedule.
         """
@@ -422,9 +422,8 @@ class Simulation:
         members, so firing ``fn`` once in place of ``count`` back-to-back
         same-deadline events is observationally identical — provided the
         callback credits the skipped events via
-        :meth:`count_extra_events` (the network's grouped multicast
-        delivery does).  Exists for batched fan-out; everything else
-        should use :meth:`post`.
+        :meth:`count_extra_events` (the open-loop traffic source does).
+        Everything else should use :meth:`post`.
         """
         if count < 1:
             raise SimulationError(f"group must cover >= 1 event: {count}")
@@ -734,16 +733,11 @@ class WorkerSimulation(Simulation):
         finally:
             self._rank = prev
 
-    def reserve_export_tie(self, count: int = 1) -> tuple:
-        """Mint the tie key for a cross-worker export.
-
-        Consumes ``count`` tie counters (a grouped export stands in for
-        that many consecutive deliveries, exactly like
-        :meth:`post_group`) and returns the first as the export's
-        ordering token.
-        """
+    def reserve_export_tie(self) -> tuple:
+        """Mint the tie key for a cross-worker export: consumes one tie
+        counter, exactly as :meth:`post` would for a local delivery."""
         k = self._k
-        self._k = k + count * self._stride
+        self._k = k + self._stride
         return (self._now, self._parent_post, self._rank, k)
 
     def inject(self, deadline: float, tie: tuple,

@@ -304,6 +304,39 @@ class TestMulticastFastPath:
         for got, want in ((local_m, local_u), (b_m, b_u), (c_m, c_u)):
             assert len(got.received) == len(want.received) == 1
 
+    def test_same_instant_arrivals_are_one_event_each_in_list_order(self):
+        """A multicast whose copies all arrive at one instant (nothing
+        to serialize on the uplink) is one delivery event per
+        destination, fired in destination-list order — exactly what
+        unicast sends produce."""
+        def fresh():
+            sim = Simulation()
+            net = Network(sim, Topology.uniform(["r1"], rtt_ms=2.0))
+            log = []
+            nodes = [FakeNode(replica_id(1, i), "r1") for i in range(1, 6)]
+            for node in nodes:
+                node.deliver = (lambda message, sender, me=node.node_id:
+                                log.append((sim.now, me)))
+                net.register(node)
+            return sim, net, [n.node_id for n in nodes], log
+
+        message = FakeMessage(size=0)
+        sim_m, net_m, ids_m, log_m = fresh()
+        order = [ids_m[3], ids_m[1], ids_m[4], ids_m[2]]
+        net_m.multicast(ids_m[0], order, message)
+        assert sim_m.pending_events == 4
+        sim_m.run()
+
+        sim_u, net_u, ids_u, log_u = fresh()
+        for dst in order:
+            net_u.send(ids_u[0], dst, message)
+        sim_u.run()
+
+        assert log_m == [(0.001, dst) for dst in order]
+        assert log_m == log_u
+        assert sim_m.events_processed == sim_u.events_processed == 4
+        assert sim_m.max_queue_depth == sim_u.max_queue_depth == 4
+
     def test_group_observer_sees_same_totals(self, wan):
         message = FakeMessage(size=2_000)
         per_send = []

@@ -83,6 +83,33 @@ class PbftHarness:
         self.sim.run(until=until)
 
 
+class UrgentBatch(ClientRequestBatch):
+    """A message subclass no route names."""
+
+
+class TestRouting:
+    def test_message_subclass_takes_its_base_class_route(self):
+        costs = CryptoCostModel()
+        h = PbftHarness(costs=costs)
+        request = h.make_request()
+        h.primary.deliver(
+            UrgentBatch(request.batch_id, request.client, request.batch,
+                        request.signature), h.client.node_id)
+        assert h.primary.certify_backlog() == pytest.approx(
+            costs.message_overhead + costs.mac_verify + costs.verify)
+        h.run(until=1.0)
+        assert all(r.engine.decided_count == 1 for r in h.replicas)
+        assert len(h.client.replies) == 4
+
+    def test_unrouted_message_is_dropped(self):
+        h = PbftHarness()
+        h.network.send(h.client.node_id, h.primary.node_id,
+                       ClientReply("b", h.primary.node_id, 0, 1, b"r", 1))
+        h.run(until=1.0)
+        assert h.primary.engine.decided_count == 0
+        assert h.primary.certify_backlog() == 0.0
+
+
 class TestNormalCase:
     def test_single_request_commits_everywhere(self):
         h = PbftHarness()

@@ -95,10 +95,13 @@ class TestDetection:
         with pytest.raises(MessageAliasingError):
             sim.run()
 
-    def test_mutation_is_caught_on_grouped_multicast_path(self, wan):
-        # Two same-region destinations share one grouped delivery event;
-        # the check must run there too.
+    def test_mutation_is_caught_on_multicast_path(self, wan):
+        # One send-time fingerprint covers the whole fan-out; each
+        # delivery checks the shared object against it on its own.
         sim, net, a, b, c = build(wan, sanitize=True)
+        net.multicast(a.node_id, [b.node_id, c.node_id], prepare_message())
+        sim.run()
+        assert net.telemetry()["sanitizer_checks"] == 2
         msg = prepare_message()
         net.multicast(a.node_id, [b.node_id, c.node_id], msg)
         mutate(msg)
