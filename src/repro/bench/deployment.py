@@ -32,6 +32,7 @@ from ..core.geobft import GeoBftReplica
 from ..crypto.costs import CryptoCostModel
 from ..crypto.signatures import KeyRegistry, VerificationCache
 from ..errors import ConfigurationError
+from ..ledger.execution import ExecutionLog
 from ..net.network import Network
 from ..net.simulator import Simulation
 from ..net.topology import Topology
@@ -346,10 +347,10 @@ class Deployment:
         # run's delta can be reported.
         self._encoding_baseline = encoding_cache_stats().snapshot()
         # One verification memo for the whole deployment: replicas share
-        # it through the registry (signatures) and their MAC
-        # authenticators, so a certificate forwarded to n replicas is
-        # HMAC-checked once on the host.  Purely a host-CPU cache —
-        # simulated crypto delays are charged per replica regardless.
+        # it through the registry, so a certificate forwarded to n
+        # replicas has its signatures HMAC-checked once on the host.
+        # Purely a host-CPU cache — simulated crypto delays are charged
+        # per replica regardless.
         self.verification_cache = VerificationCache()
         if config.fast_crypto:
             self.registry: KeyRegistry = _FastKeyRegistry(
@@ -387,6 +388,11 @@ class Deployment:
             "steward": self._build_steward,
         }[cfg.protocol]
         builder()
+        # Replicas execute the same batches in the same order (§2.4), so
+        # their stores share one state until one of them diverges.
+        self.execution_log = ExecutionLog(cfg.record_count)
+        for replica in self.replicas.values():
+            self.execution_log.attach(replica.store)
         region_map = {node: replica.region
                       for node, replica in self.replicas.items()}
         region_map.update(

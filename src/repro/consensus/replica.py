@@ -10,8 +10,8 @@ message handling is delayed until a core is free and has spent the
 message's processing cost.
 
 :class:`BaseReplica` is the common runtime for every protocol replica:
-it owns the signer, the MAC authenticator, the ledger, the execution
-engine, and helpers to send/broadcast with CPU accounting.
+it owns the signer, the ledger, the execution engine, and helpers to
+send/broadcast with CPU accounting.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from heapq import heapify, heapreplace
 from typing import Iterable, List, Optional, Sequence
 
 from ..crypto.costs import CryptoCostModel
-from ..crypto.macs import MacAuthenticator
 from ..crypto.signatures import KeyRegistry, Signer
 from ..ledger.blockchain import Blockchain
 from ..ledger.execution import ExecutionEngine
@@ -92,9 +91,6 @@ class BaseReplica:
         self._costs = costs or CryptoCostModel()
         self._cpu = CpuModel(sim, cores)
         self._signer: Signer = registry.register(node_id)
-        # MAC verification outcomes share the deployment-wide memo held
-        # by the PKI, so re-checked tags cost one HMAC host-side.
-        self._mac = MacAuthenticator(node_id, cache=registry.verification_cache)
         self._store = YcsbStore(record_count)
         self._executor = ExecutionEngine(self._store)
         self._ledger = Blockchain()

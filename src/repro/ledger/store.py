@@ -52,6 +52,12 @@ class YcsbStore:
         self._journals: Dict[int, list] = {}
         self._writes = 0
         self._reads = 0
+        # Set while the store shares an ExecutionLog's state (ledger/
+        # execution.py): it is the log's state at position ``_pos``, and
+        # ``_data``/``_journals`` are unused until a public method below
+        # (counters aside) detaches it with its own copy.
+        self._log = None
+        self._pos = 0
 
     @property
     def record_count(self) -> int:
@@ -76,6 +82,8 @@ class YcsbStore:
 
     def read(self, key: int) -> str:
         """Read a record (its initial value if never written)."""
+        if self._log is not None:
+            self._log.detach(self)
         self._check_key(key)
         self._reads += 1
         if key in self._journals:
@@ -84,6 +92,8 @@ class YcsbStore:
 
     def update(self, key: int, value: str) -> None:
         """Overwrite a record."""
+        if self._log is not None:
+            self._log.detach(self)
         self._check_key(key)
         self._writes += 1
         self._data[key] = value
@@ -103,6 +113,8 @@ class YcsbStore:
         partial-application semantics use :meth:`update` per record).
         Equivalent to updating each pair in a loop, at C speed.
         """
+        if self._log is not None:
+            self._log.detach(self)
         if pairs:
             keys = [k for k, _ in pairs]
             low = min(keys)
@@ -148,6 +160,8 @@ class YcsbStore:
         """Read-modify-write: append ``"|" + suffix`` to the record's
         journal and return the :func:`receipt_of` its new value — not the
         value, which :meth:`read` serves — in O(len(suffix))."""
+        if self._log is not None:
+            self._log.detach(self)
         self._check_key(key)
         results = [""]
         self._apply([(0, key, suffix, ("|" + suffix).encode())], results)
@@ -155,6 +169,8 @@ class YcsbStore:
 
     def scan(self, start_key: int, length: int) -> List[Tuple[int, str]]:
         """Read ``length`` consecutive records starting at ``start_key``."""
+        if self._log is not None:
+            self._log.detach(self)
         if length < 0:
             raise WorkloadError(f"scan length must be >= 0, got {length}")
         end = min(start_key + length, self._record_count)
@@ -167,11 +183,15 @@ class YcsbStore:
         histories produce identical digests, so a quorum of matching
         checkpoint digests proves a consistent prefix.
         """
+        if self._log is not None:
+            self._log.detach(self)
         items = tuple(sorted(self._joined().items()))
         return digest_of(("ycsb", self._record_count, items))
 
     def snapshot(self) -> Dict[int, str]:
         """Copy of the materialized (written) records."""
+        if self._log is not None:
+            self._log.detach(self)
         return dict(self._joined())
 
     def _joined(self, *keys: int) -> Dict[int, str]:
@@ -186,6 +206,8 @@ class YcsbStore:
     def restore(self, snapshot: Dict[int, str],
                 record_count: Optional[int] = None) -> None:
         """Replace state with ``snapshot`` (checkpoint-based recovery)."""
+        if self._log is not None:
+            self._log.detach(self)
         if record_count is not None:
             self._record_count = record_count
         self._data = dict(snapshot)

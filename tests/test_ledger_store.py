@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from repro.crypto.digests import digest_of
 from repro.errors import WorkloadError
 from repro.ledger.block import Transaction
-from repro.ledger.execution import ExecutionEngine
+from repro.ledger import execution
+from repro.ledger.execution import ExecutionEngine, ExecutionLog
 from repro.ledger.store import YcsbStore, receipt_of
 
 
@@ -181,6 +183,20 @@ class TestExecutionEngine:
             (Transaction("m3", "modify", 4, "c"),)) == [receipt_of("fresh|c")]
         assert engine.store.read(4) == "fresh|c"
 
+    def test_only_empty_stores_attach_to_an_unused_log(self):
+        log = ExecutionLog(10)
+        written = YcsbStore(10)
+        written.update(1, "x")
+        for store in (written, YcsbStore(11)):
+            with pytest.raises(WorkloadError):
+                log.attach(store)
+        store = YcsbStore(10)
+        log.attach(store)
+        ExecutionEngine(store).execute_batch(
+            (Transaction("t", "update", 1, "v"),))
+        with pytest.raises(WorkloadError):
+            log.attach(YcsbStore(10))
+
     def test_restore_over_pending_journal_suffixes(self):
         store = YcsbStore(10)
         store.modify(1, "a")
@@ -344,3 +360,107 @@ TestStoreDifferential = StoreDifferentialMachine.TestCase
 TestStoreDifferential.settings = settings(max_examples=150,
                                           stateful_step_count=40,
                                           deadline=None)
+
+
+def _txns(*specs):
+    return tuple(Transaction(f"p{i}", op, key, value)
+                 for i, (op, key, value) in enumerate(specs))
+
+
+# Shared batch objects: stores that execute the same one at the same
+# position share its execution; an equal copy is a different object.
+_POOL = (
+    _txns(("update", 0, "a"), ("insert", 3, "b"), ("update", 0, "c")),
+    _txns(("modify", 1, "x"), ("modify", 1, "y"), ("modify", 4, "z")),
+    _txns(("update", 1, "p"), ("modify", 1, "q"), ("noop", 0, ""),
+          ("modify", 2, "r")),
+    _txns(("update", 1, "w"),),
+    _txns(("modify", 2, "s"), ("read", 2, "")),          # reads state
+    _txns(("modify", 0, "t"), ("update", _N, "u")),      # key out of range
+    _txns(("modify", 5, "v"), ("update", 5, "o")),      # highest key in range
+)
+
+
+class SharedExecutionMachine(RuleBasedStateMachine):
+    """2–4 stores attached to one :class:`ExecutionLog`, each shadowed
+    by a private reference engine given the same calls.  The stores
+    mostly follow one shared sequence of batch objects (the first store
+    at a position draws it from ``_POOL``) and sometimes diverge: another
+    pool batch, or an equal copy that is not the same object.  The bound
+    is lowered to 3 entries so lagging stores hit it."""
+
+    _BOUND = 3
+
+    def __init__(self):
+        super().__init__()
+        self.saved_bound = execution._MEMO_MAX
+        execution._MEMO_MAX = self._BOUND
+        self.log = ExecutionLog(_N)
+        self.engines, self.refs, self.positions = [], [], []
+        self.sequence = []
+
+    @initialize(count=st.integers(2, 4))
+    def attach(self, count):
+        for _ in range(count):
+            store = YcsbStore(_N)
+            self.log.attach(store)
+            self.engines.append(ExecutionEngine(store))
+            self.refs.append(ExecutionEngine(YcsbStore(_N)))
+            self.positions.append(0)
+
+    def _pick(self, index):
+        i = index % len(self.engines)
+        return i, self.engines[i], self.refs[i]
+
+    @rule(index=st.integers(0, 3), follow=st.integers(0, 3),
+          pooled=st.sampled_from(_POOL), copy=st.booleans())
+    def execute(self, index, follow, pooled, copy):
+        i, engine, ref = self._pick(index)
+        pos = self.positions[i]
+        self.positions[i] += 1
+        if pos < len(self.sequence) and follow:
+            batch = self.sequence[pos]
+        else:
+            batch = tuple(list(pooled)) if copy else pooled
+            if pos == len(self.sequence):
+                self.sequence.append(batch)
+        results = _outcome(lambda: engine.execute_batch(batch))
+        expected = _outcome(lambda: ref.execute_batch(batch))
+        assert results == expected
+        if expected is not WorkloadError:
+            assert (engine.results_digest(results)
+                    == digest_of(tuple(expected)))
+
+    @rule(index=st.integers(0, 3), key=_keys, value=_values,
+          modify=st.booleans())
+    def write_directly(self, index, key, value, modify):
+        _i, engine, ref = self._pick(index)
+        write = "modify" if modify else "update"
+        assert (getattr(engine.store, write)(key, value)
+                == getattr(ref.store, write)(key, value))
+
+    @rule(index=st.integers(0, 3))
+    def snapshot(self, index):
+        _i, engine, ref = self._pick(index)
+        assert (list(engine.store.snapshot().items())
+                == list(ref.store.snapshot().items()))
+
+    @invariant()
+    def counters_match_and_log_is_bounded(self):
+        for engine, ref in zip(self.engines, self.refs):
+            assert engine.store.write_count == ref.store.write_count
+            assert engine.store.read_count == ref.store.read_count
+            assert engine.executed_txns == ref.executed_txns
+        assert len(self.log) <= self._BOUND
+
+    def teardown(self):
+        execution._MEMO_MAX = self.saved_bound
+        for engine, ref in zip(self.engines, self.refs):
+            assert (list(engine.store.snapshot().items())
+                    == list(ref.store.snapshot().items()))
+
+
+TestSharedExecution = SharedExecutionMachine.TestCase
+TestSharedExecution.settings = settings(max_examples=150,
+                                        stateful_step_count=40,
+                                        deadline=None)

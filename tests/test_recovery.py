@@ -3,9 +3,11 @@
 import pytest
 
 from repro.bench.deployment import Deployment
+from repro.bench.scenarios import apply_scenario
 from repro.crypto.digests import digest_of
 from repro.errors import TamperedLedgerError
 from repro.ledger.block import Block, Transaction
+from repro.ledger.execution import _MEMO_MAX
 from repro.ledger.recovery import (
     audit_ledger,
     rebuild_state,
@@ -110,3 +112,40 @@ class TestRebuild:
         for height in range(ledger.height):
             assert (ledger.block(height).certificate_digest
                     == digest_of(peer.ledger.certificate(height)))
+
+
+def _assert_stores_match_ledgers(deployment):
+    """Every replica's store holds what replaying its own ledger gives."""
+    count = deployment.config.record_count
+    for replica in deployment.replicas.values():
+        rebuilt, _engine = rebuild_state(replica.ledger, count)
+        assert (list(replica.store.snapshot().items())
+                == list(rebuilt.snapshot().items()))
+        assert replica.store.state_digest() == rebuilt.state_digest()
+
+
+class TestSharedExecution:
+    """Replicas' stores share one execution log (ledger/execution.py);
+    what each replica reads back is still its own ledger's state."""
+
+    def test_payment_network(self):
+        deployment = Deployment(small_config("geobft", fast_crypto=True,
+                                             duration=1.5, warmup=0.3))
+        apply_scenario(deployment, "payment_network")
+        deployment.run()
+        assert deployment.execution_log.peak_length > 0
+        _assert_stores_match_ledgers(deployment)
+
+    def test_f_backups_leave_the_log_at_its_bound(self):
+        deployment = Deployment(small_config("geobft", fast_crypto=True,
+                                             duration=4.0, warmup=0.5))
+        victims = set(apply_scenario(deployment, "f_backups", 0.3))
+        deployment.run()
+        log = deployment.execution_log
+        # The crashed replicas' cursors held the log's oldest entry
+        # until it reached the bound; then they, and only they, left.
+        assert log.peak_length == _MEMO_MAX
+        assert victims and all(
+            (replica.store._log is None) == (node in victims)
+            for node, replica in deployment.replicas.items())
+        _assert_stores_match_ledgers(deployment)
