@@ -62,7 +62,6 @@ from .api import (
     TrafficSpec,
     OpenLoopSource,
     PaymentWorkload,
-    WorkerInstrumentation,
     apply_scenario,
     chaos_smoke_timeline,
     deployment_digest,
@@ -97,8 +96,7 @@ __version__ = "1.1.0"
 
 
 def __getattr__(name: str):
-    # The parallel-engine and campaign names load on first access; see
-    # ``repro.api``.
+    # The campaign names load on first access; see ``repro.api``.
     if name in api._LAZY:
         return getattr(api, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -113,7 +111,6 @@ __all__ = [
     "ChaosContext",
     "CrashFault",
     "Deployment",
-    "EngineReport",
     "EquivocateFault",
     "ExperimentConfig",
     "ExperimentResult",
@@ -126,7 +123,6 @@ __all__ = [
     "LinkDelayFault",
     "MessageLossFault",
     "OmissionFault",
-    "ParallelRun",
     "PartitionFault",
     "ReportSpec",
     "ResultStore",
@@ -136,25 +132,19 @@ __all__ = [
     "TrafficSpec",
     "OpenLoopSource",
     "PaymentWorkload",
-    "WorkerInstrumentation",
     "apply_scenario",
     "calibrate_host",
     "campaign_names",
     "chaos_smoke_timeline",
-    "cluster_affinity_pairs",
     "deployment_digest",
     "expand_grid",
     "fault_from_dict",
     "get_campaign",
     "load_trace_jsonl",
-    "lookahead_s",
-    "parallel_unsupported_reason",
-    "partition_clusters",
     "register_campaign",
     "register_scenario",
     "run_campaign",
     "run_experiment",
-    "run_parallel",
     "scenario_names",
     "traffic_summary",
     # convenience re-exports (layout may change)

@@ -11,20 +11,9 @@ other internals, whose layout may change between versions:
   ``to_json()``), :class:`Deployment` for staged control (build, arrange
   faults, ``run()``), and :func:`deployment_digest` for determinism
   checks.
-* **Parallel engine** — :func:`run_parallel` (per-cluster worker
-  processes, byte-identical digests), :class:`ParallelRun` (the merged
-  outcome, including a merged :class:`Instrumentation` hub on
-  instrumented runs and an :class:`EngineReport` of per-worker
-  barrier/idle telemetry), :func:`parallel_unsupported_reason`
-  (serial-fallback gate), and the partitioning helpers
-  :func:`partition_clusters` / :func:`lookahead_s` /
-  :func:`cluster_affinity_pairs`.  Setting
-  ``ExperimentConfig(workers=N)`` routes :func:`run_experiment` through
-  it automatically when supported.
-* **Observability** — :class:`Instrumentation` (the phase-event hub,
-  with :meth:`~Instrumentation.merge` for folding parallel worker
-  hubs), :class:`LatencyHistogram`, and :func:`load_trace_jsonl` for
-  offline analysis of exported traces.
+* **Observability** — :class:`Instrumentation` (the phase-event hub),
+  :class:`LatencyHistogram`, and :func:`load_trace_jsonl` for offline
+  analysis of exported traces.
 * **Fault injection** — :class:`FaultTimeline` plus the fault taxonomy
   (:class:`CrashFault`, :class:`PartitionFault`, :class:`LinkDelayFault`,
   :class:`MessageLossFault`, :class:`OmissionFault`, :class:`TamperFault`,
@@ -42,9 +31,10 @@ other internals, whose layout may change between versions:
 * **Campaigns** — :class:`Campaign` / :class:`RunSpec` /
   :class:`ReportSpec` (a DAG of deterministic runs plus the artifacts
   regenerated from them), :func:`run_campaign` (DAG scheduler with a
-  worker-budget-governed process pool, returning a
-  :class:`CampaignOutcome`), :class:`ResultStore` (the digest-keyed
-  JSONL + SQLite result store), :func:`register_campaign` /
+  ``jobs``-sized process pool — the package's only use of several
+  host cores — returning a :class:`CampaignOutcome`),
+  :class:`ResultStore` (the digest-keyed JSONL + SQLite result store),
+  :func:`register_campaign` /
   :func:`campaign_names` / :func:`get_campaign` for the campaign
   registry (mirroring the scenario registry), and
   :func:`calibrate_host` — the shared host-speed normalizer behind
@@ -80,11 +70,7 @@ from .bench.deployment import (
     deployment_digest,
     run_experiment,
 )
-from .bench.instrumentation import (
-    Instrumentation,
-    LatencyHistogram,
-    WorkerInstrumentation,
-)
+from .bench.instrumentation import Instrumentation, LatencyHistogram
 from .bench.tracing import load_trace_jsonl
 from .bench.scenarios import (
     SCENARIOS,
@@ -115,33 +101,22 @@ from .workload.traffic import (
     traffic_summary,
 )
 
-#: The parallel engine and the campaign layer pull in ``multiprocessing``,
-#: ``sqlite3`` and the result stores, which a single run never touches:
-#: their names resolve on first access (PEP 562) instead of at import.
-_LAZY = {
-    **dict.fromkeys((
-        "EngineReport",
-        "ParallelRun",
-        "cluster_affinity_pairs",
-        "lookahead_s",
-        "parallel_unsupported_reason",
-        "partition_clusters",
-        "run_parallel",
-    ), ".bench.parallel"),
-    **dict.fromkeys((
-        "Campaign",
-        "CampaignOutcome",
-        "ReportSpec",
-        "ResultStore",
-        "RunSpec",
-        "calibrate_host",
-        "campaign_names",
-        "expand_grid",
-        "get_campaign",
-        "register_campaign",
-        "run_campaign",
-    ), ".sweep"),
-}
+#: The campaign layer pulls in ``multiprocessing``, ``sqlite3`` and the
+#: result stores, which a single run never touches: its names resolve
+#: on first access (PEP 562) instead of at import.
+_LAZY = dict.fromkeys((
+    "Campaign",
+    "CampaignOutcome",
+    "ReportSpec",
+    "ResultStore",
+    "RunSpec",
+    "calibrate_host",
+    "campaign_names",
+    "expand_grid",
+    "get_campaign",
+    "register_campaign",
+    "run_campaign",
+), ".sweep")
 
 
 def __getattr__(name: str):
@@ -162,18 +137,9 @@ __all__ = [
     "InvariantReport",
     "deployment_digest",
     "run_experiment",
-    # parallel engine
-    "EngineReport",
-    "ParallelRun",
-    "cluster_affinity_pairs",
-    "lookahead_s",
-    "parallel_unsupported_reason",
-    "partition_clusters",
-    "run_parallel",
     # observability
     "Instrumentation",
     "LatencyHistogram",
-    "WorkerInstrumentation",
     "load_trace_jsonl",
     # scenarios
     "SCENARIOS",

@@ -93,15 +93,6 @@ class ExperimentConfig:
     #: samples, exports).  Observation-only: simulated results are
     #: byte-identical with this on or off.
     instrument: bool = False
-    #: Worker processes for the parallel backend (1 = serial engine).
-    #: Clusters are partitioned contiguously over ``min(workers,
-    #: num_clusters)`` processes; configurations the parallel backend
-    #: cannot run bit-identically (single cluster, zero-delay
-    #: topologies, stochastic fault timelines) fall back to the serial
-    #: engine.  Instrumented runs are parallel-native: per-worker hubs
-    #: are merged deterministically at run end.  The deployment digest
-    #: is identical either way.
-    workers: int = 1
     #: Open-loop aggregate traffic: a :class:`TrafficSpec` (or its
     #: ``"process:key=value,..."`` string / dict form) replaces the
     #: closed-loop ``clients_per_cluster`` clients with one
@@ -116,8 +107,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; expected {PROTOCOLS}"
             )
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
         if self.num_clusters < 1:
             raise ConfigurationError("num_clusters must be >= 1")
         if self.replicas_per_cluster < 4:
@@ -314,35 +303,22 @@ class InvariantReport:
 class Deployment:
     """A built, runnable system: simulator, network, replicas, clients."""
 
-    def __init__(self, config: ExperimentConfig, *,
-                 _sim: Optional[Simulation] = None,
-                 _metrics: Optional[Metrics] = None,
-                 _instrumentation: Optional[Instrumentation] = None):
-        # ``_sim``/``_metrics``/``_instrumentation`` let the parallel
-        # backend's workers build an identical deployment on a
-        # WorkerSimulation/WorkerMetrics/WorkerInstrumentation triple;
-        # everything else about construction is shared, which is what
-        # keeps worker-local state byte-identical to serial.
+    def __init__(self, config: ExperimentConfig):
         self.config = config
         self.topology = config.resolved_topology()
         if len(self.topology.regions) < config.num_clusters:
             raise ConfigurationError(
                 "topology has fewer regions than requested clusters"
             )
-        self.sim = _sim if _sim is not None else Simulation(seed=config.seed)
-        self.metrics = (_metrics if _metrics is not None
-                        else Metrics(warmup=config.warmup))
+        self.sim = Simulation(seed=config.seed)
+        self.metrics = Metrics(warmup=config.warmup)
         self.network = Network(self.sim, self.topology)
         self.network.add_observer(self.metrics.network_observer,
                                   self.metrics.network_observer_group)
         # Observability hub, or None (the zero-cost default): replicas
         # emit phase events into it; it only ever reads sim.now.
-        if _instrumentation is not None:
-            self.instrumentation: Optional[Instrumentation] = \
-                _instrumentation
-        else:
-            self.instrumentation = (Instrumentation(self.sim)
-                                    if config.instrument else None)
+        self.instrumentation: Optional[Instrumentation] = (
+            Instrumentation(self.sim) if config.instrument else None)
         # Encoding-cache counters are process-wide; snapshot them so this
         # run's delta can be reported.
         self._encoding_baseline = encoding_cache_stats().snapshot()
@@ -431,8 +407,7 @@ class Deployment:
 
         Takes the same target/quorum callables as
         :meth:`_make_quorum_clients`; the modeled population is split
-        evenly over the regions (sources are region-affine, which is
-        what lets each parallel worker own its region's arrivals).
+        evenly over the regions (sources are region-affine).
         """
         cfg = self.config
         spec = cfg.traffic
@@ -797,46 +772,8 @@ class Deployment:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Build and run one experiment (the harness's main entry point).
-
-    ``config.workers > 1`` routes supported configurations through the
-    parallel backend; anything it cannot run bit-identically falls back
-    to the serial engine, so the result is the same either way.
-    """
-    if config.workers > 1:
-        from .parallel import parallel_unsupported_reason, run_parallel
-        if parallel_unsupported_reason(config) is None:
-            return run_parallel(config).result
+    """Build and run one experiment (the harness's main entry point)."""
     return Deployment(config).run()
-
-
-def digest_from_parts(result: ExperimentResult, events_processed: int,
-                      ledgers) -> str:
-    """Digest core shared by the serial and parallel engines.
-
-    ``ledgers`` is an iterable of ``(str(node), height, head_hash_hex)``
-    rows; it is sorted here so callers may supply it in any order (the
-    parallel engine concatenates per-worker rows).
-    """
-    import hashlib
-    import json
-    from dataclasses import asdict
-
-    result_row = asdict(result)
-    if result_row.get("traffic") is None:
-        # Closed-loop runs omit the traffic block entirely: the payload
-        # (and so every pre-traffic golden digest) is byte-identical to
-        # a result without the field.
-        result_row.pop("traffic", None)
-    payload = json.dumps(
-        {
-            "result": result_row,
-            "events_processed": events_processed,
-            "ledgers": sorted(tuple(row) for row in ledgers),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def deployment_digest(deployment: Deployment,
@@ -848,13 +785,28 @@ def deployment_digest(deployment: Deployment,
     so the digest of an instrumented run must equal the digest of the
     same configuration run without it — ``repro trace
     --assert-determinism`` and the tracing smoke test both check this.
-    The parallel engine reproduces the same digest via
-    :func:`digest_from_parts` over merged per-worker state.
     """
+    import hashlib
+    import json
+    from dataclasses import asdict
+
     ledgers = [
         (str(node), replica.ledger.height,
          replica.ledger.head_hash.hex())
         for node, replica in deployment.replicas.items()
     ]
-    return digest_from_parts(result, deployment.sim.events_processed,
-                             ledgers)
+    result_row = asdict(result)
+    if result_row.get("traffic") is None:
+        # Closed-loop runs omit the traffic block entirely: the payload
+        # (and so every pre-traffic golden digest) is byte-identical to
+        # a result without the field.
+        result_row.pop("traffic", None)
+    payload = json.dumps(
+        {
+            "result": result_row,
+            "events_processed": deployment.sim.events_processed,
+            "ledgers": sorted(ledgers),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

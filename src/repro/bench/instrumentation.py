@@ -21,18 +21,6 @@ consumes randomness, so a run's simulated results are byte-identical
 with instrumentation enabled or disabled.  Disabled is represented by
 ``None`` — emission sites guard with ``if instr is not None`` so the
 off path costs one attribute load and one comparison.
-
-The parallel engine runs one :class:`WorkerInstrumentation` per worker
-process: each records locally and stamps every event with the
-``(post_time, parent_post, rank, k)`` composite tie key of the firing
-simulator event; at run end the orchestrator folds the worker hubs
-into one via :meth:`Instrumentation.merge` — first-seen marks by
-per-key minimum (exact, since simulated time is nondecreasing),
-histograms by exact bucket-wise :meth:`LatencyHistogram.merge`, events
-re-sorted by their tie keys — so the merged hub's spans equal the
-serial engine's.  A merged hub may also carry the parallel engine's
-own telemetry (barrier waits, window widths, export volumes) as a
-dedicated "engine" track in the Chrome trace export.
 """
 
 from __future__ import annotations
@@ -41,7 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Canonical round lifecycle, in order.  ``shared``/``ordered`` only
 #: occur in the geo-scale protocols (GeoBFT, Steward); span building
@@ -55,14 +43,6 @@ LIFECYCLE = ("proposed", "prepared", "committed", "shared", "ordered",
 #: carry ``cluster = 0``, rendering on a dedicated "chaos" track.
 EVENT_PHASES = ("view_change", "new_view", "drvc", "rvc_sent",
                 "rvc_honored", "fault_on", "fault_off")
-
-#: Sort key stamped on events emitted outside any firing simulator
-#: event (deployment build time).  Sorts before every real tie key.
-_PRE_RUN_KEY = (-1.0, -1.0, -1, -1)
-
-#: Chrome-trace process id of the parallel engine's own telemetry
-#: track (cluster pids are >= 0; 0 is the chaos track).
-ENGINE_TRACK_PID = -1
 
 
 @dataclass(frozen=True)
@@ -164,19 +144,6 @@ class LatencyHistogram:
         return {"p50": self.quantile(0.50), "p95": self.quantile(0.95),
                 "p99": self.quantile(0.99)}
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same geometry) into this one."""
-        if (other._min_value != self._min_value
-                or other._growth != self._growth
-                or len(other._counts) != len(self._counts)):
-            raise ValueError("cannot merge histograms of different geometry")
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
 
 class Instrumentation:
     """Central observability hub for one deployment.
@@ -202,22 +169,6 @@ class Instrumentation:
         # Named sample streams (queue depths etc.) and event counters.
         self.samples: Dict[str, LatencyHistogram] = {}
         self.counters: Dict[str, int] = {}
-        # Per-event composite tie keys, aligned with ``events``.  None
-        # on serial hubs (fire order *is* emission order); worker hubs
-        # populate it so merge() can restore the serial order.
-        self._event_keys: Optional[List[tuple]] = None
-        # Parallel-engine telemetry (see set_engine_track): one dict per
-        # barrier window and one totals dict per worker.
-        self.engine_windows: List[Dict[str, object]] = []
-        self.engine_workers: List[Dict[str, object]] = []
-
-    def __getstate__(self) -> dict:
-        # Worker hubs are pickled back to the orchestrator at run end;
-        # the simulator they observed holds unpicklable callbacks and is
-        # never needed again (a shipped hub is read-only).
-        state = self.__dict__.copy()
-        state["_sim"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Write side (called from protocol code; must stay observation-only)
@@ -268,95 +219,6 @@ class Instrumentation:
         self._warned.add(key)
         self.warnings.append(message)
         print(f"[instrumentation] {message}", file=sys.stderr)
-
-    # ------------------------------------------------------------------
-    # Merge (parallel engine: fold per-worker hubs into one)
-    # ------------------------------------------------------------------
-    def merge(self, other: "Instrumentation") -> None:
-        """Fold another hub's recordings from the *same run* into this.
-
-        Deterministic and exact where the serial hub is exact:
-
-        * first-seen marks merge by per-``(cluster, round, phase)``
-          minimum — identical to serial first-seen, since simulated
-          time never decreases;
-        * per-destination share marks likewise;
-        * sample histograms merge bucket-wise
-          (:meth:`LatencyHistogram.merge`), counters sum;
-        * events concatenate and, when tie keys are present (worker
-          hubs), re-sort by ``(time, post_time, parent_post, rank, k)``
-          — the engine's own composite order.  Keys minted by different
-          workers never compare equal (disjoint ``k`` residues), and
-          the sort is stable, so same-key events (several emissions
-          from one firing event) keep their emission order.
-
-        Merging an empty hub is a no-op.  Merging a keyed (worker) hub
-        into an unkeyed one that already holds events is refused: their
-        event streams cannot be interleaved deterministically.
-        """
-        if other.events:
-            if other._event_keys is not None:
-                if self._event_keys is None:
-                    if self.events:
-                        raise ValueError(
-                            "cannot merge a keyed (worker) hub into an "
-                            "unkeyed hub that already holds events")
-                    self._event_keys = []
-                other_keys = other._event_keys
-            elif self._event_keys is not None:
-                raise ValueError(
-                    "cannot merge an unkeyed hub into a keyed (worker) "
-                    "hub")
-            else:
-                other_keys = None
-            self.events.extend(other.events)
-            if self._event_keys is not None:
-                self._event_keys.extend(other_keys)
-                order = sorted(range(len(self.events)),
-                               key=lambda i: (self.events[i].time,
-                                              self._event_keys[i]))
-                self.events = [self.events[i] for i in order]
-                self._event_keys = [self._event_keys[i] for i in order]
-        self.dropped_events += other.dropped_events
-        for key in other._warned - self._warned:
-            self._warned.add(key)
-        for message in other.warnings:
-            if message not in self.warnings:
-                self.warnings.append(message)
-        for span_key, other_marks in other._marks.items():
-            marks = self._marks.setdefault(span_key, {})
-            for phase, when in other_marks.items():
-                if phase not in marks or when < marks[phase]:
-                    marks[phase] = when
-        for span_key, other_dsts in other._share_marks.items():
-            per_dst = self._share_marks.setdefault(span_key, {})
-            for dst, when in other_dsts.items():
-                if dst not in per_dst or when < per_dst[dst]:
-                    per_dst[dst] = when
-        for name, histogram in other.samples.items():
-            mine = self.samples.get(name)
-            if mine is None:
-                mine = LatencyHistogram()
-                self.samples[name] = mine
-            mine.merge(histogram)
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-
-    def set_engine_track(self, windows: List[Dict[str, object]],
-                         workers: List[Dict[str, object]]) -> None:
-        """Attach the parallel engine's own telemetry to this hub.
-
-        ``windows`` is one dict per (worker, barrier window) with keys
-        ``worker``, ``window``, ``start``, ``end`` (simulated seconds),
-        ``busy_s``, ``wait_s`` (host seconds), ``events``, ``exports``,
-        ``export_events``, ``imports``.  ``workers`` is one totals dict
-        per worker (see ``EngineReport`` in :mod:`repro.bench.parallel`).
-        Rendered as the "engine" process in :meth:`chrome_trace` and as
-        ``engine_window`` / ``engine_worker`` records in
-        :meth:`export_jsonl`.
-        """
-        self.engine_windows = list(windows)
-        self.engine_workers = list(workers)
 
     # ------------------------------------------------------------------
     # Read side: spans and histograms
@@ -430,12 +292,9 @@ class Instrumentation:
     def export_jsonl(self, path: str) -> int:
         """Write one JSON object per event; returns the event count.
 
-        Phase events come first (one per line, ``t``/``phase``/``node``/
-        ``cluster``/``round``/``detail``); a merged parallel hub appends
-        its engine telemetry as ``{"engine_window": {...}}`` and
-        ``{"engine_worker": {...}}`` lines, so ``repro trace --summary``
-        can rebuild both the phase tables and the engine report without
-        re-running the experiment.
+        One phase event per line (``t``/``phase``/``node``/``cluster``/
+        ``round``/``detail``), so ``repro trace --summary`` can rebuild
+        the phase tables without re-running the experiment.
         """
         with open(path, "w", encoding="utf-8") as fh:
             for event in self.events:
@@ -451,10 +310,6 @@ class Instrumentation:
                                or event.detail is None
                                else str(event.detail)),
                 }) + "\n")
-            for window in self.engine_windows:
-                fh.write(json.dumps({"engine_window": window}) + "\n")
-            for worker in self.engine_workers:
-                fh.write(json.dumps({"engine_worker": worker}) + "\n")
         return len(self.events)
 
     def chrome_trace(self) -> Dict[str, object]:
@@ -525,35 +380,6 @@ class Instrumentation:
                 "tid": 0,
                 "args": args,
             })
-        if self.engine_windows or self.engine_workers:
-            trace_events.append({
-                "name": "process_name", "ph": "M", "pid": ENGINE_TRACK_PID,
-                "args": {"name": "engine"},
-            })
-            for worker in self.engine_workers:
-                clusters = worker.get("clusters", ())
-                label = (f"worker {worker['worker']} (clusters "
-                         f"{', '.join(str(c) for c in clusters)})")
-                trace_events.append({
-                    "name": "thread_name", "ph": "M",
-                    "pid": ENGINE_TRACK_PID, "tid": worker["worker"],
-                    "args": {"name": label},
-                })
-            for window in self.engine_windows:
-                start = window["start"]
-                trace_events.append({
-                    "name": f"window {window['window']}",
-                    "cat": "engine",
-                    "ph": "X",
-                    "ts": round(start * 1e6, 3),
-                    "dur": round((window["end"] - start) * 1e6, 3),
-                    "pid": ENGINE_TRACK_PID,
-                    "tid": window["worker"],
-                    "args": {key: window[key]
-                             for key in ("busy_s", "wait_s", "events",
-                                         "exports", "export_events",
-                                         "imports") if key in window},
-                })
         return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
     def export_chrome_trace(self, path: str) -> int:
@@ -577,54 +403,3 @@ class Instrumentation:
             lines.append(f"  (dropped {self.dropped_events} events)")
         return "\n".join(lines)
 
-
-class WorkerInstrumentation(Instrumentation):
-    """Per-worker hub for the parallel engine.
-
-    Behaves exactly like :class:`Instrumentation` for the worker's own
-    events, with two parallel-specific twists:
-
-    * every recorded event is stamped with the firing simulator event's
-      composite tie key (``WorkerSimulation.fire_tie``), giving
-      :meth:`Instrumentation.merge` a deterministic total order that
-      matches the engine's own;
-    * rank-0 (orchestration) emissions — chaos ``fault_on``/``fault_off``
-      transitions and their counters — fire once *per worker* because
-      every worker installs the full timeline; only worker 0 records
-      them, mirroring how the orchestrator subtracts duplicated rank-0
-      events from ``events_processed``.
-
-    One deliberate divergence from serial: samples that read *global*
-    simulator state (``sim.pending_events``) see only this worker's
-    queue, so the merged histogram reflects per-worker depths.  See
-    docs/observability.md.
-    """
-
-    def __init__(self, sim, worker_index: int,
-                 max_events: int = 500_000):
-        super().__init__(sim, max_events=max_events)
-        self.worker_index = worker_index
-        self._event_keys = []
-
-    def _suppress_shared(self) -> bool:
-        # Rank-0 chains replay identically in every worker; worker 0
-        # is the canonical recorder.
-        if self.worker_index == 0:
-            return False
-        tie = self._sim.fire_tie
-        return tie is not None and tie[2] == 0
-
-    def phase(self, phase: str, node, cluster: int, round_id: int,
-              detail=None) -> None:
-        if self._suppress_shared():
-            return
-        before = len(self.events)
-        super().phase(phase, node, cluster, round_id, detail)
-        if len(self.events) > before:
-            tie = self._sim.fire_tie
-            self._event_keys.append(_PRE_RUN_KEY if tie is None else tie)
-
-    def count(self, name: str, delta: int = 1) -> None:
-        if self._suppress_shared():
-            return
-        super().count(name, delta)

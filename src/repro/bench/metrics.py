@@ -303,75 +303,3 @@ class Metrics:
         """Total inter-region bytes."""
         return self._global_bytes
 
-
-class WorkerMetrics(Metrics):
-    """Metrics sink for one parallel worker.
-
-    Identical recording behaviour, plus a completion log tagging every
-    sample with ``(time, cluster, per-worker index)`` — the key that
-    lets :func:`merge_worker_metrics` interleave worker streams back
-    into the serial engine's completion order (clients of one cluster
-    run in exactly one worker, so within an equal ``(time, cluster)``
-    the per-worker index *is* serial order).
-    """
-
-    def __init__(self, warmup: float = 0.0):
-        super().__init__(warmup)
-        #: (now, client cluster, per-worker index, txns, latency)
-        self.completion_log: List[Tuple[float, int, int, int, float]] = []
-
-    def record_completed(self, client: NodeId, txns: int, latency: float,
-                         now: float) -> None:
-        self.completion_log.append(
-            (now, client.cluster, len(self.completion_log), txns, latency))
-        super().record_completed(client, txns, latency, now)
-
-
-def merge_worker_metrics(parts: List[WorkerMetrics], warmup: float,
-                         end_time: float) -> Metrics:
-    """Fold per-worker metric sinks into one deployment-wide sink.
-
-    Everything order-insensitive (integer counters, per-kind message
-    maps, per-replica dicts — disjoint across workers) is summed.  The
-    completion stream is *replayed* in serial order — merged by
-    ``(time, cluster, index)`` — because the mean latency is a float
-    sum and float addition is order-sensitive: replaying reproduces the
-    serial engine's accumulation order bit-for-bit, which the digest
-    parity tests require.
-    """
-    merged = Metrics(warmup=warmup)
-    completions: List[Tuple[float, int, int, int, float]] = []
-    for part in parts:
-        completions.extend(part.completion_log)
-        merged._submitted_txns += part._submitted_txns
-        merged._measured_submitted_txns += part._measured_submitted_txns
-        merged._offered_txns += part._offered_txns
-        merged._measured_offered_txns += part._measured_offered_txns
-        merged._rejected_txns += part._rejected_txns
-        merged._measured_rejected_txns += part._measured_rejected_txns
-        merged._abandoned_txns += part._abandoned_txns
-        merged._measured_abandoned_txns += part._measured_abandoned_txns
-        merged._retried_batches += part._retried_batches
-        merged._measured_retried_batches += part._measured_retried_batches
-        for node, count in part._executed_txns.items():
-            merged._executed_txns[node] += count
-        for node, count in part._rounds.items():
-            merged._rounds[node] += count
-        for kind, count in part._local_msgs.items():
-            merged._local_msgs[kind] += count
-        for kind, count in part._global_msgs.items():
-            merged._global_msgs[kind] += count
-        merged._local_bytes += part._local_bytes
-        merged._global_bytes += part._global_bytes
-        for pair, count in part._pair_bytes.items():
-            merged._pair_bytes[pair] += count
-    completions.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-    for now, _cluster, _idx, txns, latency in completions:
-        merged._completed_txns += txns
-        merged._completions.append((now, txns))
-        if now >= warmup:
-            merged._measured_completed_txns += txns
-            merged._latencies.append(latency)
-            merged._latency_histogram.record(latency)
-    merged._end_time = end_time
-    return merged

@@ -117,37 +117,6 @@ def format_queue_samples(instrumentation) -> str:
         rows, title="runtime samples (per committed round)")
 
 
-def format_engine_stats(per_worker: Sequence[Dict[str, object]],
-                        lookahead: float = 0.0,
-                        windows: int = 0) -> str:
-    """Per-worker parallel-engine table from :class:`EngineReport`
-    rows (or ``engine_worker`` records replayed from a JSONL trace).
-
-    Busy/wait are *host* seconds (where wall-clock went), idle is the
-    fraction of a worker's wall time spent blocked at barriers — the
-    measured form of the "no speedup on one core" caveat.
-    """
-    if not per_worker:
-        return "(no engine telemetry recorded)"
-    rows = []
-    for w in per_worker:
-        clusters = ",".join(str(c) for c in w.get("clusters", ()))
-        rows.append([
-            f"w{w['worker']}", clusters, w.get("windows", 0),
-            f"{w.get('busy_s', 0.0):.3f}", f"{w.get('wait_s', 0.0):.3f}",
-            f"{w.get('idle_fraction', 0.0):.1%}", w.get("events", 0),
-            w.get("exports", 0), w.get("imports", 0),
-        ])
-    title = "parallel engine (per worker)"
-    if lookahead > 0:
-        title += (f" — lookahead {lookahead * 1e3:.1f} ms, "
-                  f"{windows} windows")
-    return format_table(
-        ["worker", "clusters", "windows", "busy (s)", "wait (s)",
-         "idle", "events", "exports", "imports"],
-        rows, title=title)
-
-
 def _rate(hits: int, misses: int) -> str:
     total = hits + misses
     if total == 0:

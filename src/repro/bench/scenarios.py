@@ -188,10 +188,7 @@ def _scenario_payment_network(deployment: Deployment,
 
     Not a fault scenario: it retargets the workload (``fail_at`` is
     ignored) at the conflict-bearing read-modify-write payment
-    generator, with each driver branded as a branch of its region.  The
-    swap resolves at build time against the (identical) initial client
-    list, so it is parallel-safe — workers brand the same drivers with
-    the same seeds.
+    generator, with each driver branded as a branch of its region.
     """
     from ..workload.payment import DEFAULT_ACCOUNTS, PaymentWorkload
     accounts = min(DEFAULT_ACCOUNTS, deployment.config.record_count)

@@ -10,7 +10,7 @@ for tests that assert on *when* and *where* specific messages flowed
 it replays a JSONL file written by
 :meth:`~repro.bench.instrumentation.Instrumentation.export_jsonl` back
 into a fresh hub, so ``repro trace --summary`` can print phase tables
-and engine stats from an artifact without re-running the experiment.
+from an artifact without re-running the experiment.
 """
 
 from __future__ import annotations
@@ -40,16 +40,12 @@ def load_trace_jsonl(path: str) -> Instrumentation:
     Phase-event lines replay through :meth:`Instrumentation.phase`
     (nodes stay strings — the read side only ever stringifies them), so
     marks, spans, phase durations, and the share-latency breakdown are
-    reconstructed exactly.  ``engine_window`` / ``engine_worker`` lines
-    (present when the trace came from a parallel run) reattach the
-    engine track.  Sample streams and counters are not exported and so
-    cannot be recovered here.
+    reconstructed exactly.  Sample streams and counters are not
+    exported and so cannot be recovered here.
     """
     hub = Instrumentation(sim=None)
     clock = _ReplayClock()
     hub._sim = clock
-    engine_windows: List[dict] = []
-    engine_workers: List[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -60,22 +56,15 @@ def load_trace_jsonl(path: str) -> Instrumentation:
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}:{line_no}: not a JSON object: {exc}") from exc
-            if "engine_window" in obj:
-                engine_windows.append(obj["engine_window"])
-            elif "engine_worker" in obj:
-                engine_workers.append(obj["engine_worker"])
-            else:
-                try:
-                    clock.now = obj["t"]
-                    hub.phase(obj["phase"], obj["node"], obj["cluster"],
-                              obj["round"], obj.get("detail"))
-                except (KeyError, TypeError) as exc:
-                    raise ValueError(
-                        f"{path}:{line_no}: not a phase-event record "
-                        f"({exc})") from exc
+            try:
+                clock.now = obj["t"]
+                hub.phase(obj["phase"], obj["node"], obj["cluster"],
+                          obj["round"], obj.get("detail"))
+            except (KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"{path}:{line_no}: not a phase-event record "
+                    f"({exc})") from exc
     hub._sim = None
-    if engine_windows or engine_workers:
-        hub.set_engine_track(engine_windows, engine_workers)
     return hub
 
 

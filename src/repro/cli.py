@@ -24,11 +24,8 @@ JSON spec.  All output is plain text; every run is deterministic per
 
 Set ``REPRO_PROFILE=1`` to run the command under :mod:`cProfile` and
 print the 20 hottest functions (by internal time) afterwards — the
-quickest way to see where *host* CPU goes.  On a parallel run each
-worker process additionally dumps its own profile to
-``<REPRO_PROFILE_OUT or 'repro-profile'>-w<rank>.pstats`` (load with
-:mod:`pstats`).  Profiling never affects simulated results: the
-simulator runs on virtual time.
+quickest way to see where *host* CPU goes.  Profiling never affects
+simulated results: the simulator runs on virtual time.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from .bench.deployment import (
 )
 from .bench.reporting import (
     format_cache_report,
-    format_engine_stats,
     format_latency_percentiles,
     format_phase_durations,
     format_queue_samples,
@@ -98,10 +94,6 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--real-crypto", action="store_true",
                         help="verify real HMAC signatures (slower host "
                              "run, identical simulated results)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the parallel engine "
-                             "(1 = serial; capped at the cluster count; "
-                             "results are byte-identical either way)")
 
 
 def _add_output_args(parser: argparse.ArgumentParser, trace: bool = True,
@@ -172,7 +164,6 @@ def _config_from_args(args, protocol: str,
         seed=args.seed,
         fast_crypto=not args.real_crypto,
         instrument=instrument,
-        workers=getattr(args, "workers", 1),
         traffic=getattr(args, "traffic", "") or None,
     )
 
@@ -201,88 +192,12 @@ def _print_observability(instr) -> None:
     print(format_queue_samples(instr))
 
 
-def _cmd_parallel_run(args, config) -> Optional[int]:
-    """The ``run`` command on the parallel engine.
-
-    Returns ``None`` when the configuration needs the serial engine
-    (the caller falls back), otherwise the process exit code.  The
-    printed result, counters, and JSON are deployment-wide merges — a
-    parallel run is byte-identical to its serial twin.
-    """
-    from .bench.parallel import parallel_unsupported_reason, run_parallel
-    from .net.chaos import FaultTimeline
-
-    timeline = FaultTimeline.load(args.faults) if args.faults else None
-    scenario = args.scenario if args.scenario != "none" else None
-    reason = parallel_unsupported_reason(config, timeline=timeline,
-                                         scenario=scenario)
-    if reason is not None:
-        if not args.json:
-            print(f"workers={config.workers}: serial fallback ({reason})")
-        return None
-    if not args.json:
-        if scenario:
-            print(f"scenario {scenario}: installed in every worker")
-        if timeline is not None:
-            print(f"fault timeline {timeline.name!r}: "
-                  f"{len(timeline)} faults scheduled in every worker")
-    run = run_parallel(config, timeline=timeline, scenario=scenario,
-                       fail_at=args.fail_at)
-    result = run.result
-    if args.json:
-        import json
-
-        # The result row itself is byte-identical to the serial
-        # engine's; engine telemetry rides alongside under its own key.
-        doc = result.to_dict()
-        doc["engine"] = run.engine.to_dict()
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0 if run.invariants.ok else 1
-    print(result.describe())
-    print(format_latency_percentiles(result))
-    print(f"  global: {result.global_messages} msgs / "
-          f"{result.global_bytes / 1e6:.2f} MB   "
-          f"local: {result.local_messages} msgs / "
-          f"{result.local_bytes / 1e6:.2f} MB")
-    telemetry = run.telemetry
-    print(f"  parallel: {run.workers} workers, lookahead "
-          f"{run.lookahead * 1e3:.1f} ms, {run.windows} windows, "
-          f"{run.events_processed} events, "
-          f"max queue depth {run.max_queue_depth}")
-    print(f"  network (merged): {telemetry.get('sends', 0)} sends, "
-          f"{telemetry.get('in_flight_drops', 0)} in-flight drops, "
-          f"{telemetry.get('receiver_drops', 0)} receiver drops, "
-          f"{telemetry.get('tampered_sends', 0)} tampered")
-    print()
-    print(format_engine_stats(run.engine.per_worker,
-                              lookahead=run.engine.lookahead,
-                              windows=run.engine.windows))
-    if run.instrumentation is not None:
-        _print_observability(run.instrumentation)
-        _export_traces(run.instrumentation, args.trace_out,
-                       args.trace_jsonl)
-    if args.link_report:
-        from .analysis.traffic import format_link_report, link_usage
-        rows = link_usage(run.metrics, config.resolved_topology(),
-                          window=result.duration)
-        print("\nper-link traffic (heaviest first):")
-        print(format_link_report(rows))
-    if timeline is not None or scenario:
-        print()
-        print(run.invariants.describe())
-    return 0 if run.invariants.ok else 1
-
-
 def _cmd_run(args) -> int:
     from .bench.deployment import Deployment
 
     instrument = bool(args.trace_out or args.trace_jsonl)
-    config = _config_from_args(args, args.protocol, instrument=instrument)
-    if config.workers > 1:
-        outcome = _cmd_parallel_run(args, config)
-        if outcome is not None:
-            return outcome
-    deployment = Deployment(config)
+    deployment = Deployment(
+        _config_from_args(args, args.protocol, instrument=instrument))
     _arrange_faults(deployment, args, quiet=args.json)
     result = deployment.run()
     if args.json:
@@ -331,9 +246,6 @@ def _cmd_trace_summary(args) -> int:
     if not share.startswith("("):
         print()
         print(share)
-    if hub.engine_workers:
-        print()
-        print(format_engine_stats(hub.engine_workers))
     return 0
 
 
@@ -423,8 +335,7 @@ def _cmd_sweep(args) -> int:
                         get_campaign, run_campaign)
     from .sweep.reports import chaos_audit_failures, figure_records
     from .sweep.store import (compare_overload_baseline,
-                              compare_scale_baseline,
-                              overload_digest_parity, scale_digest_parity)
+                              compare_scale_baseline)
 
     if args.list_campaigns:
         rows = []
@@ -469,7 +380,6 @@ def _cmd_sweep(args) -> int:
     progress = None if args.json else print
     with store:
         outcome = run_campaign(campaign, store=store, jobs=args.jobs,
-                               cpu_budget=args.cpu_budget,
                                rerun=args.rerun, progress=progress,
                                partial=bool(args.filter))
         failures: List[str] = []
@@ -481,8 +391,6 @@ def _cmd_sweep(args) -> int:
                         f"{record['run_id']}: wall {record['wall_s']:.1f}s "
                         f"exceeds budget {args.budget_s:.1f}s")
         scale_records = figure_records(outcome.records, "scale")
-        if scale_records:
-            failures += scale_digest_parity(scale_records)
         if args.baseline:
             if not scale_records:
                 failures.append(
@@ -495,8 +403,6 @@ def _cmd_sweep(args) -> int:
                 failures += compare_scale_baseline(
                     scale_records, calibration, baseline)
         overload_records = figure_records(outcome.records, "overload")
-        if overload_records:
-            failures += overload_digest_parity(overload_records)
         if args.overload_baseline:
             if not overload_records:
                 failures.append(
@@ -695,9 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="re-run without instrumentation and "
                                    "fail unless results are identical")
     trace_parser.add_argument("--summary", default="", metavar="JSONL",
-                              help="print phase p50/p95/p99 tables and "
-                                   "per-worker engine stats from an "
-                                   "existing JSONL trace instead of "
+                              help="print phase p50/p95/p99 tables from "
+                                   "an existing JSONL trace instead of "
                                    "running an experiment")
     _add_experiment_args(trace_parser)
     _add_output_args(trace_parser, trace_aliases=True,
@@ -741,10 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--rerun", action="store_true",
                               help="execute every run even when the "
                                    "store already has its record")
-    sweep_parser.add_argument("--cpu-budget", type=int, default=None,
-                              help="cap on concurrently-used engine "
-                                   "workers across the pool (default: "
-                                   "host CPU count)")
     sweep_parser.add_argument("--budget-s", type=float, default=None,
                               help="absolute wall-time budget per "
                                    "executed run (seconds)")

@@ -45,13 +45,6 @@ from .messages import (
 from .pbft import PbftConfig, PbftEngine
 from .replica import BaseReplica
 
-#: Message classes that travel *between* clusters: the site -> primary
-#: forward and the primary -> site dissemination.  Local agreement and
-#: client traffic never leave a cluster, which is exactly Steward's
-#: centralization property (§3) — and what lets the parallel engine
-#: widen its lookahead to the site<->primary links only.
-CROSS_CLUSTER_MESSAGES = frozenset({"StewardForward", "StewardGlobalOrder"})
-
 
 class StewardReplica(BaseReplica):
     """One Steward replica (primary-cluster or site replica)."""
@@ -103,24 +96,6 @@ class StewardReplica(BaseReplica):
                                               CommitCertificate]] = {}
         self._executed_upto: SeqNum = 0
         self._submitted_to_global: set = set()
-
-    @classmethod
-    def cluster_affinity(cls, clusters,
-                         primary_cluster: ClusterId = 1) -> frozenset:
-        """Ordered cluster pairs that exchange cross-cluster traffic.
-
-        Steward is a star around the primary cluster: sites forward to
-        it (StewardForward) and it disseminates back (StewardGlobalOrder)
-        — two sites never talk to each other.  The parallel engine's
-        conservative lookahead therefore only has to respect the
-        site<->primary link latencies, not the full cross-worker mesh.
-        """
-        pairs = set()
-        for cluster in clusters:
-            if cluster != primary_cluster:
-                pairs.add((cluster, primary_cluster))
-                pairs.add((primary_cluster, cluster))
-        return frozenset(pairs)
 
     @property
     def engine(self) -> PbftEngine:

@@ -52,14 +52,6 @@ from .remote_view_change import RemoteViewChangeManager
 #: from lagging peers before being garbage collected.
 SHARE_RETENTION_ROUNDS = 64
 
-#: Message classes that travel *between* clusters: the certificate
-#: sharing plane (§2.3, Figure 5) and the remote view-change request
-#: (§2.3, Figure 7 line 13).  Everything else — PBFT local replication,
-#: CertShare threshold shares, Drvc votes, client traffic — stays inside
-#: one cluster.  The parallel engine treats this as the protocol's
-#: declared cross-worker surface.
-CROSS_CLUSTER_MESSAGES = frozenset({"GlobalShare", "Rvc"})
-
 
 class GeoBftReplica(BaseReplica):
     """One replica of a GeoBFT deployment."""
@@ -158,21 +150,6 @@ class GeoBftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @classmethod
-    def cluster_affinity(cls, clusters) -> frozenset:
-        """Ordered cluster pairs that exchange cross-cluster traffic.
-
-        GeoBFT's sharing plane is all-to-all: every cluster's primary
-        sends its commit certificates to every other cluster (and RVC
-        requests may flow between any pair), so every ordered pair of
-        distinct clusters appears.  The parallel engine uses this
-        affinity map to derive its conservative lookahead from only the
-        links that can actually carry messages.
-        """
-        clusters = tuple(clusters)
-        return frozenset((a, b) for a in clusters for b in clusters
-                         if a != b)
-
     @property
     def engine(self) -> PbftEngine:
         """The local-replication PBFT engine."""

@@ -157,17 +157,14 @@ class CachedEncodable:
         return cached
 
     # ------------------------------------------------------------------
-    # Pickling (cross-process message exchange)
+    # Pickling and copying
     # ------------------------------------------------------------------
     # Frozen dataclasses that declare ``__slots__`` cannot use pickle's
     # default slot restoration: it goes through ``setattr``, which the
-    # frozen ``__setattr__`` rejects.  The parallel engine ships messages
-    # between worker processes, so restore state via
-    # ``object.__setattr__`` explicitly.  The memoized caches travel
-    # with the message: they are pure functions of the frozen content,
-    # and shipping them keeps an imported certificate chain as cheap to
-    # handle as a locally produced one (re-deriving a deep chain on the
-    # receiving worker measurably dominates cross-worker message cost).
+    # frozen ``__setattr__`` rejects — and ``copy.copy`` takes the same
+    # path.  Restore state via ``object.__setattr__`` explicitly.  The
+    # memoized caches travel with the message: they are pure functions
+    # of the frozen content, so a copy never re-derives them.
 
     def __getstate__(self) -> dict:
         state = {}

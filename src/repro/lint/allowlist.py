@@ -41,17 +41,6 @@ class AllowlistEntry:
 ALLOWLIST: List[AllowlistEntry] = [
     AllowlistEntry(
         rule="no-wallclock",
-        path="benchmarks/bench_scale.py",
-        symbol=None,
-        justification=(
-            "The scale benchmark measures *host* wall-clock runtime of "
-            "the simulator itself (the tracked perf-regression numbers in "
-            "BENCH_scale.json); it runs outside simulated time, so "
-            "virtual-clock discipline does not apply."
-        ),
-    ),
-    AllowlistEntry(
-        rule="no-wallclock",
         path="benchmarks/bench_crypto_hotpath.py",
         symbol=None,
         justification=(

@@ -610,8 +610,9 @@ class NoSilentExcept(Rule):
 
 
 #: Directories whose module-level state is reachable from replica
-#: handlers — the code the parallel engine replicates into per-cluster
-#: worker processes.
+#: handlers.  A sweep pool worker runs many deployments in one process
+#: (and ``--jobs 1`` runs a whole campaign inline), so state written
+#: here outlives the deployment that wrote it.
 _WORKER_STATE_DIRS = ("repro/consensus/", "repro/core/")
 
 #: Constructors whose result is a mutable container.
@@ -624,14 +625,15 @@ class NoCrossWorkerSharedState(Rule):
 
     id = "no-cross-worker-shared-state"
     summary = ("no written module-level state in consensus/ or core/ "
-               "(parallel workers cannot share it)")
+               "(it leaks between deployments in one process)")
     rationale = (
-        "The parallel engine runs each cluster's replicas in separate "
-        "worker processes; module-level state that replica code writes "
-        "is process-local, so workers silently diverge from the serial "
-        "engine (and from each other) the moment it influences "
-        "behaviour.  Per-run state belongs on the replica or an "
-        "injected collaborator built from the picklable "
+        "A sweep pool worker runs many RunSpecs in one process, and "
+        "``--jobs 1`` runs a whole campaign inline in the orchestrator. "
+        "Module-level state that replica code writes survives from one "
+        "deployment into the next, so a run's digest would depend on "
+        "which runs shared its process before it — the pool path and "
+        "the inline path would disagree.  Per-run state belongs on the "
+        "replica or an injected collaborator built from the "
         "ExperimentConfig.  Read-only lookup tables are fine — only "
         "mutations (and ``global`` rebinding) are flagged."
     )
@@ -676,17 +678,18 @@ class NoCrossWorkerSharedState(Rule):
         for name in node.names:
             self.report(node,
                         f"function rebinds module-level name {name!r} "
-                        "via global; parallel workers each get their "
-                        "own copy — keep per-run state on the replica")
+                        "via global; the binding outlives this "
+                        "deployment in a sweep worker — keep per-run "
+                        "state on the replica")
         self.generic_visit(node)
 
     def _flag(self, node: ast.AST, name: str, how: str) -> None:
         self.report(node,
                     f"module-level mutable {name!r} is {how} here; "
-                    "each parallel worker process has its own copy, so "
-                    "replica behaviour diverges between the serial and "
-                    "parallel engines — keep per-run state on the "
-                    "replica or an injected collaborator")
+                    "it carries over into the next deployment a sweep "
+                    "worker runs in this process, so results depend on "
+                    "run order — keep per-run state on the replica or "
+                    "an injected collaborator")
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:

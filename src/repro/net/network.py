@@ -30,8 +30,7 @@ delivery event in one pass over the destinations.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Protocol, Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from ..errors import ConfigurationError
 from ..types import NodeId
@@ -64,24 +63,6 @@ SendObserver = Callable[[NodeId, NodeId, object, int, bool], None]
 
 #: Sentinel region key for a sender's shared cross-region egress queue.
 _WAN_EGRESS = "__wan__"
-
-
-class ExportedSend(NamedTuple):
-    """A delivery bound for a node another worker owns.
-
-    The sending worker computes the *final* arrival time (uplink
-    serialization, propagation, failure delay rules are all sender-side
-    state) plus the ordering token the serial engine's sequence number
-    stands for; the orchestrator routes the record to the destination
-    worker, which injects it into its calendar verbatim.
-    """
-
-    arrival: float          # absolute virtual arrival time
-    tie: tuple              # ordering token minted by the source worker
-    src: NodeId
-    dst: NodeId
-    message: object
-    fingerprint: Optional[bytes]  # sanitizer snapshot, when armed
 
 
 def _message_size(message: SizedMessage) -> int:
@@ -123,8 +104,7 @@ class Network:
                  "_notify", "_group_notify", "_sanitizer", "_sends",
                  "_self_sends", "_suppressed_sends", "_in_flight_drops",
                  "_receiver_drops", "_tampered_sends", "_delayed_sends",
-                 "_owned", "_exports", "_post_deliver",
-                 "_post_deliver_checked")
+                 "_post_deliver", "_post_deliver_checked")
 
     def __init__(self, sim: Simulation, topology: Topology,
                  failures: Optional[FailureModel] = None,
@@ -153,12 +133,6 @@ class Network:
         # metrics sink does).  Lets multicast report one call per
         # local/remote group instead of one call per destination.
         self._group_notify = None
-        # Parallel-backend partitioning: when set, deliveries to nodes
-        # outside ``_owned`` are captured as ExportedSend records
-        # instead of being posted locally.  ``None`` = serial (the
-        # default; the hot paths pay one None test).
-        self._owned: Optional[frozenset] = None
-        self._exports: List[ExportedSend] = []
         # Telemetry counters (pure integers, never read by the model).
         self._sends = 0
         self._self_sends = 0
@@ -296,14 +270,6 @@ class Network:
                 src, dst, message):
             self._in_flight_drops += 1
             return
-        owned = self._owned
-        if owned is not None and dst not in owned:
-            self._exports.append(ExportedSend(
-                self._sim.now + arrival_delay,
-                self._sim.reserve_export_tie(), src, dst, message,
-                sanitizer.fingerprint(message) if sanitizer is not None
-                else None))
-            return
         # Deliveries are never cancelled: use the allocation-free path.
         if sanitizer is not None:
             self._sim.post(arrival_delay, self._post_deliver_checked, src,
@@ -363,7 +329,6 @@ class Network:
         local_key = wan_key = None
         sends = 0
         post = sim.post
-        owned = self._owned
         deliver = self._post_deliver
         deliver_checked = self._post_deliver_checked
         # One pass: resolve, advance the uplink clock, post the delivery.
@@ -410,11 +375,7 @@ class Network:
             elif notify is not None:
                 notify(src, dst, message, size, is_local)
             delay = (start - now) + transmit + latency
-            if owned is not None and dst not in owned:
-                self._exports.append(ExportedSend(
-                    now + delay, sim.reserve_export_tie(), src, dst,
-                    message, fingerprint))
-            elif fingerprint is None:
+            if fingerprint is None:
                 post(delay, deliver, src, dst, message)
             else:
                 post(delay, deliver_checked, src, dst, message, fingerprint)
@@ -446,43 +407,6 @@ class Network:
         """Sanitized delivery: re-verify the send-time fingerprint first."""
         self._sanitizer.check(message, fingerprint, src)
         self._deliver(src, dst, message)
-
-    # ------------------------------------------------------------------
-    # Parallel-backend partitioning
-    # ------------------------------------------------------------------
-    def enable_partition(self, owned: Iterable[NodeId]) -> None:
-        """Route deliveries to nodes outside ``owned`` into the export
-        buffer instead of the local event queue (parallel workers).
-
-        All timing state (uplink queues, delay rules) stays sender-side
-        and is computed exactly as in serial mode; only the final
-        delivery posting is redirected.  Requires the simulator to be a
-        :class:`~repro.net.simulator.WorkerSimulation` (the export tie
-        keys come from it).
-        """
-        self._owned = frozenset(owned)
-
-    def drain_exports(self) -> List["ExportedSend"]:
-        """Return and clear the cross-worker deliveries captured since
-        the last drain (called at every window barrier)."""
-        exports = self._exports
-        self._exports = []
-        return exports
-
-    def inject_import(self, rec: "ExportedSend") -> None:
-        """Insert a delivery exported by another worker.
-
-        The record's tie key restores the serial (deadline, seq) order;
-        receiver-side failure checks still run at delivery time against
-        this worker's (identical) failure model.
-        """
-        if rec.fingerprint is not None:
-            self._sim.inject(rec.arrival, rec.tie,
-                             self._post_deliver_checked, rec.src, rec.dst,
-                             rec.message, rec.fingerprint)
-        else:
-            self._sim.inject(rec.arrival, rec.tie, self._post_deliver,
-                             rec.src, rec.dst, rec.message)
 
     def telemetry(self) -> Dict[str, int]:
         """Send/drop counters (observability only).

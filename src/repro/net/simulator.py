@@ -573,296 +573,3 @@ class Simulation:
                 continue
             timer._fire()
             return True
-
-
-class WorkerSimulation(Simulation):
-    """Per-process event loop for the parallel (multi-worker) backend.
-
-    Queue entries keep the serial engine's 5-tuple shape, but the
-    integer ``seq`` slot holds a composite *tie key* instead::
-
-        (deadline, (post_time, parent_post, rank, k), timer, fn, args)
-
-    * ``post_time`` — virtual time the event was scheduled.  The serial
-      engine assigns sequence numbers in post order, so an event posted
-      earlier always wins a deadline tie; comparing post times first
-      reproduces that for events posted at *different* instants, which
-      is most ties the protocols generate (a calendar entry that
-      reaches its deadline always ties against younger lane entries).
-    * ``parent_post`` — the *posting* event's own post time (``-1.0``
-      for events scheduled before the run starts).  Serial order among
-      events posted at the same instant is the fire order of their
-      posters at that instant, and the posters' fire order starts with
-      *their* post times.  This is what orders chains of causality that
-      **re-synchronize**: two messages travelling different-latency
-      paths can arrive at one instant even though they were sent at
-      different instants, and their same-instant consequences must fire
-      in the posters' (send-time) order, which the next field — rank —
-      would get wrong.
-    * ``rank`` — the cluster ordinal of the chain of causality the
-      event descends from: client starts are stamped with their
-      cluster, deliveries inherit the posting chain's rank, and
-      orchestration events installed before the run (fault timelines,
-      scenario crash schedules) carry rank ``0`` — mirroring the serial
-      engine, which assigns them the smallest sequence numbers.  For
-      chains that have posted in lockstep since the t=0 start wave
-      (equal post time *and* parent post time), serial post order is
-      cluster order, so the rank breaks the tie identically —
-      including across workers, where per-worker ``k`` counters are
-      not comparable.
-    * ``k`` — a per-worker counter striding by the worker count from
-      the worker's index, so every worker mints in a disjoint residue
-      class.  Within one worker it is exact serial post order for
-      same-``(post_time, parent_post, rank)`` events; across workers
-      it is *not* comparable, and the drain loop enforces that no
-      ordering decision ever rests on a cross-worker ``k``: if two
-      adjacently fired events tie on ``(deadline, post_time,
-      parent_post, rank)`` but were minted by different workers, the
-      run aborts with :class:`SimulationError` rather than return a
-      digest the serial engine might not reproduce.  (All supported
-      topologies order such pairs earlier in the key; the guard turns
-      the remaining theoretical gap into a loud failure instead of a
-      silent divergence.)
-
-    The loop additionally tracks the currently firing chain's rank (so
-    freshly posted events inherit it) and counts fired rank-0 events:
-    orchestration events fire once *per worker*, and the orchestrator
-    subtracts the duplicates to keep the merged ``events_processed`` —
-    and therefore the deployment digest — identical to the serial run.
-
-    Unlike :meth:`Simulation.run`, the windowed drains never toggle the
-    garbage collector: the worker main loop disables gc once around the
-    whole run (see satellite note in DESIGN.md §9) instead of toggling
-    per window.
-    """
-
-    __slots__ = ("_rank", "_k", "_stride", "_parent_post",
-                 "_prev_deadline", "_prev_tie", "_fire_tie", "shared_fired")
-
-    def __init__(self, seed: int = 0, worker_index: int = 0,
-                 worker_count: int = 1):
-        super().__init__(seed)
-        self._rank = 0       # current chain rank; 0 = orchestration
-        self._k = worker_index   # tie counter; residue identifies minter
-        self._stride = worker_count
-        self._parent_post = -1.0  # firing event's post time; -1 = pre-run
-        self._prev_deadline = -1.0
-        self._prev_tie: Optional[tuple] = None
-        self._fire_tie: Optional[tuple] = None  # tie of the firing event
-        self.shared_fired = 0  # fired rank-0 events (duplicated per worker)
-
-    @property
-    def fire_tie(self) -> Optional[tuple]:
-        """Composite tie key of the event currently firing.
-
-        ``None`` before the first event fires (e.g. while the deployment
-        is being built).  :class:`WorkerInstrumentation` stamps every
-        phase event with this key so the orchestrator can merge
-        per-worker event streams back into the serial emission order.
-        """
-        return self._fire_tie
-
-    # ------------------------------------------------------------------
-    # Scheduling (tie keys instead of sequence numbers)
-    # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., None],
-                 *args: Any) -> Timer:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        timer = Timer(self._now + delay, fn, args)
-        k = self._k
-        self._k = k + self._stride
-        # Always a full entry, never a _TimerIndex filing: a composite
-        # tie key does not fit the index's integer array.
-        entry = (timer.deadline,
-                 (self._now, self._parent_post, self._rank, k), timer,
-                 None, None)
-        if delay == 0.0:
-            self._lane.append(entry)
-        else:
-            self._calendar.push(entry)
-        depth = self._depth + 1
-        self._depth = depth
-        if depth > self._max_queue:
-            self._max_queue = depth
-        return timer
-
-    def post(self, delay: float, fn: Callable[..., None],
-             *args: Any) -> None:
-        k = self._k
-        self._k = k + self._stride
-        tie = (self._now, self._parent_post, self._rank, k)
-        if delay == 0.0:
-            self._lane.append((self._now, tie, None, fn, args))
-        elif delay > 0:
-            self._calendar.push((self._now + delay, tie, None, fn, args))
-        else:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        depth = self._depth + 1
-        self._depth = depth
-        if depth > self._max_queue:
-            self._max_queue = depth
-
-    def post_group(self, delay: float, count: int,
-                   fn: Callable[..., None], *args: Any) -> None:
-        if count < 1:
-            raise SimulationError(f"group must cover >= 1 event: {count}")
-        k = self._k
-        self._k = k + count * self._stride
-        entry = (self._now + delay,
-                 (self._now, self._parent_post, self._rank, k),
-                 None, fn, args)
-        if delay == 0.0:
-            self._lane.append(entry)
-        elif delay > 0:
-            self._calendar.push(entry)
-        else:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        depth = self._depth + 1
-        self._depth = depth
-        if depth > self._max_queue:
-            self._max_queue = depth
-
-    def schedule_ranked(self, delay: float, rank: int,
-                        fn: Callable[..., None], *args: Any) -> Timer:
-        """Schedule with an explicit chain rank (client start stamping)."""
-        prev = self._rank
-        self._rank = rank
-        try:
-            return self.schedule(delay, fn, *args)
-        finally:
-            self._rank = prev
-
-    def reserve_export_tie(self) -> tuple:
-        """Mint the tie key for a cross-worker export: consumes one tie
-        counter, exactly as :meth:`post` would for a local delivery."""
-        k = self._k
-        self._k = k + self._stride
-        return (self._now, self._parent_post, self._rank, k)
-
-    def inject(self, deadline: float, tie: tuple,
-               fn: Callable[..., None], *args: Any) -> None:
-        """Insert an imported cross-worker event at its absolute time.
-
-        The tie key was minted by the *source* worker; pushing it into
-        this worker's calendar restores the global (deadline, tie)
-        order the serial engine would have produced.
-        """
-        self._calendar.push((deadline, tie, None, fn, args))
-        depth = self._depth + 1
-        self._depth = depth
-        if depth > self._max_queue:
-            self._max_queue = depth
-
-    # ------------------------------------------------------------------
-    # Windowed draining
-    # ------------------------------------------------------------------
-    def run_window(self, end: float) -> None:
-        """Drain all events with ``deadline < end`` (exclusive bound).
-
-        The conservative-lookahead loop advances every worker window by
-        window; the bound is exclusive so an event at exactly the
-        barrier time waits for the barrier's message exchange (a
-        cross-cluster message can arrive at exactly ``window start +
-        lookahead``).  The final window runs through
-        :meth:`Simulation.run`, whose bound is inclusive like the
-        serial engine's.
-        """
-        if self._drain(end, inclusive=False, max_events=None):
-            self._now = end
-
-    def _run_loop(self, lane, calendar, fired, until, max_events):
-        # Same contract as the serial loop (inclusive bound), with rank
-        # tracking and shared-event counting.  ``run()``'s gc toggling
-        # is inherited but inert in workers: the worker main loop keeps
-        # gc disabled for the whole run, so ``gc.isenabled()`` is False.
-        stopped_at_bound = self._drain(until, inclusive=True,
-                                       max_events=max_events)
-        if stopped_at_bound and until is not None:
-            self._now = max(self._now, until)
-
-    def _drain(self, bound, inclusive, max_events):
-        """Fire events up to ``bound``; ``True`` unless stopped by
-        ``max_events`` (the one stop that must not advance the clock)."""
-        lane = self._lane
-        calendar = self._calendar
-        bound_f = float("inf") if bound is None else bound
-        fired = 0
-        while True:
-            if lane:
-                entry = lane[0]
-                active = calendar._active
-                cursor = calendar._cursor
-                if active is not None and cursor < len(active):
-                    head = active[cursor]
-                else:
-                    head = calendar.peek()
-                    cursor = calendar._cursor
-                if head is not None and (head[0] < entry[0]
-                                         or (head[0] == entry[0]
-                                             and head[1] < entry[1])):
-                    entry = head
-                    if entry[0] > bound_f or (not inclusive
-                                              and entry[0] == bound_f):
-                        return True
-                    calendar._cursor = cursor + 1
-                    calendar._size -= 1
-                else:
-                    if entry[0] > bound_f or (not inclusive
-                                              and entry[0] == bound_f):
-                        return True
-                    lane.popleft()
-            else:
-                active = calendar._active
-                cursor = calendar._cursor
-                if active is not None and cursor < len(active):
-                    entry = active[cursor]
-                else:
-                    entry = calendar.peek()
-                    cursor = calendar._cursor
-                    if entry is None:
-                        return True
-                if entry[0] > bound_f or (not inclusive
-                                          and entry[0] == bound_f):
-                    return True
-                calendar._cursor = cursor + 1
-                calendar._size -= 1
-            deadline, tie, timer, fn, args = entry
-            if timer is None or not timer.cancelled:
-                # Cross-worker ambiguity guard: if this fire and the
-                # previous one tie on everything but k, and their ks
-                # live in different workers' residue classes, their
-                # relative order was decided by a comparison with no
-                # serial meaning — refuse to produce a digest.
-                # (Cancelled timers fire nothing; their order cannot
-                # matter, so they neither check nor become ``prev``.)
-                prev = self._prev_tie
-                if (prev is not None and deadline == self._prev_deadline
-                        and tie[0] == prev[0] and tie[1] == prev[1]
-                        and tie[2] == prev[2]
-                        and (tie[3] - prev[3]) % self._stride):
-                    raise SimulationError(
-                        f"ambiguous cross-worker event tie at "
-                        f"t={deadline:.9f} (post_time={tie[0]:.9f}, "
-                        f"rank={tie[2]}): events minted by different "
-                        f"workers cannot be ordered as the serial "
-                        f"engine would; rerun with workers=1")
-                self._prev_deadline = deadline
-                self._prev_tie = tie
-            self._now = deadline
-            self._parent_post = tie[0]
-            self._rank = tie[2]
-            self._fire_tie = tie
-            self._depth -= 1
-            self._events_processed += 1
-            if tie[2] == 0:
-                self.shared_fired += 1
-            if timer is None:
-                fn(*args)
-            else:
-                timer._fire()
-                if timer.cancelled:
-                    continue
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                return False

@@ -3,7 +3,7 @@
 The sweep package turns the repo's bespoke benchmark scripts into data:
 a :class:`Campaign` is a DAG of :class:`RunSpec` nodes (grid expansion
 plus explicit dependencies), a scheduler fans ready runs across a
-process pool without oversubscribing the host, and a
+process pool (the package's one use of several host cores), and a
 :class:`ResultStore` keys every completed run by a config digest so a
 warm campaign re-run executes nothing.  Figures, tables, and the
 ``BENCH_scale.json`` perf baseline regenerate byte-identically from the
@@ -22,8 +22,7 @@ from .model import (Campaign, ReportSpec, RunSpec, SWEEP_SCHEMA,
                     config_fingerprint, expand_grid, record_series,
                     result_from_record)
 from .runner import execute_run
-from .scheduler import (CampaignOutcome, SweepScheduler, WorkerBudget,
-                        engine_workers, run_campaign)
+from .scheduler import CampaignOutcome, SweepScheduler, run_campaign
 from .store import (ResultStore, import_bench_overload,
                     import_bench_scale, overload_point_from_record,
                     overload_run_id, render_bench_overload,
@@ -39,13 +38,11 @@ __all__ = [
     "RunSpec",
     "SWEEP_SCHEMA",
     "SweepScheduler",
-    "WorkerBudget",
     "batch_points",
     "calibrate_host",
     "campaign_names",
     "cluster_size_points",
     "config_fingerprint",
-    "engine_workers",
     "execute_run",
     "expand_grid",
     "failure_points",

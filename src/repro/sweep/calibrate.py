@@ -1,8 +1,8 @@
 """Host calibration: the one pure-Python ops/s normalizer.
 
-Every consumer of host wall-time numbers — ``benchmarks/bench_scale.py``,
-the CI perf gate, and sweep-store records — used to carry its own copy
-of this loop; this module is now the single source.  The simulator's
+Every consumer of host wall-time numbers — the scale and overload
+campaigns' baseline gates and sweep-store records — reads this one
+loop.  The simulator's
 hot loop is interpreter-bound, so a small interpreter-bound loop is the
 right normalizer for cross-machine rate comparisons (C-extension speed,
 e.g. hashlib, matters far less).

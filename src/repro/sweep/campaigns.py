@@ -16,7 +16,7 @@ Built-ins::
     table1    simulated WAN matrix (probe-only, no deployment runs)
     table2    message complexity, analytic vs measured
     scale     engine wall-time sweep -> BENCH_scale.json
-    ci-smoke  the scale sweep's n=16 serial/parallel pair
+    ci-smoke  the scale sweep's n=16 point
     paper     fig10 + fig11 + scale in one DAG
     overload  open-loop traffic 0.5x-4x saturation -> BENCH_overload.json
     chaos     protocol x chaos_smoke matrix with the invariant audit
@@ -41,9 +41,8 @@ from .store import overload_run_id, scale_run_id
 
 PROTOCOLS = ("geobft", "pbft", "zyzzyva", "hotstuff", "steward")
 
-#: Scale-sweep grids (mirrors benchmarks/bench_scale.py).
+#: Scale-sweep grid: the rows of BENCH_scale.json.
 SCALE_POINTS = (16, 32, 64, 91, 256)
-SCALE_WORKERS = (1, 2)
 SCALE_SIM_DURATION = 1.2
 SCALE_SIM_WARMUP = 0.3
 
@@ -351,24 +350,11 @@ def table2_campaign() -> Campaign:
         reports=(ReportSpec("table2", "table2.txt", build_table2),))
 
 
-def _scale_runs(points: Tuple[int, ...],
-                workers: Tuple[int, ...]) -> Tuple[RunSpec, ...]:
-    runs = []
-    for total in points:
-        for w in workers:
-            config = scale_config(total)
-            if w > 1:
-                config = dataclasses.replace(config, workers=w)
-            # A parallel point depends on its serial twin: the digest-
-            # parity gate needs the reference record first.
-            deps = ((scale_run_id(total, 1),)
-                    if w > 1 and 1 in workers else ())
-            runs.append(RunSpec(
-                run_id=scale_run_id(total, w),
-                config=config,
-                depends_on=deps,
-                tags={"figure": "scale", "n": total, "workers": w}))
-    return tuple(runs)
+def _scale_runs(points: Tuple[int, ...]) -> Tuple[RunSpec, ...]:
+    return tuple(RunSpec(run_id=scale_run_id(total),
+                         config=scale_config(total),
+                         tags={"figure": "scale", "n": total})
+                 for total in points)
 
 
 def scale_campaign() -> Campaign:
@@ -376,7 +362,7 @@ def scale_campaign() -> Campaign:
         name="scale",
         description="Engine wall-time sweep at paper scale; regenerates "
                     "BENCH_scale.json",
-        runs=_scale_runs(SCALE_POINTS, SCALE_WORKERS),
+        runs=_scale_runs(SCALE_POINTS),
         reports=(ReportSpec("bench-scale", "BENCH_scale.json",
                             build_scale),))
 
@@ -404,41 +390,26 @@ def overload_spec(protocol: str, x: float) -> TrafficSpec:
 
 
 def overload_campaign() -> Campaign:
-    """Offered-load sweep from 0.5x to 4x saturation, all protocols.
-
-    GeoBFT — the protocol with region-affine sources and the parallel
-    engine's natural partition — additionally runs every point at
-    workers=2 for the serial/parallel digest-parity gate, and one 2x
-    point swaps in the conflict-bearing payment workload.
+    """Offered-load sweep from 0.5x to 4x saturation, all protocols,
+    plus one GeoBFT 2x point on the conflict-bearing payment workload.
     """
     runs = []
     for protocol in PROTOCOLS:
-        worker_grid = (1, 2) if protocol == "geobft" else (1,)
         for i, x in enumerate(OVERLOAD_FACTORS):
-            for w in worker_grid:
-                config = point_config(
-                    protocol, 2, 4, traffic=overload_spec(protocol, x))
-                if w > 1:
-                    config = dataclasses.replace(config, workers=w)
-                # A parallel point depends on its serial twin: the
-                # digest-parity gate needs the reference record first.
-                deps = ((overload_run_id(protocol, x, 1),)
-                        if w > 1 else ())
-                runs.append(RunSpec(
-                    run_id=overload_run_id(protocol, x, w),
-                    config=config,
-                    depends_on=deps,
-                    tags={"figure": "overload", "protocol": protocol,
-                          "x": x, "xi": i, "workers": w,
-                          "workload": "ycsb"}))
+            runs.append(RunSpec(
+                run_id=overload_run_id(protocol, x),
+                config=point_config(protocol, 2, 4,
+                                    traffic=overload_spec(protocol, x)),
+                tags={"figure": "overload", "protocol": protocol,
+                      "x": x, "xi": i, "workload": "ycsb"}))
     # One conflict-bearing point: interbank payments at 2x saturation.
     runs.append(RunSpec(
-        run_id=overload_run_id("geobft", 2.0, 1, "payment"),
+        run_id=overload_run_id("geobft", 2.0, "payment"),
         config=point_config("geobft", 2, 4,
                             traffic=overload_spec("geobft", 2.0)),
         scenario="payment_network",
         tags={"figure": "overload", "protocol": "geobft", "x": 2.0,
-              "xi": 2, "workers": 1, "workload": "payment"}))
+              "xi": 2, "workload": "payment"}))
     return Campaign(
         name="overload",
         description="Open-loop overload sweep (0.5x-4x saturation, "
@@ -494,9 +465,9 @@ def chaos_campaign() -> Campaign:
 def ci_smoke_campaign() -> Campaign:
     return Campaign(
         name="ci-smoke",
-        description="CI perf smoke: the scale sweep's n=16 "
-                    "serial/parallel pair (digest parity + wall budget)",
-        runs=_scale_runs((16,), SCALE_WORKERS))
+        description="CI perf smoke: the scale sweep's n=16 point "
+                    "(digest drift + wall budget)",
+        runs=_scale_runs((16,)))
 
 
 def paper_campaign() -> Campaign:
@@ -538,7 +509,6 @@ __all__ = [
     "SCALE_POINTS",
     "SCALE_SIM_DURATION",
     "SCALE_SIM_WARMUP",
-    "SCALE_WORKERS",
     "batch_points",
     "campaign_names",
     "chaos_config",

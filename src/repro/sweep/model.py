@@ -4,9 +4,8 @@ A :class:`Campaign` is a DAG of :class:`RunSpec` nodes.  Each node is
 one deterministic, self-contained experiment (an
 :class:`~repro.bench.deployment.ExperimentConfig` plus an optional
 failure scenario or fault-timeline spec); edges (``depends_on``) order
-runs that must happen first — e.g. a parallel-engine point depends on
-its serial twin so the digest-parity gate always has the reference
-record, or a figure regeneration depends on every point it reads.
+runs that must happen first — e.g. a primary-crash point depends on
+its failure-free reference run, which the figure compares it with.
 
 Every run has a deterministic **key**: a SHA-256 over the canonical
 JSON of its config, scenario, and fault spec (plus the result-schema
@@ -95,7 +94,7 @@ class RunSpec:
             extra += f" after={','.join(self.depends_on)}"
         return (f"{self.run_id}: {cfg.protocol} z={cfg.num_clusters} "
                 f"n={cfg.replicas_per_cluster} b={cfg.batch_size} "
-                f"d={cfg.duration}s workers={cfg.workers}{extra}")
+                f"d={cfg.duration}s{extra}")
 
 
 @dataclass(frozen=True)

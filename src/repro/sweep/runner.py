@@ -4,9 +4,8 @@ This is the code both execution paths share — the inline path
 (``--jobs 1``: runs in the orchestrating process) and the pool path
 (spawned worker processes) — so a campaign lands identical records
 either way.  Each run builds a fresh deployment, arranges the spec's
-faults, runs it through the serial or parallel engine (per
-``config.workers``), and packages the result row, the deployment
-digest, engine counters, and host wall-time into a JSON-able record.
+faults, runs it, and packages the result row, the deployment digest,
+simulator counters, and host wall-time into a JSON-able record.
 
 Wall-clock reads here time *host* execution of a run (the numbers the
 perf gates compare after host calibration); they never execute inside
@@ -35,31 +34,7 @@ def _arrange(deployment: Deployment, spec: RunSpec) -> None:
 
 def _execute(spec: RunSpec) -> Dict[str, Any]:
     """Run the experiment; returns the measured core of the record."""
-    config = spec.config
-    timeline = None
-    if spec.faults is not None:
-        from ..net.chaos import FaultTimeline
-        timeline = FaultTimeline.from_dict(spec.faults)
-    if config.workers > 1:
-        from ..bench.parallel import (parallel_unsupported_reason,
-                                      run_parallel)
-        scenario = spec.scenario if spec.scenario != "none" else None
-        if parallel_unsupported_reason(config, timeline=timeline,
-                                       scenario=scenario) is None:
-            t0 = time.perf_counter()
-            run = run_parallel(config, timeline=timeline,
-                               scenario=scenario, fail_at=spec.fail_at)
-            wall = time.perf_counter() - t0
-            return {
-                "result": run.result.to_dict(),
-                "digest": run.digest,
-                "events": run.events_processed,
-                "max_queue_depth": run.max_queue_depth,
-                "wall_s": wall,
-                "engine": "parallel",
-                "invariants_ok": run.invariants.ok,
-            }
-    deployment = Deployment(config)
+    deployment = Deployment(spec.config)
     _arrange(deployment, spec)
     t0 = time.perf_counter()
     result = deployment.run()
@@ -73,7 +48,6 @@ def _execute(spec: RunSpec) -> Dict[str, Any]:
         "events": deployment.sim.events_processed,
         "max_queue_depth": deployment.sim.max_queue_depth,
         "wall_s": wall,
-        "engine": "serial",
         "invariants_ok": invariants_ok,
     }
 

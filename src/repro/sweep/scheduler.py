@@ -1,11 +1,11 @@
 """The campaign scheduler: DAG wavefront over a process pool.
 
-Modeled on the worker/orchestrator split of the parallel simulation
-engine (:mod:`repro.bench.parallel`): the orchestrating process owns
-the DAG, the store, and the report tail; ``--jobs N`` spawn-safe worker
-processes pull :class:`RunSpec` tasks from a queue and push finished
-records back.  Each run is itself deterministic and self-contained, so
-fan-out order cannot change any record's content — only wall time.
+The orchestrating process owns the DAG, the store, and the report tail;
+``--jobs N`` spawn-safe worker processes pull :class:`RunSpec` tasks
+from a queue and push finished records back.  This pool is the only
+way the package uses more than one host core.  Each run is itself
+deterministic and self-contained, so fan-out order cannot change any
+record's content — only wall time.
 
 Scheduling rules:
 
@@ -14,11 +14,7 @@ Scheduling rules:
   counted, never executed (re-running a warm campaign does nothing);
 * a **failed** run (error or invariant violation) marks every
   transitive dependant **skipped**;
-* the **worker-budget governor** composes pool fan-out with each run's
-  own engine workers: a run with ``config.workers = w`` occupies
-  ``min(w, num_clusters)`` slots of a ``cpu_budget``-slot budget
-  (default: the host's cores), so pool × engine-workers never
-  oversubscribes the host.  A run too wide for the budget runs alone.
+* at most ``jobs`` runs are in flight at once.
 
 With ``jobs = 1`` no pool is created at all: runs execute inline in
 the orchestrating process (fastest path for small campaigns and the
@@ -28,52 +24,14 @@ benchmark shims).
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..errors import ConfigurationError
 from .calibrate import calibrate_host, host_info
 from .model import Campaign, RunSpec
 from .runner import execute_run
 from .store import ResultStore
-
-
-def engine_workers(spec: RunSpec) -> int:
-    """Engine worker processes one run will actually use."""
-    return max(1, min(spec.config.workers, spec.config.num_clusters))
-
-
-class WorkerBudget:
-    """Slot accounting for the pool × engine-workers product."""
-
-    def __init__(self, jobs: int, cpu_budget: Optional[int] = None):
-        if jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
-        self.jobs = jobs
-        self.cpu_budget = max(1, cpu_budget if cpu_budget is not None
-                              else (os.cpu_count() or 1))
-        self.running = 0
-        self.used_slots = 0
-
-    def demand(self, spec: RunSpec) -> int:
-        """Slots ``spec`` occupies (capped so it can always run alone)."""
-        return min(engine_workers(spec), self.cpu_budget)
-
-    def admits(self, spec: RunSpec) -> bool:
-        if self.running >= self.jobs:
-            return False
-        if self.running == 0:
-            return True  # never starve a wide run
-        return self.used_slots + self.demand(spec) <= self.cpu_budget
-
-    def acquire(self, spec: RunSpec) -> None:
-        self.running += 1
-        self.used_slots += self.demand(spec)
-
-    def release(self, spec: RunSpec) -> None:
-        self.running -= 1
-        self.used_slots -= self.demand(spec)
 
 
 @dataclass
@@ -147,14 +105,15 @@ class SweepScheduler:
     """Drains one campaign DAG through the store and (optionally) a pool."""
 
     def __init__(self, campaign: Campaign, store: ResultStore,
-                 jobs: int = 1, cpu_budget: Optional[int] = None,
-                 rerun: bool = False,
+                 jobs: int = 1, rerun: bool = False,
                  host: Optional[Mapping[str, Any]] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  partial: bool = False):
+        if jobs < 1:
+            raise ConfigurationError("jobs must be >= 1")
         self.campaign = campaign
         self.store = store
-        self.budget = WorkerBudget(jobs, cpu_budget)
+        self.jobs = jobs
         self.rerun = rerun
         self.host = dict(host) if host is not None else {}
         self._progress = progress or (lambda line: None)
@@ -188,7 +147,7 @@ class SweepScheduler:
                 pending.append(spec)
 
         if pending:
-            if self.budget.jobs > 1 and len(pending) > 1:
+            if self.jobs > 1 and len(pending) > 1:
                 self._run_pool(pending, status, outcome)
             else:
                 self._run_inline(pending, status, outcome)
@@ -245,7 +204,7 @@ class SweepScheduler:
     def _run_pool(self, pending: List[RunSpec], status: Dict[str, str],
                   outcome: CampaignOutcome) -> None:
         ctx = multiprocessing.get_context("spawn")
-        workers = min(self.budget.jobs, len(pending))
+        workers = min(self.jobs, len(pending))
         task_queue: Any = ctx.Queue()
         result_queue: Any = ctx.Queue()
         procs = [ctx.Process(target=_pool_worker,
@@ -255,7 +214,6 @@ class SweepScheduler:
                  for rank in range(workers)]
         for proc in procs:
             proc.start()
-        specs = {spec.run_id: spec for spec in pending}
         waiting = list(pending)
         in_flight: Dict[str, RunSpec] = {}
         try:
@@ -271,10 +229,9 @@ class SweepScheduler:
                             self._skip(spec, blocker, status, outcome)
                             launched = True
                         elif (self._ready(spec, status)
-                              and self.budget.admits(spec)):
+                              and len(in_flight) < self.jobs):
                             waiting.remove(spec)
                             in_flight[spec.run_id] = spec
-                            self.budget.acquire(spec)
                             self._say(f"  run     {spec.run_id}")
                             task_queue.put(spec)
                             launched = True
@@ -289,7 +246,6 @@ class SweepScheduler:
                     break
                 record = result_queue.get()
                 spec = in_flight.pop(record["run_id"])
-                self.budget.release(spec)
                 self._land(spec, record, status, outcome)
         finally:
             for _ in procs:
@@ -298,7 +254,6 @@ class SweepScheduler:
                 proc.join(timeout=30)
                 if proc.is_alive():
                     proc.terminate()
-        del specs
 
     # ------------------------------------------------------------------
     def _render_reports(self, outcome: CampaignOutcome) -> None:
@@ -329,8 +284,7 @@ class SweepScheduler:
 
 
 def run_campaign(campaign: Campaign, store: Optional[ResultStore] = None,
-                 jobs: int = 1, cpu_budget: Optional[int] = None,
-                 rerun: bool = False,
+                 jobs: int = 1, rerun: bool = False,
                  host: Optional[Mapping[str, Any]] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  partial: bool = False) -> CampaignOutcome:
@@ -344,8 +298,7 @@ def run_campaign(campaign: Campaign, store: Optional[ResultStore] = None,
     """
     if store is None:
         store = ResultStore(None)
-    scheduler = SweepScheduler(campaign, store, jobs=jobs,
-                               cpu_budget=cpu_budget, rerun=rerun,
+    scheduler = SweepScheduler(campaign, store, jobs=jobs, rerun=rerun,
                                host=host, progress=progress,
                                partial=partial)
     return scheduler.run()
@@ -354,7 +307,5 @@ def run_campaign(campaign: Campaign, store: Optional[ResultStore] = None,
 __all__ = [
     "CampaignOutcome",
     "SweepScheduler",
-    "WorkerBudget",
-    "engine_workers",
     "run_campaign",
 ]

@@ -44,7 +44,6 @@ CREATE TABLE IF NOT EXISTS records (
     replicas_per_cluster INTEGER,
     batch_size INTEGER,
     seed INTEGER,
-    workers INTEGER,
     scenario TEXT,
     status TEXT,
     digest TEXT,
@@ -67,7 +66,6 @@ def _index_row(record: Mapping[str, Any], offset: int) -> tuple:
         config.get("replicas_per_cluster", 0),
         config.get("batch_size", 0),
         config.get("seed", 0),
-        config.get("workers", 1),
         record.get("scenario", "none"),
         record.get("status", "ok"),
         record.get("digest", ""),
@@ -171,7 +169,7 @@ class ResultStore:
         assert self._db is not None
         self._db.execute(
             "INSERT OR REPLACE INTO records VALUES "
-            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             _index_row(record, offset))
 
     def add(self, record: Mapping[str, Any]) -> None:
@@ -230,13 +228,13 @@ class ResultStore:
 
         Supported filters: ``campaign``, ``run_id``, ``protocol``,
         ``num_clusters``, ``replicas_per_cluster``, ``batch_size``,
-        ``seed``, ``workers``, ``scenario``, ``status``, ``digest``.
+        ``seed``, ``scenario``, ``status``, ``digest``.
         Records come back in insertion order — deterministic, so
         report regeneration is byte-stable.
         """
         allowed = {"campaign", "run_id", "protocol", "num_clusters",
                    "replicas_per_cluster", "batch_size", "seed",
-                   "workers", "scenario", "status", "digest"}
+                   "scenario", "status", "digest"}
         unknown = set(filters) - allowed
         if unknown:
             raise ConfigurationError(
@@ -287,7 +285,7 @@ class ResultStore:
 # BENCH_scale.json interop
 # ----------------------------------------------------------------------
 
-#: The scale sweep's simulated window (mirrors benchmarks/bench_scale.py).
+#: The scale sweep's simulated window (mirrors the scale campaign).
 SCALE_SIM_DURATION = 1.2
 SCALE_SCHEMA = "bench-scale/2"
 SCALE_BENCHMARK = ("scale sweep (geobft, saturated, batch=100, "
@@ -300,8 +298,8 @@ _SCALE_POINT_KEYS = ("avg_latency_s", "digest", "events", "events_per_s",
                      "throughput_txn_s", "wall_s", "workers")
 
 
-def scale_run_id(n: int, workers: int) -> str:
-    return f"scale/n{n}/w{workers}"
+def scale_run_id(n: int) -> str:
+    return f"scale/n{n}"
 
 
 def import_bench_scale(path: str,
@@ -310,7 +308,7 @@ def import_bench_scale(path: str,
 
     Each point becomes one record whose ``bench`` block is the point
     payload verbatim, so :func:`render_bench_scale` round-trips the
-    file byte-identically.  Records are keyed ``bench-scale:<n>:<w>``
+    file byte-identically.  Records are keyed ``bench-scale:<n>``
     rather than by config fingerprint — a baseline file does not carry
     the full config, and these records exist for regeneration and
     digest comparison, not run caching.
@@ -323,16 +321,13 @@ def import_bench_scale(path: str,
             f"got {payload.get('schema')!r}")
     records = []
     for point in payload.get("points", []):
-        workers = point.get("workers", 1)
         records.append({
             "schema": SWEEP_SCHEMA,
-            "key": f"bench-scale:{point['n']}:{workers}",
+            "key": f"bench-scale:{point['n']}",
             "campaign": campaign,
-            "run_id": scale_run_id(point["n"], workers),
-            "tags": {"figure": "scale", "n": point["n"],
-                     "workers": workers},
-            "config": {"protocol": point.get("protocol", "geobft"),
-                       "workers": workers},
+            "run_id": scale_run_id(point["n"]),
+            "tags": {"figure": "scale", "n": point["n"]},
+            "config": {"protocol": point.get("protocol", "geobft")},
             "scenario": "none",
             "status": "ok",
             "digest": point["digest"],
@@ -346,8 +341,8 @@ def scale_point_from_record(record: Mapping[str, Any]) -> Dict[str, Any]:
     """The bench-scale point row for one scale-campaign record.
 
     Imported records carry the row verbatim under ``bench``; fresh runs
-    synthesize it from measured fields with the same rounding
-    ``benchmarks/bench_scale.py`` has always applied.
+    synthesize it from measured fields with the rounding the committed
+    rows use.
     """
     bench = record.get("bench")
     if bench is not None:
@@ -365,7 +360,9 @@ def scale_point_from_record(record: Mapping[str, Any]) -> Dict[str, Any]:
         "protocol": record["config"]["protocol"],
         "throughput_txn_s": round(result["throughput_txn_s"]),
         "wall_s": round(wall, 3),
-        "workers": record["config"].get("workers", 1),
+        # Every run is serial; the literal stays in the row only because
+        # perfbench/run.py picks its n=16 / n=91 digest rows by it.
+        "workers": 1,
     }
 
 
@@ -373,14 +370,14 @@ def render_bench_scale(records: Iterable[Mapping[str, Any]],
                        host: Optional[Mapping[str, Any]] = None) -> str:
     """``BENCH_scale.json`` content regenerated from store records.
 
-    Byte-identical to what ``benchmarks/bench_scale.py`` writes for the
-    same measurements: points ordered (n, workers), ``indent=1``,
-    sorted keys, trailing newline.  ``host`` defaults to the host block
-    of the first record (imported baselines carry the original host).
+    Points ordered by n, ``indent=1``, sorted keys, trailing newline —
+    byte-identical to the committed file for the same measurements.
+    ``host`` defaults to the host block of the first record (imported
+    baselines carry the original host).
     """
     records = list(records)
     rows = sorted((scale_point_from_record(r) for r in records),
-                  key=lambda p: (p["n"], p["workers"]))
+                  key=lambda p: p["n"])
     if not rows:
         raise ConfigurationError(
             "no scale records to render; run the scale campaign first")
@@ -411,34 +408,23 @@ def compare_scale_baseline(records: Iterable[Mapping[str, Any]],
     function of the configuration, so it must match on any host — the
     digest-drift gate) and **calibrated rate regression** (events/s
     normalized by each host's calibration loop; a drop beyond
-    ``tolerance`` fails).  Mirrors ``benchmarks/bench_scale.py``.
-
-    Baseline rows measured with more workers than the baseline host had
-    cpus encode *oversubscribed* wall times — worker processes that
-    time-sliced one core look artificially slow, and a healthy
-    multi-core host would "regress" against them in either direction.
-    Those rows keep the digest gate but skip the rate gate.
+    ``tolerance`` fails).
     """
     failures: List[str] = []
-    base_host = baseline.get("host", {})
-    base_cal = base_host.get("calibration_ops_per_s")
-    base_cpus = base_host.get("cpus")
-    base_points = {(p["n"], p.get("workers", 1)): p
-                   for p in baseline.get("points", [])}
+    base_cal = baseline.get("host", {}).get("calibration_ops_per_s")
+    base_points = {p["n"]: p for p in baseline.get("points", [])}
     for record in records:
         point = scale_point_from_record(record)
-        base = base_points.get((point["n"], point["workers"]))
+        base = base_points.get(point["n"])
         if base is None:
             continue
-        label = f"n={point['n']} workers={point['workers']}"
+        label = f"n={point['n']}"
         if base["digest"] != point["digest"]:
             failures.append(
                 f"{label}: deployment_digest mismatch vs baseline "
                 f"({point['digest'][:12]}… != {base['digest'][:12]}…) — "
                 "simulated behaviour changed")
         if not base_cal or not calibration:
-            continue
-        if base_cpus and point["workers"] > base_cpus:
             continue
         current_rate = point["events_per_s"] / calibration
         base_rate = base["events_per_s"] / base_cal
@@ -449,24 +435,6 @@ def compare_scale_baseline(records: Iterable[Mapping[str, Any]],
                 f"(>{tolerance * 100:.0f}% tolerance): "
                 f"{current_rate:.2f} vs baseline {base_rate:.2f} "
                 "events per calibration-op")
-    return failures
-
-
-def scale_digest_parity(records: Iterable[Mapping[str, Any]]) -> List[str]:
-    """Serial and parallel scale points at one n must share a digest."""
-    failures: List[str] = []
-    by_n: Dict[int, List[Dict[str, Any]]] = {}
-    for record in records:
-        point = scale_point_from_record(record)
-        by_n.setdefault(point["n"], []).append(point)
-    for total, group in sorted(by_n.items()):
-        digests = {p["digest"] for p in group}
-        if len(digests) > 1:
-            detail = ", ".join(
-                f"workers={p['workers']}:{p['digest'][:12]}…"
-                for p in group)
-            failures.append(
-                f"n={total}: serial/parallel digest divergence ({detail})")
     return failures
 
 
@@ -485,15 +453,14 @@ OVERLOAD_BENCHMARK = ("overload sweep (open-loop traffic, 0.5x-4x "
 _OVERLOAD_POINT_KEYS = (
     "abandonment_rate", "digest", "events", "events_per_s",
     "goodput_txn_s", "offered_txn_s", "p50_latency_s", "p95_latency_s",
-    "p99_latency_s", "protocol", "users", "wall_s", "workers",
-    "workload", "x")
+    "p99_latency_s", "protocol", "users", "wall_s", "workload", "x")
 
 
-def overload_run_id(protocol: str, x: float, workers: int = 1,
+def overload_run_id(protocol: str, x: float,
                     workload: str = "ycsb") -> str:
     """Run id of one overload point (``x`` = offered-load factor)."""
     if workload == "ycsb":
-        return f"overload/{protocol}/x{x:g}/w{workers}"
+        return f"overload/{protocol}/x{x:g}"
     return f"overload/{workload}-{protocol}-x{x:g}"
 
 
@@ -504,7 +471,7 @@ def import_bench_overload(path: str,
 
     Mirrors :func:`import_bench_scale`: each point becomes one record
     whose ``bench`` block is the point payload verbatim, keyed
-    ``bench-overload:<protocol>:<workload>:<x>:<w>`` for regeneration
+    ``bench-overload:<protocol>:<workload>:<x>`` for regeneration
     and digest comparison rather than run caching.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -515,18 +482,17 @@ def import_bench_overload(path: str,
             f"got {payload.get('schema')!r}")
     records = []
     for point in payload.get("points", []):
-        workers = point.get("workers", 1)
         workload = point.get("workload", "ycsb")
         records.append({
             "schema": SWEEP_SCHEMA,
             "key": (f"bench-overload:{point['protocol']}:{workload}:"
-                    f"{point['x']:g}:{workers}"),
+                    f"{point['x']:g}"),
             "campaign": campaign,
             "run_id": overload_run_id(point["protocol"], point["x"],
-                                      workers, workload),
+                                      workload),
             "tags": {"figure": "overload", "x": point["x"],
-                     "workers": workers, "workload": workload},
-            "config": {"protocol": point["protocol"], "workers": workers},
+                     "workload": workload},
+            "config": {"protocol": point["protocol"]},
             "scenario": "none",
             "status": "ok",
             "digest": point["digest"],
@@ -564,7 +530,6 @@ def overload_point_from_record(record: Mapping[str, Any]
         "protocol": record["config"]["protocol"],
         "users": traffic["modeled_users"],
         "wall_s": round(wall, 3),
-        "workers": record["config"].get("workers", 1),
         "workload": record["tags"].get("workload", "ycsb"),
         "x": record["tags"]["x"],
     }
@@ -574,13 +539,12 @@ def render_bench_overload(records: Iterable[Mapping[str, Any]],
                           host: Optional[Mapping[str, Any]] = None) -> str:
     """``BENCH_overload.json`` content regenerated from store records.
 
-    Points ordered (protocol, workload, x, workers); same canonical
-    JSON shape as :func:`render_bench_scale`.
+    Points ordered (protocol, workload, x); same canonical JSON shape
+    as :func:`render_bench_scale`.
     """
     records = list(records)
     rows = sorted((overload_point_from_record(r) for r in records),
-                  key=lambda p: (p["protocol"], p["workload"], p["x"],
-                                 p["workers"]))
+                  key=lambda p: (p["protocol"], p["workload"], p["x"]))
     if not rows:
         raise ConfigurationError(
             "no overload records to render; run the overload campaign "
@@ -610,32 +574,26 @@ def compare_overload_baseline(records: Iterable[Mapping[str, Any]],
 
     Same two gates as :func:`compare_scale_baseline` — digest equality
     on every shared point, calibrated events/s regression beyond
-    ``tolerance`` — including the oversubscription skip for baseline
-    rows measured with ``workers > host.cpus``.
+    ``tolerance``.
     """
     failures: List[str] = []
-    base_host = baseline.get("host", {})
-    base_cal = base_host.get("calibration_ops_per_s")
-    base_cpus = base_host.get("cpus")
-    base_points = {(p["protocol"], p.get("workload", "ycsb"), p["x"],
-                    p.get("workers", 1)): p
+    base_cal = baseline.get("host", {}).get("calibration_ops_per_s")
+    base_points = {(p["protocol"], p.get("workload", "ycsb"), p["x"]): p
                    for p in baseline.get("points", [])}
     for record in records:
         point = overload_point_from_record(record)
         base = base_points.get((point["protocol"], point["workload"],
-                                point["x"], point["workers"]))
+                                point["x"]))
         if base is None:
             continue
         label = (f"{point['protocol']} {point['workload']} "
-                 f"x={point['x']:g} workers={point['workers']}")
+                 f"x={point['x']:g}")
         if base["digest"] != point["digest"]:
             failures.append(
                 f"{label}: deployment_digest mismatch vs baseline "
                 f"({point['digest'][:12]}… != {base['digest'][:12]}…) — "
                 "simulated behaviour changed")
         if not base_cal or not calibration:
-            continue
-        if base_cpus and point["workers"] > base_cpus:
             continue
         current_rate = point["events_per_s"] / calibration
         base_rate = base["events_per_s"] / base_cal
@@ -646,28 +604,6 @@ def compare_overload_baseline(records: Iterable[Mapping[str, Any]],
                 f"(>{tolerance * 100:.0f}% tolerance): "
                 f"{current_rate:.2f} vs baseline {base_rate:.2f} "
                 "events per calibration-op")
-    return failures
-
-
-def overload_digest_parity(records: Iterable[Mapping[str, Any]]
-                           ) -> List[str]:
-    """Serial/parallel overload points at one (protocol, workload, x)
-    must share a digest."""
-    failures: List[str] = []
-    groups: Dict[tuple, List[Dict[str, Any]]] = {}
-    for record in records:
-        point = overload_point_from_record(record)
-        key = (point["protocol"], point["workload"], point["x"])
-        groups.setdefault(key, []).append(point)
-    for (protocol, workload, x), group in sorted(groups.items()):
-        digests = {p["digest"] for p in group}
-        if len(digests) > 1:
-            detail = ", ".join(
-                f"workers={p['workers']}:{p['digest'][:12]}…"
-                for p in group)
-            failures.append(
-                f"{protocol} {workload} x={x:g}: serial/parallel digest "
-                f"divergence ({detail})")
     return failures
 
 
@@ -684,12 +620,10 @@ __all__ = [
     "encode_record",
     "import_bench_overload",
     "import_bench_scale",
-    "overload_digest_parity",
     "overload_point_from_record",
     "overload_run_id",
     "render_bench_overload",
     "render_bench_scale",
-    "scale_digest_parity",
     "scale_point_from_record",
     "scale_run_id",
 ]

@@ -239,9 +239,8 @@ class OpenLoopSource:
     """A per-region open-loop traffic source (an aggregate client).
 
     Registered on the network like any client (``node_id`` /
-    ``region`` / ``start()`` / ``deliver()``), so the serial engine and
-    the parallel workers drive it exactly like a ``QuorumClient`` — the
-    owning worker starts it, and its arrivals stay region-affine.
+    ``region`` / ``start()`` / ``deliver()``), so the deployment drives
+    it exactly like a ``QuorumClient``; its arrivals stay region-affine.
     """
 
     __slots__ = ("_node_id", "_region", "_sim", "_network", "_signer",
@@ -549,8 +548,7 @@ class OpenLoopSource:
 def traffic_summary(metrics, spec: TrafficSpec) -> Dict[str, Any]:
     """The result row's ``traffic`` block from a finished metrics sink.
 
-    Pure integer counters plus ratios of final sums, so the serial
-    engine and the parallel merge compute bit-identical values.
+    Pure integer counters plus ratios of final sums.
     """
     window = metrics.measurement_window()
     offered = metrics.measured_offered_txns

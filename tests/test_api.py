@@ -28,19 +28,19 @@ class TestSurface:
             assert hasattr(repro, name), name
 
     def test_import_defers_campaign_and_parallel_machinery(self):
-        """A single run never touches the sweep stores or the worker
-        engine, so ``import repro`` must not load them; their names
-        still import from the package root."""
+        """A single run never touches the sweep stores, the process pool
+        or the retired ``repro.bench.parallel`` module, so ``import
+        repro`` must not load them; the campaign names still import from
+        the package root."""
         probe = (
             "import sys, repro\n"
             "heavy = {'sqlite3', 'multiprocessing', 'repro.sweep',\n"
             "         'repro.bench.parallel'}\n"
             "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
             "assert all(hasattr(repro, n) for n in repro.__all__)\n"
-            "from repro import Campaign, run_parallel\n"
-            "import repro.sweep, repro.bench.parallel\n"
+            "from repro import Campaign\n"
+            "import repro.sweep\n"
             "assert Campaign is repro.sweep.Campaign is repro.api.Campaign\n"
-            "assert run_parallel is repro.bench.parallel.run_parallel\n"
             "assert 'Campaign' in vars(repro.api)  # resolved once\n"
             "try:\n"
             "    repro.no_such_name\n"

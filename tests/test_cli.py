@@ -129,45 +129,11 @@ class TestObservability:
         assert args.trace_out == "a.json"
         assert args.trace_jsonl == "b.jsonl"
 
-    def test_run_workers_writes_merged_trace(self, capsys, tmp_path):
-        # Tracing no longer forces the serial engine: a --workers run
-        # exports the merged trace plus the engine telemetry track.
-        trace = tmp_path / "out.json"
-        jsonl = tmp_path / "out.jsonl"
-        code = main([
-            "run", "-p", "geobft", "-z", "2", "-n", "4", "-b", "5",
-            "-d", "1.5", "-w", "0.3", "--clients", "1", "--workers", "2",
-            "--trace-out", str(trace), "--trace-jsonl", str(jsonl),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serial fallback" not in out
-        assert "parallel engine (per worker)" in out
-        assert "consensus phase durations" in out
-        document = json.loads(trace.read_text())
-        assert any(e.get("cat") == "lifecycle"
-                   for e in document["traceEvents"])
-        assert any(e.get("cat") == "engine"
-                   for e in document["traceEvents"])
-        assert jsonl.exists()
-
-    def test_run_workers_json_carries_engine_report(self, capsys):
-        code = main([
-            "run", "-p", "geobft", "-z", "2", "-n", "4", "-b", "5",
-            "-d", "1.0", "-w", "0.25", "--clients", "1",
-            "--workers", "2", "--json",
-        ])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["engine"]["workers"] == 2
-        assert len(doc["engine"]["per_worker"]) == 2
-        assert doc["engine"]["windows"] > 0
-
     def test_trace_summary_offline(self, capsys, tmp_path):
         jsonl = tmp_path / "trace.jsonl"
         code = main([
             "run", "-p", "geobft", "-z", "2", "-n", "4", "-b", "5",
-            "-d", "1.5", "-w", "0.3", "--clients", "1", "--workers", "2",
+            "-d", "1.5", "-w", "0.3", "--clients", "1",
             "--trace-jsonl", str(jsonl),
         ])
         assert code == 0
@@ -177,7 +143,6 @@ class TestObservability:
         assert f"trace summary of {jsonl}" in out
         assert "committed rounds" in out
         assert "consensus phase durations" in out
-        assert "parallel engine (per worker)" in out
 
     def test_trace_summary_missing_file_errors(self, capsys, tmp_path):
         code = main(["trace", "--summary", str(tmp_path / "nope.jsonl")])

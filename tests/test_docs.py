@@ -24,7 +24,7 @@ def _resolves(path: str) -> bool:
     if any(glob.glob(os.path.join(ROOT, anchor, path))
            for anchor in _ANCHORS):
         return True
-    # A bare file name (``pbft.py``, ``bench_scale.py``) may live anywhere.
+    # A bare file name (``pbft.py``, ``common.py``) may live anywhere.
     return "/" not in path and bool(
         glob.glob(os.path.join(ROOT, "**", path), recursive=True))
 

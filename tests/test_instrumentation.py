@@ -11,9 +11,9 @@ from repro.bench.instrumentation import (
     LIFECYCLE,
     Instrumentation,
     LatencyHistogram,
-    WorkerInstrumentation,
 )
 from repro.bench.metrics import Metrics
+from repro.bench.tracing import load_trace_jsonl
 from repro.crypto.digests import EncodingCacheStats, digest_of
 from repro.crypto.signatures import VerificationCache
 from repro.types import replica_id
@@ -26,14 +26,6 @@ class FakeSim:
 
     def __init__(self):
         self.now = 0.0
-
-
-class FakeWorkerSim(FakeSim):
-    """A clock plus the firing-event tie key a worker hub stamps."""
-
-    def __init__(self):
-        super().__init__()
-        self.fire_tie = None
 
 
 # ----------------------------------------------------------------------
@@ -76,59 +68,6 @@ def test_histogram_empty_and_negative():
     hist.record(-1.0)  # clamps to zero rather than raising
     assert hist.count == 1
     assert hist.min == 0.0
-
-
-def test_histogram_merge():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    for v in (0.001, 0.002):
-        a.record(v)
-    for v in (0.003, 0.004):
-        b.record(v)
-    a.merge(b)
-    assert a.count == 4
-    assert a.min == pytest.approx(0.001)
-    assert a.max == pytest.approx(0.004)
-    assert a.mean() == pytest.approx(0.0025)
-
-
-def test_histogram_merge_geometry_mismatch():
-    a = LatencyHistogram()
-    b = LatencyHistogram(min_value=1e-3)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
-def test_histogram_merge_even_length_median_matches_reference():
-    # Two worker hubs each saw half the samples; after the merge the
-    # even-length median (and every other quantile) must be exactly what
-    # one hub recording all four values would report.
-    a, b, reference = (LatencyHistogram() for _ in range(3))
-    for v in (1.0, 2.0):
-        a.record(v)
-    for v in (3.0, 4.0):
-        b.record(v)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        reference.record(v)
-    a.merge(b)
-    assert a.count == reference.count == 4
-    assert a.total == pytest.approx(reference.total)
-    assert a.min == reference.min and a.max == reference.max
-    assert a.quantile(0.5) == reference.quantile(0.5)
-    assert a.percentiles() == reference.percentiles()
-
-
-def test_histogram_merge_empty_is_noop_both_ways():
-    empty, full = LatencyHistogram(), LatencyHistogram()
-    for v in (0.010, 0.020):
-        full.record(v)
-    before = (full.count, full.total, full.min, full.max,
-              full.percentiles())
-    full.merge(empty)
-    assert (full.count, full.total, full.min, full.max,
-            full.percentiles()) == before
-    empty.merge(full)
-    assert empty.count == 2
-    assert empty.percentiles() == full.percentiles()
 
 
 def test_histogram_invalid_geometry():
@@ -208,133 +147,6 @@ def test_hub_warn_once_and_counters(capsys):
     hub.sample("depth", 6.0)
     assert hub.samples["depth"].count == 2
     assert hub.samples["depth"].mean() == pytest.approx(5.0)
-
-
-# ----------------------------------------------------------------------
-# Merging parallel worker hubs
-# ----------------------------------------------------------------------
-def test_merge_marks_take_per_key_min():
-    # Two workers both observed round (1, 7); the merged first-seen mark
-    # is the earlier one — identical to serial first-seen semantics.
-    sims = FakeSim(), FakeSim()
-    hubs = Instrumentation(sims[0]), Instrumentation(sims[1])
-    node = replica_id(1, 1)
-    sims[0].now = 2.0
-    hubs[0].phase("proposed", node, 1, 7)
-    sims[1].now = 1.0
-    hubs[1].phase("proposed", replica_id(1, 2), 1, 7)
-    sims[1].now = 1.5
-    hubs[1].phase("prepared", replica_id(1, 2), 1, 7)
-    hubs[0].merge(hubs[1])
-    assert hubs[0].round_span(1, 7) == {"proposed": 1.0, "prepared": 1.5}
-
-
-def test_merge_share_marks_counters_and_samples():
-    sims = FakeSim(), FakeSim()
-    hubs = Instrumentation(sims[0]), Instrumentation(sims[1])
-    sims[0].now = 1.0
-    hubs[0].phase("shared", replica_id(1, 1), 1, 3)
-    sims[0].now = 1.050
-    hubs[0].phase("share_received", replica_id(2, 1), 1, 3, detail=2)
-    sims[1].now = 1.020  # another worker saw the share arrive earlier
-    hubs[1].phase("share_received", replica_id(2, 2), 1, 3, detail=2)
-    hubs[0].count("drops", 2)
-    hubs[1].count("drops", 3)
-    hubs[1].count("tampers")
-    hubs[0].sample("depth", 4.0)
-    hubs[1].sample("depth", 6.0)
-    hubs[0].merge(hubs[1])
-    latency = hubs[0].share_latency()
-    assert latency[(1, 2)].mean() == pytest.approx(0.020)
-    assert hubs[0].counters == {"drops": 5, "tampers": 1}
-    assert hubs[0].samples["depth"].count == 2
-    assert hubs[0].samples["depth"].mean() == pytest.approx(5.0)
-
-
-def test_merge_restores_engine_event_order():
-    # Worker hubs stamp each event with the engine's composite tie key;
-    # the merged stream is sorted by (time, key), which interleaves the
-    # workers exactly as the serial engine would have fired them.
-    sims = FakeWorkerSim(), FakeWorkerSim()
-    hubs = (WorkerInstrumentation(sims[0], 0),
-            WorkerInstrumentation(sims[1], 1))
-    node = replica_id(1, 1)
-    for k in (0, 2):  # worker 0 mints even k residues
-        sims[0].now = 1.0
-        sims[0].fire_tie = (0.5, 0.0, 1, k)
-        hubs[0].phase("proposed", node, 1, k)
-    for k in (1, 3):  # worker 1 mints odd k residues
-        sims[1].now = 1.0
-        sims[1].fire_tie = (0.5, 0.0, 1, k)
-        hubs[1].phase("proposed", node, 2, k)
-    merged = Instrumentation(None)
-    merged.merge(hubs[1])  # fold order must not matter
-    merged.merge(hubs[0])
-    assert [e.round_id for e in merged.events] == [0, 1, 2, 3]
-
-
-def test_merge_pre_run_events_sort_first():
-    # Events emitted before any simulator event fires (deployment build
-    # time) carry a sentinel key that sorts ahead of every real one.
-    sim = FakeWorkerSim()
-    hub = WorkerInstrumentation(sim, 0)
-    sim.fire_tie = (0.0, 0.0, 1, 0)
-    hub.phase("proposed", replica_id(1, 1), 1, 1)
-    pre = WorkerInstrumentation(FakeWorkerSim(), 1)  # fire_tie is None
-    pre.phase("fault_on", "timeline", 0, 0)
-    hub.merge(pre)
-    assert [e.phase for e in hub.events] == ["fault_on", "proposed"]
-
-
-def test_merge_keyed_unkeyed_mismatch_raises():
-    keyed = WorkerInstrumentation(FakeWorkerSim(), 0)
-    keyed.phase("proposed", replica_id(1, 1), 1, 1)
-    unkeyed = Instrumentation(FakeSim())
-    unkeyed.phase("proposed", replica_id(1, 1), 1, 2)
-    with pytest.raises(ValueError):
-        unkeyed.merge(keyed)
-    with pytest.raises(ValueError):
-        keyed.merge(unkeyed)
-
-
-def test_merge_empty_hub_is_noop():
-    sim = FakeWorkerSim()
-    hub = WorkerInstrumentation(sim, 0)
-    sim.now = 1.0
-    sim.fire_tie = (1.0, 0.0, 1, 0)
-    hub.phase("proposed", replica_id(1, 1), 1, 4)
-    hub.count("drops")
-    empty = WorkerInstrumentation(FakeWorkerSim(), 1)
-    hub.merge(empty)
-    assert len(hub.events) == 1
-    assert hub.round_span(1, 4) == {"proposed": 1.0}
-    assert hub.counters == {"drops": 1}
-    # ... and an empty orchestrator hub absorbs a worker hub wholesale.
-    fresh = Instrumentation(None)
-    fresh.merge(hub)
-    assert [e.phase for e in fresh.events] == ["proposed"]
-    assert fresh.counters == {"drops": 1}
-
-
-def test_worker_hub_dedupes_shared_rank0_emissions():
-    # Orchestration events (rank-0 ties) fire once per worker; only
-    # worker 0 records them, so the merged trace sees each exactly once.
-    sims = FakeWorkerSim(), FakeWorkerSim()
-    hubs = (WorkerInstrumentation(sims[0], 0),
-            WorkerInstrumentation(sims[1], 1))
-    for sim, hub in zip(sims, hubs):
-        sim.now = 0.5
-        sim.fire_tie = (0.5, 0.0, 0, 0)  # rank 0: shared orchestration
-        hub.phase("fault_on", "timeline", 0, 0)
-        hub.count("chaos.activations")
-    assert len(hubs[0].events) == 1
-    assert len(hubs[1].events) == 0  # suppressed at the source
-    assert hubs[1].counters == {}
-    sims[1].fire_tie = (0.6, 0.0, 2, 1)  # worker-local event: recorded
-    hubs[1].phase("proposed", replica_id(2, 1), 2, 1)
-    hubs[0].merge(hubs[1])
-    assert [e.phase for e in hubs[0].events] == ["fault_on", "proposed"]
-    assert hubs[0].counters == {"chaos.activations": 1}
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +240,32 @@ def test_exports(tmp_path):
     instants = [e for e in events if e["ph"] == "i"]
     assert all(e["name"] in EVENT_PHASES for e in instants)
     assert "committed rounds" in hub.summary()
+
+
+def test_jsonl_round_trip(tmp_path):
+    deployment = Deployment(small_config(
+        "geobft", fast_crypto=True, duration=1.0, warmup=0.2,
+        instrument=True))
+    deployment.run()
+    hub = deployment.instrumentation
+    path = tmp_path / "trace.jsonl"
+    hub.export_jsonl(str(path))
+    loaded = load_trace_jsonl(str(path))
+    key = lambda e: (e.time, e.phase, str(e.node), e.cluster, e.round_id)
+    assert [key(e) for e in loaded.events] == [key(e) for e in hub.events]
+    assert {span: loaded.round_span(*span) for span in loaded.rounds()} \
+        == {span: hub.round_span(*span) for span in hub.rounds()}
+    assert {link: h.count for link, h in loaded.share_latency().items()} \
+        == {link: h.count for link, h in hub.share_latency().items()}
+    assert {name: h.count for name, h in loaded.phase_durations().items()} \
+        == {name: h.count for name, h in hub.phase_durations().items()}
+
+
+def test_load_trace_jsonl_rejects_garbage(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"t": 0.1, "phase": "proposed"\n')
+    with pytest.raises(ValueError, match="bad.jsonl:1"):
+        load_trace_jsonl(str(path))
 
 
 # ----------------------------------------------------------------------

@@ -1,347 +1,59 @@
-"""The parallel engine: parity, merging, gates, and hygiene.
+"""Run-loop and message guarantees that outlived the parallel engine.
 
-The digest-parity contract itself (parallel == serial, byte for byte,
-across the 13-case golden matrix) lives in
-``tests/test_scale_determinism.py``; this file covers everything around
-it:
+The multi-process engine is retired (``repro.bench.parallel`` is a
+docstring-only module; EXPERIMENTS.md, "Parallel engine: the measurement
+that retired it"), but two properties it was tested alongside still hold
+for the one serial event loop and the sweep pool that runs deployments
+side by side:
 
-* partitioning and lookahead derivation (including the cluster-affinity
-  narrowing for Steward's star topology),
-* the serial-fallback gates — every configuration the parallel engine
-  cannot reproduce bit-identically must be *detected*, and
-  :func:`run_experiment` must silently use the serial engine for it,
-* a chaos-timeline case (partition + Byzantine tamper) run on both
-  engines with identical digests and invariant reports,
-* deployment-wide counter merging (network telemetry, event counts),
-* gc-state restoration around the run loop, and
-* pickling of :class:`CachedEncodable` messages (the caches must travel
-  with the message — re-deriving deep certificate chains on the
-  receiving worker would dominate cross-worker cost).
+* gc-state restoration around :meth:`Simulation.run`, on success and on
+  failure, and
+* pickling of :class:`CachedEncodable` messages, whose memoized caches
+  travel with the message.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import pickle
 
 import pytest
 
-from repro.bench.deployment import (Deployment, ExperimentConfig,
-                                    deployment_digest, run_experiment)
-from repro.bench.parallel import (
-    PARALLEL_SAFE_SCENARIOS,
-    cluster_affinity_pairs,
-    lookahead_s,
-    parallel_unsupported_reason,
-    partition_clusters,
-    run_parallel,
-)
-from repro.net.simulator import SimulationError, WorkerSimulation
-from repro.net.chaos import (
-    CrashFault,
-    EquivocateFault,
-    FaultTimeline,
-    LinkDelayFault,
-    MessageLossFault,
-    PartitionFault,
-    TamperFault,
-)
-
-SMALL = dict(protocol="geobft", num_clusters=2, replicas_per_cluster=4,
-             batch_size=50, duration=1.0, warmup=0.25, seed=1,
-             record_count=2_000, fast_crypto=True)
+from repro.consensus.messages import Prepare
+from repro.errors import SimulationError
+from repro.net.simulator import Simulation
+from repro.types import replica_id
 
 
-def small_config(**overrides) -> ExperimentConfig:
-    return ExperimentConfig(**{**SMALL, **overrides})
-
-
-def serial_run(config: ExperimentConfig, timeline=None):
-    """Serial reference: fresh deployment, fresh fault objects."""
-    deployment = Deployment(dataclasses.replace(config, workers=1))
-    if timeline is not None:
-        FaultTimeline.from_dict(timeline.to_dict()).install(deployment)
-    result = deployment.run()
-    return deployment, result
-
-
-# ---------------------------------------------------------------------------
-# Partitioning and lookahead
-# ---------------------------------------------------------------------------
-class TestPartitioning:
-    def test_contiguous_balanced_split(self):
-        assert partition_clusters(6, 2) == [(1, 2, 3), (4, 5, 6)]
-        assert partition_clusters(6, 3) == [(1, 2), (3, 4), (5, 6)]
-        assert partition_clusters(5, 2) == [(1, 2, 3), (4, 5)]
-
-    def test_workers_clamped_to_cluster_count(self):
-        assert partition_clusters(2, 8) == [(1,), (2,)]
-        assert partition_clusters(3, 0) == [(1, 2, 3)]
-
-    def test_lookahead_is_min_cross_worker_latency(self):
-        config = small_config()
-        topology = config.resolved_topology()
-        parts = partition_clusters(2, 2)
-        lookahead = lookahead_s(topology, parts)
-        expected = topology.link(topology.regions[0],
-                                 topology.regions[1]).latency_s
-        assert lookahead == expected > 0.0
-
-    def test_lookahead_zero_without_cross_worker_pair(self):
-        config = small_config()
-        assert lookahead_s(config.resolved_topology(), [(1, 2)]) == 0.0
-
-    def test_steward_affinity_widens_lookahead(self):
-        # Steward is a star around cluster 1: sites 2..4 never talk to
-        # each other, so only the site<->primary links constrain the
-        # window.  With clusters (1,2)|(3,4) split over two workers the
-        # generic mesh would also include the (2,3)/(2,4) links.
-        config = small_config(protocol="steward", num_clusters=4)
-        topology = config.resolved_topology()
-        parts = partition_clusters(4, 2)
-        generic = lookahead_s(topology, parts)
-        starred = lookahead_s(topology, parts,
-                              cluster_affinity_pairs(config))
-        assert starred >= generic > 0.0
-        pairs = cluster_affinity_pairs(config)
-        assert pairs == frozenset({(1, 2), (2, 1), (1, 3), (3, 1),
-                                   (1, 4), (4, 1)})
-
-    def test_geobft_affinity_is_all_to_all(self):
-        config = small_config(num_clusters=3)
-        pairs = cluster_affinity_pairs(config)
-        assert pairs == frozenset({(a, b) for a in (1, 2, 3)
-                                   for b in (1, 2, 3) if a != b})
-
-    def test_flat_protocols_have_no_affinity_restriction(self):
-        assert cluster_affinity_pairs(small_config(protocol="pbft")) is None
-
-
-# ---------------------------------------------------------------------------
-# Serial-fallback gates
-# ---------------------------------------------------------------------------
-class TestFallbackGates:
-    def test_supported_configuration_has_no_reason(self):
-        assert parallel_unsupported_reason(small_config(workers=2)) is None
-
-    def test_workers_one_is_serial(self):
-        reason = parallel_unsupported_reason(small_config(workers=1))
-        assert "workers" in reason
-
-    def test_single_cluster_cannot_be_partitioned(self):
-        config = small_config(num_clusters=1, workers=2)
-        assert "single-cluster" in parallel_unsupported_reason(config)
-
-    def test_instrumented_runs_are_parallel_native(self):
-        # Since the per-worker hub merge, instrumentation no longer
-        # forces the serial engine.
-        config = small_config(workers=2, instrument=True)
-        assert parallel_unsupported_reason(config) is None
-
-    def test_live_scenarios_stay_serial(self):
-        config = small_config(workers=2)
-        assert parallel_unsupported_reason(
-            config, scenario="chaos_smoke") is not None
-        for name in PARALLEL_SAFE_SCENARIOS:
-            assert parallel_unsupported_reason(config,
-                                               scenario=name) is None
-
-    def test_stochastic_faults_stay_serial(self):
-        config = small_config(workers=2)
-        loss = FaultTimeline([MessageLossFault(rate=0.1, a="cluster:1",
-                                               at=0.0)])
-        assert "randomness" in parallel_unsupported_reason(
-            config, timeline=loss)
-        jitter = FaultTimeline([LinkDelayFault(
-            extra_ms=5.0, jitter_ms=2.0, a="cluster:1", b="cluster:2",
-            at=0.0)])
-        assert "randomness" in parallel_unsupported_reason(
-            config, timeline=jitter)
-
-    def test_live_selectors_after_t0_stay_serial(self):
-        config = small_config(workers=2)
-        late_primary = FaultTimeline([CrashFault("primary:1", at=0.4)])
-        assert "live selector" in parallel_unsupported_reason(
-            config, timeline=late_primary)
-        late_equivocate = FaultTimeline([EquivocateFault(1, at=0.4)])
-        assert "live primary" in parallel_unsupported_reason(
-            config, timeline=late_equivocate)
-        # The same selectors at t=0 resolve against identical initial
-        # state in every worker, which is safe.
-        t0_primary = FaultTimeline([CrashFault("primary:1", at=0.0)])
-        assert parallel_unsupported_reason(config,
-                                           timeline=t0_primary) is None
-        # Static selectors are safe at any time.
-        static = FaultTimeline([CrashFault("replica:1.2", at=0.4)])
-        assert parallel_unsupported_reason(config,
-                                           timeline=static) is None
-
-    def test_run_experiment_falls_back_silently(self):
-        # Single cluster + workers=2: run_experiment must produce the
-        # serial engine's exact result, not raise.
-        config = small_config(num_clusters=1, workers=2, duration=0.6,
-                              warmup=0.15)
-        _, expected = serial_run(config)
-        result = run_experiment(config)
-        assert result.to_json() == expected.to_json()
-
-    def test_run_parallel_rejects_unsupported_config(self):
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError):
-            run_parallel(small_config(workers=1))
-
-
-# ---------------------------------------------------------------------------
-# Parity beyond the golden matrix
-# ---------------------------------------------------------------------------
-class TestChaosParity:
-    def _timeline(self) -> FaultTimeline:
-        # Partition + Byzantine tamper: static selectors only, so the
-        # parallel gates accept it.
-        return FaultTimeline([
-            PartitionFault(["cluster:1"], ["cluster:2"],
-                           at=0.3, until=0.55, name="split"),
-            TamperFault("replica:1.2", at=0.2, name="tamper"),
-        ], name="parallel-chaos")
-
-    def test_partition_and_tamper_timeline_parity(self):
-        config = small_config()
-        timeline = self._timeline()
-        assert parallel_unsupported_reason(
-            dataclasses.replace(config, workers=2),
-            timeline=timeline) is None
-
-        deployment, result = serial_run(config, timeline=timeline)
-        serial_digest = deployment_digest(deployment, result)
-        serial_report = deployment.invariants
-
-        run = run_parallel(dataclasses.replace(config, workers=2),
-                           timeline=timeline)
-        assert run.digest == serial_digest
-        assert run.events_processed == deployment.sim.events_processed
-        assert run.invariants.safety_ok == serial_report.safety_ok
-        assert run.invariants.liveness_ok == serial_report.liveness_ok
-        assert (run.invariants.liveness_failures
-                == serial_report.liveness_failures)
-        assert (run.invariants.byzantine_excluded
-                == serial_report.byzantine_excluded)
-
-
-class TestTieOrdering:
-    """The composite tie key's serial-order semantics, unit-tested.
-
-    The integration matrix exercises lockstep ties wholesale; these pin
-    the one class it took a 256-replica sweep to surface — chains that
-    *re-synchronize* after travelling different-latency paths — and the
-    cross-worker ambiguity guard.
-    """
-
-    def test_resynchronized_chains_fire_in_poster_order(self):
-        # Chain rank 3 posts a trigger at t=0.00 arriving at t=0.10;
-        # chain rank 1 posts one at t=0.02 also arriving at t=0.10.
-        # Serial fires the earlier-posted trigger first, so its
-        # same-instant consequence must also fire first — even though
-        # the other chain's rank is smaller.  (Regression: the rank
-        # used to outrank the posters' order here, flipping two
-        # same-instant GlobalShare forwards at 4x64 scale.)
-        sim = WorkerSimulation(seed=0)
-        order = []
-
-        def consequence(tag):
-            order.append(tag)
-
-        def trigger(tag):
-            sim.post(0.0, consequence, tag)
-
-        sim.schedule_ranked(0.0, 3, lambda: sim.post(0.10, trigger, "a"))
-        sim.schedule_ranked(0.02, 1, lambda: sim.post(0.08, trigger, "b"))
-        sim.run(until=0.2)
-        assert order == ["a", "b"]
-
-    def test_lockstep_chains_still_fire_in_rank_order(self):
-        # Chains in lockstep since the start wave (equal post time and
-        # parent post time) keep the t=0 cluster order: rank decides.
-        sim = WorkerSimulation(seed=0)
-        order = []
-        for rank, tag in ((2, "cluster2"), (1, "cluster1")):
-            sim.schedule_ranked(0.05, rank, order.append, tag)
-        sim.run(until=0.1)
-        assert order == ["cluster1", "cluster2"]
-
-    def test_cross_worker_ambiguous_tie_raises(self):
-        # An import whose key ties a local event on everything but the
-        # mint residue has no serial order; the drain must refuse.
-        sim = WorkerSimulation(seed=0, worker_index=0, worker_count=2)
-        sim.post(0.05, lambda: None)          # local tie (0.0, -1.0, 0, 0)
-        sim.inject(0.05, (0.0, -1.0, 0, 1), lambda: None)
-        with pytest.raises(SimulationError, match="ambiguous cross-worker"):
-            sim.run(until=0.1)
-
-    def test_distinct_post_times_are_never_ambiguous(self):
-        # Same deadline, different post times: ordered by the key, so
-        # the guard stays silent even across mint residues.
-        sim = WorkerSimulation(seed=0, worker_index=0, worker_count=2)
-        fired = []
-        sim.post(0.05, fired.append, "local")
-        sim.inject(0.05, (0.01, 0.0, 1, 1), fired.append, "import")
-        sim.run(until=0.1)
-        assert fired == ["local", "import"]
-
-
-class TestMergedCounters:
-    @pytest.fixture(scope="class")
-    def runs(self):
-        config = small_config()
-        deployment, result = serial_run(config)
-        run = run_parallel(dataclasses.replace(config, workers=2))
-        return deployment, result, run
-
-    def test_digest_and_events_match_serial(self, runs):
-        deployment, result, run = runs
-        assert run.digest == deployment_digest(deployment, result)
-        assert run.events_processed == deployment.sim.events_processed
-
-    def test_network_telemetry_merges_to_serial_totals(self, runs):
-        deployment, _, run = runs
-        assert run.telemetry == deployment.network.telemetry()
-
-    def test_queue_depth_is_per_worker_maximum(self, runs):
-        deployment, _, run = runs
-        # Each worker holds only its own clusters' events, so the merged
-        # (max-over-workers) depth can never exceed the serial queue's.
-        assert 0 < run.max_queue_depth <= deployment.sim.max_queue_depth
-
-    def test_result_object_matches_serial(self, runs):
-        _, result, run = runs
-        assert run.result.to_json() == result.to_json()
-
-
-# ---------------------------------------------------------------------------
-# gc hygiene
-# ---------------------------------------------------------------------------
 class TestGcRestoration:
+    """The run loop turns the collector off and must hand it back in the
+    state it found it, on success and on failure alike."""
+
+    @staticmethod
+    def _run_small_deployment():
+        from repro import Deployment, ExperimentConfig
+
+        Deployment(ExperimentConfig(
+            protocol="geobft", num_clusters=1, replicas_per_cluster=4,
+            batch_size=50, duration=0.4, warmup=0.1, seed=1,
+            record_count=2_000, fast_crypto=True)).run()
+
     def test_serial_run_restores_enabled_gc(self):
-        config = small_config(duration=0.4, warmup=0.1, num_clusters=1)
         assert gc.isenabled()
-        serial_run(config)
+        self._run_small_deployment()
         assert gc.isenabled()
 
     def test_serial_run_preserves_disabled_gc(self):
         # A caller that already disabled gc (e.g. an outer benchmark
         # harness) must not have it re-enabled behind its back.
-        config = small_config(duration=0.4, warmup=0.1, num_clusters=1)
         gc.disable()
         try:
-            serial_run(config)
+            self._run_small_deployment()
             assert not gc.isenabled()
         finally:
             gc.enable()
 
     def test_serial_run_restores_gc_on_failure(self):
-        from repro.errors import SimulationError
-        from repro.net.simulator import Simulation
-
         sim = Simulation(seed=1)
 
         def boom() -> None:
@@ -353,22 +65,14 @@ class TestGcRestoration:
             sim.run(until=0.1)
         assert gc.isenabled()
 
-    def test_parallel_run_leaves_parent_gc_alone(self):
-        assert gc.isenabled()
-        run_parallel(small_config(workers=2, duration=0.5, warmup=0.1))
-        assert gc.isenabled()
 
-
-# ---------------------------------------------------------------------------
-# Message pickling (the cross-worker wire format)
-# ---------------------------------------------------------------------------
 class TestMessagePickling:
-    def test_cached_encodable_caches_survive_pickling(self):
-        from repro.consensus.messages import Prepare
-        from repro.types import replica_id
+    """Frozen slotted messages pickle (and copy) with their memoized
+    caches, restored through ``object.__setattr__``."""
 
+    def test_cached_encodable_caches_survive_pickling(self):
         message = Prepare(1, 0, 7, b"\x01" * 32, replica_id(1, 2))
-        # Warm every cache slot the way the serial hot path does.
+        # Warm every cache slot the way the hot path does.
         encoded = message.encoded()
         digest = message.payload_digest()
         size = message.size_bytes()
@@ -377,16 +81,12 @@ class TestMessagePickling:
         assert clone.encoded() == encoded
         assert clone.payload_digest() == digest
         assert clone.size_bytes() == size
-        # The caches themselves travelled: no re-derivation slot is
-        # empty on the receiving side.
+        # The caches themselves travelled: no slot is re-derived.
         assert object.__getattribute__(clone, "_encoded_cache") == encoded
         assert object.__getattribute__(clone,
                                        "_payload_digest_cache") == digest
 
     def test_unwarmed_message_pickles_without_caches(self):
-        from repro.consensus.messages import Prepare
-        from repro.types import replica_id
-
         message = Prepare(1, 0, 7, b"\x02" * 32, replica_id(1, 3))
         clone = pickle.loads(pickle.dumps(message))
         assert clone.payload() == message.payload()

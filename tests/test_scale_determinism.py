@@ -13,27 +13,17 @@ The matrix deliberately crosses all five protocols, two seeds, two
 deployment shapes, and one real-crypto (slow) point.  Each case runs a
 full small deployment (~1–2 s on a typical host).
 
-The same matrix also pins the **parallel engine**: every case re-runs
-with ``workers`` ∈ {1, 2, 4} and must land on the identical golden
-digest — workers=1 exercises the :func:`run_experiment` serial
-dispatch, the higher counts the per-cluster worker processes with
-conservative-lookahead barriers (``repro.bench.parallel``).  On the
-2-cluster shapes workers=4 clamps to 2, which is itself part of the
-contract.
-
-``benchmarks/bench_scale.py --baseline`` extends the same check to the
-paper-scale points via the committed ``BENCH_scale.json``.
+``repro sweep --campaign scale --baseline BENCH_scale.json`` extends the
+same check to the paper-scale points via the committed
+``BENCH_scale.json``.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from repro.bench.deployment import (Deployment, ExperimentConfig,
                                     deployment_digest)
-from repro.bench.parallel import parallel_unsupported_reason, run_parallel
 
 # (protocol, seed) -> (digest, events) on the small 2x4 deployment:
 # batch_size=50, duration=1.0, warmup=0.25, record_count=2000,
@@ -122,53 +112,3 @@ def test_shape_deployment_digest_is_golden(config, expected_digest,
     assert deployment_digest(deployment, result) == expected_digest
     assert deployment.sim.events_processed == expected_events
 
-
-# ---------------------------------------------------------------------------
-# The parallel engine against the same golden values
-# ---------------------------------------------------------------------------
-#: workers=1 exercises run_experiment's serial dispatch; 2 and 4 the
-#: parallel engine proper (clamped to the cluster count where needed).
-WORKER_COUNTS = (1, 2, 4)
-
-
-def _parallel_case(config: ExperimentConfig, workers: int,
-                   expected_digest: str, expected_events: int) -> None:
-    config = dataclasses.replace(config, workers=workers)
-    if parallel_unsupported_reason(config) is not None:
-        # workers=1: run_experiment's dispatch must use the serial
-        # engine and still hit the golden digest (the fallback-result
-        # equivalence itself is covered in test_parallel_engine.py).
-        deployment = Deployment(config)
-        result = deployment.run()
-        assert deployment.sim.events_processed == expected_events
-        assert deployment_digest(deployment, result) == expected_digest
-        return
-    run = run_parallel(config)
-    assert run.result.safety_ok
-    assert run.events_processed == expected_events
-    assert run.digest == expected_digest
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS,
-                         ids=lambda w: f"w{w}")
-@pytest.mark.parametrize("protocol,seed", sorted(SMALL_MATRIX))
-def test_small_matrix_parallel_digest_parity(protocol, seed, workers):
-    expected_digest, expected_events = SMALL_MATRIX[(protocol, seed)]
-    config = ExperimentConfig(
-        protocol=protocol, num_clusters=2, replicas_per_cluster=4,
-        batch_size=50, duration=1.0, warmup=0.25, seed=seed,
-        record_count=2_000, fast_crypto=True,
-    )
-    _parallel_case(config, workers, expected_digest, expected_events)
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS,
-                         ids=lambda w: f"w{w}")
-@pytest.mark.parametrize("config,expected_digest,expected_events",
-                         SHAPE_MATRIX,
-                         ids=["geobft-4x4", "geobft-4x8",
-                              "geobft-2x4-realcrypto"])
-def test_shape_matrix_parallel_digest_parity(config, expected_digest,
-                                             expected_events, workers):
-    _parallel_case(ExperimentConfig(**config), workers,
-                   expected_digest, expected_events)

@@ -2,9 +2,9 @@
 
 Covers the DAG semantics (ordering, failure propagation, cached hits),
 the store's JSONL + SQLite round trip, the byte-identical
-``BENCH_scale.json`` regeneration contract, the worker-budget governor,
-the campaign registry, and campaign-vs-bespoke parity for a Figure 10
-point.
+``BENCH_scale.json`` regeneration contract, pool-vs-inline record
+parity, the campaign registry, and campaign-vs-bespoke parity for a
+Figure 10 point.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.sweep import (
     Campaign,
     ResultStore,
     RunSpec,
-    WorkerBudget,
     campaign_names,
     expand_grid,
     get_campaign,
@@ -112,39 +111,9 @@ class TestModel:
                         {"p": "y", "n": 1}, {"p": "y", "n": 2}]
 
 
-class TestWorkerBudget:
-    def test_budget_math(self):
-        budget = WorkerBudget(jobs=2, cpu_budget=3)
-        narrow = RunSpec(run_id="narrow", config=tiny_config())
-        wide = RunSpec(run_id="wide", config=tiny_config(workers=2))
-        assert budget.demand(narrow) == 1
-        assert budget.demand(wide) == 2
-        assert budget.admits(wide)
-        budget.acquire(wide)
-        # 2 of 3 slots used: another wide run must wait, narrow fits.
-        assert not budget.admits(wide)
-        assert budget.admits(narrow)
-        budget.acquire(narrow)
-        assert not budget.admits(narrow)  # jobs cap
-        budget.release(wide)
-        budget.release(narrow)
-        assert budget.running == 0 and budget.used_slots == 0
-
-    def test_wide_run_never_starves(self):
-        budget = WorkerBudget(jobs=4, cpu_budget=1)
-        wide = RunSpec(run_id="wide", config=tiny_config(workers=2))
-        assert budget.demand(wide) == 1  # capped at the budget
-        assert budget.admits(wide)
-
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            WorkerBudget(jobs=0)
-
-
 class TestStore:
     RECORD = {"key": "k1", "campaign": "c", "run_id": "r1",
-              "config": {"protocol": "geobft", "num_clusters": 2,
-                         "workers": 1},
+              "config": {"protocol": "geobft", "num_clusters": 2},
               "scenario": "none", "status": "ok", "digest": "d1"}
 
     def test_memory_store_round_trip(self):
@@ -290,6 +259,34 @@ class TestScheduler:
         assert partial.ok
         assert partial.artifacts == {}
 
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ConfigurationError):
+            run_campaign(tiny_campaign(), jobs=0, host=HOST)
+
+    def test_pool_and_inline_land_identical_records(self):
+        # The pool is the only host parallelism: it must land exactly
+        # the records the inline path does.  "twin" repeats "a"'s config
+        # under another id, so whatever order and process each run gets,
+        # module-level state leaking between deployments would show up
+        # as a digest mismatch between the twins or between the paths.
+        campaign = Campaign(name="pool", description="", runs=(
+            RunSpec(run_id="a", config=tiny_config()),
+            RunSpec(run_id="twin", config=tiny_config()),
+            RunSpec(run_id="other", config=tiny_config(seed=5))))
+        fields = ("digest", "events", "max_queue_depth")
+        landed = []
+        for jobs in (1, 2):
+            outcome = run_campaign(campaign, store=ResultStore(None),
+                                   jobs=jobs, host=HOST)
+            assert outcome.ok, outcome.summary()
+            landed.append({r["run_id"]: tuple(r[f] for f in fields)
+                           for r in outcome.executed})
+        inline, pooled = landed
+        assert set(inline) == {"a", "twin", "other"}
+        assert inline == pooled
+        assert inline["a"] == inline["twin"]
+        assert inline["a"] != inline["other"]
+
 
 class TestRegistry:
     def test_builtin_campaigns_registered(self):
@@ -324,12 +321,6 @@ class TestRegistry:
             campaigns._CAMPAIGNS.pop("misnamed", None)
 
     def test_dag_dependencies_inside_builtin_campaigns(self):
-        scale = get_campaign("scale")
-        parallel_runs = [spec for spec in scale.runs
-                         if spec.config.workers > 1]
-        assert parallel_runs
-        for spec in parallel_runs:
-            assert spec.depends_on  # parallel point waits on serial twin
         fig12 = get_campaign("fig12")
         primary = [spec for spec in fig12.runs
                    if "primary" in spec.run_id]

@@ -5,14 +5,13 @@ seeded arrival processes (determinism and the chunked Poisson sampler),
 the O(arrivals) scaling contract (a million modeled users costs the
 same simulator work as a thousand at equal offered load), client-side
 semantics over aggregates (admission rejection, deadline abandonment,
-retry accounting), serial-vs-parallel digest parity, the promoted
-``payment_network`` scenario, and the ``BENCH_overload.json`` store
-interop (byte-identical regeneration, drift gates, parity checks).
+retry accounting), the promoted ``payment_network`` scenario, and the
+``BENCH_overload.json`` store interop (byte-identical regeneration and
+drift gates).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -20,7 +19,6 @@ import pytest
 
 from repro.bench.deployment import (Deployment, ExperimentConfig,
                                     deployment_digest)
-from repro.bench.parallel import run_parallel
 from repro.bench.scenarios import apply_scenario, scenario_names
 from repro.errors import ConfigurationError, WorkloadError
 from repro.sweep import (ResultStore, campaign_names, get_campaign,
@@ -28,9 +26,7 @@ from repro.sweep import (ResultStore, campaign_names, get_campaign,
                          render_bench_overload)
 from repro.sweep.campaigns import (OVERLOAD_FACTORS, OVERLOAD_SATURATION,
                                    OVERLOAD_USERS, PROTOCOLS)
-from repro.sweep.store import (OVERLOAD_BENCHMARK,
-                               compare_overload_baseline,
-                               overload_digest_parity)
+from repro.sweep.store import OVERLOAD_BENCHMARK, compare_overload_baseline
 from repro.workload.payment import DEFAULT_ACCOUNTS, PaymentWorkload
 from repro.workload.traffic import (TRAFFIC_PROCESSES, TrafficSpec,
                                     _poisson, split_users)
@@ -186,13 +182,6 @@ class TestOpenLoopRuns:
         assert result.traffic is None
         assert "traffic" not in result.to_dict()
 
-    def test_serial_parallel_digest_parity(self):
-        spec = steady_spec(process="poisson")
-        serial_dep, serial_res = self.run_once(spec)
-        parallel = run_parallel(traffic_config(spec, workers=2))
-        assert parallel.digest == deployment_digest(serial_dep, serial_res)
-        assert parallel.result.traffic == serial_res.traffic
-
     def test_admission_window_rejects_overload(self):
         spec = steady_spec(rate_per_user=2.0, window=20, max_retries=0)
         _, result = self.run_once(spec)
@@ -266,28 +255,26 @@ class TestPaymentNetwork:
 # ---------------------------------------------------------------------------
 # BENCH_overload.json interop
 # ---------------------------------------------------------------------------
-def overload_payload(**host_overrides):
+def overload_payload():
     host = {"calibration_ops_per_s": 1_000_000, "cpus": 4,
             "python": "test"}
-    host.update(host_overrides)
     point = {"abandonment_rate": 0.0, "digest": "d" * 64, "events": 5_000,
              "events_per_s": 50_000, "goodput_txn_s": 120_000,
              "offered_txn_s": 125_000, "p50_latency_s": 0.11,
              "p95_latency_s": 0.2, "p99_latency_s": 0.3,
              "protocol": "geobft", "users": 1_200_000, "wall_s": 0.1,
-             "workers": 1, "workload": "ycsb", "x": 1.0}
-    wide = dict(point, workers=2, events_per_s=20_000)
+             "workload": "ycsb", "x": 1.0}
+    doubled = dict(point, x=2.0, offered_txn_s=250_000)
     return {"schema": "bench-overload/1",
             "benchmark": OVERLOAD_BENCHMARK,
-            "host": host, "points": [point, wide]}
+            "host": host, "points": [point, doubled]}
 
 
 class TestOverloadInterop:
     def test_run_id_forms(self):
-        assert overload_run_id("geobft", 2.0) == "overload/geobft/x2/w1"
-        assert overload_run_id("geobft", 0.5, 2) \
-            == "overload/geobft/x0.5/w2"
-        assert overload_run_id("geobft", 2.0, 1, "payment") \
+        assert overload_run_id("geobft", 2.0) == "overload/geobft/x2"
+        assert overload_run_id("geobft", 0.5) == "overload/geobft/x0.5"
+        assert overload_run_id("geobft", 2.0, "payment") \
             == "overload/payment-geobft-x2"
 
     def test_baseline_regenerates_byte_identically(self, tmp_path):
@@ -330,33 +317,6 @@ class TestOverloadInterop:
         assert len(failures) == 1
         assert "regressed" in failures[0]
 
-    def test_compare_skips_rate_gate_on_oversubscribed_rows(self,
-                                                            tmp_path):
-        # Baseline measured on a 1-cpu host: its workers=2 wall times are
-        # time-sliced, so only the digest gate applies to that row.
-        baseline = overload_payload(cpus=1)
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(baseline))
-        records = import_bench_overload(str(path))
-        wide = next(r for r in records if r["bench"]["workers"] == 2)
-        wide["bench"] = dict(wide["bench"], events_per_s=100)
-        assert compare_overload_baseline(records, 1_000_000,
-                                         baseline) == []
-        wide["bench"] = dict(wide["bench"], digest="e" * 64)
-        failures = compare_overload_baseline(records, 1_000_000, baseline)
-        assert len(failures) == 1 and "digest" in failures[0]
-
-    def test_digest_parity_groups_by_point(self, tmp_path):
-        baseline = overload_payload()
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(baseline))
-        records = import_bench_overload(str(path))
-        assert overload_digest_parity(records) == []
-        records[1]["bench"] = dict(records[1]["bench"], digest="e" * 64)
-        failures = overload_digest_parity(records)
-        assert len(failures) == 1
-        assert "divergence" in failures[0]
-
 
 # ---------------------------------------------------------------------------
 # Campaign registration
@@ -374,13 +334,11 @@ class TestCampaigns:
             assert protocol in OVERLOAD_SATURATION
             for x in OVERLOAD_FACTORS:
                 assert overload_run_id(protocol, x) in ids
-        # geobft gets a parallel twin per factor, gated on its serial run.
         for spec in campaign.runs:
             assert spec.config.traffic is not None
             assert spec.config.traffic.users == OVERLOAD_USERS
-            if spec.config.workers > 1:
-                assert spec.depends_on
-        assert overload_run_id("geobft", 2.0, 1, "payment") in ids
+            assert not spec.depends_on
+        assert overload_run_id("geobft", 2.0, "payment") in ids
         payment = next(s for s in campaign.runs
                        if s.tags.get("workload") == "payment")
         assert payment.scenario == "payment_network"

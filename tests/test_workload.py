@@ -200,7 +200,7 @@ class TestTransactionFootprint:
             assert not hasattr(obj, "__weakref__")
 
     def test_request_survives_pickling(self):
-        """The parallel engine ships request batches between workers."""
+        """Frozen, slotted request batches and blocks pickle and copy."""
         batch = YcsbWorkload(record_count=100, seed=1).next_batch(5, "c-")
         request = ClientRequestBatch(
             "c:0", client_id(1, 1), batch + (Transaction.noop(),), None)
