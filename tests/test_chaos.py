@@ -46,6 +46,29 @@ def small_config(protocol="geobft", **overrides):
     return ExperimentConfig(**base)
 
 
+# protocol -> (deployment_digest, events) of the seeded chaos_smoke run.
+# The golden matrix is fault-free; these runs are where client retries,
+# fallback broadcasts and (for zyzzyva, 352 of them) commit certificates
+# actually fire, so they pin the client timeout paths too.
+CHAOS_SMOKE_PINS = {
+    "geobft": (
+        "7e3b250d04a94f7a747c045f4e0766a15262301604ee46725ab447ef36c22296",
+        37802),
+    "pbft": (
+        "178b2fe019fea3eb227bc4d88d8bc1af94fd95446a49a51c29ffaee53d5cbf1d",
+        118133),
+    "zyzzyva": (
+        "ce0036c796f272d539c904bb1ae6724d9f3041755ecc241a4ea0209609906e90",
+        2394),
+    "hotstuff": (
+        "2ce079b0d5b12afd6c25b4c820d45d56acd24d1142e392cc87dae61719f6d87b",
+        66755),
+    "steward": (
+        "84070344cfbe6ad962f1f83847781b90a48ae9d369e35ccfe567349d3e5d3f3e",
+        33391),
+}
+
+
 class TestFaultSpecs:
     def test_round_trip_through_dict(self):
         faults = [
@@ -322,8 +345,7 @@ class TestScenarioRegistry:
         assert replica_id(2, 4) in victims
         assert len(victims) == 2
 
-    @pytest.mark.parametrize("protocol", ["geobft", "pbft", "zyzzyva",
-                                          "hotstuff", "steward"])
+    @pytest.mark.parametrize("protocol", sorted(CHAOS_SMOKE_PINS))
     def test_chaos_smoke_within_fault_bounds(self, protocol):
         # The seeded CI timeline must leave every protocol safe and
         # live (Figure 12 qualitative story).
@@ -335,3 +357,6 @@ class TestScenarioRegistry:
         assert result.safety_ok, deployment.invariants.describe()
         assert result.liveness_ok, deployment.invariants.describe()
         assert result.throughput_txn_s > 0
+        expected_digest, expected_events = CHAOS_SMOKE_PINS[protocol]
+        assert deployment.sim.events_processed == expected_events
+        assert deployment_digest(deployment, result) == expected_digest

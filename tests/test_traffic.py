@@ -150,6 +150,28 @@ class TestPoisson:
 # ---------------------------------------------------------------------------
 # The source inside a deployment
 # ---------------------------------------------------------------------------
+# case -> (steady_spec overrides, protocol, scenario, deployment_digest,
+# events, sent/traffic counters), recorded on the SMALL 2x4 shape.
+RETRY_PATH_PINS = {
+    "zyzzyva-one-backup": (
+        dict(deadline=0.02, max_retries=2), "zyzzyva", "one_backup",
+        "fffdb1ff3adf72b6596e5a97ae92277e42f80ac542751b444da118c686f90a68",
+        9040, {"certs": 736, "requests": 1800, "retried": 178,
+               "abandoned": 0}),
+    "geobft-deadline": (
+        dict(process="poisson", rate_per_user=2.0, deadline=0.05,
+             max_retries=2), "geobft", None,
+        "d5a8c0b63f441b20e4635c3d142f459b1de4cf831d60c0007fef6ec51297263f",
+        46763, {"certs": 0, "requests": 3293, "retried": 55,
+                "abandoned": 0}),
+    "pbft-primary": (
+        dict(deadline=0.3, max_retries=1), "pbft", "primary",
+        "1bf68315ca55a662bca8f6bfe471419b3cb4732d093a29191936229796a8f892",
+        4259, {"certs": 0, "requests": 2730, "retried": 90,
+               "abandoned": 315}),
+}
+
+
 class TestOpenLoopRuns:
     def run_once(self, spec: TrafficSpec, **overrides):
         deployment = Deployment(traffic_config(spec, **overrides))
@@ -198,6 +220,31 @@ class TestOpenLoopRuns:
                            retry_backoff=0.05)
         _, result = self.run_once(spec)
         assert result.traffic["retried_batches"] > 0
+
+    @pytest.mark.parametrize("case", sorted(RETRY_PATH_PINS))
+    def test_retry_paths_are_pinned(self, case):
+        # The golden matrix is fault-free, so none of these client paths
+        # run there: Zyzzyva's commit certificates and retransmissions,
+        # GeoBFT's fallback broadcasts on a short deadline, and PBFT's
+        # abandonment behind a crashed primary.
+        (spec_kw, protocol, scenario, expected_digest, expected_events,
+         counters) = RETRY_PATH_PINS[case]
+        deployment = Deployment(traffic_config(
+            steady_spec(**spec_kw), protocol=protocol))
+        if scenario is not None:
+            apply_scenario(deployment, scenario)
+        result = deployment.run()
+        assert result.safety_ok
+        sent = deployment.metrics.message_counts()
+        observed = {
+            "certs": sum(sent.get("ZyzzyvaCommitCert", {}).values()),
+            "requests": sum(sent["ClientRequestBatch"].values()),
+            "retried": result.traffic["retried_batches"],
+            "abandoned": result.traffic["abandoned_txns"],
+        }
+        assert observed == counters
+        assert deployment.sim.events_processed == expected_events
+        assert deployment_digest(deployment, result) == expected_digest
 
     @pytest.mark.parametrize("protocol", ["pbft", "zyzzyva", "hotstuff"])
     def test_other_protocols_complete_under_traffic(self, protocol):
