@@ -78,7 +78,7 @@ from .bench.tracing import MessageTracer
 from .consensus.hotstuff import HotStuffReplica
 from .consensus.pbft import PbftConfig, PbftEngine, PbftReplica
 from .consensus.steward import StewardReplica
-from .consensus.zyzzyva import ZyzzyvaClient, ZyzzyvaReplica
+from .consensus.zyzzyva import ZyzzyvaReplica
 from .core.config import GeoBftConfig
 from .core.geobft import GeoBftReplica
 from .crypto.costs import CryptoCostModel
@@ -154,7 +154,6 @@ __all__ = [
     "PbftEngine",
     "PbftReplica",
     "StewardReplica",
-    "ZyzzyvaClient",
     "ZyzzyvaReplica",
     "GeoBftConfig",
     "GeoBftReplica",

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from ..consensus.hotstuff import HotStuffReplica
 from ..consensus.pbft import PbftConfig, PbftReplica
 from ..consensus.steward import StewardReplica
-from ..consensus.zyzzyva import ZyzzyvaClient, ZyzzyvaReplica
+from ..consensus.zyzzyva import ZyzzyvaReplica
 from ..core.config import GeoBftConfig
 from ..core.geobft import GeoBftReplica
 from ..crypto.costs import CryptoCostModel
@@ -400,67 +400,51 @@ class Deployment:
             view_change_timeout=cfg.view_change_timeout,
         )
 
-    def _make_traffic_sources(self, primary_for, fallback_for, quorum_for,
-                              mode: str = "quorum",
-                              members=None) -> None:
-        """Create one open-loop aggregate source per cluster.
+    def _make_drivers(self, primary_for, fallback_for, quorum_for,
+                      members: Optional[List[NodeId]] = None) -> None:
+        """Closed-loop clients, or open-loop sources when configured.
 
-        Takes the same target/quorum callables as
-        :meth:`_make_quorum_clients`; the modeled population is split
-        evenly over the regions (sources are region-affine).
+        The three callables map ``(cluster, client index)`` to that
+        client's primary targets, fallback targets, and reply quorum.
+        ``members`` (Zyzzyva's flat replica set) selects Zyzzyva's
+        completion rule over the ``f + 1`` reply quorum.
         """
         cfg = self.config
         spec = cfg.traffic
-        assert spec is not None
-        shares = split_users(spec.users, cfg.num_clusters)
-        salt = 50_000
-        for c in sorted(self.cluster_members):
-            salt += 1
-            source = OpenLoopSource(
-                node_id=client_id(c, 1),
-                region=self._region_of(c),
-                sim=self.sim,
-                network=self.network,
-                registry=self.registry,
-                workload=self._workload(salt),
-                batch_size=cfg.batch_size,
-                spec=spec,
-                users=shares[c - 1],
-                seed=cfg.seed,
-                mode=mode,
-                primary_targets=primary_for(c, 1),
-                fallback_targets=fallback_for(c, 1),
-                reply_quorum=quorum_for(c, 1),
-                members=members,
-                metrics=self.metrics,
-            )
-            self.clients.append(source)
-
-    def _make_drivers(self, primary_for, fallback_for,
-                      quorum_for) -> None:
-        """Closed-loop clients, or open-loop sources when configured."""
-        if self.config.traffic is not None:
-            self._make_traffic_sources(primary_for, fallback_for,
-                                       quorum_for)
+        if spec is not None:
+            # One source per region; the modeled population is split
+            # evenly over the regions (sources are region-affine).
+            shares = split_users(spec.users, cfg.num_clusters)
+            salt = 50_000
+            for c in sorted(self.cluster_members):
+                salt += 1
+                self.clients.append(OpenLoopSource(
+                    node_id=client_id(c, 1),
+                    region=self._region_of(c),
+                    sim=self.sim,
+                    network=self.network,
+                    registry=self.registry,
+                    workload=self._workload(salt),
+                    batch_size=cfg.batch_size,
+                    spec=spec,
+                    users=shares[c - 1],
+                    seed=cfg.seed,
+                    primary_targets=primary_for(c, 1),
+                    fallback_targets=fallback_for(c, 1),
+                    reply_quorum=quorum_for(c, 1),
+                    members=members,
+                    metrics=self.metrics,
+                ))
+            return
+        if members:
+            salt, timeout = 10_000, cfg.zyzzyva_spec_timeout
         else:
-            self._make_quorum_clients(primary_for, fallback_for,
-                                      quorum_for)
-
-    def _make_quorum_clients(self, primary_for, fallback_for,
-                             quorum_for) -> None:
-        """Create ``clients_per_cluster`` clients per cluster.
-
-        The three callables map a cluster id to that cluster's clients'
-        primary targets, fallback targets, and reply quorum.
-        """
-        cfg = self.config
-        salt = 0
+            salt, timeout = 0, cfg.client_retry_timeout
         for c in sorted(self.cluster_members):
             for j in range(1, cfg.clients_per_cluster + 1):
                 salt += 1
-                cid = client_id(c, j)
-                client = QuorumClient(
-                    node_id=cid,
+                self.clients.append(QuorumClient(
+                    node_id=client_id(c, j),
                     region=self._region_of(c),
                     sim=self.sim,
                     network=self.network,
@@ -471,11 +455,11 @@ class Deployment:
                     fallback_targets=fallback_for(c, j),
                     reply_quorum=quorum_for(c, j),
                     outstanding=cfg.client_outstanding,
-                    retry_timeout=cfg.client_retry_timeout,
+                    retry_timeout=timeout,
                     max_batches=cfg.max_batches_per_client,
+                    members=members,
                     metrics=self.metrics,
-                )
-                self.clients.append(client)
+                ))
 
     def _build_geobft(self) -> None:
         import dataclasses
@@ -563,35 +547,12 @@ class Deployment:
                     metrics=self.metrics,
                     instrumentation=self.instrumentation,
                 )
-        if cfg.traffic is not None:
-            self._make_traffic_sources(
-                primary_for=lambda c, j: [members[0]],
-                fallback_for=lambda c, j: list(members),
-                quorum_for=lambda c, j: max_faulty(len(members)) + 1,
-                mode="zyzzyva",
-                members=members,
-            )
-            return
-        salt = 10_000
-        for c in sorted(self.cluster_members):
-            for j in range(1, cfg.clients_per_cluster + 1):
-                salt += 1
-                cid = client_id(c, j)
-                client = ZyzzyvaClient(
-                    node_id=cid,
-                    region=self._region_of(c),
-                    sim=self.sim,
-                    network=self.network,
-                    registry=self.registry,
-                    workload=self._workload(salt),
-                    batch_size=cfg.batch_size,
-                    members=members,
-                    outstanding=cfg.client_outstanding,
-                    spec_timeout=cfg.zyzzyva_spec_timeout,
-                    max_batches=cfg.max_batches_per_client,
-                    metrics=self.metrics,
-                )
-                self.clients.append(client)
+        self._make_drivers(
+            primary_for=lambda c, j: [members[0]],
+            fallback_for=lambda c, j: list(members),
+            quorum_for=lambda c, j: max_faulty(len(members)) + 1,
+            members=members,
+        )
 
     def _build_hotstuff(self) -> None:
         cfg = self.config

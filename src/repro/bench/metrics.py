@@ -42,13 +42,9 @@ class Metrics:
         self._completions: List[Tuple[float, int]] = []
 
         # Open-loop traffic accounting (zero on closed-loop runs).
-        self._offered_txns = 0
         self._measured_offered_txns = 0
-        self._rejected_txns = 0
         self._measured_rejected_txns = 0
-        self._abandoned_txns = 0
         self._measured_abandoned_txns = 0
-        self._retried_batches = 0
         self._measured_retried_batches = 0
 
         # Replica-side accounting.
@@ -92,28 +88,24 @@ class Metrics:
     def record_offered(self, client: NodeId, txns: int,
                        now: float) -> None:
         """An open-loop source saw ``txns`` arrivals (pre-admission)."""
-        self._offered_txns += txns
         if now >= self._warmup:
             self._measured_offered_txns += txns
 
     def record_rejected(self, client: NodeId, txns: int,
                         now: float) -> None:
         """Arrivals turned away by admission control."""
-        self._rejected_txns += txns
         if now >= self._warmup:
             self._measured_rejected_txns += txns
 
     def record_abandoned(self, client: NodeId, txns: int,
                          now: float) -> None:
         """In-flight transactions given up after the retry budget."""
-        self._abandoned_txns += txns
         if now >= self._warmup:
             self._measured_abandoned_txns += txns
 
     def record_retried(self, client: NodeId, batches: int,
                        now: float) -> None:
         """Request batches re-sent after a deadline timeout."""
-        self._retried_batches += batches
         if now >= self._warmup:
             self._measured_retried_batches += batches
 

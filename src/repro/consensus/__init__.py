@@ -9,7 +9,7 @@ from .hotstuff import HotStuffReplica
 from .pbft import PbftConfig, PbftEngine, PbftReplica
 from .replica import BaseReplica, CpuModel
 from .steward import StewardReplica
-from .zyzzyva import ZyzzyvaClient, ZyzzyvaReplica
+from .zyzzyva import ZyzzyvaReplica
 
 __all__ = [
     "HotStuffReplica",
@@ -19,6 +19,5 @@ __all__ = [
     "BaseReplica",
     "CpuModel",
     "StewardReplica",
-    "ZyzzyvaClient",
     "ZyzzyvaReplica",
 ]

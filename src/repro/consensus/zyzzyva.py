@@ -19,12 +19,9 @@ is not exercised (it is excluded from the primary-failure experiment).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..crypto.digests import chain_digest
-from ..errors import ConfigurationError
-from ..net.network import Network
-from ..net.simulator import Simulation, Timer
 from ..types import NodeId, SeqNum, max_faulty
 from .messages import (
     ClientRequestBatch,
@@ -208,176 +205,3 @@ class ZyzzyvaReplica(BaseReplica):
         ack = LocalCommit(cert.view, cert.seq, cert.batch_id, self.node_id)
         self.send(sender, ack)
 
-
-class ZyzzyvaClient:
-    """Zyzzyva's protocol-specific client.
-
-    Completes on all-``N`` matching speculative responses (fast path) or
-    — after ``spec_timeout`` — assembles a commit certificate from
-    ``2F + 1`` matching responses and completes on ``2F + 1``
-    local-commit acknowledgements.
-    """
-
-    def __init__(self,
-                 node_id: NodeId,
-                 region: str,
-                 sim: Simulation,
-                 network: Network,
-                 registry,
-                 workload,
-                 batch_size: int,
-                 members: List[NodeId],
-                 outstanding: int = 4,
-                 spec_timeout: float = 0.8,
-                 max_batches: Optional[int] = None,
-                 metrics=None):
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        self._node_id = node_id
-        self._region = region
-        self._sim = sim
-        self._network = network
-        self._signer = registry.register(node_id)
-        self._workload = workload
-        self._batch_size = batch_size
-        self._members = list(members)
-        self._n = len(members)
-        self._f = max_faulty(self._n)
-        self._outstanding = outstanding
-        self._spec_timeout = spec_timeout
-        self._max_batches = max_batches
-        self._metrics = metrics
-
-        self._responses: Dict[str, Dict[bytes, Dict[NodeId, SpecResponse]]] = {}
-        self._local_commits: Dict[str, Set[NodeId]] = {}
-        self._submit_times: Dict[str, float] = {}
-        self._requests: Dict[str, ClientRequestBatch] = {}
-        self._timers: Dict[str, Timer] = {}
-        self._in_commit_phase: Set[str] = set()
-        self._submitted = 0
-        self._completed = 0
-        self._started = False
-        network.register(self)
-
-    @property
-    def node_id(self) -> NodeId:
-        """The client's address."""
-        return self._node_id
-
-    @property
-    def region(self) -> str:
-        """The client's region."""
-        return self._region
-
-    @property
-    def completed_batches(self) -> int:
-        """Batches fully accepted."""
-        return self._completed
-
-    def start(self) -> None:
-        """Begin the closed loop (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for _ in range(self._outstanding):
-            if not self._submit_next():
-                break
-
-    def _submit_next(self) -> bool:
-        if (self._max_batches is not None
-                and self._submitted >= self._max_batches):
-            return False
-        batch = self._workload.next_batch(
-            self._batch_size, prefix=f"{self._node_id}-"
-        )
-        batch_id = f"{self._node_id}:{self._submitted}"
-        unsigned = ClientRequestBatch(batch_id, self._node_id, batch, None)
-        request = ClientRequestBatch(
-            batch_id, self._node_id, batch,
-            self._signer.sign(unsigned),
-        )
-        self._requests[batch_id] = request
-        self._submit_times[batch_id] = self._sim.now
-        self._responses[batch_id] = {}
-        self._submitted += 1
-        primary = self._members[0]
-        self._network.send(self._node_id, primary, request)
-        self._timers[batch_id] = self._sim.schedule(
-            self._spec_timeout, self._on_spec_timeout, batch_id
-        )
-        if self._metrics is not None:
-            self._metrics.record_submitted(self._node_id, len(batch),
-                                           self._sim.now)
-        return True
-
-    def deliver(self, message, sender: NodeId) -> None:
-        """Receive speculative responses and local commits."""
-        cls = message.__class__
-        if cls is SpecResponse:
-            self._on_spec_response(message, sender)
-        elif cls is LocalCommit:
-            self._on_local_commit(message, sender)
-
-    def _on_spec_response(self, response: SpecResponse,
-                          sender: NodeId) -> None:
-        by_digest = self._responses.get(response.batch_id)
-        if by_digest is None or sender != response.replica:
-            return
-        key = response.results_digest + response.history_digest
-        group = by_digest.get(key)
-        if group is None:
-            group = by_digest[key] = {}
-        group[sender] = response
-        if len(group) >= self._n:
-            self._complete(response.batch_id)
-
-    def _on_spec_timeout(self, batch_id: str) -> None:
-        by_digest = self._responses.get(batch_id)
-        if by_digest is None or batch_id in self._in_commit_phase:
-            return
-        best = max(by_digest.values(), key=len, default={})
-        if len(best) >= 2 * self._f + 1:
-            # Commit phase: broadcast a certificate of 2F + 1 responses.
-            self._in_commit_phase.add(batch_id)
-            responses = tuple(list(best.values())[: 2 * self._f + 1])
-            sample = responses[0]
-            cert = ZyzzyvaCommitCert(batch_id, sample.view, sample.seq,
-                                     responses)
-            self._local_commits[batch_id] = set()
-            for member in self._members:
-                self._network.send(self._node_id, member, cert)
-        else:
-            # Not enough responses: retransmit to everyone and wait.
-            request = self._requests[batch_id]
-            for member in self._members:
-                self._network.send(self._node_id, member, request)
-        self._timers[batch_id] = self._sim.schedule(
-            self._spec_timeout * 2, self._on_spec_timeout, batch_id
-        )
-
-    def _on_local_commit(self, message: LocalCommit, sender: NodeId) -> None:
-        acks = self._local_commits.get(message.batch_id)
-        if acks is None or message.batch_id not in self._responses:
-            return
-        acks.add(sender)
-        if len(acks) >= 2 * self._f + 1:
-            self._complete(message.batch_id)
-
-    def _complete(self, batch_id: str) -> None:
-        if batch_id not in self._responses:
-            return
-        del self._responses[batch_id]
-        self._in_commit_phase.discard(batch_id)
-        self._local_commits.pop(batch_id, None)
-        request = self._requests.pop(batch_id)
-        timer = self._timers.pop(batch_id, None)
-        if timer is not None:
-            timer.cancel()
-        submitted_at = self._submit_times.pop(batch_id)
-        self._completed += 1
-        if self._metrics is not None:
-            self._metrics.record_completed(
-                self._node_id, len(request.batch),
-                self._sim.now - submitted_at, self._sim.now,
-            )
-        self._submit_next()

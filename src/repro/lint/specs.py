@@ -81,10 +81,10 @@ class MessageSpec:
     #: The full fan-out kind set extraction must observe.
     fanout: Tuple[str, ...]
     #: The consuming half lives outside this protocol's static scope or
-    #: behind a runtime mode switch — e.g. the open-loop traffic
-    #: engine's Zyzzyva commit-certificate fallback is present in every
-    #: protocol's scope but only ever runs in zyzzyva mode.  Exempt
-    #: from the orphan check; still spec-checked for drift.
+    #: behind a runtime rule choice — e.g. the client's Zyzzyva
+    #: commit-certificate fallback is present in every protocol's scope
+    #: but only ever runs under Zyzzyva's completion rule.  Exempt from
+    #: the orphan check; still spec-checked for drift.
     external: bool = False
 
 
@@ -202,27 +202,37 @@ _PBFT_ENGINE_MESSAGES: Tuple[MessageSpec, ...] = (
     ),
 )
 
-#: The open-loop traffic engine handles every protocol's reply shapes
-#: and carries Zyzzyva's client-side commit-certificate fallback, so
-#: these sightings exist in every protocol scope that includes
-#: ``repro/workload/traffic.py``.  In non-zyzzyva scopes the
-#: certificate's consumer is mode-gated away — hence ``external``.
+#: The client side of every protocol, each site named once: one
+#: ``CompletionTracker`` (repro/workload/client.py) builds and sends
+#: every request batch and holds both completion rules, for both the
+#: closed-loop and the open-loop driver.
+_CLIENT_SUBMIT = "CompletionTracker._submit"
+_CLIENT_ON_REPLY = "CompletionTracker._on_reply"
+_CLIENT_ON_SPEC_RESPONSE = "CompletionTracker._on_spec_response"
+_CLIENT_ON_LOCAL_COMMIT = "CompletionTracker._on_local_commit"
+_CLIENT_ZYZZYVA_TIMEOUT = "CompletionTracker._zyzzyva_timeout"
+
+#: The tracker carries Zyzzyva's rule, so its handlers and its
+#: commit-certificate fallback appear in every protocol scope that
+#: includes ``repro/workload/client.py``.  In non-zyzzyva scopes the
+#: certificate's consumer lives outside the scope and the rule is
+#: never selected (no ``members`` list) — hence ``external``.
 _CLIENT_FALLBACK_MESSAGES: Tuple[MessageSpec, ...] = (
     MessageSpec(
         "SpecResponse", "client",
         producers=(),
-        consumers=("OpenLoopSource._on_spec_response",),
+        consumers=(_CLIENT_ON_SPEC_RESPONSE,),
         fanout=(),
     ),
     MessageSpec(
         "LocalCommit", "client",
         producers=(),
-        consumers=("OpenLoopSource._on_local_commit",),
+        consumers=(_CLIENT_ON_LOCAL_COMMIT,),
         fanout=(),
     ),
     MessageSpec(
         "ZyzzyvaCommitCert", "client",
-        producers=("OpenLoopSource._zyzzyva_timeout",),
+        producers=(_CLIENT_ZYZZYVA_TIMEOUT,),
         consumers=(),
         fanout=("multi-unicast",),
         external=True,
@@ -240,10 +250,9 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         messages=_PBFT_ENGINE_MESSAGES + _CLIENT_FALLBACK_MESSAGES + (
             MessageSpec(
                 "ClientRequestBatch", "request",
-                producers=("OpenLoopSource._inject",
+                producers=(_CLIENT_SUBMIT,
                            "PbftEngine._install_new_view",
-                           "PbftEngine.submit_noop",
-                           "QuorumClient._submit_next"),
+                           "PbftEngine.submit_noop"),
                 consumers=("PbftReplica._on_client_request",
                            "PbftReplica._on_decide"),
                 fanout=("embedded", "local", "multi-unicast", "returned"),
@@ -251,8 +260,7 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
             MessageSpec(
                 "ClientReply", "reply",
                 producers=("PbftReplica._on_decide",),
-                consumers=("OpenLoopSource._on_reply",
-                           "QuorumClient._on_reply"),
+                consumers=(_CLIENT_ON_REPLY,),
                 fanout=("unicast",),
             ),
         ),
@@ -266,11 +274,9 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         messages=(
             MessageSpec(
                 "ClientRequestBatch", "request",
-                producers=("OpenLoopSource._inject",
-                           "QuorumClient._submit_next",
-                           "ZyzzyvaClient._submit_next"),
+                producers=(_CLIENT_SUBMIT,),
                 consumers=("ZyzzyvaReplica._on_client_request",),
-                fanout=("local", "multi-unicast", "unicast"),
+                fanout=("local", "multi-unicast"),
             ),
             MessageSpec(
                 "OrderedRequest", "order",
@@ -282,29 +288,25 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
                 "SpecResponse", "spec-response",
                 producers=("ZyzzyvaReplica._on_commit_cert",
                            "ZyzzyvaReplica._speculative_execute"),
-                consumers=("OpenLoopSource._on_spec_response",
-                           "ZyzzyvaClient._on_spec_response"),
+                consumers=(_CLIENT_ON_SPEC_RESPONSE,),
                 fanout=("local", "unicast"),
             ),
             MessageSpec(
                 "ZyzzyvaCommitCert", "commit-cert",
-                producers=("OpenLoopSource._zyzzyva_timeout",
-                           "ZyzzyvaClient._on_spec_timeout"),
+                producers=(_CLIENT_ZYZZYVA_TIMEOUT,),
                 consumers=("ZyzzyvaReplica._on_commit_cert",),
                 fanout=("multi-unicast",),
             ),
             MessageSpec(
                 "LocalCommit", "local-commit",
                 producers=("ZyzzyvaReplica._on_commit_cert",),
-                consumers=("OpenLoopSource._on_local_commit",
-                           "ZyzzyvaClient._on_local_commit"),
+                consumers=(_CLIENT_ON_LOCAL_COMMIT,),
                 fanout=("unicast",),
             ),
             MessageSpec(
                 "ClientReply", "request",
                 producers=(),
-                consumers=("OpenLoopSource._on_reply",
-                           "QuorumClient._on_reply"),
+                consumers=(_CLIENT_ON_REPLY,),
                 fanout=(),
             ),
         ),
@@ -317,8 +319,7 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         messages=_CLIENT_FALLBACK_MESSAGES + (
             MessageSpec(
                 "ClientRequestBatch", "request",
-                producers=("OpenLoopSource._inject",
-                           "QuorumClient._submit_next"),
+                producers=(_CLIENT_SUBMIT,),
                 consumers=("HotStuffReplica._on_client_request",),
                 fanout=("local", "multi-unicast"),
             ),
@@ -346,8 +347,7 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
             MessageSpec(
                 "ClientReply", "decide",
                 producers=("HotStuffReplica._on_decide",),
-                consumers=("OpenLoopSource._on_reply",
-                           "QuorumClient._on_reply"),
+                consumers=(_CLIENT_ON_REPLY,),
                 fanout=("unicast",),
             ),
         ),
@@ -362,10 +362,9 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         messages=_PBFT_ENGINE_MESSAGES + _CLIENT_FALLBACK_MESSAGES + (
             MessageSpec(
                 "ClientRequestBatch", "request",
-                producers=("OpenLoopSource._inject",
+                producers=(_CLIENT_SUBMIT,
                            "PbftEngine._install_new_view",
-                           "PbftEngine.submit_noop",
-                           "QuorumClient._submit_next"),
+                           "PbftEngine.submit_noop"),
                 consumers=("PbftReplica._on_client_request",
                            "PbftReplica._on_decide",
                            "StewardReplica._on_client_request",
@@ -389,8 +388,7 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
                 "ClientReply", "reply",
                 producers=("PbftReplica._on_decide",
                            "StewardReplica._deliver_global"),
-                consumers=("OpenLoopSource._on_reply",
-                           "QuorumClient._on_reply"),
+                consumers=(_CLIENT_ON_REPLY,),
                 fanout=("unicast",),
             ),
         ),
@@ -406,10 +404,9 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         messages=_PBFT_ENGINE_MESSAGES + _CLIENT_FALLBACK_MESSAGES + (
             MessageSpec(
                 "ClientRequestBatch", "request",
-                producers=("OpenLoopSource._inject",
+                producers=(_CLIENT_SUBMIT,
                            "PbftEngine._install_new_view",
-                           "PbftEngine.submit_noop",
-                           "QuorumClient._submit_next"),
+                           "PbftEngine.submit_noop"),
                 consumers=("GeoBftReplica._on_client_request",
                            "GeoBftReplica._on_local_decide",
                            "PbftReplica._on_client_request",
@@ -439,8 +436,7 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
                 "ClientReply", "execute",
                 producers=("GeoBftReplica._execute_round",
                            "PbftReplica._on_decide"),
-                consumers=("OpenLoopSource._on_reply",
-                           "QuorumClient._on_reply"),
+                consumers=(_CLIENT_ON_REPLY,),
                 fanout=("multi-unicast", "unicast"),
             ),
             MessageSpec(

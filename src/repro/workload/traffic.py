@@ -18,23 +18,22 @@ per-client state:
   source; arrivals beyond it are rejected (counted, never simulated),
 * **deadline timeouts** — each injected cohort gets one sweep event at
   the spec deadline; still-pending requests retry or abandon,
-* **seeded retry with backoff** — exponential backoff with seeded
-  jitter, broadcast to the fallback targets (the standard PBFT client
-  reaction to an unresponsive primary).
+* **seeded retry with backoff** — the completion rule's timeout action
+  (for ``f + 1`` replies, a broadcast to the fallback targets: the
+  standard PBFT client reaction to an unresponsive primary), then
+  exponential backoff with seeded jitter.
 
-Completion mirrors the closed-loop clients: ``f + 1`` matching
-``ClientReply`` digests (``mode="quorum"``), or Zyzzyva's two-phase
-client protocol (all-``N`` matching ``SpecResponse`` fast path, commit
-certificate + ``2F + 1`` local-commits after a timeout;
-``mode="zyzzyva"``).  Goodput, abandonment, and retry counters flow
-into :class:`~repro.bench.metrics.Metrics`, so overload tail latency
-(p50/p95/p99) is first-class in every report.
+Completion is the closed-loop clients' own: :class:`OpenLoopSource` is
+the open-loop driver over :class:`~repro.workload.client.CompletionTracker`,
+which holds the ``f + 1`` matching-reply rule and Zyzzyva's two-phase
+rule once for both drivers.  Goodput, abandonment, and retry counters
+flow into :class:`~repro.bench.metrics.Metrics`, so overload tail
+latency (p50/p95/p99) is first-class in every report.
 
 Determinism: every stochastic choice (Poisson counts, retry jitter)
 comes from a ``random.Random`` seeded from ``(config seed, cluster)``
-— never from the simulator's shared RNG — so a source draws the same
-sequence whether it runs in the serial engine or in the worker process
-that owns its region.
+— never from the simulator's shared RNG — so a source's draws do not
+depend on what the rest of the deployment does with randomness.
 """
 
 from __future__ import annotations
@@ -44,15 +43,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..consensus.messages import (
-    ClientReply,
-    ClientRequestBatch,
-    LocalCommit,
-    SpecResponse,
-    ZyzzyvaCommitCert,
-)
 from ..errors import ConfigurationError
-from ..types import NodeId, max_faulty
+from ..types import NodeId
+from .client import CompletionTracker
 
 #: Arrival processes a :class:`TrafficSpec` can name.  All are
 #: deterministic rate *schedules*; ``constant`` additionally uses a
@@ -217,40 +210,17 @@ def _poisson(rng: random.Random, lam: float) -> int:
     return count
 
 
-class _PendingCohortEntry:
-    """One in-flight request batch (aggregate, not per-user)."""
-
-    __slots__ = ("request", "submitted_at", "retries", "votes",
-                 "local_commits", "in_commit_phase")
-
-    def __init__(self, request: ClientRequestBatch, submitted_at: float):
-        self.request = request
-        self.submitted_at = submitted_at
-        self.retries = 0
-        #: digest key -> {replica: response} (quorum mode keys by the
-        #: results digest; zyzzyva by results+history, keeping the
-        #: responses for the commit certificate).
-        self.votes: Dict[bytes, Dict[NodeId, Any]] = {}
-        self.local_commits: Optional[set] = None
-        self.in_commit_phase = False
-
-
-class OpenLoopSource:
+class OpenLoopSource(CompletionTracker):
     """A per-region open-loop traffic source (an aggregate client).
 
     Registered on the network like any client (``node_id`` /
     ``region`` / ``start()`` / ``deliver()``), so the deployment drives
     it exactly like a ``QuorumClient``; its arrivals stay region-affine.
+    Completion is the shared :class:`CompletionTracker` rule; this class
+    decides only when a request is made and when it is given up.
     """
 
-    __slots__ = ("_node_id", "_region", "_sim", "_network", "_signer",
-                 "_workload", "_batch_size", "_spec", "_users",
-                 "_mode", "_primary_targets", "_fallback_targets",
-                 "_reply_quorum", "_members", "_n", "_f", "_metrics",
-                 "_rng", "_carry", "_pending", "_inflight_txns",
-                 "_submitted", "_completed", "_started", "_use_fallback",
-                 "offered_txns", "rejected_txns", "abandoned_txns",
-                 "retried_batches")
+    __slots__ = ("_spec", "_users", "_rng", "_carry", "_inflight_txns")
 
     def __init__(self,
                  node_id: NodeId,
@@ -263,98 +233,28 @@ class OpenLoopSource:
                  spec: TrafficSpec,
                  users: int,
                  seed: int,
-                 mode: str = "quorum",
                  primary_targets: Optional[List[NodeId]] = None,
                  fallback_targets: Optional[List[NodeId]] = None,
                  reply_quorum: int = 1,
                  members: Optional[List[NodeId]] = None,
                  metrics=None):
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if mode not in ("quorum", "zyzzyva"):
-            raise ConfigurationError(
-                f"unknown traffic completion mode {mode!r}")
-        if mode == "zyzzyva" and not members:
-            raise ConfigurationError(
-                "zyzzyva traffic mode needs the member list")
-        self._node_id = node_id
-        self._region = region
-        self._sim = sim
-        self._network = network
-        self._signer = registry.register(node_id)
-        self._workload = workload
-        self._batch_size = batch_size
         self._spec = spec
         self._users = users
-        self._mode = mode
-        self._primary_targets = list(primary_targets or [])
-        self._fallback_targets = list(fallback_targets or [])
-        self._reply_quorum = reply_quorum
-        self._members = list(members or [])
-        self._n = len(self._members)
-        self._f = max_faulty(self._n) if self._members else 0
-        self._metrics = metrics
-        # Worker-local determinism: a per-source stream derived from the
-        # experiment seed and the region, never the simulator's RNG.
+        # A per-source stream derived from the experiment seed and the
+        # region, never the simulator's RNG.
         self._rng = random.Random(
             seed * 1_000_003 + node_id.cluster * 7_919 + 17)
         self._carry = 0.0
-        self._pending: Dict[str, _PendingCohortEntry] = {}
         self._inflight_txns = 0
-        self._submitted = 0
-        self._completed = 0
-        self._started = False
-        self._use_fallback = False
-        # Aggregate client-semantics counters (mirrored into Metrics).
-        self.offered_txns = 0
-        self.rejected_txns = 0
-        self.abandoned_txns = 0
-        self.retried_batches = 0
-        network.register(self)
-
-    # ------------------------------------------------------------------
-    # Network node interface
-    # ------------------------------------------------------------------
-    @property
-    def node_id(self) -> NodeId:
-        """The source's network address."""
-        return self._node_id
-
-    @property
-    def region(self) -> str:
-        """The region whose population this source aggregates."""
-        return self._region
+        super().__init__(node_id, region, sim, network, registry, workload,
+                         batch_size, primary_targets or [],
+                         fallback_targets or [], reply_quorum, members,
+                         metrics)
 
     @property
     def users(self) -> int:
         """Modeled users behind this source."""
         return self._users
-
-    @property
-    def pending_batches(self) -> int:
-        """In-flight request batches."""
-        return len(self._pending)
-
-    @property
-    def submitted_batches(self) -> int:
-        """Batches injected so far."""
-        return self._submitted
-
-    @property
-    def completed_batches(self) -> int:
-        """Batches acknowledged by the protocol's completion rule."""
-        return self._completed
-
-    def deliver(self, message, sender: NodeId) -> None:
-        """Receive replica responses."""
-        if self._mode == "quorum":
-            if isinstance(message, ClientReply):
-                self._on_reply(message, sender)
-        else:
-            if isinstance(message, SpecResponse):
-                self._on_spec_response(message, sender)
-            elif isinstance(message, LocalCommit):
-                self._on_local_commit(message, sender)
 
     # ------------------------------------------------------------------
     # Arrival process
@@ -382,19 +282,15 @@ class OpenLoopSource:
         now = self._sim.now
         count = self._arrivals_in_tick(now)
         if count:
-            txns = count * self._batch_size
-            self.offered_txns += txns
             if self._metrics is not None:
-                self._metrics.record_offered(self._node_id, txns, now)
+                self._metrics.record_offered(
+                    self._node_id, count * self._batch_size, now)
             capacity = (self._spec.window - self._inflight_txns) \
                 // self._batch_size
             admit = min(count, max(0, capacity))
-            if admit < count:
-                rejected = (count - admit) * self._batch_size
-                self.rejected_txns += rejected
-                if self._metrics is not None:
-                    self._metrics.record_rejected(self._node_id, rejected,
-                                                  now)
+            if admit < count and self._metrics is not None:
+                self._metrics.record_rejected(
+                    self._node_id, (count - admit) * self._batch_size, now)
             if admit > 0:
                 # One queue entry stands in for the whole admitted
                 # group; the callback credits the skipped events so the
@@ -407,34 +303,15 @@ class OpenLoopSource:
         now = self._sim.now
         cohort: List[str] = []
         for _ in range(count):
-            batch = self._workload.next_batch(
-                self._batch_size, prefix=f"{self._node_id}-")
-            batch_id = f"{self._node_id}:{self._submitted}"
-            unsigned = ClientRequestBatch(batch_id, self._node_id, batch,
-                                          None)
-            request = ClientRequestBatch(
-                batch_id, self._node_id, batch,
-                self._signer.sign(unsigned))
-            self._pending[batch_id] = _PendingCohortEntry(request, now)
-            self._submitted += 1
-            self._inflight_txns += len(batch)
-            self._send_request(request)
+            pending = self._submit(now)
+            txns = len(pending.request.batch)
+            self._inflight_txns += txns
             if self._metrics is not None:
-                self._metrics.record_submitted(self._node_id, len(batch),
-                                               now)
-            cohort.append(batch_id)
+                self._metrics.record_submitted(self._node_id, txns, now)
+            cohort.append(pending.request.batch_id)
         # One deadline sweep covers the whole cohort: the pending-cohort
         # calendar stays O(arrival groups), not O(modeled users).
         self._sim.post(self._spec.deadline, self._sweep, tuple(cohort))
-
-    def _send_request(self, request: ClientRequestBatch) -> None:
-        if self._mode == "zyzzyva":
-            self._network.send(self._node_id, self._members[0], request)
-            return
-        targets = (self._fallback_targets if self._use_fallback
-                   else self._primary_targets)
-        for target in targets:
-            self._network.send(self._node_id, target, request)
 
     # ------------------------------------------------------------------
     # Deadline sweeps: retry with backoff, or abandon
@@ -448,101 +325,24 @@ class OpenLoopSource:
         if pending is None:
             return
         if pending.retries >= self._spec.max_retries:
-            self._abandon(batch_id, pending)
+            del self._pending[batch_id]
+            txns = len(pending.request.batch)
+            self._inflight_txns -= txns
+            if self._metrics is not None:
+                self._metrics.record_abandoned(self._node_id, txns,
+                                               self._sim.now)
             return
         pending.retries += 1
-        self.retried_batches += 1
-        now = self._sim.now
         if self._metrics is not None:
-            self._metrics.record_retried(self._node_id, 1, now)
-        if self._mode == "zyzzyva":
-            self._zyzzyva_timeout(batch_id, pending)
-        else:
-            # Standard PBFT client fallback: broadcast so non-faulty
-            # backups learn of the request and can suspect the primary.
-            self._use_fallback = True
-            for target in self._fallback_targets:
-                self._network.send(self._node_id, target, pending.request)
+            self._metrics.record_retried(self._node_id, 1, self._sim.now)
+        self._timeout_action(batch_id, pending)
         backoff = self._spec.retry_backoff * (2 ** (pending.retries - 1))
         # Seeded jitter de-synchronizes retry storms deterministically.
         backoff *= 1.0 + 0.25 * self._rng.random()
         self._sim.post(backoff, self._sweep, (batch_id,))
 
-    def _abandon(self, batch_id: str, pending: _PendingCohortEntry) -> None:
-        del self._pending[batch_id]
-        txns = len(pending.request.batch)
-        self._inflight_txns -= txns
-        self.abandoned_txns += txns
-        if self._metrics is not None:
-            self._metrics.record_abandoned(self._node_id, txns,
-                                           self._sim.now)
-
-    # ------------------------------------------------------------------
-    # Completion — quorum mode (f + 1 matching ClientReply digests)
-    # ------------------------------------------------------------------
-    def _on_reply(self, reply: ClientReply, sender: NodeId) -> None:
-        pending = self._pending.get(reply.batch_id)
-        if pending is None or sender != reply.replica:
-            return
-        voters = pending.votes.setdefault(reply.results_digest, {})
-        voters[sender] = reply
-        if len(voters) >= self._reply_quorum:
-            self._complete(reply.batch_id, pending)
-
-    # ------------------------------------------------------------------
-    # Completion — zyzzyva mode (all-N fast path, commit-cert slow path)
-    # ------------------------------------------------------------------
-    def _on_spec_response(self, response: SpecResponse,
-                          sender: NodeId) -> None:
-        pending = self._pending.get(response.batch_id)
-        if pending is None or sender != response.replica:
-            return
-        key = response.results_digest + response.history_digest
-        group = pending.votes.setdefault(key, {})
-        group[sender] = response
-        if len(group) >= self._n:
-            self._complete(response.batch_id, pending)
-
-    def _zyzzyva_timeout(self, batch_id: str,
-                         pending: _PendingCohortEntry) -> None:
-        if pending.in_commit_phase:
-            return
-        best = max(pending.votes.values(), key=len, default={})
-        if len(best) >= 2 * self._f + 1:
-            # Commit phase: certificate of 2F + 1 matching responses.
-            pending.in_commit_phase = True
-            responses = tuple(list(best.values())[: 2 * self._f + 1])
-            sample = responses[0]
-            cert = ZyzzyvaCommitCert(batch_id, sample.view, sample.seq,
-                                     responses)
-            pending.local_commits = set()
-            for member in self._members:
-                self._network.send(self._node_id, member, cert)
-        else:
-            # Not enough responses: retransmit to everyone and wait.
-            for member in self._members:
-                self._network.send(self._node_id, member, pending.request)
-
-    def _on_local_commit(self, message: LocalCommit,
-                         sender: NodeId) -> None:
-        pending = self._pending.get(message.batch_id)
-        if pending is None or pending.local_commits is None:
-            return
-        pending.local_commits.add(sender)
-        if len(pending.local_commits) >= 2 * self._f + 1:
-            self._complete(message.batch_id, pending)
-
-    # ------------------------------------------------------------------
-    def _complete(self, batch_id: str,
-                  pending: _PendingCohortEntry) -> None:
-        del self._pending[batch_id]
-        txns = len(pending.request.batch)
-        self._inflight_txns -= txns
-        self._completed += 1
-        if self._metrics is not None:
-            self._metrics.record_completed(
-                self._node_id, txns, self._sim.now - pending.submitted_at,
-                self._sim.now)
+    def _release(self, pending) -> None:
+        self._inflight_txns -= len(pending.request.batch)
 
 
 def traffic_summary(metrics, spec: TrafficSpec) -> Dict[str, Any]:
