@@ -282,7 +282,7 @@ class QuorumClient(CompletionTracker):
     fires after ``retry_timeout`` and re-arms at
     ``retry_timeout · 2^retries`` until the batch completes.  Under
     Zyzzyva's rule ``retry_timeout`` is the spec-response timeout: the
-    timer re-arms at twice that, and stops once the commit phase began.
+    timer re-arms at twice that, and stops once the commit phase has begun.
     """
 
     __slots__ = ("_outstanding", "_retry_timeout", "_max_batches")
