@@ -32,6 +32,7 @@ from ..core.geobft import GeoBftReplica
 from ..crypto.costs import CryptoCostModel
 from ..crypto.signatures import KeyRegistry, VerificationCache
 from ..errors import ConfigurationError
+from ..ledger.blockchain import ChainLog
 from ..ledger.execution import ExecutionLog
 from ..net.network import Network
 from ..net.simulator import Simulation
@@ -365,10 +366,13 @@ class Deployment:
         }[cfg.protocol]
         builder()
         # Replicas execute the same batches in the same order (§2.4), so
-        # their stores share one state until one of them diverges.
+        # their stores share one state, and their ledgers one chain,
+        # until one of them diverges.
         self.execution_log = ExecutionLog(cfg.record_count)
+        self.chain_log = ChainLog()
         for replica in self.replicas.values():
             self.execution_log.attach(replica.store)
+            self.chain_log.attach(replica.ledger)
         region_map = {node: replica.region
                       for node, replica in self.replicas.items()}
         region_map.update(

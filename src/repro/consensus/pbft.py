@@ -556,6 +556,7 @@ class PbftEngine:
             self._maybe_decide(seq, slot)
 
     def _maybe_decide(self, seq: SeqNum, slot: _Slot) -> None:
+        # Runs on recorded commits only: committed-local requires prepared.
         if slot.decided or slot.preprepare is None or slot.digest is None:
             return
         if slot.commit_count < self._quorum:

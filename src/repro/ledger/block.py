@@ -98,6 +98,12 @@ class Block:
     replicas.  Certificates are fully verified at admission instead, and
     kept here for audit; :attr:`certificate_digest` is derived from the
     one retained, on demand, so it cannot disagree with it.
+
+    Because the hash leaves the certificate out, a deployment builds and
+    hashes each block once: its replicas' ledgers are cursors into one
+    shared chain (:class:`~repro.ledger.blockchain.ChainLog`), each with
+    its own certificate column, and a ledger hands out the shared block
+    with its own certificate in it.
     """
 
     __slots__ = ("height", "round_id", "cluster_id", "batch",

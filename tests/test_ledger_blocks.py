@@ -1,8 +1,12 @@
 """Tests for blocks and the blockchain."""
 
+from itertools import permutations
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from repro.crypto.digests import ENCODING_STATS, digest_of, encode_canonical
 from repro.crypto.signatures import KeyRegistry
@@ -14,7 +18,8 @@ from repro.ledger.block import (
     batch_digest,
     make_block,
 )
-from repro.ledger.blockchain import Blockchain
+from repro.ledger.blockchain import Blockchain, ChainLog
+from repro.ledger.recovery import recover_from_peer
 
 from .test_messages import make_certificate
 
@@ -213,8 +218,6 @@ class TestBlockchain:
         b = Blockchain()
         b.append(1, 1, batch("x"), ("c",))
         assert a.matches_prefix_of(b)
-        assert a.last_block() is None
-        assert b.last_block() is not None
 
     @given(st.lists(st.text(min_size=1, max_size=6), min_size=1,
                     max_size=20, unique=True))
@@ -227,3 +230,192 @@ class TestBlockchain:
 
         assert build().head_hash == build().head_hash
         build().verify()
+
+
+def _attached(count):
+    log = ChainLog()
+    chains = [Blockchain() for _ in range(count)]
+    for chain in chains:
+        log.attach(chain)
+    return log, chains
+
+
+class TestChainLog:
+    def test_followers_share_each_block_and_keep_their_certificates(
+            self, monkeypatch):
+        hashed = []
+        block_hash = Block.block_hash
+        monkeypatch.setattr(Block, "block_hash",
+                            lambda self: hashed.append(1) or block_hash(self))
+        log, chains = _attached(3)
+        batches = [batch("a"), batch("b")]
+        for i, chain in enumerate(chains):
+            for height, body in enumerate(batches):
+                chain.append(height, 1, body, ("cert", height, i),
+                             batch_digest=batch_digest(body))
+        assert len(log) == len(hashed) == 2
+        assert all(chain._log is log for chain in chains)
+        private = Blockchain()
+        for height, body in enumerate(batches):
+            private.append(height, 1, body, ("cert", height, 2))
+        assert list(chains[2]) == list(private)
+        assert chains[2].head_hash == private.head_hash
+        assert [chains[1].certificate(h) for h in range(2)] == [
+            ("cert", 0, 1), ("cert", 1, 1)]
+
+    def test_an_equal_copy_of_the_batch_detaches(self):
+        log, (first, second) = _attached(2)
+        body = batch("a")
+        first.append(0, 1, body, ("c",), batch_digest=batch_digest(body))
+        copy = tuple(list(body))
+        block = second.append(0, 1, copy, ("c",),
+                              batch_digest=batch_digest(copy))
+        assert first._log is log and second._log is None
+        assert block.batch is copy and len(log) == 1
+
+    def test_only_an_empty_unattached_chain_attaches(self):
+        log, (chain,) = _attached(1)
+        with pytest.raises(LedgerError):
+            ChainLog().attach(chain)
+        private = Blockchain()
+        private.append(0, 1, batch("a"), ("c",))
+        with pytest.raises(LedgerError):
+            log.attach(private)
+
+
+# Shared batch objects; an equal copy of one is a different object.
+_POOL = tuple(
+    tuple(Transaction(f"s{i}-{j}", "update", j, f"v{i}") for j in range(2))
+    for i in range(4))
+_EVIL = (Transaction("evil", "update", 0, "bad"),)
+_RECORDS = 4
+
+
+def _verdict(call):
+    """``None`` if ``call`` passes, else its ledger error's message."""
+    try:
+        call()
+    except LedgerError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+class SharedChainMachine(RuleBasedStateMachine):
+    """2–4 chains attached to one :class:`ChainLog`, each shadowed by a
+    private reference chain given the same calls.  The chains mostly
+    follow one shared sequence of appends (the first chain at a height
+    draws it) and sometimes differ from it: another batch, an equal copy
+    that is not the same object, another round or cluster, another or no
+    batch digest.  Certificates are sometimes the sequence's and
+    sometimes the chain's own.  Tampering and recovery from a chain run
+    on both sides too."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = ChainLog()
+        self.chains, self.refs = [], []
+        self.sequence = []
+
+    @initialize(count=st.integers(2, 4))
+    def attach(self, count):
+        for _ in range(count):
+            chain = Blockchain()
+            self.log.attach(chain)
+            self.chains.append(chain)
+            self.refs.append(Blockchain())
+
+    def _pick(self, index):
+        i = index % len(self.chains)
+        return i, self.chains[i], self.refs[i]
+
+    @rule(index=st.integers(0, 3), follow=st.integers(0, 3),
+          change=st.sampled_from(
+              ["batch", "copy", "round", "cluster", "digest", "none"]),
+          pooled=st.sampled_from(_POOL), own=st.booleans())
+    def append(self, index, follow, change, pooled, own):
+        i, chain, ref = self._pick(index)
+        height = ref.height
+        if height < len(self.sequence):
+            round_id, cluster_id, body, digest, cert = self.sequence[height]
+            if not follow:
+                if change == "batch":
+                    body, digest = pooled, batch_digest(pooled)
+                elif change == "copy":
+                    body = tuple(list(body))
+                elif change == "round":
+                    round_id += 1
+                elif change == "cluster":
+                    cluster_id += 1
+                elif change == "digest":
+                    digest = b"\x01" * 32
+                else:
+                    digest = None
+        else:
+            round_id, cluster_id, body = height, 1 + height % 2, pooled
+            digest = None if change == "none" else batch_digest(body)
+            cert = ("cert", height)
+            self.sequence.append((round_id, cluster_id, body, digest, cert))
+        if own:
+            cert = ("cert", height, i)
+        got = chain.append(round_id, cluster_id, body, cert,
+                           batch_digest=digest)
+        want = ref.append(round_id, cluster_id, body, cert,
+                          batch_digest=digest)
+        assert got == want
+        assert got.batch is want.batch and got.certificate is cert
+
+    @rule(index=st.integers(0, 3), at=st.integers(0, 63),
+          kind=st.sampled_from(["content", "digest", "swap"]))
+    def tamper(self, index, at, kind):
+        _i, chain, ref = self._pick(index)
+        if not ref.height:
+            return
+        height = at % ref.height
+        old = ref.block(height)
+        if kind == "content":
+            forged = Block(old.height, old.round_id, old.cluster_id, _EVIL,
+                           old.batch_digest, old.certificate, old.prev_hash)
+        elif kind == "digest":
+            forged = Block(old.height, old.round_id, old.cluster_id,
+                           old.batch, b"\x02" * 32, old.certificate,
+                           old.prev_hash)
+        else:
+            forged = ref.block((height + 1) % ref.height)
+        chain.tamper_for_test(height, forged)
+        ref.tamper_for_test(height, forged)
+
+    @rule(index=st.integers(0, 3))
+    def recover(self, index):
+        _i, chain, ref = self._pick(index)
+        got = _verdict(lambda: recover_from_peer(chain, _RECORDS))
+        assert got == _verdict(lambda: recover_from_peer(ref, _RECORDS))
+        if got is None:
+            fresh, store = recover_from_peer(chain, _RECORDS)
+            expected, expected_store = recover_from_peer(ref, _RECORDS)
+            assert fresh._log is None
+            assert list(fresh) == list(expected)
+            assert store.snapshot() == expected_store.snapshot()
+
+    @invariant()
+    def chains_match_their_references(self):
+        for chain, ref in zip(self.chains, self.refs):
+            assert chain.height == len(chain) == ref.height
+            assert chain.head_hash == ref.head_hash
+            mine, theirs = list(chain), list(ref)
+            assert mine == theirs
+            for height, (got, want) in enumerate(zip(mine, theirs)):
+                assert got.batch is want.batch
+                assert got.certificate is want.certificate
+                assert chain.certificate(height) is ref.certificate(height)
+            assert _verdict(chain.verify) == _verdict(ref.verify)
+            assert (_verdict(lambda: chain.verify(deep=False))
+                    == _verdict(lambda: ref.verify(deep=False)))
+        pairs = list(zip(self.chains, self.refs))
+        for (a, ref_a), (b, ref_b) in permutations(pairs, 2):
+            assert a.matches_prefix_of(b) == ref_a.matches_prefix_of(ref_b)
+
+
+TestSharedChain = SharedChainMachine.TestCase
+TestSharedChain.settings = settings(max_examples=300,
+                                    stateful_step_count=40,
+                                    deadline=None)

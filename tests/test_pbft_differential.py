@@ -11,6 +11,11 @@ duplicates, conflicting digests, an equivocating primary and forged
 commits — to a real :class:`PbftReplica` (through ``deliver``) and to
 the reference; the commits the replica sent and the decisions it took
 must be the reference's.
+
+Both keep the textbook rule, "committed-local requires prepared"
+(Castro–Liskov; DESIGN.md §6): a pre-prepare that arrives after 2f + 1
+commits decides nothing until the replica prepares or another commit
+comes in.
 """
 
 from dataclasses import dataclass, field

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.deployment import Deployment
+from repro.bench.deployment import Deployment, deployment_digest
 from repro.bench.scenarios import apply_scenario
 from repro.crypto.digests import digest_of
 from repro.errors import TamperedLedgerError
@@ -13,6 +13,7 @@ from repro.ledger.recovery import (
     rebuild_state,
     recover_from_peer,
 )
+from repro.net.simulator import Simulation
 from repro.types import replica_id
 
 from .conftest import small_config
@@ -149,3 +150,84 @@ class TestSharedExecution:
             (replica.store._log is None) == (node in victims)
             for node, replica in deployment.replicas.items())
         _assert_stores_match_ledgers(deployment)
+
+
+def _run_counting_block_hashes(deployment, monkeypatch):
+    """Run ``deployment``: its result and the blocks hashed in ``sim.run``
+    (the audit after it re-hashes every chain)."""
+    hashed = []
+    real_hash, real_run = Block.block_hash, Simulation.run
+
+    def counting_run(sim, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(Block, "block_hash",
+                          lambda block: hashed.append(block)
+                          or real_hash(block))
+            return real_run(sim, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "run", counting_run)
+    return deployment.run(), len(hashed)
+
+
+def _verify_fails(ledger):
+    try:
+        ledger.verify()
+    except TamperedLedgerError:
+        return True
+    return False
+
+
+class TestSharedChain:
+    """Replicas' ledgers are cursors into one chain log
+    (ledger/blockchain.py): each block is built and hashed once per
+    deployment, and a replica's ledger is still its own."""
+
+    @pytest.mark.parametrize("protocol",
+                             ["geobft", "pbft", "steward", "zyzzyva"])
+    def test_fault_free_replicas_stay_attached(self, protocol,
+                                               monkeypatch):
+        deployment = Deployment(small_config(protocol, fast_crypto=True,
+                                             duration=1.5, warmup=0.3))
+        result, hashed = _run_counting_block_hashes(deployment, monkeypatch)
+        log = deployment.chain_log
+        assert result.safety_ok and hashed == len(log) > 0
+        assert all(replica.ledger._log is log
+                   for replica in deployment.replicas.values())
+
+    def test_hotstuff_instances_detach(self, monkeypatch):
+        """HotStuff's unsynchronized instances append the same blocks in
+        different orders: here all of cluster 1 leaves the log at its
+        first append, and the run is the one it was before sharing."""
+        deployment = Deployment(small_config("hotstuff", fast_crypto=True,
+                                             duration=1.5, warmup=0.3))
+        result, hashed = _run_counting_block_hashes(deployment, monkeypatch)
+        detached = sorted(str(node)
+                          for node, replica in deployment.replicas.items()
+                          if replica.ledger._log is None)
+        assert detached == ["r1.1", "r1.2", "r1.3", "r1.4"]
+        assert hashed == len(deployment.chain_log) * 5
+        assert result.safety_ok
+        assert deployment_digest(deployment, result) == (
+            "d334b46768064f1a16a4aa7f831b99c9"
+            "d90703ab7603761f05fbe417e77e6787")
+        _assert_stores_match_ledgers(deployment)
+
+    def test_tampering_one_attached_chain_fails_only_its_verify(
+            self, finished_deployment):
+        deployment = finished_deployment
+        victim = deployment.replicas[replica_id(1, 1)]
+        assert victim.ledger._log is deployment.chain_log
+        original = victim.ledger.block(1)
+        victim.ledger.tamper_for_test(1, Block(
+            original.height, original.round_id, original.cluster_id,
+            (Transaction("evil", "update", 0, "bad"),),
+            original.batch_digest, original.certificate,
+            original.prev_hash,
+        ))
+        try:
+            assert victim.ledger._log is None
+            assert [node for node, replica in deployment.replicas.items()
+                    if _verify_fails(replica.ledger)] == [victim.node_id]
+        finally:
+            victim.ledger.tamper_for_test(1, original)
+        victim.ledger.verify()
