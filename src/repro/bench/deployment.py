@@ -6,22 +6,28 @@ Table 1 regions (in the paper's deployment order), wires up the network,
 PKI, metrics, clients, and the chosen protocol, and runs the simulation
 for a configured duration.
 
-Protocol placement mirrors §4:
+Protocol placement mirrors §4, one :data:`PROTOCOL_ENTRIES` entry per
+protocol (replica class, protocol-specific constructor arguments, client
+shape, completion rule, safety audit):
 
-* **PBFT / Zyzzyva** — one flat group; the primary is the first replica
-  of the first region (Oregon, the best-connected region).
+* **GeoBFT** — clusters; each cluster runs its own primary; clients
+  talk only to their local cluster (``"cluster"`` shape).
+* **PBFT / Zyzzyva** — one flat group; clients target the first
+  replica of the first region, Oregon, the best-connected region
+  (``"flat"``); Zyzzyva's clients follow its speculative completion rule.
 * **HotStuff** — one flat group; every replica leads its own instance;
-  clients submit to a home replica in their own region.
+  clients submit to a home replica in their own region (``"home"``),
+  and safety is audited per slot.
 * **Steward** — clusters; the primary cluster is Oregon; replicas run
   with an inflated crypto cost model (RSA-era threshold primitives).
-* **GeoBFT** — clusters; each cluster runs its own primary; clients
-  talk only to their local cluster.
+
+Adding a protocol means adding one entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Literal, Optional, Tuple
 
 from ..consensus.hotstuff import HotStuffReplica
 from ..consensus.pbft import PbftConfig, PbftReplica
@@ -31,6 +37,7 @@ from ..core.config import GeoBftConfig
 from ..core.geobft import GeoBftReplica
 from ..crypto.costs import CryptoCostModel
 from ..crypto.signatures import KeyRegistry, VerificationCache
+from ..crypto.threshold import ThresholdScheme
 from ..errors import ConfigurationError
 from ..ledger.blockchain import ChainLog
 from ..ledger.execution import ExecutionLog
@@ -46,7 +53,80 @@ from ..crypto.digests import encoding_cache_stats
 from .instrumentation import Instrumentation
 from .metrics import Metrics
 
-PROTOCOLS = ("geobft", "pbft", "zyzzyva", "hotstuff", "steward")
+#: ``(config, cluster members, flat members)`` -> the replica
+#: constructor arguments specific to one protocol.
+ReplicaArgs = Callable[["ExperimentConfig", Dict[ClusterId, List[NodeId]],
+                        List[NodeId]], Dict[str, object]]
+
+
+@dataclass(frozen=True)
+class ProtocolEntry:
+    """What the harness knows about one protocol (§4 placement).
+
+    ``clients`` is the client shape, see :meth:`Deployment._targets`:
+    ``"cluster"`` (the own cluster's first replica, ``f + 1`` of that
+    cluster), ``"flat"`` (the global primary, ``F + 1`` of all replicas)
+    or ``"home"`` (a round-robin replica of the client's own region,
+    ``F + 1`` of all replicas).
+    """
+
+    replica: type
+    #: Constructor arguments on top of the shared ones (and overriding
+    #: them, as Steward's scaled ``costs`` do).
+    args: ReplicaArgs
+    clients: Literal["cluster", "flat", "home"]
+    #: Clients follow Zyzzyva's completion rule instead of ``f + 1``.
+    zyzzyva_rule: bool = False
+    #: Safety is audited per (instance, height) slot rather than per
+    #: ledger prefix (HotStuff's unsynchronized parallel instances).
+    per_slot_safety: bool = False
+
+
+def _pbft_config(cfg: "ExperimentConfig") -> PbftConfig:
+    return PbftConfig(
+        pipeline_depth=cfg.pipeline_depth,
+        checkpoint_interval=cfg.checkpoint_interval,
+        view_change_timeout=cfg.view_change_timeout,
+    )
+
+
+def _geobft_args(cfg, clusters, members) -> Dict[str, object]:
+    # The experiment-level PBFT knobs (pipeline depth, checkpoint
+    # interval, view-change timeout) override the nested default.
+    geo_cfg = replace(cfg.geobft, pbft=_pbft_config(cfg))
+    schemes = None
+    if geo_cfg.threshold_certificates:
+        schemes = {
+            c: ThresholdScheme(f"cluster-{c}", cluster,
+                               k=len(cluster) - max_faulty(len(cluster)))
+            for c, cluster in clusters.items()
+        }
+    return dict(cluster_members=clusters, config=geo_cfg,
+                threshold_schemes=schemes)
+
+
+PROTOCOL_ENTRIES: Dict[str, ProtocolEntry] = {
+    "geobft": ProtocolEntry(GeoBftReplica, _geobft_args, clients="cluster"),
+    "pbft": ProtocolEntry(
+        PbftReplica, clients="flat",
+        args=lambda cfg, clusters, members: dict(
+            members=members, config=_pbft_config(cfg))),
+    "zyzzyva": ProtocolEntry(
+        ZyzzyvaReplica, clients="flat", zyzzyva_rule=True,
+        args=lambda cfg, clusters, members: dict(members=members)),
+    "hotstuff": ProtocolEntry(
+        HotStuffReplica, clients="home", per_slot_safety=True,
+        args=lambda cfg, clusters, members: dict(
+            members=members, pipeline_depth=cfg.hotstuff_pipeline)),
+    "steward": ProtocolEntry(
+        StewardReplica, clients="cluster",
+        args=lambda cfg, clusters, members: dict(
+            cluster_members=clusters, primary_cluster=1,
+            config=_pbft_config(cfg),
+            costs=cfg.costs.scaled(cfg.steward_crypto_factor))),
+}
+
+PROTOCOLS = tuple(PROTOCOL_ENTRIES)
 
 #: Version tag stamped on every serialized result row, so ad-hoc
 #: ``repro run --json`` output and sweep-store records share one
@@ -352,19 +432,27 @@ class Deployment:
 
     def _build(self) -> None:
         cfg = self.config
+        entry = PROTOCOL_ENTRIES[cfg.protocol]
         for c in range(1, cfg.num_clusters + 1):
             self.cluster_members[c] = [
                 replica_id(c, i)
                 for i in range(1, cfg.size_of_cluster(c) + 1)
             ]
-        builder = {
-            "geobft": self._build_geobft,
-            "pbft": self._build_pbft,
-            "zyzzyva": self._build_zyzzyva,
-            "hotstuff": self._build_hotstuff,
-            "steward": self._build_steward,
-        }[cfg.protocol]
-        builder()
+        # All replicas, Oregon (cluster 1) first — so the flat primary
+        # lands in the best-connected region, as in §4.
+        members = [node for c in sorted(self.cluster_members)
+                   for node in self.cluster_members[c]]
+        shared = dict(sim=self.sim, network=self.network,
+                      registry=self.registry, costs=cfg.costs,
+                      cores=cfg.cores, record_count=cfg.record_count,
+                      metrics=self.metrics,
+                      instrumentation=self.instrumentation)
+        shared.update(entry.args(cfg, self.cluster_members, members))
+        for c, cluster in self.cluster_members.items():
+            for node in cluster:
+                self.replicas[node] = entry.replica(
+                    node_id=node, region=self._region_of(c), **shared)
+        self._make_drivers(entry, members)
         # Replicas execute the same batches in the same order (§2.4), so
         # their stores share one state, and their ledgers one chain,
         # until one of them diverges.
@@ -379,14 +467,6 @@ class Deployment:
             {client.node_id: client.region for client in self.clients})
         self.metrics.set_region_map(region_map)
 
-    def _flat_members(self) -> List[NodeId]:
-        """All replicas, Oregon (cluster 1) first — so the flat primary
-        lands in the best-connected region, as in §4."""
-        members: List[NodeId] = []
-        for c in sorted(self.cluster_members):
-            members.extend(self.cluster_members[c])
-        return members
-
     def _workload(self, salt: int) -> YcsbWorkload:
         cfg = self.config
         return YcsbWorkload(
@@ -396,25 +476,33 @@ class Deployment:
             seed=cfg.seed * 7919 + salt,
         )
 
-    def _pbft_config(self) -> PbftConfig:
-        cfg = self.config
-        return PbftConfig(
-            pipeline_depth=cfg.pipeline_depth,
-            checkpoint_interval=cfg.checkpoint_interval,
-            view_change_timeout=cfg.view_change_timeout,
-        )
+    def _targets(self, entry: ProtocolEntry, members: List[NodeId],
+                 c: ClusterId, j: int) -> Tuple[List[NodeId], List[NodeId],
+                                                int]:
+        """Client ``j`` of cluster ``c``: its primary targets, fallback
+        targets and reply quorum under the entry's client shape.  Only
+        ``"flat"`` clients fall back to every replica; the others fall
+        back to their own cluster."""
+        cluster = self.cluster_members[c]
+        if entry.clients == "cluster":
+            return [cluster[0]], list(cluster), max_faulty(len(cluster)) + 1
+        quorum = max_faulty(len(members)) + 1
+        if entry.clients == "home":
+            # Home replica: round-robin within the client's own region.
+            return [cluster[(j - 1) % len(cluster)]], list(cluster), quorum
+        return [members[0]], list(members), quorum
 
-    def _make_drivers(self, primary_for, fallback_for, quorum_for,
-                      members: Optional[List[NodeId]] = None) -> None:
+    def _make_drivers(self, entry: ProtocolEntry,
+                      members: List[NodeId]) -> None:
         """Closed-loop clients, or open-loop sources when configured.
 
-        The three callables map ``(cluster, client index)`` to that
-        client's primary targets, fallback targets, and reply quorum.
-        ``members`` (Zyzzyva's flat replica set) selects Zyzzyva's
-        completion rule over the ``f + 1`` reply quorum.
+        Under Zyzzyva's completion rule every driver gets the flat
+        replica set (``members=``) in place of the ``f + 1`` reply
+        quorum, and closed-loop clients retry on the spec timeout.
         """
         cfg = self.config
         spec = cfg.traffic
+        rule_members = members if entry.zyzzyva_rule else None
         if spec is not None:
             # One source per region; the modeled population is split
             # evenly over the regions (sources are region-affine).
@@ -422,6 +510,8 @@ class Deployment:
             salt = 50_000
             for c in sorted(self.cluster_members):
                 salt += 1
+                primary, fallback, quorum = self._targets(
+                    entry, members, c, 1)
                 self.clients.append(OpenLoopSource(
                     node_id=client_id(c, 1),
                     region=self._region_of(c),
@@ -433,20 +523,22 @@ class Deployment:
                     spec=spec,
                     users=shares[c - 1],
                     seed=cfg.seed,
-                    primary_targets=primary_for(c, 1),
-                    fallback_targets=fallback_for(c, 1),
-                    reply_quorum=quorum_for(c, 1),
-                    members=members,
+                    primary_targets=primary,
+                    fallback_targets=fallback,
+                    reply_quorum=quorum,
+                    members=rule_members,
                     metrics=self.metrics,
                 ))
             return
-        if members:
+        if entry.zyzzyva_rule:
             salt, timeout = 10_000, cfg.zyzzyva_spec_timeout
         else:
             salt, timeout = 0, cfg.client_retry_timeout
         for c in sorted(self.cluster_members):
             for j in range(1, cfg.clients_per_cluster + 1):
                 salt += 1
+                primary, fallback, quorum = self._targets(
+                    entry, members, c, j)
                 self.clients.append(QuorumClient(
                     node_id=client_id(c, j),
                     region=self._region_of(c),
@@ -455,165 +547,15 @@ class Deployment:
                     registry=self.registry,
                     workload=self._workload(salt),
                     batch_size=cfg.batch_size,
-                    primary_targets=primary_for(c, j),
-                    fallback_targets=fallback_for(c, j),
-                    reply_quorum=quorum_for(c, j),
+                    primary_targets=primary,
+                    fallback_targets=fallback,
+                    reply_quorum=quorum,
                     outstanding=cfg.client_outstanding,
                     retry_timeout=timeout,
                     max_batches=cfg.max_batches_per_client,
-                    members=members,
+                    members=rule_members,
                     metrics=self.metrics,
                 ))
-
-    def _build_geobft(self) -> None:
-        import dataclasses
-
-        cfg = self.config
-        # The experiment-level PBFT knobs (pipeline depth, checkpoint
-        # interval, view-change timeout) override the nested default.
-        geo_cfg = dataclasses.replace(cfg.geobft, pbft=self._pbft_config())
-        schemes = None
-        if geo_cfg.threshold_certificates:
-            from ..crypto.threshold import ThresholdScheme
-            from ..types import max_faulty as _max_faulty
-            schemes = {
-                c: ThresholdScheme(
-                    f"cluster-{c}", members,
-                    k=len(members) - _max_faulty(len(members)),
-                )
-                for c, members in self.cluster_members.items()
-            }
-        for c, members in self.cluster_members.items():
-            for node in members:
-                self.replicas[node] = GeoBftReplica(
-                    node_id=node,
-                    region=self._region_of(c),
-                    sim=self.sim,
-                    network=self.network,
-                    registry=self.registry,
-                    cluster_members=self.cluster_members,
-                    config=geo_cfg,
-                    costs=cfg.costs,
-                    cores=cfg.cores,
-                    record_count=cfg.record_count,
-                    metrics=self.metrics,
-                    instrumentation=self.instrumentation,
-                    threshold_schemes=schemes,
-                )
-        self._make_drivers(
-            primary_for=lambda c, j: [self.cluster_members[c][0]],
-            fallback_for=lambda c, j: list(self.cluster_members[c]),
-            quorum_for=lambda c, j: max_faulty(
-                len(self.cluster_members[c])) + 1,
-        )
-
-    def _build_pbft(self) -> None:
-        cfg = self.config
-        members = self._flat_members()
-        for c, cluster in self.cluster_members.items():
-            for node in cluster:
-                self.replicas[node] = PbftReplica(
-                    node_id=node,
-                    region=self._region_of(c),
-                    sim=self.sim,
-                    network=self.network,
-                    registry=self.registry,
-                    members=members,
-                    config=self._pbft_config(),
-                    costs=cfg.costs,
-                    cores=cfg.cores,
-                    record_count=cfg.record_count,
-                    metrics=self.metrics,
-                    instrumentation=self.instrumentation,
-                )
-        big_f = max_faulty(len(members))
-        self._make_drivers(
-            primary_for=lambda c, j: [members[0]],
-            fallback_for=lambda c, j: list(members),
-            quorum_for=lambda c, j: big_f + 1,
-        )
-
-    def _build_zyzzyva(self) -> None:
-        cfg = self.config
-        members = self._flat_members()
-        for c, cluster in self.cluster_members.items():
-            for node in cluster:
-                self.replicas[node] = ZyzzyvaReplica(
-                    node_id=node,
-                    region=self._region_of(c),
-                    sim=self.sim,
-                    network=self.network,
-                    registry=self.registry,
-                    members=members,
-                    costs=cfg.costs,
-                    cores=cfg.cores,
-                    record_count=cfg.record_count,
-                    metrics=self.metrics,
-                    instrumentation=self.instrumentation,
-                )
-        self._make_drivers(
-            primary_for=lambda c, j: [members[0]],
-            fallback_for=lambda c, j: list(members),
-            quorum_for=lambda c, j: max_faulty(len(members)) + 1,
-            members=members,
-        )
-
-    def _build_hotstuff(self) -> None:
-        cfg = self.config
-        members = self._flat_members()
-        for c, cluster in self.cluster_members.items():
-            for node in cluster:
-                self.replicas[node] = HotStuffReplica(
-                    node_id=node,
-                    region=self._region_of(c),
-                    sim=self.sim,
-                    network=self.network,
-                    registry=self.registry,
-                    members=members,
-                    pipeline_depth=cfg.hotstuff_pipeline,
-                    costs=cfg.costs,
-                    cores=cfg.cores,
-                    record_count=cfg.record_count,
-                    metrics=self.metrics,
-                    instrumentation=self.instrumentation,
-                )
-        big_f = max_faulty(len(members))
-        self._make_drivers(
-            # Home replica: round-robin within the client's own region.
-            primary_for=lambda c, j: [
-                self.cluster_members[c][
-                    (j - 1) % len(self.cluster_members[c])]
-            ],
-            fallback_for=lambda c, j: list(self.cluster_members[c]),
-            quorum_for=lambda c, j: big_f + 1,
-        )
-
-    def _build_steward(self) -> None:
-        cfg = self.config
-        steward_costs = cfg.costs.scaled(cfg.steward_crypto_factor)
-        for c, cluster in self.cluster_members.items():
-            for node in cluster:
-                self.replicas[node] = StewardReplica(
-                    node_id=node,
-                    region=self._region_of(c),
-                    sim=self.sim,
-                    network=self.network,
-                    registry=self.registry,
-                    cluster_members=self.cluster_members,
-                    primary_cluster=1,
-                    config=self._pbft_config(),
-                    costs=steward_costs,
-                    cores=cfg.cores,
-                    record_count=cfg.record_count,
-                    metrics=self.metrics,
-                    instrumentation=self.instrumentation,
-                )
-        self._make_drivers(
-            primary_for=lambda c, j: [self.cluster_members[c][0]],
-            fallback_for=lambda c, j: list(self.cluster_members[c]),
-            quorum_for=lambda c, j: max_faulty(
-                len(self.cluster_members[c])) + 1,
-        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -694,9 +636,9 @@ class Deployment:
         Honest = not crashed and not in ``exclude`` (the Byzantine
         actors of an installed fault timeline — their ledgers carry no
         safety obligation).  For the sequentially ordered protocols the
-        whole ledgers must be prefix-comparable; for HotStuff
-        (unsynchronized parallel instances) each instance's block
-        subsequence must match.
+        whole ledgers must be prefix-comparable; for an entry audited
+        per slot (HotStuff's unsynchronized parallel instances) each
+        instance's block subsequence must match.
         """
         alive = [
             replica for node, replica in self.replicas.items()
@@ -709,8 +651,8 @@ class Deployment:
             # Chain-structure audit; the deep content audit is exercised
             # by the test suite where tampering actually occurs.
             replica.ledger.verify(deep=False)
-        if self.config.protocol == "hotstuff":
-            return self._check_hotstuff_safety(alive)
+        if PROTOCOL_ENTRIES[self.config.protocol].per_slot_safety:
+            return self._check_slot_safety(alive)
         reference = max(alive, key=lambda r: r.ledger.height)
         return all(
             replica.ledger.matches_prefix_of(reference.ledger)
@@ -718,7 +660,7 @@ class Deployment:
         )
 
     @staticmethod
-    def _check_hotstuff_safety(alive) -> bool:
+    def _check_slot_safety(alive) -> bool:
         # HotStuff runs one unsynchronized instance per replica and has
         # no retransmission, so a replica that missed a decide (e.g.
         # while partitioned) legitimately carries a *hole* at that

@@ -49,7 +49,6 @@ class Metrics:
 
         # Replica-side accounting.
         self._executed_txns: Dict[NodeId, int] = defaultdict(int)
-        self._rounds: Dict[NodeId, int] = defaultdict(int)
 
         # Network accounting: type -> (count, bytes), split by locality.
         self._local_msgs: Dict[str, int] = defaultdict(int)
@@ -113,11 +112,6 @@ class Metrics:
                         now: float) -> None:
         """A replica executed a batch."""
         self._executed_txns[replica] += txns
-
-    def record_round(self, replica: NodeId, round_id: int,
-                     now: float) -> None:
-        """A replica completed a full GeoBFT round."""
-        self._rounds[replica] += 1
 
     def set_region_map(self, region_of: Dict[NodeId, str]) -> None:
         """Enable per-region-pair accounting (used by traffic analysis)."""

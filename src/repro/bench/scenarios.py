@@ -31,7 +31,7 @@ from ..errors import ConfigurationError
 from ..net.chaos import (CrashFault, EquivocateFault, FaultTimeline,
                          PartitionFault, TamperFault, _live_primary)
 from ..types import NodeId
-from .deployment import Deployment
+from .deployment import PROTOCOL_ENTRIES, Deployment
 
 #: The paper's own Figure 12 scenario names (always registered).
 SCENARIOS = ("none", "one_backup", "f_backups", "primary")
@@ -146,7 +146,7 @@ def chaos_smoke_timeline(protocol: str) -> FaultTimeline:
       backups; quorum intersection blocks both, and the view change
       replaces the equivocator).
     """
-    clustered = protocol in ("geobft", "steward")
+    clustered = PROTOCOL_ENTRIES[protocol].clients == "cluster"
     has_view_change = protocol not in ("zyzzyva", "steward")
     crash = CrashFault("primary:1" if has_view_change else "backup:1",
                        name="crash-c1", at=1.0)

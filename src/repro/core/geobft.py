@@ -440,8 +440,6 @@ class GeoBftReplica(BaseReplica):
                          self._engine.queued_requests)
             instr.sample("geobft.in_flight", self._engine.in_flight)
             instr.sample("sim.pending_events", self.sim.pending_events)
-        if self.metrics is not None:
-            self.metrics.record_round(self.node_id, round_id, self.sim.now)
         self._gc_shares(round_id)
         if self._config.round_pipeline is not None:
             # Execution advanced: the round-pipeline gate may now admit

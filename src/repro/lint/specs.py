@@ -2,9 +2,9 @@
 
 This module is the *contract* side of the interprocedural passes: for
 each protocol it names the message classes that may appear on the wire,
-who is allowed to construct them, who must consume them, how they fan
-out, and which quorum-arithmetic classes its threshold comparisons may
-use.  The extraction side (:mod:`repro.lint.msgflow`,
+who is allowed to construct them, who must consume them and how they fan
+out; per module, :data:`QUORUM_MODULE_CLASSES` names the quorum-arithmetic
+classes its threshold comparisons may use.  The extraction side (:mod:`repro.lint.msgflow`,
 :mod:`repro.lint.quorum`) checks the code against these tables, so a
 protocol edit that changes an edge shows up as a reviewable spec/golden
 diff instead of a silent drift.
@@ -90,15 +90,13 @@ class MessageSpec:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """One protocol's declared message-flow scope and quorum classes."""
+    """One protocol's declared message-flow scope."""
 
     name: str
     #: Normalized path suffixes forming the protocol's program scope.
     modules: Tuple[str, ...]
     #: Protocol phases, in order (documentation + flow-report metadata).
     phases: Tuple[str, ...]
-    #: Quorum-arithmetic classes its threshold comparisons may use.
-    quorum_classes: Tuple[str, ...]
     messages: Tuple[MessageSpec, ...] = field(default=())
 
     def message(self, name: str) -> Optional[MessageSpec]:
@@ -246,7 +244,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         modules=("repro/consensus/pbft.py",) + CLIENT_MODULES,
         phases=("request", "pre-prepare", "prepare", "commit", "reply",
                 "checkpoint", "view-change", "catch-up"),
-        quorum_classes=("n-f", "f+1"),
         messages=_PBFT_ENGINE_MESSAGES + _CLIENT_FALLBACK_MESSAGES + (
             MessageSpec(
                 "ClientRequestBatch", "request",
@@ -270,7 +267,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         modules=("repro/consensus/zyzzyva.py",) + CLIENT_MODULES,
         phases=("request", "order", "spec-response", "commit-cert",
                 "local-commit"),
-        quorum_classes=("2f+1", "all-n", "f+1"),
         messages=(
             MessageSpec(
                 "ClientRequestBatch", "request",
@@ -315,7 +311,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         name="hotstuff",
         modules=("repro/consensus/hotstuff.py",) + CLIENT_MODULES,
         phases=("request", "prepare", "precommit", "commit", "decide"),
-        quorum_classes=("n-f",),
         messages=_CLIENT_FALLBACK_MESSAGES + (
             MessageSpec(
                 "ClientRequestBatch", "request",
@@ -358,7 +353,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
                  "repro/consensus/pbft.py") + CLIENT_MODULES,
         phases=("request", "local-pbft", "forward", "global-order",
                 "reply"),
-        quorum_classes=("n-f", "f+1"),
         messages=_PBFT_ENGINE_MESSAGES + _CLIENT_FALLBACK_MESSAGES + (
             MessageSpec(
                 "ClientRequestBatch", "request",
@@ -400,7 +394,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
                  "repro/consensus/pbft.py") + CLIENT_MODULES,
         phases=("request", "local-pbft", "cert-share", "global-share",
                 "execute", "remote-view-change"),
-        quorum_classes=("n-f", "f+1", "k"),
         messages=_PBFT_ENGINE_MESSAGES + _CLIENT_FALLBACK_MESSAGES + (
             MessageSpec(
                 "ClientRequestBatch", "request",

@@ -28,7 +28,7 @@ import dataclasses
 import os
 from typing import Any, Callable, Dict, List, Tuple
 
-from ..bench.deployment import ExperimentConfig
+from ..bench.deployment import PROTOCOLS, ExperimentConfig
 from ..consensus.pbft import PbftConfig
 from ..core.config import GeoBftConfig
 from ..errors import ConfigurationError
@@ -37,13 +37,10 @@ from .model import Campaign, ReportSpec, RunSpec
 from .reports import (build_chaos, build_fig10, build_fig11, build_fig12,
                       build_fig13, build_overload, build_scale,
                       build_table1, build_table2)
-from .store import overload_run_id, scale_run_id
-
-PROTOCOLS = ("geobft", "pbft", "zyzzyva", "hotstuff", "steward")
+from .store import SCALE_SIM_DURATION, overload_run_id, scale_run_id
 
 #: Scale-sweep grid: the rows of BENCH_scale.json.
 SCALE_POINTS = (16, 32, 64, 91, 256)
-SCALE_SIM_DURATION = 1.2
 SCALE_SIM_WARMUP = 0.3
 
 #: Overload sweep: open-loop offered load as a multiple of each

@@ -285,7 +285,7 @@ class ResultStore:
 # BENCH_scale.json interop
 # ----------------------------------------------------------------------
 
-#: The scale sweep's simulated window (mirrors the scale campaign).
+#: The scale sweep's simulated window (the scale campaign reads it here).
 SCALE_SIM_DURATION = 1.2
 SCALE_SCHEMA = "bench-scale/2"
 SCALE_BENCHMARK = ("scale sweep (geobft, saturated, batch=100, "

@@ -30,7 +30,7 @@ FIXTURE_PATH = "repro/consensus/fixture.py"
 
 def _toy_spec(messages=(), name="toy"):
     return ProtocolSpec(name=name, modules=(FIXTURE_PATH,),
-                        phases=("only",), quorum_classes=("n-f",),
+                        phases=("only",),
                         messages=tuple(messages))
 
 
