@@ -36,7 +36,7 @@ from ..consensus.zyzzyva import ZyzzyvaReplica
 from ..core.config import GeoBftConfig
 from ..core.geobft import GeoBftReplica
 from ..crypto.costs import CryptoCostModel
-from ..crypto.signatures import KeyRegistry, VerificationCache
+from ..crypto.signatures import KeyRegistry, Signature, VerificationCache
 from ..crypto.threshold import ThresholdScheme
 from ..errors import ConfigurationError
 from ..ledger.blockchain import ChainLog
@@ -310,6 +310,20 @@ class ExperimentResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+class _FastSigner:
+    """A node's signing handle under :class:`_FastKeyRegistry`: every
+    ``sign`` returns the node's one signature."""
+
+    __slots__ = ("node", "_signature")
+
+    def __init__(self, signature: Signature):
+        self.node = signature.signer
+        self._signature = signature
+
+    def sign(self, payload) -> Signature:
+        return self._signature
+
+
 class _FastKeyRegistry(KeyRegistry):
     """Structurally checked signatures for benchmark runs.
 
@@ -324,23 +338,7 @@ class _FastKeyRegistry(KeyRegistry):
 
     def register(self, node):
         signer = super().register(node)
-        registry = self
-
-        class _FastSigner:
-            __slots__ = ("_node",)
-
-            def __init__(self, n):
-                self._node = n
-
-            @property
-            def node(self):
-                return self._node
-
-            def sign(self, payload):
-                from ..crypto.signatures import Signature
-                return Signature(self._node, registry._TAG)
-
-        return _FastSigner(signer.node)
+        return _FastSigner(Signature(signer.node, self._TAG))
 
     def verify(self, payload, signature) -> bool:
         return (signature.tag == self._TAG
@@ -666,14 +664,13 @@ class Deployment:
         # while partitioned) legitimately carries a *hole* at that
         # height.  Safety is therefore checked per slot, not per ledger
         # position: no two honest replicas may record different batches
-        # at the same (instance, height).
-        slots: Dict[tuple, tuple] = {}
+        # at the same (instance, height).  A batch is its digest.
+        slots: Dict[tuple, bytes] = {}
         for replica in alive:
             for block in replica.ledger:
                 key = (block.cluster_id, block.round_id)
-                batch = tuple(txn.txn_id for txn in block.batch)
-                seen = slots.setdefault(key, batch)
-                if seen != batch:
+                digest = block.batch_digest
+                if slots.setdefault(key, digest) != digest:
                     return False
         return True
 

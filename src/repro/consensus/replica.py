@@ -308,7 +308,7 @@ class BaseReplica:
         start = max(self._exec_free_at, self._sim.now)
         done_at = start + cost
         self._exec_free_at = done_at
-        results = self._executor.execute_batch(tuple(batch))
+        results = self._executor.execute_batch(batch)
         if self._metrics is not None:
             self._metrics.record_executed(self._node_id, len(batch),
                                           self._sim.now)

@@ -70,5 +70,9 @@ class MessageAliasingError(SimulationError):
     """
 
 
+class StoreError(ReproError):
+    """A sweep result store's records file holds a corrupt line."""
+
+
 class WorkloadError(ReproError):
     """A workload generator was configured or used incorrectly."""

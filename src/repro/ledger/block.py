@@ -11,13 +11,25 @@ hash, so any modification of a stored block is detectable.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from itertools import count, starmap
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Optional
 
 from ..crypto.digests import digest_of, encode_canonical
 from ..types import ClusterId, RoundId
 
 GENESIS_HASH = b"\x00" * 32
+
+
+def _txn_bytes(txn_id: str, op: str, key: int, value: str) -> bytes:
+    """The one copy of the transaction layout: canonical encoding of
+    ``("txn", txn_id, op, key, value)`` for exact ``str``/``int`` fields."""
+    tid, op, val = txn_id.encode(), op.encode(), value.encode()
+    key = b"%d" % key
+    return (b"l5:s3:txns%d:%bs%d:%bi%d:%bs%d:%b;"
+            % (len(tid), tid, len(op), op, len(key), key, len(val), val))
 
 
 @dataclass(frozen=True, init=False)
@@ -27,9 +39,9 @@ class Transaction:
     ``op`` is one of ``"read"``, ``"update"``, ``"insert"``,
     ``"modify"`` (read-modify-write), or ``"noop"``.
 
-    Stores its four fields and nothing else: the ledger pins every
-    minted transaction for the whole run, so the canonical bytes are
-    derived when asked (:meth:`canonical_bytes`), never kept.
+    Stores its four fields and nothing else: the canonical bytes are
+    derived when asked (:meth:`canonical_bytes`), never kept.  Generated
+    batches (:class:`MintedBatch`) hold draws, not transactions.
     """
 
     __slots__ = ("txn_id", "op", "key", "value")
@@ -62,10 +74,7 @@ class Transaction:
         if not (txn_id.__class__ is str and op.__class__ is str
                 and key.__class__ is int and value.__class__ is str):
             return encode_canonical(self.payload())
-        tid, op, val = txn_id.encode(), op.encode(), value.encode()
-        key = b"%d" % key
-        return (b"l5:s3:txns%d:%bs%d:%bi%d:%bs%d:%b;"
-                % (len(tid), tid, len(op), op, len(key), key, len(val), val))
+        return _txn_bytes(txn_id, op, key, value)
 
     @classmethod
     def noop(cls, txn_id: str = "noop") -> "Transaction":
@@ -74,14 +83,72 @@ class Transaction:
         return cls(txn_id, "noop", 0, "")
 
 
+class MintedBatch(Sequence):
+    """A generated batch, stored as its generator's draws: the counter of
+    its first transaction, one ``array`` per column of draws, and ``row``,
+    which rebuilds the fields of transaction ``first + i`` from row
+    ``i``'s draws, so transactions exist only while the batch is iterated.
+    Its length, items, equality, hash and pickle are those of
+    ``tuple(self)`` (``row`` is a closure).  Hand-built batches are tuples.
+    """
+
+    __slots__ = ("_first", "_draws", "_row")
+
+    def __init__(self, first: int, draws: tuple, row: Callable) -> None:
+        self._first, self._draws, self._row = first, draws, row
+
+    def _rows(self):
+        return starmap(self._row, zip(count(self._first), *self._draws))
+
+    def __len__(self) -> int:
+        return len(self._draws[0])
+
+    def __iter__(self):
+        return starmap(Transaction, self._rows())
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other) -> bool:
+        return (tuple(self) == tuple(other)
+                if isinstance(other, (tuple, MintedBatch)) else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self) -> tuple:
+        return (tuple, (tuple(self),))
+
+    def __repr__(self) -> str:  # content, for the aliasing sanitizer too
+        return repr(tuple(self))
+
+    def canonical_bytes(self) -> bytes:
+        """Canonical encoding of ``tuple(self)``, row by row."""
+        body = b"".join(starmap(_txn_bytes, self._rows()))
+        return b"l%d:%b;" % (len(self), body)
+
+
 #: A request batch as circulated by the consensus protocols.
-Batch = Tuple[Transaction, ...]
+Batch = Sequence[Transaction]
+
+
+_FIELDS = attrgetter("txn_id", "op", "key", "value")
+
+
+def batch_rows(batch: Batch) -> Iterator[tuple]:
+    """Each transaction's ``(txn_id, op, key, value)``, in order; a
+    minted batch hands out its rows without building transactions."""
+    if batch.__class__ is MintedBatch:
+        return batch._rows()
+    return map(_FIELDS, batch)
 
 
 def batch_digest(batch: Batch) -> bytes:
     """SHA256 digest of a request batch: equals
     ``digest_of(tuple(t.payload() for t in batch))``, since a transaction
     encodes to the bytes of its ``payload()`` tuple."""
+    if batch.__class__ is MintedBatch:
+        return hashlib.sha256(batch.canonical_bytes()).digest()
     body = b"".join([txn.canonical_bytes() for txn in batch])
     return hashlib.sha256(b"l%d:%b;" % (len(batch), body)).digest()
 
@@ -175,7 +242,6 @@ def make_block(height: int, round_id: RoundId, cluster_id: ClusterId,
     its request) can be passed in to avoid re-hashing the batch on the
     hot path.
     """
-    batch = tuple(batch)
     if precomputed_batch_digest is None:
         precomputed_batch_digest = batch_digest(batch)
     return Block(

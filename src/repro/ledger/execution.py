@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from ..crypto.digests import digest_of
 from ..errors import WorkloadError
-from .block import Batch, Transaction
+from .block import Batch, Transaction, batch_rows
 from .store import YcsbStore
 
 
@@ -44,10 +44,8 @@ def _compile_plan(batch: Batch):
     results: list = []
     run = None
     max_key = -1
-    for txn in batch:
-        op = txn.op
+    for _txn_id, op, key, value in batch_rows(batch):
         if op != "noop":
-            key = txn.key
             if key < 0:
                 return None
             if key > max_key:
@@ -57,11 +55,11 @@ def _compile_plan(batch: Batch):
                     run = [0, {}]
                     ops += [run]  # no call: write-only compiles cost as before
                 run[0] += 1
-                run[1][key] = txn.value
+                run[1][key] = value
             elif op == "modify":
                 run = None
-                ops.append((len(results), key, txn.value,
-                            ("|" + txn.value).encode()))
+                ops.append((len(results), key, value,
+                            ("|" + value).encode()))
             else:
                 return None
         results.append("ok")
@@ -95,8 +93,8 @@ class ExecutionLog:
     and one entry per batch between them.  An attached store is a cursor
     (``YcsbStore._pos``) plus its own counters.  Executing the batch at
     its position advances the cursor when the batch *is* the entry's (by
-    identity: batches are immutable tuples, so the same object means the
-    same input); the first store to reach the head compiles the batch
+    identity: batches are immutable, so the same object means the same
+    input); the first store to reach the head compiles the batch
     and applies it to ``head``; ``base`` applies the oldest entry once
     the last cursor has left it.  Stores fed the same batch objects in
     the same order from the same empty start hold the same state, so

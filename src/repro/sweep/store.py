@@ -25,9 +25,10 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import warnings
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StoreError
 from .model import SWEEP_SCHEMA
 
 RECORDS_NAME = "records.jsonl"
@@ -100,9 +101,13 @@ class ResultStore:
         if path is not None:
             os.makedirs(path, exist_ok=True)
             self._db = sqlite3.connect(self._index_path)
-            self._db.executescript(_SCHEMA_SQL)
-            if self._index_is_stale():
-                self.reindex()
+            try:
+                self._db.executescript(_SCHEMA_SQL)
+                if self._cut_torn_tail() or self._index_is_stale():
+                    self.reindex()
+            except BaseException:
+                self.close()
+                raise
 
     # ------------------------------------------------------------------
     # Paths & lifecycle
@@ -128,6 +133,27 @@ class ResultStore:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
+    def _cut_torn_tail(self) -> bool:
+        """Cut an unterminated, unparsable final line (an ``add`` torn by
+        a crash) off the JSONL, or terminate a parsable one, so the next
+        ``add`` starts a fresh line; whether the file changed."""
+        if not os.path.exists(self.records_path):
+            return False
+        with open(self.records_path, "rb+") as fh:
+            data = fh.read()
+            start = data.rfind(b"\n") + 1
+            if start == len(data):
+                return False
+            try:
+                json.loads(data[start:].decode("utf-8"))
+            except ValueError:
+                warnings.warn(f"{self.records_path}: cut off a torn final "
+                              f"line of {len(data) - start} bytes")
+                fh.truncate(start)
+            else:
+                fh.write(b"\n")
+        return True
+
     def _index_is_stale(self) -> bool:
         """True when the JSONL holds records the index does not."""
         assert self._db is not None
@@ -135,14 +161,9 @@ class ResultStore:
             "SELECT count(*) FROM records").fetchone()[0]
         if not os.path.exists(self.records_path):
             return count > 0
-        lines = 0
-        with open(self.records_path, "rb") as fh:
-            for line in fh:
-                if line.strip():
-                    lines += 1
         # Overwritten keys make lines >= count legitimate; a fresh or
         # deleted index (count == 0) with records present must rebuild.
-        return count == 0 and lines > 0
+        return count == 0 and os.path.getsize(self.records_path) > 0
 
     def reindex(self) -> int:
         """Rebuild the SQLite index from the JSONL; returns row count."""
@@ -155,7 +176,12 @@ class ResultStore:
                 for line in fh:
                     stripped = line.strip()
                     if stripped:
-                        record = json.loads(stripped.decode("utf-8"))
+                        try:
+                            record = json.loads(stripped.decode("utf-8"))
+                        except ValueError as exc:
+                            raise StoreError(
+                                f"{self.records_path}: corrupt record at "
+                                f"byte {offset}: {exc}") from exc
                         self._upsert(record, offset)
                         total += 1
                     offset += len(line)

@@ -21,9 +21,10 @@ reach it through ``--scenario``.
 from __future__ import annotations
 
 import random
+from array import array
 
 from ..errors import WorkloadError
-from ..ledger.block import Batch, Transaction
+from ..ledger.block import Batch, MintedBatch
 
 #: Default shared-account table size (small on purpose: a hot account
 #: set produces real read-modify-write conflicts).
@@ -65,22 +66,21 @@ class PaymentWorkload:
             raise WorkloadError(f"batch size must be >= 1, got {size}")
         randrange, randint = self._rng.randrange, self._rng.randint
         branch, accounts = self._branch, self._accounts
-        first = self._counter + 1
-        self._counter += size
-        batch = []
-        for counter in range(first, first + size):
-            src = randrange(accounts)
-            dst = randrange(accounts)
-            amount = randint(1, 500)
+        src, dst, amount = array("q"), array("q"), array("q")
+        for _ in range(size):
+            src.append(randrange(accounts))
+            dst.append(randrange(accounts))
+            amount.append(randint(1, 500))
+
+        def row(counter: int, src: int, dst: int, amount: int) -> tuple:
             # A transfer appends a journal entry to the source account's
             # record.
-            batch.append(Transaction(
-                txn_id=f"{prefix}pay{counter}",
-                op="modify",
-                key=src,
-                value=f"{branch}->acct{dst}:{amount}",
-            ))
-        return tuple(batch)
+            return (f"{prefix}pay{counter}", "modify", src,
+                    f"{branch}->acct{dst}:{amount}")
+
+        first = self._counter + 1
+        self._counter += size
+        return MintedBatch(first, (src, dst, amount), row)
 
 
 __all__ = ["DEFAULT_ACCOUNTS", "PaymentWorkload"]

@@ -10,10 +10,11 @@ drawn Zipfian-style, and both clients and primaries batch requests
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Optional
 
 from ..errors import WorkloadError
-from ..ledger.block import Batch, Transaction
+from ..ledger.block import Batch, MintedBatch, Transaction
 from ..ledger.store import DEFAULT_RECORD_COUNT
 from .zipfian import make_generator
 
@@ -78,22 +79,24 @@ class YcsbWorkload:
         """
         if size < 1:
             raise WorkloadError(f"batch size must be >= 1, got {size}")
-        # ``next_txn`` unrolled with its lookups hoisted: same draw order
-        # (key, then write/read), ids and values.
+        # ``next_txn``'s draws in its order (key, then write/read); a read
+        # is stored as ``~key``.  Ids and values are formatted per row.
         next_key, random_ = self._keys.next, self._rng.random
         write_fraction, value_size = self._write_fraction, self._value_size
+        keys = array("q")
+        for _ in range(size):
+            key = next_key()
+            keys.append(key if random_() < write_fraction else ~key)
+
+        def row(counter: int, key: int) -> tuple:
+            if key < 0:
+                return (f"{prefix}t{counter}", "read", ~key, "")
+            return (f"{prefix}t{counter}", "update", key,
+                    f"v{counter}".ljust(value_size, "x"))
+
         first = self._counter + 1
         self._counter += size
-        batch = []
-        for counter in range(first, first + size):
-            key = next_key()
-            if random_() < write_fraction:
-                txn = Transaction(f"{prefix}t{counter}", "update", key,
-                                  f"v{counter}".ljust(value_size, "x"))
-            else:
-                txn = Transaction(f"{prefix}t{counter}", "read", key)
-            batch.append(txn)
-        return tuple(batch)
+        return MintedBatch(first, (keys,), row)
 
     # ------------------------------------------------------------------
     # Standard YCSB workload presets

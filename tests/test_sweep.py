@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.bench.deployment import Deployment
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StoreError
 from repro.sweep import (
     Campaign,
     ResultStore,
@@ -151,6 +151,53 @@ class TestStore:
         with ResultStore(path) as store:
             assert store.has("k1")
             assert store.count(status="ok") == 1
+
+    def _store_with_two_records(self, tmp_path):
+        path = str(tmp_path / "store")
+        with ResultStore(path) as store:
+            store.add(self.RECORD)
+            store.add(dict(self.RECORD, key="k2", run_id="r2"))
+        return path, os.path.join(path, "records.jsonl")
+
+    @pytest.mark.parametrize("drop_index", [True, False])
+    def test_torn_final_line_is_cut_off(self, tmp_path, drop_index):
+        path, records = self._store_with_two_records(tmp_path)
+        with open(records, "rb+") as fh:
+            fh.truncate(os.path.getsize(records) - 10)
+        if drop_index:
+            os.remove(os.path.join(path, "index.sqlite"))
+        with pytest.warns(UserWarning, match="torn final line"):
+            store = ResultStore(path)
+        with store:
+            assert store.has("k1") and not store.has("k2")
+            store.add(dict(self.RECORD, key="k3", run_id="r3"))
+        with ResultStore(path) as store:
+            assert [r["key"] for r in store.query(campaign="c")] \
+                == ["k1", "k3"]
+        with open(records, "rb") as fh:
+            assert [json.loads(line)["key"] for line in fh] == ["k1", "k3"]
+
+    def test_unterminated_final_record_is_kept(self, tmp_path):
+        path, records = self._store_with_two_records(tmp_path)
+        with open(records, "rb+") as fh:
+            fh.truncate(os.path.getsize(records) - 1)
+        with ResultStore(path) as store:
+            store.add(dict(self.RECORD, key="k3", run_id="r3"))
+            assert [r["key"] for r in store.query(campaign="c")] \
+                == ["k1", "k2", "k3"]
+
+    def test_corrupt_inner_line_raises_and_closes(self, tmp_path):
+        path, records = self._store_with_two_records(tmp_path)
+        with open(records, "rb") as fh:
+            lines = fh.readlines()
+        with open(records, "wb") as fh:
+            fh.writelines([lines[0][:-10] + b"\n", lines[1]])
+        os.remove(os.path.join(path, "index.sqlite"))
+        # A failed open releases the index: a second open fails the same
+        # way instead of finding the database locked.
+        for _ in range(2):
+            with pytest.raises(StoreError, match="corrupt record at byte 0"):
+                ResultStore(path)
 
     def test_re_add_overwrites_key(self, tmp_path):
         with ResultStore(str(tmp_path / "store")) as store:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consensus.messages import ClientRequestBatch
-from repro.crypto.digests import digest_of
+from repro.crypto.digests import digest_of, encode_canonical
 from repro.errors import WorkloadError
 from repro.ledger.block import Block, Transaction, batch_digest
 from repro.types import client_id
@@ -100,6 +100,25 @@ class TestGenerators:
             assert 0 <= gen.next() < n
 
 
+def assert_same_as_its_tuple(batch):
+    """A minted batch is the tuple of its transactions in every way a
+    caller can observe: value, items, bytes and pickle."""
+    plain = tuple(batch)
+    assert batch == plain and plain == batch
+    assert not batch != plain and not plain != batch
+    assert hash(batch) == hash(plain)
+    assert len(batch) == len(plain)
+    assert batch[0] == plain[0] and batch[-1] == plain[-1]
+    assert batch[1:] == plain[1:]
+    assert batch_digest(batch) == batch_digest(plain)
+    assert (encode_canonical(ClientRequestBatch("c:0", client_id(1, 1),
+                                                batch, None))
+            == encode_canonical(ClientRequestBatch("c:0", client_id(1, 1),
+                                                   plain, None)))
+    clone = pickle.loads(pickle.dumps(batch))
+    assert clone == batch and batch_digest(clone) == batch_digest(batch)
+
+
 class TestYcsbWorkload:
     def test_write_only_default(self):
         wl = YcsbWorkload(record_count=100, seed=1)
@@ -128,9 +147,10 @@ class TestYcsbWorkload:
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_next_batch_equals_successive_next_txn(
             self, seed, write_fraction, distribution):
-        """The unrolled batch loop draws (key, then write/read) and mints
-        ids and values exactly as ``next_txn`` does (equal transactions
-        derive equal bytes: ``tests/test_ledger_blocks.py``)."""
+        """The batch loop draws (key, then write/read) and its rows carry
+        the ids and values ``next_txn`` mints (equal transactions derive
+        equal bytes: ``tests/test_ledger_blocks.py``); the minted batch
+        is its tuple."""
         def twin():
             return YcsbWorkload(record_count=100, seed=seed,
                                 write_fraction=write_fraction,
@@ -145,6 +165,7 @@ class TestYcsbWorkload:
             assert batch_digest(batch) == digest_of(
                 tuple(t.payload() for t in reference))
             assert batched.generated_txns == single.generated_txns
+            assert_same_as_its_tuple(batch)
 
     def test_batch_size_validation(self):
         wl = YcsbWorkload(record_count=100, seed=1)
@@ -170,14 +191,39 @@ class TestYcsbWorkload:
             assert 0 <= wl.next_txn().key < 50
 
 
+class TestPaymentWorkload:
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    def test_next_batch_equals_per_transfer_reference(self, seed):
+        """Rows rebuild the transfers a per-transaction loop over the
+        same draws (source, destination, then amount) would mint."""
+        payment = PaymentWorkload("b0", seed, accounts=50)
+        rng, counter = random.Random(seed), 0
+        for size, prefix in ((7, "c1-"), (1, ""), (12, "c2-")):
+            batch = payment.next_batch(size, prefix)
+            reference = []
+            for _ in range(size):
+                counter += 1
+                src, dst = rng.randrange(50), rng.randrange(50)
+                amount = rng.randint(1, 500)
+                reference.append(Transaction(f"{prefix}pay{counter}",
+                                             "modify", src,
+                                             f"b0->acct{dst}:{amount}"))
+            assert batch == tuple(reference)
+            assert batch_digest(batch) == digest_of(
+                tuple(t.payload() for t in reference))
+            assert payment.generated_txns == counter
+            assert_same_as_its_tuple(batch)
+
+
 class TestTransactionFootprint:
-    """Every minted transaction stays pinned by the ledger for the whole
-    run, so bytes per transaction are what peak RSS is made of."""
+    """The ledger pins every generated batch for the whole run, so the
+    bytes a batch retains per transaction are what peak RSS is made of.
+    A generated batch keeps its generator's draws, not transactions."""
 
     def test_retained_bytes_per_transaction(self):
-        """Four fields, two of them fresh strings, and nothing else:
-        digesting a batch must leave no per-transaction bytes behind
-        (351 B each when the encoding was stored on the instance)."""
+        """A few bytes of draws per transaction, and nothing left behind
+        by digesting or iterating a batch (188 B each when batches held
+        their transactions, 351 B when those also stored their bytes)."""
         ycsb = YcsbWorkload(record_count=10_000, seed=2)
         payment = PaymentWorkload("branch0", seed=2)
         tracemalloc.start()
@@ -187,10 +233,17 @@ class TestTransactionFootprint:
                        for generator in (ycsb, payment) for _ in range(100)]
             digests = [batch_digest(batch) for batch in batches]
             retained = tracemalloc.get_traced_memory()[0] - before
+            for batch in batches:
+                batch_digest(batch)
+                tuple(batch)
+            retained_again = (tracemalloc.get_traced_memory()[0] - before
+                              - retained)
         finally:
             tracemalloc.stop()
         assert len(set(digests)) == 200
-        assert retained / 20_000 <= 240
+        assert retained / 20_000 <= 40
+        # Nothing per transaction: at most an interpreter free-list entry.
+        assert retained_again < 256
 
     def test_no_instance_dict(self):
         txn = Transaction("t1", "update", 1, "v")
@@ -203,7 +256,8 @@ class TestTransactionFootprint:
         """Frozen, slotted request batches and blocks pickle and copy."""
         batch = YcsbWorkload(record_count=100, seed=1).next_batch(5, "c-")
         request = ClientRequestBatch(
-            "c:0", client_id(1, 1), batch + (Transaction.noop(),), None)
+            "c:0", client_id(1, 1), tuple(batch) + (Transaction.noop(),),
+            None)
         clone = pickle.loads(pickle.dumps(request))
         assert clone == request
         assert clone.digest() == request.digest()
