@@ -127,7 +127,7 @@ def _rate(hits: int, misses: int) -> str:
 def format_cache_report(deployment) -> str:
     """Hit/miss telemetry for the crypto-side caches of a deployment:
     the shared :class:`VerificationCache` (per signature/MAC kind) and
-    the process-wide :class:`CachedEncodable` encode/digest caches."""
+    the process-wide :class:`CachedEncodable` digest memo."""
     rows = []
     cache = deployment.verification_cache
     for kind, st in cache.kind_stats().items():
@@ -137,14 +137,9 @@ def format_cache_report(deployment) -> str:
         rows.append(["verification", cache.hits, cache.misses,
                      _rate(cache.hits, cache.misses)])
     delta = deployment.encoding_cache_delta()
-    rows.append(["encoding", delta["encode_hits"], delta["encode_misses"],
-                 _rate(delta["encode_hits"], delta["encode_misses"])])
     rows.append(["payload digest", delta["digest_hits"],
                  delta["digest_misses"],
                  _rate(delta["digest_hits"], delta["digest_misses"])])
-    rows.append(["encode splice", delta["splice_hits"],
-                 delta["splice_misses"],
-                 _rate(delta["splice_hits"], delta["splice_misses"])])
     return format_table(["cache", "hits", "misses", "hit rate"], rows,
                         title="cache telemetry")
 

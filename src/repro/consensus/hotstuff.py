@@ -39,7 +39,7 @@ from .messages import (
     HsProposal,
     HsQuorumCert,
     HsVote,
-    adopt_encoding,
+    adopt_digest,
     note_verified_quorum,
     verified_quorum,
 )
@@ -194,7 +194,7 @@ class HotStuffReplica(BaseReplica):
                 return
         # HsVote.payload() excludes the signature, so verifying against
         # the signed object is the same statement as the unsigned
-        # reconstruction — and it reuses the vote's cached encoding.
+        # reconstruction — and it reuses the vote's memoized digest.
         if not self.registry.verify(vote, vote.signature):
             return
         if state is None:
@@ -274,7 +274,7 @@ class HotStuffReplica(BaseReplica):
                       proposal.digest, self.node_id, None)
         signed = HsVote(vote.phase, vote.instance, vote.height, vote.digest,
                         vote.replica, self.sign(vote))
-        adopt_encoding(signed, vote)
+        adopt_digest(signed, vote)
         leader = self._members[proposal.instance]
         if leader == self.node_id:
             self._on_vote(signed, self.node_id)

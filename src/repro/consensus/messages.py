@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
         ThresholdSignature,
     )
 
-#: adopt_encoding returns its first argument unchanged (fluent use).
+#: adopt_digest returns its first argument unchanged (fluent use).
 _M = TypeVar("_M", bound=CachedEncodable)
 
 # ---------------------------------------------------------------------------
@@ -87,9 +87,10 @@ class ClientRequestBatch(CachedEncodable):
     signature: Optional[Signature]
 
     def payload(self) -> tuple:
-        # Embedding the Transaction objects (not their payload() tuples)
-        # is byte-identical under canonical encoding and lets the encoder
-        # splice each transaction's one-interpolation bytes.
+        # Embedding the batch (not its payload() tuples) is
+        # byte-identical under canonical encoding and lets the encoder
+        # take the batch's one-pass bytes (a minted batch records their
+        # digest for ``digest()``).
         return (
             "request",
             self.batch_id,
@@ -244,8 +245,8 @@ class CommitCertificate(CachedEncodable):
     commits: Tuple[Commit, ...]
 
     def payload(self) -> tuple:
-        # Child messages ride as objects so their cached encodings are
-        # spliced in; the bytes are identical to encoding their payloads.
+        # Child messages ride as objects; the bytes are identical to
+        # encoding their payloads.
         return (
             "certificate",
             self.cluster_id,
@@ -353,23 +354,22 @@ def note_verified_quorum(cert: object, signers: int) -> None:
         object.__setattr__(cert, "_verified_quorum", signers)
 
 
-def adopt_encoding(signed: _M, template: CachedEncodable) -> _M:
-    """Carry a template's cached canonical encoding onto its signed copy.
+def adopt_digest(signed: _M, template: CachedEncodable) -> _M:
+    """Carry a template's memoized payload digest onto its signed copy.
 
     The sign-then-rebuild pattern (``m = T(..., None)`` then
     ``T(..., sign(m))``) produces two instances whose ``payload()`` is
     identical whenever the type's payload excludes the signature field
-    (Commit, Checkpoint, HsVote, SpecResponse...).  Signing already
-    encoded the template, so the signed copy can reuse those bytes
-    instead of re-walking the payload at its first MAC/verify.  Only
-    call this for types whose ``payload()`` ignores ``signature``.
+    (ClientRequestBatch, Commit, Checkpoint, HsVote, SpecResponse...).
+    Signing already digested the template, so the signed copy can reuse
+    that digest instead of re-encoding its payload at its first verify.
+    Only call this for types whose ``payload()`` ignores ``signature``.
     """
-    for name in ("_encoded_cache", "_payload_digest_cache"):
-        try:
-            value = getattr(template, name)
-        except AttributeError:
-            continue
-        object.__setattr__(signed, name, value)
+    try:
+        digest = template._payload_digest_cache
+    except AttributeError:
+        return signed
+    object.__setattr__(signed, "_payload_digest_cache", digest)
     return signed
 
 

@@ -35,7 +35,7 @@ from ..net.simulator import Timer
 from ..types import ClusterId, NodeId, SeqNum, ViewId, max_faulty
 from .messages import (
     Checkpoint,
-    adopt_encoding,
+    adopt_digest,
     ClientReply,
     ClientRequestBatch,
     Commit,
@@ -439,7 +439,7 @@ class PbftEngine:
                 signed = Commit(commit.cluster_id, commit.view, commit.seq,
                                 commit.digest, commit.replica,
                                 self._owner.sign(commit))
-                adopt_encoding(signed, commit)
+                adopt_digest(signed, commit)
                 self._owner.broadcast(self._members, signed)
             return
         slot = self._slots.get(msg.seq)
@@ -522,7 +522,7 @@ class PbftEngine:
         signed = Commit(commit.cluster_id, commit.view, commit.seq,
                         commit.digest, commit.replica,
                         self._owner.sign(commit))
-        adopt_encoding(signed, commit)
+        adopt_digest(signed, commit)
         commits = slot.commits.get(slot.digest)
         if commits is None:
             commits = slot.commits[slot.digest] = {}
@@ -614,7 +614,7 @@ class PbftEngine:
             checkpoint.cluster_id, checkpoint.seq, checkpoint.state_digest,
             checkpoint.replica, self._owner.sign(checkpoint),
         )
-        adopt_encoding(signed, checkpoint)
+        adopt_digest(signed, checkpoint)
         self._record_checkpoint(signed, self._owner.node_id)
         self._owner.broadcast(self._members, signed)
 

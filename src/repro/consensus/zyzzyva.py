@@ -29,7 +29,7 @@ from .messages import (
     OrderedRequest,
     SpecResponse,
     ZyzzyvaCommitCert,
-    adopt_encoding,
+    adopt_digest,
     note_verified_quorum,
     verified_quorum,
 )
@@ -167,7 +167,7 @@ class ZyzzyvaReplica(BaseReplica):
             response.replica, self.sign(response),
             response.batch_len,
         )
-        adopt_encoding(signed, response)
+        adopt_digest(signed, response)
         self.send_at(done_at, request.client, signed)
 
     # ------------------------------------------------------------------

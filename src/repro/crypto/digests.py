@@ -12,21 +12,24 @@ same digest, regardless of dict insertion order.
 
 Hot-path design
 ---------------
-Canonical encoding is the host-side cost that dominates a simulated run:
-a batch of 100 transactions is re-encoded at every sign, verify, MAC,
-and digest of every message that embeds it, at every replica.  Two
-mechanisms make encoding compute-once across a whole deployment:
+A signature or MAC authenticates ``(signer, digest_of(payload))``, not
+the payload's bytes (:mod:`.signatures`, :mod:`.macs`), so what a
+message needs on the hot path is its 32-byte digest, never its
+encoding.  Two mechanisms keep that cheap:
 
 * The encoder is **iterative** (an explicit work stack instead of
   recursion), so arbitrarily deep payloads — far beyond Python's
   recursion limit — encode without blowing the stack.
 * Frozen message dataclasses mix in :class:`CachedEncodable`: the first
-  time such an object is encoded, its canonical bytes (and, on demand,
-  their SHA256 digest) are memoized on the instance.  Because the
-  simulator passes message *objects* between replicas (no
-  serialization), one cached encoding serves every replica that touches
-  the message, while a reconstructed (hence new) object can never reuse
-  a stale cache entry.
+  time such an object's digest is asked for, its bytes are derived,
+  hashed and dropped, and only the 32-byte digest is memoized on the
+  instance.  Because the simulator passes message *objects* between
+  replicas (no serialization), one digest serves every replica that
+  signs, verifies or compares the message, while a reconstructed
+  (hence new) object can never reuse a stale memo.  Nothing keeps
+  bytes: an enclosing encode re-walks the messages it embeds (a
+  certificate's request and commits, when an audit digests it); no
+  fault-free run of any protocol does that.
 """
 
 from __future__ import annotations
@@ -40,29 +43,28 @@ DIGEST_SIZE = 32
 
 
 class EncodingCacheStats:
-    """Process-wide hit/miss counters for the :class:`CachedEncodable`
-    memos (telemetry only — reading or resetting them never changes what
-    is encoded).
+    """Process-wide counters for :class:`CachedEncodable` (telemetry only
+    — reading or resetting them never changes what is encoded).
 
-    ``encode``/``digest`` count top-level :meth:`CachedEncodable.encoded`
-    / :meth:`CachedEncodable.payload_digest` calls; ``splice`` counts
-    nested cacheable objects encountered while encoding an enclosing
-    message (a splice hit reuses the child's cached bytes in place of a
-    payload-tree walk).
+    ``digest_hits``/``digest_misses`` count
+    :meth:`CachedEncodable.payload_digest` calls served from / missing
+    the memo.  ``encode_misses`` counts top-level derivations of an
+    object's bytes: one per digest miss and one per
+    :meth:`CachedEncodable.encoded` call.  ``splice_misses`` counts
+    cacheable objects re-walked while encoding an enclosing value.  No
+    bytes are memoized, so no encode is ever a hit.
     """
 
-    __slots__ = ("encode_hits", "encode_misses", "digest_hits",
-                 "digest_misses", "splice_hits", "splice_misses")
+    __slots__ = ("encode_misses", "digest_hits", "digest_misses",
+                 "splice_misses")
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.encode_hits = 0
         self.encode_misses = 0
         self.digest_hits = 0
         self.digest_misses = 0
-        self.splice_hits = 0
         self.splice_misses = 0
 
     def snapshot(self) -> dict:
@@ -76,7 +78,7 @@ class EncodingCacheStats:
 
 
 #: The process-wide counters.  Module-level (not per-deployment) because
-#: the caches themselves live on message instances that may flow through
+#: the memos themselves live on message instances that may flow through
 #: several deployments; per-run accounting snapshots and diffs this.
 ENCODING_STATS = EncodingCacheStats()
 
@@ -89,30 +91,28 @@ def encoding_cache_stats() -> EncodingCacheStats:
 class CachedEncodable:
     """Mixin for immutable ``payload()``-bearing message objects.
 
-    Instances memoize their canonical byte encoding and its SHA256
-    digest the first time either is requested; nested encodes splice the
-    cached bytes instead of re-walking the payload tree.  Only mix this
-    into *immutable* objects (frozen dataclasses): the cache is keyed by
+    Instances memoize the SHA256 digest of their canonical encoding the
+    first time it is requested (:meth:`payload_digest`); the bytes
+    themselves are derived when asked and never kept.  Only mix this
+    into *immutable* objects (frozen dataclasses): the memo is keyed by
     object identity, so a mutated payload would silently keep its old
-    encoding.  ``dataclasses.replace`` and any other reconstruction
-    produce a fresh instance with an empty cache.
+    digest.  ``dataclasses.replace`` and any other reconstruction
+    produce a fresh instance with an empty memo.
 
-    The cache attributes are declared as ``__slots__`` so that
+    The memo attributes are declared as ``__slots__`` so that
     subclasses which declare their own ``__slots__`` (the hottest
     message classes) still memoize: slot storage works whether or not
-    the subclass keeps a ``__dict__``.  All cache reads go through
+    the subclass keeps a ``__dict__``.  All memo reads go through
     attribute access (never ``__dict__``), because a slot descriptor
     shadows the instance dict.
     """
 
-    __slots__ = ("_encoded_cache", "_payload_digest_cache", "_size_cache",
-                 "_digest_cache")
+    __slots__ = ("_payload_digest_cache", "_size_cache", "_digest_cache")
 
     # Bare annotations for the slot attributes (no assignments — a
     # class-body value would conflict with __slots__): they give type
-    # checkers the cache types without creating dataclass fields in the
+    # checkers the memo types without creating dataclass fields in the
     # frozen subclasses.
-    _encoded_cache: bytes
     _payload_digest_cache: bytes
     _size_cache: int
     _digest_cache: bytes
@@ -126,18 +126,10 @@ class CachedEncodable:
         raise NotImplementedError
 
     def encoded(self) -> bytes:
-        """Canonical byte encoding of ``payload()``, computed once."""
-        try:
-            cached = self._encoded_cache
-        except AttributeError:
-            ENCODING_STATS.encode_misses += 1
-            out: list[bytes] = []
-            _encode(self, out)
-            cached = b"".join(out)
-            object.__setattr__(self, "_encoded_cache", cached)
-        else:
-            ENCODING_STATS.encode_hits += 1
-        return cached
+        """Canonical byte encoding of ``payload()``, derived on every
+        call (nothing keeps it)."""
+        ENCODING_STATS.encode_misses += 1
+        return encode_canonical(self.payload())
 
     def payload_digest(self) -> bytes:
         """SHA256 digest of the canonical encoding, computed once.
@@ -150,7 +142,8 @@ class CachedEncodable:
             cached = self._payload_digest_cache
         except AttributeError:
             ENCODING_STATS.digest_misses += 1
-            cached = hashlib.sha256(self.encoded()).digest()
+            ENCODING_STATS.encode_misses += 1
+            cached = digest_of(self.payload())
             object.__setattr__(self, "_payload_digest_cache", cached)
         else:
             ENCODING_STATS.digest_hits += 1
@@ -163,8 +156,8 @@ class CachedEncodable:
     # default slot restoration: it goes through ``setattr``, which the
     # frozen ``__setattr__`` rejects — and ``copy.copy`` takes the same
     # path.  Restore state via ``object.__setattr__`` explicitly.  The
-    # memoized caches travel with the message: they are pure functions
-    # of the frozen content, so a copy never re-derives them.
+    # memos travel with the message: they are pure functions of the
+    # frozen content, so a copy never re-derives them.
 
     def __getstate__(self) -> dict:
         state = {}
@@ -185,16 +178,6 @@ class CachedEncodable:
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             object.__setattr__(self, name, value)
-
-
-class _CacheMark:
-    """Stack frame recording where a cacheable object's encoding starts."""
-
-    __slots__ = ("obj", "start")
-
-    def __init__(self, obj: Any, start: int) -> None:
-        self.obj = obj
-        self.start = start
 
 
 class _Emit:
@@ -243,11 +226,6 @@ def _encode(value: Any, out: list[bytes]) -> None:
             emit(b"b%d:%b" % (len(v), v))
         elif cls is _Emit:
             emit(v.data)
-        elif cls is _CacheMark:
-            encoded = b"".join(out[v.start:])
-            del out[v.start:]
-            emit(encoded)
-            object.__setattr__(v.obj, "_encoded_cache", encoded)
         elif v is None:
             emit(b"N")
         elif v is True:
@@ -268,29 +246,12 @@ def _encode(value: Any, out: list[bytes]) -> None:
                 push(v[key])
                 push(key)
         elif isinstance(v, CachedEncodable):
-            cached = getattr(v, "_encoded_cache", None)
-            if cached is not None:
-                ENCODING_STATS.splice_hits += 1
-                emit(cached)
-            else:
-                ENCODING_STATS.splice_misses += 1
-                payload = v.payload()
-                # Scalar-only payloads (prepares, votes — most splice
-                # misses) encode in one flat pass, no _CacheMark bookkeeping.
-                if payload.__class__ is tuple:
-                    flat = _encode_flat_tuple(payload)
-                    if flat is not None:
-                        emit(flat)
-                        object.__setattr__(v, "_encoded_cache", flat)
-                        continue
-                # Encode payload(), then fold the produced bytes into one
-                # cached chunk attached to the instance (the _CacheMark
-                # pops only after the payload finished encoding).
-                push(_CacheMark(v, len(out)))
-                push(payload)
+            ENCODING_STATS.splice_misses += 1
+            push(v.payload())
         elif hasattr(v, "canonical_bytes"):
-            # Derives its own bytes, keeps none (``ledger.block.Transaction``);
-            # ahead of the fallbacks, whose six misses each cost pbft 6 % wall.
+            # Derives its own bytes, keeps none (``ledger.block.Transaction``,
+            # ``MintedBatch``); ahead of the fallbacks, whose six misses
+            # each cost pbft 6 % wall.
             emit(v.canonical_bytes())
         # Subclass fallbacks, in the historical dispatch order.
         elif isinstance(v, int):
@@ -334,11 +295,13 @@ def encode_canonical(value: Any) -> bytes:
     The encoding is injective on the supported value space: distinct
     payloads never encode to the same bytes (lengths are explicit, types
     are tagged), so ``digest`` collisions reduce to SHA256 collisions.
-    Objects mixing in :class:`CachedEncodable` encode exactly once; the
-    bytes are reused on every later encode that embeds them.
     """
     if isinstance(value, CachedEncodable):
         return value.encoded()
+    if value.__class__ is tuple:
+        flat = _encode_flat_tuple(value)
+        if flat is not None:
+            return flat
     out: list[bytes] = []
     _encode(value, out)
     return b"".join(out)
@@ -412,7 +375,9 @@ def digest_of(value: Any) -> bytes:
         flat = _encode_flat_tuple(value)
         if flat is not None:
             return hashlib.sha256(flat).digest()
-    return digest(encode_canonical(value))
+    out: list[bytes] = []
+    _encode(value, out)
+    return hashlib.sha256(b"".join(out)).digest()
 
 
 def cached_digest(value: Any) -> bytes:

@@ -3,7 +3,9 @@
 ResilientDB authenticates non-forwarded messages (preprepare, prepare,
 checkpoint, ...) with AES-CMAC MACs, which are much cheaper than digital
 signatures (paper §2.1, §3).  This module models that with HMAC-SHA256
-over a pairwise shared key derived from the two endpoints' identities.
+over a pairwise shared key derived from the two endpoints' identities;
+like a signature (:mod:`.signatures`), a tag covers the two endpoints
+and the payload's digest, not its bytes.
 
 A MAC convinces only its intended receiver, so MAC-authenticated
 messages cannot be usefully forwarded — exactly the property that forces
@@ -20,7 +22,7 @@ from typing import Any, Dict, Optional
 
 from ..errors import InvalidMacError
 from ..types import NodeId
-from .digests import CachedEncodable, encode_canonical
+from .digests import CachedEncodable, digest_of, encode_canonical
 from .signatures import VerificationCache
 
 MAC_SIZE = 16  # bytes, matching AES-CMAC.
@@ -80,7 +82,8 @@ class MacAuthenticator:
 
     def tag(self, receiver: NodeId, payload: Any) -> Mac:
         """Produce a MAC over ``payload`` for ``receiver``."""
-        message = encode_canonical((str(self._node), str(receiver), payload))
+        message = encode_canonical(
+            (str(self._node), str(receiver), digest_of(payload)))
         key = self._pair_key(receiver)
         raw = hmac.new(key, message, hashlib.sha256).digest()
         return Mac(self._node, raw[:MAC_SIZE])
@@ -96,15 +99,17 @@ class MacAuthenticator:
         digest, tag), and the receiver is part of the key because a MAC
         convinces only its addressee.
         """
+        payload_digest = digest_of(payload)
         cache_key = None
         if self._cache is not None and isinstance(payload, CachedEncodable):
             cache_key = (
-                "mac", mac.sender, self._node, payload.payload_digest(), mac.tag,
+                "mac", mac.sender, self._node, payload_digest, mac.tag,
             )
             cached = self._cache.get(cache_key)
             if cached is not None:
                 return cached
-        message = encode_canonical((str(mac.sender), str(self._node), payload))
+        message = encode_canonical(
+            (str(mac.sender), str(self._node), payload_digest))
         key = self._pair_key(mac.sender)
         expected = hmac.new(key, message, hashlib.sha256).digest()[:MAC_SIZE]
         outcome = hmac.compare_digest(expected, mac.tag)

@@ -12,11 +12,17 @@ module provides the same guarantees for the simulation:
   themselves, mirroring the paper's authenticated-communication
   assumption (§2.1).
 
-Signatures are HMAC-SHA256 tags computed with the signer's secret.  The
-registry verifies by recomputing the tag; this models signature
-verification with the signer's public key.  HMAC is used instead of real
-ED25519 to keep the simulator fast while preserving unforgeability
-against everyone who does not hold the secret.
+Signatures are HMAC-SHA256 tags computed with the signer's secret over
+the signer's identity and the payload's SHA256 digest
+(:func:`~.digests.digest_of`), not over the payload's bytes — the real
+system, too, signs digests.  The registry verifies by recomputing the
+tag; this models signature verification with the signer's public key.
+HMAC is used instead of real ED25519 to keep the simulator fast while
+preserving unforgeability against everyone who does not hold the
+secret.  Because the tag covers a digest, forgery resistance also rests
+on SHA256's collision resistance, which commit certificates and blocks
+already assume.  A message's digest is memoized on the instance, so
+signing or verifying a forwarded request never re-encodes its batch.
 
 Verification memoization
 ------------------------
@@ -38,9 +44,9 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import CryptoError, InvalidSignatureError
+from ..errors import ConfigurationError, CryptoError, InvalidSignatureError
 from ..types import NodeId
-from .digests import CachedEncodable, encode_canonical
+from .digests import CachedEncodable, digest_of, encode_canonical
 
 SIGNATURE_SIZE = 64  # bytes on the wire, matching ED25519.
 
@@ -59,6 +65,9 @@ class VerificationCache:
                  "_kind_hits", "_kind_misses")
 
     def __init__(self, max_entries: int = 1 << 20) -> None:
+        if max_entries < 1:
+            raise ConfigurationError(
+                f"VerificationCache needs max_entries >= 1, got {max_entries}")
         self._entries: Dict[Tuple, bool] = {}
         self._max_entries = max_entries
         self.hits = 0
@@ -125,6 +134,11 @@ class Signature:
         return SIGNATURE_SIZE
 
 
+def _statement(signer: NodeId, payload_digest: bytes) -> bytes:
+    """The bytes a signature's HMAC covers: the signer and the digest."""
+    return encode_canonical((str(signer), payload_digest))
+
+
 class Signer:
     """A node's private signing handle.
 
@@ -146,11 +160,12 @@ class Signer:
     def sign(self, payload: Any) -> Signature:
         """Sign ``payload`` (any canonically encodable value).
 
-        When ``payload`` is a :class:`~.digests.CachedEncodable` message,
-        its canonical bytes are spliced from the instance cache, so
-        signing costs one HMAC rather than a payload-tree walk.
+        The tag covers the payload's digest, which a
+        :class:`~.digests.CachedEncodable` message memoizes, so signing
+        it costs one HMAC over 32 bytes plus, the first time, one
+        encode.
         """
-        message = encode_canonical((str(self._node), payload))
+        message = _statement(self._node, digest_of(payload))
         tag = hmac.new(self._secret, message, hashlib.sha256).digest()
         return Signature(self._node, tag)
 
@@ -214,13 +229,14 @@ class KeyRegistry:
         secret = self._secrets.get(signature.signer)
         if secret is None:
             return False
+        payload_digest = digest_of(payload)
         key = None
         if isinstance(payload, CachedEncodable):
-            key = ("sig", signature.signer, payload.payload_digest(), signature.tag)
+            key = ("sig", signature.signer, payload_digest, signature.tag)
             cached = self._cache.get(key)
             if cached is not None:
                 return cached
-        message = encode_canonical((str(signature.signer), payload))
+        message = _statement(signature.signer, payload_digest)
         expected = hmac.new(secret, message, hashlib.sha256).digest()
         outcome = hmac.compare_digest(expected, signature.tag)
         if key is not None:

@@ -90,9 +90,13 @@ class MintedBatch(Sequence):
     ``i``'s draws, so transactions exist only while the batch is iterated.
     Its length, items, equality, hash and pickle are those of
     ``tuple(self)`` (``row`` is a closure).  Hand-built batches are tuples.
+
+    Whenever the batch derives its bytes it records their SHA256 in
+    ``_sha256``, so :func:`batch_digest` after an encode (a request's
+    signature or payload digest) re-derives nothing.
     """
 
-    __slots__ = ("_first", "_draws", "_row")
+    __slots__ = ("_first", "_draws", "_row", "_sha256")
 
     def __init__(self, first: int, draws: tuple, row: Callable) -> None:
         self._first, self._draws, self._row = first, draws, row
@@ -123,9 +127,12 @@ class MintedBatch(Sequence):
         return repr(tuple(self))
 
     def canonical_bytes(self) -> bytes:
-        """Canonical encoding of ``tuple(self)``, row by row."""
+        """Canonical encoding of ``tuple(self)``, row by row; records its
+        SHA256 in ``_sha256``."""
         body = b"".join(starmap(_txn_bytes, self._rows()))
-        return b"l%d:%b;" % (len(self), body)
+        encoded = b"l%d:%b;" % (len(self), body)
+        self._sha256 = hashlib.sha256(encoded).digest()
+        return encoded
 
 
 #: A request batch as circulated by the consensus protocols.
@@ -146,9 +153,14 @@ def batch_rows(batch: Batch) -> Iterator[tuple]:
 def batch_digest(batch: Batch) -> bytes:
     """SHA256 digest of a request batch: equals
     ``digest_of(tuple(t.payload() for t in batch))``, since a transaction
-    encodes to the bytes of its ``payload()`` tuple."""
+    encodes to the bytes of its ``payload()`` tuple.  A minted batch
+    answers from the digest it recorded when it last derived its bytes."""
     if batch.__class__ is MintedBatch:
-        return hashlib.sha256(batch.canonical_bytes()).digest()
+        try:
+            return batch._sha256
+        except AttributeError:
+            batch.canonical_bytes()
+            return batch._sha256
     body = b"".join([txn.canonical_bytes() for txn in batch])
     return hashlib.sha256(b"l%d:%b;" % (len(batch), body)).digest()
 

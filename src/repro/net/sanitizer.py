@@ -16,17 +16,17 @@ re-checks the fingerprint when the event fires, raising
 :class:`~repro.errors.MessageAliasingError` (naming the message type and
 sender) on any divergence.
 
-Why not reuse the cached canonical encoding?  :class:`~repro.crypto.
-digests.CachedEncodable` memoizes an instance's encoding the first time
+Why not reuse the memoized digest?  :class:`~repro.crypto.digests.
+CachedEncodable` memoizes an instance's payload digest the first time
 it is computed — a message mutated *after* that point keeps serving its
-stale cached bytes, which is precisely the corruption this tool hunts.
+stale digest, which is precisely the corruption this tool hunts.
 :func:`live_fingerprint` therefore re-walks the ``payload()`` tree on
-every call and never reads (or writes) any ``_encoded_cache``.
+every call and never reads (or writes) any ``_payload_digest_cache``.
 
 Enabled via ``Network(..., sanitize=True)`` or the ``REPRO_SANITIZE=1``
 environment variable.  Off by default: the uncached walk re-encodes
-every request batch at every hop, which is exactly the work the PR-1
-cache exists to avoid — expect sanitized runs to be several times
+every request batch at every hop, which is exactly the work the digest
+memo exists to avoid — expect sanitized runs to be several times
 slower.  Scheduling is untouched (same events, same sequence numbers),
 so ``deployment_digest`` values are byte-identical with the sanitizer on
 or off.
@@ -54,10 +54,9 @@ def live_fingerprint(message: Any) -> bytes:
     """SHA256 over the message's *current* payload tree, uncached.
 
     Mirrors the canonical encoder's tagging (see
-    :mod:`repro.crypto.digests`) but always expands ``payload()``
-    instead of splicing ``_encoded_cache`` bytes, so a post-send
-    mutation changes the fingerprint even after the instance memoized
-    its encoding.  Objects without a ``payload()`` (foreign test
+    :mod:`repro.crypto.digests`) but always expands ``payload()`` and
+    hashes the result itself, so a post-send mutation changes the
+    fingerprint even after the instance memoized its digest.  Objects without a ``payload()`` (foreign test
     doubles) fall back to a stable ``repr`` tag rather than failing —
     the sanitizer must never reject traffic the network itself accepts.
     """
@@ -96,7 +95,7 @@ def live_fingerprint(message: Any) -> bytes:
                 push(v[key])
                 push(key)
         elif hasattr(v, "payload"):
-            # Always re-walk — never splice a memoized encoding.
+            # Always re-walk — never trust a memoized digest.
             push(v.payload())
         elif isinstance(v, (int, float)):
             body = repr(v).encode()

@@ -42,6 +42,7 @@ from ..consensus.messages import (
     LocalCommit,
     SpecResponse,
     ZyzzyvaCommitCert,
+    adopt_digest,
 )
 from ..errors import ConfigurationError
 from ..net.simulator import Timer
@@ -185,6 +186,7 @@ class CompletionTracker:
         unsigned = ClientRequestBatch(batch_id, self._node_id, batch, None)
         request = ClientRequestBatch(batch_id, self._node_id, batch,
                                      self._signer.sign(unsigned))
+        adopt_digest(request, unsigned)
         pending = _PendingBatch(request, now)
         self._pending[batch_id] = pending
         self._submitted += 1

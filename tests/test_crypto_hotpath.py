@@ -9,15 +9,19 @@ entry.
 """
 
 import dataclasses
+import gc
+from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bench.deployment import Deployment
 from repro.consensus.messages import (
     ClientRequestBatch,
     Commit,
     CommitCertificate,
+    adopt_digest,
 )
 from repro.crypto.digests import (
     CachedEncodable,
@@ -28,10 +32,15 @@ from repro.crypto.digests import (
 )
 from repro.crypto.macs import MacAuthenticator
 from repro.crypto.signatures import KeyRegistry, VerificationCache
-from repro.errors import InvalidCertificateError
-from repro.ledger.block import Transaction, batch_digest
+from repro.errors import ConfigurationError, InvalidCertificateError
+from repro.ledger.block import MintedBatch, Transaction, batch_digest
+from repro.net.network import Network
 from repro.net.simulator import Simulation
+from repro.net.topology import Topology
 from repro.types import client_id, replica_id
+from repro.workload.client import QuorumClient
+
+from .conftest import small_config
 
 # Transactions with bounded, encodable fields.
 transactions = st.builds(
@@ -110,17 +119,18 @@ class TestCachedEncoding:
             tuple(txn.payload() for txn in batch))
 
     def test_nested_cache_splicing(self):
-        """A certificate embedding pre-encoded children produces the
-        same bytes as one whose children were never touched."""
+        """A certificate embedding pre-digested children produces the
+        same bytes as one whose children were never touched: a child's
+        memo never stands in for its bytes."""
         batch = (Transaction("t1", "update", 1, "v"),)
         request_a = _request(batch)
         request_b = _request(batch)
         commit = Commit(1, 0, 1, request_a.digest(), replica_id(1, 1), None)
         cert_a = CommitCertificate(1, 1, 0, request_a, (commit,))
         cert_b = CommitCertificate(1, 1, 0, request_b, (commit,))
-        # Warm request_a's (and commit's) caches first.
-        request_a.encoded()
-        commit.encoded()
+        # Warm request_a's (and commit's) memos first.
+        request_a.payload_digest()
+        commit.payload_digest()
         assert cert_a.encoded() == cert_b.encoded()
         assert cert_a.digest() == cert_b.digest()
 
@@ -128,11 +138,11 @@ class TestCachedEncoding:
         batch = (Transaction("t1", "update", 1, "v"),)
         request = _request(batch, batch_id="original")
         original_digest = request.payload_digest()
-        assert hasattr(request, "_encoded_cache")
+        assert request._payload_digest_cache == original_digest
         mutated = dataclasses.replace(request, batch_id="mutated")
-        # The reconstructed instance starts cold (the cache lives in a
+        # The reconstructed instance starts cold (the memo lives in a
         # slot, not __dict__, so hasattr is the right probe).
-        assert not hasattr(mutated, "_encoded_cache")
+        assert not hasattr(mutated, "_payload_digest_cache")
         # ...and its digest reflects the new content.
         assert mutated.payload_digest() != original_digest
         identical = dataclasses.replace(request)
@@ -159,6 +169,12 @@ class TestSignatureMemoization:
         signer = registry.register(client_id(1, 1))
         request = _request(batch)
         assert signer.sign(request).tag == signer.sign(request.payload()).tag
+        # The MAC path authenticates the same digest.
+        alice = MacAuthenticator(client_id(1, 1))
+        bob = MacAuthenticator(replica_id(1, 1))
+        mac = alice.tag(bob.node, request)
+        assert mac == alice.tag(bob.node, request.payload())
+        assert bob.verify(mac, request.payload())
 
     @given(batches)
     def test_cached_verification_matches_fresh(self, batch):
@@ -234,6 +250,113 @@ class TestSignatureMemoization:
         for _ in range(2):  # second round exercises the negative cache
             with pytest.raises(InvalidCertificateError):
                 cert.verify(registry, quorum=1)
+
+
+class _Silent:
+    """A network node that keeps what it receives and answers nothing."""
+
+    def __init__(self, node_id, network):
+        self.node_id, self.region, self.received = node_id, "r1", []
+        network.register(self)
+
+    def deliver(self, message, sender):
+        self.received.append(message)
+
+
+class _CountingWorkload:
+    """Hands out minted batches whose row closure counts its calls."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def next_batch(self, size, prefix=""):
+        def row(counter, key):
+            self.rows += 1
+            return (f"{prefix}t{counter}", "update", key, "v")
+
+        return MintedBatch(1, (array("q", range(size)),), row)
+
+
+def _memo_state(message):
+    """A message's memo slots that are set: its state minus its fields."""
+    fields = {field.name for field in dataclasses.fields(message)}
+    return {name: value for name, value in message.__getstate__().items()
+            if name not in fields}
+
+
+class TestSignTheDigest:
+    """A signature or MAC covers ``(signer, digest)``: a message keeps
+    32-byte digests, never its encoding, and a minted batch derives its
+    rows once per request."""
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_cache_bound_below_one_is_a_configuration_error(self, bound):
+        with pytest.raises(ConfigurationError):
+            VerificationCache(max_entries=bound)
+
+    def test_minted_request_derives_its_rows_once(self):
+        sim = Simulation(seed=1)
+        net = Network(sim, Topology.uniform(["r1"], rtt_ms=2.0))
+        registry = KeyRegistry(seed=b"hotpath-tests")
+        replicas = [_Silent(replica_id(1, i), net) for i in range(1, 5)]
+        workload = _CountingWorkload()
+        client = QuorumClient(
+            node_id=client_id(1, 1), region="r1", sim=sim, network=net,
+            registry=registry, workload=workload, batch_size=5,
+            primary_targets=[r.node_id for r in replicas],
+            fallback_targets=[r.node_id for r in replicas], reply_quorum=2,
+            outstanding=1, retry_timeout=10.0, max_batches=1)
+        client.start()
+        sim.run(until=1.0)
+        requests = [replica.received[0] for replica in replicas]
+        assert all(request is requests[0] for request in requests)
+        for request in requests:  # every replica checks the signature
+            assert registry.verify(request, request.signature)
+        digest = requests[0].digest()
+        # Signing derived the rows; verifying and the batch digest did not.
+        assert workload.rows == 5
+        assert digest == batch_digest(tuple(requests[0].batch))
+
+    def test_resigned_over_another_batch_fails_verification(self):
+        registry = KeyRegistry(seed=b"hotpath-tests")
+        signer = registry.register(client_id(1, 1))
+        workload = _CountingWorkload()
+
+        def signed(batch):
+            unsigned = ClientRequestBatch("c:0", client_id(1, 1), batch, None)
+            request = ClientRequestBatch("c:0", client_id(1, 1), batch,
+                                         signer.sign(unsigned))
+            return adopt_digest(request, unsigned)
+
+        original = signed(workload.next_batch(3))
+        assert registry.verify(original, original.signature)
+        other = workload.next_batch(4)
+        forged = ClientRequestBatch(original.batch_id, original.client,
+                                    other, original.signature)
+        assert registry.verify(forged, forged.signature) is False
+        resigned = signed(other)
+        assert resigned.signature != original.signature
+        assert registry.verify(resigned, original.signature) is False
+        assert registry.verify(resigned, resigned.signature)
+        assert registry.verify(original, original.signature)
+
+    def test_live_messages_keep_digests_not_bytes(self):
+        deployment = Deployment(small_config(
+            "pbft", fast_crypto=False, duration=1.0, warmup=0.2))
+        deployment.run()
+        messages = [obj for obj in gc.get_objects()
+                    if isinstance(obj, CachedEncodable)]
+        requests = [m for m in messages if m.__class__ is ClientRequestBatch]
+        assert requests
+        for message in messages:
+            for value in _memo_state(message).values():
+                assert value.__class__ is not bytes or len(value) == 32
+        for request in requests:
+            crypto = {name: value
+                      for name, value in _memo_state(request).items()
+                      if name != "_size_cache"}
+            assert len(crypto) <= 2
+            assert all(len(value) == 32 for value in crypto.values())
 
 
 class TestMacMemoization:

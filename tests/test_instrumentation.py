@@ -332,12 +332,12 @@ def test_encoding_stats_snapshot_delta():
     stats = EncodingCacheStats()
     stats.encode_misses += 2
     baseline = stats.snapshot()
-    stats.encode_hits += 3
-    stats.splice_hits += 1
+    stats.digest_hits += 3
+    stats.splice_misses += 1
     delta = stats.delta_since(baseline)
-    assert delta["encode_hits"] == 3
+    assert delta["digest_hits"] == 3
     assert delta["encode_misses"] == 0
-    assert delta["splice_hits"] == 1
+    assert delta["splice_misses"] == 1
     stats.reset()
     assert stats.snapshot()["encode_misses"] == 0
 
@@ -347,15 +347,17 @@ def test_deployment_cache_and_runtime_telemetry():
                                          duration=1.0, warmup=0.2))
     deployment.run()
     # fast_crypto signs nothing and appending a block encodes nothing,
-    # so the run encodes no message at all.
-    assert not any(deployment.encoding_cache_delta().values())
+    # so the run encodes and digests no message at all.
+    delta = deployment.encoding_cache_delta()
+    assert len(delta) == 6 and not any(delta.values())
     blocks = [block for replica in deployment.replicas.values()
               for block in replica.ledger]
     assert blocks
-    assert not any(hasattr(block.certificate, "_encoded_cache")
+    assert not any(hasattr(block.certificate, "_payload_digest_cache")
                    for block in blocks)
     assert blocks[0].certificate_digest == digest_of(blocks[0].certificate)
-    assert deployment.encoding_cache_delta()["encode_misses"] == 1
+    delta = deployment.encoding_cache_delta()
+    assert (delta["encode_misses"], delta["digest_misses"]) == (1, 1)
     assert deployment.sim.max_queue_depth > 0
     net = deployment.network.telemetry()
     assert net["sends"] > 0
@@ -366,8 +368,11 @@ def test_real_crypto_populates_verification_cache():
     deployment = Deployment(small_config("geobft", fast_crypto=False,
                                          duration=1.0, warmup=0.2))
     deployment.run()
-    # Signing a message splices the cached bytes of what it embeds.
-    assert deployment.encoding_cache_delta()["splice_hits"] > 0
+    # Verifying a signed message reads its memoized digest: signing
+    # digested it, and the signed copy adopted that digest.
+    delta = deployment.encoding_cache_delta()
+    assert delta["digest_hits"] > delta["digest_misses"] > 0
+    assert delta["encode_hits"] == delta["splice_hits"] == 0
     cache = deployment.verification_cache
     assert cache.hits > 0
     assert "sig" in cache.kind_stats()

@@ -169,8 +169,8 @@ class TestBlockchain:
             chain.verify()
 
     def test_append_encodes_nothing(self):
-        """A fresh certificate is stored as is: no encode, digest or
-        splice until someone asks for ``certificate_digest``."""
+        """A fresh certificate is stored as is: no encode or digest
+        until someone asks for ``certificate_digest``."""
         certificate = make_certificate(KeyRegistry(), batch_size=5)
         request = certificate.request
         digest = request.digest()  # protocol code holds it before append
@@ -179,7 +179,7 @@ class TestBlockchain:
         block = chain.append(1, 1, request.batch, certificate,
                              batch_digest=digest)
         assert not any(ENCODING_STATS.delta_since(before).values())
-        assert not hasattr(certificate, "_encoded_cache")
+        assert not hasattr(certificate, "_payload_digest_cache")
         assert block.certificate is chain.certificate(0) is certificate
         assert block.certificate_digest == digest_of(certificate)
         assert ENCODING_STATS.delta_since(before)["encode_misses"] == 1

@@ -2,8 +2,8 @@
 
 The failure mode under test: the simulator passes message objects by
 reference, so a handler that mutates a message after posting it corrupts
-what every other receiver observes — silently, because the canonical
-encoding cache keeps serving the pre-mutation bytes.  The sanitizer must
+what every other receiver observes — silently, because the memoized
+payload digest keeps serving the pre-mutation state.  The sanitizer must
 catch exactly that (with a pointed error naming type and sender) while
 leaving scheduling, and therefore deployment digests, untouched.
 """
@@ -81,17 +81,17 @@ class TestDetection:
         assert str(a.node_id) in text
 
     def test_mutation_is_caught_even_after_encoding_was_cached(self, wan):
-        # The whole reason live_fingerprint exists: once encoded() has
-        # memoized the canonical bytes, digests and signatures keep
-        # reporting the pre-mutation state, so only an uncached re-walk
-        # can see the change.
+        # The whole reason live_fingerprint exists: once payload_digest()
+        # has memoized the digest, digests and signatures keep reporting
+        # the pre-mutation state, so only an uncached re-walk can see
+        # the change.
         sim, net, a, b, _c = build(wan, sanitize=True)
         msg = prepare_message()
-        msg.encoded()  # warm the instance cache
+        msg.payload_digest()  # warm the instance memo
         net.send(a.node_id, b.node_id, msg)
         mutate(msg)
-        assert msg.encoded() == Prepare(
-            1, 0, 7, b"d" * 32, replica_id(1, 1)).encoded()  # cache is stale
+        assert msg.payload_digest() == Prepare(
+            1, 0, 7, b"d" * 32, replica_id(1, 1)).payload_digest()  # stale
         with pytest.raises(MessageAliasingError):
             sim.run()
 
@@ -154,8 +154,8 @@ class TestFingerprint:
     def test_fingerprint_tracks_live_payload(self):
         msg = prepare_message()
         before = live_fingerprint(msg)
-        msg.encoded()
-        assert live_fingerprint(msg) == before  # caching is invisible
+        msg.payload_digest()
+        assert live_fingerprint(msg) == before  # the memo is invisible
         mutate(msg)
         assert live_fingerprint(msg) != before
 
