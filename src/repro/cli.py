@@ -333,9 +333,8 @@ def _cmd_sweep(args) -> int:
 
     from .sweep import (Campaign, ResultStore, RunSpec, campaign_names,
                         get_campaign, run_campaign)
-    from .sweep.reports import chaos_audit_failures, figure_records
-    from .sweep.store import (compare_overload_baseline,
-                              compare_scale_baseline)
+    from .sweep.reports import chaos_audit_failures
+    from .sweep.store import compare_baseline, load_bench
 
     if args.list_campaigns:
         rows = []
@@ -376,6 +375,8 @@ def _cmd_sweep(args) -> int:
             print(spec.describe())
         return 0
 
+    # A baseline of no known kind fails here, before anything runs.
+    baseline = load_bench(args.baseline) if args.baseline else None
     store = ResultStore(args.store or None)
     progress = None if args.json else print
     with store:
@@ -390,31 +391,10 @@ def _cmd_sweep(args) -> int:
                     failures.append(
                         f"{record['run_id']}: wall {record['wall_s']:.1f}s "
                         f"exceeds budget {args.budget_s:.1f}s")
-        scale_records = figure_records(outcome.records, "scale")
-        if args.baseline:
-            if not scale_records:
-                failures.append(
-                    f"--baseline {args.baseline}: no scale-tagged records "
-                    "in this campaign to compare")
-            else:
-                with open(args.baseline, "r", encoding="utf-8") as fh:
-                    baseline = json.load(fh)
-                calibration = outcome.host.get("calibration_ops_per_s", 0)
-                failures += compare_scale_baseline(
-                    scale_records, calibration, baseline)
-        overload_records = figure_records(outcome.records, "overload")
-        if args.overload_baseline:
-            if not overload_records:
-                failures.append(
-                    f"--overload-baseline {args.overload_baseline}: no "
-                    "overload-tagged records in this campaign to compare")
-            else:
-                with open(args.overload_baseline, "r",
-                          encoding="utf-8") as fh:
-                    baseline = json.load(fh)
-                calibration = outcome.host.get("calibration_ops_per_s", 0)
-                failures += compare_overload_baseline(
-                    overload_records, calibration, baseline)
+        if baseline is not None:
+            calibration = outcome.host.get("calibration_ops_per_s", 0)
+            failures += compare_baseline(outcome.records, calibration,
+                                         baseline)
         failures += chaos_audit_failures(outcome.records)
 
     if args.artifacts:
@@ -650,14 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="absolute wall-time budget per "
                                    "executed run (seconds)")
     sweep_parser.add_argument("--baseline", default="", metavar="FILE",
-                              help="compare scale-tagged records "
-                                   "against this BENCH_scale.json "
-                                   "(digest drift + calibrated rate)")
-    sweep_parser.add_argument("--overload-baseline", default="",
-                              metavar="FILE",
-                              help="compare overload-tagged records "
-                                   "against this BENCH_overload.json "
-                                   "(digest drift + calibrated rate)")
+                              help="gate this BENCH_<figure>.json's "
+                                   "figure, picked by its schema, against "
+                                   "it (digest drift + calibrated rate)")
     sweep_parser.add_argument("--list-campaigns", action="store_true",
                               help="print the campaign registry and "
                                    "exit")

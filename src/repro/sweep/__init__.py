@@ -6,7 +6,7 @@ plus explicit dependencies), a scheduler fans ready runs across a
 process pool (the package's one use of several host cores), and a
 :class:`ResultStore` keys every completed run by a config digest so a
 warm campaign re-run executes nothing.  Figures, tables, and the
-``BENCH_scale.json`` perf baseline regenerate byte-identically from the
+``BENCH_*.json`` perf baselines regenerate byte-identically from the
 store.
 
 Entry points: ``repro sweep --campaign <name>`` on the CLI, or
@@ -23,25 +23,26 @@ from .model import (Campaign, ReportSpec, RunSpec, SWEEP_SCHEMA,
                     result_from_record)
 from .runner import execute_run
 from .scheduler import CampaignOutcome, SweepScheduler, run_campaign
-from .store import (ResultStore, import_bench_overload,
-                    import_bench_scale, overload_point_from_record,
-                    overload_run_id, render_bench_overload,
-                    render_bench_scale, scale_point_from_record,
-                    scale_run_id)
+from .store import (OVERLOAD_BENCH, SCALE_BENCH, ResultStore,
+                    compare_baseline, import_bench, point_from_record,
+                    render_bench)
 
 __all__ = [
     "Campaign",
     "CampaignOutcome",
+    "OVERLOAD_BENCH",
     "PROTOCOLS",
     "ReportSpec",
     "ResultStore",
     "RunSpec",
+    "SCALE_BENCH",
     "SWEEP_SCHEMA",
     "SweepScheduler",
     "batch_points",
     "calibrate_host",
     "campaign_names",
     "cluster_size_points",
+    "compare_baseline",
     "config_fingerprint",
     "execute_run",
     "expand_grid",
@@ -50,19 +51,14 @@ __all__ = [
     "geo_scale_points",
     "get_campaign",
     "host_info",
-    "import_bench_overload",
-    "import_bench_scale",
-    "overload_point_from_record",
-    "overload_run_id",
+    "import_bench",
     "point_config",
+    "point_from_record",
     "record_series",
     "register_campaign",
-    "render_bench_overload",
-    "render_bench_scale",
+    "render_bench",
     "result_from_record",
     "run_campaign",
     "scale_config",
-    "scale_point_from_record",
-    "scale_run_id",
     "sim_duration",
 ]

@@ -25,6 +25,7 @@ Built-ins::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -34,10 +35,10 @@ from ..core.config import GeoBftConfig
 from ..errors import ConfigurationError
 from ..workload.traffic import TrafficSpec
 from .model import Campaign, ReportSpec, RunSpec
-from .reports import (build_chaos, build_fig10, build_fig11, build_fig12,
-                      build_fig13, build_overload, build_scale,
-                      build_table1, build_table2)
-from .store import SCALE_SIM_DURATION, overload_run_id, scale_run_id
+from .reports import (build_bench, build_chaos, build_fig10, build_fig11,
+                      build_fig12, build_fig13, build_table1, build_table2)
+from .store import (OVERLOAD_BENCH, OVERLOAD_SIM_DURATION, SCALE_BENCH,
+                    SCALE_SIM_DURATION)
 
 #: Scale-sweep grid: the rows of BENCH_scale.json.
 SCALE_POINTS = (16, 32, 64, 91, 256)
@@ -348,7 +349,7 @@ def table2_campaign() -> Campaign:
 
 
 def _scale_runs(points: Tuple[int, ...]) -> Tuple[RunSpec, ...]:
-    return tuple(RunSpec(run_id=scale_run_id(total),
+    return tuple(RunSpec(run_id=SCALE_BENCH.run_id(n=total),
                          config=scale_config(total),
                          tags={"figure": "scale", "n": total})
                  for total in points)
@@ -361,7 +362,7 @@ def scale_campaign() -> Campaign:
                     "BENCH_scale.json",
         runs=_scale_runs(SCALE_POINTS),
         reports=(ReportSpec("bench-scale", "BENCH_scale.json",
-                            build_scale),))
+                            functools.partial(build_bench, "scale")),))
 
 
 def overload_spec(protocol: str, x: float) -> TrafficSpec:
@@ -390,23 +391,19 @@ def overload_campaign() -> Campaign:
     """Offered-load sweep from 0.5x to 4x saturation, all protocols,
     plus one GeoBFT 2x point on the conflict-bearing payment workload.
     """
-    runs = []
-    for protocol in PROTOCOLS:
-        for i, x in enumerate(OVERLOAD_FACTORS):
-            runs.append(RunSpec(
-                run_id=overload_run_id(protocol, x),
-                config=point_config(protocol, 2, 4,
-                                    traffic=overload_spec(protocol, x)),
-                tags={"figure": "overload", "protocol": protocol,
-                      "x": x, "xi": i, "workload": "ycsb"}))
+    points = [(protocol, i, x, "ycsb") for protocol in PROTOCOLS
+              for i, x in enumerate(OVERLOAD_FACTORS)]
     # One conflict-bearing point: interbank payments at 2x saturation.
-    runs.append(RunSpec(
-        run_id=overload_run_id("geobft", 2.0, "payment"),
-        config=point_config("geobft", 2, 4,
-                            traffic=overload_spec("geobft", 2.0)),
-        scenario="payment_network",
-        tags={"figure": "overload", "protocol": "geobft", "x": 2.0,
-              "xi": 2, "workload": "payment"}))
+    points.append(("geobft", 2, 2.0, "payment"))
+    runs = [RunSpec(
+        run_id=OVERLOAD_BENCH.run_id(protocol=protocol, workload=workload,
+                                     x=x),
+        config=point_config(protocol, 2, 4, duration=OVERLOAD_SIM_DURATION,
+                            traffic=overload_spec(protocol, x)),
+        scenario="payment_network" if workload == "payment" else "none",
+        tags={"figure": "overload", "protocol": protocol, "x": x, "xi": i,
+              "workload": workload})
+        for protocol, i, x, workload in points]
     return Campaign(
         name="overload",
         description="Open-loop overload sweep (0.5x-4x saturation, "
@@ -414,7 +411,7 @@ def overload_campaign() -> Campaign:
                     "BENCH_overload.json",
         runs=tuple(runs),
         reports=(ReportSpec("bench-overload", "BENCH_overload.json",
-                            build_overload),))
+                            functools.partial(build_bench, "overload")),))
 
 
 def chaos_config(protocol: str) -> ExperimentConfig:

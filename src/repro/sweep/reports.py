@@ -5,7 +5,7 @@ callable: it receives a campaign's successful records (in campaign run
 order) and returns the artifact's full text.  Builders are pure
 functions of the records — byte-identical records regenerate
 byte-identical artifacts, which is what lets EXPERIMENTS.md tables,
-figure files, and the ``BENCH_scale.json`` baseline all re-derive from
+figure files, and the ``BENCH_*.json`` baselines all re-derive from
 the result store.
 
 Builders select their own records by the ``figure`` tag, so they
@@ -20,21 +20,18 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 from ..bench.charts import ascii_chart
 from ..bench.reporting import format_figure_series, format_table
 from .model import record_series
-from .store import render_bench_overload, render_bench_scale
+from .store import figure_records, render_bench
 
 
-def figure_records(records: Iterable[Mapping[str, Any]],
-                   figure: str) -> List[Mapping[str, Any]]:
-    """The records tagged as belonging to ``figure``."""
-    return [r for r in records
-            if r.get("tags", {}).get("figure") == figure]
-
-
-def _require(records: Sequence[Mapping[str, Any]], figure: str) -> None:
-    if not records:
+def _require(records: Iterable[Mapping[str, Any]],
+             figure: str) -> List[Mapping[str, Any]]:
+    """The ``figure``-tagged records; a report with none raises."""
+    recs = figure_records(records, figure)
+    if not recs:
         raise ValueError(
             f"no records tagged figure={figure!r}; run the campaign "
             "(or drop the filter) before rendering this report")
+    return recs
 
 
 # ----------------------------------------------------------------------
@@ -42,8 +39,7 @@ def _require(records: Sequence[Mapping[str, Any]], figure: str) -> None:
 # ----------------------------------------------------------------------
 
 def build_fig10(records: Sequence[Mapping[str, Any]]) -> str:
-    recs = figure_records(records, "fig10")
-    _require(recs, "fig10")
+    recs = _require(records, "fig10")
     zs, throughput = record_series(recs, "throughput_txn_s")
     _, latency = record_series(recs, "avg_latency_s")
     total = recs[0]["tags"]["total"]
@@ -63,8 +59,7 @@ def build_fig10(records: Sequence[Mapping[str, Any]]) -> str:
 
 
 def build_fig11(records: Sequence[Mapping[str, Any]]) -> str:
-    recs = figure_records(records, "fig11")
-    _require(recs, "fig11")
+    recs = _require(records, "fig11")
     ns, throughput = record_series(recs, "throughput_txn_s")
     _, latency = record_series(recs, "avg_latency_s")
     z = recs[0]["config"]["num_clusters"]
@@ -81,8 +76,7 @@ def build_fig11(records: Sequence[Mapping[str, Any]]) -> str:
 
 
 def build_fig13(records: Sequence[Mapping[str, Any]]) -> str:
-    recs = figure_records(records, "fig13")
-    _require(recs, "fig13")
+    recs = _require(records, "fig13")
     batches, throughput = record_series(recs, "throughput_txn_s")
     config = recs[0]["config"]
     return "\n".join([
@@ -104,8 +98,7 @@ def build_fig13(records: Sequence[Mapping[str, Any]]) -> str:
 def fig12_panels(records: Iterable[Mapping[str, Any]],
                  ) -> Tuple[List[Any], Dict[str, Dict[str, List[float]]]]:
     """``(n_points, {panel: {protocol: [txn/s, ...]}})`` for Figure 12."""
-    recs = figure_records(records, "fig12")
-    _require(recs, "fig12")
+    recs = _require(records, "fig12")
     panels: Dict[str, Dict[str, List[float]]] = {}
     points: List[Any] = []
     for panel in ("one_backup", "f_backups", "primary", "baseline"):
@@ -265,8 +258,7 @@ def table2_measured(record: Mapping[str, Any]) -> Tuple[float, float]:
 def build_table2(records: Sequence[Mapping[str, Any]]) -> str:
     from ..analysis.complexity import analytic_complexity
 
-    recs = figure_records(records, "table2")
-    _require(recs, "table2")
+    recs = _require(records, "table2")
     rows = []
     z = recs[0]["config"]["num_clusters"]
     n = recs[0]["config"]["replicas_per_cluster"]
@@ -293,23 +285,11 @@ def build_table2(records: Sequence[Mapping[str, Any]]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Scale — the BENCH_scale.json baseline
+# Scale and overload — the BENCH_<figure>.json baselines
 # ----------------------------------------------------------------------
 
-def build_scale(records: Sequence[Mapping[str, Any]]) -> str:
-    recs = figure_records(records, "scale")
-    _require(recs, "scale")
-    return render_bench_scale(recs)
-
-
-# ----------------------------------------------------------------------
-# Overload — the BENCH_overload.json baseline
-# ----------------------------------------------------------------------
-
-def build_overload(records: Sequence[Mapping[str, Any]]) -> str:
-    recs = figure_records(records, "overload")
-    _require(recs, "overload")
-    return render_bench_overload(recs)
+def build_bench(figure: str, records: Sequence[Mapping[str, Any]]) -> str:
+    return render_bench(_require(records, figure))
 
 
 # ----------------------------------------------------------------------
@@ -320,8 +300,7 @@ def build_chaos(records: Sequence[Mapping[str, Any]]) -> str:
     """The chaos-matrix audit: one row per protocol, with the
     safety/liveness verdicts the per-protocol CI smoke jobs used to
     assert individually."""
-    recs = figure_records(records, "chaos")
-    _require(recs, "chaos")
+    recs = _require(records, "chaos")
     rows = []
     failures = []
     for record in recs:
@@ -372,13 +351,12 @@ def chaos_audit_failures(records: Sequence[Mapping[str, Any]]
 
 
 __all__ = [
+    "build_bench",
     "build_fig10",
     "build_fig11",
     "build_fig12",
     "build_fig13",
     "build_chaos",
-    "build_overload",
-    "build_scale",
     "build_table1",
     "build_table2",
     "chaos_audit_failures",

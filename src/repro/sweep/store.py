@@ -16,17 +16,22 @@ Records are keyed by :meth:`RunSpec.key` — a digest of the full config
 simulated run rides in each record, which is what the CI digest-drift
 gate compares across machines.
 
-``ResultStore(None)`` gives an ephemeral in-memory store (no files) —
-used by the benchmark shims and tests that only need the query API.
+``ResultStore(None)`` gives an ephemeral in-memory store (no files, an
+in-memory index) — used by the benchmark shims and tests that only need
+the query API.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import os
 import sqlite3
 import warnings
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from ..errors import ConfigurationError, StoreError
 from .model import SWEEP_SCHEMA
@@ -95,19 +100,20 @@ class ResultStore:
 
     def __init__(self, path: Optional[str]):
         self.path = path
-        self._memory: Dict[str, Dict[str, Any]] = {}
-        self._order: List[str] = []
-        self._db: Optional[sqlite3.Connection] = None
+        #: An in-memory store's records; an index offset is a position.
+        self._lines: List[Dict[str, Any]] = []
         if path is not None:
             os.makedirs(path, exist_ok=True)
-            self._db = sqlite3.connect(self._index_path)
-            try:
-                self._db.executescript(_SCHEMA_SQL)
-                if self._cut_torn_tail() or self._index_is_stale():
-                    self.reindex()
-            except BaseException:
-                self.close()
-                raise
+        self._db = sqlite3.connect(
+            ":memory:" if path is None else self._index_path)
+        try:
+            self._db.executescript(_SCHEMA_SQL)
+            if path is not None and (self._cut_torn_tail()
+                                     or self._index_is_stale()):
+                self.reindex()
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Paths & lifecycle
@@ -123,9 +129,7 @@ class ResultStore:
         return os.path.join(self.path, INDEX_NAME)
 
     def close(self) -> None:
-        if self._db is not None:
-            self._db.close()
-            self._db = None
+        self._db.close()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -156,7 +160,6 @@ class ResultStore:
 
     def _index_is_stale(self) -> bool:
         """True when the JSONL holds records the index does not."""
-        assert self._db is not None
         count = self._db.execute(
             "SELECT count(*) FROM records").fetchone()[0]
         if not os.path.exists(self.records_path):
@@ -167,7 +170,6 @@ class ResultStore:
 
     def reindex(self) -> int:
         """Rebuild the SQLite index from the JSONL; returns row count."""
-        assert self._db is not None
         self._db.execute("DELETE FROM records")
         total = 0
         if os.path.exists(self.records_path):
@@ -192,7 +194,6 @@ class ResultStore:
     # Writing
     # ------------------------------------------------------------------
     def _upsert(self, record: Mapping[str, Any], offset: int) -> None:
-        assert self._db is not None
         self._db.execute(
             "INSERT OR REPLACE INTO records VALUES "
             "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
@@ -205,17 +206,15 @@ class ResultStore:
         doc = dict(record)
         doc.setdefault("schema", SWEEP_SCHEMA)
         if self.path is None:
-            if doc["key"] not in self._memory:
-                self._order.append(doc["key"])
-            self._memory[doc["key"]] = doc
-            return
-        line = (encode_record(doc) + "\n").encode("utf-8")
-        offset = (os.path.getsize(self.records_path)
-                  if os.path.exists(self.records_path) else 0)
-        with open(self.records_path, "ab") as fh:
-            fh.write(line)
+            offset = len(self._lines)
+            self._lines.append(doc)
+        else:
+            line = (encode_record(doc) + "\n").encode("utf-8")
+            offset = (os.path.getsize(self.records_path)
+                      if os.path.exists(self.records_path) else 0)
+            with open(self.records_path, "ab") as fh:
+                fh.write(line)
         self._upsert(doc, offset)
-        assert self._db is not None
         self._db.commit()
 
     def add_all(self, records: Iterable[Mapping[str, Any]]) -> int:
@@ -229,15 +228,14 @@ class ResultStore:
     # Reading
     # ------------------------------------------------------------------
     def _load_at(self, offset: int) -> Dict[str, Any]:
+        if self.path is None:
+            return self._lines[offset]
         with open(self.records_path, "rb") as fh:
             fh.seek(offset)
             return json.loads(fh.readline().decode("utf-8"))
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The latest record for ``key``, or ``None``."""
-        if self.path is None:
-            return self._memory.get(key)
-        assert self._db is not None
         row = self._db.execute(
             "SELECT offset FROM records WHERE key = ?", (key,)).fetchone()
         if row is None:
@@ -266,22 +264,6 @@ class ResultStore:
             raise ConfigurationError(
                 f"unknown store filters {sorted(unknown)}; "
                 f"expected a subset of {sorted(allowed)}")
-        if self.path is None:
-            out = []
-            for key in self._order:
-                record = self._memory[key]
-                config = record.get("config", {})
-                ok = True
-                for name, value in filters.items():
-                    actual = (record.get(name) if name in record
-                              else config.get(name))
-                    if actual != value:
-                        ok = False
-                        break
-                if ok:
-                    out.append(record)
-            return out
-        assert self._db is not None
         clauses, params = [], []
         for name, value in sorted(filters.items()):
             clauses.append(f"{name} = ?")
@@ -298,62 +280,150 @@ class ResultStore:
 
     def campaigns(self) -> List[str]:
         """Campaign names present in the store (sorted)."""
-        if self.path is None:
-            return sorted({r.get("campaign", "")
-                           for r in self._memory.values()})
-        assert self._db is not None
         rows = self._db.execute(
             "SELECT DISTINCT campaign FROM records ORDER BY campaign")
         return [name for (name,) in rows]
 
 
 # ----------------------------------------------------------------------
-# BENCH_scale.json interop
+# BENCH_<figure>.json interop
 # ----------------------------------------------------------------------
 
-#: The scale sweep's simulated window (the scale campaign reads it here).
+#: The scale and overload sweeps' simulated windows: their campaigns
+#: read them here, so a file's header and its runs cannot drift.
 SCALE_SIM_DURATION = 1.2
-SCALE_SCHEMA = "bench-scale/2"
-SCALE_BENCHMARK = ("scale sweep (geobft, saturated, batch=100, "
-                   f"duration={SCALE_SIM_DURATION}s)")
+OVERLOAD_SIM_DURATION = 1.6
 
-#: The exact per-point keys of a bench-scale baseline row, in the order
-#: they are synthesized from a fresh record.
-_SCALE_POINT_KEYS = ("avg_latency_s", "digest", "events", "events_per_s",
-                     "max_queue_depth", "n", "protocol",
-                     "throughput_txn_s", "wall_s", "workers")
+#: Row fields every fresh record yields, as ``measures`` entries.
+_SHARED_MEASURES = {"digest": ("digest", None), "events": ("events", None),
+                    "protocol": ("config.protocol", None),
+                    "wall_s": ("wall_s", 3)}
 
 
-def scale_run_id(n: int) -> str:
-    return f"scale/n{n}"
+@dataclass(frozen=True)
+class BenchSpec:
+    """One committed baseline file, ``BENCH_<figure>.json``.
 
-
-def import_bench_scale(path: str,
-                       campaign: str = "scale") -> List[Dict[str, Any]]:
-    """Store records from a committed ``BENCH_scale.json`` baseline.
-
-    Each point becomes one record whose ``bench`` block is the point
-    payload verbatim, so :func:`render_bench_scale` round-trips the
-    file byte-identically.  Records are keyed ``bench-scale:<n>``
-    rather than by config fingerprint — a baseline file does not carry
-    the full config, and these records exist for regeneration and
-    digest comparison, not run caching.
+    ``figure`` is also the records' figure tag and their key prefix.
+    ``identity`` names the row fields that make a point; ``defaults``
+    fills fields that older rows omit.  A fresh record's row takes its
+    identity from its tags, and each ``measures`` field from ``(path,
+    places)``: the value at that dotted path, rounded to ``places`` (0:
+    to an int, None: not at all).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != SCALE_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: expected schema {SCALE_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}")
+
+    schema: str
+    benchmark: str
+    figure: str
+    identity: Tuple[str, ...]
+    defaults: Mapping[str, Any]
+    measures: Mapping[str, Tuple[str, Optional[int]]]
+    run_id: Callable[..., str]
+
+    @property
+    def row_keys(self) -> Tuple[str, ...]:
+        return tuple(sorted({*self.identity, *self.defaults, "events_per_s",
+                             *_SHARED_MEASURES, *self.measures}))
+
+    def identify(self, point: Mapping[str, Any]) -> Tuple[Any, ...]:
+        fields = {**self.defaults, **point}
+        return tuple(fields[k] for k in self.identity)
+
+
+SCALE_BENCH = BenchSpec(
+    schema="bench-scale/2",
+    benchmark=("scale sweep (geobft, saturated, batch=100, "
+               f"duration={SCALE_SIM_DURATION}s)"),
+    figure="scale",
+    identity=("n",),
+    # Every run is serial; ``workers`` stays in the row only because
+    # perfbench/run.py picks its n=16 / n=91 digest rows by it.
+    defaults={"protocol": "geobft", "workers": 1},
+    measures={"avg_latency_s": ("result.avg_latency_s", 6),
+              "max_queue_depth": ("max_queue_depth", None),
+              "throughput_txn_s": ("result.throughput_txn_s", 0)},
+    run_id=lambda n: f"scale/n{n}",
+)
+
+OVERLOAD_BENCH = BenchSpec(
+    schema="bench-overload/1",
+    benchmark=("overload sweep (open-loop traffic, 0.5x-4x saturation, "
+               f"duration={OVERLOAD_SIM_DURATION}s)"),
+    figure="overload",
+    identity=("protocol", "workload", "x"),
+    defaults={"workload": "ycsb"},
+    measures={"abandonment_rate": ("result.traffic.abandonment_rate", 6),
+              "goodput_txn_s": ("result.traffic.goodput_txn_s", 0),
+              "offered_txn_s": ("result.traffic.offered_txn_s", 0),
+              "p50_latency_s": ("result.p50_latency_s", 6),
+              "p95_latency_s": ("result.p95_latency_s", 6),
+              "p99_latency_s": ("result.p99_latency_s", 6),
+              "users": ("result.traffic.modeled_users", None)},
+    # ``x`` is the offered-load factor; YCSB points keep the short form.
+    run_id=lambda protocol, workload, x: (
+        f"overload/{protocol}/x{x:g}" if workload == "ycsb"
+        else f"overload/{workload}-{protocol}-x{x:g}"),
+)
+
+BENCH_SPECS = (SCALE_BENCH, OVERLOAD_BENCH)
+
+
+def _spec(field: str, value: Any) -> BenchSpec:
+    """The bench file whose ``field`` (schema or figure) is ``value``."""
+    for spec in BENCH_SPECS:
+        if getattr(spec, field) == value:
+            return spec
+    raise ConfigurationError(
+        f"unknown bench {field} {value!r}; expected one of "
+        f"{[getattr(spec, field) for spec in BENCH_SPECS]}")
+
+
+def figure_records(records: Iterable[Mapping[str, Any]],
+                   figure: str) -> List[Mapping[str, Any]]:
+    """The records tagged as belonging to ``figure``."""
+    return [r for r in records
+            if r.get("tags", {}).get("figure") == figure]
+
+
+def _text(value: Any) -> str:
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def load_bench(path: str) -> Dict[str, Any]:
+    """A bench file's payload; a file of no known ``schema`` raises."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        _spec("schema", payload.get("schema"))
+    except (OSError, ValueError, AttributeError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    return payload
+
+
+def import_bench(path: str) -> List[Dict[str, Any]]:
+    """Store records from a committed ``BENCH_<figure>.json`` baseline.
+
+    The file's ``schema`` picks its spec.  Each point becomes one record
+    whose ``bench`` block is the point verbatim, so :func:`render_bench`
+    round-trips the file byte-identically.  Records are keyed
+    ``bench-<figure>:<identity>`` (``bench-overload:geobft:ycsb:2``),
+    not by config fingerprint: a baseline file does not carry the full
+    config, and these records serve regeneration and digest comparison.
+    """
+    payload = load_bench(path)
+    spec = _spec("schema", payload["schema"])
     records = []
     for point in payload.get("points", []):
+        fields = {**spec.defaults, **point}
+        ident = {k: fields[k] for k in spec.identity}
         records.append({
             "schema": SWEEP_SCHEMA,
-            "key": f"bench-scale:{point['n']}",
-            "campaign": campaign,
-            "run_id": scale_run_id(point["n"]),
-            "tags": {"figure": "scale", "n": point["n"]},
-            "config": {"protocol": point.get("protocol", "geobft")},
+            "key": ":".join([f"bench-{spec.figure}",
+                             *map(_text, ident.values())]),
+            "campaign": spec.figure,
+            "run_id": spec.run_id(**ident),
+            "tags": {"figure": spec.figure, **ident},
+            "config": {"protocol": fields["protocol"]},
             "scenario": "none",
             "status": "ok",
             "digest": point["digest"],
@@ -363,88 +433,89 @@ def import_bench_scale(path: str,
     return records
 
 
-def scale_point_from_record(record: Mapping[str, Any]) -> Dict[str, Any]:
-    """The bench-scale point row for one scale-campaign record.
+def point_from_record(record: Mapping[str, Any]) -> Dict[str, Any]:
+    """The bench row for one record, of the file its figure tag names.
 
     Imported records carry the row verbatim under ``bench``; fresh runs
     synthesize it from measured fields with the rounding the committed
     rows use.
     """
+    spec = _spec("figure", record.get("tags", {}).get("figure"))
     bench = record.get("bench")
     if bench is not None:
-        return {k: bench[k] for k in _SCALE_POINT_KEYS if k in bench}
-    result = record["result"]
-    wall = record["wall_s"]
-    events = record["events"]
-    return {
-        "avg_latency_s": round(result["avg_latency_s"], 6),
-        "digest": record["digest"],
-        "events": events,
-        "events_per_s": round(events / wall),
-        "max_queue_depth": record["max_queue_depth"],
-        "n": record["tags"]["n"],
-        "protocol": record["config"]["protocol"],
-        "throughput_txn_s": round(result["throughput_txn_s"]),
-        "wall_s": round(wall, 3),
-        # Every run is serial; the literal stays in the row only because
-        # perfbench/run.py picks its n=16 / n=91 digest rows by it.
-        "workers": 1,
-    }
+        return {k: bench[k] for k in spec.row_keys if k in bench}
+    fields = {**spec.defaults, **record["tags"]}
+    row = {k: fields[k] for k in spec.row_keys if k in fields}
+    for key, (path, places) in {**_SHARED_MEASURES, **spec.measures}.items():
+        value = functools.reduce(operator.getitem, path.split("."), record)
+        if places is not None:
+            value = round(value, places) if places else round(value)
+        row[key] = value
+    row["events_per_s"] = round(record["events"] / record["wall_s"])
+    return row
 
 
-def render_bench_scale(records: Iterable[Mapping[str, Any]],
-                       host: Optional[Mapping[str, Any]] = None) -> str:
-    """``BENCH_scale.json`` content regenerated from store records.
+def render_bench(records: Iterable[Mapping[str, Any]]) -> str:
+    """``BENCH_<figure>.json`` content regenerated from store records.
 
-    Points ordered by n, ``indent=1``, sorted keys, trailing newline —
-    byte-identical to the committed file for the same measurements.
-    ``host`` defaults to the host block of the first record (imported
-    baselines carry the original host).
+    The records' figure tag picks the file; its host block is the first
+    record's (imported baselines carry the original host).  Points are
+    ordered by their identity, ``indent=1``, sorted keys, trailing
+    newline — byte-identical to the committed file for the same
+    measurements.
     """
     records = list(records)
-    rows = sorted((scale_point_from_record(r) for r in records),
-                  key=lambda p: p["n"])
-    if not rows:
-        raise ConfigurationError(
-            "no scale records to render; run the scale campaign first")
+    if not records:
+        raise ConfigurationError("no bench records to render; run the "
+                                 "scale or overload campaign first")
+    spec = _spec("figure", records[0].get("tags", {}).get("figure"))
+    if len(figure_records(records, spec.figure)) != len(records):
+        raise ConfigurationError("bench records of several figures")
+    host = next((r["host"] for r in records if r.get("host")), None)
     if host is None:
-        for record in records:
-            if record.get("host"):
-                host = record["host"]
-                break
-        else:
-            raise ConfigurationError(
-                "no host calibration block in the scale records")
+        raise ConfigurationError(
+            f"no host calibration block in the {spec.figure} records")
     payload = {
-        "schema": SCALE_SCHEMA,
-        "benchmark": SCALE_BENCHMARK,
+        "schema": spec.schema,
+        "benchmark": spec.benchmark,
         "host": dict(host),
-        "points": rows,
+        "points": sorted(map(point_from_record, records),
+                         key=spec.identify),
     }
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def compare_scale_baseline(records: Iterable[Mapping[str, Any]],
-                           calibration: float, baseline: Mapping[str, Any],
-                           tolerance: float = 0.30) -> List[str]:
-    """The CI perf gate: scale records vs a committed baseline.
+def compare_baseline(records: Iterable[Mapping[str, Any]],
+                     calibration: float, baseline: Mapping[str, Any],
+                     tolerance: float = 0.30) -> List[str]:
+    """The CI perf gate: campaign records vs a committed baseline.
 
-    Returns failure strings (empty == pass).  Two checks per point that
-    exists in both: **digest equality** (the deployment digest is a pure
-    function of the configuration, so it must match on any host — the
-    digest-drift gate) and **calibrated rate regression** (events/s
-    normalized by each host's calibration loop; a drop beyond
-    ``tolerance`` fails).
+    The baseline's ``schema`` picks the file; records of other figures
+    take no part.  Returns failure strings (empty == pass).  Per shared
+    point: **digest equality** (a pure function of the configuration, so
+    equal on any host) and **calibrated rate regression** (events/s over
+    each host's calibration loop; a drop beyond ``tolerance`` fails).
+    Comparing no point fails too: a stale baseline or a filter to a
+    point the file lacks must not pass.
     """
+    spec = _spec("schema", baseline.get("schema"))
+    points = list(map(point_from_record,
+                      figure_records(records, spec.figure)))
+    if not points:
+        return [f"no {spec.figure}-tagged records in this campaign to "
+                "compare"]
     failures: List[str] = []
     base_cal = baseline.get("host", {}).get("calibration_ops_per_s")
-    base_points = {p["n"]: p for p in baseline.get("points", [])}
-    for record in records:
-        point = scale_point_from_record(record)
-        base = base_points.get(point["n"])
+    base_points = {spec.identify(p): p for p in baseline.get("points", [])}
+    compared = 0
+    for point in points:
+        ident = spec.identify(point)
+        base = base_points.get(ident)
         if base is None:
             continue
-        label = f"n={point['n']}"
+        compared += 1
+        label = " ".join(f"{k}={_text(v)}"
+                         for k, v in zip(spec.identity, ident))
         if base["digest"] != point["digest"]:
             failures.append(
                 f"{label}: deployment_digest mismatch vs baseline "
@@ -461,195 +532,25 @@ def compare_scale_baseline(records: Iterable[Mapping[str, Any]],
                 f"(>{tolerance * 100:.0f}% tolerance): "
                 f"{current_rate:.2f} vs baseline {base_rate:.2f} "
                 "events per calibration-op")
-    return failures
-
-
-# ----------------------------------------------------------------------
-# BENCH_overload.json interop
-# ----------------------------------------------------------------------
-
-#: The overload sweep's simulated window (mirrors the overload campaign).
-OVERLOAD_SIM_DURATION = 1.6
-OVERLOAD_SCHEMA = "bench-overload/1"
-OVERLOAD_BENCHMARK = ("overload sweep (open-loop traffic, 0.5x-4x "
-                      f"saturation, duration={OVERLOAD_SIM_DURATION}s)")
-
-#: The exact per-point keys of a bench-overload baseline row, in the
-#: order they are synthesized from a fresh record.
-_OVERLOAD_POINT_KEYS = (
-    "abandonment_rate", "digest", "events", "events_per_s",
-    "goodput_txn_s", "offered_txn_s", "p50_latency_s", "p95_latency_s",
-    "p99_latency_s", "protocol", "users", "wall_s", "workload", "x")
-
-
-def overload_run_id(protocol: str, x: float,
-                    workload: str = "ycsb") -> str:
-    """Run id of one overload point (``x`` = offered-load factor)."""
-    if workload == "ycsb":
-        return f"overload/{protocol}/x{x:g}"
-    return f"overload/{workload}-{protocol}-x{x:g}"
-
-
-def import_bench_overload(path: str,
-                          campaign: str = "overload"
-                          ) -> List[Dict[str, Any]]:
-    """Store records from a committed ``BENCH_overload.json`` baseline.
-
-    Mirrors :func:`import_bench_scale`: each point becomes one record
-    whose ``bench`` block is the point payload verbatim, keyed
-    ``bench-overload:<protocol>:<workload>:<x>`` for regeneration
-    and digest comparison rather than run caching.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != OVERLOAD_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: expected schema {OVERLOAD_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}")
-    records = []
-    for point in payload.get("points", []):
-        workload = point.get("workload", "ycsb")
-        records.append({
-            "schema": SWEEP_SCHEMA,
-            "key": (f"bench-overload:{point['protocol']}:{workload}:"
-                    f"{point['x']:g}"),
-            "campaign": campaign,
-            "run_id": overload_run_id(point["protocol"], point["x"],
-                                      workload),
-            "tags": {"figure": "overload", "x": point["x"],
-                     "workload": workload},
-            "config": {"protocol": point["protocol"]},
-            "scenario": "none",
-            "status": "ok",
-            "digest": point["digest"],
-            "bench": dict(point),
-            "host": dict(payload.get("host", {})),
-        })
-    return records
-
-
-def overload_point_from_record(record: Mapping[str, Any]
-                               ) -> Dict[str, Any]:
-    """The bench-overload point row for one overload-campaign record.
-
-    Imported records carry the row verbatim under ``bench``; fresh runs
-    synthesize it from the result's ``traffic`` block and tail-latency
-    percentiles, rounded like the scale points.
-    """
-    bench = record.get("bench")
-    if bench is not None:
-        return {k: bench[k] for k in _OVERLOAD_POINT_KEYS if k in bench}
-    result = record["result"]
-    traffic = result["traffic"]
-    wall = record["wall_s"]
-    events = record["events"]
-    return {
-        "abandonment_rate": round(traffic["abandonment_rate"], 6),
-        "digest": record["digest"],
-        "events": events,
-        "events_per_s": round(events / wall),
-        "goodput_txn_s": round(traffic["goodput_txn_s"]),
-        "offered_txn_s": round(traffic["offered_txn_s"]),
-        "p50_latency_s": round(result["p50_latency_s"], 6),
-        "p95_latency_s": round(result["p95_latency_s"], 6),
-        "p99_latency_s": round(result["p99_latency_s"], 6),
-        "protocol": record["config"]["protocol"],
-        "users": traffic["modeled_users"],
-        "wall_s": round(wall, 3),
-        "workload": record["tags"].get("workload", "ycsb"),
-        "x": record["tags"]["x"],
-    }
-
-
-def render_bench_overload(records: Iterable[Mapping[str, Any]],
-                          host: Optional[Mapping[str, Any]] = None) -> str:
-    """``BENCH_overload.json`` content regenerated from store records.
-
-    Points ordered (protocol, workload, x); same canonical JSON shape
-    as :func:`render_bench_scale`.
-    """
-    records = list(records)
-    rows = sorted((overload_point_from_record(r) for r in records),
-                  key=lambda p: (p["protocol"], p["workload"], p["x"]))
-    if not rows:
-        raise ConfigurationError(
-            "no overload records to render; run the overload campaign "
-            "first")
-    if host is None:
-        for record in records:
-            if record.get("host"):
-                host = record["host"]
-                break
-        else:
-            raise ConfigurationError(
-                "no host calibration block in the overload records")
-    payload = {
-        "schema": OVERLOAD_SCHEMA,
-        "benchmark": OVERLOAD_BENCHMARK,
-        "host": dict(host),
-        "points": rows,
-    }
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
-
-
-def compare_overload_baseline(records: Iterable[Mapping[str, Any]],
-                              calibration: float,
-                              baseline: Mapping[str, Any],
-                              tolerance: float = 0.30) -> List[str]:
-    """The CI overload gate: campaign records vs a committed baseline.
-
-    Same two gates as :func:`compare_scale_baseline` — digest equality
-    on every shared point, calibrated events/s regression beyond
-    ``tolerance``.
-    """
-    failures: List[str] = []
-    base_cal = baseline.get("host", {}).get("calibration_ops_per_s")
-    base_points = {(p["protocol"], p.get("workload", "ycsb"), p["x"]): p
-                   for p in baseline.get("points", [])}
-    for record in records:
-        point = overload_point_from_record(record)
-        base = base_points.get((point["protocol"], point["workload"],
-                                point["x"]))
-        if base is None:
-            continue
-        label = (f"{point['protocol']} {point['workload']} "
-                 f"x={point['x']:g}")
-        if base["digest"] != point["digest"]:
-            failures.append(
-                f"{label}: deployment_digest mismatch vs baseline "
-                f"({point['digest'][:12]}… != {base['digest'][:12]}…) — "
-                "simulated behaviour changed")
-        if not base_cal or not calibration:
-            continue
-        current_rate = point["events_per_s"] / calibration
-        base_rate = base["events_per_s"] / base_cal
-        if current_rate < base_rate * (1.0 - tolerance):
-            failures.append(
-                f"{label}: calibrated event rate regressed "
-                f"{(1.0 - current_rate / base_rate) * 100:.0f}% "
-                f"(>{tolerance * 100:.0f}% tolerance): "
-                f"{current_rate:.2f} vs baseline {base_rate:.2f} "
-                "events per calibration-op")
+    if not compared:
+        failures.append(f"none of {len(points)} {spec.figure}-tagged "
+                        "records is a point of the baseline")
     return failures
 
 
 __all__ = [
-    "ResultStore",
-    "OVERLOAD_BENCHMARK",
-    "OVERLOAD_SCHEMA",
+    "BENCH_SPECS",
+    "BenchSpec",
+    "OVERLOAD_BENCH",
     "OVERLOAD_SIM_DURATION",
-    "SCALE_BENCHMARK",
-    "SCALE_SCHEMA",
+    "ResultStore",
+    "SCALE_BENCH",
     "SCALE_SIM_DURATION",
-    "compare_overload_baseline",
-    "compare_scale_baseline",
+    "compare_baseline",
     "encode_record",
-    "import_bench_overload",
-    "import_bench_scale",
-    "overload_point_from_record",
-    "overload_run_id",
-    "render_bench_overload",
-    "render_bench_scale",
-    "scale_point_from_record",
-    "scale_run_id",
+    "figure_records",
+    "import_bench",
+    "load_bench",
+    "point_from_record",
+    "render_bench",
 ]

@@ -71,6 +71,18 @@ class TestCommands:
         assert "geobft" in out and "pbft" in out
         assert "tput (txn/s)" in out
 
+    def test_sweep_rejects_unknown_baseline_before_running(self, capsys,
+                                                          tmp_path):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps({"schema": "bench-bogus/1",
+                                     "points": []}))
+        store = tmp_path / "store"
+        code = main(["sweep", "--campaign", "ci-smoke", "--store",
+                     str(store), "--baseline", str(bogus)])
+        assert code == 2
+        assert "unknown bench schema" in capsys.readouterr().err
+        assert not store.exists() or not any(store.iterdir())
+
 
 class TestObservability:
     def test_run_reports_percentiles_and_caches(self, capsys):

@@ -1,10 +1,10 @@
 """The sweep package: campaign model, result store, and scheduler.
 
 Covers the DAG semantics (ordering, failure propagation, cached hits),
-the store's JSONL + SQLite round trip, the byte-identical
-``BENCH_scale.json`` regeneration contract, pool-vs-inline record
-parity, the campaign registry, and campaign-vs-bespoke parity for a
-Figure 10 point.
+the store's JSONL + SQLite round trip, the bench-file interop contract
+(byte-identical regeneration and the baseline gate, run once per file
+kind), pool-vs-inline record parity, the campaign registry, and
+campaign-vs-bespoke parity for a Figure 10 point.
 """
 
 from __future__ import annotations
@@ -29,9 +29,14 @@ from repro.sweep import (
     run_campaign,
 )
 from repro.sweep.campaigns import point_config
-from repro.sweep.store import import_bench_scale, render_bench_scale
+from repro.sweep.runner import execute_run
+from repro.sweep.store import (SCALE_BENCH, BenchSpec, compare_baseline,
+                               import_bench, point_from_record,
+                               render_bench)
 
-BASELINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_scale.json")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+BASELINE = os.path.join(ROOT, "BENCH_scale.json")
+OVERLOAD_BASELINE = os.path.join(ROOT, "BENCH_overload.json")
 
 #: A pre-measured host block so tests skip the ~1 s calibration loop.
 HOST = {"calibration_ops_per_s": 1_000_000, "cpus": 1, "python": "test"}
@@ -208,24 +213,119 @@ class TestStore:
             assert len(store.query(campaign="c")) == 1
 
 
-class TestBenchScaleInterop:
+class BenchInteropCases:
+    """The bench-file contract, run once per file kind: a subclass names
+    the spec, its committed file, record keys with their run ids, and a
+    small run tagged with the spec's figure."""
+
+    spec: BenchSpec
+    committed: str
+    forms: dict
+    fresh: RunSpec
+
+    def baseline(self) -> dict:
+        with open(self.committed, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
     def test_baseline_regenerates_byte_identically(self):
-        with open(BASELINE, "r", encoding="utf-8") as fh:
+        with open(self.committed, "r", encoding="utf-8") as fh:
             original = fh.read()
         store = ResultStore(None)
-        store.add_all(import_bench_scale(BASELINE))
-        rendered = render_bench_scale(store.query(campaign="scale"))
+        store.add_all(import_bench(self.committed))
+        rendered = render_bench(store.query(campaign=self.spec.figure))
         assert rendered == original
+
+    def test_rows_without_defaulted_fields_keep_their_identity(self,
+                                                               tmp_path):
+        payload = self.baseline()
+        for point in payload["points"]:
+            for field, value in self.spec.defaults.items():
+                if point.get(field) == value:
+                    del point[field]
+        older = tmp_path / "older.json"
+        original = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        older.write_text(original)
+        records = import_bench(str(older))
+        assert ([(r["key"], r["run_id"]) for r in records]
+                == [(r["key"], r["run_id"])
+                    for r in import_bench(self.committed)])
+        assert render_bench(records) == original
+
+    def test_fresh_row_has_the_committed_row_keys(self):
+        row = point_from_record(execute_run(self.fresh, "fresh", HOST))
+        committed = self.baseline()["points"][0]
+        assert sorted(row) == sorted(committed) == list(self.spec.row_keys)
+        for key in self.spec.identity:
+            assert row[key] == self.fresh.tags[key]
 
     def test_import_rejects_wrong_schema(self, tmp_path):
         bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"schema": "bench-scale/999"}))
+        bogus.write_text(json.dumps(
+            {"schema": f"bench-{self.spec.figure}/999"}))
         with pytest.raises(ConfigurationError, match="schema"):
-            import_bench_scale(str(bogus))
+            import_bench(str(bogus))
 
     def test_render_requires_records(self):
-        with pytest.raises(ConfigurationError, match="no scale records"):
-            render_bench_scale([])
+        with pytest.raises(ConfigurationError, match="no bench records"):
+            render_bench([])
+
+    def test_compare_requires_records_of_its_figure(self):
+        other, = (path for path in (BASELINE, OVERLOAD_BASELINE)
+                  if path != self.committed)
+        for records in ([], import_bench(other)):
+            assert compare_baseline(records, 1, self.baseline()) == [
+                f"no {self.spec.figure}-tagged records in this campaign "
+                "to compare"]
+
+    def test_compare_fails_when_nothing_is_compared(self):
+        records = import_bench(self.committed)
+        empty = dict(self.baseline(), points=[])
+        failures = compare_baseline(records, 1, empty)
+        assert len(failures) == 1
+        assert "is a point of the baseline" in failures[0]
+
+    def test_compare_passes_on_its_own_file(self):
+        baseline = self.baseline()
+        calibration = baseline["host"]["calibration_ops_per_s"]
+        records = import_bench(self.committed)
+        assert compare_baseline(records, calibration, baseline) == []
+
+    def test_compare_flags_digest_drift(self):
+        baseline = self.baseline()
+        records = import_bench(self.committed)
+        records[0]["bench"] = dict(records[0]["bench"], digest="e" * 64)
+        failures = compare_baseline(
+            records, baseline["host"]["calibration_ops_per_s"], baseline)
+        assert len(failures) == 1
+        assert "digest mismatch" in failures[0]
+
+    def test_compare_flags_rate_regression(self):
+        baseline = self.baseline()
+        records = import_bench(self.committed)
+        records[0]["bench"] = dict(records[0]["bench"], events_per_s=1)
+        failures = compare_baseline(
+            records, baseline["host"]["calibration_ops_per_s"], baseline)
+        assert len(failures) == 1
+        assert "regressed" in failures[0]
+
+    def test_run_id_forms(self):
+        imported = {r["key"]: r for r in import_bench(self.committed)}
+        run_ids = get_campaign(self.spec.figure).run_ids()
+        for key, run_id in self.forms.items():
+            record = imported[key]
+            assert record["run_id"] == run_id
+            ident = {k: v for k, v in record["tags"].items()
+                     if k != "figure"}
+            assert self.spec.run_id(**ident) == run_id
+            assert run_id in run_ids
+
+
+class TestBenchScaleInterop(BenchInteropCases):
+    spec = SCALE_BENCH
+    committed = BASELINE
+    forms = {"bench-scale:16": "scale/n16", "bench-scale:256": "scale/n256"}
+    fresh = RunSpec(run_id="scale/n8", config=tiny_config(),
+                    tags={"figure": "scale", "n": 8})
 
 
 class TestScheduler:

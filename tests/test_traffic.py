@@ -12,7 +12,7 @@ drift gates).
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import random
 
 import pytest
@@ -21,15 +21,16 @@ from repro.bench.deployment import (Deployment, ExperimentConfig,
                                     deployment_digest)
 from repro.bench.scenarios import apply_scenario, scenario_names
 from repro.errors import ConfigurationError, WorkloadError
-from repro.sweep import (ResultStore, campaign_names, get_campaign,
-                         import_bench_overload, overload_run_id,
-                         render_bench_overload)
+from repro.sweep import (OVERLOAD_BENCH, RunSpec, campaign_names,
+                         config_fingerprint, get_campaign)
 from repro.sweep.campaigns import (OVERLOAD_FACTORS, OVERLOAD_SATURATION,
-                                   OVERLOAD_USERS, PROTOCOLS)
-from repro.sweep.store import OVERLOAD_BENCHMARK, compare_overload_baseline
+                                   OVERLOAD_USERS, PROTOCOLS, point_config)
+from repro.sweep.store import OVERLOAD_SIM_DURATION
 from repro.workload.payment import DEFAULT_ACCOUNTS, PaymentWorkload
 from repro.workload.traffic import (TRAFFIC_PROCESSES, TrafficSpec,
                                     _poisson, split_users)
+
+from .test_sweep import OVERLOAD_BASELINE, BenchInteropCases
 
 SMALL = dict(protocol="geobft", num_clusters=2, replicas_per_cluster=4,
              batch_size=5, duration=1.2, warmup=0.3, seed=2,
@@ -302,67 +303,17 @@ class TestPaymentNetwork:
 # ---------------------------------------------------------------------------
 # BENCH_overload.json interop
 # ---------------------------------------------------------------------------
-def overload_payload():
-    host = {"calibration_ops_per_s": 1_000_000, "cpus": 4,
-            "python": "test"}
-    point = {"abandonment_rate": 0.0, "digest": "d" * 64, "events": 5_000,
-             "events_per_s": 50_000, "goodput_txn_s": 120_000,
-             "offered_txn_s": 125_000, "p50_latency_s": 0.11,
-             "p95_latency_s": 0.2, "p99_latency_s": 0.3,
-             "protocol": "geobft", "users": 1_200_000, "wall_s": 0.1,
-             "workload": "ycsb", "x": 1.0}
-    doubled = dict(point, x=2.0, offered_txn_s=250_000)
-    return {"schema": "bench-overload/1",
-            "benchmark": OVERLOAD_BENCHMARK,
-            "host": host, "points": [point, doubled]}
-
-
-class TestOverloadInterop:
-    def test_run_id_forms(self):
-        assert overload_run_id("geobft", 2.0) == "overload/geobft/x2"
-        assert overload_run_id("geobft", 0.5) == "overload/geobft/x0.5"
-        assert overload_run_id("geobft", 2.0, "payment") \
-            == "overload/payment-geobft-x2"
-
-    def test_baseline_regenerates_byte_identically(self, tmp_path):
-        path = tmp_path / "BENCH_overload.json"
-        original = json.dumps(overload_payload(), indent=1,
-                              sort_keys=True) + "\n"
-        path.write_text(original)
-        store = ResultStore(None)
-        store.add_all(import_bench_overload(str(path)))
-        rendered = render_bench_overload(store.query(campaign="overload"))
-        assert rendered == original
-
-    def test_import_rejects_wrong_schema(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"schema": "bench-overload/999"}))
-        with pytest.raises(ConfigurationError, match="schema"):
-            import_bench_overload(str(bogus))
-
-    def test_render_requires_records(self):
-        with pytest.raises(ConfigurationError, match="no overload"):
-            render_bench_overload([])
-
-    def test_compare_flags_digest_drift(self, tmp_path):
-        baseline = overload_payload()
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(baseline))
-        records = import_bench_overload(str(path))
-        records[0]["bench"] = dict(records[0]["bench"], digest="e" * 64)
-        failures = compare_overload_baseline(records, 1_000_000, baseline)
-        assert len(failures) == 1
-        assert "digest mismatch" in failures[0]
-
-    def test_compare_flags_rate_regression(self, tmp_path):
-        baseline = overload_payload()
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(baseline))
-        records = import_bench_overload(str(path))
-        records[0]["bench"] = dict(records[0]["bench"], events_per_s=100)
-        failures = compare_overload_baseline(records, 1_000_000, baseline)
-        assert len(failures) == 1
-        assert "regressed" in failures[0]
+class TestOverloadInterop(BenchInteropCases):
+    spec = OVERLOAD_BENCH
+    committed = OVERLOAD_BASELINE
+    forms = {"bench-overload:geobft:ycsb:2": "overload/geobft/x2",
+             "bench-overload:geobft:ycsb:0.5": "overload/geobft/x0.5",
+             "bench-overload:geobft:payment:2":
+                 "overload/payment-geobft-x2"}
+    fresh = RunSpec(run_id="overload/geobft/x1",
+                    config=traffic_config(steady_spec()),
+                    tags={"figure": "overload", "protocol": "geobft",
+                          "x": 1.0, "xi": 1, "workload": "ycsb"})
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +331,31 @@ class TestCampaigns:
         for protocol in PROTOCOLS:
             assert protocol in OVERLOAD_SATURATION
             for x in OVERLOAD_FACTORS:
-                assert overload_run_id(protocol, x) in ids
+                assert OVERLOAD_BENCH.run_id(protocol=protocol,
+                                             workload="ycsb", x=x) in ids
         for spec in campaign.runs:
             assert spec.config.traffic is not None
             assert spec.config.traffic.users == OVERLOAD_USERS
             assert not spec.depends_on
-        assert overload_run_id("geobft", 2.0, "payment") in ids
+        assert "overload/payment-geobft-x2" in ids
         payment = next(s for s in campaign.runs
                        if s.tags.get("workload") == "payment")
         assert payment.scenario == "payment_network"
         assert campaign.reports[0].filename == "BENCH_overload.json"
+
+    def test_overload_runs_take_the_file_duration(self):
+        # The file header and every run read one duration, passed
+        # explicitly; it equals point_config's default, so run keys and
+        # config fingerprints are the ones the default gave.
+        assert f"duration={OVERLOAD_SIM_DURATION}s" \
+            in OVERLOAD_BENCH.benchmark
+        for spec in get_campaign("overload").runs:
+            cfg = spec.config
+            assert cfg.duration == OVERLOAD_SIM_DURATION
+            implicit = point_config(cfg.protocol, 2, 4, traffic=cfg.traffic)
+            assert config_fingerprint(implicit) == config_fingerprint(cfg)
+            assert dataclasses.replace(spec, config=implicit).key() \
+                == spec.key()
 
     def test_chaos_campaign_covers_every_protocol(self):
         campaign = get_campaign("chaos")
