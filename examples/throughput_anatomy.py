@@ -46,14 +46,13 @@ def dissect(protocol: str) -> None:
     deployment, result = run(protocol)
     print(f"\n=== {protocol} ===")
     print(result.describe())
-    region, sent = busiest_sender_region(deployment.metrics)
-    cross = sum(cross_region_totals(deployment.metrics).values())
+    region, sent = busiest_sender_region(deployment.network)
+    cross = sum(cross_region_totals(deployment.network).values())
     print(f"busiest WAN sender region : {region} "
           f"({sent / max(1, cross):.0%} of all cross-region bytes)")
     per_txn = result.global_bytes / max(1, result.completed_txns)
     print(f"WAN bytes per committed txn: {per_txn:.0f} B")
-    rows = link_usage(deployment.metrics, deployment.topology,
-                      window=result.duration)
+    rows = link_usage(deployment.network, window=result.duration)
     wan_rows = [r for r in rows if r.src_region != r.dst_region]
     print(format_link_report(wan_rows, limit=6))
     return per_txn

@@ -2,8 +2,9 @@
 came to saturation.
 
 The paper's central argument (§1.1) is that inter-region bandwidth is
-the scarce resource.  This module turns an experiment's per-region-pair
-byte counts into a utilization report against the Table 1 link rates,
+the scarce resource.  This module turns the per-region-pair byte
+counts a :class:`~repro.net.network.Network` keeps into a utilization
+report against its topology's Table 1 link rates,
 making "PBFT saturates the primary's uplinks, GeoBFT barely touches
 them" directly visible.
 """
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..bench.metrics import Metrics
-from ..net.topology import Topology
+from ..net.network import Network
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class LinkUsage:
         return self.throughput_mbit / self.capacity_mbit
 
 
-def link_usage(metrics: Metrics, topology: Topology,
-               window: float) -> List[LinkUsage]:
+def link_usage(network: Network, window: float) -> List[LinkUsage]:
     """Per-pair usage rows, heaviest first.
 
     ``window`` is the duration (simulated seconds) the byte counts were
@@ -49,7 +48,8 @@ def link_usage(metrics: Metrics, topology: Topology,
     if window <= 0:
         return []
     rows = []
-    for (src, dst), sent in metrics.pair_bytes().items():
+    topology = network.topology
+    for (src, dst), sent in network.pair_bytes().items():
         throughput = sent * 8 / window / 1e6
         rows.append(LinkUsage(
             src_region=src,
@@ -62,23 +62,23 @@ def link_usage(metrics: Metrics, topology: Topology,
     return rows
 
 
-def cross_region_totals(metrics: Metrics) -> Dict[Tuple[str, str], int]:
+def cross_region_totals(network: Network) -> Dict[Tuple[str, str], int]:
     """Only the inter-region pairs (the expensive traffic)."""
     return {
         pair: sent
-        for pair, sent in metrics.pair_bytes().items()
+        for pair, sent in network.pair_bytes().items()
         if pair[0] != pair[1]
     }
 
 
-def busiest_sender_region(metrics: Metrics) -> Tuple[str, int]:
+def busiest_sender_region(network: Network) -> Tuple[str, int]:
     """The region emitting the most cross-region bytes.
 
     For a single-primary protocol this is the primary's region (the
     bottleneck the paper identifies); for GeoBFT the load spreads.
     """
     per_region: Dict[str, int] = {}
-    for (src, dst), sent in metrics.pair_bytes().items():
+    for (src, dst), sent in network.pair_bytes().items():
         if src != dst:
             per_region[src] = per_region.get(src, 0) + sent
     if not per_region:

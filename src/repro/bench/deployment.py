@@ -392,8 +392,6 @@ class Deployment:
         self.sim = Simulation(seed=config.seed)
         self.metrics = Metrics(warmup=config.warmup)
         self.network = Network(self.sim, self.topology)
-        self.network.add_observer(self.metrics.network_observer,
-                                  self.metrics.network_observer_group)
         # Observability hub, or None (the zero-cost default): replicas
         # emit phase events into it; it only ever reads sim.now.
         self.instrumentation: Optional[Instrumentation] = (
@@ -459,11 +457,6 @@ class Deployment:
         for replica in self.replicas.values():
             self.execution_log.attach(replica.store)
             self.chain_log.attach(replica.ledger)
-        region_map = {node: replica.region
-                      for node, replica in self.replicas.items()}
-        region_map.update(
-            {client.node_id: client.region for client in self.clients})
-        self.metrics.set_region_map(region_map)
 
     def _workload(self, salt: int) -> YcsbWorkload:
         cfg = self.config
@@ -575,10 +568,10 @@ class Deployment:
             p50_latency_s=self.metrics.p50_latency_s(),
             completed_txns=self.metrics.completed_txns,
             duration=self.sim.now,
-            local_messages=self.metrics.local_messages,
-            global_messages=self.metrics.global_messages,
-            local_bytes=self.metrics.local_bytes,
-            global_bytes=self.metrics.global_bytes,
+            local_messages=self.network.local_messages,
+            global_messages=self.network.global_messages,
+            local_bytes=self.network.local_bytes,
+            global_bytes=self.network.global_bytes,
             safety_ok=report.safety_ok,
             p95_latency_s=self.metrics.p95_latency_s(),
             p99_latency_s=self.metrics.p99_latency_s(),

@@ -8,18 +8,18 @@ Collects exactly what the paper reports:
 * **latency** — average and p50/p95/p99 client-observed end-to-end
   batch latency (tail quantiles come from a streaming log-bucket
   histogram, so memory stays O(1) in the sample count),
-* **message and byte counts** — split into local (intra-region) and
-  global (inter-region) traffic per message type, which is the data
-  behind the Table 2 complexity comparison.
+* **open-loop and replica counters** — offered, rejected, abandoned and
+  retried work, and transactions executed per replica.
 
-One :class:`Metrics` instance is shared by every node of a deployment
-and attached to the network as a send observer.
+One :class:`Metrics` instance is shared by every node of a deployment.
+Message and byte counts are not kept here: the
+:class:`~repro.net.network.Network` counts the traffic it sends.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple  # noqa: F401 (Tuple used)
+from typing import Dict, List, Optional, Tuple
 
 from ..types import NodeId
 from .instrumentation import LatencyHistogram
@@ -50,17 +50,8 @@ class Metrics:
         # Replica-side accounting.
         self._executed_txns: Dict[NodeId, int] = defaultdict(int)
 
-        # Network accounting: type -> (count, bytes), split by locality.
-        self._local_msgs: Dict[str, int] = defaultdict(int)
-        self._global_msgs: Dict[str, int] = defaultdict(int)
-        self._local_bytes = 0
-        self._global_bytes = 0
-        # Optional region map enabling per-region-pair byte accounting.
-        self._region_of: Dict[NodeId, str] = {}
-        self._pair_bytes: Dict[Tuple[str, str], int] = defaultdict(int)
-
     # ------------------------------------------------------------------
-    # Recording interface (called by clients, replicas, the network)
+    # Recording interface (called by clients and replicas)
     # ------------------------------------------------------------------
     @property
     def warmup(self) -> float:
@@ -112,52 +103,6 @@ class Metrics:
                         now: float) -> None:
         """A replica executed a batch."""
         self._executed_txns[replica] += txns
-
-    def set_region_map(self, region_of: Dict[NodeId, str]) -> None:
-        """Enable per-region-pair accounting (used by traffic analysis)."""
-        self._region_of = dict(region_of)
-
-    def network_observer(self, src: NodeId, dst: NodeId, message,
-                         size: int, is_local: bool) -> None:
-        """Network send hook (attach via ``network.add_observer``)."""
-        kind = type(message).__name__
-        if is_local:
-            self._local_msgs[kind] += 1
-            self._local_bytes += size
-        else:
-            self._global_msgs[kind] += 1
-            self._global_bytes += size
-        if self._region_of:
-            src_region = self._region_of.get(src)
-            dst_region = self._region_of.get(dst)
-            if src_region is not None and dst_region is not None:
-                self._pair_bytes[(src_region, dst_region)] += size
-
-    def network_observer_group(self, src: NodeId, dsts, message,
-                               size: int, is_local: bool) -> None:
-        """Batched variant of :meth:`network_observer` for multicast
-        destination groups — identical totals, one call per group."""
-        kind = type(message).__name__
-        n = len(dsts)
-        if is_local:
-            self._local_msgs[kind] += n
-            self._local_bytes += size * n
-        else:
-            self._global_msgs[kind] += n
-            self._global_bytes += size * n
-        region_of = self._region_of
-        if region_of:
-            src_region = region_of.get(src)
-            if src_region is not None:
-                pair_bytes = self._pair_bytes
-                for dst in dsts:
-                    dst_region = region_of.get(dst)
-                    if dst_region is not None:
-                        pair_bytes[(src_region, dst_region)] += size
-
-    def pair_bytes(self) -> Dict[Tuple[str, str], int]:
-        """Bytes sent per (source region, destination region)."""
-        return dict(self._pair_bytes)
 
     def finish(self, now: float) -> None:
         """Freeze the measurement window at ``now``."""
@@ -257,35 +202,3 @@ class Metrics:
     def total_executed_txns(self) -> int:
         """Transactions executed summed over all replicas."""
         return sum(self._executed_txns.values())
-
-    def message_counts(self) -> Dict[str, Dict[str, int]]:
-        """``{type: {"local": n, "global": n}}`` for all traffic."""
-        kinds = set(self._local_msgs) | set(self._global_msgs)
-        return {
-            kind: {
-                "local": self._local_msgs.get(kind, 0),
-                "global": self._global_msgs.get(kind, 0),
-            }
-            for kind in sorted(kinds)
-        }
-
-    @property
-    def local_messages(self) -> int:
-        """Total intra-region messages."""
-        return sum(self._local_msgs.values())
-
-    @property
-    def global_messages(self) -> int:
-        """Total inter-region messages."""
-        return sum(self._global_msgs.values())
-
-    @property
-    def local_bytes(self) -> int:
-        """Total intra-region bytes."""
-        return self._local_bytes
-
-    @property
-    def global_bytes(self) -> int:
-        """Total inter-region bytes."""
-        return self._global_bytes
-

@@ -217,8 +217,7 @@ def _cmd_run(args) -> int:
                        args.trace_jsonl)
     if args.link_report:
         from .analysis.traffic import format_link_report, link_usage
-        rows = link_usage(deployment.metrics, deployment.topology,
-                          window=result.duration)
+        rows = link_usage(deployment.network, window=result.duration)
         print("\nper-link traffic (heaviest first):")
         print(format_link_report(rows))
     if deployment.invariants is not None and deployment.timeline is not None:

@@ -289,7 +289,7 @@ class NoUnseededRandom(_ImportTracker):
 #: argument/iteration order becomes part of the simulated schedule.
 _EVENT_SINKS = {
     "send", "multicast", "broadcast", "_multicast_distinct",
-    "post", "post_group", "schedule", "schedule_at", "send_at",
+    "post", "schedule", "send_at",
 }
 
 #: Methods whose result has no deterministic cross-run order.

@@ -26,10 +26,20 @@ resolves the sender, message size, and per-region link parameters once
 per call instead of once per destination, dedups repeated destinations,
 and does the uplink bookkeeping and the posting of each destination's
 delivery event in one pass over the destinations.
+
+Traffic accounting
+------------------
+The network counts what it sends — per message type, split into local
+(intra-region) and global (inter-region) traffic, plus bytes per
+(source region, destination region) pair.  These are the data behind
+the paper's Table 2 complexity comparison.  A send is counted after the
+sender's suppression and tampering rules and before any in-flight drop;
+self-sends are not counted.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from ..errors import ConfigurationError
@@ -101,9 +111,10 @@ class Network:
 
     __slots__ = ("_sim", "_topology", "_failures", "_nodes",
                  "_uplink_free_at", "_routes", "_local_keys", "_observers",
-                 "_notify", "_group_notify", "_sanitizer", "_sends",
-                 "_self_sends", "_suppressed_sends", "_in_flight_drops",
-                 "_receiver_drops", "_tampered_sends", "_delayed_sends",
+                 "_sanitizer", "_sends", "_self_sends", "_suppressed_sends",
+                 "_in_flight_drops", "_receiver_drops", "_tampered_sends",
+                 "_delayed_sends", "_local_msgs", "_global_msgs",
+                 "_pair_bytes",
                  "_post_deliver", "_post_deliver_checked")
 
     def __init__(self, sim: Simulation, topology: Topology,
@@ -117,22 +128,24 @@ class Network:
         self._nodes: Dict[NodeId, NetworkNode] = {}
         # (sender, destination region) -> time the uplink frees up.
         self._uplink_free_at: Dict[Tuple[NodeId, str], float] = {}
-        # src -> dst -> (bandwidth, latency, is_local): multicast's
+        # src -> dst -> (bandwidth, latency, remote): multicast's
         # per-destination routing, resolved once per pair (topology and
-        # node regions are fixed for a deployment's lifetime).
+        # node regions are fixed for a deployment's lifetime).  ``remote``
+        # is the destination's region for cross-region pairs and None
+        # for local ones.
         self._routes: Dict[NodeId, Dict[NodeId, tuple]] = {}
         # src -> its local-region uplink key, resolved once.
         self._local_keys: Dict[NodeId, Tuple[NodeId, str]] = {}
-        self._observers: list[SendObserver] = []
-        # Precomposed observer chain: None (no observers), the single
-        # observer itself, or a fan-out closure — one attribute load and
-        # one None test on the hot path instead of iterating a list.
-        self._notify: Optional[SendObserver] = None
-        # Batched observer variant: set when the single registered
-        # observer also handles whole destination groups (the bench
-        # metrics sink does).  Lets multicast report one call per
-        # local/remote group instead of one call per destination.
-        self._group_notify = None
+        # Empty unless a tracer or test registers one: the hot path
+        # then pays a single truthiness test per send.
+        self._observers: Tuple[SendObserver, ...] = ()
+        # Traffic accounting: messages per type, split by locality, and
+        # bytes per source region -> destination region (the local and
+        # global byte totals are sums over these pairs).
+        self._local_msgs: Dict[str, int] = defaultdict(int)
+        self._global_msgs: Dict[str, int] = defaultdict(int)
+        self._pair_bytes: Dict[str, Dict[str, int]] = {
+            region: defaultdict(int) for region in topology.regions}
         # Telemetry counters (pure integers, never read by the model).
         self._sends = 0
         self._self_sends = 0
@@ -181,31 +194,10 @@ class Network:
         """Ids of all registered nodes."""
         return self._nodes.keys()
 
-    def add_observer(self, observer: SendObserver,
-                     group_observer=None) -> None:
-        """Register a callback invoked for every (non-dropped) send.
-
-        ``group_observer``, when given, is an equivalent batched hook
-        ``(src, dsts, message, size, is_local)`` that multicast may call
-        once per destination group instead of calling ``observer`` per
-        destination (same totals, far fewer calls).  The batched path is
-        only used while it is the *sole* registered observer — as soon
-        as a second observer registers, every send notifies per
-        destination again so all observers see identical streams.
-        """
-        self._observers.append(observer)
-        if len(self._observers) == 1:
-            self._notify = observer
-            self._group_notify = group_observer
-        else:
-            observers = tuple(self._observers)
-
-            def fan_out(src, dst, message, size, is_local):
-                for obs in observers:
-                    obs(src, dst, message, size, is_local)
-
-            self._notify = fan_out
-            self._group_notify = None
+    def add_observer(self, observer: SendObserver) -> None:
+        """Register a callback invoked once per counted send, at the
+        point the send is counted (see the module docstring)."""
+        self._observers += (observer,)
 
     def send(self, src: NodeId, dst: NodeId, message: SizedMessage) -> None:
         """Transmit ``message`` from ``src`` to ``dst``.
@@ -245,10 +237,13 @@ class Network:
                 self._tampered_sends += 1
                 message = transformed
         size = _message_size(message)
-        link = self._topology.link(sender.region, receiver.region)
+        sregion = sender.region
+        rregion = receiver.region
+        link = self._topology.link(sregion, rregion)
         transmit = size / link.bandwidth_bytes_per_s
-        if sender.region == receiver.region:
-            key = (src, receiver.region)
+        is_local = sregion == rregion
+        if is_local:
+            key = (src, rregion)
         else:
             # All cross-region traffic shares one egress pipe per
             # sender; each message still transmits at its pair's rate.
@@ -261,11 +256,17 @@ class Network:
             if extra > 0.0:
                 self._delayed_sends += 1
                 arrival_delay += extra
-        is_local = sender.region == receiver.region
         self._sends += 1
-        notify = self._notify
-        if notify is not None:
-            notify(src, dst, message, size, is_local)
+        kind = type(message).__name__
+        if is_local:
+            self._local_msgs[kind] += 1
+        else:
+            self._global_msgs[kind] += 1
+        self._pair_bytes[sregion][rregion] += size
+        observers = self._observers
+        if observers:
+            for observer in observers:
+                observer(src, dst, message, size, is_local)
         if failures.has_flight_faults and failures.drops_in_flight(
                 src, dst, message):
             self._in_flight_drops += 1
@@ -307,16 +308,13 @@ class Network:
         sim = self._sim
         now = sim.now
         size = None
-        notify = self._notify
-        group_notify = self._group_notify
+        observers = self._observers
         sanitizer = self._sanitizer
         # One fingerprint covers the whole fan-out: every destination
         # receives the same aliased object, so one send-time snapshot is
         # the contract they all check against.
         fingerprint = (sanitizer.fingerprint(message)
                        if sanitizer is not None else None)
-        local_dsts: list = []
-        wan_dsts: list = []
         routes = self._routes.get(src)
         if routes is None:
             routes = self._routes[src] = {}
@@ -326,8 +324,8 @@ class Network:
         # instead of a dict get/set pair per destination.
         free_at = self._uplink_free_at
         local_free = wan_free = -1.0
-        local_key = wan_key = None
-        sends = 0
+        local_key = wan_key = wan_pairs = None
+        sends = wan_sends = 0
         post = sim.post
         deliver = self._post_deliver
         deliver_checked = self._post_deliver_checked
@@ -350,11 +348,12 @@ class Network:
                 link = self._topology.link(sregion, rregion)
                 # Bandwidth is kept (not inverted): ``size / bw`` must
                 # stay bit-identical to the unicast path's arithmetic.
-                route = routes[dst] = (link.bandwidth_bytes_per_s,
-                                       link.latency_s, rregion == sregion)
-            bandwidth, latency, is_local = route
+                route = routes[dst] = (
+                    link.bandwidth_bytes_per_s, link.latency_s,
+                    None if rregion == sregion else rregion)
+            bandwidth, latency, remote = route
             transmit = size / bandwidth
-            if is_local:
+            if remote is None:
                 if local_key is None:
                     local_key = self._local_keys.get(src)
                     if local_key is None:
@@ -367,24 +366,32 @@ class Network:
                 if wan_key is None:
                     wan_key = (src, _WAN_EGRESS)
                     wan_free = free_at.get(wan_key, 0.0)
+                    wan_pairs = self._pair_bytes[self._nodes[src].region]
                 start = wan_free if wan_free > now else now
                 wan_free = start + transmit
+                wan_pairs[remote] += size
+                wan_sends += 1
             sends += 1
-            if group_notify is not None:
-                (local_dsts if is_local else wan_dsts).append(dst)
-            elif notify is not None:
-                notify(src, dst, message, size, is_local)
+            if observers:
+                for observer in observers:
+                    observer(src, dst, message, size, remote is None)
             delay = (start - now) + transmit + latency
             if fingerprint is None:
                 post(delay, deliver, src, dst, message)
             else:
                 post(delay, deliver_checked, src, dst, message, fingerprint)
-        self._sends += sends
-        if group_notify is not None:
-            if local_dsts:
-                group_notify(src, local_dsts, message, size, True)
-            if wan_dsts:
-                group_notify(src, wan_dsts, message, size, False)
+        if sends:
+            # Every copy has one type and size, and the local ones one
+            # region pair: count them once per group, not per copy.
+            self._sends += sends
+            kind = type(message).__name__
+            local_sends = sends - wan_sends
+            if local_sends:
+                self._local_msgs[kind] += local_sends
+                region = local_key[1]
+                self._pair_bytes[region][region] += size * local_sends
+            if wan_sends:
+                self._global_msgs[kind] += wan_sends
         if local_key is not None:
             free_at[local_key] = local_free
         if wan_key is not None:
@@ -426,6 +433,44 @@ class Network:
         if self._sanitizer is not None:
             counters["sanitizer_checks"] = self._sanitizer.checks
         return counters
+
+    def message_counts(self) -> Dict[str, Dict[str, int]]:
+        """``{type: {"local": n, "global": n}}`` for all counted sends."""
+        kinds = set(self._local_msgs) | set(self._global_msgs)
+        return {
+            kind: {
+                "local": self._local_msgs.get(kind, 0),
+                "global": self._global_msgs.get(kind, 0),
+            }
+            for kind in sorted(kinds)
+        }
+
+    @property
+    def local_messages(self) -> int:
+        """Total intra-region messages."""
+        return sum(self._local_msgs.values())
+
+    @property
+    def global_messages(self) -> int:
+        """Total inter-region messages."""
+        return sum(self._global_msgs.values())
+
+    @property
+    def local_bytes(self) -> int:
+        """Total intra-region bytes."""
+        return sum(row.get(src, 0) for src, row in self._pair_bytes.items())
+
+    @property
+    def global_bytes(self) -> int:
+        """Total inter-region bytes."""
+        return sum(sent for src, row in self._pair_bytes.items()
+                   for dst, sent in row.items() if dst != src)
+
+    def pair_bytes(self) -> Dict[Tuple[str, str], int]:
+        """Bytes sent per (source region, destination region)."""
+        return {(src, dst): sent
+                for src, row in self._pair_bytes.items()
+                for dst, sent in row.items()}
 
     def uplink_backlog(self, src: NodeId, dst_region: str) -> float:
         """Seconds of queued transmit time on one uplink (diagnostics).

@@ -179,13 +179,13 @@ class _CalendarQueue:
     * **push_timer** into a future bucket files the timer in that
       bucket's :class:`_TimerIndex` instead, where cancelling it is a
       dict delete.
-    * **pop**: the minimum-epoch bucket is *activated* — its timer index
-      merged in, sorted once, then consumed front-to-back through an
-      index cursor.  Inserts that land in the already-active bucket use
-      ``bisect.insort`` past the cursor, preserving order.
+    * **peek** / **advance**: the minimum-epoch bucket is *activated* —
+      its timer index merged in, sorted once, then consumed front-to-back
+      through an index cursor.  Inserts that land in the already-active
+      bucket use ``bisect.insort`` past the cursor, preserving order.
     * an insert *earlier* than the active bucket (possible after the
       clock jumped over empty buckets) deactivates the current bucket
-      back into the dict; the next pop re-activates the true minimum.
+      back into the dict; the next peek re-activates the true minimum.
 
     Ties share a deadline and therefore a bucket, so sorting by the full
     tuple reproduces the global (deadline, seq) order exactly — the
@@ -218,7 +218,7 @@ class _CalendarQueue:
                 return
             if epoch < self._active_epoch:
                 # The clock previously jumped past this epoch; demote the
-                # active bucket and let the next pop re-activate the min.
+                # active bucket and let the next peek re-activate the min.
                 if self._cursor < len(active):
                     self._buckets[self._active_epoch] = active[self._cursor:]
                     heapq.heappush(self._epochs, self._active_epoch)
@@ -269,13 +269,6 @@ class _CalendarQueue:
         """Consume the entry last returned by :meth:`peek`."""
         self._cursor += 1
         self._size -= 1
-
-    def pop(self) -> Optional[tuple]:
-        entry = self.peek()
-        if entry is not None:
-            self._cursor += 1
-            self._size -= 1
-        return entry
 
 
 class Simulation:
@@ -336,10 +329,10 @@ class Simulation:
         """Credit ``extra`` additional processed events to the loop.
 
         Used by batched dispatchers (the open-loop traffic source's
-        per-tick injection) that fire what used to be ``k`` separate
-        queue entries from a single one: crediting ``k - 1`` here keeps
-        :attr:`events_processed` — and therefore the deployment digest —
-        identical to the unbatched schedule.
+        per-tick injection) whose one posted event does the work of
+        ``k`` back-to-back same-instant events: crediting ``k - 1`` here
+        keeps :attr:`events_processed` — and therefore the deployment
+        digest — identical to the unbatched schedule.
         """
         self._events_processed += extra
 
@@ -412,72 +405,19 @@ class Simulation:
         if depth > self._max_queue:
             self._max_queue = depth
 
-    def post_group(self, delay: float, count: int, fn: Callable[..., None],
-                   *args: Any) -> None:
-        """Post one event standing in for ``count`` consecutive events.
-
-        Consumes ``count`` sequence numbers but enqueues a single entry
-        carrying the *first* of them.  Because the reserved numbers are
-        consecutive, no other event can tie-break between the grouped
-        members, so firing ``fn`` once in place of ``count`` back-to-back
-        same-deadline events is observationally identical — provided the
-        callback credits the skipped events via
-        :meth:`count_extra_events` (the open-loop traffic source does).
-        Everything else should use :meth:`post`.
-        """
-        if count < 1:
-            raise SimulationError(f"group must cover >= 1 event: {count}")
-        entry = (self._now + delay, self._seq, None, fn, args)
-        if delay == 0.0:
-            self._lane.append(entry)
-        elif delay > 0:
-            self._calendar.push(entry)
-        else:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        self._seq += count
-        depth = self._depth + 1
-        self._depth = depth
-        if depth > self._max_queue:
-            self._max_queue = depth
-
-    def schedule_at(self, when: float, fn: Callable[..., None],
-                    *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
-        return self.schedule(when - self._now, fn, *args)
-
-    def _next_entry(self) -> Optional[tuple]:
-        """Select (and remove) the next event in (deadline, seq) order.
-
-        The lane only ever holds current-instant events, so the calendar
-        head wins only when it shares that deadline with a *smaller*
-        sequence number (it was scheduled before the lane entry, with a
-        then-positive delay that the clock has since caught up with).
-        """
-        lane = self._lane
-        if not lane:
-            return self._calendar.pop()
-        head = self._calendar.peek()
-        lane_entry = lane[0]
-        if head is not None and (head[0] < lane_entry[0]
-                                 or (head[0] == lane_entry[0]
-                                     and head[1] < lane_entry[1])):
-            self._calendar.advance()
-            return head
-        lane.popleft()
-        return lane_entry
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Drain the event queue.
 
         ``until`` stops the clock at that virtual time (events scheduled
-        later stay queued and ``now`` is advanced to ``until``).
+        later stay queued and ``now`` is advanced to ``until``); like a
+        negative delay, an ``until`` before ``now`` is rejected.
         ``max_events`` bounds the number of fired events, guarding tests
         against accidental infinite message loops.
         """
-        lane = self._lane
-        calendar = self._calendar
-        fired = 0
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until the past: {until} < {self._now}")
         # The loop allocates heavily (queue entries, messages) but keeps
         # almost nothing cyclic alive; generational GC passes are pure
         # overhead at paper-scale event counts.  Host-side only — the
@@ -486,12 +426,18 @@ class Simulation:
         if gc_was_enabled:
             gc.disable()
         try:
-            self._run_loop(lane, calendar, fired, until, max_events)
+            self._run_loop(until, max_events)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run_loop(self, lane, calendar, fired, until, max_events):
+    def _run_loop(self, until: Optional[float],
+                  max_events: Optional[int]) -> int:
+        """Fire events in (deadline, seq) order; return how many fired
+        (cancelled timers are consumed but not counted)."""
+        lane = self._lane
+        calendar = self._calendar
+        fired = 0
         # One float compare per event instead of a None test plus a
         # compare; +inf never stops the clock.
         until_f = float("inf") if until is None else until
@@ -517,13 +463,13 @@ class Simulation:
                     entry = head
                     if entry[0] > until_f:
                         self._now = until
-                        return
+                        return fired
                     calendar._cursor = cursor + 1
                     calendar._size -= 1
                 else:
                     if entry[0] > until_f:
                         self._now = until
-                        return
+                        return fired
                     lane.popleft()
             else:
                 active = calendar._active
@@ -537,7 +483,7 @@ class Simulation:
                         break
                 if entry[0] > until_f:
                     self._now = until
-                    return
+                    return fired
                 calendar._cursor = cursor + 1
                 calendar._size -= 1
             deadline, _seq, timer, fn, args = entry
@@ -552,24 +498,11 @@ class Simulation:
                     continue
             fired += 1
             if max_events is not None and fired >= max_events:
-                return
+                return fired
         if until is not None:
             self._now = max(self._now, until)
+        return fired
 
     def step(self) -> bool:
         """Fire exactly one queued event.  Returns ``False`` if idle."""
-        while True:
-            entry = self._next_entry()
-            if entry is None:
-                return False
-            deadline, _seq, timer, fn, args = entry
-            self._now = deadline
-            self._depth -= 1
-            self._events_processed += 1
-            if timer is None:
-                fn(*args)
-                return True
-            if timer.cancelled:
-                continue
-            timer._fire()
-            return True
+        return self._run_loop(None, 1) > 0

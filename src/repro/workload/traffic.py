@@ -5,8 +5,9 @@ The paper saturates ResilientDB with 160 k *closed-loop* YCSB clients
 contract one object per client, so both memory and event count scale
 with the modeled population.  This module replaces the population with
 one :class:`OpenLoopSource` per region: a seeded aggregate arrival
-process (:class:`TrafficSpec`) that injects *batched* request groups
-through the simulator's ``post_group`` fast path.  Simulator work is
+process (:class:`TrafficSpec`) that injects each tick's admitted
+request batches from one posted event, crediting the rest with
+``Simulation.count_extra_events``.  Simulator work is
 therefore O(arrivals × batching) — a run can model millions of users
 for the cost of the batches they offer, not the objects they would be.
 
@@ -182,7 +183,13 @@ class TrafficSpec:
         if isinstance(value, str):
             return cls.parse(value) if value else None
         if isinstance(value, dict):
-            return cls(**value)
+            try:
+                return cls(**value)
+            except TypeError as exc:
+                # An unknown key, or a wrongly typed value failing a
+                # __post_init__ comparison.
+                raise ConfigurationError(
+                    f"traffic spec {value!r}: {exc}") from None
         raise ConfigurationError(
             f"traffic must be a TrafficSpec, spec string, or dict; "
             f"got {type(value).__name__}")
@@ -295,7 +302,7 @@ class OpenLoopSource(CompletionTracker):
                 # One queue entry stands in for the whole admitted
                 # group; the callback credits the skipped events so the
                 # digest matches an unbatched schedule.
-                self._sim.post_group(0.0, admit, self._inject, admit)
+                self._sim.post(0.0, self._inject, admit)
         self._sim.post(self._spec.tick, self._tick)
 
     def _inject(self, count: int) -> None:

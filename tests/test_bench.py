@@ -45,22 +45,6 @@ class TestMetrics:
         assert metrics.avg_latency_s() == 0.0
         assert metrics.p50_latency_s() == 0.0
 
-    def test_network_observer_classifies_traffic(self):
-        metrics = Metrics()
-
-        class Msg:
-            pass
-
-        metrics.network_observer(replica_id(1, 1), replica_id(1, 2), Msg(),
-                                 100, True)
-        metrics.network_observer(replica_id(1, 1), replica_id(2, 1), Msg(),
-                                 300, False)
-        assert metrics.local_messages == 1
-        assert metrics.global_messages == 1
-        assert metrics.local_bytes == 100
-        assert metrics.global_bytes == 300
-        assert metrics.message_counts()["Msg"] == {"local": 1, "global": 1}
-
     def test_executed_txn_accounting(self):
         metrics = Metrics()
         metrics.record_executed(replica_id(1, 1), 10, 1.0)
@@ -107,6 +91,20 @@ class TestDeploymentBuilding:
         assert len(deployment.replicas) == 8
         assert len(deployment.clients) == 2
         assert set(deployment.cluster_members) == {1, 2}
+
+    def test_default_deployment_registers_no_observer(self):
+        """The network counts traffic itself, so a default deployment's
+        sends notify nobody — and the counts still reach the result."""
+        deployment = Deployment(ExperimentConfig(
+            protocol="geobft", num_clusters=2, replicas_per_cluster=4,
+            batch_size=3, clients_per_cluster=1, duration=0.5, warmup=0.1,
+            record_count=100, fast_crypto=True,
+        ))
+        assert deployment.network._observers == ()
+        result = deployment.run()
+        assert deployment.network._observers == ()
+        assert result.local_messages == deployment.network.local_messages > 0
+        assert result.global_bytes == deployment.network.global_bytes > 0
 
     def test_replicas_placed_in_paper_regions(self):
         config = ExperimentConfig(

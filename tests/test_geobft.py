@@ -80,7 +80,7 @@ class TestNormalRounds:
     def test_global_share_traffic_is_f_plus_one_per_cluster(self):
         deployment = Deployment(geo_config())
         run_deployment(deployment)
-        counts = deployment.metrics.message_counts()
+        counts = deployment.network.message_counts()
         share_counts = counts.get("GlobalShare", {"local": 0, "global": 0})
         rounds = max(r.executed_rounds
                      for r in deployment.replicas.values())
@@ -192,7 +192,7 @@ class TestSharingStrategies:
         )
         deployment = Deployment(config)
         run_deployment(deployment)
-        counts = deployment.metrics.message_counts()
+        counts = deployment.network.message_counts()
         shares = counts.get("GlobalShare", {"global": 0})["global"]
         rounds = max(r.executed_rounds for r in deployment.replicas.values())
         assert rounds > 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.tracing import MessageTracer
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.simulator import Simulation
@@ -337,49 +338,90 @@ class TestMulticastFastPath:
         assert sim_m.events_processed == sim_u.events_processed == 4
         assert sim_m.max_queue_depth == sim_u.max_queue_depth == 4
 
-    def test_group_observer_sees_same_totals(self, wan):
-        message = FakeMessage(size=2_000)
-        per_send = []
-        groups = []
+    def test_counters_equal_per_destination_observer_totals(self, wan):
+        """The network's own traffic counters equal the totals of a
+        per-destination observer — per kind, per locality and per
+        region pair — over unicast, multicast (fast path and faulted
+        path), self-sends, suppressed, dropped and tampered sends, and
+        do not change when a MessageTracer is attached."""
 
-        sim, net, src, local, b, c = self._fresh(wan)
-        net.add_observer(
-            lambda s, d, m, size, is_local:
-                per_send.append((s, d, size, is_local)),
-            lambda s, dsts, m, size, is_local:
-                groups.append((s, tuple(dsts), size, is_local)))
-        net.multicast(src.node_id,
-                      [local.node_id, b.node_id, c.node_id], message)
-        sim.run()
+        class Other(FakeMessage):
+            pass
 
-        # The sole observer's batched hook replaces per-send calls…
-        assert per_send == []
-        assert sorted(groups, key=lambda g: not g[3]) == [
-            (src.node_id, (local.node_id,), 2_000, True),
-            (src.node_id, (b.node_id, c.node_id), 2_000, False),
-        ]
-        # …and the grouped totals equal the per-destination totals.
-        total_bytes = sum(size * len(dsts) for _, dsts, size, _ in groups)
-        assert total_bytes == 3 * 2_000
+        class Omitted(FakeMessage):
+            pass
 
-    def test_second_observer_disables_group_path(self, wan):
+        class Tampered(FakeMessage):
+            pass
+
+        def drive(observe):
+            sim, net, src, local, b, c = self._fresh(wan)
+            seen = []
+            if observe:
+                net.add_observer(lambda s, d, m, size, is_local:
+                                 seen.append((s, d, m, size, is_local)))
+                MessageTracer.attach(net)
+            ids = (src.node_id, local.node_id, b.node_id, c.node_id)
+            net.send(src.node_id, b.node_id, FakeMessage(100))
+            net.send(b.node_id, src.node_id, FakeMessage(300))
+            net.send(local.node_id, local.node_id, FakeMessage(7))
+            # Fast path: no failure machinery armed yet.
+            net.multicast(src.node_id, ids, Other(200))
+            net.failures.add_send_rule(
+                lambda s, d, m: isinstance(m, Omitted))
+            net.failures.add_transform_rule(
+                lambda s, d, m: Tampered(40) if d == c.node_id else m)
+            net.failures.sever(src.node_id, b.node_id)
+            # Faulted path: one per-destination send each.
+            net.multicast(src.node_id, ids, FakeMessage(50))
+            net.send(src.node_id, local.node_id, Omitted(999))
+            sim.run()
+            region = {node.node_id: node.region
+                      for node in (src, local, b, c)}
+            return net, seen, region, b
+
+        net, seen, region, b = drive(observe=True)
+        counts: dict = {}
+        pairs: dict = {}
+        for s, d, message, size, is_local in seen:
+            kind = counts.setdefault(type(message).__name__,
+                                     {"local": 0, "global": 0})
+            kind["local" if is_local else "global"] += 1
+            pair = (region[s], region[d])
+            pairs[pair] = pairs.get(pair, 0) + size
+        assert net.message_counts() == counts
+        assert net.pair_bytes() == pairs
+        assert net.local_messages == sum(1 for e in seen if e[4])
+        assert net.global_messages == sum(1 for e in seen if not e[4])
+        assert net.local_bytes == sum(e[3] for e in seen if e[4])
+        assert net.global_bytes == sum(e[3] for e in seen if not e[4])
+        # Self-sends and the suppressed send are not counted; the copy
+        # severed in flight is, and the tampered copy counts as sent.
+        assert "Omitted" not in counts
+        assert counts["Tampered"] == {"local": 0, "global": 1}
+        assert counts["FakeMessage"] == {"local": 1, "global": 3}
+        assert counts["Other"] == {"local": 1, "global": 2}
+        assert len(b.received) == 2
+        telemetry = net.telemetry()
+        assert telemetry["self_sends"] == 3
+        assert telemetry["in_flight_drops"] == 1
+
+        bare = drive(observe=False)[0]
+        assert bare.message_counts() == net.message_counts()
+        assert bare.pair_bytes() == net.pair_bytes()
+        assert (bare.local_bytes, bare.global_bytes) == (
+            net.local_bytes, net.global_bytes)
+
+    def test_observers_see_identical_streams(self, wan):
         message = FakeMessage(size=2_000)
         first = []
         second = []
-        groups = []
 
         sim, net, src, local, b, c = self._fresh(wan)
-        net.add_observer(
-            lambda s, d, m, size, is_local: first.append(d),
-            lambda s, dsts, m, size, is_local: groups.append(tuple(dsts)))
+        net.add_observer(lambda s, d, m, size, is_local: first.append(d))
         net.add_observer(lambda s, d, m, size, is_local: second.append(d))
         net.multicast(src.node_id,
                       [local.node_id, b.node_id, c.node_id], message)
         sim.run()
 
-        # Both observers see the identical per-destination stream; the
-        # batched hook is retired the moment it stops being sole.
-        assert groups == []
-        assert first == second
-        assert sorted(first) == sorted(
-            [local.node_id, b.node_id, c.node_id])
+        assert first == second == [local.node_id, b.node_id, c.node_id]

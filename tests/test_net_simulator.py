@@ -57,13 +57,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulation().schedule(-0.1, lambda: None)
 
-    def test_schedule_at_absolute_time(self):
-        sim = Simulation()
-        seen = []
-        sim.schedule_at(5.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [5.0]
-
     def test_zero_delay_runs_after_current_instant_fifo(self):
         sim = Simulation()
         fired = []
@@ -113,6 +106,20 @@ class TestRunControl:
 
     def test_step_on_idle_returns_false(self):
         assert not Simulation().step()
+
+    def test_run_until_before_now_rejected(self):
+        """The clock never runs backwards: a later event must not fire
+        before an instant the clock already reached."""
+        sim = Simulation()
+        sim.post(2.0, lambda: None)
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=0.5)
+        assert sim.now == 1.0
+        seen = []
+        sim.post(0.1, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [1.1]
 
     def test_run_until_advances_time_even_when_idle(self):
         sim = Simulation()
@@ -281,35 +288,19 @@ class TestQueueDepthTelemetry:
 
 
 class TestGroupedEvents:
-    def test_post_group_credits_skipped_events(self):
-        """A grouped event plus count_extra_events reproduces the
-        events_processed count of the ungrouped schedule exactly."""
+    def test_count_extra_events_credits_batched_events(self):
+        """One event crediting count_extra_events reproduces the
+        events_processed count of the unbatched schedule exactly."""
         plain = Simulation()
         for _ in range(4):
             plain.post(1.0, lambda: None)
         plain.run()
 
-        grouped = Simulation()
-        grouped.post_group(1.0, 4, grouped.count_extra_events, 3)
-        grouped.run()
+        batched = Simulation()
+        batched.post(1.0, batched.count_extra_events, 3)
+        batched.run()
 
-        assert plain.events_processed == grouped.events_processed == 4
-
-    def test_post_group_reserves_sequence_numbers(self):
-        """Events posted after a group sort after all of its members."""
-        order = []
-        sim = Simulation()
-        sim.post_group(1.0, 3, order.append, "group")
-        sim.post(1.0, order.append, "after")
-        sim.run()
-        assert order == ["group", "after"]
-        # The group consumed 3 sequence numbers + 1 for "after".
-        assert sim._seq == 4
-
-    def test_post_group_rejects_empty_group(self):
-        sim = Simulation()
-        with pytest.raises(SimulationError):
-            sim.post_group(1.0, 0, lambda: None)
+        assert plain.events_processed == batched.events_processed == 4
 
 
 class TestLaneCalendarInterleaving:
@@ -353,7 +344,7 @@ class TestLaneCalendarInterleaving:
         def post_zero():
             sim.post(0.0, fired.append, "lane")
 
-        sim.schedule_at(1.5, post_zero)
+        sim.schedule(1.5 - sim.now, post_zero)
         sim.run(until=1.2)
         assert fired == [] and sim.now == 1.2
         sim.run()
@@ -420,15 +411,12 @@ class _ReferenceSimulation:
     def pending_events(self):
         return len(self._queue)
 
-    def post_group(self, delay, count, fn, *args):
+    def schedule(self, delay, fn, *args):
         timer = _ReferenceTimer(fn, args)
         insort(self._queue, (self.now + delay, self._seq, timer))
-        self._seq += count
+        self._seq += 1
         self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
         return timer
-
-    def schedule(self, delay, fn, *args):
-        return self.post_group(delay, 1, fn, *args)
 
     post = schedule
 
@@ -443,6 +431,8 @@ class _ReferenceSimulation:
         return False
 
     def run(self, until):
+        if until < self.now:
+            raise SimulationError(f"cannot run until the past: {until}")
         while self.step(until):
             pass
         self.now = max(self.now, until)
@@ -516,11 +506,6 @@ class CalendarDifferentialMachine(RuleBasedStateMachine):
         for side in self.sides:
             side.sim.post(delay, side.fire, "child", action)
 
-    @rule(delay=_delays, count=st.integers(1, 3), action=_actions)
-    def post_group(self, delay, count, action):
-        for side in self.sides:
-            side.sim.post_group(delay, count, side.fire, "child", action)
-
     @rule(index=st.integers(0, 50), twice=st.booleans())
     def cancel(self, index, twice):
         for side in self.sides:
@@ -528,10 +513,18 @@ class CalendarDifferentialMachine(RuleBasedStateMachine):
             if twice:
                 side.cancel(index)
 
-    @rule(delta=st.one_of(_delays, st.floats(0.0, 3.0)))
+    @rule(delta=st.one_of(_delays, _delays.map(lambda d: -d),
+                          st.floats(-3.0, 3.0)))
     def run_until(self, delta):
+        raised = []
         for side in self.sides:
-            side.sim.run(until=side.sim.now + delta)
+            try:
+                side.sim.run(until=side.sim.now + delta)
+            except SimulationError:
+                raised.append(True)
+            else:
+                raised.append(False)
+        assert raised[0] == raised[1]
 
     @rule()
     def step(self):

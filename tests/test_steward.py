@@ -53,7 +53,7 @@ class TestGlobalOrdering:
         assert remote.completed_batches > 0
         # Inspect metrics: average over all clients mixes fast local
         # and slow remote; remote floor asserted via message flow below.
-        counts = deployment.metrics.message_counts()
+        counts = deployment.network.message_counts()
         assert counts.get("StewardForward", {}).get("global", 0) > 0
         assert counts.get("StewardGlobalOrder", {}).get("global", 0) > 0
 

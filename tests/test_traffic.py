@@ -109,6 +109,18 @@ class TestTrafficSpec:
         with pytest.raises(ConfigurationError, match="traffic must be"):
             TrafficSpec.from_value(42)
 
+    @pytest.mark.parametrize("value, match", [
+        ({"proces": "poisson"}, "proces"),
+        ({"users": "many"}, "traffic spec"),
+        ({"tick": None}, "traffic spec"),
+    ])
+    def test_from_value_dict_errors_are_configuration_errors(self, value,
+                                                             match):
+        """A dict spec's typos and wrongly typed values are reported like
+        parse()'s, not as a bare TypeError."""
+        with pytest.raises(ConfigurationError, match=match):
+            TrafficSpec.from_value(value)
+
     def test_rate_curves(self):
         flat = steady_spec()
         assert flat.rate_multiplier(3.7) == 1.0
@@ -236,7 +248,7 @@ class TestOpenLoopRuns:
             apply_scenario(deployment, scenario)
         result = deployment.run()
         assert result.safety_ok
-        sent = deployment.metrics.message_counts()
+        sent = deployment.network.message_counts()
         observed = {
             "certs": sum(sent.get("ZyzzyvaCommitCert", {}).values()),
             "requests": sum(sent["ClientRequestBatch"].values()),

@@ -23,23 +23,22 @@ def run_deployment(protocol):
 class TestPairAccounting:
     def test_pair_bytes_populated(self):
         deployment, _ = run_deployment("geobft")
-        pairs = deployment.metrics.pair_bytes()
+        pairs = deployment.network.pair_bytes()
         assert pairs
         assert ("oregon", "iowa") in pairs
         assert ("oregon", "oregon") in pairs
 
     def test_cross_region_totals_exclude_local(self):
         deployment, _ = run_deployment("geobft")
-        cross = cross_region_totals(deployment.metrics)
+        cross = cross_region_totals(deployment.network)
         assert all(src != dst for src, dst in cross)
-        assert sum(cross.values()) == deployment.metrics.global_bytes
+        assert sum(cross.values()) == deployment.network.global_bytes
 
 
 class TestLinkUsage:
     def test_rows_sorted_by_volume(self):
         deployment, result = run_deployment("geobft")
-        rows = link_usage(deployment.metrics, deployment.topology,
-                          window=result.duration)
+        rows = link_usage(deployment.network, window=result.duration)
         volumes = [row.bytes_sent for row in rows]
         assert volumes == sorted(volumes, reverse=True)
         for row in rows:
@@ -48,12 +47,11 @@ class TestLinkUsage:
 
     def test_empty_window(self):
         deployment, _ = run_deployment("geobft")
-        assert link_usage(deployment.metrics, deployment.topology, 0) == []
+        assert link_usage(deployment.network, 0) == []
 
     def test_report_formatting(self):
         deployment, result = run_deployment("geobft")
-        rows = link_usage(deployment.metrics, deployment.topology,
-                          window=result.duration)
+        rows = link_usage(deployment.network, window=result.duration)
         report = format_link_report(rows)
         assert "oregon" in report
         assert "util" in report
@@ -64,9 +62,9 @@ class TestBottleneckIdentification:
         """Flat PBFT's primary sits in Oregon: Oregon emits nearly all
         cross-region bytes (the paper's §1.1 bottleneck)."""
         deployment, _ = run_deployment("pbft")
-        region, sent = busiest_sender_region(deployment.metrics)
+        region, sent = busiest_sender_region(deployment.network)
         assert region == "oregon"
-        cross = cross_region_totals(deployment.metrics)
+        cross = cross_region_totals(deployment.network)
         total = sum(cross.values())
         assert sent / total > 0.5
 
@@ -76,13 +74,13 @@ class TestBottleneckIdentification:
         geo_dep, _ = run_deployment("geobft")
         pbft_dep, _ = run_deployment("pbft")
 
-        def dominance(metrics):
-            cross = cross_region_totals(metrics)
+        def dominance(network):
+            cross = cross_region_totals(network)
             total = sum(cross.values())
-            _region, sent = busiest_sender_region(metrics)
+            _region, sent = busiest_sender_region(network)
             return sent / total
 
-        assert dominance(geo_dep.metrics) < dominance(pbft_dep.metrics)
+        assert dominance(geo_dep.network) < dominance(pbft_dep.network)
 
     def test_geobft_cross_bytes_far_below_pbft(self):
         geo_dep, geo = run_deployment("geobft")
