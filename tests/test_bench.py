@@ -18,6 +18,9 @@ from repro.bench.reporting import (
 )
 from repro.bench.scenarios import apply_scenario
 from repro.errors import ConfigurationError
+from repro.net.network import Network
+from repro.net.simulator import Simulation
+from repro.net.topology import Topology
 from repro.types import client_id, replica_id
 
 
@@ -44,6 +47,45 @@ class TestMetrics:
         assert metrics.throughput_txn_s() == 0.0
         assert metrics.avg_latency_s() == 0.0
         assert metrics.p50_latency_s() == 0.0
+
+    def test_network_observer_classifies_traffic(self):
+        """Traffic is classified where it is sent: the network counts
+        local and global messages and bytes per kind, and an observer
+        sees the same locality flag for each send."""
+        sim = Simulation()
+        net = Network(sim, Topology.uniform(["west", "east"]))
+
+        class Node:
+            def __init__(self, node_id, region):
+                self.node_id = node_id
+                self.region = region
+
+            def deliver(self, message, sender):
+                pass
+
+        class Msg:
+            def __init__(self, size):
+                self._size = size
+
+            def size_bytes(self):
+                return self._size
+
+        for node_id, region in ((replica_id(1, 1), "west"),
+                                (replica_id(1, 2), "west"),
+                                (replica_id(2, 1), "east")):
+            net.register(Node(node_id, region))
+        seen = []
+        net.add_observer(lambda s, d, m, size, is_local:
+                         seen.append((size, is_local)))
+        net.send(replica_id(1, 1), replica_id(1, 2), Msg(100))
+        net.send(replica_id(1, 1), replica_id(2, 1), Msg(300))
+        sim.run()
+        assert seen == [(100, True), (300, False)]
+        assert net.local_messages == 1
+        assert net.global_messages == 1
+        assert net.local_bytes == 100
+        assert net.global_bytes == 300
+        assert net.message_counts()["Msg"] == {"local": 1, "global": 1}
 
     def test_executed_txn_accounting(self):
         metrics = Metrics()

@@ -412,6 +412,34 @@ class TestMulticastFastPath:
         assert (bare.local_bytes, bare.global_bytes) == (
             net.local_bytes, net.global_bytes)
 
+    def test_group_observer_sees_same_totals(self, wan):
+        """An observer of a multicast sees one call per destination, and
+        its totals equal the network's counters per kind, per locality
+        and per region pair."""
+        message = FakeMessage(size=2_000)
+        per_send = []
+
+        sim, net, src, local, b, c = self._fresh(wan)
+        net.add_observer(
+            lambda s, d, m, size, is_local:
+                per_send.append((s, d, size, is_local)))
+        net.multicast(src.node_id,
+                      [local.node_id, b.node_id, c.node_id], message)
+        sim.run()
+
+        assert per_send == [
+            (src.node_id, local.node_id, 2_000, True),
+            (src.node_id, b.node_id, 2_000, False),
+            (src.node_id, c.node_id, 2_000, False),
+        ]
+        assert sum(e[2] for e in per_send) == 3 * 2_000
+        assert net.local_bytes == sum(e[2] for e in per_send if e[3])
+        assert net.global_bytes == sum(e[2] for e in per_send if not e[3])
+        assert net.message_counts() == {
+            "FakeMessage": {"local": 1, "global": 2}}
+        assert net.pair_bytes() == {("west", "west"): 2_000,
+                                    ("west", "east"): 4_000}
+
     def test_observers_see_identical_streams(self, wan):
         message = FakeMessage(size=2_000)
         first = []
