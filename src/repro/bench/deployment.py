@@ -134,6 +134,11 @@ PROTOCOLS = tuple(PROTOCOL_ENTRIES)
 RESULT_SCHEMA = "repro-result/1"
 
 
+def _is_int(value) -> bool:
+    """A count field's check: an ``int``, and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one data point of the evaluation."""
@@ -188,6 +193,16 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; expected {PROTOCOLS}"
             )
+        for name in ("batch_size", "clients_per_cluster",
+                     "client_outstanding"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {value!r}")
+        if self.traffic is None and self.clients_per_cluster < 1:
+            raise ConfigurationError(
+                "clients_per_cluster must be >= 1 for closed-loop clients "
+                "(set traffic for an open loop)")
         if self.num_clusters < 1:
             raise ConfigurationError("num_clusters must be >= 1")
         if self.replicas_per_cluster < 4:
@@ -199,6 +214,9 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "cluster_sizes must list one size per cluster"
                 )
+            if not all(map(_is_int, self.cluster_sizes)):
+                raise ConfigurationError(
+                    f"cluster_sizes must be ints, got {self.cluster_sizes!r}")
             if any(size < 4 for size in self.cluster_sizes):
                 raise ConfigurationError(
                     "every cluster needs >= 4 replicas (n > 3f)"

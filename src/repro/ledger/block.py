@@ -11,6 +11,7 @@ hash, so any modification of a stored block is detectable.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, starmap
@@ -81,6 +82,29 @@ class Transaction:
         """The paper's no-op request, proposed when a cluster has no
         client requests for a round (§2.5)."""
         return cls(txn_id, "noop", 0, "")
+
+
+def _typecode_range(code: str) -> tuple:
+    bits = 8 * array(code).itemsize
+    if code.islower():
+        return (-(1 << bits - 1), (1 << bits - 1) - 1, code)
+    return (0, (1 << bits) - 1, code)
+
+
+# Every integer typecode's ``(low, high, code)``, narrowest first and
+# unsigned before signed at equal width.
+_TYPECODES = tuple(map(_typecode_range, sorted(
+    "BbHhIiQq", key=lambda code: array(code).itemsize)))
+
+
+def draw_column(low: int, high: int) -> array:
+    """An empty ``array`` of the narrowest integer typecode that holds
+    every value in ``[low, high]``: a :class:`MintedBatch` draw column
+    costs the bytes its values need, and still yields Python ``int``s."""
+    for code_low, code_high, code in _TYPECODES:
+        if code_low <= low and high <= code_high:
+            return array(code)
+    raise OverflowError(f"no array typecode holds [{low}, {high}]")
 
 
 class MintedBatch(Sequence):

@@ -58,8 +58,7 @@ def _compile_plan(batch: Batch):
                 run[1][key] = value
             elif op == "modify":
                 run = None
-                ops.append((len(results), key, value,
-                            ("|" + value).encode()))
+                ops.append((len(results), key, ("|" + value).encode()))
             else:
                 return None
         results.append("ok")
@@ -217,8 +216,11 @@ class ExecutionLog:
             entries[i].waiting -= 1
             source, replay = self._base, islice(entries, i)
         store._data = dict(source._data)
-        store._journals = {key: journal[:]
-                           for key, journal in source._journals.items()}
+        # Its own pending buffers: a shared bytearray would carry the
+        # store's later appends into the log's base or head.
+        store._journals = {key: [size, crc, bytearray(pending)]
+                           for key, (size, crc, pending)
+                           in source._journals.items()}
         writes, reads = store._writes, store._reads
         for entry in replay:
             if entry.ops:

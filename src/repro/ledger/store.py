@@ -46,9 +46,10 @@ class YcsbStore:
             )
         self._record_count = record_count
         self._data: Dict[int, str] = {}
-        # key -> [byte length, CRC-32, pending suffix, ...]: the running
-        # receipt of a journaled record, then the appends not yet joined
-        # into ``_data[key]``.  Derived; dropped by any overwrite.
+        # key -> [byte length, CRC-32, pending]: the running receipt of a
+        # journaled record, and one ``bytearray`` of the UTF-8 appends
+        # (``"|" + suffix`` each) not yet joined into ``_data[key]``.
+        # Derived; dropped by any overwrite.
         self._journals: Dict[int, list] = {}
         self._writes = 0
         self._reads = 0
@@ -129,8 +130,8 @@ class YcsbStore:
         overwrites folded last-writer-wins in first-write order, so one
         dict-to-dict ``update`` leaves the state and insertion order the
         pairs would one by one, and every pair still counts as a write —
-        or a ``(slot, key, suffix, ("|" + suffix).encode())`` journal
-        append whose receipt goes to ``results[slot]``.
+        or a ``(slot, key, ("|" + suffix).encode())`` journal append whose
+        receipt goes to ``results[slot]``.
         """
         data, journals, crc32 = self._data, self._journals, zlib.crc32
         writes = appends = 0
@@ -143,14 +144,14 @@ class YcsbStore:
                     for key in run:
                         journals.pop(key, None)
                 continue
-            slot, key, suffix, encoded = step
+            slot, key, encoded = step
             if key not in journals:
                 base = data.setdefault(key, _initial_value(key)).encode()
-                journals[key] = [len(base), crc32(base)]
+                journals[key] = [len(base), crc32(base), bytearray()]
             journal = journals[key]
             journal[0] = size = journal[0] + len(encoded)
             journal[1] = crc = crc32(encoded, journal[1])
-            journal.append(suffix)
+            journal[2] += encoded
             results[slot] = "%d:%08x" % (size, crc)
             appends += 1
         self._writes += writes + appends
@@ -164,7 +165,7 @@ class YcsbStore:
             self._log.detach(self)
         self._check_key(key)
         results = [""]
-        self._apply([(0, key, suffix, ("|" + suffix).encode())], results)
+        self._apply([(0, key, ("|" + suffix).encode())], results)
         return results[0]
 
     def scan(self, start_key: int, length: int) -> List[Tuple[int, str]]:
@@ -195,12 +196,13 @@ class YcsbStore:
         return dict(self._joined())
 
     def _joined(self, *keys: int) -> Dict[int, str]:
-        """``_data`` with pending suffixes of ``keys`` (default all) joined."""
+        """``_data`` with the pending appends of ``keys`` (default all)
+        decoded and joined."""
         for key in keys or self._journals:
-            journal = self._journals[key]
-            if len(journal) > 2:
-                self._data[key] = "|".join([self._data[key], *journal[2:]])
-                del journal[2:]
+            pending = self._journals[key][2]
+            if pending:
+                self._data[key] += pending.decode()
+                pending.clear()
         return self._data
 
     def restore(self, snapshot: Dict[int, str],

@@ -21,10 +21,9 @@ reach it through ``--scenario``.
 from __future__ import annotations
 
 import random
-from array import array
 
 from ..errors import WorkloadError
-from ..ledger.block import Batch, MintedBatch
+from ..ledger.block import Batch, MintedBatch, draw_column
 
 #: Default shared-account table size (small on purpose: a hot account
 #: set produces real read-modify-write conflicts).
@@ -66,7 +65,8 @@ class PaymentWorkload:
             raise WorkloadError(f"batch size must be >= 1, got {size}")
         randrange, randint = self._rng.randrange, self._rng.randint
         branch, accounts = self._branch, self._accounts
-        src, dst, amount = array("q"), array("q"), array("q")
+        src, dst = draw_column(0, accounts - 1), draw_column(0, accounts - 1)
+        amount = draw_column(1, 500)
         for _ in range(size):
             src.append(randrange(accounts))
             dst.append(randrange(accounts))

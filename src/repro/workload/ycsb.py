@@ -10,11 +10,10 @@ drawn Zipfian-style, and both clients and primaries batch requests
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Optional
 
 from ..errors import WorkloadError
-from ..ledger.block import Batch, MintedBatch, Transaction
+from ..ledger.block import Batch, MintedBatch, Transaction, draw_column
 from ..ledger.store import DEFAULT_RECORD_COUNT
 from .zipfian import make_generator
 
@@ -83,7 +82,8 @@ class YcsbWorkload:
         # is stored as ``~key``.  Ids and values are formatted per row.
         next_key, random_ = self._keys.next, self._rng.random
         write_fraction, value_size = self._write_fraction, self._value_size
-        keys = array("q")
+        record_count = self._keys.item_count
+        keys = draw_column(-record_count, record_count - 1)
         for _ in range(size):
             key = next_key()
             keys.append(key if random_() < write_fraction else ~key)

@@ -115,6 +115,41 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(duration=1.0, warmup=2.0)
 
+    @pytest.mark.parametrize("clients", [0, -1])
+    def test_closed_loop_needs_a_client(self, clients):
+        """No clients and no traffic used to run, complete nothing and
+        still report liveness_ok."""
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(protocol="geobft", num_clusters=2,
+                             replicas_per_cluster=4, duration=0.3,
+                             warmup=0.1, clients_per_cluster=clients)
+
+    def test_open_loop_needs_no_closed_loop_client(self):
+        config = ExperimentConfig(num_clusters=2, replicas_per_cluster=4,
+                                  clients_per_cluster=0,
+                                  traffic="poisson:users=1000,rate=100")
+        assert config.traffic is not None
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("batch_size", "100"), ("batch_size", True),
+        ("clients_per_cluster", 1.0), ("client_outstanding", "8"),
+        ("cluster_sizes", [4, "4"]), ("cluster_sizes", [4, 4.0]),
+    ])
+    def test_count_fields_must_be_ints(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(num_clusters=2, replicas_per_cluster=4,
+                             **{field: value})
+
+    def test_every_campaign_config_constructs(self):
+        from repro.sweep.campaigns import campaign_names, get_campaign
+        for name in campaign_names():
+            for run in get_campaign(name).runs:
+                config = run.config
+                # Rebuilt from its own fields: __post_init__ runs again.
+                assert ExperimentConfig(**{
+                    f: getattr(config, f)
+                    for f in config.__dataclass_fields__}) == config
+
     def test_topology_defaults_to_paper_prefix(self):
         config = ExperimentConfig(num_clusters=3)
         assert config.resolved_topology().regions == (

@@ -16,6 +16,7 @@ from repro.ledger.block import (
     Block,
     Transaction,
     batch_digest,
+    draw_column,
     make_block,
 )
 from repro.ledger.blockchain import Blockchain, ChainLog
@@ -61,6 +62,28 @@ class TestTransactions:
     def test_batch_digest_depends_on_content(self):
         assert batch_digest(batch("a", "b")) != batch_digest(batch("b", "a"))
         assert batch_digest(batch("a")) == batch_digest(batch("a"))
+
+
+class TestDrawColumn:
+    @pytest.mark.parametrize("low, high, code", [
+        (0, 0, "B"), (0, 255, "B"), (0, 256, "H"), (-1, 0, "b"),
+        (-128, 127, "b"), (-129, 0, "h"), (1, 500, "H"), (0, 65_535, "H"),
+        (0, 65_536, "I"), (-32_769, 0, "i"), (-2**31, 2**31 - 1, "i"),
+        (-2**31 - 1, 0, "q"), (0, 2**32 - 1, "I"), (0, 2**32, "Q"),
+        (-2**63, 2**63 - 1, "q"), (0, 2**64 - 1, "Q"),
+    ])
+    def test_narrowest_typecode_holding_the_range(self, low, high, code):
+        column = draw_column(low, high)
+        assert column.typecode == code and len(column) == 0
+        column.extend([low, high])
+        assert list(column) == [low, high]
+        assert all(value.__class__ is int for value in column)
+
+    @pytest.mark.parametrize("low, high", [(-1, 2**63), (0, 2**64),
+                                           (-2**63 - 1, 0)])
+    def test_beyond_64_bits_raises(self, low, high):
+        with pytest.raises(OverflowError):
+            draw_column(low, high)
 
 
 class TestBlocks:

@@ -197,6 +197,53 @@ class TestExecutionEngine:
         with pytest.raises(WorkloadError):
             log.attach(YcsbStore(10))
 
+    def test_non_ascii_suffix_joins_whole_characters(self):
+        """Pending appends are UTF-8 bytes; they decode to the same
+        text the receipts were computed over."""
+        store = YcsbStore(10)
+        first = store.modify(2, "é€")
+        assert store.read(2) == "init-2|é€"
+        assert first == receipt_of(store.read(2))
+        last = ExecutionEngine(store).execute_batch(
+            (Transaction("m1", "modify", 2, "€"),
+             Transaction("m2", "modify", 2, "é")))[-1]
+        assert store.read(2) == "init-2|é€|€|é"
+        assert last == receipt_of(store.read(2))
+
+    @pytest.mark.parametrize("leaves_from", ["head", "base"])
+    def test_detached_store_writes_only_its_own_journal(self, leaves_from):
+        """``a`` leaves the log through ``read`` with a copy of the
+        journals at its cursor (the log's head, or its base when ``a``
+        lags), then appends to them; ``b`` and ``c`` stay attached and
+        see none of it."""
+        m1 = _txns(("modify", 1, "x"), ("modify", 2, "y"), ("modify", 1, "z"))
+        m2 = _txns(("modify", 1, "é"), ("modify", 3, "w"))
+        m3 = _txns(("modify", 1, "v"), ("modify", 2, "u"))
+        log = ExecutionLog(_N)
+        a, b, c = (ExecutionEngine(YcsbStore(_N)) for _ in range(3))
+        for engine in (a, b, c):
+            log.attach(engine.store)
+        for engine in (a, b, c):
+            engine.execute_batch(m1)
+        ahead = (a, b, c) if leaves_from == "head" else (c,)
+        for engine in ahead:
+            engine.execute_batch(m2)
+        a.store.read(1)
+        a.store.modify(1, "mine")
+        a.store.modify(2, "mine")
+        ref = ExecutionEngine(YcsbStore(_N))
+        expected = [ref.execute_batch(m) for m in (m1, m2, m3)]
+        for engine in (b, c):
+            got = [engine.execute_batch(m)
+                   for m in ([m2, m3] if engine not in ahead else [m3])]
+            assert got == expected[3 - len(got):]
+        assert all(engine.store._log is log for engine in (b, c))
+        for engine in (b, c):
+            assert (list(engine.store.snapshot().items())
+                    == list(ref.store.snapshot().items()))
+        assert a.store.read(1) == "init-1|x|z|%smine" % (
+            "é|" if a in ahead else "")
+
     def test_restore_over_pending_journal_suffixes(self):
         store = YcsbStore(10)
         store.modify(1, "a")

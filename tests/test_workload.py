@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from repro.consensus.messages import ClientRequestBatch
 from repro.crypto.digests import digest_of, encode_canonical
 from repro.errors import WorkloadError
-from repro.ledger.block import Block, Transaction, batch_digest
+from repro.ledger.block import Block, MintedBatch, Transaction, batch_digest
 from repro.types import client_id
 from repro.workload.payment import PaymentWorkload
 from repro.workload.ycsb import YcsbWorkload
@@ -213,6 +214,73 @@ class TestPaymentWorkload:
                 tuple(t.payload() for t in reference))
             assert payment.generated_txns == counter
             assert_same_as_its_tuple(batch)
+
+
+class _ScriptedRng:
+    """Hands out scripted draws: ``randrange`` and ``randint`` the next
+    of ``ints``, ``random`` the next of ``floats``."""
+
+    def __init__(self, ints=(), floats=()):
+        ints, floats = iter(ints), iter(floats)
+        self.randrange = self.randint = lambda *_: next(ints)
+        self.random = lambda: next(floats)
+
+
+def assert_same_as_q_columns(batch):
+    """Rows, bytes and digest equal those of the same draws in
+    ``array("q")`` columns, and every row field is an exact ``int``."""
+    wide = MintedBatch(batch._first,
+                       tuple(array("q", column) for column in batch._draws),
+                       batch._row)
+    rows = list(batch._rows())
+    assert rows == list(wide._rows())
+    assert all(field.__class__ is int for row in rows for field in row
+               if not isinstance(field, str))
+    assert batch.canonical_bytes() == wide.canonical_bytes()
+    assert batch_digest(batch) == batch_digest(wide)
+    assert tuple(batch) == tuple(wide)
+
+
+class TestColumnWidths:
+    """Draw columns take the narrowest typecode their range allows; at
+    each width's edge the batch is the one ``array("q")`` would hold."""
+
+    @pytest.mark.parametrize("accounts, code", [(200, "B"), (65_536, "H"),
+                                                (65_537, "I")])
+    def test_payment_account_columns(self, accounts, code):
+        payment = PaymentWorkload("b0", seed=3, accounts=accounts)
+        assert_same_as_q_columns(payment.next_batch(50, "c1-"))
+        top = accounts - 1
+        # (source, destination, amount) per transfer: both range ends.
+        payment._rng = _ScriptedRng(ints=[top, 0, 500, 0, top, 1,
+                                          top, top, 500])
+        batch = payment.next_batch(3, "c2-")
+        src, dst, amount = batch._draws
+        assert (src.typecode, dst.typecode, amount.typecode) == (
+            code, code, "H")
+        assert [(t.key, t.value) for t in batch] == [
+            (top, "b0->acct0:500"), (0, f"b0->acct{top}:1"),
+            (top, f"b0->acct{top}:500")]
+        assert_same_as_q_columns(batch)
+
+    @pytest.mark.parametrize("record_count, code", [(2**31, "i"),
+                                                    (2**31 + 1, "q")])
+    def test_ycsb_key_column(self, record_count, code):
+        """The extreme key is ``record_count - 1``; its read is stored
+        as ``~key == -record_count``, the column's low end."""
+        top = record_count - 1
+        workload = YcsbWorkload(
+            record_count=record_count, write_fraction=0.5,
+            distribution="uniform", value_size=4,
+            rng=_ScriptedRng(ints=[top, top, 0, 0],
+                             floats=[0.0, 0.9, 0.0, 0.9]))
+        batch = workload.next_batch(4, "c1-")
+        (keys,) = batch._draws
+        assert keys.typecode == code
+        assert list(keys) == [top, -record_count, 0, -1]
+        assert [(t.op, t.key) for t in batch] == [
+            ("update", top), ("read", top), ("update", 0), ("read", 0)]
+        assert_same_as_q_columns(batch)
 
 
 class TestTransactionFootprint:
