@@ -7,7 +7,7 @@ equal timestamps fire in scheduling order, so a run is a pure function of
 its configuration and seed, which the safety and determinism tests rely
 on.
 
-Two scheduling paths share one queue and one sequence counter:
+Two scheduling paths share one sequence counter:
 
 * :meth:`Simulation.schedule` returns a cancellable :class:`Timer` —
   used for view-change timeouts and anything else that may be cancelled.
@@ -21,43 +21,42 @@ number, mixing them cannot reorder events: determinism is a property of
 the (deadline, seq) pair, which is identical whichever path created the
 event.
 
-Storage is split between two structures that together implement the
-exact (deadline, seq) total order:
+Three structures together implement the exact (deadline, seq) total
+order:
 
 * a **zero-delay lane** — a plain FIFO for events posted with delay
   ``0.0``.  Such events always belong to the *current* instant, so they
-  never need heap ordering; appending to a list is far cheaper than a
-  heap push at paper-scale queue depths.  The lane drains before virtual
-  time can advance, interleaved with same-instant calendar events in
-  sequence order, so the observable order is identical to a single heap.
-* a **calendar queue** (:class:`_CalendarQueue`) — the ns-3-style
-  bucketed scheduler for everything else.  Events hash into fixed-width
-  time buckets; inserts into future buckets are O(1) appends, and each
-  bucket is sorted once when the clock reaches it.  Ties always land in
-  the same bucket (same deadline ⇒ same bucket), so (deadline, seq)
-  ordering is preserved exactly.
+  never need heap ordering.  The lane drains before virtual time can
+  advance, interleaved with same-instant heap entries in sequence order.
+* **timer lanes** (:class:`_TimerLane`) — one FIFO per distinct timer
+  delay.  A deadline is ``now + delay`` and ``now`` never decreases, so
+  each lane is already in (deadline, seq) order.  It keeps its pairs in
+  two array columns and its still-armed timers in a ``{seq: Timer}``
+  dict.
+* **one binary heap** holding every other :meth:`~Simulation.post`
+  entry plus the head entry of each non-empty timer lane.  When a lane's
+  head is consumed, the lane pushes its next head before the timer
+  fires, so the heap's minimum is always the global minimum.
 
 Almost every timer the protocols arm is cancelled long before its
-multi-second deadline, so a cancelled timer must not stay resident until
-then: a timer bound for a future bucket is filed in that bucket's
-:class:`_TimerIndex` rather than its list, :meth:`Timer.cancel` removes
-it from there, and only its ``(deadline, seq)`` pair stays behind.  The
-cancelled event is still popped, counted and skipped at exactly the
-position it always held.
+multi-second deadline.  :meth:`Timer.cancel` deletes the timer from its
+lane's dict, so a cancelled timer stays resident only as a 16-byte
+``(deadline, seq)`` pair; the cancelled event is still popped, counted
+and skipped at exactly the position it always held.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
 import random
 from array import array
-from bisect import insort
 from collections import deque
-from itertools import repeat
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
+
+_INF = float("inf")
 
 
 class Timer:
@@ -69,20 +68,20 @@ class Timer:
     counts as queued and is skipped as a no-op at its deadline.
     """
 
-    __slots__ = ("deadline", "_fn", "_args", "_cancelled", "_fired",
-                 "_index")
+    __slots__ = ("deadline", "_fn", "_args", "_cancelled", "_lane", "_seq",
+                 "__weakref__")
 
-    def __init__(self, deadline: float, fn: Callable[..., None], args: tuple):
+    def __init__(self, deadline: float, fn: Callable[..., None], args: tuple,
+                 lane: "_TimerLane", seq: int):
         self.deadline = deadline
         # Both are dropped by cancel().
         self._fn: Optional[Callable[..., None]] = fn
         self._args: Optional[tuple] = args
         self._cancelled = False
-        self._fired = False
-        # The _TimerIndex this timer is filed in, if it went to a future
-        # calendar bucket; None for lane/active-bucket timers, which own
-        # an ordinary queue entry.
-        self._index: Optional[_TimerIndex] = None
+        # The lane holding this timer in its ``live`` dict under ``_seq``;
+        # None once the timer has fired or been cancelled.
+        self._lane: Optional[_TimerLane] = lane
+        self._seq = seq
 
     def cancel(self) -> None:
         """Prevent the timer from firing (idempotent).
@@ -90,19 +89,13 @@ class Timer:
         A no-op once the timer has fired — including from inside its own
         callback.
         """
-        if self._fired or self._cancelled:
+        lane = self._lane
+        if lane is None:
             return
+        self._lane = None
         self._cancelled = True
         self._fn = self._args = None
-        index = self._index
-        if index is not None:
-            self._index = None
-            seq = index.live.pop(self, None)
-            # None: the bucket has been activated, a queue entry holds
-            # the timer now and the loop will skip it by its flag.
-            if seq is not None:
-                index.dead_deadlines.append(self.deadline)
-                index.dead_seqs.append(seq)
+        del lane.live[self._seq]
 
     @property
     def cancelled(self) -> bool:
@@ -112,163 +105,27 @@ class Timer:
     @property
     def fired(self) -> bool:
         """Whether the timer's callback has run."""
-        return self._fired
-
-    def _fire(self) -> None:
-        if self._cancelled or self._fired:
-            return
-        self._fired = True
-        self._fn(*self._args)
+        return self._lane is None and not self._cancelled
 
 
-#: Stands in the queue for every timer cancelled while it was filed in a
-#: :class:`_TimerIndex`; the loops skip it like any cancelled timer.
-_CANCELLED = Timer(0.0, lambda: None, ())
-_CANCELLED.cancel()
+class _TimerLane:
+    """The timers armed with one delay, in (deadline, seq) order.
 
-
-#: Width of one calendar bucket, in simulated seconds.  One millisecond
-#: sits between the shortest intra-region one-way latencies (~0.25 ms)
-#: and the WAN latencies (tens to hundreds of ms), so at paper scale a
-#: bucket holds a few hundred events — large enough that most inserts
-#: are O(1) appends into future buckets, small enough that sorting the
-#: active bucket stays cheap.
-_BUCKET_WIDTH = 1e-3
-
-
-class _TimerIndex:
-    """The timers filed in one future calendar bucket.
-
-    ``live`` maps each still-armed :class:`Timer` to its sequence number;
-    a cancelled timer leaves it and keeps only its ``(deadline, seq)``
-    pair, 16 bytes in the two parallel arrays — enough for
-    :meth:`merge_into` to put a cancelled placeholder at the exact
-    queue position the timer held.
+    ``deadlines[head]`` / ``seqs[head]`` is the pair whose entry is on
+    the heap; the pairs after it are still to come.  ``live`` maps the
+    sequence number of each still-armed timer to its :class:`Timer`; a
+    pair with no ``live`` entry is a cancelled timer, skipped when its
+    turn comes.
     """
 
-    __slots__ = ("live", "dead_deadlines", "dead_seqs")
+    __slots__ = ("delay", "deadlines", "seqs", "head", "live")
 
-    def __init__(self) -> None:
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.deadlines = array("d")
+        self.seqs = array("q")
+        self.head = 0
         self.live: dict = {}
-        self.dead_deadlines = array("d")
-        self.dead_seqs = array("q")
-
-    def merge_into(self, entries: list) -> None:
-        """Append one queue entry per filed timer, live or cancelled."""
-        live = self.live
-        entries.extend([(timer.deadline, seq, timer, None, None)
-                        for timer, seq in live.items()])
-        # The timers still point here; emptying ``live`` breaks that
-        # reference cycle (the run loop keeps the collector off) and
-        # leaves a later cancel() nothing to unfile.
-        live.clear()
-        entries.extend(zip(self.dead_deadlines, self.dead_seqs,
-                           repeat(_CANCELLED), repeat(None), repeat(None)))
-
-
-class _CalendarQueue:
-    """Bucketed (calendar) event queue with exact (deadline, seq) order.
-
-    Entries are ``(deadline, seq, timer, fn, args)`` tuples — the same
-    shape :class:`Simulation` has always used.  Each entry hashes into
-    the bucket ``int(deadline / width)``; only non-empty buckets exist
-    (a dict, not a ring), so sparse far-future timers cost one dict slot
-    each instead of degrading a fixed-size calendar.
-
-    * **push** into a future bucket: ``list.append`` (unsorted) — O(1).
-    * **push_timer** into a future bucket files the timer in that
-      bucket's :class:`_TimerIndex` instead, where cancelling it is a
-      dict delete.
-    * **peek** / **advance**: the minimum-epoch bucket is *activated* —
-      its timer index merged in, sorted once, then consumed front-to-back
-      through an index cursor.  Inserts that land in the already-active
-      bucket use ``bisect.insort`` past the cursor, preserving order.
-    * an insert *earlier* than the active bucket (possible after the
-      clock jumped over empty buckets) deactivates the current bucket
-      back into the dict; the next peek re-activates the true minimum.
-
-    Ties share a deadline and therefore a bucket, so sorting by the full
-    tuple reproduces the global (deadline, seq) order exactly — the
-    property the determinism suite asserts byte-for-byte.
-    """
-
-    __slots__ = ("_width", "_buckets", "_timers", "_epochs", "_active",
-                 "_active_epoch", "_cursor", "_size")
-
-    def __init__(self, width: float = _BUCKET_WIDTH):
-        self._width = width
-        self._buckets: dict = {}     # epoch -> unsorted list of entries
-        self._timers: dict = {}      # epoch -> _TimerIndex (subset of above)
-        self._epochs: list = []      # min-heap of epochs present in _buckets
-        self._active: Optional[list] = None   # sorted; consumed via cursor
-        self._active_epoch = 0
-        self._cursor = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: tuple) -> None:
-        epoch = int(entry[0] / self._width)
-        active = self._active
-        if active is not None:
-            if epoch == self._active_epoch:
-                insort(active, entry, self._cursor)
-                self._size += 1
-                return
-            if epoch < self._active_epoch:
-                # The clock previously jumped past this epoch; demote the
-                # active bucket and let the next peek re-activate the min.
-                if self._cursor < len(active):
-                    self._buckets[self._active_epoch] = active[self._cursor:]
-                    heapq.heappush(self._epochs, self._active_epoch)
-                self._active = None
-        bucket = self._buckets.get(epoch)
-        if bucket is None:
-            self._buckets[epoch] = [entry]
-            heapq.heappush(self._epochs, epoch)
-        else:
-            bucket.append(entry)
-        self._size += 1
-
-    def push_timer(self, timer: Timer, seq: int) -> None:
-        """Queue ``timer`` at ``(timer.deadline, seq)``."""
-        epoch = int(timer.deadline / self._width)
-        if self._active is not None and epoch <= self._active_epoch:
-            self.push((timer.deadline, seq, timer, None, None))
-            return
-        index = self._timers.get(epoch)
-        if index is None:
-            index = self._timers[epoch] = _TimerIndex()
-            if epoch not in self._buckets:
-                self._buckets[epoch] = []
-                heapq.heappush(self._epochs, epoch)
-        index.live[timer] = seq
-        timer._index = index
-        self._size += 1
-
-    def peek(self) -> Optional[tuple]:
-        """The minimum entry, or ``None`` when empty (does not remove)."""
-        active = self._active
-        while active is None or self._cursor >= len(active):
-            if not self._epochs:
-                self._active = None
-                return None
-            epoch = heapq.heappop(self._epochs)
-            active = self._buckets.pop(epoch)
-            index = self._timers.pop(epoch, None)
-            if index is not None:
-                index.merge_into(active)
-            active.sort()
-            self._active = active
-            self._active_epoch = epoch
-            self._cursor = 0
-        return active[self._cursor]
-
-    def advance(self) -> None:
-        """Consume the entry last returned by :meth:`peek`."""
-        self._cursor += 1
-        self._size -= 1
 
 
 class Simulation:
@@ -281,26 +138,25 @@ class Simulation:
         sim.run(until=10.0)
     """
 
-    __slots__ = ("_now", "_seq", "_calendar", "_lane", "_events_processed",
-                 "_depth", "_max_queue", "rng")
+    __slots__ = ("_now", "_seq", "_heap", "_zero", "_lanes",
+                 "_events_processed", "_depth", "_max_queue", "rng")
 
     def __init__(self, seed: int = 0):
         self._now = 0.0
         self._seq = 0
-        # Queue entries are (deadline, seq, timer, fn, args): ``schedule``
-        # queues (deadline, seq, Timer, None, None) — materialised only
-        # at bucket activation for a timer filed in a _TimerIndex;
-        # ``post`` pushes (deadline, seq, None, fn, args).  ``seq`` is
+        # Entries are (deadline, seq, fn, args) for ``post`` and
+        # (deadline, seq, lane, None) for a timer lane's head.  ``seq`` is
         # unique, so tuple comparison never reaches the non-comparable
         # tail.
-        self._calendar = _CalendarQueue()
+        self._heap: list = []
         # Zero-delay FIFO lane: every entry's deadline equals the current
         # instant (the lane drains before time advances), so plain FIFO
         # order *is* (deadline, seq) order within the lane.
-        self._lane: deque = deque()
+        self._zero: deque = deque()
+        self._lanes: dict = {}       # delay -> _TimerLane, non-empty only
         self._events_processed = 0
         # Queue depth is tracked incrementally (push +1 / consume -1)
-        # so the hot post() path never takes two len() calls.
+        # so the hot post() path never takes a len() call.
         self._depth = 0
         self._max_queue = 0
         self.rng = random.Random(seed)
@@ -318,7 +174,11 @@ class Simulation:
     @property
     def pending_events(self) -> int:
         """Events still in the queue (including cancelled ones)."""
-        return len(self._calendar) + len(self._lane)
+        lanes = self._lanes.values()
+        # The heap holds one entry per lane, its head, counted here with
+        # the lane's other pairs.
+        return (len(self._zero) + len(self._heap) - len(lanes)
+                + sum(len(lane.seqs) - lane.head for lane in lanes))
 
     @property
     def max_queue_depth(self) -> int:
@@ -341,17 +201,23 @@ class Simulation:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
         Returns a :class:`Timer` that may be cancelled.  ``delay`` must be
-        non-negative; zero-delay events run after all events already
-        scheduled for the current instant (FIFO within a timestamp).
+        finite and non-negative; zero-delay events run after all events
+        already scheduled for the current instant (FIFO within a
+        timestamp).
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        timer = Timer(self._now + delay, fn, args)
-        if delay == 0.0:
-            self._lane.append((timer.deadline, self._seq, timer, None, None))
-        else:
-            self._calendar.push_timer(timer, self._seq)
-        self._seq += 1
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"delay must be finite and non-negative: {delay}")
+        seq = self._seq
+        self._seq = seq + 1
+        deadline = self._now + delay
+        lane = self._lanes.get(delay)
+        if lane is None:
+            lane = self._lanes[delay] = _TimerLane(delay)
+            heappush(self._heap, (deadline, seq, lane, None))
+        lane.deadlines.append(deadline)
+        lane.seqs.append(seq)
+        timer = lane.live[seq] = Timer(deadline, fn, args, lane, seq)
         depth = self._depth + 1
         self._depth = depth
         if depth > self._max_queue:
@@ -368,37 +234,12 @@ class Simulation:
         caller needs a cancellation handle.
         """
         if delay == 0.0:
-            self._lane.append((self._now, self._seq, None, fn, args))
-        elif delay > 0:
-            # _CalendarQueue.push, inlined — post() carries most of the
-            # schedule (message deliveries), so the bucket insert runs
-            # without an extra Python frame.
-            deadline = self._now + delay
-            entry = (deadline, self._seq, None, fn, args)
-            cal = self._calendar
-            epoch = int(deadline / cal._width)
-            active = cal._active
-            pushed = False
-            if active is not None:
-                active_epoch = cal._active_epoch
-                if epoch == active_epoch:
-                    insort(active, entry, cal._cursor)
-                    pushed = True
-                elif epoch < active_epoch:
-                    if cal._cursor < len(active):
-                        cal._buckets[active_epoch] = active[cal._cursor:]
-                        heapq.heappush(cal._epochs, active_epoch)
-                    cal._active = None
-            if not pushed:
-                bucket = cal._buckets.get(epoch)
-                if bucket is None:
-                    cal._buckets[epoch] = [entry]
-                    heapq.heappush(cal._epochs, epoch)
-                else:
-                    bucket.append(entry)
-            cal._size += 1
+            self._zero.append((self._now, self._seq, fn, args))
+        elif 0.0 < delay < _INF:
+            heappush(self._heap, (self._now + delay, self._seq, fn, args))
         else:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
+            raise SimulationError(
+                f"delay must be finite and non-negative: {delay}")
         self._seq += 1
         depth = self._depth + 1
         self._depth = depth
@@ -411,13 +252,13 @@ class Simulation:
 
         ``until`` stops the clock at that virtual time (events scheduled
         later stay queued and ``now`` is advanced to ``until``); like a
-        negative delay, an ``until`` before ``now`` is rejected.
-        ``max_events`` bounds the number of fired events, guarding tests
-        against accidental infinite message loops.
+        negative delay, an ``until`` before ``now`` — or NaN — is
+        rejected.  ``max_events`` bounds the number of fired events,
+        guarding tests against accidental infinite message loops.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(
-                f"cannot run until the past: {until} < {self._now}")
+                f"cannot run until {until}: the clock is at {self._now}")
         # The loop allocates heavily (queue entries, messages) but keeps
         # almost nothing cyclic alive; generational GC passes are pure
         # overhead at paper-scale event counts.  Host-side only — the
@@ -435,67 +276,51 @@ class Simulation:
                   max_events: Optional[int]) -> int:
         """Fire events in (deadline, seq) order; return how many fired
         (cancelled timers are consumed but not counted)."""
-        lane = self._lane
-        calendar = self._calendar
+        zero = self._zero
+        heap = self._heap
         fired = 0
         # One float compare per event instead of a None test plus a
         # compare; +inf never stops the clock.
-        until_f = float("inf") if until is None else until
+        until_f = _INF if until is None else until
         while True:
-            # Inline next-event selection: the lane head (always at the
-            # current instant) wins unless the calendar head is earlier,
-            # or tied with a smaller sequence number.  The calendar's
-            # peek/advance fast paths (active bucket, cursor not at the
-            # end) are inlined too — two attribute reads instead of two
-            # method calls per event at paper-scale rates.
-            if lane:
-                entry = lane[0]
-                active = calendar._active
-                cursor = calendar._cursor
-                if active is not None and cursor < len(active):
-                    head = active[cursor]
-                else:
-                    head = calendar.peek()
-                    cursor = calendar._cursor
-                if head is not None and (head[0] < entry[0]
-                                         or (head[0] == entry[0]
-                                             and head[1] < entry[1])):
-                    entry = head
-                    if entry[0] > until_f:
-                        self._now = until
-                        return fired
-                    calendar._cursor = cursor + 1
-                    calendar._size -= 1
-                else:
-                    if entry[0] > until_f:
-                        self._now = until
-                        return fired
-                    lane.popleft()
-            else:
-                active = calendar._active
-                cursor = calendar._cursor
-                if active is not None and cursor < len(active):
-                    entry = active[cursor]
-                else:
-                    entry = calendar.peek()
-                    cursor = calendar._cursor
-                    if entry is None:
-                        break
-                if entry[0] > until_f:
+            # The zero-delay lane's head is at the current instant, so
+            # the heap's head wins only on a tie with a smaller seq — and
+            # is then within ``until`` too.
+            if zero and not (heap and heap[0] < zero[0]):
+                entry = zero.popleft()
+            elif heap:
+                if heap[0][0] > until_f:
                     self._now = until
                     return fired
-                calendar._cursor = cursor + 1
-                calendar._size -= 1
-            deadline, _seq, timer, fn, args = entry
+                entry = heappop(heap)
+            else:
+                break
+            deadline, seq, fn, args = entry
             self._now = deadline
             self._depth -= 1
             self._events_processed += 1
-            if timer is None:
+            if args is not None:
                 fn(*args)
             else:
-                timer._fire()
-                if timer.cancelled:
-                    continue
+                lane = fn
+                timer = lane.live.pop(seq, None)
+                seqs = lane.seqs
+                head = lane.head + 1
+                if head < len(seqs):
+                    if head * 2 >= len(seqs):
+                        # Drop the consumed prefix once it is the larger
+                        # half: amortised O(1) per pair.
+                        del lane.deadlines[:head], seqs[:head]
+                        head = 0
+                    lane.head = head
+                    heappush(heap, (lane.deadlines[head], seqs[head],
+                                    lane, None))
+                else:
+                    del self._lanes[lane.delay]
+                if timer is None:
+                    continue        # cancelled: consumed, not fired
+                timer._lane = None
+                timer._fn(*timer._args)
             fired += 1
             if max_events is not None and fired >= max_events:
                 return fired

@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulator."""
 
 import gc
+import math
 import weakref
 from bisect import insort
 
@@ -56,6 +57,16 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulation().schedule(-0.1, lambda: None)
+
+    @pytest.mark.parametrize("method", ["schedule", "post"])
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, method, delay):
+        """A NaN key would silently break the heap's order; an infinite
+        one would never fire.  Neither is queued."""
+        sim = Simulation()
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(delay, lambda: None)
+        assert sim.pending_events == 0 and sim.max_queue_depth == 0
 
     def test_zero_delay_runs_after_current_instant_fifo(self):
         sim = Simulation()
@@ -121,6 +132,16 @@ class TestRunControl:
         sim.run()
         assert seen == [1.1]
 
+    def test_run_until_nan_rejected(self):
+        """Every comparison with NaN is false, so ``until=nan`` would
+        stop nothing and fire every queued event."""
+        sim = Simulation()
+        fired = []
+        sim.post(1.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.run(until=math.nan)
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 1
+
     def test_run_until_advances_time_even_when_idle(self):
         sim = Simulation()
         sim.run(until=7.0)
@@ -175,9 +196,9 @@ class TestTimers:
 
         sim = Simulation()
         sim.post(0.5, lambda: None)
-        sim.run(until=0.1)             # activates the t=0.5 bucket
+        sim.run(until=0.1)
         refs, handles = [], []
-        for delay in (0.0, 0.4, 5.0):  # lane, active bucket, future bucket
+        for delay in (0.0, 0.4, 5.0):
             payload = Payload()
             refs.append(weakref.ref(payload))
             handles.append(sim.schedule(delay, lambda p: None, payload))
@@ -188,24 +209,30 @@ class TestTimers:
         assert [ref() for ref in refs] == [None, None, None]
         assert sim.pending_events == 4
 
-    def test_cancelled_future_timer_leaves_the_calendar(self):
-        """No cancelled timer still bound for a future bucket is
-        reachable from the simulation; it is still counted and skipped
-        at its deadline."""
+    def test_cancelled_timer_leaves_its_lane(self):
+        """No cancelled timer is reachable from the simulation; its
+        ``(deadline, seq)`` pair stays in the lane, still counted and
+        skipped at its deadline."""
         sim = Simulation()
-        keep = sim.schedule(5.0, lambda: None)
-        doomed = [sim.schedule(2.0 + i / 7, lambda: None) for i in range(20)]
+        fired = []
+        keep = sim.schedule(5.0, fired.append, "keep")
+        doomed = [sim.schedule(2.0 + i % 3, fired.append, i)
+                  for i in range(20)]
+        refs = [weakref.ref(timer) for timer in doomed]
         for timer in doomed:
             timer.cancel()
-        calendar = sim._calendar
-        assert [entry for bucket in calendar._buckets.values()
-                for entry in bucket] == []
-        assert [timer for index in calendar._timers.values()
-                for timer in index.live] == [keep]
+        del doomed, timer
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 20
+        lanes = sim._lanes
+        assert sorted(lanes) == [2.0, 3.0, 4.0, 5.0]
+        assert [timer for lane in lanes.values()
+                for timer in lane.live.values()] == [keep]
+        assert sum(len(lane.seqs) for lane in lanes.values()) == 21
         assert sim.pending_events == 21
         sim.run()
         assert sim.events_processed == 21 and sim.now == 5.0
-        assert keep.fired and not any(t.fired for t in doomed)
+        assert fired == ["keep"] and keep.fired and not lanes
 
     def test_step_skips_cancelled_events(self):
         sim = Simulation()
@@ -364,9 +391,9 @@ class TestLaneCalendarInterleaving:
         assert not timer.fired
 
 
-def test_deployment_run_leaves_no_cancelled_timer_in_future_buckets():
+def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
     """GeoBFT arms a timer per awaited share and PBFT one per decision;
-    fault-free, all are cancelled.  After a run the calendar must hold
+    fault-free, all are cancelled.  After a run the timer lanes must hold
     them only as (deadline, seq) pairs — still counted as pending."""
     from repro import Deployment, ExperimentConfig
 
@@ -375,18 +402,19 @@ def test_deployment_run_leaves_no_cancelled_timer_in_future_buckets():
         batch_size=10, duration=0.5, warmup=0.1, fast_crypto=True))
     deployment.run()
     sim = deployment.sim
-    calendar = sim._calendar
-    future = [entry for bucket in calendar._buckets.values()
-              for entry in bucket]
-    filed = [timer for index in calendar._timers.values()
-             for timer in index.live]
-    pairs = sum(len(index.dead_seqs) for index in calendar._timers.values())
-    assert not [e for e in future if e[2] is not None and e[2].cancelled]
-    assert not [timer for timer in filed if timer.cancelled]
-    assert pairs > 100
-    active = len(calendar._active) - calendar._cursor
-    assert sim.pending_events == (len(sim._lane) + active + len(future)
-                                  + len(filed) + pairs)
+    lanes = list(sim._lanes.values())
+    live = [timer for lane in lanes for timer in lane.live.values()]
+    assert not [timer for timer in live if timer.cancelled]
+    # Besides posted callbacks the heap holds one head per lane, and
+    # nothing else.
+    posts = [entry for entry in sim._heap if entry[3] is not None]
+    heads = [entry[2] for entry in sim._heap if entry[3] is None]
+    assert sorted(map(id, heads)) == sorted(map(id, lanes))
+    pairs = sum(len(lane.seqs) - lane.head for lane in lanes)
+    assert pairs - len(live) > 100
+    assert sim.pending_events == len(posts) + len(sim._zero) + pairs
+    # Every event ever queued is either processed or still pending.
+    assert sim.pending_events == sim._seq - sim.events_processed
 
 
 class _ReferenceTimer:
@@ -412,6 +440,8 @@ class _ReferenceSimulation:
         return len(self._queue)
 
     def schedule(self, delay, fn, *args):
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(f"bad delay: {delay}")
         timer = _ReferenceTimer(fn, args)
         insort(self._queue, (self.now + delay, self._seq, timer))
         self._seq += 1
@@ -431,8 +461,8 @@ class _ReferenceSimulation:
         return False
 
     def run(self, until):
-        if until < self.now:
-            raise SimulationError(f"cannot run until the past: {until}")
+        if not until >= self.now:
+            raise SimulationError(f"cannot run until {until}")
         while self.step(until):
             pass
         self.now = max(self.now, until)
@@ -446,23 +476,39 @@ class _Driver:
     def __init__(self, sim):
         self.sim = sim
         self.timers = []
+        self.delays = []
         self.log = []
+        self.queued = 0     # events scheduled or posted, ever
 
     def schedule(self, delay, action):
-        self.timers.append(self.sim.schedule(
-            delay, self.fire, len(self.timers), action))
+        timer = self.sim.schedule(delay, self.fire, len(self.timers), action)
+        self.timers.append(timer)
+        self.delays.append(delay)
+        self.queued += 1
+
+    def post(self, delay, action):
+        self.sim.post(delay, self.fire, "child", action)
+        self.queued += 1
 
     def fire(self, label, action):
-        self.log.append((label, self.sim.now))
+        # The queue as the callback sees it: the firing event is already
+        # consumed, and its lane's next head already queued.
+        self.log.append((label, self.sim.now, self.sim.pending_events))
         kind, arg = action
         if kind == "post":
-            self.sim.post(arg, self.fire, "child", ("log", None))
+            self.post(arg, ("log", None))
         elif kind == "schedule":
             self.schedule(arg, ("log", None))
         elif kind == "cancel":
             self.cancel(arg)
         elif kind == "cancel_self" and label != "child":
             self.cancel(label)
+        elif kind == "rearm" and label != "child":
+            self.schedule(self.delays[label], ("log", None))
+        elif kind == "drain":
+            # User code may run the clock up to the current instant; the
+            # queue it sees must already be whole.
+            self.sim.run(until=self.sim.now)
 
     def cancel(self, index):
         if self.timers:
@@ -475,9 +521,11 @@ class _Driver:
                 [(t.cancelled, t.fired) for t in self.timers])
 
 
-# Bucket width is 1 ms: zero delay (the lane), sub-bucket steps (the
-# active bucket), neighbouring and far buckets, and few enough distinct
-# values that equal deadlines — ties broken by sequence — are common.
+# Zero delay (the zero-delay lane for posts, a 0.0 timer lane), delays
+# under, at and over a millisecond whose deadlines interleave as the
+# clock advances, far deadlines, and few enough distinct values that
+# lanes hold many pairs and equal deadlines — ties broken by sequence —
+# are common.
 _delays = st.sampled_from([0.0, 0.0, 0.0002, 0.0005, 0.001, 0.0015, 0.004,
                            0.25, 2.0])
 _actions = st.one_of(
@@ -485,10 +533,12 @@ _actions = st.one_of(
     st.tuples(st.sampled_from(["post", "schedule"]), _delays),
     st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.just(("cancel_self", None)),
+    st.just(("rearm", None)),
+    st.just(("drain", None)),
 )
 
 
-class CalendarDifferentialMachine(RuleBasedStateMachine):
+class QueueDifferentialMachine(RuleBasedStateMachine):
     """Random schedule/post/cancel/run/step interleavings against the
     reference; everything observable must agree after every step."""
 
@@ -504,7 +554,25 @@ class CalendarDifferentialMachine(RuleBasedStateMachine):
     @rule(delay=_delays, action=_actions)
     def post(self, delay, action):
         for side in self.sides:
-            side.sim.post(delay, side.fire, "child", action)
+            side.post(delay, action)
+
+    @rule(delay=_delays, action=_actions, count=st.integers(2, 12),
+          gap=st.sampled_from([0.0, 0.0001, 0.0005, 0.002]))
+    def arm_one_lane(self, delay, action, count, gap):
+        """The same delay armed at an advancing clock: one timer lane
+        holds many pairs, some consumed while others are still queued."""
+        for side in self.sides:
+            for _ in range(count):
+                side.schedule(delay, action)
+                side.sim.run(until=side.sim.now + gap)
+
+    @rule(delay=st.sampled_from([math.nan, math.inf, -math.inf, -0.001]),
+          method=st.sampled_from(["schedule", "post"]))
+    def bad_delay(self, delay, method):
+        for side in self.sides:
+            with pytest.raises(SimulationError):
+                getattr(side.sim, method)(delay, side.fire, "child",
+                                          ("log", None))
 
     @rule(index=st.integers(0, 50), twice=st.booleans())
     def cancel(self, index, twice):
@@ -514,7 +582,7 @@ class CalendarDifferentialMachine(RuleBasedStateMachine):
                 side.cancel(index)
 
     @rule(delta=st.one_of(_delays, _delays.map(lambda d: -d),
-                          st.floats(-3.0, 3.0)))
+                          st.floats(-3.0, 3.0), st.just(math.nan)))
     def run_until(self, delta):
         raised = []
         for side in self.sides:
@@ -536,6 +604,12 @@ class CalendarDifferentialMachine(RuleBasedStateMachine):
         real, reference = self.sides
         assert real.observe() == reference.observe()
 
+    @invariant()
+    def depth_is_tracked(self):
+        for side in self.sides:
+            assert (side.sim.pending_events
+                    == side.queued - side.sim.events_processed)
+
     def teardown(self):
         for side in self.sides:
             side.sim.run(until=side.sim.now + 10.0)
@@ -543,7 +617,7 @@ class CalendarDifferentialMachine(RuleBasedStateMachine):
         assert self.sides[0].sim.pending_events == 0
 
 
-TestCalendarDifferential = CalendarDifferentialMachine.TestCase
-TestCalendarDifferential.settings = settings(max_examples=200,
-                                             stateful_step_count=50,
-                                             deadline=None)
+TestQueueDifferential = QueueDifferentialMachine.TestCase
+TestQueueDifferential.settings = settings(max_examples=200,
+                                          stateful_step_count=50,
+                                          deadline=None)
