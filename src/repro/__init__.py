@@ -88,7 +88,8 @@ from .ledger.blockchain import Blockchain
 from .ledger.recovery import audit_ledger, rebuild_state, recover_from_peer
 from .net.simulator import Simulation
 from .net.topology import PAPER_REGIONS, Topology
-from .types import ClusterSpec, NodeId, client_id, max_faulty, replica_id
+from .types import (ClusterSpec, NodeId, Quorums, client_id, max_faulty,
+                    replica_id)
 from .workload.client import QuorumClient
 from .workload.ycsb import YcsbWorkload
 
@@ -172,6 +173,7 @@ __all__ = [
     "Topology",
     "ClusterSpec",
     "NodeId",
+    "Quorums",
     "client_id",
     "max_faulty",
     "replica_id",

@@ -44,7 +44,7 @@ from ..ledger.execution import ExecutionLog
 from ..net.network import Network
 from ..net.simulator import Simulation
 from ..net.topology import Topology
-from ..types import ClusterId, NodeId, client_id, max_faulty, replica_id
+from ..types import ClusterId, NodeId, Quorums, client_id, replica_id
 from ..workload.client import QuorumClient
 from ..workload.traffic import (OpenLoopSource, TrafficSpec, split_users,
                                 traffic_summary)
@@ -98,7 +98,7 @@ def _geobft_args(cfg, clusters, members) -> Dict[str, object]:
     if geo_cfg.threshold_certificates:
         schemes = {
             c: ThresholdScheme(f"cluster-{c}", cluster,
-                               k=len(cluster) - max_faulty(len(cluster)))
+                               k=Quorums(len(cluster)).intersect)
             for c, cluster in clusters.items()
         }
     return dict(cluster_members=clusters, config=geo_cfg,
@@ -193,8 +193,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; expected {PROTOCOLS}"
             )
-        for name in ("batch_size", "clients_per_cluster",
-                     "client_outstanding"):
+        for name in ("num_clusters", "replicas_per_cluster", "batch_size",
+                     "clients_per_cluster", "client_outstanding"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigurationError(
@@ -430,6 +430,8 @@ class Deployment:
             self.registry = KeyRegistry(cache=self.verification_cache)
 
         self.cluster_members: Dict[ClusterId, List[NodeId]] = {}
+        #: Each cluster's thresholds, built once with its membership.
+        self.quorums: Dict[ClusterId, Quorums] = {}
         self.replicas: Dict[NodeId, object] = {}
         self.clients: List[object] = []
         #: Set by FaultTimeline.install(); consulted by check_invariants.
@@ -452,6 +454,7 @@ class Deployment:
                 replica_id(c, i)
                 for i in range(1, cfg.size_of_cluster(c) + 1)
             ]
+            self.quorums[c] = Quorums(cfg.size_of_cluster(c))
         # All replicas, Oregon (cluster 1) first — so the flat primary
         # lands in the best-connected region, as in §4.
         members = [node for c in sorted(self.cluster_members)
@@ -486,32 +489,34 @@ class Deployment:
         )
 
     def _targets(self, entry: ProtocolEntry, members: List[NodeId],
-                 c: ClusterId, j: int) -> Tuple[List[NodeId], List[NodeId],
-                                                int]:
+                 flat: Quorums, c: ClusterId,
+                 j: int) -> Tuple[List[NodeId], List[NodeId], Quorums]:
         """Client ``j`` of cluster ``c``: its primary targets, fallback
         targets and reply quorum under the entry's client shape.  Only
         ``"flat"`` clients fall back to every replica; the others fall
-        back to their own cluster."""
+        back to their own cluster.  ``"cluster"`` clients count replies
+        against their cluster's thresholds, the others against ``flat``
+        (every replica's)."""
         cluster = self.cluster_members[c]
         if entry.clients == "cluster":
-            return [cluster[0]], list(cluster), max_faulty(len(cluster)) + 1
-        quorum = max_faulty(len(members)) + 1
+            return [cluster[0]], list(cluster), self.quorums[c]
         if entry.clients == "home":
             # Home replica: round-robin within the client's own region.
-            return [cluster[(j - 1) % len(cluster)]], list(cluster), quorum
-        return [members[0]], list(members), quorum
+            return [cluster[(j - 1) % len(cluster)]], list(cluster), flat
+        return [members[0]], list(members), flat
 
     def _make_drivers(self, entry: ProtocolEntry,
                       members: List[NodeId]) -> None:
         """Closed-loop clients, or open-loop sources when configured.
 
-        Under Zyzzyva's completion rule every driver gets the flat
-        replica set (``members=``) in place of the ``f + 1`` reply
-        quorum, and closed-loop clients retry on the spec timeout.
+        Under Zyzzyva's completion rule every driver also gets the flat
+        replica set (``members=``), which selects that rule, and
+        closed-loop clients retry on the spec timeout.
         """
         cfg = self.config
         spec = cfg.traffic
         rule_members = members if entry.zyzzyva_rule else None
+        flat = Quorums(len(members))
         if spec is not None:
             # One source per region; the modeled population is split
             # evenly over the regions (sources are region-affine).
@@ -520,7 +525,7 @@ class Deployment:
             for c in sorted(self.cluster_members):
                 salt += 1
                 primary, fallback, quorum = self._targets(
-                    entry, members, c, 1)
+                    entry, members, flat, c, 1)
                 self.clients.append(OpenLoopSource(
                     node_id=client_id(c, 1),
                     region=self._region_of(c),
@@ -547,7 +552,7 @@ class Deployment:
             for j in range(1, cfg.clients_per_cluster + 1):
                 salt += 1
                 primary, fallback, quorum = self._targets(
-                    entry, members, c, j)
+                    entry, members, flat, c, j)
                 self.clients.append(QuorumClient(
                     node_id=client_id(c, j),
                     region=self._region_of(c),

@@ -68,15 +68,9 @@ def _non_primary_victims(deployment: Deployment) -> List[NodeId]:
     """
     victims: List[NodeId] = []
     for cluster, members in deployment.cluster_members.items():
-        f_cluster = (len(members) - 1) // 3
-        if f_cluster >= len(members):
-            raise ConfigurationError(
-                "cannot crash an entire cluster and stay within n > 3f"
-            )
-        if f_cluster > 0:
-            primary = _live_primary(deployment, cluster)
-            backups = [m for m in members if m != primary]
-            victims.extend(backups[-f_cluster:])
+        primary = _live_primary(deployment, cluster)
+        backups = [m for m in members if m != primary]
+        victims.extend(backups[len(backups) - deployment.quorums[cluster].f:])
     return victims
 
 

@@ -2,9 +2,9 @@
 
 A :class:`MessageTracer` attaches to a network as a send observer and
 records a bounded, filterable log of protocol traffic.  It exists for
-debugging, for the failure-resilience example's narrative output, and
-for tests that assert on *when* and *where* specific messages flowed
-(e.g. "the remote view change fired before the new primary's resend").
+debugging and for tests that assert on *when* and *where* specific
+messages flowed (e.g. "the remote view change fired before the new
+primary's resend").
 
 :func:`load_trace_jsonl` is the read path for exported phase traces:
 it replays a JSONL file written by

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
-from ..types import NodeId, max_faulty
+from ..types import NodeId, Quorums
 from .messages import (
     ClientReply,
     ClientRequestBatch,
@@ -81,8 +81,7 @@ class HotStuffReplica(BaseReplica):
             raise ConfigurationError("pipeline_depth must be >= 1")
         self._members = list(members)
         self._n = len(members)
-        self._f = max_faulty(self._n)
-        self._quorum = self._n - self._f
+        self._q = Quorums(self._n)
         self._pipeline_depth = pipeline_depth
         self._instance = self._members.index(node_id)
         self._routes.update({
@@ -205,13 +204,13 @@ class HotStuffReplica(BaseReplica):
         if votes is None:
             votes = state.votes[vote.phase] = {}
         votes[sender] = vote
-        if len(votes) < self._quorum:
+        if len(votes) < self._q.intersect:
             return
         # Assemble the (linear-size) QC and advance to the next phase.
         qc = HsQuorumCert(
             vote.phase, vote.instance, vote.height, vote.digest,
             tuple(v.signature for _, v in sorted(votes.items())
-                  [: self._quorum]),
+                  [: self._q.intersect]),
         )
         state.qcs[vote.phase] = qc
         instr = self._instrumentation
@@ -294,14 +293,15 @@ class HotStuffReplica(BaseReplica):
             "commit": "precommit",
             "decide": "commit",
         }.get(proposal.phase)
-        if qc.phase != expected_phase or len(qc.signatures) < self._quorum:
+        if (qc.phase != expected_phase
+                or len(qc.signatures) < self._q.intersect):
             return False
         # The leader broadcasts one QC object to every replica, so the
         # distinct-valid-signer count from the first full scan is shared
         # through the monotonic verified-quorum memo and reused by every
         # later receiver.  Failed scans (Byzantine leaders) and scans
         # that fall short of the quorum are not trusted from the memo.
-        if verified_quorum(qc) >= self._quorum:
+        if verified_quorum(qc) >= self._q.intersect:
             return True
         signers = set()
         for signature in qc.signatures:
@@ -311,7 +311,7 @@ class HotStuffReplica(BaseReplica):
                 return False
             signers.add(signature.signer)
         note_verified_quorum(qc, len(signers))
-        return len(signers) >= self._quorum
+        return len(signers) >= self._q.intersect
 
     def _on_decide(self, proposal: HsProposal, state: _HeightState) -> None:
         if state.executed or state.request is None:

@@ -25,7 +25,7 @@ from ..crypto.digests import CachedEncodable
 from ..crypto.signatures import Signature
 from ..errors import InvalidCertificateError
 from ..ledger.block import Batch, batch_digest
-from ..types import ClusterId, NodeId, RoundId, SeqNum, ViewId
+from ..types import ClusterId, NodeId, Quorums, RoundId, SeqNum, ViewId
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..crypto.signatures import KeyRegistry
@@ -267,11 +267,12 @@ class CommitCertificate(CachedEncodable):
         and hashed into every block that carries them)."""
         return self.payload_digest()
 
-    def verify(self, registry: "KeyRegistry", quorum: int,
+    def verify(self, registry: "KeyRegistry", quorums: Quorums,
                members: Optional[Iterable[NodeId]] = None) -> None:
         """Validate structure and signatures.
 
-        Checks: at least ``quorum`` commits, all from distinct replicas
+        ``quorums`` are the *certifying* cluster's thresholds.  Checks:
+        at least ``quorums.intersect`` commits, all from distinct replicas
         of the certifying cluster, all for the same (view, seq, digest)
         matching the embedded request, each with a valid signature.
         Raises :class:`InvalidCertificateError` on any violation —
@@ -291,12 +292,12 @@ class CommitCertificate(CachedEncodable):
         re-scans.
         """
         if members is None:
-            if verified_quorum(self) >= quorum:
+            if verified_quorum(self) >= quorums.intersect:
                 return
-        if len(self.commits) < quorum:
+        if len(self.commits) < quorums.intersect:
             raise InvalidCertificateError(
-                f"certificate has {len(self.commits)} commits, needs {quorum}"
-            )
+                f"certificate has {len(self.commits)} commits, needs "
+                f"{quorums.intersect}")
         expected_digest = self.request.digest()
         member_set = set(members) if members is not None else None
         signers = set()
@@ -319,10 +320,10 @@ class CommitCertificate(CachedEncodable):
                     f"bad commit signature from {commit.replica}"
                 )
             signers.add(commit.replica)
-        if len(signers) < quorum:
+        if len(signers) < quorums.intersect:
             raise InvalidCertificateError(
-                f"only {len(signers)} distinct signers, needs {quorum}"
-            )
+                f"only {len(signers)} distinct signers, needs "
+                f"{quorums.intersect}")
         if members is None:
             note_verified_quorum(self, len(signers))
 

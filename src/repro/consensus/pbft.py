@@ -32,7 +32,7 @@ from ..crypto.digests import chain_digest
 from ..errors import ConfigurationError
 from ..ledger.block import Transaction
 from ..net.simulator import Timer
-from ..types import ClusterId, NodeId, SeqNum, ViewId, max_faulty
+from ..types import ClusterId, NodeId, Quorums, SeqNum, ViewId
 from .messages import (
     Checkpoint,
     adopt_digest,
@@ -155,8 +155,7 @@ class PbftEngine:
         # instead of an O(n) list scan with field-wise comparisons.
         self._member_set = frozenset(members)
         self._n = len(members)
-        self._f = max_faulty(self._n)
-        self._quorum = self._n - self._f
+        self._q = Quorums(self._n)
         self._config = config
         self._on_decide = on_decide
         self._on_view_change = on_view_change
@@ -220,16 +219,6 @@ class PbftEngine:
     def n(self) -> int:
         """Group size."""
         return self._n
-
-    @property
-    def f(self) -> int:
-        """Faults tolerated."""
-        return self._f
-
-    @property
-    def quorum(self) -> int:
-        """``n - f``."""
-        return self._quorum
 
     @property
     def view(self) -> ViewId:
@@ -403,7 +392,7 @@ class PbftEngine:
             ViewChange: (verify, self._on_view_change_msg),
             NewView: (self._new_view_cost, self._on_new_view),
             FetchDecision: (0.0, self._on_fetch_decision),
-            DecisionTransfer: (verify * self._quorum,
+            DecisionTransfer: (verify * self._q.intersect,
                                self._on_decision_transfer),
         }
 
@@ -504,13 +493,13 @@ class PbftEngine:
                 slot.prepared_count += 1
         # n - 1 prepares reach every replica per slot and one of them
         # completes the quorum: only that one pays the call.
-        if slot.prepared_count >= self._quorum and not slot.sent_commit:
+        if slot.prepared_count >= self._q.intersect and not slot.sent_commit:
             self._maybe_send_commit(seq, slot)
 
     def _maybe_send_commit(self, seq: SeqNum, slot: _Slot) -> None:
         if slot.sent_commit or slot.decided or slot.digest is None:
             return
-        if slot.preprepare is None or slot.prepared_count < self._quorum:
+        if slot.preprepare is None or slot.prepared_count < self._q.intersect:
             return
         slot.sent_commit = True
         instr = self._instr
@@ -552,14 +541,14 @@ class PbftEngine:
         if sender not in commits and digest == slot.digest:
             slot.commit_count += 1
         commits[sender] = msg
-        if slot.commit_count >= self._quorum and not slot.decided:
+        if slot.commit_count >= self._q.intersect and not slot.decided:
             self._maybe_decide(seq, slot)
 
     def _maybe_decide(self, seq: SeqNum, slot: _Slot) -> None:
         # Runs on recorded commits only: committed-local requires prepared.
         if slot.decided or slot.preprepare is None or slot.digest is None:
             return
-        if slot.commit_count < self._quorum:
+        if slot.commit_count < self._q.intersect:
             return
         commits = slot.commits[slot.digest]
         slot.decided = True
@@ -569,7 +558,7 @@ class PbftEngine:
             view=slot.preprepare.view,
             request=slot.preprepare.request,
             commits=tuple(
-                commits[r] for r in sorted(commits)[: self._quorum]
+                commits[r] for r in sorted(commits)[: self._q.intersect]
             ),
         )
         self._decided[seq] = (slot.preprepare.request, certificate)
@@ -633,7 +622,7 @@ class PbftEngine:
         by_digest = self._checkpoints.setdefault(msg.seq, {})
         voters = by_digest.setdefault(msg.state_digest, set())
         voters.add(sender)
-        if len(voters) >= self._quorum:
+        if len(voters) >= self._q.intersect:
             self._stabilize(msg.seq)
 
     def _stabilize(self, seq: SeqNum) -> None:
@@ -667,8 +656,8 @@ class PbftEngine:
             # having contributed to the stable checkpoint, holds the
             # decision.
             own = self._members.index(self._owner.node_id)
-            for k in range(1, self._f + 2):
-                peer = self._members[(own + k) % self._n]
+            for k in range(self._q.one_honest):
+                peer = self._members[(own + 1 + k) % self._n]
                 self._owner.send(peer, request)
 
     def _on_fetch_decision(self, msg: FetchDecision, sender: NodeId) -> None:
@@ -696,7 +685,7 @@ class PbftEngine:
                 or certificate.round_id != msg.seq):
             return
         try:
-            certificate.verify(self._owner.registry, self._quorum,
+            certificate.verify(self._owner.registry, self._q,
                                members=self._members)
         except InvalidCertificateError:
             return
@@ -779,7 +768,7 @@ class PbftEngine:
             if slot.preprepare is None or slot.digest is None:
                 continue
             prepared_by = slot.prepares.get(slot.digest, set())
-            if len(prepared_by) >= self._quorum or slot.decided:
+            if len(prepared_by) >= self._q.intersect or slot.decided:
                 entries.append(PreparedEntry(
                     slot.preprepare.view, seq, slot.digest,
                     slot.preprepare.request,
@@ -817,14 +806,14 @@ class PbftEngine:
         votes[sender] = msg
         # Join rule: f + 1 replicas voting for a higher view proves at
         # least one non-faulty replica saw primary failure.
-        if (len(votes) > self._f
+        if (len(votes) >= self._q.one_honest
                 and not (self._in_view_change
                          and self._vc_target >= msg.new_view)):
             self.start_view_change(msg.new_view)
         # New-primary rule: with n - f votes, the designated primary of
         # the target view installs it.
         new_primary = self._members[msg.new_view % self._n]
-        if (len(votes) >= self._quorum
+        if (len(votes) >= self._q.intersect
                 and new_primary == self._owner.node_id
                 and msg.new_view > self._view):
             self._install_new_view(msg.new_view, votes)
@@ -866,7 +855,7 @@ class PbftEngine:
             return
         if sender != self._members[msg.new_view % self._n]:
             return
-        if len(msg.view_change_replicas) < self._quorum:
+        if len(msg.view_change_replicas) < self._q.intersect:
             return
         self._adopt_new_view(msg)
 

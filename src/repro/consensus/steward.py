@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, InvalidCertificateError
-from ..types import ClusterId, NodeId, SeqNum, max_faulty
+from ..types import ClusterId, NodeId, Quorums, SeqNum
 from .messages import (
     ClientReply,
     ClientRequestBatch,
@@ -64,6 +64,8 @@ class StewardReplica(BaseReplica):
                 f"primary cluster {primary_cluster} not in deployment"
             )
         self._clusters = {cid: list(m) for cid, m in cluster_members.items()}
+        self._quorums = {cid: Quorums(len(m)) for cid, m in
+                         self._clusters.items()}
         self._own_cluster = node_id.cluster
         self._members = self._clusters[self._own_cluster]
         self._primary_cluster = primary_cluster
@@ -174,9 +176,8 @@ class StewardReplica(BaseReplica):
             forward = StewardForward(self._own_cluster, seq, request,
                                      certificate)
             remote = self._clusters[self._primary_cluster]
-            f_remote = max_faulty(len(remote))
             offset = (seq - 1) % len(remote)
-            for k in range(f_remote + 1):
+            for k in range(self._quorums[self._primary_cluster].one_honest):
                 self.send(remote[(offset + k) % len(remote)], forward)
 
     # ------------------------------------------------------------------
@@ -187,12 +188,11 @@ class StewardReplica(BaseReplica):
             return
         if msg.request.batch_id in self._submitted_to_global:
             return
-        origin_members = self._clusters.get(msg.origin_cluster)
-        if origin_members is None:
+        origin = self._quorums.get(msg.origin_cluster)
+        if origin is None:
             return
-        quorum = len(origin_members) - max_faulty(len(origin_members))
         try:
-            msg.certificate.verify(self.registry, quorum)
+            msg.certificate.verify(self.registry, origin)
         except InvalidCertificateError:
             return
         self._submitted_to_global.add(msg.request.batch_id)
@@ -208,9 +208,8 @@ class StewardReplica(BaseReplica):
         for cluster, members in self._clusters.items():
             if cluster == self._primary_cluster:
                 continue
-            f_remote = max_faulty(len(members))
             offset = (gseq - 1) % len(members)
-            for k in range(f_remote + 1):
+            for k in range(self._quorums[cluster].one_honest):
                 self.send(members[(offset + k) % len(members)], order)
 
     # ------------------------------------------------------------------
@@ -224,10 +223,9 @@ class StewardReplica(BaseReplica):
             return
         if msg.global_seq in self._exec_buffer:
             return
-        primary_members = self._clusters[self._primary_cluster]
-        quorum = len(primary_members) - max_faulty(len(primary_members))
         try:
-            msg.certificate.verify(self.registry, quorum)
+            msg.certificate.verify(self.registry,
+                                   self._quorums[self._primary_cluster])
         except InvalidCertificateError:
             return
         instr = self._instrumentation

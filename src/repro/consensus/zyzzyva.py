@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from ..crypto.digests import chain_digest
-from ..types import NodeId, SeqNum, max_faulty
+from ..types import NodeId, Quorums, SeqNum
 from .messages import (
     ClientRequestBatch,
     LocalCommit,
@@ -48,7 +48,7 @@ class ZyzzyvaReplica(BaseReplica):
                          instrumentation=instrumentation)
         self._members = list(members)
         self._n = len(members)
-        self._f = max_faulty(self._n)
+        self._q = Quorums(self._n)
         self._view = 0
         self._next_seq: SeqNum = 1     # primary-side assignment
         self._last_exec: SeqNum = 0    # replica-side speculative frontier
@@ -175,17 +175,16 @@ class ZyzzyvaReplica(BaseReplica):
     # ------------------------------------------------------------------
     def _on_commit_cert(self, cert: ZyzzyvaCommitCert,
                         sender: NodeId) -> None:
-        need = 2 * self._f + 1
         # The client broadcasts one certificate object to all replicas;
         # the structural + signature scan depends only on the
         # certificate and the PKI, so the first receiver's successful
         # scan (distinct matching signers) serves everyone else.
-        if verified_quorum(cert) < need:
-            if len(cert.responses) < need:
+        if verified_quorum(cert) < self._q.certificate:
+            if len(cert.responses) < self._q.certificate:
                 return
             digests = {r.results_digest for r in cert.responses}
             signers = {r.replica for r in cert.responses}
-            if len(digests) != 1 or len(signers) < need:
+            if len(digests) != 1 or len(signers) < self._q.certificate:
                 return
             for response in cert.responses:
                 if response.signature is None or not self.registry.verify(

@@ -43,7 +43,7 @@ from ..errors import (
     CryptoError,
     InvalidCertificateError,
 )
-from ..types import ClusterId, NodeId, RoundId, SeqNum, max_faulty
+from ..types import ClusterId, NodeId, Quorums, RoundId, SeqNum
 from .config import SHARING_ALL, SHARING_SINGLE, GeoBftConfig
 from .ordering import OrderingBuffer
 from .remote_view_change import RemoteViewChangeManager
@@ -82,6 +82,13 @@ class GeoBftReplica(BaseReplica):
         self._clusters: Dict[ClusterId, List[NodeId]] = {
             cid: list(members) for cid, members in cluster_members.items()
         }
+        # Each cluster's thresholds, own and remote alike (§2.5: cluster
+        # sizes may differ, so a remote certificate is checked against
+        # its own cluster's n - f).
+        self._quorums: Dict[ClusterId, Quorums] = {
+            cid: Quorums(len(members))
+            for cid, members in self._clusters.items()
+        }
         self._own_cluster = node_id.cluster
         self._members = self._clusters[self._own_cluster]
         self._engine = PbftEngine(
@@ -99,12 +106,11 @@ class GeoBftReplica(BaseReplica):
             owner=self,
             own_cluster=self._own_cluster,
             own_members=self._members,
+            quorums=self._quorums,
             remote_timeout=self._config.remote_timeout,
             get_share=self._lookup_share,
             on_local_failure_detected=self._engine.force_view_change,
             recent_view_change_window=self._config.recent_view_change_window,
-            remote_f=lambda cluster: max_faulty(
-                len(self._clusters[cluster])),
             on_resend_requested=self._on_resend_requested,
         )
         self._routes.update({
@@ -197,11 +203,10 @@ class GeoBftReplica(BaseReplica):
             return 0.0
         if isinstance(share.certificate, ThresholdCommitCertificate):
             return self._costs.threshold_verify
-        members = self._clusters.get(cluster)
-        if members is None:
+        quorums = self._quorums.get(cluster)
+        if quorums is None:
             return 0.0
-        quorum = len(members) - max_faulty(len(members))
-        return self._costs.verify * quorum
+        return self._costs.verify * quorums.intersect
 
     def _on_client_request(self, request: ClientRequestBatch,
                            sender: NodeId) -> None:
@@ -301,14 +306,13 @@ class GeoBftReplica(BaseReplica):
                        round_id: RoundId) -> List[NodeId]:
         members = self._clusters[cluster]
         n = len(members)
-        f = max_faulty(n)
         strategy = self._config.sharing_strategy
         if strategy == SHARING_ALL:
             return list(members)
         if strategy == SHARING_SINGLE:
             count = 1
         else:  # the paper's optimistic f + 1
-            count = f + 1
+            count = self._quorums[cluster].one_honest
         offset = (round_id - 1) % n if self._config.rotate_share_targets else 0
         return [members[(offset + k) % n] for k in range(count)]
 
@@ -353,10 +357,8 @@ class GeoBftReplica(BaseReplica):
             except InvalidCertificateError:
                 return
         else:
-            members = self._clusters[cluster]
-            quorum = len(members) - max_faulty(len(members))
             try:
-                certificate.verify(self.registry, quorum)
+                certificate.verify(self.registry, self._quorums[cluster])
             except InvalidCertificateError:
                 return
         self._shares[key] = share

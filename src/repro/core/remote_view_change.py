@@ -27,11 +27,11 @@ a narrow interface so it can be unit-tested with a stub owner.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..consensus.messages import Drvc, Rvc
 from ..net.simulator import Timer
-from ..types import ClusterId, NodeId, RoundId
+from ..types import ClusterId, NodeId, Quorums, RoundId
 
 #: Returns the buffered share for (cluster, round) or None.
 ShareLookup = Callable[[ClusterId, RoundId], Optional[object]]
@@ -44,27 +44,24 @@ class RemoteViewChangeManager:
                  owner,
                  own_cluster: ClusterId,
                  own_members: List[NodeId],
+                 quorums: Mapping[ClusterId, Quorums],
                  remote_timeout: float,
                  get_share: ShareLookup,
                  on_local_failure_detected: Callable[[], None],
                  recent_view_change_window: float = 5.0,
-                 remote_f: Optional[Callable[[ClusterId], int]] = None,
                  on_resend_requested: Optional[
                      Callable[[ClusterId, RoundId], None]] = None):
         self._owner = owner
         self._own_cluster = own_cluster
         self._own_members = list(own_members)
-        self._n = len(own_members)
-        self._f = (self._n - 1) // 3
+        # Thresholds by cluster id: DRVC votes count against our own
+        # cluster's, RVCs against the requesting cluster's.
+        self._quorums = quorums
+        self._q = quorums[own_cluster]
         self._remote_timeout = remote_timeout
         self._get_share = get_share
         self._on_local_failure = on_local_failure_detected
         self._recent_vc_window = recent_view_change_window
-        # Fault bound of a *remote* cluster — needed by the response
-        # role's f+1 threshold when cluster sizes vary (§2.5: "the
-        # conditions at Line 16 rely on the cluster sizes").
-        self._remote_f = remote_f if remote_f is not None else (
-            lambda cluster: self._f)
         # Invoked whenever a cluster proves (f+1 RVCs) that it misses
         # shares from a round onward.  The owner's *current* primary
         # re-shares immediately; if a view change is triggered instead,
@@ -176,12 +173,12 @@ class RemoteViewChangeManager:
         votes = self._drvc_votes.setdefault(key, set())
         votes.add(sender)
         # Lines 8–11: f + 1 detections force laggards to join at v'.
-        if (len(votes) > self._f
+        if (len(votes) >= self._q.one_honest
                 and self.vc_count(msg.target_cluster) <= msg.vc_count):
             self._detect_failure(msg.target_cluster, msg.round_id,
                                  msg.vc_count)
         # Lines 12–13: n - f agreement => send the RVC request.
-        if (len(votes) >= self._n - self._f
+        if (len(votes) >= self._q.intersect
                 and key in self._broadcast_drvc
                 and key not in self._rvc_sent):
             self._rvc_sent.add(key)
@@ -211,8 +208,9 @@ class RemoteViewChangeManager:
         """Figure 7, lines 14–17 (response role in the watched cluster)."""
         if msg.target_cluster != self._own_cluster:
             return
-        if msg.replica.cluster == self._own_cluster:
-            return  # RVCs must originate in another cluster
+        if (msg.replica.cluster == self._own_cluster
+                or msg.replica.cluster not in self._quorums):
+            return  # RVCs must originate in another (known) cluster
         if msg.signature is None:
             return
         if not self._owner.registry.verify(msg, msg.signature):
@@ -227,7 +225,7 @@ class RemoteViewChangeManager:
             self._owner.broadcast(self._own_members, msg)
         # The f+1 threshold uses the *requesting* cluster's fault bound:
         # one of the f+1 signers must be one of its non-faulty replicas.
-        if len(votes) <= self._remote_f(msg.replica.cluster):
+        if len(votes) < self._quorums[msg.replica.cluster].one_honest:
             return
         # Line 16's conditions:
         requester = (msg.replica.cluster, msg.vc_count)

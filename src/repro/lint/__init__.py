@@ -14,9 +14,10 @@ On top of the per-file rules, the interprocedural layer parses the
 whole package as one program (:mod:`repro.lint.symbols`) and checks it
 against the declarative per-protocol tables in
 :mod:`repro.lint.specs`: the message-flow graph
-(:mod:`repro.lint.msgflow`), helper-delegated verify ordering
-(:mod:`repro.lint.taint`), and quorum arithmetic
-(:mod:`repro.lint.quorum`).
+(:mod:`repro.lint.msgflow`) and helper-delegated verify ordering
+(:mod:`repro.lint.taint`).  A per-file rule in :mod:`repro.lint.quorum`
+holds every vote-count comparison to a named
+:class:`~repro.types.Quorums` threshold.
 
 Public surface:
 

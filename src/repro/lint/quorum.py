@@ -1,37 +1,27 @@
-"""Quorum-arithmetic checking: thresholds must reduce to declared forms.
+"""Quorum thresholds: a vote count compares only against a named threshold.
 
-Every safety argument in the five protocols hangs on three numbers —
-``n - f`` (intersection quorums), ``2f + 1`` (Zyzzyva commit
-certificates), and ``f + 1`` (at-least-one-honest) — plus the bounded
-``all-n`` fast path and the threshold-scheme parameter ``k``.  This
-pass finds every comparison whose one side counts votes (a ``len(...)``
-of a vote-ish collection, or a vote counter such as
-``slot.prepared_count``) and requires the other side to *reduce* to one
-of the quorum classes its module declares in
-:data:`repro.lint.specs.QUORUM_MODULE_CLASSES`.
-
-Reduction follows local assignments (``need = 2 * self._f + 1``) and
-``self._quorum``-style attribute declarations to their defining
-expression, recognizes ``max_faulty(...)``/``self._remote_f(...)`` as
-``f``-terms and ``len(members)``/``self._n`` as ``n``-terms, and treats
-formal parameters named ``*quorum*`` as caller-declared.  Two findings
-fall out: a comparison against a magic number or unreducible
-expression, and an off-by-one ``f`` comparison (``>= f`` admits ``f``
-votes where the join rule needs ``f + 1``).
+Every safety argument in the five protocols hangs on a few thresholds
+per membership, and :class:`repro.types.Quorums` names each of them
+once: ``intersect`` (``n - f``), ``certificate`` (``2f + 1``),
+``one_honest`` (``f + 1``) and ``all`` (``n``); a threshold-signature
+scheme adds its ``k``.  In the protocol, message and client modules, a
+comparison with a vote count on one side — ``len()`` of a vote
+collection, a vote counter such as ``slot.prepared_count``, or the
+``verified_quorum()`` memo — must have one of those attribute names on
+the other, and must read ``count >= threshold`` (reached) or
+``count < threshold`` (not yet), mirrored when the count is on the
+right.  Magic numbers, bare ``f``, local arithmetic (``2 * f + 1``) and
+off-by-one operators (``> intersect``, ``<= f``) are findings by
+construction: there is no arithmetic left to reduce.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import Optional
 
-from .rules import ProjectRule
-from .specs import QUORUM_MODULE_CLASSES
-from .symbols import FunctionInfo, ProjectIndex
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import Finding
+from .rules import Rule
+from .specs import CLIENT_MODULES, MESSAGE_MODULES, PROTOCOL_MODULES
 
 __all__ = ["QuorumArithmetic"]
 
@@ -39,7 +29,7 @@ __all__ = ["QuorumArithmetic"]
 _VOTE_COLLECTIONS = frozenset({
     "commits", "prepares", "prepared_by", "votes", "voters", "signers",
     "signatures", "responses", "acks", "shares", "replies", "best",
-    "group", "matching", "view_change_replicas",
+    "group", "matching", "view_change_replicas", "local_commits",
 })
 
 #: Attribute/name counters holding an already-counted quorum.
@@ -47,10 +37,9 @@ _VOTE_COUNTERS = frozenset({
     "prepared_count", "commit_count", "verified", "_verified_quorum",
 })
 
-_N_NAMES = frozenset({"n", "_n"})
-_F_NAMES = frozenset({"f", "_f", "f_remote", "remote_f"})
-_F_CALLS = frozenset({"max_faulty", "_remote_f"})
-_QUORUM_NAME_MARKER = "quorum"
+#: ``Quorums`` threshold attributes, plus a ``ThresholdScheme``'s ``k``.
+_THRESHOLDS = frozenset({"intersect", "certificate", "one_honest", "all",
+                         "k"})
 
 
 def _trailing_name(node: ast.expr) -> Optional[str]:
@@ -61,275 +50,59 @@ def _trailing_name(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _is_count_expr(node: ast.expr) -> bool:
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "len" and len(node.args) == 1):
-        name = _trailing_name(node.args[0])
-        return name in _VOTE_COLLECTIONS
-    name = _trailing_name(node)
-    return name in _VOTE_COUNTERS
+def _is_count(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call) and len(node.args) == 1:
+        called = _trailing_name(node.func)
+        if called == "len":
+            return _trailing_name(node.args[0]) in _VOTE_COLLECTIONS
+        return called == "verified_quorum"
+    return _trailing_name(node) in _VOTE_COUNTERS
 
 
-class _Env:
-    """Name-resolution context for one function."""
-
-    __slots__ = ("locals", "params", "attrs")
-
-    def __init__(self, locals_: Mapping[str, ast.expr],
-                 params: Set[str],
-                 attrs: Mapping[str, ast.expr]) -> None:
-        #: Local name -> assigned expression.
-        self.locals = dict(locals_)
-        #: Formal parameter names.
-        self.params = set(params)
-        #: ``self.X`` attribute -> expression from the enclosing class.
-        self.attrs = dict(attrs)
-
-
-def _is_f_term(node: ast.expr, env: _Env, depth: int = 0) -> bool:
-    name = _trailing_name(node)
-    if name in _F_NAMES:
-        return True
-    if isinstance(node, ast.Call):
-        call_name = _trailing_name(node.func)
-        if call_name in _F_CALLS:
-            return True
-    if (isinstance(node, ast.Name) and depth < 4
-            and node.id in env.locals):
-        return _is_f_term(env.locals[node.id], env, depth + 1)
-    return False
-
-
-def _is_n_term(node: ast.expr, env: _Env, depth: int = 0) -> bool:
-    name = _trailing_name(node)
-    if name in _N_NAMES:
-        return True
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "len" and len(node.args) == 1):
-        return True
-    if (isinstance(node, ast.Name) and depth < 4
-            and node.id in env.locals):
-        return _is_n_term(env.locals[node.id], env, depth + 1)
-    return False
-
-
-def _classify(node: ast.expr, env: _Env,
-              depth: int = 0) -> Optional[str]:
-    """Reduce an expression to a quorum class, or ``None``."""
-    if depth > 6:
-        return None
-    # Declared aliases: self._quorum / quorum locals / quorum params.
-    name = _trailing_name(node)
-    if name is not None and _QUORUM_NAME_MARKER in name:
-        if isinstance(node, ast.Attribute) and name in env.attrs:
-            return _classify(env.attrs[name], env, depth + 1)
-        if isinstance(node, ast.Name):
-            if node.id in env.locals:
-                return _classify(env.locals[node.id], env, depth + 1)
-            if node.id in env.params:
-                return "param"
-        # A quorum-named expression we cannot see the declaration of:
-        # trust it only if a declaration exists somewhere in the class.
-        return None
-    if isinstance(node, ast.Name):
-        if node.id in env.locals and depth < 6:
-            return _classify(env.locals[node.id], env, depth + 1)
-        if node.id in env.params and _QUORUM_NAME_MARKER in node.id:
-            return "param"
-    if _is_f_term(node, env):
-        return "f"
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Sub):
-            if (_is_n_term(node.left, env)
-                    and _is_f_term(node.right, env)):
-                return "n-f"
-        elif isinstance(node.op, ast.Add):
-            left, right = node.left, node.right
-            for a, b in ((left, right), (right, left)):
-                if isinstance(b, ast.Constant) and b.value == 1:
-                    if _is_f_term(a, env):
-                        return "f+1"
-                    if _is_two_f(a, env):
-                        return "2f+1"
-    if _trailing_name(node) in _N_NAMES:
-        return "all-n"
-    if isinstance(node, ast.Attribute) and node.attr == "k":
-        return "k"
-    return None
-
-
-def _is_two_f(node: ast.expr, env: _Env) -> bool:
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        left, right = node.left, node.right
-        for a, b in ((left, right), (right, left)):
-            if (isinstance(a, ast.Constant) and a.value == 2
-                    and _is_f_term(b, env)):
-                return True
-    return False
-
-
-def _mirror(op: ast.cmpop) -> ast.cmpop:
-    table = {ast.Gt: ast.Lt, ast.Lt: ast.Gt,
-             ast.GtE: ast.LtE, ast.LtE: ast.GtE}
-    for src, dst in table.items():
-        if isinstance(op, src):
-            return dst()
-    return op
-
-
-def _collect_class_attrs(project: ProjectIndex,
-                         fn: FunctionInfo) -> Dict[str, ast.expr]:
-    """``self.X = expr`` bindings across the enclosing class (quorum
-    declarations usually live in ``__init__``)."""
-    cls = project.class_of(fn)
-    attrs: Dict[str, ast.expr] = {}
-    if cls is None:
-        return attrs
-    for method in cls.methods.values():
-        for node in ast.walk(method.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and target.attr not in attrs):
-                    attrs[target.attr] = node.value
-    return attrs
-
-
-def _collect_locals(fn: FunctionInfo) -> Dict[str, ast.expr]:
-    env: Dict[str, ast.expr] = {}
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id not in env:
-                env[target.id] = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if (isinstance(node.target, ast.Name)
-                    and node.target.id not in env):
-                env[node.target.id] = node.value
-    return env
-
-
-class QuorumArithmetic(ProjectRule):
-    """Threshold comparisons must reduce to declared quorum forms."""
+class QuorumArithmetic(Rule):
+    """Vote counts compare only against ``Quorums`` thresholds."""
 
     id = "quorum-arithmetic"
-    summary = ("vote-count comparisons must reduce to n-f / 2f+1 / f+1 "
-               "for their protocol")
+    summary = ("vote counts compare, with >= or <, only against a Quorums "
+               "threshold or a scheme's k")
     rationale = (
         "PBFT-family safety is quorum arithmetic: n-f intersection "
         "quorums, 2f+1 commit certificates, f+1 at-least-one-honest "
-        "sets.  A threshold written as a magic number (or drifted to "
-        "the wrong class for its protocol layer — RCanopus shows how "
-        "fast hierarchical designs diverge here) silently weakens the "
-        "fault bound.  Every comparison against a vote count must "
-        "reduce to a quorum expression its module declares, and bare-f "
-        "comparisons must be strict (>= f admits f votes where the "
-        "join rule needs f+1)."
+        "sets.  A threshold written as a magic number, as local "
+        "arithmetic, or with the wrong strictness silently weakens the "
+        "fault bound (RCanopus shows how fast hierarchical designs "
+        "drift here).  repro.types.Quorums computes each threshold "
+        "once per membership, so a vote count compares only against "
+        "one of its names — intersect, certificate, one_honest, all — "
+        "or a threshold scheme's k, and only as 'count >= threshold' "
+        "or 'count < threshold'."
     )
 
-    def __init__(self,
-                 module_classes: Optional[Mapping[str, Tuple[str, ...]]]
-                 = None) -> None:
-        super().__init__()
-        self._module_classes = (dict(module_classes)
-                                if module_classes is not None
-                                else dict(QUORUM_MODULE_CLASSES))
+    def applies_to(self, ctx) -> bool:
+        return ctx.module_is(*PROTOCOL_MODULES, *MESSAGE_MODULES,
+                             *CLIENT_MODULES)
 
-    def _allowed_for(self, path: str) -> Optional[Tuple[str, ...]]:
-        for suffix, allowed in self._module_classes.items():
-            if path.endswith(suffix):
-                return allowed
-        return None
-
-    def run_project(self, project: ProjectIndex) -> List["Finding"]:
-        self._findings = []
-        suffixes = tuple(self._module_classes)
-        for fn in project.iter_functions(suffixes):
-            allowed = self._allowed_for(fn.path)
-            if allowed is None:  # pragma: no cover - defensive
-                continue
-            env = _Env(_collect_locals(fn),
-                       {arg.arg for arg in fn.node.args.args},
-                       _collect_class_attrs(project, fn))
-            self._check_declarations(fn, env, allowed)
-            for node in ast.walk(fn.node):
-                if isinstance(node, ast.Compare) and len(node.ops) == 1:
-                    self._check_compare(fn, node, env, allowed)
-        return self._findings
-
-    def _check_declarations(self, fn: FunctionInfo, env: _Env,
-                            allowed: Sequence[str]) -> None:
-        """Assignments to quorum-named targets must themselves reduce."""
-        for node in ast.walk(fn.node):
-            if not (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1):
-                continue
-            name = _trailing_name(node.targets[0])
-            if name is None or _QUORUM_NAME_MARKER not in name:
-                continue
-            cls = _classify(node.value, env)
-            if cls is None and isinstance(node.value, ast.Name) \
-                    and node.value.id in env.params:
-                cls = "param"
-            if cls is None:
-                self.emit(fn.path, node.lineno, node.col_offset,
-                          fn.qualname,
-                          f"quorum declaration {name!r} does not reduce "
-                          "to a declared quorum expression "
-                          "(n-f, 2f+1, f+1, all-n, k)")
-            elif cls not in allowed and not (cls == "f"
-                                             and "f+1" in allowed):
-                self.emit(fn.path, node.lineno, node.col_offset,
-                          fn.qualname,
-                          f"quorum declaration {name!r} has class "
-                          f"{cls!r}, but this module declares only "
-                          f"{', '.join(allowed)}")
-
-    def _check_compare(self, fn: FunctionInfo, node: ast.Compare,
-                       env: _Env, allowed: Sequence[str]) -> None:
+    def visit_Compare(self, node: ast.Compare) -> None:
+        self.generic_visit(node)
+        if len(node.ops) != 1:
+            return
         left, right = node.left, node.comparators[0]
-        op = node.ops[0]
-        if _is_count_expr(left):
-            count, other = left, right
-        elif _is_count_expr(right):
-            count, other = right, left
-            op = _mirror(op)
+        if _is_count(left) and not _is_count(right):
+            threshold, allowed = right, (ast.GtE, ast.Lt)
+        elif _is_count(right) and not _is_count(left):
+            threshold, allowed = left, (ast.LtE, ast.Gt)
         else:
-            return
-        if _is_count_expr(other):
-            return  # count-vs-count (e.g. monotonic memo update)
-        cls = _classify(other, env)
-        if cls is None:
-            rendered = ast.unparse(other)
-            self.emit(fn.path, node.lineno, node.col_offset, fn.qualname,
-                      f"threshold comparison against {rendered!r} does "
-                      "not reduce to a declared quorum expression "
-                      "(n-f, 2f+1, f+1, all-n, k)")
-            return
-        if cls == "f":
-            # Bare-f comparisons encode the f+1 class; they must be
-            # strict so that exactly f votes never pass the join rule.
-            if isinstance(op, (ast.Gt, ast.LtE)):
-                cls = "f+1"
-            else:
-                self.emit(fn.path, node.lineno, node.col_offset,
-                          fn.qualname,
-                          "off-by-one threshold: comparing a vote count "
-                          "non-strictly against f admits f votes where "
-                          "the join rule needs f+1 (use > f or <= f)")
-                return
-        if cls == "param":
-            if "param" in allowed:
-                return
-            self.emit(fn.path, node.lineno, node.col_offset, fn.qualname,
-                      "threshold compares against a caller-supplied "
-                      "quorum parameter, but this module does not "
-                      "declare the 'param' quorum class")
-            return
-        if cls not in allowed:
-            self.emit(fn.path, node.lineno, node.col_offset, fn.qualname,
-                      f"threshold comparison has quorum class {cls!r}, "
-                      f"but this module declares only "
-                      f"{', '.join(allowed)}")
+            return  # no count, or count-vs-count (a monotonic memo)
+        if not (isinstance(threshold, ast.Attribute)
+                and threshold.attr in _THRESHOLDS):
+            self.report(node, f"vote count compared against "
+                              f"{ast.unparse(threshold)!r}; compare "
+                              "against a Quorums threshold (intersect, "
+                              "certificate, one_honest, all) or a "
+                              "scheme's k")
+        elif not isinstance(node.ops[0], allowed):
+            self.report(node, "off-by-one threshold: a vote count is "
+                              "compared with "
+                              f"{type(node.ops[0]).__name__}; use "
+                              "'count >= threshold' (reached) or "
+                              "'count < threshold' (not yet)")

@@ -723,9 +723,10 @@ class NoCrossWorkerSharedState(Rule):
         self.generic_visit(node)
 
 
-# The whole-program rules live in their own modules (they need the
-# project index and the spec tables); imported here, after ProjectRule
-# is defined, so the catalogue below stays the single registry.
+# The whole-program rules and the quorum rule live in their own modules
+# (they need the project index or the spec tables); imported here,
+# after ProjectRule is defined, so the catalogue below stays the single
+# registry.
 from .msgflow import (FlowDeadHandler, FlowOrphanMessage,  # noqa: E402
                       FlowSpecDivergence)
 from .quorum import QuorumArithmetic  # noqa: E402

@@ -1,13 +1,12 @@
-"""Declarative per-protocol message-flow and quorum specs.
+"""Declarative per-protocol message-flow specs and rule scopes.
 
 This module is the *contract* side of the interprocedural passes: for
 each protocol it names the message classes that may appear on the wire,
 who is allowed to construct them, who must consume them and how they fan
-out; per module, :data:`QUORUM_MODULE_CLASSES` names the quorum-arithmetic
-classes its threshold comparisons may use.  The extraction side (:mod:`repro.lint.msgflow`,
-:mod:`repro.lint.quorum`) checks the code against these tables, so a
-protocol edit that changes an edge shows up as a reviewable spec/golden
-diff instead of a silent drift.
+out.  The extraction side (:mod:`repro.lint.msgflow`) checks the code
+against these tables, so a protocol edit that changes an edge shows up
+as a reviewable spec/golden diff instead of a silent drift.  The module
+tuples below also scope the other protocol rules.
 
 Fan-out kinds (see ``msgflow._classify_use``):
 
@@ -20,22 +19,21 @@ Fan-out kinds (see ``msgflow._classify_use``):
 * ``returned`` / ``local`` — never leaves the constructing replica
   directly (templates for sign-then-rebuild, loopback handling).
 
-Quorum classes (see ``quorum._classify``): ``n-f``, ``2f+1``, ``f+1``,
-``all-n``, ``k`` (threshold-scheme parameter), ``param`` (a formal
-parameter named ``*quorum*`` — the caller declared it), ``declared`` is
-resolved to the class of its declaration site.
+Quorums need no table: every threshold is a named attribute of
+:class:`repro.types.Quorums` (or a threshold scheme's ``k``), and
+:mod:`repro.lint.quorum` checks that each vote-count comparison in the
+protocol, message and client modules reads one of those names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "MESSAGE_MODULES",
     "PROTOCOL_MODULES",
     "PROTOCOL_SPECS",
-    "QUORUM_MODULE_CLASSES",
     "MessageSpec",
     "ProtocolSpec",
     "protocol_for_module",
@@ -44,9 +42,9 @@ __all__ = [
 #: Modules defining the wire message classes (CachedEncodable subclasses).
 MESSAGE_MODULES: Tuple[str, ...] = ("repro/consensus/messages.py",)
 
-#: Protocol modules under the interprocedural verify-taint and
-#: quorum-arithmetic contracts (the per-file verify-before-mutate rule
-#: shares this scope via ``repro.lint.rules``).
+#: Protocol modules under the interprocedural verify-taint contract
+#: (the per-file verify-before-mutate and quorum-arithmetic rules share
+#: this scope).
 PROTOCOL_MODULES: Tuple[str, ...] = (
     "repro/consensus/pbft.py",
     "repro/consensus/zyzzyva.py",
@@ -114,21 +112,6 @@ def protocol_for_module(path: str,
         if any(path.endswith(suffix) for suffix in spec.modules):
             return spec
     return None
-
-
-#: Allowed quorum classes per module (threshold comparisons in a module
-#: must reduce to one of these).  ``messages.py`` verifies certificates
-#: on behalf of every protocol, so it takes the caller's word for the
-#: quorum (``param``).
-QUORUM_MODULE_CLASSES: Mapping[str, Tuple[str, ...]] = {
-    "repro/consensus/pbft.py": ("n-f", "f+1"),
-    "repro/consensus/zyzzyva.py": ("2f+1", "all-n", "f+1"),
-    "repro/consensus/hotstuff.py": ("n-f",),
-    "repro/consensus/steward.py": ("n-f", "f+1"),
-    "repro/core/geobft.py": ("n-f", "f+1", "k"),
-    "repro/core/remote_view_change.py": ("n-f", "f+1"),
-    "repro/consensus/messages.py": ("n-f", "2f+1", "f+1", "k", "param"),
-}
 
 
 #: The PBFT engine's own messages.  Steward and GeoBFT embed the

@@ -2,8 +2,8 @@
 
 The per-file rules in :mod:`repro.lint.rules` see one module at a time;
 the protocol-conformance passes (:mod:`repro.lint.msgflow`,
-:mod:`repro.lint.taint`, :mod:`repro.lint.quorum`) need to see all of
-``src/repro`` as *one program*: which class defines which method, which
+:mod:`repro.lint.taint`) need to see all of ``src/repro`` as *one
+program*: which class defines which method, which
 helper a ``self._slot(...)`` call lands in, and where a message class
 constructed in one module is dispatched in another.
 

@@ -37,8 +37,8 @@ selector                  meaning
 ``"primary:C"``           the *live* primary serving cluster ``C``
 ``"backup:C"``            the last non-primary replica of cluster ``C``
 ``"backups:C"``           every non-primary replica of cluster ``C``
-``"backups:C:K"``         the last ``K`` non-primary replicas (``K`` may
-                          be ``f``, the cluster's fault bound)
+``"backups:C:K"``         the last ``K`` non-primary replicas (``K >= 1``,
+                          or ``f``, the cluster's fault bound)
 ``"all"``                 every replica of the deployment
 ========================  ==================================================
 """
@@ -52,7 +52,7 @@ import zlib
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..types import NodeId, max_faulty, replica_id
+from ..types import NodeId, replica_id
 
 #: Message types tampered by default: every protocol's proposal/share
 #: carrier plus the agreement votes, so a Byzantine actor corrupts
@@ -163,8 +163,11 @@ class ChaosContext:
                     return backups[-1:]
                 if not count_s:
                     return backups
-                count = (max_faulty(len(members)) if count_s == "f"
-                         else int(count_s))
+                count = (self.deployment.quorums[cluster].f
+                         if count_s == "f" else int(count_s))
+                if count < 1:
+                    raise ConfigurationError(
+                        f"selector {selector!r} needs K >= 1 (or f)")
                 return backups[len(backups) - min(count, len(backups)):]
         except ConfigurationError:
             raise

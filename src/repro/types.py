@@ -9,7 +9,7 @@ objects shared by several subsystems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 from .errors import ConfigurationError
@@ -102,9 +102,46 @@ def max_faulty(n: int) -> int:
     return (n - 1) // 3
 
 
-def quorum_size(n: int) -> int:
-    """The ``n - f`` quorum used by PBFT prepare/commit phases."""
-    return n - max_faulty(n)
+class Quorums:
+    """The thresholds of one membership of ``n`` replicas.
+
+    Built once per membership (a replica's own cluster, each remote
+    cluster it checks certificates from, a client's reply group) and
+    read on the hot path, so every field is a plain slotted attribute:
+
+    * ``f`` — faults tolerated, the largest with ``n > 3f``;
+    * ``intersect`` — ``n - f``: two such sets share ``f + 1`` replicas,
+      so PBFT prepare/commit, checkpoint and view-change quorums and
+      commit certificates use it;
+    * ``certificate`` — ``2f + 1``, Zyzzyva's commit certificate;
+    * ``one_honest`` — ``f + 1``: at least one member is non-faulty
+      (reply quorums, view-change join, share fan-out);
+    * ``all`` — ``n``, Zyzzyva's fast path.
+
+    >>> q = Quorums(7)
+    >>> (q.f, q.intersect, q.certificate, q.one_honest, q.all)
+    (2, 5, 5, 3, 7)
+    """
+
+    __slots__ = ("n", "f", "intersect", "certificate", "one_honest", "all")
+
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ConfigurationError(f"cluster size must be an int, got {n!r}")
+        f = max_faulty(n)
+        for name, value in (("n", n), ("f", f), ("intersect", n - f),
+                            ("certificate", 2 * f + 1),
+                            ("one_honest", f + 1), ("all", n)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Quorums({self.n})"
 
 
 @dataclass(frozen=True)
@@ -121,16 +158,6 @@ class ClusterSpec:
                 f"cluster {self.cluster_id} needs >= 4 replicas to tolerate "
                 f"one fault (n > 3f), got {self.num_replicas}"
             )
-
-    @property
-    def f(self) -> int:
-        """Faults tolerated by this cluster."""
-        return max_faulty(self.num_replicas)
-
-    @property
-    def quorum(self) -> int:
-        """PBFT quorum (``n - f``) for this cluster."""
-        return quorum_size(self.num_replicas)
 
     def replicas(self) -> list[NodeId]:
         """All replica ids of this cluster, in index order."""

@@ -22,7 +22,9 @@ completes it by the deployment's rule —
 
 The rule follows from what the deployment passes: a ``members`` list
 (Zyzzyva's flat replica set) selects the Zyzzyva rule, otherwise the
-``f + 1`` rule with ``reply_quorum`` applies.
+``f + 1`` rule applies.  Either rule reads its thresholds from
+``reply_quorum``, the :class:`~repro.types.Quorums` of the replica group
+whose replies count.
 
 Two arrival drivers sit on top and differ only in when a request is
 made and when it is given up: :class:`QuorumClient` (here) is the
@@ -46,7 +48,7 @@ from ..consensus.messages import (
 )
 from ..errors import ConfigurationError
 from ..net.simulator import Timer
-from ..types import NodeId, max_faulty
+from ..types import NodeId, Quorums
 
 
 class _PendingBatch:
@@ -81,10 +83,9 @@ class CompletionTracker:
 
     __slots__ = ("_node_id", "_region", "_sim", "_network", "_signer",
                  "_workload", "_batch_size", "_primary_targets",
-                 "_fallback_targets", "_reply_quorum", "_members", "_n",
-                 "_f", "_metrics", "_handlers", "_timeout_action",
-                 "_pending", "_submitted", "_completed", "_started",
-                 "_use_fallback")
+                 "_fallback_targets", "_q", "_members", "_metrics",
+                 "_handlers", "_timeout_action", "_pending", "_submitted",
+                 "_completed", "_started", "_use_fallback")
 
     def __init__(self,
                  node_id: NodeId,
@@ -96,13 +97,18 @@ class CompletionTracker:
                  batch_size: int,
                  primary_targets: List[NodeId],
                  fallback_targets: List[NodeId],
-                 reply_quorum: int,
+                 reply_quorum: Quorums,
                  members: Optional[List[NodeId]],
                  metrics):
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if reply_quorum < 1:
-            raise ConfigurationError("reply_quorum must be >= 1")
+        if not isinstance(reply_quorum, Quorums):
+            raise ConfigurationError(
+                f"reply_quorum must be a Quorums, got {reply_quorum!r}")
+        if members and len(members) != reply_quorum.n:
+            raise ConfigurationError(
+                f"reply_quorum {reply_quorum!r} does not match the "
+                f"{len(members)} Zyzzyva members")
         self._node_id = node_id
         self._region = region
         self._sim = sim
@@ -112,10 +118,8 @@ class CompletionTracker:
         self._batch_size = batch_size
         self._primary_targets = list(primary_targets)
         self._fallback_targets = list(fallback_targets)
-        self._reply_quorum = reply_quorum
+        self._q = reply_quorum
         self._members = list(members or [])
-        self._n = len(self._members)
-        self._f = max_faulty(self._n) if self._members else 0
         self._metrics = metrics
         # {message class: handler}: the completion rule's inputs.
         if self._members:
@@ -205,7 +209,7 @@ class CompletionTracker:
             return
         voters = pending.votes.setdefault(reply.results_digest, {})
         voters[sender] = reply
-        if len(voters) >= self._reply_quorum:
+        if len(voters) >= self._q.one_honest:
             # f + 1 matching replies: at least one is from a non-faulty
             # replica, so the result is final (§2.4).
             self._complete(reply.batch_id, pending)
@@ -229,7 +233,7 @@ class CompletionTracker:
         key = response.results_digest + response.history_digest
         group = pending.votes.setdefault(key, {})
         group[sender] = response
-        if len(group) >= self._n:
+        if len(group) >= self._q.all:
             self._complete(response.batch_id, pending)
 
     def _zyzzyva_timeout(self, batch_id: str,
@@ -237,9 +241,9 @@ class CompletionTracker:
         if pending.local_commits is not None:
             return  # already in the commit phase
         best = max(pending.votes.values(), key=len, default={})
-        if len(best) >= 2 * self._f + 1:
+        if len(best) >= self._q.certificate:
             # Commit phase: certificate of 2F + 1 matching responses.
-            responses = tuple(list(best.values())[: 2 * self._f + 1])
+            responses = tuple(list(best.values())[: self._q.certificate])
             sample = responses[0]
             cert = ZyzzyvaCommitCert(batch_id, sample.view, sample.seq,
                                      responses)
@@ -257,7 +261,7 @@ class CompletionTracker:
         if pending is None or pending.local_commits is None:
             return
         pending.local_commits.add(sender)
-        if len(pending.local_commits) >= 2 * self._f + 1:
+        if len(pending.local_commits) >= self._q.certificate:
             self._complete(message.batch_id, pending)
 
     # ------------------------------------------------------------------
@@ -299,7 +303,7 @@ class QuorumClient(CompletionTracker):
                  batch_size: int,
                  primary_targets: List[NodeId],
                  fallback_targets: List[NodeId],
-                 reply_quorum: int,
+                 reply_quorum: Quorums,
                  outstanding: int = 4,
                  retry_timeout: float = 6.0,
                  max_batches: Optional[int] = None,

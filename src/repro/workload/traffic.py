@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..types import NodeId
+from ..types import NodeId, Quorums
 from .client import CompletionTracker
 
 #: Arrival processes a :class:`TrafficSpec` can name.  All are
@@ -242,7 +242,7 @@ class OpenLoopSource(CompletionTracker):
                  seed: int,
                  primary_targets: Optional[List[NodeId]] = None,
                  fallback_targets: Optional[List[NodeId]] = None,
-                 reply_quorum: int = 1,
+                 reply_quorum: Quorums = Quorums(1),
                  members: Optional[List[NodeId]] = None,
                  metrics=None):
         self._spec = spec

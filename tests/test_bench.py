@@ -134,11 +134,15 @@ class TestExperimentConfig:
         ("batch_size", 2.5), ("batch_size", "100"), ("batch_size", True),
         ("clients_per_cluster", 1.0), ("client_outstanding", "8"),
         ("cluster_sizes", [4, "4"]), ("cluster_sizes", [4, 4.0]),
+        ("replicas_per_cluster", 4.5), ("replicas_per_cluster", 7.0),
+        ("replicas_per_cluster", "4"), ("num_clusters", 2.0),
+        ("num_clusters", True),
     ])
     def test_count_fields_must_be_ints(self, field, value):
+        sizes = dict(num_clusters=2, replicas_per_cluster=4)
+        sizes[field] = value
         with pytest.raises(ConfigurationError, match=field):
-            ExperimentConfig(num_clusters=2, replicas_per_cluster=4,
-                             **{field: value})
+            ExperimentConfig(**sizes)
 
     def test_every_campaign_config_constructs(self):
         from repro.sweep.campaigns import campaign_names, get_campaign

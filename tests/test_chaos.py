@@ -150,6 +150,13 @@ class TestSelectors:
         assert len(ctx.resolve("backups:1:2")) == 2
         assert len(ctx.resolve("backup:1")) == 1
 
+    def test_backup_count_must_be_positive(self, ctx):
+        for selector in ("backups:1:-1", "backups:1:0", "backups:1:-3"):
+            with pytest.raises(ConfigurationError, match="K >= 1"):
+                ctx.resolve(selector)
+        assert len(ctx.resolve("backups:1:1")) == 1
+        assert len(ctx.resolve("backups:1:f")) == 1  # f of n = 4
+
     def test_primary_tracks_live_view(self, ctx):
         deployment = ctx.deployment
         for node in deployment.cluster_members[1]:

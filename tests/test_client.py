@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.simulator import Simulation
 from repro.net.topology import Topology
-from repro.types import client_id, replica_id
+from repro.types import Quorums, client_id, replica_id
 from repro.workload.client import QuorumClient
 from repro.workload.traffic import OpenLoopSource, TrafficSpec
 from repro.workload.ycsb import YcsbWorkload
@@ -105,7 +105,7 @@ def make_client(sim, net, registry, replicas, **overrides):
         batch_size=3,
         primary_targets=[replicas[0].node_id],
         fallback_targets=[r.node_id for r in replicas],
-        reply_quorum=2,
+        reply_quorum=Quorums(4),
         outstanding=2,
         retry_timeout=0.5,
     )
@@ -131,7 +131,7 @@ def make_source(sim, net, registry, replicas, timeout, **overrides):
         seed=1,
         primary_targets=[replicas[0].node_id],
         fallback_targets=[r.node_id for r in replicas],
-        reply_quorum=2,
+        reply_quorum=Quorums(4),
     )
     kwargs.update(overrides)
     return OpenLoopSource(**kwargs)
@@ -181,7 +181,8 @@ class TestClosedLoop:
     def test_retry_broadcasts_to_fallback_targets(self, rig):
         sim, net, registry, replicas = rig
         replicas[0].respond = False  # primary silent
-        client = make_client(sim, net, registry, replicas, reply_quorum=2)
+        client = make_client(sim, net, registry, replicas,
+                             reply_quorum=Quorums(4))
         client.start()
         sim.run(until=2.0)
         # After the timeout, backups received the retransmission and
@@ -207,7 +208,8 @@ class TestClosedLoop:
 
     def test_replies_from_impersonators_ignored(self, rig):
         sim, net, registry, replicas = rig
-        client = make_client(sim, net, registry, replicas, reply_quorum=2)
+        client = make_client(sim, net, registry, replicas,
+                             reply_quorum=Quorums(4))
         client.start()
         sim.run(until=0.01)
         # replica 4 sends replies claiming to be replica 3.
@@ -228,6 +230,9 @@ class TestClosedLoop:
             make_client(sim, net, registry, replicas, batch_size=0)
         with pytest.raises(ConfigurationError):
             make_client(sim, net, registry, replicas, reply_quorum=0)
+        with pytest.raises(ConfigurationError):  # 4 replies, 1 member
+            make_client(sim, net, registry, replicas,
+                        members=[replicas[0].node_id])
         with pytest.raises(ConfigurationError):
             make_client(sim, net, registry, replicas, outstanding=0)
 

@@ -37,7 +37,7 @@ from repro.ledger.block import MintedBatch, Transaction, batch_digest
 from repro.net.network import Network
 from repro.net.simulator import Simulation
 from repro.net.topology import Topology
-from repro.types import client_id, replica_id
+from repro.types import Quorums, client_id, replica_id
 from repro.workload.client import QuorumClient
 
 from .conftest import small_config
@@ -230,10 +230,10 @@ class TestSignatureMemoization:
             for node in members
         )
         cert = CommitCertificate(1, 1, 0, request, commits)
-        cert.verify(registry, quorum=3)
+        cert.verify(registry, Quorums(4))
         misses_after_first = registry.verification_cache.misses
         for _ in range(5):  # five more replicas re-verify
-            cert.verify(registry, quorum=3)
+            cert.verify(registry, Quorums(4))
         assert registry.verification_cache.misses == misses_after_first
 
     def test_bad_certificate_still_rejected_when_cached(self):
@@ -249,7 +249,7 @@ class TestSignatureMemoization:
         cert = CommitCertificate(1, 1, 0, request, (bad,) * 3)
         for _ in range(2):  # second round exercises the negative cache
             with pytest.raises(InvalidCertificateError):
-                cert.verify(registry, quorum=1)
+                cert.verify(registry, Quorums(1))
 
 
 class _Silent:
@@ -304,7 +304,8 @@ class TestSignTheDigest:
             node_id=client_id(1, 1), region="r1", sim=sim, network=net,
             registry=registry, workload=workload, batch_size=5,
             primary_targets=[r.node_id for r in replicas],
-            fallback_targets=[r.node_id for r in replicas], reply_quorum=2,
+            fallback_targets=[r.node_id for r in replicas],
+            reply_quorum=Quorums(4),
             outstanding=1, retry_timeout=10.0, max_batches=1)
         client.start()
         sim.run(until=1.0)

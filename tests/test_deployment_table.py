@@ -104,7 +104,7 @@ def test_unequal_clusters_are_pinned(protocol, traffic):
 
     drivers = [
         (client._node_id, client._primary_targets, client._fallback_targets,
-         client._reply_quorum, bool(client._members))
+         client._q.one_honest, bool(client._members))
         for client in deployment.clients
     ]
     assert drivers == expected_drivers(

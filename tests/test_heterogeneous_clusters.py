@@ -5,8 +5,12 @@ import pytest
 
 from repro.bench.deployment import Deployment, ExperimentConfig
 from repro.bench.scenarios import apply_scenario
+from repro.consensus.messages import (ClientRequestBatch, Commit,
+                                      CommitCertificate, GlobalShare, Rvc,
+                                      StewardForward)
 from repro.errors import ConfigurationError
-from repro.types import replica_id
+from repro.ledger.block import Transaction
+from repro.types import client_id, replica_id
 
 
 def hetero_config(protocol="geobft", sizes=(4, 7), **overrides):
@@ -102,5 +106,64 @@ class TestClientQuorums:
         deployment = Deployment(hetero_config(sizes=(4, 7)))
         small = [c for c in deployment.clients if c.node_id.cluster == 1][0]
         large = [c for c in deployment.clients if c.node_id.cluster == 2][0]
-        assert small._reply_quorum == 2  # f(4) + 1
-        assert large._reply_quorum == 3  # f(7) + 1
+        assert small._q.one_honest == 2  # f(4) + 1
+        assert large._q.one_honest == 3  # f(7) + 1
+
+
+def certificate_from(deployment, cluster, signers, round_id=1):
+    """A commit certificate of ``cluster`` for ``round_id``, signed by
+    its first ``signers`` replicas."""
+    request = ClientRequestBatch(
+        f"b{cluster}.{round_id}", client_id(cluster, 1),
+        (Transaction("t1", "update", 1, "v"),), None)
+    commits = []
+    for i in range(1, signers + 1):
+        node = replica_id(cluster, i)
+        unsigned = Commit(cluster, 0, round_id, request.digest(), node, None)
+        commits.append(Commit(cluster, 0, round_id, request.digest(), node,
+                              deployment.registry.register(node)
+                              .sign(unsigned)))
+    return CommitCertificate(cluster, round_id, 0, request, tuple(commits))
+
+
+class TestPerClusterThresholds:
+    """On unequal clusters every check uses the thresholds of the cluster
+    that produced the evidence, never the receiver's own.  Honest runs
+    cannot show the difference (honest certificates carry enough commits
+    either way), so each test hands a replica the borderline message."""
+
+    @pytest.mark.parametrize("signers, accepted", [(4, False), (5, True)])
+    def test_geobft_share_needs_the_senders_n_minus_f(self, signers,
+                                                      accepted):
+        deployment = Deployment(hetero_config(sizes=(4, 7)))
+        receiver = deployment.replicas[replica_id(1, 2)]
+        cert = certificate_from(deployment, 2, signers)
+        receiver._on_global_share(GlobalShare(1, 2, cert, forwarded=False),
+                                  replica_id(2, 1))
+        # n - f of the n = 7 cluster is 5; the receiver's own is 3.
+        assert receiver.ordering.has_share(1, 2) is accepted
+
+    @pytest.mark.parametrize("signers, accepted", [(4, False), (5, True)])
+    def test_steward_forward_needs_the_origins_n_minus_f(self, signers,
+                                                         accepted):
+        deployment = Deployment(hetero_config(
+            protocol="steward", sizes=(4, 7), steward_crypto_factor=2.0))
+        receiver = deployment.replicas[replica_id(1, 2)]  # primary cluster
+        cert = certificate_from(deployment, 2, signers)
+        receiver._on_forward(StewardForward(2, 1, cert.request, cert),
+                             replica_id(2, 1))
+        assert (cert.request.batch_id
+                in receiver._submitted_to_global) is accepted
+
+    def test_rvc_needs_one_honest_of_the_requesting_cluster(self):
+        deployment = Deployment(hetero_config(sizes=(4, 7)))
+        # A backup: the primary would re-share at once and clear the mark.
+        manager = deployment.replicas[replica_id(2, 2)].remote_view_changes
+        for count, sender in enumerate((replica_id(1, 1), replica_id(1, 2)),
+                                       start=1):
+            unsigned = Rvc(2, 1, 0, sender, None)
+            rvc = Rvc(2, 1, 0, sender,
+                      deployment.registry.register(sender).sign(unsigned))
+            manager.handle_rvc(rvc, sender)
+            # f + 1 of the n = 4 requester is 2; the receiver's own is 3.
+            assert manager.pending_resend == ({} if count < 2 else {1: 1})

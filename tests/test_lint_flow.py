@@ -12,6 +12,8 @@ import subprocess
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.lint import extract_flows, flow_dot, flow_report
 from repro.lint.engine import discover_files, lint_source
@@ -325,60 +327,52 @@ class TestVerifyTaint:
 # ---------------------------------------------------------------------------
 # Rule: quorum-arithmetic
 # ---------------------------------------------------------------------------
-def _quorum_findings(source, allowed=("n-f", "f+1")):
-    rule = QuorumArithmetic(module_classes={FIXTURE_PATH: tuple(allowed)})
-    report = lint_source(textwrap.dedent(source), path=FIXTURE_PATH,
-                         rules=[rule])
+#: A module in the rule's scope (the fixture stands in for it).
+QUORUM_PATH = "repro/consensus/pbft.py"
+
+
+def _quorum_findings(source, path=QUORUM_PATH):
+    report = lint_source(textwrap.dedent(source), path=path,
+                         rules=[QuorumArithmetic()])
     return report.findings
+
+
+def _check(condition, setup=""):
+    return f"""
+        class Engine:
+            def _check(self, votes, q):
+                {setup}
+                if {condition}:
+                    self.decide()
+    """
 
 
 class TestQuorumArithmetic:
     def test_fires_on_magic_number_threshold(self):
-        bad = """
-            class Engine:
-                def _check(self, votes):
-                    if len(votes) >= 3:
-                        self.decide()
-        """
-        found = _quorum_findings(bad)
+        found = _quorum_findings(_check("len(votes) >= 3"))
         assert len(found) == 1
         assert found[0].rule == "quorum-arithmetic"
         assert "'3'" in found[0].message
 
     def test_fires_on_off_by_one_f_comparison(self):
-        bad = """
-            class Engine:
-                def _check(self, votes):
-                    if len(votes) >= self._f:
-                        self.decide()
-        """
-        found = _quorum_findings(bad)
+        found = _quorum_findings(_check("len(votes) >= self._f"))
         assert len(found) == 1
-        assert "off-by-one" in found[0].message
+        assert "'self._f'" in found[0].message
 
-    def test_strict_f_comparison_is_the_f_plus_1_class(self):
-        good = """
-            class Engine:
-                def _check(self, votes):
-                    if len(votes) > self._f:
-                        self.decide()
-        """
-        assert not _quorum_findings(good)
-
-    def test_fires_on_class_not_declared_for_module(self):
-        bad = """
-            class Engine:
-                def _check(self, votes):
-                    need = 2 * self._f + 1
-                    if len(votes) >= need:
-                        self.decide()
-        """
-        found = _quorum_findings(bad, allowed=("n-f",))
+    def test_fires_on_strict_f_comparison(self):
+        # Bare f is not a threshold, however strict the comparison.
+        found = _quorum_findings(_check("len(votes) > self._f"))
         assert len(found) == 1
-        assert "'2f+1'" in found[0].message
+        assert "'self._f'" in found[0].message
 
-    def test_quiet_on_declared_n_minus_f(self):
-        good = """
+    def test_fires_on_local_threshold_arithmetic(self):
+        found = _quorum_findings(_check("len(votes) >= need",
+                                        setup="need = 2 * self._f + 1"))
+        assert len(found) == 1
+        assert "'need'" in found[0].message
+
+    def test_fires_on_declared_n_minus_f(self):
+        found = _quorum_findings("""
             class Engine:
                 def __init__(self, n, f):
                     self._n = n
@@ -388,18 +382,45 @@ class TestQuorumArithmetic:
                 def _check(self, votes):
                     if len(votes) >= self._quorum:
                         self.decide()
-        """
-        assert not _quorum_findings(good)
+        """)
+        assert len(found) == 1
+        assert "'self._quorum'" in found[0].message
 
     def test_fires_on_unreducible_quorum_declaration(self):
-        bad = """
+        # Declarations are not read: the comparison is the finding.
+        found = _quorum_findings("""
             class Engine:
                 def __init__(self):
                     self._quorum = 7
-        """
-        found = _quorum_findings(bad)
+
+                def _check(self, votes):
+                    if len(votes) >= self._quorum:
+                        self.decide()
+        """)
+        assert [f.line for f in found] == [7]
+
+    @pytest.mark.parametrize("condition", [
+        "len(votes) >= self._q.intersect",
+        "len(votes) >= q.one_honest",
+        "slot.prepared_count < self._q.intersect",
+        "verified_quorum(cert) < self._q.certificate",
+        "len(shares) < scheme.k",
+        "self._q.all <= len(votes)",
+        "q.one_honest > len(votes)",
+    ])
+    def test_quiet_on_quorums_thresholds(self, condition):
+        assert not _quorum_findings(_check(condition))
+
+    @pytest.mark.parametrize("condition", [
+        "len(votes) > q.intersect",
+        "len(votes) <= q.one_honest",
+        "len(votes) == q.all",
+        "q.intersect < len(votes)",
+    ])
+    def test_fires_on_off_by_one_operator(self, condition):
+        found = _quorum_findings(_check(condition))
         assert len(found) == 1
-        assert "declaration" in found[0].message
+        assert "off-by-one" in found[0].message
 
     def test_count_vs_count_is_exempt(self):
         good = """
@@ -410,17 +431,15 @@ class TestQuorumArithmetic:
         """
         assert not _quorum_findings(good)
 
+    @pytest.mark.parametrize("path", [
+        "repro/consensus/messages.py", "repro/workload/client.py",
+        "repro/core/remote_view_change.py"])
+    def test_fires_in_every_scoped_module(self, path):
+        assert len(_quorum_findings(_check("len(votes) >= 3"), path)) == 1
+
     def test_quiet_outside_declared_modules(self):
-        bad = """
-            class Engine:
-                def _check(self, votes):
-                    if len(votes) >= 3:
-                        self.decide()
-        """
-        rule = QuorumArithmetic(module_classes={FIXTURE_PATH: ("n-f",)})
-        report = lint_source(textwrap.dedent(bad),
-                             path="repro/bench/tool.py", rules=[rule])
-        assert not report.findings
+        assert not _quorum_findings(_check("len(votes) >= 3"),
+                                    path="repro/bench/tool.py")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.consensus.messages import (
 from repro.crypto.signatures import KeyRegistry
 from repro.errors import InvalidCertificateError
 from repro.ledger.block import Transaction
-from repro.types import client_id, replica_id
+from repro.types import Quorums, client_id, replica_id
 
 
 def make_request(batch_size=100, cluster=1, registry=None):
@@ -136,7 +136,7 @@ class TestCommitCertificateVerification:
     def test_valid_certificate_verifies(self):
         registry = KeyRegistry()
         cert = make_certificate(registry, n=7)
-        cert.verify(registry, quorum=5)
+        cert.verify(registry, Quorums(7))
 
     def test_too_few_commits_rejected(self):
         registry = KeyRegistry()
@@ -144,7 +144,7 @@ class TestCommitCertificateVerification:
         short = CommitCertificate(cert.cluster_id, cert.round_id, cert.view,
                                   cert.request, cert.commits[:3])
         with pytest.raises(InvalidCertificateError):
-            short.verify(registry, quorum=5)
+            short.verify(registry, Quorums(7))
 
     def test_duplicate_signers_rejected(self):
         registry = KeyRegistry()
@@ -153,7 +153,7 @@ class TestCommitCertificateVerification:
                                 cert.request,
                                 (cert.commits[0],) * len(cert.commits))
         with pytest.raises(InvalidCertificateError):
-            dup.verify(registry, quorum=5)
+            dup.verify(registry, Quorums(7))
 
     def test_forged_signature_rejected(self):
         registry = KeyRegistry()
@@ -166,7 +166,7 @@ class TestCommitCertificateVerification:
                                    cert.request,
                                    (forged_commit,) + cert.commits[1:])
         with pytest.raises(InvalidCertificateError):
-            forged.verify(registry, quorum=5)
+            forged.verify(registry, Quorums(7))
 
     def test_swapped_request_rejected(self):
         """A Byzantine forwarder cannot swap the client request inside a
@@ -180,7 +180,7 @@ class TestCommitCertificateVerification:
         tampered = CommitCertificate(cert.cluster_id, cert.round_id,
                                      cert.view, other_request, cert.commits)
         with pytest.raises(InvalidCertificateError):
-            tampered.verify(registry, quorum=5)
+            tampered.verify(registry, Quorums(7))
 
     def test_foreign_cluster_commit_rejected(self):
         registry = KeyRegistry()
@@ -189,7 +189,7 @@ class TestCommitCertificateVerification:
         mixed = CommitCertificate(1, cert.round_id, cert.view, cert.request,
                                   cert.commits[:-1] + (foreign.commits[0],))
         with pytest.raises(InvalidCertificateError):
-            mixed.verify(registry, quorum=5)
+            mixed.verify(registry, Quorums(7))
 
     def test_unsigned_commit_rejected(self):
         registry = KeyRegistry()
@@ -201,7 +201,7 @@ class TestCommitCertificateVerification:
                                 cert.request,
                                 (unsigned,) + cert.commits[1:])
         with pytest.raises(InvalidCertificateError):
-            bad.verify(registry, quorum=5)
+            bad.verify(registry, Quorums(7))
 
 
 class TestRequestDigestCache:

@@ -8,7 +8,7 @@ from repro.core.remote_view_change import RemoteViewChangeManager
 from repro.crypto.costs import CryptoCostModel
 from repro.crypto.signatures import KeyRegistry
 from repro.net.simulator import Simulation
-from repro.types import replica_id
+from repro.types import Quorums, replica_id
 
 N = 4
 F = 1
@@ -56,6 +56,8 @@ def setup():
         owner=owner,
         own_cluster=OWN,
         own_members=members,
+        # Cluster 3 sends the RVCs in TestResponseRole.
+        quorums={c: Quorums(N) for c in (REMOTE, OWN, 3)},
         remote_timeout=1.0,
         get_share=lambda c, r: shares.get((c, r)),
         on_local_failure_detected=lambda: failures.append(owner.sim.now),

@@ -1,5 +1,7 @@
 """Tests for identifier types and fault-tolerance arithmetic."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +10,9 @@ from repro.errors import ConfigurationError
 from repro.types import (
     ClusterSpec,
     NodeId,
+    Quorums,
     client_id,
     max_faulty,
-    quorum_size,
     replica_id,
 )
 
@@ -59,8 +61,8 @@ class TestFaultArithmetic:
         assert n > 3 * max_faulty(n)
 
     def test_quorum_is_n_minus_f(self):
-        assert quorum_size(7) == 5
-        assert quorum_size(4) == 3
+        assert Quorums(7).intersect == 5
+        assert Quorums(4).intersect == 3
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -70,17 +72,39 @@ class TestFaultArithmetic:
     def test_quorum_intersection_property(self, n):
         """Two n-f quorums always intersect in > f replicas — the
         foundation of PBFT safety."""
-        f = max_faulty(n)
-        quorum = n - f
+        q = Quorums(n)
         # |Q1 ∩ Q2| >= 2*quorum - n > f
-        assert 2 * quorum - n > f
+        assert 2 * q.intersect - n > q.f
+
+
+class TestQuorums:
+    @given(st.integers(min_value=1, max_value=512))
+    def test_thresholds(self, n):
+        q = Quorums(n)
+        # n > 3f, and f is the largest such bound.
+        assert q.n == q.all == n
+        assert n > 3 * q.f and not n > 3 * (q.f + 1)
+        assert q.intersect == n - q.f
+        assert q.certificate == 2 * q.f + 1 <= n
+        assert q.one_honest == q.f + 1
+        # Two intersect-sized sets share at least one honest replica.
+        assert 2 * q.intersect - n >= q.one_honest
+        with pytest.raises(FrozenInstanceError):
+            q.f = 0
+        with pytest.raises(FrozenInstanceError):
+            del q.intersect
+
+    @pytest.mark.parametrize("n", [0, -4, 4.0, 7.5, "4", None, True, False])
+    def test_bad_sizes_rejected(self, n):
+        with pytest.raises(ConfigurationError):
+            Quorums(n)
 
 
 class TestClusterSpec:
     def test_properties(self):
         spec = ClusterSpec(1, "oregon", 7)
-        assert spec.f == 2
-        assert spec.quorum == 5
+        q = Quorums(spec.num_replicas)
+        assert (q.f, q.intersect) == (2, 5)
         assert len(spec.replicas()) == 7
         assert spec.replicas()[0] == replica_id(1, 1)
 
