@@ -194,11 +194,18 @@ class ExperimentConfig:
                 f"unknown protocol {self.protocol!r}; expected {PROTOCOLS}"
             )
         for name in ("num_clusters", "replicas_per_cluster", "batch_size",
-                     "clients_per_cluster", "client_outstanding"):
+                     "clients_per_cluster", "client_outstanding",
+                     "record_count", "cores", "checkpoint_interval",
+                     "pipeline_depth"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigurationError(
                     f"{name} must be an int, got {value!r}")
+        for name in ("record_count", "cores", "checkpoint_interval",
+                     "pipeline_depth"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.traffic is None and self.clients_per_cluster < 1:
             raise ConfigurationError(
                 "clients_per_cluster must be >= 1 for closed-loop clients "

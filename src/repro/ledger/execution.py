@@ -84,12 +84,22 @@ class _Entry:
         self.waiting = waiting
 
 
+class _LogStore(YcsbStore):
+    """An :class:`ExecutionLog`'s ``base`` or ``head``.  The base reads
+    the head's journal buffers in place, so neither is ever joined:
+    joining would clear bytes the other still reads."""
+
+    def _joined(self, *keys: int):
+        raise WorkloadError("an ExecutionLog's base and head are never "
+                            "joined; detach a store to read the state")
+
+
 class ExecutionLog:
     """One deployment's execution history, shared by its replicas' stores.
 
-    Holds two ordinary stores — ``base``, the state at the slowest
-    attached store's cursor, and ``head``, the state at the fastest's —
-    and one entry per batch between them.  An attached store is a cursor
+    Holds two stores — ``base``, the state at the slowest attached
+    store's cursor, and ``head``, the state at the fastest's — and one
+    entry per batch between them.  An attached store is a cursor
     (``YcsbStore._pos``) plus its own counters.  Executing the batch at
     its position advances the cursor when the batch *is* the entry's (by
     identity: batches are immutable, so the same object means the same
@@ -98,7 +108,9 @@ class ExecutionLog:
     the last cursor has left it.  Stores fed the same batch objects in
     the same order from the same empty start hold the same state, so
     each batch is compiled once and applied twice per deployment, not
-    once per replica.
+    once per replica.  Its journaled bytes are held once: the head is
+    the only writer of a buffer the two share, and the base keeps a
+    byte length into it (:meth:`_fold`).
 
     A store leaves with its own copy of the state at its cursor (see
     :meth:`detach`) when its batch is a different object, needs the
@@ -111,8 +123,8 @@ class ExecutionLog:
 
     def __init__(self, record_count: int):
         self._record_count = record_count
-        self._base = YcsbStore(record_count)
-        self._head = YcsbStore(record_count)
+        self._base = _LogStore(record_count)
+        self._head = _LogStore(record_count)
         self._entries: deque = deque()
         self._start = 0  # cursor position of _entries[0], i.e. of base
         self._at_head = 0  # attached stores with nothing left to apply
@@ -195,12 +207,14 @@ class ExecutionLog:
         return entries[-1]
 
     def _fold(self) -> None:
-        """Apply every leading entry no cursor waits on to the base."""
-        entries, base = self._entries, self._base
+        """Apply every leading entry no cursor waits on to the base,
+        which reads the head's buffer of every journal the two opened
+        with the same step (see :meth:`YcsbStore._apply`)."""
+        entries, base, head = self._entries, self._base, self._head
         while entries and not entries[0].waiting:
             entry = entries.popleft()
             if entry.ops:
-                base._apply(entry.ops, list(entry.results))
+                base._apply(entry.ops, list(entry.results), head)
             self._start += 1
 
     def detach(self, store: YcsbStore) -> None:
@@ -215,12 +229,7 @@ class ExecutionLog:
         else:
             entries[i].waiting -= 1
             source, replay = self._base, islice(entries, i)
-        store._data = dict(source._data)
-        # Its own pending buffers: a shared bytearray would carry the
-        # store's later appends into the log's base or head.
-        store._journals = {key: [size, crc, bytearray(pending)]
-                           for key, (size, crc, pending)
-                           in source._journals.items()}
+        store._copy_state(source)
         writes, reads = store._writes, store._reads
         for entry in replay:
             if entry.ops:

@@ -36,20 +36,29 @@ def receipt_of(value: str) -> str:
     return "%d:%08x" % (len(data), zlib.crc32(data))
 
 
+def _checked_record_count(record_count) -> int:
+    """``record_count`` if it is an ``int`` (not a ``bool``) >= 1."""
+    if (not isinstance(record_count, int) or isinstance(record_count, bool)
+            or record_count < 1):
+        raise WorkloadError(
+            f"record_count must be an int >= 1, got {record_count!r}")
+    return record_count
+
+
 class YcsbStore:
     """A deterministic key-value table with YCSB-style operations."""
 
     def __init__(self, record_count: int = DEFAULT_RECORD_COUNT):
-        if record_count < 1:
-            raise WorkloadError(
-                f"record_count must be positive, got {record_count}"
-            )
-        self._record_count = record_count
+        self._record_count = _checked_record_count(record_count)
         self._data: Dict[int, str] = {}
-        # key -> [byte length, CRC-32, pending]: the running receipt of a
-        # journaled record, and one ``bytearray`` of the UTF-8 appends
-        # (``"|" + suffix`` each) not yet joined into ``_data[key]``.
-        # Derived; dropped by any overwrite.
+        # key -> [byte length, CRC-32, pending, opener, offset]: the
+        # running receipt of a journaled record; one ``bytearray`` of the
+        # UTF-8 appends (``"|" + suffix`` each) not yet joined into
+        # ``_data[key]``; the step that opened the journal; and ``None``,
+        # or — in an ExecutionLog's base only — the byte length at which
+        # ``pending`` became the head's buffer, which this store reads
+        # (its appends are ``pending[:length - offset]``) and never
+        # writes.  Derived; dropped by any overwrite.
         self._journals: Dict[int, list] = {}
         self._writes = 0
         self._reads = 0
@@ -122,7 +131,8 @@ class YcsbStore:
             self._check_key(low if low < 0 else max(keys))
             self._apply([[len(pairs), dict(pairs)]], [])
 
-    def _apply(self, ops: list, results: List[str]) -> None:
+    def _apply(self, ops: list, results: List[str],
+               head: Optional[YcsbStore] = None) -> None:
         """Apply compiled steps in order; callers (:meth:`update_many`,
         :meth:`modify`, the engine's batch plan) bounds-checked each key.
 
@@ -132,6 +142,13 @@ class YcsbStore:
         pairs would one by one, and every pair still counts as a write —
         or a ``(slot, key, ("|" + suffix).encode())`` journal append whose
         receipt goes to ``results[slot]``.
+
+        ``head`` is given when this store is an ExecutionLog's base
+        folding steps ``head`` already applied: a journal this applies
+        opening with the same step object that opened ``head``'s current
+        journal for the key reads ``head``'s buffer instead of filling its
+        own — ``head`` applied that step and every later one on the key,
+        in the same order, into that buffer.
         """
         data, journals, crc32 = self._data, self._journals, zlib.crc32
         writes = appends = 0
@@ -147,11 +164,18 @@ class YcsbStore:
             slot, key, encoded = step
             if key not in journals:
                 base = data.setdefault(key, _initial_value(key)).encode()
-                journals[key] = [len(base), crc32(base), bytearray()]
-            journal = journals[key]
+                journals[key] = journal = [len(base), crc32(base),
+                                           bytearray(), step, None]
+                if head is not None:
+                    shared = head._journals
+                    if key in shared and shared[key][3] is step:
+                        journal[2], journal[4] = shared[key][2], journal[0]
+            else:
+                journal = journals[key]
             journal[0] = size = journal[0] + len(encoded)
             journal[1] = crc = crc32(encoded, journal[1])
-            journal[2] += encoded
+            if journal[4] is None:
+                journal[2] += encoded
             results[slot] = "%d:%08x" % (size, crc)
             appends += 1
         self._writes += writes + appends
@@ -205,12 +229,35 @@ class YcsbStore:
                 pending.clear()
         return self._data
 
+    def _copy_state(self, source: YcsbStore) -> None:
+        """Take a copy of ``source``'s state with buffers of its own: a
+        shared one would carry this store's later appends into
+        ``source``.  Of a journal reading the head's buffer, the copy
+        holds only ``source``'s prefix."""
+        self._data = dict(source._data)
+        self._journals = {
+            key: [size, crc,
+                  pending[:None if offset is None else size - offset],
+                  opener, None]
+            for key, (size, crc, pending, opener, offset)
+            in source._journals.items()}
+
     def restore(self, snapshot: Dict[int, str],
                 record_count: Optional[int] = None) -> None:
-        """Replace state with ``snapshot`` (checkpoint-based recovery)."""
+        """Replace state with ``snapshot`` (checkpoint-based recovery).
+
+        Raises :class:`WorkloadError`, leaving the store as it was, on a
+        bad ``record_count`` or a key outside the resulting active set.
+        """
         if self._log is not None:
             self._log.detach(self)
-        if record_count is not None:
-            self._record_count = record_count
+        count = (self._record_count if record_count is None
+                 else _checked_record_count(record_count))
+        for key in snapshot:
+            if (not isinstance(key, int) or isinstance(key, bool)
+                    or not 0 <= key < count):
+                raise WorkloadError(
+                    f"snapshot key {key!r} outside active set [0, {count})")
+        self._record_count = count
         self._data = dict(snapshot)
         self._journals = {}

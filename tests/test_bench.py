@@ -137,6 +137,11 @@ class TestExperimentConfig:
         ("replicas_per_cluster", 4.5), ("replicas_per_cluster", 7.0),
         ("replicas_per_cluster", "4"), ("num_clusters", 2.0),
         ("num_clusters", True),
+        ("record_count", True), ("record_count", 2.5),
+        ("record_count", "100"), ("record_count", 0),
+        ("cores", 0), ("cores", -5), ("cores", 2.0),
+        ("checkpoint_interval", 2.5), ("checkpoint_interval", 0),
+        ("pipeline_depth", 0), ("pipeline_depth", "32"),
     ])
     def test_count_fields_must_be_ints(self, field, value):
         sizes = dict(num_clusters=2, replicas_per_cluster=4)

@@ -70,6 +70,37 @@ class TestYcsbStore:
         with pytest.raises(WorkloadError):
             YcsbStore(0)
 
+    @pytest.mark.parametrize("count", [2.5, True, "100"])
+    def test_record_count_must_be_a_positive_int(self, count):
+        with pytest.raises(WorkloadError):
+            YcsbStore(count)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True])
+    def test_restore_rejects_invalid_record_count(self, count):
+        store = YcsbStore(10)
+        store.modify(1, "a")
+        with pytest.raises(WorkloadError):
+            store.restore({}, record_count=count)
+        assert store.record_count == 10
+        assert store.snapshot() == {1: "init-1|a"}
+
+    @pytest.mark.parametrize("snapshot, count", [
+        ({50: "x"}, 10), ({10: "x"}, None), ({-1: "x"}, None),
+        ({3: "x", 7: "y"}, 5), ({"3": "x"}, None),
+    ])
+    def test_restore_rejects_keys_outside_the_active_set(self, snapshot,
+                                                          count):
+        store = YcsbStore(10)
+        store.modify(1, "a")
+        digest = store.state_digest()
+        with pytest.raises(WorkloadError):
+            store.restore(snapshot, record_count=count)
+        assert store.record_count == 10
+        assert store.snapshot() == {1: "init-1|a"}
+        assert store.state_digest() == digest
+        store.restore({9: "z"}, record_count=10)
+        assert store.snapshot() == {9: "z"}
+
     def test_counters(self):
         store = YcsbStore(10)
         store.read(1)
@@ -243,6 +274,68 @@ class TestExecutionEngine:
                     == list(ref.store.snapshot().items()))
         assert a.store.read(1) == "init-1|x|z|%smine" % (
             "é|" if a in ahead else "")
+
+    def test_base_reads_the_heads_buffer_of_an_unbroken_journal(self):
+        """Once every cursor has passed the step that opened a journal,
+        the log's base and head hold one buffer for it, and the base
+        appends nothing to it."""
+        m1 = _txns(("modify", 1, "x"), ("modify", 2, "y"))
+        m2 = _txns(("modify", 1, "z"), ("update", 2, "o"))
+        log = ExecutionLog(_N)
+        a, b = (ExecutionEngine(YcsbStore(_N)) for _ in range(2))
+        for engine in (a, b):
+            log.attach(engine.store)
+        for engine in (a, b):
+            engine.execute_batch(m1)
+        a.execute_batch(m2)
+        base, head = log._base._journals, log._head._journals
+        assert base[1][2] is head[1][2]
+        assert head[1][2] == b"|x|z"
+        b.execute_batch(m2)
+        assert base[1][2] is head[1][2]
+        assert 2 not in base and 2 not in head
+        assert all(engine.store._log is log for engine in (a, b))
+        for store in (log._base, log._head):
+            with pytest.raises(WorkloadError):
+                store.snapshot()
+
+    def test_lagging_cursor_detaches_from_the_base(self):
+        """``b`` lags while ``a`` runs ahead: key 1's journal is
+        overwritten and reopened at the head before the base folds the
+        step that opened it (the base must keep its own buffer), and key
+        2's journal grows at the head past the base (the base reads only
+        its prefix of the head's buffer).  ``b`` then leaves from the
+        base and must hold exactly a private store's state."""
+        m1 = _txns(("modify", 1, "x"), ("modify", 2, "p"))
+        m2 = _txns(("update", 1, "o"), ("modify", 1, "y"),
+                   ("modify", 2, "q"))
+        m3 = _txns(("modify", 1, "w"), ("modify", 2, "r"))
+        log = ExecutionLog(_N)
+        a, b = (ExecutionEngine(YcsbStore(_N)) for _ in range(2))
+        for engine in (a, b):
+            log.attach(engine.store)
+        for batch in (m1, m2, m3):
+            a.execute_batch(batch)
+        ref_b = ExecutionEngine(YcsbStore(_N))
+        assert b.execute_batch(m1) == ref_b.execute_batch(m1)
+        base, head = log._base._journals, log._head._journals
+        assert base[1][2] is not head[1][2]
+        assert base[2][2] is head[2][2]
+        assert b.store.read(1) == ref_b.store.read(1) == "init-1|x"
+        assert b.store._log is None
+        assert (list(b.store.snapshot().items())
+                == list(ref_b.store.snapshot().items()))
+        assert b.store.state_digest() == ref_b.store.state_digest()
+        for batch in (m2, m3):
+            assert b.execute_batch(batch) == ref_b.execute_batch(batch)
+        assert (list(b.store.snapshot().items())
+                == list(ref_b.store.snapshot().items())
+                == [(1, "o|y|w"), (2, "init-2|p|q|r")])
+        assert b.store.state_digest() == ref_b.store.state_digest()
+        ref_a = ExecutionEngine(YcsbStore(_N))
+        for batch in (m1, m2, m3):
+            ref_a.execute_batch(batch)
+        assert a.store.state_digest() == ref_a.store.state_digest()
 
     def test_restore_over_pending_journal_suffixes(self):
         store = YcsbStore(10)
@@ -425,6 +518,8 @@ _POOL = (
     _txns(("modify", 2, "s"), ("read", 2, "")),          # reads state
     _txns(("modify", 0, "t"), ("update", _N, "u")),      # key out of range
     _txns(("modify", 5, "v"), ("update", 5, "o")),      # highest key in range
+    _txns(("modify", 3, "m"), ("update", 3, "n"),        # journal reopened
+          ("modify", 3, "k")),
 )
 
 
