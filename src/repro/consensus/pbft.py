@@ -25,8 +25,9 @@ matches Castro & Liskov's protocol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..crypto.digests import chain_digest
 from ..errors import ConfigurationError
@@ -56,6 +57,35 @@ from .replica import BaseReplica
 DecideCallback = Callable[[SeqNum, ClientRequestBatch, CommitCertificate], None]
 
 
+def check_config_fields(config, counts: Iterable[str] = (),
+                        timeouts: Iterable[str] = (),
+                        windows: Iterable[str] = ()) -> None:
+    """Raise :class:`ConfigurationError` unless each named field of
+    ``config`` holds a valid value: a count is an ``int`` (not a
+    ``bool``) >= 1, a timeout a finite number > 0, and a window a
+    finite number >= 0."""
+    for name in counts:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ConfigurationError(
+                f"{name} must be an int >= 1, got {value!r}")
+    for name in timeouts:
+        value = getattr(config, name)
+        if not (_is_finite(value) and value > 0):
+            raise ConfigurationError(
+                f"{name} must be a finite number > 0, got {value!r}")
+    for name in windows:
+        value = getattr(config, name)
+        if not (_is_finite(value) and value >= 0):
+            raise ConfigurationError(
+                f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class PbftConfig:
     """Tuning knobs of one PBFT instance."""
@@ -70,23 +100,28 @@ class PbftConfig:
     view_change_timeout: float = 2.0
     #: How long to wait for a NEW-VIEW before escalating further.
     new_view_timeout: float = 2.0
-    #: Decided (request, certificate) pairs retained behind the stable
+    #: Decided commit certificates retained behind the stable
     #: checkpoint so laggards can catch up via certified decision
     #: transfer.  A replica that falls further behind than this window
     #: would need full state transfer (out of scope, as for the paper).
     decision_retention: int = 64
 
     def __post_init__(self) -> None:
-        if self.pipeline_depth < 1:
-            raise ConfigurationError("pipeline_depth must be >= 1")
-        if self.checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint_interval must be >= 1")
-        if self.decision_retention < 1:
-            raise ConfigurationError("decision_retention must be >= 1")
+        check_config_fields(
+            self,
+            counts=("pipeline_depth", "checkpoint_interval",
+                    "decision_retention"),
+            timeouts=("view_change_timeout", "new_view_timeout"))
 
 
 class _Slot:
     """Per-sequence-number consensus state.
+
+    ``prepares`` maps each digest to a bitmask of the members that
+    prepared it (bit ``i`` is member ``i`` of the engine's index
+    order): a prepare is one bit, not a set entry.  ``commits`` keeps
+    the signed messages by replica, since a certificate carries them in
+    sorted replica order.
 
     ``prepared_count`` / ``commit_count`` incrementally track the number
     of distinct voters for the slot's accepted digest, so the quorum
@@ -105,8 +140,8 @@ class _Slot:
     def __init__(self) -> None:
         self.preprepare: Optional[PrePrepare] = None
         self.digest: Optional[bytes] = None
-        # digest -> set of replicas that prepared it
-        self.prepares: Dict[bytes, Set[NodeId]] = {}
+        # digest -> bitmask of the members that prepared it
+        self.prepares: Dict[bytes, int] = {}
         # digest -> {replica: Commit}
         self.commits: Dict[bytes, Dict[NodeId, Commit]] = {}
         self.sent_prepare = False
@@ -119,10 +154,11 @@ class _Slot:
         """Fix the slot's digest and sync the vote counters with any
         votes that arrived before the pre-prepare."""
         self.digest = digest
-        voters = self.prepares.get(digest)
-        self.prepared_count = len(voters) if voters is not None else 0
-        commits = self.commits.get(digest)
-        self.commit_count = len(commits) if commits is not None else 0
+        # int.bit_count needs Python 3.10; bin().count is its 3.9 form.
+        self.prepared_count = (bin(self.prepares[digest]).count("1")
+                               if digest in self.prepares else 0)
+        self.commit_count = (len(self.commits[digest])
+                             if digest in self.commits else 0)
 
 
 class PbftEngine:
@@ -150,10 +186,13 @@ class PbftEngine:
         self._owner = owner
         self._cluster_id = cluster_id
         self._members = list(members)
-        # Hot-path membership tests go through a frozenset: node-id
-        # hashes are memoized, so a set probe is one identity hit
-        # instead of an O(n) list scan with field-wise comparisons.
-        self._member_set = frozenset(members)
+        # Each member's prepare-vote bit (bit i for member i).  Hot-path
+        # membership tests probe this dict too: node-id hashes are
+        # memoized, so a probe is one identity hit instead of an O(n)
+        # list scan with field-wise comparisons.
+        self._member_bits: Dict[NodeId, int] = {
+            node: 1 << i for i, node in enumerate(self._members)}
+        self._own_bit = self._member_bits[owner.node_id]
         self._n = len(members)
         self._q = Quorums(self._n)
         self._config = config
@@ -175,8 +214,9 @@ class PbftEngine:
 
         self._view: ViewId = 0
         self._slots: Dict[SeqNum, _Slot] = {}
-        self._decided: Dict[SeqNum, Tuple[ClientRequestBatch,
-                                          CommitCertificate]] = {}
+        # seq -> its commit certificate; the decided request is
+        # ``certificate.request``.
+        self._decided: Dict[SeqNum, CommitCertificate] = {}
         self._delivered_upto: SeqNum = 0  # decisions handed to on_decide
         self._next_seq: SeqNum = 1  # primary's next assignment
         self._queue: List[ClientRequestBatch] = []
@@ -266,7 +306,8 @@ class PbftEngine:
         return self._in_flight()
 
     def decision(self, seq: SeqNum):
-        """The (request, certificate) decided at ``seq``, or ``None``."""
+        """The commit certificate decided at ``seq``, or ``None``; the
+        decided request is its ``request``."""
         return self._decided.get(seq)
 
     # ------------------------------------------------------------------
@@ -363,11 +404,9 @@ class PbftEngine:
         slot.preprepare = preprepare
         slot.set_digest(digest)
         # The primary's pre-prepare counts as its prepare.
-        voters = slot.prepares.get(digest)
-        if voters is None:
-            voters = slot.prepares[digest] = set()
-        if self._owner.node_id not in voters:
-            voters.add(self._owner.node_id)
+        mask = slot.prepares.get(digest, 0)
+        if not mask & self._own_bit:
+            slot.prepares[digest] = mask | self._own_bit
             slot.prepared_count += 1
         self._owner.broadcast(self._members, preprepare)
         self._arm_progress_timer()
@@ -421,8 +460,7 @@ class PbftEngine:
             # change).  Help laggards catch up by re-announcing our
             # commitment in the current view instead of re-running the
             # slot.
-            decided_request, _cert = self._decided[msg.seq]
-            if decided_request.digest() == msg.digest:
+            if self._decided[msg.seq].request.digest() == msg.digest:
                 commit = Commit(self._cluster_id, self._view, msg.seq,
                                 msg.digest, self._owner.node_id, None)
                 signed = Commit(commit.cluster_id, commit.view, commit.seq,
@@ -459,17 +497,17 @@ class PbftEngine:
             # slot.digest == msg.digest here (set above, or the
             # equivocation guard returned earlier), so counter bumps
             # apply to the accepted digest.
-            voters = slot.prepares.get(msg.digest)
-            if voters is None:
-                voters = slot.prepares[msg.digest] = set()
-            me = self._owner.node_id
-            if me not in voters:
-                voters.add(me)
+            mask = slot.prepares.get(msg.digest, 0)
+            own_bit = self._own_bit
+            if not mask & own_bit:
+                mask |= own_bit
                 slot.prepared_count += 1
             # Primary's pre-prepare stands in for its prepare.
-            if sender not in voters:
-                voters.add(sender)
+            sender_bit = self._member_bits[sender]
+            if not mask & sender_bit:
+                mask |= sender_bit
                 slot.prepared_count += 1
+            slot.prepares[msg.digest] = mask
             self._owner.broadcast(self._members, prepare)
         self._arm_progress_timer()
         self._maybe_send_commit(msg.seq, slot)
@@ -478,17 +516,17 @@ class PbftEngine:
         if msg.cluster_id != self._cluster_id or msg.view != self._view:
             return
         seq = msg.seq
-        if sender not in self._member_set or seq <= self._stable_seq:
+        bits = self._member_bits
+        if sender not in bits or seq <= self._stable_seq:
             return
         slot = self._slots.get(seq)
         if slot is None:
             slot = self._slots[seq] = _Slot()
         digest = msg.digest
-        voters = slot.prepares.get(digest)
-        if voters is None:
-            voters = slot.prepares[digest] = set()
-        if sender not in voters:
-            voters.add(sender)
+        bit = bits[sender]
+        mask = slot.prepares.get(digest, 0)
+        if not mask & bit:
+            slot.prepares[digest] = mask | bit
             if digest == slot.digest:
                 slot.prepared_count += 1
         # n - 1 prepares reach every replica per slot and one of them
@@ -525,7 +563,7 @@ class PbftEngine:
         if msg.cluster_id != self._cluster_id:
             return
         seq = msg.seq
-        if sender not in self._member_set or seq <= self._stable_seq:
+        if sender not in self._member_bits or seq <= self._stable_seq:
             return
         if msg.replica != sender or msg.signature is None:
             return
@@ -561,7 +599,7 @@ class PbftEngine:
                 commits[r] for r in sorted(commits)[: self._q.intersect]
             ),
         )
-        self._decided[seq] = (slot.preprepare.request, certificate)
+        self._decided[seq] = certificate
         self._deliver_in_order()
 
     def _deliver_in_order(self) -> None:
@@ -570,12 +608,13 @@ class PbftEngine:
         while (self._delivered_upto + 1) in self._decided:
             self._delivered_upto += 1
             seq = self._delivered_upto
-            request, certificate = self._decided[seq]
+            certificate = self._decided[seq]
+            request = certificate.request
             self._awaiting_order.discard(request.batch_id)
             self._pending_requests.pop(request.batch_id, None)
             self._decision_chain = chain_digest(
                 self._decision_chain, seq,
-                certificate.request.digest())
+                request.digest())
             progressed = True
             if instr is not None:
                 instr.phase("committed", self._owner.node_id,
@@ -608,7 +647,8 @@ class PbftEngine:
         self._owner.broadcast(self._members, signed)
 
     def _on_checkpoint(self, msg: Checkpoint, sender: NodeId) -> None:
-        if msg.cluster_id != self._cluster_id or sender not in self._member_set:
+        if (msg.cluster_id != self._cluster_id
+                or sender not in self._member_bits):
             return
         if msg.replica != sender or msg.signature is None:
             return
@@ -661,14 +701,14 @@ class PbftEngine:
                 self._owner.send(peer, request)
 
     def _on_fetch_decision(self, msg: FetchDecision, sender: NodeId) -> None:
-        if msg.cluster_id != self._cluster_id or sender not in self._member_set:
+        if (msg.cluster_id != self._cluster_id
+                or sender not in self._member_bits):
             return
-        decision = self._decided.get(msg.seq)
-        if decision is None:
+        certificate = self._decided.get(msg.seq)
+        if certificate is None:
             return
-        request, certificate = decision
         self._owner.send(sender, DecisionTransfer(
-            self._cluster_id, msg.seq, request, certificate))
+            self._cluster_id, msg.seq, certificate.request, certificate))
 
     def _on_decision_transfer(self, msg: DecisionTransfer,
                               sender: NodeId) -> None:
@@ -690,7 +730,7 @@ class PbftEngine:
         except InvalidCertificateError:
             return
         self._fetching.discard(msg.seq)
-        self._decided[msg.seq] = (certificate.request, certificate)
+        self._decided[msg.seq] = certificate
         self._seen_batch_ids.add(certificate.request.batch_id)
         self._deliver_in_order()
 
@@ -767,8 +807,7 @@ class PbftEngine:
             slot = self._slots[seq]
             if slot.preprepare is None or slot.digest is None:
                 continue
-            prepared_by = slot.prepares.get(slot.digest, set())
-            if len(prepared_by) >= self._q.intersect or slot.decided:
+            if slot.prepared_count >= self._q.intersect or slot.decided:
                 entries.append(PreparedEntry(
                     slot.preprepare.view, seq, slot.digest,
                     slot.preprepare.request,
@@ -791,7 +830,8 @@ class PbftEngine:
             self.start_view_change(self._vc_target + 1)
 
     def _on_view_change_msg(self, msg: ViewChange, sender: NodeId) -> None:
-        if msg.cluster_id != self._cluster_id or sender not in self._member_set:
+        if (msg.cluster_id != self._cluster_id
+                or sender not in self._member_bits):
             return
         if msg.replica != sender or msg.new_view <= self._view:
             return

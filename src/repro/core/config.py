@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..consensus.pbft import PbftConfig
+from ..consensus.pbft import PbftConfig, check_config_fields
 from ..errors import ConfigurationError
 
 #: Sharing strategies for the ablation study (DESIGN.md §5).
@@ -37,7 +37,7 @@ class GeoBftConfig:
     #: Suppress "recent local view change" remote requests within this
     #: window (Figure 7 line 16, condition 3).
     recent_view_change_window: float = 5.0
-    #: How many of its own decided rounds a replica retains (request +
+    #: How many of its own decided rounds a replica retains (each as its
     #: commit certificate) for retransmission after a remote view
     #: change.  Must comfortably exceed the rounds a cluster can decide
     #: within the remote-view-change detection time.
@@ -54,7 +54,9 @@ class GeoBftConfig:
                 f"unknown sharing strategy {self.sharing_strategy!r}; "
                 f"expected one of {_VALID_SHARING}"
             )
-        if self.remote_timeout <= 0:
-            raise ConfigurationError("remote_timeout must be positive")
-        if self.round_pipeline is not None and self.round_pipeline < 1:
-            raise ConfigurationError("round_pipeline must be >= 1")
+        check_config_fields(
+            self, counts=("certificate_retention_rounds",),
+            timeouts=("remote_timeout",),
+            windows=("recent_view_change_window",))
+        if self.round_pipeline is not None:
+            check_config_fields(self, counts=("round_pipeline",))

@@ -23,7 +23,7 @@ overlaps sharing of ``rho + 1`` and execution of ``rho``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..consensus.messages import (
     CertShare,
@@ -123,18 +123,21 @@ class GeoBftReplica(BaseReplica):
             CertShare: (self.costs.threshold_verify, self._on_cert_share),
         })
 
-        # (cluster, round) -> the GlobalShare message, retained briefly
-        # after execution for DRVC replies (Figure 7 lines 5-7).
-        self._shares: Dict[Tuple[ClusterId, RoundId], GlobalShare] = {}
+        # cluster -> round -> the GlobalShare message, retained briefly
+        # after execution for DRVC replies (Figure 7 lines 5-7).  One
+        # map per cluster, built up front.
+        self._shares: Dict[ClusterId, Dict[RoundId, GlobalShare]] = {
+            cid: {} for cid in self._clusters}
         # Rounds at or below this mark have been share-GCed; pruning
         # advances it incrementally instead of rescanning every key.
         self._shares_gc_upto: RoundId = 0
         self._max_known_round: RoundId = 0
-        # Our own cluster's decided rounds, kept beyond the PBFT
-        # engine's checkpoint GC so a post-view-change primary can
-        # retransmit everything a lagging cluster proved it misses.
-        self._own_decisions: Dict[RoundId, Tuple[ClientRequestBatch,
-                                                 CommitCertificate]] = {}
+        # Our own cluster's decided rounds, each as its commit
+        # certificate (the request is ``certificate.request``), kept
+        # beyond the PBFT engine's checkpoint GC so a post-view-change
+        # primary can retransmit everything a lagging cluster proved it
+        # misses.
+        self._own_decisions: Dict[RoundId, CommitCertificate] = {}
 
         # Threshold-certificate mode (§2.2, optional): constant-size
         # certificates combined by the primary from member shares.
@@ -198,8 +201,10 @@ class GeoBftReplica(BaseReplica):
         index before re-verifying a certificate.
         """
         cluster = share.cluster_id
-        if ((cluster, share.round_id) in self._shares
-                or self._ordering.has_share(share.round_id, cluster)):
+        round_id = share.round_id
+        shares = self._shares
+        if ((cluster in shares and round_id in shares[cluster])
+                or self._ordering.has_share(round_id, cluster)):
             return 0.0
         if isinstance(share.certificate, ThresholdCommitCertificate):
             return self._costs.threshold_verify
@@ -231,13 +236,12 @@ class GeoBftReplica(BaseReplica):
     def _on_local_decide(self, seq: SeqNum, request: ClientRequestBatch,
                          certificate: CommitCertificate) -> None:
         self._note_round_known(seq)
-        self._own_decisions[seq] = (request, certificate)
+        self._own_decisions[seq] = certificate
         retention = self._config.certificate_retention_rounds
         stale = seq - retention
         if stale in self._own_decisions:
             del self._own_decisions[stale]
-        self._ordering.add_share(seq, self._own_cluster, request,
-                                 certificate)
+        self._ordering.add_share(seq, self._own_cluster, certificate)
         if self._config.threshold_certificates:
             self._contribute_cert_share(seq, request)
         elif self._engine.is_primary:
@@ -280,10 +284,10 @@ class GeoBftReplica(BaseReplica):
         scheme = self._schemes[self._own_cluster]
         if len(shares) < scheme.k:
             return
-        decision = self._own_decisions.get(msg.round_id)
-        if decision is None or decision[0].digest() != msg.digest:
+        classic_cert = self._own_decisions.get(msg.round_id)
+        if (classic_cert is None
+                or classic_cert.request.digest() != msg.digest):
             return
-        request, classic_cert = decision
         statement = certificate_statement(self._own_cluster, msg.round_id,
                                           msg.digest)
         self.charge_cpu(self.costs.threshold_combine)
@@ -297,8 +301,8 @@ class GeoBftReplica(BaseReplica):
         self._combined.add(msg.round_id)
         self._cert_shares.pop(msg.round_id, None)
         compact = ThresholdCommitCertificate(
-            self._own_cluster, msg.round_id, classic_cert.view, request,
-            signature,
+            self._own_cluster, msg.round_id, classic_cert.view,
+            classic_cert.request, signature,
         )
         self._share_globally(msg.round_id, compact)
 
@@ -340,9 +344,8 @@ class GeoBftReplica(BaseReplica):
         if cluster == self._own_cluster or cluster not in self._clusters:
             return
         round_id = share.round_id
-        key = (cluster, round_id)
-        if key in self._shares or self._ordering.has_share(round_id,
-                                                           cluster):
+        shares = self._shares[cluster]
+        if round_id in shares or self._ordering.has_share(round_id, cluster):
             return
         certificate = share.certificate
         if (certificate.cluster_id != cluster
@@ -361,7 +364,7 @@ class GeoBftReplica(BaseReplica):
                 certificate.verify(self.registry, self._quorums[cluster])
             except InvalidCertificateError:
                 return
-        self._shares[key] = share
+        shares[round_id] = share
         instr = self._instrumentation
         if instr is not None:
             # detail carries the receiving cluster, giving the hub the
@@ -375,14 +378,16 @@ class GeoBftReplica(BaseReplica):
             local_copy = GlobalShare(round_id, cluster, certificate,
                                      forwarded=True)
             self.broadcast(self._members, local_copy)
-        self._ordering.add_share(round_id, cluster, certificate.request,
-                                 certificate)
+        self._ordering.add_share(round_id, cluster, certificate)
         self._arm_round_timers(round_id)
         self._maybe_propose_noops()
 
     def _lookup_share(self, cluster: ClusterId,
                       round_id: RoundId) -> Optional[GlobalShare]:
-        return self._shares.get((cluster, round_id))
+        shares = self._shares
+        if cluster in shares and round_id in shares[cluster]:
+            return shares[cluster][round_id]
+        return None
 
     def _arm_round_timers(self, round_id: RoundId) -> None:
         if round_id < self._ordering.next_round:
@@ -418,7 +423,8 @@ class GeoBftReplica(BaseReplica):
         if instr is not None:
             instr.phase("ordered", self.node_id, self._own_cluster,
                         round_id)
-        for cluster, request, certificate in ordered:
+        for cluster, certificate in ordered:
+            request = certificate.request
             results, done_at = self.execute_batch(request.batch)
             self.ledger.append(round_id, cluster, request.batch, certificate,
                                batch_digest=request.digest())
@@ -456,12 +462,12 @@ class GeoBftReplica(BaseReplica):
         # never re-enter (``has_share`` reports executed rounds as
         # held), so only the window since the last prune needs visiting
         # — no full-dict scan per round.
-        shares = self._shares
+        by_cluster = self._shares
         for round_id in range(self._shares_gc_upto + 1, horizon + 1):
-            for cluster in self._clusters:
-                key = (cluster, round_id)
-                if key in shares:
-                    del shares[key]
+            for cluster in by_cluster:
+                shares = by_cluster[cluster]
+                if round_id in shares:
+                    del shares[round_id]
         self._shares_gc_upto = horizon
 
     # ------------------------------------------------------------------
@@ -476,12 +482,10 @@ class GeoBftReplica(BaseReplica):
         if not self._engine.is_primary or self._engine.in_view_change:
             return
         for round_id in range(from_round, self._engine.next_seq):
-            decision = self._own_decisions.get(round_id)
-            if decision is None:
-                continue
-            _request, certificate = decision
-            self._share_globally(round_id, certificate,
-                                 only_cluster=cluster)
+            certificate = self._own_decisions.get(round_id)
+            if certificate is not None:
+                self._share_globally(round_id, certificate,
+                                     only_cluster=cluster)
         self._rvc.clear_resend(cluster)
 
     def _on_new_view_installed(self, view) -> None:
@@ -492,10 +496,8 @@ class GeoBftReplica(BaseReplica):
         # cluster proved it was missing (end of §2.3).
         for cluster, from_round in self._rvc.pending_resend.items():
             for round_id in range(from_round, self._engine.next_seq):
-                decision = self._own_decisions.get(round_id)
-                if decision is None:
-                    continue
-                _request, certificate = decision
-                self._share_globally(round_id, certificate,
-                                     only_cluster=cluster)
+                certificate = self._own_decisions.get(round_id)
+                if certificate is not None:
+                    self._share_globally(round_id, certificate,
+                                         only_cluster=cluster)
             self._rvc.clear_resend(cluster)

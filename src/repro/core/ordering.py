@@ -16,20 +16,22 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..consensus.messages import ClientRequestBatch, CommitCertificate
+from ..consensus.messages import CommitCertificate
 from ..errors import ProtocolError
 from ..types import ClusterId, RoundId
 
-#: Execution callback: (round, [(cluster, request, certificate), ...])
-#: with the list sorted by cluster id.
+#: Execution callback: (round, [(cluster, certificate), ...]) with the
+#: list sorted by cluster id.
 ExecuteCallback = Callable[
-    [RoundId, List[Tuple[ClusterId, ClientRequestBatch, CommitCertificate]]],
-    None,
-]
+    [RoundId, List[Tuple[ClusterId, CommitCertificate]]], None]
 
 
 class OrderingBuffer:
-    """Collects per-cluster shares and releases rounds in order."""
+    """Collects per-cluster shares and releases rounds in order.
+
+    A pending round maps cluster id to that cluster's commit
+    certificate; the certified request is ``certificate.request``.
+    """
 
     def __init__(self, cluster_ids: Iterable[ClusterId],
                  execute: ExecuteCallback):
@@ -38,8 +40,7 @@ class OrderingBuffer:
             raise ProtocolError("ordering buffer needs at least one cluster")
         self._execute = execute
         self._next_round: RoundId = 1
-        self._pending: Dict[RoundId, Dict[
-            ClusterId, Tuple[ClientRequestBatch, CommitCertificate]]] = {}
+        self._pending: Dict[RoundId, Dict[ClusterId, CommitCertificate]] = {}
 
     @property
     def next_round(self) -> RoundId:
@@ -63,8 +64,8 @@ class OrderingBuffer:
         return cluster_id in self._pending.get(round_id, {})
 
     def get_share(self, round_id: RoundId, cluster_id: ClusterId
-                  ) -> Optional[Tuple[ClientRequestBatch, CommitCertificate]]:
-        """The pending share for (round, cluster), if buffered."""
+                  ) -> Optional[CommitCertificate]:
+        """The pending certificate for (round, cluster), if buffered."""
         return self._pending.get(round_id, {}).get(cluster_id)
 
     def missing_clusters(self, round_id: RoundId) -> Tuple[ClusterId, ...]:
@@ -75,9 +76,8 @@ class OrderingBuffer:
         return tuple(c for c in self._cluster_ids if c not in have)
 
     def add_share(self, round_id: RoundId, cluster_id: ClusterId,
-                  request: ClientRequestBatch,
                   certificate: CommitCertificate) -> bool:
-        """Buffer one cluster's certified request for a round.
+        """Buffer one cluster's certificate for a round.
 
         Returns ``True`` if this share was new.  Duplicate shares are
         ignored (agreement: only one certificate can exist per cluster
@@ -90,7 +90,7 @@ class OrderingBuffer:
         shares = self._pending.setdefault(round_id, {})
         if cluster_id in shares:
             return False
-        shares[cluster_id] = (request, certificate)
+        shares[cluster_id] = certificate
         self._release_ready_rounds()
         return True
 
@@ -100,10 +100,7 @@ class OrderingBuffer:
             if shares is None or len(shares) < len(self._cluster_ids):
                 return
             round_id = self._next_round
-            ordered = [
-                (cid, shares[cid][0], shares[cid][1])
-                for cid in self._cluster_ids
-            ]
+            ordered = [(cid, shares[cid]) for cid in self._cluster_ids]
             del self._pending[round_id]
             self._next_round += 1
             self._execute(round_id, ordered)

@@ -67,10 +67,16 @@ class RemoteViewChangeManager:
         # re-shares immediately; if a view change is triggered instead,
         # the incoming primary re-shares on installation.
         self._on_resend_requested = on_resend_requested
+        # Bound once: every timer this manager arms stores this one
+        # method object instead of binding a fresh one per arm.
+        self._timeout_callback = self._on_timeout
 
         # --- initiation role (watching remote clusters) ---
         self._vc_counts: Dict[ClusterId, int] = {}
-        self._timers: Dict[Tuple[ClusterId, RoundId], Timer] = {}
+        # cluster -> round -> the timer awaiting that round's share; one
+        # map per known cluster, built up front.
+        self._timers: Dict[ClusterId, Dict[RoundId, Timer]] = {
+            cluster: {} for cluster in quorums}
         self._broadcast_drvc: Set[Tuple[ClusterId, RoundId, int]] = set()
         self._drvc_votes: Dict[Tuple[ClusterId, RoundId, int],
                                Set[NodeId]] = {}
@@ -114,25 +120,28 @@ class RemoteViewChangeManager:
         Timeouts back off exponentially with the number of remote view
         changes already requested against that cluster (§2.3).
         """
-        key = (cluster, round_id)
-        if key in self._timers:
+        timers = self._timers[cluster]
+        if round_id in timers:
             return
         if self._get_share(cluster, round_id) is not None:
             return
         timeout = self._remote_timeout * (2 ** self.vc_count(cluster))
-        self._timers[key] = self._owner.set_timer(
-            timeout, self._on_timeout, cluster, round_id
+        timers[round_id] = self._owner.set_timer(
+            timeout, self._timeout_callback, cluster, round_id
         )
 
     def on_share_received(self, cluster: ClusterId,
                           round_id: RoundId) -> None:
         """The awaited share arrived: stop suspecting this round."""
-        timer = self._timers.pop((cluster, round_id), None)
-        if timer is not None:
-            timer.cancel()
+        timers = self._timers[cluster]
+        if round_id in timers:
+            timers[round_id].cancel()
+            del timers[round_id]
 
     def _on_timeout(self, cluster: ClusterId, round_id: RoundId) -> None:
-        self._timers.pop((cluster, round_id), None)
+        timers = self._timers[cluster]
+        if round_id in timers:
+            del timers[round_id]
         if self._get_share(cluster, round_id) is not None:
             return
         self._detect_failure(cluster, round_id, self.vc_count(cluster))
@@ -161,6 +170,8 @@ class RemoteViewChangeManager:
         """Figure 7, lines 5–13 (receipt of a DRVC from a peer)."""
         if sender.cluster != self._own_cluster or msg.replica != sender:
             return
+        if msg.target_cluster not in self._quorums:
+            return  # DRVCs must name a (known) cluster
         share = self._get_share(msg.target_cluster, msg.round_id)
         if share is not None:
             # Lines 5–7: we have the message C1 sent; help the detector.

@@ -103,7 +103,8 @@ class TestImpersonation:
         sender = deployment.replicas[replica_id(1, 1)]
         receiver = deployment.replicas[replica_id(2, 1)]
         round_id = max(sender._own_decisions)
-        request, certificate = sender._own_decisions[round_id]
+        certificate = sender._own_decisions[round_id]
+        request = certificate.request
         evil = ClientRequestBatch(
             "evil", request.client,
             (Transaction("evil", "update", 0, "corrupted"),),

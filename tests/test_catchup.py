@@ -100,9 +100,9 @@ class TestDecisionCatchUp:
         h.submit(h.make_request())
         h.run(until=1.0)
         replica = h.replicas[1]
-        request, certificate = replica.engine.decision(1)
-        transfer = DecisionTransfer(replica.engine.cluster_id, 1, request,
-                                    certificate)
+        certificate = replica.engine.decision(1)
+        transfer = DecisionTransfer(replica.engine.cluster_id, 1,
+                                    certificate.request, certificate)
         before = replica.ledger.height
         replica.engine._on_decision_transfer(transfer,
                                              h.replicas[2].node_id)

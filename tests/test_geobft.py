@@ -221,9 +221,8 @@ class TestShareValidation:
         receiver = deployment.replicas[replica_id(2, 1)]
         sender = deployment.replicas[replica_id(1, 1)]
         # Take a real decided certificate from cluster 1 and tamper it.
-        decision = sender.engine.decision(sender.engine.decided_count)
-        assert decision is not None
-        _request, certificate = decision
+        certificate = sender.engine.decision(sender.engine.decided_count)
+        assert certificate is not None
         from repro.consensus.messages import (
             ClientRequestBatch, CommitCertificate,
         )

@@ -78,6 +78,32 @@ class TestRoundPipeline:
         assert tput(8) > tput(1) * 1.5
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("certificate_retention_rounds", 0),
+        ("certificate_retention_rounds", -3),
+        ("certificate_retention_rounds", 2.5),
+        ("certificate_retention_rounds", True),
+        ("round_pipeline", 1.5),
+        ("round_pipeline", True),
+        ("remote_timeout", float("nan")),
+        ("remote_timeout", float("inf")),
+        ("remote_timeout", "3"),
+        ("recent_view_change_window", -1.0),
+        ("recent_view_change_window", float("nan")),
+        ("recent_view_change_window", float("inf")),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            GeoBftConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        config = GeoBftConfig(certificate_retention_rounds=1,
+                              round_pipeline=None, remote_timeout=1,
+                              recent_view_change_window=0)
+        assert config.recent_view_change_window == 0
+
+
 class TestShareGarbageCollection:
     def test_old_shares_are_dropped(self):
         deployment = Deployment(cfg(duration=4.0, batch_size=2,
@@ -88,9 +114,30 @@ class TestShareGarbageCollection:
         if executed <= SHARE_RETENTION_ROUNDS:
             pytest.skip("run too short to trigger GC")
         oldest_kept = min(
-            (round_id for _c, round_id in replica._shares), default=None)
+            (round_id for shares in replica._shares.values()
+             for round_id in shares), default=None)
         assert oldest_kept is not None
         assert oldest_kept > executed - SHARE_RETENTION_ROUNDS - 1
+
+    def test_round_maps_hold_only_live_rounds(self):
+        """Per remote cluster, a round leaves the timer map when its
+        share arrives and the share map once GC passes it."""
+        deployment = Deployment(cfg(duration=4.0, batch_size=2,
+                                    client_outstanding=4))
+        deployment.run()
+        gc_ran = False
+        for replica in deployment.replicas.values():
+            horizon = replica._shares_gc_upto
+            gc_ran = gc_ran or horizon > 0
+            timers = replica.remote_view_changes._timers
+            assert set(timers) == set(replica._shares)
+            for cluster, shares in replica._shares.items():
+                assert all(round_id > horizon for round_id in shares)
+                assert not any(
+                    round_id in shares
+                    or replica.ordering.has_share(round_id, cluster)
+                    for round_id in timers[cluster])
+        assert gc_ran
 
     def test_own_decision_retention_bounded(self):
         config = cfg(duration=4.0, batch_size=2, client_outstanding=4)

@@ -131,10 +131,10 @@ class TestThresholdCertificates:
         deployment.run()
         receiver = deployment.replicas[replica_id(2, 2)]
         sender = deployment.replicas[replica_id(1, 1)]
-        decision = sender._own_decisions.get(
+        certificate = sender._own_decisions.get(
             max(sender._own_decisions or [0]))
-        assert decision is not None
-        request, _cert = decision
+        assert certificate is not None
+        request = certificate.request
         from repro.crypto.threshold import ThresholdSignature
         forged = ThresholdCommitCertificate(
             1, 999, 0, request, ThresholdSignature("cluster-1", b"\x00" * 32),

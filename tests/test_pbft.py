@@ -328,3 +328,18 @@ class TestValidation:
             PbftConfig(pipeline_depth=0)
         with pytest.raises(ConfigurationError):
             PbftConfig(checkpoint_interval=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("checkpoint_interval", 2.5),
+        ("checkpoint_interval", True),
+        ("pipeline_depth", 8.0),
+        ("decision_retention", 1.5),
+        ("decision_retention", -1),
+        ("view_change_timeout", 0),
+        ("view_change_timeout", float("nan")),
+        ("new_view_timeout", -2.0),
+        ("new_view_timeout", float("inf")),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PbftConfig(**{field: value})

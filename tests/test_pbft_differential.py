@@ -16,6 +16,10 @@ Both keep the textbook rule, "committed-local requires prepared"
 (Castro–Liskov; DESIGN.md §6): a pre-prepare that arrives after 2f + 1
 commits decides nothing until the replica prepares or another commit
 comes in.
+
+:class:`TestPrepareVoteBitmask` drives the engine's pre-prepare and
+prepare handlers directly and checks its per-digest member bitmasks the
+same way, against plain voter sets.
 """
 
 from dataclasses import dataclass, field
@@ -182,7 +186,7 @@ class Rig:
 
     def decided(self) -> Set[Tuple[int, bytes]]:
         engine = self.replica.engine
-        return {(seq, engine.decision(seq)[0].digest()) for seq in SEQS
+        return {(seq, engine.decision(seq).request.digest()) for seq in SEQS
                 if engine.decision(seq) is not None}
 
 
@@ -272,3 +276,92 @@ class TestPbftAgainstReference:
         assert reference.decided == {(1, rig.requests[1, 0].digest())}
         assert rig.decided() == reference.decided
         assert rig.replica.ledger.height == 1
+
+
+# ---------------------------------------------------------------------------
+# Prepare votes: the engine's member bitmasks against plain voter sets.
+# ---------------------------------------------------------------------------
+class VoteModel:
+    """Per slot, the set of members that prepared each digest, with the
+    digest fixed by the first valid pre-prepare."""
+
+    def __init__(self, me, quorum):
+        self.me = me
+        self.quorum = quorum
+        self.digest: Dict[int, bytes] = {}
+        self.votes: Dict[int, Dict[bytes, Set]] = {seq: {} for seq in SEQS}
+        self.committed: Set[Tuple[int, bytes]] = set()
+
+    def on_preprepare(self, seq, digest, sender, valid) -> None:
+        if not valid or sender != PRIMARY:
+            return
+        if seq not in self.digest:
+            self.digest[seq] = digest
+            # Our own prepare, and the primary's pre-prepare standing in
+            # for its prepare.
+            self.votes[seq].setdefault(digest, set()).update(
+                {self.me, sender})
+        self._check(seq)
+
+    def on_prepare(self, seq, digest, sender) -> None:
+        self.votes[seq].setdefault(digest, set()).add(sender)
+        self._check(seq)
+
+    def prepared_count(self, seq) -> int:
+        if seq not in self.digest:
+            return 0
+        return len(self.votes[seq].get(self.digest[seq], ()))
+
+    def prepared(self):
+        return [(seq, self.digest[seq]) for seq in sorted(self.digest)
+                if self.prepared_count(seq) >= self.quorum]
+
+    def _check(self, seq) -> None:
+        if seq in self.digest and self.prepared_count(seq) >= self.quorum:
+            self.committed.add((seq, self.digest[seq]))
+
+
+#: A pre-prepare (from the primary or not, naming its request or the
+#: other variant's) or a prepare from any member, this replica included.
+vote_steps = st.lists(st.one_of(
+    st.tuples(st.just("preprepare"), _seqs, _variants,
+              st.sampled_from((PRIMARY, MEMBERS[2])),
+              st.sampled_from(("ok", "wrong-digest"))),
+    st.tuples(st.just("prepare"), _seqs, _variants,
+              st.sampled_from(MEMBERS), st.just("ok")),
+), max_size=30)
+
+
+class TestPrepareVoteBitmask:
+    @settings(max_examples=200, deadline=None)
+    @given(vote_steps)
+    def test_bitmask_counts_match_voter_sets(self, steps):
+        """Duplicates, votes for other digests and votes ahead of the
+        pre-prepare: after every step the engine's prepared count, its
+        commit decisions and its view-change entries are the set
+        model's."""
+        rig = Rig()
+        engine = rig.replica.engine
+        model = VoteModel(ME, len(MEMBERS) - max_faulty(len(MEMBERS)))
+        for kind, seq, variant, sender, flavour in steps:
+            request = rig.requests[seq, variant]
+            digest = request.digest()
+            if kind == "preprepare":
+                if flavour == "wrong-digest":
+                    request = rig.requests[seq, 1 - variant]
+                engine._on_preprepare(
+                    PrePrepare(GROUP, VIEW, seq, digest, request), sender)
+                model.on_preprepare(seq, digest, sender, flavour == "ok")
+            else:
+                engine._on_prepare(Prepare(GROUP, VIEW, seq, digest, sender),
+                                   sender)
+                model.on_prepare(seq, digest, sender)
+            slots = engine._slots
+            assert {seq: slots[seq].prepared_count if seq in slots else 0
+                    for seq in SEQS} == {
+                        seq: model.prepared_count(seq) for seq in SEQS}
+            assert {(seq, slot.digest) for seq, slot in slots.items()
+                    if slot.sent_commit} == model.committed
+            assert [(entry.seq, entry.digest)
+                    for entry in engine._prepared_entries()] == (
+                        model.prepared())

@@ -2,6 +2,7 @@
 CPU-lane invariants, and workload presets."""
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ class OrderingBufferMachine(RuleBasedStateMachine):
         self.buffer = OrderingBuffer(
             CLUSTERS,
             lambda round_id, ordered: self.released.append(
-                (round_id, tuple(c for c, _r, _cert in ordered))),
+                (round_id, tuple(c for c, _cert in ordered))),
         )
         self.fed = set()
 
@@ -39,8 +40,9 @@ class OrderingBufferMachine(RuleBasedStateMachine):
         already_executed = round_id < self.buffer.next_round
         key = (round_id, cluster)
         duplicate = key in self.fed
-        fresh = self.buffer.add_share(round_id, cluster,
-                                      f"req-{round_id}-{cluster}", "cert")
+        # A stand-in certificate: the buffer reads only ``.request``.
+        certificate = SimpleNamespace(request=f"req-{round_id}-{cluster}")
+        fresh = self.buffer.add_share(round_id, cluster, certificate)
         assert fresh == (not duplicate and not already_executed)
         self.fed.add(key)
 

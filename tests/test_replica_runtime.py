@@ -391,7 +391,7 @@ def build_replica(protocol):
         return PbftReplica(*args, members=OWN, **common)
     if protocol == "geobft":
         replica = GeoBftReplica(*args, cluster_members=clusters, **common)
-        replica.ordering.add_share(7, 2, SIGNED, CERT)
+        replica.ordering.add_share(7, 2, CERT)
         return replica
     if protocol == "steward":
         replica = StewardReplica(*args, cluster_members=clusters,
