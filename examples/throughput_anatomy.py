@@ -2,7 +2,7 @@
 """Anatomy of geo-scale throughput: where do the bytes go?
 
 Runs the same four-region deployment under flat PBFT and under GeoBFT
-and dissects the WAN traffic with the tracing and analysis APIs:
+and dissects the WAN traffic with the traffic-analysis API:
 
 * which region is the busiest cross-region sender (PBFT: the primary's
   region; GeoBFT: load spread over all four),

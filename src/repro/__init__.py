@@ -74,7 +74,6 @@ from .api import (
 )
 from .bench.charts import ascii_chart, bar_chart
 from .bench.metrics import Metrics
-from .bench.tracing import MessageTracer
 from .consensus.hotstuff import HotStuffReplica
 from .consensus.pbft import PbftConfig, PbftEngine, PbftReplica
 from .consensus.steward import StewardReplica
@@ -167,7 +166,6 @@ __all__ = [
     "recover_from_peer",
     "ascii_chart",
     "bar_chart",
-    "MessageTracer",
     "Simulation",
     "PAPER_REGIONS",
     "Topology",

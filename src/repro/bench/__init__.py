@@ -11,7 +11,6 @@ from .charts import ascii_chart, bar_chart
 from .metrics import Metrics
 from .reporting import format_figure_series, format_table, summarize_results
 from .scenarios import SCENARIOS, apply_scenario
-from .tracing import MessageTracer, TraceEvent
 
 __all__ = [
     "PROTOCOLS",
@@ -27,6 +26,4 @@ __all__ = [
     "apply_scenario",
     "ascii_chart",
     "bar_chart",
-    "MessageTracer",
-    "TraceEvent",
 ]

@@ -378,15 +378,3 @@ def digest_of(value: Any) -> bytes:
     out: list[bytes] = []
     _encode(value, out)
     return hashlib.sha256(b"".join(out)).digest()
-
-
-def cached_digest(value: Any) -> bytes:
-    """Digest of ``value``, memoized when the value supports it.
-
-    Alias of :func:`digest_of` with the cache-aware path made explicit;
-    protocol code uses it to document that a digest is expected to be a
-    cache hit on the hot path.
-    """
-    if isinstance(value, CachedEncodable):
-        return value.payload_digest()
-    return digest_of(value)

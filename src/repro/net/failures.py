@@ -173,11 +173,6 @@ class FailureModel:
         return bool(self._severed or self._drop_rules)
 
     @property
-    def has_receive_faults(self) -> bool:
-        """Whether any fault could drop a delivery at the receiver."""
-        return bool(self._crashed or self._receive_rules)
-
-    @property
     def any_send_path_faults(self) -> bool:
         """Whether anything on the *send* path (suppression, tampering,
         partitions, in-flight loss, extra delay) is armed.  Receive-side

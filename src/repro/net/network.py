@@ -399,8 +399,8 @@ class Network:
 
     def _deliver(self, src: NodeId, dst: NodeId, message) -> None:
         failures = self._failures
-        # has_receive_faults, inlined: one delivery per message makes a
-        # property descriptor call here measurable at paper scale.
+        # Only a crashed node or a receive rule can drop a delivery; the
+        # two fields are tested inline, once per delivered message.
         if failures._crashed or failures._receive_rules:
             if failures.drops_at_receiver(src, dst, message):
                 self._receiver_drops += 1

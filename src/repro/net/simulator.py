@@ -21,20 +21,16 @@ number, mixing them cannot reorder events: determinism is a property of
 the (deadline, seq) pair, which is identical whichever path created the
 event.
 
-Three structures together implement the exact (deadline, seq) total
+Two structures together implement the exact (deadline, seq) total
 order:
 
-* a **zero-delay lane** — a plain FIFO for events posted with delay
-  ``0.0``.  Such events always belong to the *current* instant, so they
-  never need heap ordering.  The lane drains before virtual time can
-  advance, interleaved with same-instant heap entries in sequence order.
 * **timer lanes** (:class:`_TimerLane`) — one FIFO per distinct timer
   delay.  A deadline is ``now + delay`` and ``now`` never decreases, so
   each lane is already in (deadline, seq) order.  It keeps its pairs in
   two array columns and its still-armed timers in a ``{seq: Timer}``
   dict.
-* **one binary heap** holding every other :meth:`~Simulation.post`
-  entry plus the head entry of each non-empty timer lane.  When a lane's
+* **one binary heap** holding every :meth:`~Simulation.post` entry
+  plus the head entry of each non-empty timer lane.  When a lane's
   head is consumed, the lane pushes its next head before the timer
   fires, so the heap's minimum is always the global minimum.
 
@@ -50,7 +46,6 @@ from __future__ import annotations
 import gc
 import random
 from array import array
-from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -138,7 +133,7 @@ class Simulation:
         sim.run(until=10.0)
     """
 
-    __slots__ = ("_now", "_seq", "_heap", "_zero", "_lanes",
+    __slots__ = ("_now", "_seq", "_heap", "_lanes",
                  "_events_processed", "_depth", "_max_queue", "rng")
 
     def __init__(self, seed: int = 0):
@@ -149,10 +144,6 @@ class Simulation:
         # unique, so tuple comparison never reaches the non-comparable
         # tail.
         self._heap: list = []
-        # Zero-delay FIFO lane: every entry's deadline equals the current
-        # instant (the lane drains before time advances), so plain FIFO
-        # order *is* (deadline, seq) order within the lane.
-        self._zero: deque = deque()
         self._lanes: dict = {}       # delay -> _TimerLane, non-empty only
         self._events_processed = 0
         # Queue depth is tracked incrementally (push +1 / consume -1)
@@ -177,7 +168,7 @@ class Simulation:
         lanes = self._lanes.values()
         # The heap holds one entry per lane, its head, counted here with
         # the lane's other pairs.
-        return (len(self._zero) + len(self._heap) - len(lanes)
+        return (len(self._heap) - len(lanes)
                 + sum(len(lane.seqs) - lane.head for lane in lanes))
 
     @property
@@ -233,9 +224,7 @@ class Simulation:
         and other fire-and-forget events; use :meth:`schedule` when the
         caller needs a cancellation handle.
         """
-        if delay == 0.0:
-            self._zero.append((self._now, self._seq, fn, args))
-        elif 0.0 < delay < _INF:
+        if 0.0 <= delay < _INF:
             heappush(self._heap, (self._now + delay, self._seq, fn, args))
         else:
             raise SimulationError(
@@ -254,11 +243,19 @@ class Simulation:
         later stay queued and ``now`` is advanced to ``until``); like a
         negative delay, an ``until`` before ``now`` — or NaN — is
         rejected.  ``max_events`` bounds the number of fired events,
-        guarding tests against accidental infinite message loops.
+        guarding tests against accidental infinite message loops; ``0``
+        fires nothing and leaves the clock where it is.
         """
         if until is not None and not until >= self._now:
             raise SimulationError(
                 f"cannot run until {until}: the clock is at {self._now}")
+        if max_events is not None:
+            if (not isinstance(max_events, int)
+                    or isinstance(max_events, bool) or max_events < 0):
+                raise SimulationError(
+                    f"max_events must be a non-negative int: {max_events!r}")
+            if max_events == 0:
+                return
         # The loop allocates heavily (queue entries, messages) but keeps
         # almost nothing cyclic alive; generational GC passes are pure
         # overhead at paper-scale event counts.  Host-side only — the
@@ -276,26 +273,22 @@ class Simulation:
                   max_events: Optional[int]) -> int:
         """Fire events in (deadline, seq) order; return how many fired
         (cancelled timers are consumed but not counted)."""
-        zero = self._zero
         heap = self._heap
         fired = 0
         # One float compare per event instead of a None test plus a
         # compare; +inf never stops the clock.
         until_f = _INF if until is None else until
+        # An explicit emptiness test: ``while heap:`` read 3-16 % slower
+        # on the fanout workload in seven batches of pairs, at identical
+        # calls (EXPERIMENTS.md, "The zero-delay lane, replaced with
+        # nothing").
         while True:
-            # The zero-delay lane's head is at the current instant, so
-            # the heap's head wins only on a tie with a smaller seq — and
-            # is then within ``until`` too.
-            if zero and not (heap and heap[0] < zero[0]):
-                entry = zero.popleft()
-            elif heap:
-                if heap[0][0] > until_f:
-                    self._now = until
-                    return fired
-                entry = heappop(heap)
-            else:
+            if not heap:
                 break
-            deadline, seq, fn, args = entry
+            if heap[0][0] > until_f:
+                self._now = until
+                return fired
+            deadline, seq, fn, args = heappop(heap)
             self._now = deadline
             self._depth -= 1
             self._events_processed += 1

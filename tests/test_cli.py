@@ -161,6 +161,15 @@ class TestObservability:
         assert code == 2
         assert "cannot load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", ['"x"', "NaN"])
+    def test_trace_summary_bad_time_exits_2(self, capsys, tmp_path, t):
+        jsonl = tmp_path / "bad.jsonl"
+        jsonl.write_text('{"t": %s, "phase": "proposed", "node": "r1.1", '
+                         '"cluster": 1, "round": 0}\n' % t)
+        assert main(["trace", "--summary", str(jsonl)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and f"{jsonl}:1" in err
+
 
 class TestTrafficFlag:
     def test_run_with_link_report(self, capsys):

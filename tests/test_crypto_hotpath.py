@@ -25,7 +25,6 @@ from repro.consensus.messages import (
 )
 from repro.crypto.digests import (
     CachedEncodable,
-    cached_digest,
     digest,
     digest_of,
     encode_canonical,
@@ -111,7 +110,7 @@ class TestCachedEncoding:
             tuple(txn.payload() for txn in batch),
         )))
         assert cached == fresh
-        assert cached_digest(request) == fresh
+        assert digest_of(request) == fresh
 
     @given(batches)
     def test_batch_digest_matches_historical_definition(self, batch):

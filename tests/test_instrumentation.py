@@ -268,6 +268,47 @@ def test_load_trace_jsonl_rejects_garbage(tmp_path):
         load_trace_jsonl(str(path))
 
 
+_GOOD_RECORD = {"t": 0.25, "phase": "proposed", "node": "r1.1",
+                "cluster": 1, "round": 7, "detail": None}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t", "x"),
+    ("t", float("nan")),
+    ("t", float("inf")),
+    ("t", 10 ** 400),
+    ("t", True),
+    ("t", None),
+    ("phase", 3),
+    ("cluster", True),
+    ("cluster", 1.0),
+    ("round", "7"),
+    ("round", None),
+    ("detail", [1, 2]),
+])
+def test_load_trace_jsonl_rejects_mistyped_fields(tmp_path, field, value):
+    path = tmp_path / "typed.jsonl"
+    bad = dict(_GOOD_RECORD, **{field: value})
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match="typed.jsonl:2"):
+        load_trace_jsonl(str(path))
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "7", '{"t": 0.1}'])
+def test_load_trace_jsonl_rejects_non_records(tmp_path, line):
+    path = tmp_path / "shape.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match="shape.jsonl:1"):
+        load_trace_jsonl(str(path))
+
+
+def test_load_trace_jsonl_accepts_an_int_time(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text(json.dumps(dict(_GOOD_RECORD, t=1)) + "\n")
+    hub = load_trace_jsonl(str(path))
+    assert [(e.time, e.round_id) for e in hub.events] == [(1, 7)]
+
+
 # ----------------------------------------------------------------------
 # Metrics: percentile fixes and offered load
 # ----------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.tracing import MessageTracer
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.simulator import Simulation
@@ -343,7 +342,7 @@ class TestMulticastFastPath:
         per-destination observer — per kind, per locality and per
         region pair — over unicast, multicast (fast path and faulted
         path), self-sends, suppressed, dropped and tampered sends, and
-        do not change when a MessageTracer is attached."""
+        do not change when two observers are attached."""
 
         class Other(FakeMessage):
             pass
@@ -356,11 +355,12 @@ class TestMulticastFastPath:
 
         def drive(observe):
             sim, net, src, local, b, c = self._fresh(wan)
-            seen = []
+            seen, second = [], []
             if observe:
                 net.add_observer(lambda s, d, m, size, is_local:
                                  seen.append((s, d, m, size, is_local)))
-                MessageTracer.attach(net)
+                net.add_observer(lambda s, d, m, size, is_local:
+                                 second.append((s, d, m, size, is_local)))
             ids = (src.node_id, local.node_id, b.node_id, c.node_id)
             net.send(src.node_id, b.node_id, FakeMessage(100))
             net.send(b.node_id, src.node_id, FakeMessage(300))
@@ -378,9 +378,10 @@ class TestMulticastFastPath:
             sim.run()
             region = {node.node_id: node.region
                       for node in (src, local, b, c)}
-            return net, seen, region, b
+            return net, seen, second, region, b
 
-        net, seen, region, b = drive(observe=True)
+        net, seen, second, region, b = drive(observe=True)
+        assert second == seen
         counts: dict = {}
         pairs: dict = {}
         for s, d, message, size, is_local in seen:

@@ -107,6 +107,29 @@ class TestRunControl:
         sim.run(max_events=100)
         assert sim.events_processed >= 100
 
+    def test_max_events_zero_fires_nothing(self):
+        sim = Simulation()
+        fired = []
+        for delay in (0.1, 0.2, 0.3):
+            sim.post(delay, fired.append, delay)
+        sim.run(max_events=0)
+        sim.run(until=5.0, max_events=0)
+        assert fired == [] and sim.now == 0.0
+        assert sim.events_processed == 0 and sim.pending_events == 3
+        sim.run(max_events=2)
+        assert fired == [0.1, 0.2] and sim.now == 0.2
+
+    @pytest.mark.parametrize("bad", [-1, -5, True, False, 1.0, 2.5, "3"])
+    def test_max_events_must_be_a_non_negative_int(self, bad):
+        sim = Simulation()
+        fired = []
+        for delay in (0.1, 0.2, 0.3):
+            sim.post(delay, fired.append, delay)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=bad)
+        assert fired == [] and sim.now == 0.0
+        assert sim.pending_events == 3
+
     def test_step_fires_one_event(self):
         sim = Simulation()
         fired = []
@@ -332,18 +355,18 @@ class TestGroupedEvents:
 
 class TestLaneCalendarInterleaving:
     def test_calendar_tie_beats_younger_lane_entry(self):
-        """At equal deadlines, a calendar event scheduled *earlier*
-        (smaller seq) fires before a zero-delay event posted later."""
+        """At equal deadlines, an event scheduled *earlier* (smaller
+        seq) fires before a zero-delay event posted later."""
         order = []
         sim = Simulation()
 
         def at_one():
             order.append("first")
-            # Lane entry minted at t=1.0 (large seq)…
+            # Zero-delay entry minted at t=1.0 (large seq)…
             sim.post(0.0, order.append, "lane")
 
         sim.post(1.0, at_one)
-        # …while this calendar entry (seq 1) also lands at t=1.0.
+        # …while this entry (seq 1) also lands at t=1.0.
         sim.post(1.0, order.append, "calendar")
         sim.run()
         assert order == ["first", "calendar", "lane"]
@@ -412,7 +435,7 @@ def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
     assert sorted(map(id, heads)) == sorted(map(id, lanes))
     pairs = sum(len(lane.seqs) - lane.head for lane in lanes)
     assert pairs - len(live) > 100
-    assert sim.pending_events == len(posts) + len(sim._zero) + pairs
+    assert sim.pending_events == len(posts) + pairs
     # Every event ever queued is either processed or still pending.
     assert sim.pending_events == sim._seq - sim.events_processed
 
@@ -521,7 +544,7 @@ class _Driver:
                 [(t.cancelled, t.fired) for t in self.timers])
 
 
-# Zero delay (the zero-delay lane for posts, a 0.0 timer lane), delays
+# Zero delay (a post at the current instant, a 0.0 timer lane), delays
 # under, at and over a millisecond whose deadlines interleave as the
 # clock advances, far deadlines, and few enough distinct values that
 # lanes hold many pairs and equal deadlines — ties broken by sequence —

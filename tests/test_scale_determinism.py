@@ -1,14 +1,15 @@
 """Golden deployment digests: the engine overhaul must not move a bit.
 
-The timer lanes, the zero-delay lane, the multicast fast path and the
-incremental vote counters are all *host-side* optimizations: they
-reorder no events and change no simulated timing.  These tests pin that
-claim to golden ``deployment_digest`` values captured on the
-pre-overhaul engine (plain binary heap, per-destination sends, quorum
-re-scans); the event queue has since passed through a bucketed calendar
-and back to one binary heap without moving a digest.  The digest covers the full experiment result, the total
-event count, and every replica's ledger head — if any optimization
-leaks into virtual time, ordering, or execution, the digest moves.
+The timer lanes, the multicast fast path and the incremental vote
+counters are all *host-side* optimizations: they reorder no events and
+change no simulated timing.  These tests pin that claim to golden
+``deployment_digest`` values captured on the pre-overhaul engine (plain
+binary heap, per-destination sends, quorum re-scans); the event queue
+has since passed through a bucketed calendar and a separate zero-delay
+lane and back to one binary heap without moving a digest.  The digest
+covers the full experiment result, the total event count, and every
+replica's ledger head — if any optimization leaks into virtual time,
+ordering, or execution, the digest moves.
 
 The matrix deliberately crosses all five protocols, two seeds, two
 deployment shapes, and one real-crypto (slow) point.  Each case runs a
