@@ -9,8 +9,6 @@ from repro.core.config import GeoBftConfig
 from repro.consensus.pbft import PbftConfig
 from repro.types import replica_id
 
-from .conftest import small_config
-
 
 def geo_config(**overrides):
     defaults = dict(
@@ -91,43 +89,6 @@ class TestNormalRounds:
         # other cluster => ~4 global share messages per round.
         expected = rounds * 2 * (f + 1)
         assert share_counts["global"] == pytest.approx(expected, rel=0.35)
-
-    def test_send_probe_sees_replication_before_sharing(self):
-        """A send probe sees every normal-case kind, in nondecreasing
-        simulated time, and the first PrePrepare before the first
-        GlobalShare: replication precedes sharing."""
-        deployment = Deployment(small_config(
-            "geobft", fast_crypto=True, duration=1.0, warmup=0.2))
-        sim = deployment.sim
-        sent = []
-        deployment.network.add_observer(
-            lambda src, dst, message, size, is_local:
-            sent.append((type(message).__name__, sim.now)))
-        deployment.run()
-        times = [time for _, time in sent]
-        assert times == sorted(times)
-        first_sent = {}
-        for kind, time in sent:
-            first_sent.setdefault(kind, time)
-        assert {"PrePrepare", "Prepare", "Commit",
-                "GlobalShare"} <= first_sent.keys()
-        assert first_sent["PrePrepare"] < first_sent["GlobalShare"]
-
-    def test_global_shares_cross_regions_between_clusters(self):
-        """GlobalShares flow from cluster 1 to cluster 2, and every send
-        between clusters, each of those shares among them, is a
-        cross-region send."""
-        deployment = Deployment(small_config(
-            "geobft", fast_crypto=True, duration=1.0, warmup=0.2))
-        cross = []
-        deployment.network.add_observer(
-            lambda src, dst, message, size, is_local:
-            src.cluster != dst.cluster and cross.append(
-                (type(message).__name__, src.cluster, dst.cluster,
-                 is_local)))
-        deployment.run()
-        assert ("GlobalShare", 1, 2, False) in cross
-        assert not any(is_local for *_, is_local in cross)
 
 
 class TestNoOpRounds:

@@ -1,156 +1,59 @@
-"""Tests for the message tracer."""
+"""What the send stream of a small GeoBFT run shows, seen through the one
+send probe, ``Network.add_observer``: replication precedes sharing, and
+GlobalShares cross regions from one cluster to the other."""
+
+import pytest
 
 from repro.bench.deployment import Deployment
-from repro.bench.tracing import MessageTracer, TraceEvent
-from repro.consensus.messages import GlobalShare, PrePrepare
 
 from .conftest import small_config
 
 
-def test_tracer_records_filtered_kinds():
-    deployment = Deployment(small_config("geobft", fast_crypto=True))
-    tracer = MessageTracer.attach(deployment.network, kinds=(GlobalShare,))
-    deployment.run()
-    assert tracer.events
-    assert all(e.kind == "GlobalShare" for e in tracer.events)
-    assert tracer.of_kind("GlobalShare") == tracer.events
-    assert tracer.of_kind("PrePrepare") == []
-
-
-def test_tracer_unfiltered_sees_everything():
+@pytest.fixture(scope="module")
+def sends():
+    """Every send of one run as ``(kind, time, src, dst, is_local)``."""
     deployment = Deployment(small_config("geobft", fast_crypto=True,
                                          duration=1.0, warmup=0.2))
-    tracer = MessageTracer.attach(deployment.network)
+    sim = deployment.sim
+    sent = []
+    deployment.network.add_observer(
+        lambda src, dst, message, size, is_local: sent.append(
+            (type(message).__name__, sim.now, src, dst, is_local)))
     deployment.run()
-    kinds = {e.kind for e in tracer.events}
+    return sent
+
+
+def test_tracer_unfiltered_sees_everything(sends):
+    kinds = {kind for kind, *_ in sends}
     assert {"PrePrepare", "Prepare", "Commit", "GlobalShare"} <= kinds
 
 
-def test_tracer_event_times_monotone():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    tracer = MessageTracer.attach(deployment.network, kinds=(PrePrepare,))
-    deployment.run()
-    times = [e.time for e in tracer.events]
+def test_tracer_event_times_monotone(sends):
+    times = [time for _, time, *_ in sends]
     assert times == sorted(times)
 
 
-def test_tracer_between_clusters():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    tracer = MessageTracer.attach(deployment.network, kinds=(GlobalShare,))
-    deployment.run()
-    cross = tracer.between(1, 2)
+def test_first_time_of(sends):
+    first_sent = {}
+    for kind, time, *_ in sends:
+        first_sent.setdefault(kind, time)
+    assert first_sent["PrePrepare"] < first_sent["GlobalShare"]
+    assert "NoSuchMessage" not in first_sent
+
+
+def test_tracer_between_clusters(sends):
+    assert any(kind == "GlobalShare" and src.cluster == 1
+               and dst.cluster == 2 for kind, _, src, dst, _ in sends)
+
+
+def test_tracer_predicate_filter(sends):
+    cross = [is_local for _, _, src, dst, is_local in sends
+             if src.cluster != dst.cluster]
     assert cross
-    assert all(e.src.cluster == 1 and e.dst.cluster == 2 for e in cross)
+    assert not any(cross)
 
 
-def test_tracer_bounded_buffer():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    tracer = MessageTracer.attach(deployment.network, max_events=10)
-    deployment.run()
-    assert len(tracer.events) == 10
-    assert tracer.dropped > 0
-    assert "dropped" in tracer.summary()
-
-
-def test_tracer_predicate_filter():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    tracer = MessageTracer.attach(
-        deployment.network,
-        predicate=lambda src, dst, msg: src.cluster != dst.cluster,
-    )
-    deployment.run()
-    assert tracer.events
-    assert all(not e.is_local for e in tracer.events)
-
-
-def test_first_time_of():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    tracer = MessageTracer.attach(deployment.network)
-    deployment.run()
-    first_pp = tracer.first_time_of("PrePrepare")
-    first_share = tracer.first_time_of("GlobalShare")
-    assert first_pp is not None and first_share is not None
-    assert first_pp < first_share  # replication precedes sharing
-    assert tracer.first_time_of("NoSuchMessage") is None
-
-
-def test_trace_event_str():
-    from repro.types import replica_id
-    event = TraceEvent(1.5, "GlobalShare", replica_id(1, 1),
-                       replica_id(2, 1), 6401, False)
-    text = str(event)
-    assert "GlobalShare" in text and "global" in text
-
-
-def test_tracer_dropped_accounting_exact():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    bounded = MessageTracer.attach(deployment.network, max_events=10)
-    unbounded = MessageTracer.attach(deployment.network)
-    deployment.run()
-    total = len(unbounded.events)
-    assert total > 10
-    assert bounded.dropped == total - 10
-    # keep="first" retains the *earliest* events.
-    assert bounded.events == unbounded.events[:10]
-
-
-def test_tracer_keep_last_is_ring_buffer():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    ring = MessageTracer.attach(deployment.network, max_events=10,
-                                keep="last")
-    unbounded = MessageTracer.attach(deployment.network)
-    deployment.run()
-    assert len(ring.events) == 10
-    assert ring.dropped == len(unbounded.events) - 10
-    # The ring retains the *latest* events.
-    assert ring.events == unbounded.events[-10:]
-
-
-def test_tracer_invalid_keep_rejected():
-    import pytest
-    deployment = Deployment(small_config("geobft", fast_crypto=True))
-    with pytest.raises(ValueError):
-        MessageTracer(deployment.network, keep="middle")
-
-
-def test_tracer_warns_through_hub_on_first_drop():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2,
-                                         instrument=True))
-    hub = deployment.instrumentation
-    tracer = MessageTracer.attach(deployment.network, max_events=5,
-                                  instrumentation=hub)
-    deployment.run()
-    assert tracer.dropped > 0
-    warnings = [w for w in hub.warnings if "MessageTracer" in w]
-    assert len(warnings) == 1  # once, not once per dropped event
-
-
-def test_tracer_between_absent_pair_empty():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    tracer = MessageTracer.attach(deployment.network)
-    deployment.run()
-    assert tracer.between(1, 99) == []
-    assert tracer.between(99, 1) == []
-
-
-def test_tracer_kind_and_predicate_compose():
-    deployment = Deployment(small_config("geobft", fast_crypto=True,
-                                         duration=1.0, warmup=0.2))
-    tracer = MessageTracer.attach(
-        deployment.network,
-        kinds=(GlobalShare,),
-        predicate=lambda src, dst, msg: dst.cluster == 2,
-    )
-    deployment.run()
-    assert tracer.events
-    assert all(e.kind == "GlobalShare" and e.dst.cluster == 2
-               for e in tracer.events)
+def test_tracer_kind_and_predicate_compose(sends):
+    into_two = [src.cluster for kind, _, src, dst, _ in sends
+                if kind == "GlobalShare" and dst.cluster == 2]
+    assert 1 in into_two
