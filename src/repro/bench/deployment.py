@@ -44,7 +44,8 @@ from ..ledger.execution import ExecutionLog
 from ..net.network import Network
 from ..net.simulator import Simulation
 from ..net.topology import Topology
-from ..types import ClusterId, NodeId, Quorums, client_id, replica_id
+from ..types import (ClusterId, NodeId, Quorums, check_config_fields,
+                     client_id, replica_id)
 from ..workload.client import QuorumClient
 from ..workload.traffic import (OpenLoopSource, TrafficSpec, split_users,
                                 traffic_summary)
@@ -134,11 +135,6 @@ PROTOCOLS = tuple(PROTOCOL_ENTRIES)
 RESULT_SCHEMA = "repro-result/1"
 
 
-def _is_int(value) -> bool:
-    """A count field's check: an ``int``, and not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one data point of the evaluation."""
@@ -193,25 +189,20 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; expected {PROTOCOLS}"
             )
-        for name in ("num_clusters", "replicas_per_cluster", "batch_size",
-                     "clients_per_cluster", "client_outstanding",
-                     "record_count", "cores", "checkpoint_interval",
-                     "pipeline_depth"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigurationError(
-                    f"{name} must be an int, got {value!r}")
-        for name in ("record_count", "cores", "checkpoint_interval",
-                     "pipeline_depth"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.traffic is None and self.clients_per_cluster < 1:
-            raise ConfigurationError(
-                "clients_per_cluster must be >= 1 for closed-loop clients "
-                "(set traffic for an open loop)")
-        if self.num_clusters < 1:
-            raise ConfigurationError("num_clusters must be >= 1")
+        counts = ("num_clusters", "replicas_per_cluster", "batch_size",
+                  "client_outstanding", "record_count", "cores",
+                  "checkpoint_interval", "pipeline_depth",
+                  "hotstuff_pipeline")
+        if self.traffic is None or self.clients_per_cluster != 0:
+            # An open loop (``traffic``) replaces the closed-loop
+            # clients, so it alone may set this to 0.
+            counts += ("clients_per_cluster",)
+        check_config_fields(
+            self, counts=counts,
+            timeouts=("duration", "view_change_timeout",
+                      "client_retry_timeout", "zyzzyva_spec_timeout",
+                      "steward_crypto_factor"),
+            windows=("warmup",))
         if self.replicas_per_cluster < 4:
             raise ConfigurationError(
                 "replicas_per_cluster must be >= 4 (n > 3f)"
@@ -221,7 +212,8 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "cluster_sizes must list one size per cluster"
                 )
-            if not all(map(_is_int, self.cluster_sizes)):
+            if not all(isinstance(size, int) and not isinstance(size, bool)
+                       for size in self.cluster_sizes):
                 raise ConfigurationError(
                     f"cluster_sizes must be ints, got {self.cluster_sizes!r}")
             if any(size < 4 for size in self.cluster_sizes):

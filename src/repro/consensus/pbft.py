@@ -25,15 +25,15 @@ matches Castro & Liskov's protocol.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..crypto.digests import chain_digest
 from ..errors import ConfigurationError
 from ..ledger.block import Transaction
 from ..net.simulator import Timer
-from ..types import ClusterId, NodeId, Quorums, SeqNum, ViewId
+from ..types import (ClusterId, NodeId, Quorums, SeqNum, ViewId,
+                     check_config_fields)
 from .messages import (
     Checkpoint,
     adopt_digest,
@@ -55,35 +55,6 @@ from .replica import BaseReplica
 #: Decision callback: (seq, request, certificate).  Called in strict
 #: sequence order.
 DecideCallback = Callable[[SeqNum, ClientRequestBatch, CommitCertificate], None]
-
-
-def check_config_fields(config, counts: Iterable[str] = (),
-                        timeouts: Iterable[str] = (),
-                        windows: Iterable[str] = ()) -> None:
-    """Raise :class:`ConfigurationError` unless each named field of
-    ``config`` holds a valid value: a count is an ``int`` (not a
-    ``bool``) >= 1, a timeout a finite number > 0, and a window a
-    finite number >= 0."""
-    for name in counts:
-        value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigurationError(
-                f"{name} must be an int >= 1, got {value!r}")
-    for name in timeouts:
-        value = getattr(config, name)
-        if not (_is_finite(value) and value > 0):
-            raise ConfigurationError(
-                f"{name} must be a finite number > 0, got {value!r}")
-    for name in windows:
-        value = getattr(config, name)
-        if not (_is_finite(value) and value >= 0):
-            raise ConfigurationError(
-                f"{name} must be a finite number >= 0, got {value!r}")
-
-
-def _is_finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True)

@@ -273,8 +273,8 @@ class BaseReplica:
 
         By convention a replica processes its own broadcast locally
         without a network hop unless ``include_self`` is set.  Routed
-        through :meth:`Network.multicast` so paper-scale fan-outs take
-        the network's single-pass fast path.
+        through :meth:`Network.multicast` so a paper-scale fan-out is one
+        pass over its destinations.
         """
         me = self._node_id
         targets = [dst for dst in dict.fromkeys(dsts)

@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..consensus.pbft import PbftConfig, check_config_fields
+from ..consensus.pbft import PbftConfig
 from ..errors import ConfigurationError
+from ..types import check_config_fields
 
 #: Sharing strategies for the ablation study (DESIGN.md §5).
 SHARING_OPTIMISTIC = "optimistic_f1"   # the paper's f + 1 protocol

@@ -153,31 +153,11 @@ class FailureModel:
             self._transform_rules.remove(rule)
 
     @property
-    def has_delay_rules(self) -> bool:
-        """Fast guard for the network hot path."""
-        return bool(self._delay_rules)
-
-    @property
-    def has_transform_rules(self) -> bool:
-        """Fast guard for the network hot path."""
-        return bool(self._transform_rules)
-
-    @property
-    def has_send_faults(self) -> bool:
-        """Whether any fault could suppress a send at the sender."""
-        return bool(self._crashed or self._send_rules)
-
-    @property
-    def has_flight_faults(self) -> bool:
-        """Whether any fault could lose a message in flight."""
-        return bool(self._severed or self._drop_rules)
-
-    @property
     def any_send_path_faults(self) -> bool:
         """Whether anything on the *send* path (suppression, tampering,
-        partitions, in-flight loss, extra delay) is armed.  Receive-side
-        rules are excluded: they are evaluated at delivery time, so the
-        multicast fast path remains valid while they are installed."""
+        partitions, in-flight loss, extra delay) is armed; if not, the
+        network skips the per-copy queries below.  Receive-side rules
+        are excluded: they are evaluated at delivery time."""
         return bool(self._crashed or self._send_rules
                     or self._transform_rules or self._severed
                     or self._drop_rules or self._delay_rules)

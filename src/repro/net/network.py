@@ -18,14 +18,14 @@ Failures are injected through a :class:`repro.net.failures.FailureModel`
 consulted on every send/delivery, keeping protocol code oblivious to the
 failure scenario being tested.
 
-Fan-out fast path
------------------
-``multicast`` is the hot entry point at paper scale (every broadcast of
-every phase of every protocol).  When no failure machinery is armed it
-resolves the sender, message size, and per-region link parameters once
-per call instead of once per destination, dedups repeated destinations,
-and does the uplink bookkeeping and the posting of each destination's
-delivery event in one pass over the destinations.
+One send path
+-------------
+``send`` is a one-destination ``multicast``: every message goes through
+one loop that resolves each (sender, destination) link once per
+deployment and the message size once per call, then checks faults,
+advances the uplink clock, counts and posts each copy in one pass.
+Send-path faults are read once per call; when any is armed each copy is
+checked inline: suppression, tampering, extra delay, in-flight loss.
 
 Traffic accounting
 ------------------
@@ -40,7 +40,8 @@ self-sends are not counted.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import (Callable, Dict, Iterable, Optional, Protocol, Sequence,
+                    Tuple)
 
 from ..errors import ConfigurationError
 from ..types import NodeId
@@ -78,15 +79,12 @@ _WAN_EGRESS = "__wan__"
 def _message_size(message: SizedMessage) -> int:
     """``message.size_bytes()``, memoized per message instance.
 
-    A multicast needs the size once per call and certificates are
-    re-sent across phases; the wire size of an (immutable) message never
-    changes, so cache it on the instance.  Library messages declare a
-    ``_size_cache`` slot on their :class:`~repro.crypto.digests.
-    CachedEncodable` base, so the memo works for slotted and dict-backed
-    classes alike — there is no silent per-send recompute for
-    library-owned messages.  Only foreign duck-typed objects that
-    reject the attribute (e.g. slotted test doubles without the slot)
-    fall back to recomputing.
+    The wire size of an (immutable) message never changes and
+    certificates are re-sent across phases, so it is cached in the
+    ``_size_cache`` slot library messages declare on their
+    :class:`~repro.crypto.digests.CachedEncodable` base.  Only foreign
+    duck-typed objects that reject the attribute (e.g. slotted test
+    doubles) recompute it per call.
     """
     size = getattr(message, "_size_cache", None)
     if size is None:
@@ -200,84 +198,18 @@ class Network:
         self._observers += (observer,)
 
     def send(self, src: NodeId, dst: NodeId, message: SizedMessage) -> None:
-        """Transmit ``message`` from ``src`` to ``dst``.
+        """Transmit ``message`` from ``src`` to ``dst`` (a one-destination
+        :meth:`multicast`).
 
         Timing: the message first serializes on the sender's uplink to
         the destination region (``size / bandwidth``, queued FIFO behind
         earlier sends), then propagates (one-way latency), then is
         delivered.  Self-sends are delivered after a negligible delay.
         Drops (crashed nodes, partitions, Byzantine omission) consume no
-        uplink time when the *sender* is suppressing the send, and full
+        uplink time when the *sender* suppresses the send, and full
         transmit time when the network or receiver loses it.
         """
-        sanitizer = self._sanitizer
-        if src == dst:
-            self._self_sends += 1
-            if sanitizer is not None:
-                self._sim.post(0.0, self._post_deliver_checked, src, dst,
-                               message, sanitizer.fingerprint(message))
-            else:
-                self._sim.post(0.0, self._post_deliver, src, dst, message)
-            return
-        sender = self.node(src)
-        receiver = self.node(dst)
-        failures = self._failures
-        if failures.has_send_faults and failures.suppresses_send(
-                src, dst, message):
-            self._suppressed_sends += 1
-            return
-        if failures.has_transform_rules:
-            # Byzantine tampering: the sender transmits a corrupted copy
-            # (honest receivers reject it in their verify paths).
-            transformed = failures.transform(src, dst, message)
-            if transformed is None:
-                self._suppressed_sends += 1
-                return
-            if transformed is not message:
-                self._tampered_sends += 1
-                message = transformed
-        size = _message_size(message)
-        sregion = sender.region
-        rregion = receiver.region
-        link = self._topology.link(sregion, rregion)
-        transmit = size / link.bandwidth_bytes_per_s
-        is_local = sregion == rregion
-        if is_local:
-            key = (src, rregion)
-        else:
-            # All cross-region traffic shares one egress pipe per
-            # sender; each message still transmits at its pair's rate.
-            key = (src, _WAN_EGRESS)
-        start = max(self._sim.now, self._uplink_free_at.get(key, 0.0))
-        self._uplink_free_at[key] = start + transmit
-        arrival_delay = (start - self._sim.now) + transmit + link.latency_s
-        if failures.has_delay_rules:
-            extra = failures.extra_delay(src, dst, message)
-            if extra > 0.0:
-                self._delayed_sends += 1
-                arrival_delay += extra
-        self._sends += 1
-        kind = type(message).__name__
-        if is_local:
-            self._local_msgs[kind] += 1
-        else:
-            self._global_msgs[kind] += 1
-        self._pair_bytes[sregion][rregion] += size
-        observers = self._observers
-        if observers:
-            for observer in observers:
-                observer(src, dst, message, size, is_local)
-        if failures.has_flight_faults and failures.drops_in_flight(
-                src, dst, message):
-            self._in_flight_drops += 1
-            return
-        # Deliveries are never cancelled: use the allocation-free path.
-        if sanitizer is not None:
-            self._sim.post(arrival_delay, self._post_deliver_checked, src,
-                           dst, message, sanitizer.fingerprint(message))
-        else:
-            self._sim.post(arrival_delay, self._post_deliver, src, dst,
-                           message)
+        self._multicast_distinct(src, (dst,), message)
 
     def multicast(self, src: NodeId, dsts: Iterable[NodeId],
                   message: SizedMessage) -> None:
@@ -286,39 +218,35 @@ class Network:
         Copies to the same region serialize on the shared uplink, which
         is what makes "broadcast to a far region" expensive.  Repeated
         destinations are deduplicated — a node listed twice receives
-        (and the sender transmits) exactly one copy.
-
-        With no failure machinery armed this runs a single-pass fast
-        path: sender/size/link resolution happens once, and each
-        destination's uplink clock advance and delivery event happen
-        in the same sweep.
+        (and the sender transmits) exactly one copy.  Faults included,
+        this equals one :meth:`send` per distinct destination, in order.
         """
         self._multicast_distinct(src, list(dict.fromkeys(dsts)), message)
 
-    def _multicast_distinct(self, src: NodeId, dsts: List[NodeId],
+    def _multicast_distinct(self, src: NodeId, dsts: Sequence[NodeId],
                             message: SizedMessage) -> None:
-        """:meth:`multicast` body for an already-deduplicated ``dsts``
-        list (:meth:`BaseReplica.broadcast` dedups while filtering and
-        calls this directly to avoid a second pass)."""
+        """The one send path: :meth:`send` and :meth:`multicast` for an
+        already-deduplicated ``dsts`` (:meth:`BaseReplica.broadcast`
+        dedups while filtering and calls this directly to avoid a second
+        pass)."""
         failures = self._failures
-        if failures.any_send_path_faults:
-            for dst in dsts:
-                self.send(src, dst, message)
-            return
+        # Read once per call: with nothing armed on the send path each
+        # copy skips the fault checks with one local truth test.
+        faults = failures.any_send_path_faults
         sim = self._sim
         now = sim.now
         size = None
         observers = self._observers
         sanitizer = self._sanitizer
-        # One fingerprint covers the whole fan-out: every destination
-        # receives the same aliased object, so one send-time snapshot is
-        # the contract they all check against.
+        # One fingerprint covers every untampered copy: they all alias
+        # the same object, so one send-time snapshot is the contract they
+        # all check against.
         fingerprint = (sanitizer.fingerprint(message)
                        if sanitizer is not None else None)
         routes = self._routes.get(src)
         if routes is None:
             routes = self._routes[src] = {}
-        # A multicast touches at most two uplink queues — the sender's
+        # A call touches at most two uplink queues — the sender's
         # local-region link and the shared WAN egress pipe — so their
         # clocks advance in two locals and write back once at the end,
         # instead of a dict get/set pair per destination.
@@ -329,7 +257,8 @@ class Network:
         post = sim.post
         deliver = self._post_deliver
         deliver_checked = self._post_deliver_checked
-        # One pass: resolve, advance the uplink clock, post the delivery.
+        # One pass: resolve, check faults, advance the uplink clock,
+        # count, post the delivery.
         for dst in dsts:
             if dst == src:
                 self._self_sends += 1
@@ -339,20 +268,34 @@ class Network:
                     post(0.0, deliver_checked, src, dst, message,
                          fingerprint)
                 continue
-            if size is None:
-                size = _message_size(message)
             route = routes.get(dst)
             if route is None:
                 sregion = self.node(src).region
                 rregion = self.node(dst).region  # raises if unknown
                 link = self._topology.link(sregion, rregion)
-                # Bandwidth is kept (not inverted): ``size / bw`` must
-                # stay bit-identical to the unicast path's arithmetic.
                 route = routes[dst] = (
                     link.bandwidth_bytes_per_s, link.latency_s,
                     None if rregion == sregion else rregion)
             bandwidth, latency, remote = route
-            transmit = size / bandwidth
+            copy = message
+            if faults:
+                if failures.suppresses_send(src, dst, message):
+                    self._suppressed_sends += 1
+                    continue
+                # Byzantine tampering: the sender transmits a corrupted
+                # copy (honest receivers reject it in their verify paths).
+                copy = failures.transform(src, dst, message)
+                if copy is None:
+                    self._suppressed_sends += 1
+                    continue
+            if copy is message:
+                if size is None:
+                    size = _message_size(message)
+                copy_size = size
+            else:
+                self._tampered_sends += 1
+                copy_size = _message_size(copy)
+            transmit = copy_size / bandwidth
             if remote is None:
                 if local_key is None:
                     local_key = self._local_keys.get(src)
@@ -363,26 +306,51 @@ class Network:
                 start = local_free if local_free > now else now
                 local_free = start + transmit
             else:
+                # All cross-region traffic shares one egress pipe per
+                # sender; each message still transmits at its pair's rate.
                 if wan_key is None:
                     wan_key = (src, _WAN_EGRESS)
                     wan_free = free_at.get(wan_key, 0.0)
                     wan_pairs = self._pair_bytes[self._nodes[src].region]
                 start = wan_free if wan_free > now else now
                 wan_free = start + transmit
-                wan_pairs[remote] += size
-                wan_sends += 1
-            sends += 1
+                wan_pairs[remote] += copy_size
+            delay = (start - now) + transmit + latency
+            if faults:
+                extra = failures.extra_delay(src, dst, copy)
+                if extra > 0.0:
+                    self._delayed_sends += 1
+                    delay += extra
+            if copy is message:
+                sends += 1
+                if remote is not None:
+                    wan_sends += 1
+            else:
+                # A tampered copy counts alone, as its own kind and size.
+                self._sends += 1
+                kind = type(copy).__name__
+                if remote is None:
+                    self._local_msgs[kind] += 1
+                    self._pair_bytes[local_key[1]][local_key[1]] += copy_size
+                else:
+                    self._global_msgs[kind] += 1
             if observers:
                 for observer in observers:
-                    observer(src, dst, message, size, remote is None)
-            delay = (start - now) + transmit + latency
+                    observer(src, dst, copy, copy_size, remote is None)
+            if faults and failures.drops_in_flight(src, dst, copy):
+                self._in_flight_drops += 1
+                continue
+            # Deliveries are never cancelled: use the allocation-free path.
             if fingerprint is None:
-                post(delay, deliver, src, dst, message)
+                post(delay, deliver, src, dst, copy)
             else:
-                post(delay, deliver_checked, src, dst, message, fingerprint)
+                post(delay, deliver_checked, src, dst, copy,
+                     fingerprint if copy is message
+                     else sanitizer.fingerprint(copy))
         if sends:
-            # Every copy has one type and size, and the local ones one
-            # region pair: count them once per group, not per copy.
+            # Every untampered copy has one type and size, and the local
+            # ones one region pair: count them once per group, not per
+            # copy.
             self._sends += sends
             kind = type(message).__name__
             local_sends = sends - wan_sends

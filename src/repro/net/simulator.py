@@ -54,6 +54,11 @@ from ..errors import SimulationError
 _INF = float("inf")
 
 
+def _bad_delay(delay) -> SimulationError:
+    return SimulationError(
+        f"delay must be finite and non-negative: {delay!r}")
+
+
 class Timer:
     """Handle to a scheduled event, allowing cancellation.
 
@@ -196,9 +201,11 @@ class Simulation:
         already scheduled for the current instant (FIFO within a
         timestamp).
         """
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(
-                f"delay must be finite and non-negative: {delay}")
+        try:
+            if not 0.0 <= delay < _INF:
+                raise _bad_delay(delay)
+        except TypeError:
+            raise _bad_delay(delay) from None
         seq = self._seq
         self._seq = seq + 1
         deadline = self._now + delay
@@ -224,11 +231,14 @@ class Simulation:
         and other fire-and-forget events; use :meth:`schedule` when the
         caller needs a cancellation handle.
         """
-        if 0.0 <= delay < _INF:
-            heappush(self._heap, (self._now + delay, self._seq, fn, args))
-        else:
-            raise SimulationError(
-                f"delay must be finite and non-negative: {delay}")
+        # A non-number delay fails the comparison itself; the ``try`` is
+        # free on the success path.
+        try:
+            if not 0.0 <= delay < _INF:
+                raise _bad_delay(delay)
+        except TypeError:
+            raise _bad_delay(delay) from None
+        heappush(self._heap, (self._now + delay, self._seq, fn, args))
         self._seq += 1
         depth = self._depth + 1
         self._depth = depth
@@ -241,14 +251,20 @@ class Simulation:
 
         ``until`` stops the clock at that virtual time (events scheduled
         later stay queued and ``now`` is advanced to ``until``); like a
-        negative delay, an ``until`` before ``now`` — or NaN — is
-        rejected.  ``max_events`` bounds the number of fired events,
-        guarding tests against accidental infinite message loops; ``0``
-        fires nothing and leaves the clock where it is.
+        negative delay, an ``until`` before ``now`` — or NaN, a bool or
+        a non-number — is rejected.  ``max_events`` bounds the number of
+        fired events, guarding tests against accidental infinite message
+        loops; ``0`` fires nothing and leaves the clock where it is.
         """
-        if until is not None and not until >= self._now:
-            raise SimulationError(
-                f"cannot run until {until}: the clock is at {self._now}")
+        if until is not None:
+            try:
+                valid = not isinstance(until, bool) and until >= self._now
+            except TypeError:
+                valid = False
+            if not valid:
+                raise SimulationError(
+                    f"cannot run until {until!r}: the clock is at "
+                    f"{self._now}")
         if max_events is not None:
             if (not isinstance(max_events, int)
                     or isinstance(max_events, bool) or max_events < 0):

@@ -9,8 +9,9 @@ objects shared by several subsystems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigurationError
 
@@ -165,3 +166,33 @@ class ClusterSpec:
             replica_id(self.cluster_id, i)
             for i in range(1, self.num_replicas + 1)
         ]
+
+
+def check_config_fields(config, counts: Iterable[str] = (),
+                        timeouts: Iterable[str] = (),
+                        windows: Iterable[str] = ()) -> None:
+    """Raise :class:`ConfigurationError` unless each named field of
+    ``config`` holds a valid value: a count is an ``int`` (not a
+    ``bool``) >= 1, a timeout a finite number > 0, and a window a
+    finite number >= 0.  Shared by every config dataclass (PBFT,
+    GeoBFT, experiment, traffic)."""
+    for name in counts:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ConfigurationError(
+                f"{name} must be an int >= 1, got {value!r}")
+    for name in timeouts:
+        value = getattr(config, name)
+        if not (_is_finite(value) and value > 0):
+            raise ConfigurationError(
+                f"{name} must be a finite number > 0, got {value!r}")
+    for name in windows:
+        value = getattr(config, name)
+        if not (_is_finite(value) and value >= 0):
+            raise ConfigurationError(
+                f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))

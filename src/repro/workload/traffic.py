@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..types import NodeId, Quorums
+from ..types import NodeId, Quorums, check_config_fields
 from .client import CompletionTracker
 
 #: Arrival processes a :class:`TrafficSpec` can name.  All are
@@ -94,26 +94,15 @@ class TrafficSpec:
             raise ConfigurationError(
                 f"unknown traffic process {self.process!r}; expected one "
                 f"of {TRAFFIC_PROCESSES}")
-        if self.users < 1:
-            raise ConfigurationError("traffic users must be >= 1")
-        if self.rate_per_user <= 0:
-            raise ConfigurationError("rate_per_user must be > 0")
-        if self.tick <= 0:
-            raise ConfigurationError("traffic tick must be > 0")
-        if self.deadline <= 0:
-            raise ConfigurationError("traffic deadline must be > 0")
+        check_config_fields(
+            self, counts=("users", "window"),
+            timeouts=("rate_per_user", "tick", "deadline", "retry_backoff",
+                      "period", "flash_factor"),
+            windows=("flash_at", "flash_until"))
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if self.retry_backoff <= 0:
-            raise ConfigurationError("retry_backoff must be > 0")
-        if self.window < 1:
-            raise ConfigurationError("traffic window must be >= 1")
-        if self.period <= 0:
-            raise ConfigurationError("diurnal period must be > 0")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ConfigurationError("amplitude must be in [0, 1]")
-        if self.flash_factor <= 0:
-            raise ConfigurationError("flash_factor must be > 0")
         if self.flash_until < self.flash_at:
             raise ConfigurationError("flash_until must be >= flash_at")
 
@@ -185,9 +174,8 @@ class TrafficSpec:
         if isinstance(value, dict):
             try:
                 return cls(**value)
-            except TypeError as exc:
-                # An unknown key, or a wrongly typed value failing a
-                # __post_init__ comparison.
+            except (TypeError, ConfigurationError) as exc:
+                # An unknown key, or a value failing a field check.
                 raise ConfigurationError(
                     f"traffic spec {value!r}: {exc}") from None
         raise ConfigurationError(

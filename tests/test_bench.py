@@ -149,6 +149,27 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig(**sizes)
 
+    @pytest.mark.parametrize("field, value", [
+        ("duration", float("inf")), ("duration", float("nan")),
+        ("duration", 0.0), ("duration", -1.0), ("duration", "10"),
+        ("duration", True),
+        ("warmup", -1.0), ("warmup", float("nan")), ("warmup", "0.5"),
+        ("view_change_timeout", 0.0), ("view_change_timeout", float("inf")),
+        ("client_retry_timeout", float("nan")),
+        ("zyzzyva_spec_timeout", -0.8), ("steward_crypto_factor", 0.0),
+        ("batch_size", 0), ("client_outstanding", 0),
+        ("hotstuff_pipeline", 0), ("hotstuff_pipeline", 2.0),
+    ])
+    def test_numeric_fields_are_finite_and_in_range(self, field, value):
+        """``duration=inf`` used to make ``Deployment.run()`` spin
+        forever, ``duration=nan`` failed only inside ``run``, and a
+        negative ``warmup`` was accepted."""
+        params = dict(num_clusters=2, replicas_per_cluster=4,
+                      duration=2.0, warmup=0.5)
+        params[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(**params)
+
     def test_every_campaign_config_constructs(self):
         from repro.sweep.campaigns import campaign_names, get_campaign
         for name in campaign_names():

@@ -1,6 +1,8 @@
 """Tests for the network model: latency, uplink serialization, drops."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.net.network import Network
@@ -340,8 +342,8 @@ class TestMulticastFastPath:
     def test_counters_equal_per_destination_observer_totals(self, wan):
         """The network's own traffic counters equal the totals of a
         per-destination observer — per kind, per locality and per
-        region pair — over unicast, multicast (fast path and faulted
-        path), self-sends, suppressed, dropped and tampered sends, and
+        region pair — over unicast, multicast (with and without faults
+        armed), self-sends, suppressed, dropped and tampered sends, and
         do not change when two observers are attached."""
 
         class Other(FakeMessage):
@@ -372,7 +374,7 @@ class TestMulticastFastPath:
             net.failures.add_transform_rule(
                 lambda s, d, m: Tampered(40) if d == c.node_id else m)
             net.failures.sever(src.node_id, b.node_id)
-            # Faulted path: one per-destination send each.
+            # Faults armed: each copy is checked inline.
             net.multicast(src.node_id, ids, FakeMessage(50))
             net.send(src.node_id, local.node_id, Omitted(999))
             sim.run()
@@ -454,3 +456,163 @@ class TestMulticastFastPath:
         sim.run()
 
         assert first == second == [local.node_id, b.node_id, c.node_id]
+
+
+class _Tampered(FakeMessage):
+    pass
+
+
+class _Inflated(FakeMessage):
+    pass
+
+
+#: Node placement for the differential test: index 0 is the sender.
+_PLACES = (("west", 1, 1), ("west", 1, 2), ("west", 1, 3),
+           ("east", 2, 1), ("east", 2, 2), ("north", 3, 1))
+_IDS = [replica_id(cluster, index) for _region, cluster, index in _PLACES]
+_REGION = {node: region for node, (region, _c, _i) in zip(_IDS, _PLACES)}
+_PEERS = st.sets(st.integers(0, len(_PLACES) - 1), max_size=3)
+
+
+@st.composite
+def _fault_draws(draw):
+    dsts = draw(st.lists(st.integers(0, len(_PLACES) - 1), max_size=8))
+    return dict(
+        dsts=[_IDS[i] for i in dsts],
+        size=draw(st.integers(0, 400_000)),
+        crashed={_IDS[i] for i in draw(_PEERS)},
+        severed={_IDS[i] for i in draw(_PEERS)},
+        omitted={_IDS[i] for i in draw(_PEERS)},
+        refused={_IDS[i] for i in draw(_PEERS)},
+        lost={_IDS[i] for i in draw(_PEERS)},
+        delays={_IDS[i]: extra for i, extra in draw(st.dictionaries(
+            st.integers(0, len(_PLACES) - 1),
+            st.sampled_from([0.0, 0.004, 0.3]), max_size=3)).items()},
+        transforms={_IDS[i]: how for i, how in draw(st.dictionaries(
+            st.integers(0, len(_PLACES) - 1),
+            st.sampled_from(["same", "tampered", "inflated", "swallow"]),
+            max_size=3)).items()},
+    )
+
+
+class TestMulticastEqualsSends:
+    """``multicast`` to a list equals one ``send`` per distinct
+    destination with any mix of send-path faults armed, and both agree
+    with the fault model's rules: suppressed copies cost no uplink, and
+    a tampered copy is timed, counted and observed at its own kind and
+    size."""
+
+    @staticmethod
+    def _topology():
+        regions = ["west", "east", "north"]
+        rtt = {("west", "west"): 1.0, ("east", "east"): 1.0,
+               ("north", "north"): 2.0, ("west", "east"): 80.0,
+               ("west", "north"): 140.0, ("east", "north"): 60.0}
+        mbit = {("west", "west"): 800.0, ("east", "east"): 800.0,
+                ("north", "north"): 400.0, ("west", "east"): 40.0,
+                ("west", "north"): 12.0, ("east", "north"): 20.0}
+        return Topology.custom(regions, rtt, mbit)
+
+    def _run(self, case, copies, message, batched):
+        topology = self._topology()
+        sim = Simulation()
+        net = Network(sim, topology)
+        delivered, observed = [], []
+        for node_id in _IDS:
+            node = FakeNode(node_id, _REGION[node_id])
+            node.deliver = (lambda m, sender, me=node_id:
+                            delivered.append((sim.now, me, id(m))))
+            net.register(node)
+        net.add_observer(lambda s, d, m, size, is_local:
+                         observed.append((d, m, size, is_local)))
+        failures = net.failures
+        src = _IDS[0]
+        for node_id in case["crashed"]:
+            failures.crash(node_id)
+        for node_id in case["severed"]:
+            failures.sever(src, node_id)
+        if case["omitted"]:
+            failures.add_send_rule(lambda s, d, m: d in case["omitted"])
+        if case["refused"]:
+            failures.add_receive_rule(lambda s, d, m: d in case["refused"])
+        if case["lost"]:
+            failures.add_drop_rule(lambda s, d, m: d in case["lost"])
+        if case["delays"]:
+            failures.add_delay_rule(
+                lambda s, d, m: case["delays"].get(d, 0.0))
+        if copies:
+            failures.add_transform_rule(
+                lambda s, d, m: copies[d] if d in copies else m)
+        if batched:
+            net.multicast(src, case["dsts"], message)
+        else:
+            for dst in dict.fromkeys(case["dsts"]):
+                net.send(src, dst, message)
+        backlog = (net.uplink_backlog(src, "west"),
+                   net.uplink_backlog(src, "east"))
+        sim.run()
+        seen = dict(delivered=delivered, events=sim.events_processed,
+                    telemetry=net.telemetry(), counts=net.message_counts(),
+                    pairs=net.pair_bytes(), backlog=backlog,
+                    observed=[(d, id(m), size, is_local)
+                              for d, m, size, is_local in observed])
+        return seen, observed, topology
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_fault_draws())
+    def test_multicast_equals_per_destination_sends(self, case):
+        message = FakeMessage(case["size"])
+        size = case["size"]
+        # Each transformed copy is built once, so both runs post the
+        # very same object and delivery identities compare equal.
+        made = {"tampered": lambda: _Tampered(size // 3),
+                "inflated": lambda: _Inflated(size + 1_500),
+                "same": lambda: message, "swallow": lambda: None}
+        copies = {dst: made[how]() for dst, how in case["transforms"].items()}
+        batched, observed, topology = self._run(case, copies, message, True)
+        looped = self._run(case, copies, message, False)[0]
+        assert batched == looped
+
+        # Against the rules themselves, not just each other.
+        src = _IDS[0]
+        distinct = list(dict.fromkeys(case["dsts"]))
+        peers = [d for d in distinct if d != src]
+        suppressed = [d for d in peers
+                      if src in case["crashed"] or d in case["omitted"]
+                      or (d in copies and copies[d] is None)]
+        sent = [d for d in peers if d not in suppressed]
+        assert [d for d, *_ in observed] == sent
+        counts, pairs = {}, {}
+        uplink = {True: 0.0, False: 0.0}
+        for dst, copy, copy_size, is_local in observed:
+            assert copy is copies.get(dst, message)
+            assert copy_size == copy.size_bytes()
+            assert is_local == (_REGION[dst] == "west")
+            kind = counts.setdefault(type(copy).__name__,
+                                     {"local": 0, "global": 0})
+            kind["local" if is_local else "global"] += 1
+            pair = ("west", _REGION[dst])
+            pairs[pair] = pairs.get(pair, 0) + copy_size
+            link = topology.link("west", _REGION[dst])
+            uplink[is_local] += copy_size / link.bandwidth_bytes_per_s
+        assert batched["counts"] == counts
+        assert batched["pairs"] == pairs
+        assert batched["backlog"] == (pytest.approx(uplink[True]),
+                                      pytest.approx(uplink[False]))
+        lost = [d for d in sent if d in case["severed"] or d in case["lost"]]
+        telemetry = batched["telemetry"]
+        assert telemetry["sends"] == len(sent)
+        assert telemetry["self_sends"] == distinct.count(src)
+        assert telemetry["suppressed_sends"] == len(suppressed)
+        assert telemetry["tampered_sends"] == sum(
+            1 for d in sent if copies.get(d, message) is not message)
+        assert telemetry["delayed_sends"] == sum(
+            1 for d in sent if case["delays"].get(d, 0.0) > 0.0)
+        assert telemetry["in_flight_drops"] == len(lost)
+        arrived = [d for d in distinct
+                   if d == src or (d in sent and d not in lost)]
+        refused = [d for d in arrived
+                   if d in case["crashed"] or d in case["refused"]]
+        assert telemetry["receiver_drops"] == len(refused)
+        assert sorted(d for _t, d, _m in batched["delivered"]) == sorted(
+            d for d in arrived if d not in refused)

@@ -68,6 +68,16 @@ class TestScheduling:
             getattr(sim, method)(delay, lambda: None)
         assert sim.pending_events == 0 and sim.max_queue_depth == 0
 
+    @pytest.mark.parametrize("method", ["schedule", "post"])
+    @pytest.mark.parametrize("delay", ["x", None, b"1", (1.0,)])
+    def test_non_number_delay_is_a_simulation_error(self, method, delay):
+        """A delay that cannot be compared with a number is rejected
+        like a negative one, not with a bare ``TypeError``."""
+        sim = Simulation()
+        with pytest.raises(SimulationError, match="delay must be"):
+            getattr(sim, method)(delay, lambda: None)
+        assert sim.pending_events == 0 and sim.max_queue_depth == 0
+
     def test_zero_delay_runs_after_current_instant_fifo(self):
         sim = Simulation()
         fired = []
@@ -163,6 +173,17 @@ class TestRunControl:
         sim.post(1.0, fired.append, "a")
         with pytest.raises(SimulationError):
             sim.run(until=math.nan)
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 1
+
+    @pytest.mark.parametrize("until", [True, False, "x", b"1", [2.0]])
+    def test_run_until_must_be_a_number(self, until):
+        """``until=True`` used to pass (``True >= 0.0``) and leave the
+        clock holding a bool; a string raised a bare ``TypeError``."""
+        sim = Simulation()
+        fired = []
+        sim.post(1.0, fired.append, "a")
+        with pytest.raises(SimulationError, match="cannot run until"):
+            sim.run(until=until)
         assert fired == [] and sim.now == 0.0 and sim.pending_events == 1
 
     def test_run_until_advances_time_even_when_idle(self):

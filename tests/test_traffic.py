@@ -13,6 +13,7 @@ drift gates).
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -92,6 +93,22 @@ class TestTrafficSpec:
         ("flash_factor", 0.0)])
     def test_field_validation(self, field, value):
         with pytest.raises(ConfigurationError):
+            steady_spec(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("rate_per_user", math.nan), ("rate_per_user", math.inf),
+        ("tick", math.inf), ("tick", math.nan), ("deadline", math.nan),
+        ("deadline", math.inf), ("retry_backoff", math.nan),
+        ("period", math.inf), ("flash_factor", math.nan),
+        ("flash_at", math.nan), ("flash_at", -1.0),
+        ("flash_until", math.inf),
+        ("users", True), ("users", 2.5), ("users", "x"),
+        ("window", 2.5), ("window", False), ("tick", "0.05")])
+    def test_numeric_fields_are_typed_and_finite(self, field, value):
+        """Non-finite floats, bools and non-numbers are configuration
+        errors naming the field (``users="x"`` used to raise a bare
+        ``TypeError``, and NaN slipped past every ``<= 0`` check)."""
+        with pytest.raises(ConfigurationError, match=field):
             steady_spec(**{field: value})
 
     def test_flash_window_must_be_ordered(self):
