@@ -50,6 +50,7 @@ from ..workload.client import QuorumClient
 from ..workload.traffic import (OpenLoopSource, TrafficSpec, split_users,
                                 traffic_summary)
 from ..workload.ycsb import YcsbWorkload
+from ..workload.zipfian import DISTRIBUTIONS
 from ..crypto.digests import encoding_cache_stats
 from .instrumentation import Instrumentation
 from .metrics import Metrics
@@ -202,7 +203,11 @@ class ExperimentConfig:
             timeouts=("duration", "view_change_timeout",
                       "client_retry_timeout", "zyzzyva_spec_timeout",
                       "steward_crypto_factor"),
-            windows=("warmup",))
+            windows=("warmup",), fractions=("write_fraction",))
+        if self.distribution not in DISTRIBUTIONS:
+            raise ConfigurationError(
+                f"unknown distribution {self.distribution!r}; expected "
+                f"one of {DISTRIBUTIONS}")
         if self.replicas_per_cluster < 4:
             raise ConfigurationError(
                 "replicas_per_cluster must be >= 4 (n > 3f)"

@@ -122,6 +122,8 @@ class BaseReplica:
         # signature-heavy protocols (HotStuff QCs without threshold
         # signatures, Steward's RSA-era proofs) from scaling.
         self._certify_free_at = 0.0
+        # Dispatches waiting on the certify thread, in completion order.
+        self._certify_lane = sim.dispatch_lane(self._post_dispatch)
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -213,13 +215,18 @@ class BaseReplica:
         heapreplace(cpu_free, done)
         if verify_cost.__class__ is not float:
             verify_cost = verify_cost(message, sender)
+        # Dispatches are never cancelled: use the allocation-free paths.
         if verify_cost > 0:
             certify_free = self._certify_free_at
             start = certify_free if certify_free > done else done
             done = start + verify_cost
             self._certify_free_at = done
-        # Dispatches are never cancelled: use the allocation-free path.
-        sim.post(done - now, self._post_dispatch, handler, message, sender)
+            # Certify completions only grow: the lane holds them in order.
+            sim.post_lane(self._certify_lane, done - now, handler, message,
+                          sender)
+        else:
+            sim.post(done - now, self._post_dispatch, handler, message,
+                     sender)
 
     def _resolve_route(self, cls) -> tuple:
         """Route for a class absent from the table, cached: its nearest

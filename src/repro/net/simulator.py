@@ -7,7 +7,7 @@ equal timestamps fire in scheduling order, so a run is a pure function of
 its configuration and seed, which the safety and determinism tests rely
 on.
 
-Two scheduling paths share one sequence counter:
+Three scheduling paths share one sequence counter:
 
 * :meth:`Simulation.schedule` returns a cancellable :class:`Timer` —
   used for view-change timeouts and anything else that may be cancelled.
@@ -15,8 +15,10 @@ Two scheduling paths share one sequence counter:
   events (message deliveries, deferred sends) that are never cancelled:
   no ``Timer`` object is allocated, the callback and args ride directly
   in the queue entry.
+* :meth:`Simulation.post_lane` queues a never-cancelled call behind the
+  earlier calls of its :class:`DispatchLane`.
 
-Because both paths consume the same monotonically increasing sequence
+Because all three paths consume the same monotonically increasing sequence
 number, mixing them cannot reorder events: determinism is a property of
 the (deadline, seq) pair, which is identical whichever path created the
 event.
@@ -24,15 +26,26 @@ event.
 Two structures together implement the exact (deadline, seq) total
 order:
 
-* **timer lanes** (:class:`_TimerLane`) — one FIFO per distinct timer
-  delay.  A deadline is ``now + delay`` and ``now`` never decreases, so
-  each lane is already in (deadline, seq) order.  It keeps its pairs in
-  two array columns and its still-armed timers in a ``{seq: Timer}``
-  dict.
+* **lanes** — FIFOs whose events are already in (deadline, seq) order.
+  Each keeps its queued pairs in a ring of preallocated ``array``
+  columns, written and read by index (a full ring widens by an eighth,
+  in place), and only its head entry sits on the heap.  A **timer
+  lane** (:class:`_TimerLane`) holds the timers armed with one delay:
+  a deadline is ``now + delay`` and ``now`` never decreases, so the
+  lane is in order by construction; it keeps its still-armed timers in
+  a ``{seq: Timer}`` dict.  A **dispatch lane**
+  (:class:`DispatchLane`, :meth:`Simulation.post_lane`) holds the
+  ``fn(a, b, c)`` calls of one serial stage — a replica's certify
+  thread, whose completion times only grow — with the three arguments
+  in slot columns beside the pairs, so a queued call allocates no
+  tuple.  A call with nothing of its lane pending ahead of it, or one
+  earlier than the lane's latest deadline, is a plain heap entry
+  instead: a lone call costs what a post costs, and the order stays
+  exact for any caller.
 * **one binary heap** holding every :meth:`~Simulation.post` entry
-  plus the head entry of each non-empty timer lane.  When a lane's
-  head is consumed, the lane pushes its next head before the timer
-  fires, so the heap's minimum is always the global minimum.
+  plus the head entry of each non-empty lane.  When a lane's head is
+  consumed, the lane pushes its next head before the event fires, so
+  the heap's minimum is always the global minimum.
 
 Almost every timer the protocols arm is cancelled long before its
 multi-second deadline.  :meth:`Timer.cancel` deletes the timer from its
@@ -108,24 +121,88 @@ class Timer:
         return self._lane is None and not self._cancelled
 
 
-class _TimerLane:
-    """The timers armed with one delay, in (deadline, seq) order.
+# Initial ring capacity of a lane, and the least a full ring grows by.
+_LANE_SLOTS = 8
+_ZERO_SLOTS = bytes(8 * _LANE_SLOTS)
 
-    ``deadlines[head]`` / ``seqs[head]`` is the pair whose entry is on
-    the heap; the pairs after it are still to come.  ``live`` maps the
-    sequence number of each still-armed timer to its :class:`Timer`; a
-    pair with no ``live`` entry is a cancelled timer, skipped when its
-    turn comes.
+
+class _Lane:
+    """A ring of queued (deadline, seq) pairs already in that order.
+
+    ``deadlines[head]`` / ``seqs[head]`` is the pair whose entry
+    ``(deadline, seq, lane, None)`` is on the heap; the ``size - 1``
+    pairs after it (modulo ``capacity``) are still to come.  Columns are
+    written and read by index, never appended to.
     """
 
-    __slots__ = ("delay", "deadlines", "seqs", "head", "live")
+    __slots__ = ("deadlines", "seqs", "head", "size", "capacity")
+
+    def __init__(self):
+        self.deadlines = array("d", _ZERO_SLOTS)
+        self.seqs = array("q", _ZERO_SLOTS)
+        self.head = 0
+        self.size = 0
+        self.capacity = _LANE_SLOTS
+
+    def _grow(self) -> None:
+        """Widen the full ring by about an eighth, in place.  The gap
+        opens just before the head, so the pairs from the head on move
+        up and the ring's order is kept (an eighth, not a doubling: a
+        timer lane holds ~18k pairs at the end of a 4x4 run)."""
+        head = self.head
+        extra = (self.capacity >> 3) + _LANE_SLOTS
+        self._open_gap(head, extra)
+        self.head = head + extra
+        self.capacity += extra
+
+    def _open_gap(self, at: int, width: int) -> None:
+        gap = bytes(8 * width)
+        self.deadlines[at:at] = array("d", gap)
+        self.seqs[at:at] = array("q", gap)
+
+
+class _TimerLane(_Lane):
+    """The timers armed with one delay, in (deadline, seq) order.
+
+    ``live`` maps the sequence number of each still-armed timer to its
+    :class:`Timer`; a pair with no ``live`` entry is a cancelled timer,
+    skipped when its turn comes.
+    """
+
+    __slots__ = ("delay", "live")
 
     def __init__(self, delay: float):
+        super().__init__()
         self.delay = delay
-        self.deadlines = array("d")
-        self.seqs = array("q")
-        self.head = 0
         self.live: dict = {}
+
+
+class DispatchLane(_Lane):
+    """Queued ``fn(a, b, c)`` calls of one serial stage, in (deadline,
+    seq) order; made by :meth:`Simulation.dispatch_lane`.
+
+    The arguments of the call at ring index ``i`` are ``args0[i]``,
+    ``args1[i]`` and ``args2[i]``; a fired call's slots are cleared.
+    ``last`` is the latest deadline of any call posted to the lane, held
+    in it or not: no earlier call may join the ring.
+    """
+
+    __slots__ = ("fn", "last", "args0", "args1", "args2")
+
+    def __init__(self, fn: Callable[[Any, Any, Any], None]):
+        super().__init__()
+        self.fn = fn
+        self.last = 0.0
+        self.args0: list = [None] * _LANE_SLOTS
+        self.args1: list = [None] * _LANE_SLOTS
+        self.args2: list = [None] * _LANE_SLOTS
+
+    def _open_gap(self, at: int, width: int) -> None:
+        super()._open_gap(at, width)
+        gap = [None] * width
+        self.args0[at:at] = gap
+        self.args1[at:at] = gap
+        self.args2[at:at] = gap
 
 
 class Simulation:
@@ -138,18 +215,19 @@ class Simulation:
         sim.run(until=10.0)
     """
 
-    __slots__ = ("_now", "_seq", "_heap", "_lanes",
+    __slots__ = ("_now", "_seq", "_heap", "_lanes", "_dispatch_lanes",
                  "_events_processed", "_depth", "_max_queue", "rng")
 
     def __init__(self, seed: int = 0):
         self._now = 0.0
         self._seq = 0
         # Entries are (deadline, seq, fn, args) for ``post`` and
-        # (deadline, seq, lane, None) for a timer lane's head.  ``seq`` is
+        # (deadline, seq, lane, None) for a lane's head.  ``seq`` is
         # unique, so tuple comparison never reaches the non-comparable
         # tail.
         self._heap: list = []
         self._lanes: dict = {}       # delay -> _TimerLane, non-empty only
+        self._dispatch_lanes: list = []     # every DispatchLane made
         self._events_processed = 0
         # Queue depth is tracked incrementally (push +1 / consume -1)
         # so the hot post() path never takes a len() call.
@@ -170,11 +248,11 @@ class Simulation:
     @property
     def pending_events(self) -> int:
         """Events still in the queue (including cancelled ones)."""
-        lanes = self._lanes.values()
-        # The heap holds one entry per lane, its head, counted here with
-        # the lane's other pairs.
-        return (len(self._heap) - len(lanes)
-                + sum(len(lane.seqs) - lane.head for lane in lanes))
+        lanes = [*self._lanes.values(), *self._dispatch_lanes]
+        # The heap holds one entry per non-empty lane, its head, counted
+        # here with the lane's other pairs.
+        return len(self._heap) + sum(lane.size - 1 for lane in lanes
+                                     if lane.size)
 
     @property
     def max_queue_depth(self) -> int:
@@ -202,7 +280,7 @@ class Simulation:
         timestamp).
         """
         try:
-            if not 0.0 <= delay < _INF:
+            if delay.__class__ is bool or not 0.0 <= delay < _INF:
                 raise _bad_delay(delay)
         except TypeError:
             raise _bad_delay(delay) from None
@@ -213,8 +291,13 @@ class Simulation:
         if lane is None:
             lane = self._lanes[delay] = _TimerLane(delay)
             heappush(self._heap, (deadline, seq, lane, None))
-        lane.deadlines.append(deadline)
-        lane.seqs.append(seq)
+        size = lane.size
+        if size == lane.capacity:
+            lane._grow()
+        i = (lane.head + size) % lane.capacity
+        lane.deadlines[i] = deadline
+        lane.seqs[i] = seq
+        lane.size = size + 1
         timer = lane.live[seq] = Timer(deadline, fn, args, lane, seq)
         depth = self._depth + 1
         self._depth = depth
@@ -232,14 +315,68 @@ class Simulation:
         caller needs a cancellation handle.
         """
         # A non-number delay fails the comparison itself; the ``try`` is
-        # free on the success path.
+        # free on the success path.  A bool is an int, so it is caught
+        # by its class.
         try:
-            if not 0.0 <= delay < _INF:
+            if delay.__class__ is bool or not 0.0 <= delay < _INF:
                 raise _bad_delay(delay)
         except TypeError:
             raise _bad_delay(delay) from None
         heappush(self._heap, (self._now + delay, self._seq, fn, args))
         self._seq += 1
+        depth = self._depth + 1
+        self._depth = depth
+        if depth > self._max_queue:
+            self._max_queue = depth
+
+    def dispatch_lane(self, fn: Callable[[Any, Any, Any], None]
+                      ) -> DispatchLane:
+        """A new, empty :class:`DispatchLane` whose events call ``fn``."""
+        lane = DispatchLane(fn)
+        self._dispatch_lanes.append(lane)
+        return lane
+
+    def post_lane(self, lane: DispatchLane, delay: float,
+                  a: Any, b: Any, c: Any) -> None:
+        """:meth:`post` ``lane.fn(a, b, c)``, queued in ``lane``.
+
+        The same ordering as :meth:`post`.  Meant for a caller whose
+        deadlines do not decrease, such as a serial stage's completion
+        times: a call posted while an earlier one of the lane is still
+        pending waits in the lane's columns, with no heap entry of its
+        own.  A call with nothing pending ahead of it, or one earlier
+        than the lane's latest deadline, becomes a plain heap entry, so
+        a lone call costs what :meth:`post` costs and the order stays
+        exact for any caller.
+        """
+        try:
+            if delay.__class__ is bool or not 0.0 <= delay < _INF:
+                raise _bad_delay(delay)
+        except TypeError:
+            raise _bad_delay(delay) from None
+        now = self._now
+        deadline = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        last = lane.last
+        if last <= now or deadline < last:
+            heappush(self._heap, (deadline, seq, lane.fn, (a, b, c)))
+            if deadline > last:
+                lane.last = deadline
+        else:
+            size = lane.size
+            if not size:
+                heappush(self._heap, (deadline, seq, lane, None))
+            elif size == lane.capacity:
+                lane._grow()
+            i = (lane.head + size) % lane.capacity
+            lane.deadlines[i] = deadline
+            lane.seqs[i] = seq
+            lane.args0[i] = a
+            lane.args1[i] = b
+            lane.args2[i] = c
+            lane.size = size + 1
+            lane.last = deadline
         depth = self._depth + 1
         self._depth = depth
         if depth > self._max_queue:
@@ -290,6 +427,7 @@ class Simulation:
         """Fire events in (deadline, seq) order; return how many fired
         (cancelled timers are consumed but not counted)."""
         heap = self._heap
+        timer_lane = _TimerLane
         fired = 0
         # One float compare per event instead of a None test plus a
         # compare; +inf never stops the clock.
@@ -311,25 +449,28 @@ class Simulation:
             if args is not None:
                 fn(*args)
             else:
+                # A lane's head: queue the lane's next head, then fire.
                 lane = fn
-                timer = lane.live.pop(seq, None)
-                seqs = lane.seqs
-                head = lane.head + 1
-                if head < len(seqs):
-                    if head * 2 >= len(seqs):
-                        # Drop the consumed prefix once it is the larger
-                        # half: amortised O(1) per pair.
-                        del lane.deadlines[:head], seqs[:head]
-                        head = 0
-                    lane.head = head
-                    heappush(heap, (lane.deadlines[head], seqs[head],
+                i = lane.head
+                size = lane.size - 1
+                lane.size = size
+                if size:
+                    head = lane.head = (i + 1) % lane.capacity
+                    heappush(heap, (lane.deadlines[head], lane.seqs[head],
                                     lane, None))
+                if lane.__class__ is timer_lane:
+                    if not size:
+                        del self._lanes[lane.delay]
+                    timer = lane.live.pop(seq, None)
+                    if timer is None:
+                        continue        # cancelled: consumed, not fired
+                    timer._lane = None
+                    timer._fn(*timer._args)
                 else:
-                    del self._lanes[lane.delay]
-                if timer is None:
-                    continue        # cancelled: consumed, not fired
-                timer._lane = None
-                timer._fn(*timer._args)
+                    args0, args1, args2 = lane.args0, lane.args1, lane.args2
+                    a, b, c = args0[i], args1[i], args2[i]
+                    args0[i] = args1[i] = args2[i] = None
+                    lane.fn(a, b, c)
             fired += 1
             if max_events is not None and fired >= max_events:
                 return fired

@@ -170,17 +170,22 @@ class ClusterSpec:
 
 def check_config_fields(config, counts: Iterable[str] = (),
                         timeouts: Iterable[str] = (),
-                        windows: Iterable[str] = ()) -> None:
+                        windows: Iterable[str] = (),
+                        naturals: Iterable[str] = (),
+                        fractions: Iterable[str] = ()) -> None:
     """Raise :class:`ConfigurationError` unless each named field of
     ``config`` holds a valid value: a count is an ``int`` (not a
-    ``bool``) >= 1, a timeout a finite number > 0, and a window a
-    finite number >= 0.  Shared by every config dataclass (PBFT,
-    GeoBFT, experiment, traffic)."""
-    for name in counts:
-        value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigurationError(
-                f"{name} must be an int >= 1, got {value!r}")
+    ``bool``) >= 1 and a natural one >= 0, a timeout a finite number
+    > 0, a window a finite number >= 0, and a fraction a finite number
+    in [0, 1].  Shared by every config dataclass (PBFT, GeoBFT,
+    experiment, traffic)."""
+    for names, least in ((counts, 1), (naturals, 0)):
+        for name in names:
+            value = getattr(config, name)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < least):
+                raise ConfigurationError(
+                    f"{name} must be an int >= {least}, got {value!r}")
     for name in timeouts:
         value = getattr(config, name)
         if not (_is_finite(value) and value > 0):
@@ -191,6 +196,11 @@ def check_config_fields(config, counts: Iterable[str] = (),
         if not (_is_finite(value) and value >= 0):
             raise ConfigurationError(
                 f"{name} must be a finite number >= 0, got {value!r}")
+    for name in fractions:
+        value = getattr(config, name)
+        if not (_is_finite(value) and 0 <= value <= 1):
+            raise ConfigurationError(
+                f"{name} must be a finite number in [0, 1], got {value!r}")
 
 
 def _is_finite(value) -> bool:

@@ -98,11 +98,8 @@ class TrafficSpec:
             self, counts=("users", "window"),
             timeouts=("rate_per_user", "tick", "deadline", "retry_backoff",
                       "period", "flash_factor"),
-            windows=("flash_at", "flash_until"))
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ConfigurationError("amplitude must be in [0, 1]")
+            windows=("flash_at", "flash_until"),
+            naturals=("max_retries",), fractions=("amplitude",))
         if self.flash_until < self.flash_at:
             raise ConfigurationError("flash_until must be >= flash_at")
 

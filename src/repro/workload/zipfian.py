@@ -148,8 +148,12 @@ class ScrambledZipfianGenerator:
         return _fnv1a_64(rank) % self._item_count
 
 
+#: The names :func:`make_generator` accepts.
+DISTRIBUTIONS = ("uniform", "zipfian", "scrambled_zipfian")
+
+
 def make_generator(distribution: str, item_count: int, rng: random.Random):
-    """Factory: ``"uniform"``, ``"zipfian"``, or ``"scrambled_zipfian"``."""
+    """Factory: one of :data:`DISTRIBUTIONS`."""
     if distribution == "uniform":
         return UniformGenerator(item_count, rng)
     if distribution == "zipfian":

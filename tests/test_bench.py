@@ -170,6 +170,28 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig(**params)
 
+    @pytest.mark.parametrize("field, value", [
+        ("write_fraction", 2.0), ("write_fraction", -0.1),
+        ("write_fraction", float("nan")), ("write_fraction", "0.5"),
+        ("write_fraction", True), ("distribution", "bogus"),
+        ("distribution", None),
+    ])
+    def test_workload_fields_rejected_at_construction(self, field, value):
+        """These used to construct and fail only when the deployment
+        built its workload, with ``WorkloadError``."""
+        params = dict(num_clusters=2, replicas_per_cluster=4)
+        params[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(**params)
+
+    @pytest.mark.parametrize("distribution", [
+        "uniform", "zipfian", "scrambled_zipfian"])
+    def test_every_distribution_accepted(self, distribution):
+        config = ExperimentConfig(num_clusters=2, replicas_per_cluster=4,
+                                  distribution=distribution,
+                                  write_fraction=0)
+        assert config.distribution == distribution
+
     def test_every_campaign_config_constructs(self):
         from repro.sweep.campaigns import campaign_names, get_campaign
         for name in campaign_names():

@@ -166,6 +166,14 @@ class TestDeterministicIteration:
         """
         assert findings_for(bad, "deterministic-iteration")
 
+    def test_fires_on_set_iteration_into_a_lane_post(self):
+        bad = """
+            def dispatch(sim, lane, handler, messages, sender):
+                for message in set(messages):
+                    sim.post_lane(lane, 0.0, handler, message, sender)
+        """
+        assert findings_for(bad, "deterministic-iteration")
+
     def test_fires_on_set_passed_to_multicast(self):
         bad = """
             def fan_out(net, src, peers, message):

@@ -442,6 +442,16 @@ class TestQuorumArithmetic:
                                     path="repro/bench/tool.py")
 
 
+@pytest.mark.parametrize("call", [
+    "sim.post(0.0, self.send, dst, message)",
+    "sim.post_lane(lane, 0.0, handler, message, sender)",
+    "self.schedule(1.0, self.send, dst, message)"])
+def test_queue_posts_are_scheduled_dispatches(call):
+    from repro.lint.msgflow import _classify_call
+    node = ast.parse(call).body[0].value
+    assert _classify_call(node, {}, {}) == "scheduled"
+
+
 # ---------------------------------------------------------------------------
 # Golden flow graphs: drift in any protocol's message-flow graph must
 # show up as a readable failing diff against tests/golden/.

@@ -78,6 +78,27 @@ class TestScheduling:
             getattr(sim, method)(delay, lambda: None)
         assert sim.pending_events == 0 and sim.max_queue_depth == 0
 
+    @pytest.mark.parametrize("method", ["schedule", "post", "post_lane"])
+    @pytest.mark.parametrize("delay", [True, False])
+    def test_bool_delay_is_a_simulation_error(self, method, delay):
+        """``post(True, fn)`` used to queue the event at ``now + 1``."""
+        sim = Simulation()
+        with pytest.raises(SimulationError, match="delay must be"):
+            if method == "post_lane":
+                sim.post_lane(sim.dispatch_lane(print), delay, 1, 2, 3)
+            else:
+                getattr(sim, method)(delay, lambda: None)
+        assert sim.pending_events == 0 and sim.max_queue_depth == 0
+
+    @pytest.mark.parametrize("delay", [-0.001, math.nan, math.inf, "x",
+                                       None])
+    def test_bad_lane_delay_rejected(self, delay):
+        sim = Simulation()
+        lane = sim.dispatch_lane(print)
+        with pytest.raises(SimulationError, match="delay must be"):
+            sim.post_lane(lane, delay, 1, 2, 3)
+        assert sim.pending_events == 0 and lane.size == 0
+
     def test_zero_delay_runs_after_current_instant_fifo(self):
         sim = Simulation()
         fired = []
@@ -272,7 +293,7 @@ class TestTimers:
         assert sorted(lanes) == [2.0, 3.0, 4.0, 5.0]
         assert [timer for lane in lanes.values()
                 for timer in lane.live.values()] == [keep]
-        assert sum(len(lane.seqs) for lane in lanes.values()) == 21
+        assert sum(lane.size for lane in lanes.values()) == 21
         assert sim.pending_events == 21
         sim.run()
         assert sim.events_processed == 21 and sim.now == 5.0
@@ -374,6 +395,111 @@ class TestGroupedEvents:
         assert plain.events_processed == batched.events_processed == 4
 
 
+class TestDispatchLanes:
+    def test_lane_and_heap_share_one_order(self):
+        """Lane calls and plain posts fire in (deadline, seq) order, a
+        lane call behind an equal-deadline post minted before it."""
+        sim = Simulation()
+        fired = []
+        lane = sim.dispatch_lane(lambda *call: fired.append(call))
+        sim.post_lane(lane, 1.0, "a", 1, None)
+        sim.post(1.0, fired.append, "post")
+        sim.post_lane(lane, 1.0, "b", 2, None)
+        sim.post_lane(lane, 2.0, "c", 3, None)
+        sim.post(1.5, fired.append, "mid")
+        # The lone first call is a heap entry; the two behind it wait in
+        # the lane, whose head alone is on the heap.
+        assert lane.size == 2 and len(sim._heap) == 4
+        assert sim.pending_events == 5
+        sim.run()
+        assert fired == [("a", 1, None), "post", ("b", 2, None), "mid",
+                         ("c", 3, None)]
+        assert lane.size == 0 and sim.pending_events == 0
+        assert sim.events_processed == 5
+
+    def test_out_of_order_post_is_a_heap_entry(self):
+        """A post earlier than the lane's latest deadline skips the lane,
+        and still fires in order."""
+        sim = Simulation()
+        fired = []
+        lane = sim.dispatch_lane(lambda *call: fired.append(call[0]))
+        sim.post_lane(lane, 3.0, "first", None, None)
+        sim.post_lane(lane, 3.0, "late", None, None)
+        sim.post_lane(lane, 1.0, "early", None, None)
+        assert lane.size == 1 and len(sim._heap) == 3
+        sim.post_lane(lane, 3.0, "tie", None, None)
+        assert lane.size == 2 and len(sim._heap) == 3
+        sim.run()
+        assert fired == ["early", "first", "late", "tie"]
+
+    def test_lone_call_is_a_heap_entry(self):
+        """A call with nothing of its lane pending ahead of it goes on
+        the heap like a post; one posted while it waits joins the lane."""
+        sim = Simulation()
+        fired = []
+        lane = sim.dispatch_lane(lambda *call: fired.append(call[0]))
+        sim.post_lane(lane, 1.0, "a", None, None)
+        assert lane.size == 0 and len(sim._heap) == 1
+        sim.run()
+        sim.post_lane(lane, 1.0, "b", None, None)
+        sim.post_lane(lane, 1.5, "c", None, None)
+        assert lane.size == 1 and len(sim._heap) == 2
+        sim.run()
+        assert fired == ["a", "b", "c"] and sim.now == 2.5
+
+    def test_lane_grows_past_its_ring(self):
+        """Posts beyond the initial capacity, interleaved with firing so
+        the ring wraps before it grows, keep their order."""
+        sim = Simulation()
+        fired = []
+        lane = sim.dispatch_lane(lambda i, _b, _c: fired.append(i))
+        for i in range(5):
+            sim.post_lane(lane, 0.1 + 0.1 * i, i, None, None)
+        sim.run(until=0.35)
+        for i in range(5, 40):
+            sim.post_lane(lane, 0.1 + 0.1 * i - sim.now, i, None, None)
+        assert lane.size == 37 and lane.capacity == 38
+        assert sim.pending_events == 37 and sim.max_queue_depth == 37
+        sim.run()
+        assert fired == list(range(40))
+
+    def test_fired_call_releases_its_arguments(self):
+        class Payload:
+            pass
+
+        sim = Simulation()
+        lane = sim.dispatch_lane(lambda *call: None)
+        payloads = [Payload() for _ in range(3)]
+        refs = [weakref.ref(payload) for payload in payloads]
+        sim.post_lane(lane, 1.0, None, None, None)
+        sim.post_lane(lane, 1.0, *payloads)
+        assert lane.size == 1
+        del payloads
+        sim.run()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+
+    def test_a_call_may_post_into_its_own_full_lane(self):
+        """The firing call's slot is read before the call runs, so a post
+        from inside it may reuse that slot."""
+        sim = Simulation()
+        fired = []
+
+        def call(i, _b, _c):
+            fired.append(i)
+            if 1 <= i <= 8:
+                sim.post_lane(lane, 1.0, i + 8, None, None)
+
+        lane = sim.dispatch_lane(call)
+        # Call 0 is lone, a heap entry; calls 1-8 fill the ring, and each
+        # posts into the slot it just left.
+        for i in range(9):
+            sim.post_lane(lane, 0.001 * (i + 1), i, None, None)
+        assert lane.size == lane.capacity == 8
+        sim.run()
+        assert fired == list(range(17)) and lane.capacity == 8
+
+
 class TestLaneCalendarInterleaving:
     def test_calendar_tie_beats_younger_lane_entry(self):
         """At equal deadlines, an event scheduled *earlier* (smaller
@@ -438,7 +564,9 @@ class TestLaneCalendarInterleaving:
 def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
     """GeoBFT arms a timer per awaited share and PBFT one per decision;
     fault-free, all are cancelled.  After a run the timer lanes must hold
-    them only as (deadline, seq) pairs — still counted as pending."""
+    them only as (deadline, seq) pairs — still counted as pending.  The
+    replicas' certify lanes hold the dispatches still waiting on the
+    certify thread, in (deadline, seq) order."""
     from repro import Deployment, ExperimentConfig
 
     deployment = Deployment(ExperimentConfig(
@@ -446,16 +574,26 @@ def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
         batch_size=10, duration=0.5, warmup=0.1, fast_crypto=True))
     deployment.run()
     sim = deployment.sim
-    lanes = list(sim._lanes.values())
-    live = [timer for lane in lanes for timer in lane.live.values()]
+    certify = [replica._certify_lane
+               for replica in deployment.replicas.values()]
+    assert sum(lane.size for lane in certify) > 10
+    for lane in certify:
+        ring = [(lane.deadlines[(lane.head + k) % lane.capacity],
+                 lane.seqs[(lane.head + k) % lane.capacity])
+                for k in range(lane.size)]
+        assert ring == sorted(ring)
+    timer_lanes = list(sim._lanes.values())
+    live = [timer for lane in timer_lanes for timer in lane.live.values()]
     assert not [timer for timer in live if timer.cancelled]
-    # Besides posted callbacks the heap holds one head per lane, and
-    # nothing else.
+    # Besides posted callbacks the heap holds one head per non-empty
+    # lane, timer or certify, and nothing else.
+    lanes = timer_lanes + [lane for lane in certify if lane.size]
     posts = [entry for entry in sim._heap if entry[3] is not None]
     heads = [entry[2] for entry in sim._heap if entry[3] is None]
     assert sorted(map(id, heads)) == sorted(map(id, lanes))
-    pairs = sum(len(lane.seqs) - lane.head for lane in lanes)
-    assert pairs - len(live) > 100
+    timer_pairs = sum(lane.size for lane in timer_lanes)
+    assert timer_pairs - len(live) > 100
+    pairs = sum(lane.size for lane in lanes)
     assert sim.pending_events == len(posts) + pairs
     # Every event ever queued is either processed or still pending.
     assert sim.pending_events == sim._seq - sim.events_processed
@@ -484,7 +622,7 @@ class _ReferenceSimulation:
         return len(self._queue)
 
     def schedule(self, delay, fn, *args):
-        if not 0.0 <= delay < math.inf:
+        if delay.__class__ is bool or not 0.0 <= delay < math.inf:
             raise SimulationError(f"bad delay: {delay}")
         timer = _ReferenceTimer(fn, args)
         insort(self._queue, (self.now + delay, self._seq, timer))
@@ -493,6 +631,12 @@ class _ReferenceSimulation:
         return timer
 
     post = schedule
+
+    def dispatch_lane(self, fn):
+        return fn
+
+    def post_lane(self, lane, delay, a, b, c):
+        self.schedule(delay, lane, a, b, c)
 
     def step(self, until=float("inf")):
         while self._queue and self._queue[0][0] <= until:
@@ -523,6 +667,8 @@ class _Driver:
         self.delays = []
         self.log = []
         self.queued = 0     # events scheduled or posted, ever
+        self.lane = sim.dispatch_lane(self.fire)
+        self.lane_last = 0.0    # the latest deadline posted to the lane
 
     def schedule(self, delay, action):
         timer = self.sim.schedule(delay, self.fire, len(self.timers), action)
@@ -534,7 +680,12 @@ class _Driver:
         self.sim.post(delay, self.fire, "child", action)
         self.queued += 1
 
-    def fire(self, label, action):
+    def post_lane(self, delay, action):
+        self.sim.post_lane(self.lane, delay, "lane", action, None)
+        self.lane_last = max(self.lane_last, self.sim.now + delay)
+        self.queued += 1
+
+    def fire(self, label, action, _unused=None):
         # The queue as the callback sees it: the firing event is already
         # consumed, and its lane's next head already queued.
         self.log.append((label, self.sim.now, self.sim.pending_events))
@@ -543,11 +694,13 @@ class _Driver:
             self.post(arg, ("log", None))
         elif kind == "schedule":
             self.schedule(arg, ("log", None))
+        elif kind == "post_lane":
+            self.post_lane(arg, ("log", None))
         elif kind == "cancel":
             self.cancel(arg)
-        elif kind == "cancel_self" and label != "child":
+        elif kind == "cancel_self" and label.__class__ is int:
             self.cancel(label)
-        elif kind == "rearm" and label != "child":
+        elif kind == "rearm" and label.__class__ is int:
             self.schedule(self.delays[label], ("log", None))
         elif kind == "drain":
             # User code may run the clock up to the current instant; the
@@ -574,7 +727,7 @@ _delays = st.sampled_from([0.0, 0.0, 0.0002, 0.0005, 0.001, 0.0015, 0.004,
                            0.25, 2.0])
 _actions = st.one_of(
     st.just(("log", None)),
-    st.tuples(st.sampled_from(["post", "schedule"]), _delays),
+    st.tuples(st.sampled_from(["post", "schedule", "post_lane"]), _delays),
     st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.just(("cancel_self", None)),
     st.just(("rearm", None)),
@@ -583,8 +736,9 @@ _actions = st.one_of(
 
 
 class QueueDifferentialMachine(RuleBasedStateMachine):
-    """Random schedule/post/cancel/run/step interleavings against the
-    reference; everything observable must agree after every step."""
+    """Random schedule/post/lane-post/cancel/run/step interleavings
+    against the reference; everything observable must agree after every
+    step."""
 
     def __init__(self):
         super().__init__()
@@ -610,13 +764,34 @@ class QueueDifferentialMachine(RuleBasedStateMachine):
                 side.schedule(delay, action)
                 side.sim.run(until=side.sim.now + gap)
 
-    @rule(delay=st.sampled_from([math.nan, math.inf, -math.inf, -0.001]),
-          method=st.sampled_from(["schedule", "post"]))
+    @rule(order=st.sampled_from(["after", "equal", "before"]), gap=_delays,
+          action=_actions)
+    def post_lane(self, order, gap, action):
+        """A lane post at or after the lane's tail, at its deadline
+        exactly, or before it — the fallback to a plain heap entry."""
+        for side in self.sides:
+            now = side.sim.now
+            tail = max(side.lane_last, now)
+            if order == "after":
+                deadline = tail + gap
+            elif order == "equal":
+                deadline = tail
+            else:
+                deadline = max(now, tail - gap)
+            side.post_lane(deadline - now, action)
+
+    @rule(delay=st.sampled_from([math.nan, math.inf, -math.inf, -0.001,
+                                 True]),
+          method=st.sampled_from(["schedule", "post", "post_lane"]))
     def bad_delay(self, delay, method):
         for side in self.sides:
             with pytest.raises(SimulationError):
-                getattr(side.sim, method)(delay, side.fire, "child",
-                                          ("log", None))
+                if method == "post_lane":
+                    side.sim.post_lane(side.lane, delay, "lane",
+                                       ("log", None), None)
+                else:
+                    getattr(side.sim, method)(delay, side.fire, "child",
+                                              ("log", None))
 
     @rule(index=st.integers(0, 50), twice=st.booleans())
     def cancel(self, index, twice):

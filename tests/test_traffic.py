@@ -111,6 +111,15 @@ class TestTrafficSpec:
         with pytest.raises(ConfigurationError, match=field):
             steady_spec(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_retries", "x"), ("max_retries", True), ("max_retries", 2.5),
+        ("amplitude", "x"), ("amplitude", math.nan), ("amplitude", False)])
+    def test_retries_and_amplitude_are_typed(self, field, value):
+        """``max_retries="x"`` and ``amplitude="x"`` used to raise a bare
+        ``TypeError``, and ``max_retries=True`` / ``2.5`` were accepted."""
+        with pytest.raises(ConfigurationError, match=field):
+            steady_spec(**{field: value})
+
     def test_flash_window_must_be_ordered(self):
         with pytest.raises(ConfigurationError, match="flash_until"):
             TrafficSpec(process="flash", flash_at=2.0, flash_until=1.0)
