@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Literal, Optional, Tuple
 
 from ..consensus.hotstuff import HotStuffReplica
-from ..consensus.pbft import PbftConfig, PbftReplica
+from ..consensus.pbft import (CertificatePool, PbftConfig, PbftEngine,
+                              PbftReplica)
 from ..consensus.steward import StewardReplica
 from ..consensus.zyzzyva import ZyzzyvaReplica
 from ..core.config import GeoBftConfig
@@ -203,7 +204,11 @@ class ExperimentConfig:
             timeouts=("duration", "view_change_timeout",
                       "client_retry_timeout", "zyzzyva_spec_timeout",
                       "steward_crypto_factor"),
-            windows=("warmup",), fractions=("write_fraction",))
+            windows=("warmup",), fractions=("write_fraction",),
+            flags=("fast_crypto", "instrument"))
+        if not isinstance(self.geobft, GeoBftConfig):
+            raise ConfigurationError(
+                f"geobft must be a GeoBftConfig, got {self.geobft!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ConfigurationError(
                 f"unknown distribution {self.distribution!r}; expected "
@@ -476,12 +481,19 @@ class Deployment:
         self._make_drivers(entry, members)
         # Replicas execute the same batches in the same order (§2.4), so
         # their stores share one state, and their ledgers one chain,
-        # until one of them diverges.
+        # until one of them diverges.  The engines of one PBFT group
+        # decide on the same commit objects, so they share one
+        # certificate pool.
         self.execution_log = ExecutionLog(cfg.record_count)
         self.chain_log = ChainLog()
+        self.certificate_pools: Dict[ClusterId, CertificatePool] = {}
         for replica in self.replicas.values():
             self.execution_log.attach(replica.store)
             self.chain_log.attach(replica.ledger)
+            engine = getattr(replica, "engine", None)
+            if isinstance(engine, PbftEngine):
+                self.certificate_pools.setdefault(
+                    engine.cluster_id, CertificatePool()).attach(engine)
 
     def _workload(self, salt: int) -> YcsbWorkload:
         cfg = self.config

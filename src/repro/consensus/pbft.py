@@ -9,6 +9,10 @@ Two layers live here:
   replication; Steward embeds one in its primary cluster; the flat PBFT
   baseline embeds one spanning all replicas.
 
+* :class:`CertificatePool` — the commit certificates one PBFT group
+  has decided, shared by the group's engines so that replicas deciding
+  on the same commit objects hold one certificate.
+
 * :class:`PbftReplica` — the flat PBFT baseline of the evaluation: a
   single engine over all ``zn`` replicas with the primary placed in
   Oregon (paper §4), executing decisions in sequence order and replying
@@ -26,6 +30,8 @@ matches Castro & Liskov's protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap, zip_longest
+from operator import is_
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..crypto.digests import chain_digest
@@ -132,6 +138,65 @@ class _Slot:
                              if digest in self.commits else 0)
 
 
+class CertificatePool:
+    """The commit certificates one PBFT group has decided, shared by the
+    group's engines.
+
+    The replicas of a group receive the same request and ``Commit``
+    objects (a multicast hands one object to every destination), so
+    replicas that decide a slot on the same commits would build equal
+    certificates.  The first engine to decide on a commit set builds the
+    certificate and adds it here; an engine that later picks the very
+    same objects — the same view, the same request object, the same
+    commit objects in the same order — reuses it (:meth:`match`).  A
+    reused certificate is the one the engine would have built, so
+    digests are unchanged by construction.  Anything else misses and
+    the engine builds its own: an equal copy, another view or request,
+    other commits, or a slot already pruned.
+
+    Entries at or below a group's stable-checkpoint horizon are dropped
+    (:meth:`prune`), and nothing is added there again, so the pool holds
+    a bounded window of slots.  Dropping early costs sharing only.
+    """
+
+    __slots__ = ("_by_seq", "_floor")
+
+    def __init__(self) -> None:
+        self._by_seq: Dict[SeqNum, List[CommitCertificate]] = {}
+        self._floor: SeqNum = 0  # slots at or below it were pruned
+
+    def __len__(self) -> int:
+        """Certificates pooled."""
+        return sum(map(len, self._by_seq.values()))
+
+    def attach(self, engine: "PbftEngine") -> None:
+        """Share this pool with ``engine``, a member of the group."""
+        engine._pool = self
+
+    def match(self, seq: SeqNum, view: ViewId, request: ClientRequestBatch,
+              commits: Tuple[Commit, ...]) -> Optional[CommitCertificate]:
+        """The pooled certificate for ``seq`` made of exactly these
+        objects, or ``None``."""
+        for certificate in self._by_seq.get(seq, ()):
+            if (certificate.view == view and certificate.request is request
+                    and all(starmap(is_, zip_longest(certificate.commits,
+                                                     commits)))):
+                return certificate
+        return None
+
+    def add(self, certificate: CommitCertificate) -> None:
+        """Pool ``certificate`` unless its slot is already pruned."""
+        seq = certificate.round_id
+        if seq > self._floor:
+            self._by_seq.setdefault(seq, []).append(certificate)
+
+    def prune(self, horizon: SeqNum) -> None:
+        """Drop every slot at or below ``horizon``."""
+        for seq in range(self._floor + 1, horizon + 1):
+            self._by_seq.pop(seq, None)
+        self._floor = max(self._floor, horizon)
+
+
 class PbftEngine:
     """One PBFT group: ``members`` with ``f = (n - 1) // 3``.
 
@@ -188,6 +253,9 @@ class PbftEngine:
         # seq -> its commit certificate; the decided request is
         # ``certificate.request``.
         self._decided: Dict[SeqNum, CommitCertificate] = {}
+        # Certificates this engine's group has built; a deployment
+        # attaches one pool per group, else the engine keeps its own.
+        self._pool = CertificatePool()
         self._delivered_upto: SeqNum = 0  # decisions handed to on_decide
         self._next_seq: SeqNum = 1  # primary's next assignment
         self._queue: List[ClientRequestBatch] = []
@@ -561,15 +629,21 @@ class PbftEngine:
             return
         commits = slot.commits[slot.digest]
         slot.decided = True
-        certificate = CommitCertificate(
-            cluster_id=self._cluster_id,
-            round_id=seq,
-            view=slot.preprepare.view,
-            request=slot.preprepare.request,
-            commits=tuple(
-                commits[r] for r in sorted(commits)[: self._q.intersect]
-            ),
-        )
+        view, request = slot.preprepare.view, slot.preprepare.request
+        chosen = tuple(commits[r]
+                       for r in sorted(commits)[: self._q.intersect])
+        # A peer that decided on these very objects built this
+        # certificate already (CertificatePool).
+        certificate = self._pool.match(seq, view, request, chosen)
+        if certificate is None:
+            certificate = CommitCertificate(
+                cluster_id=self._cluster_id,
+                round_id=seq,
+                view=view,
+                request=request,
+                commits=chosen,
+            )
+            self._pool.add(certificate)
         self._decided[seq] = certificate
         self._deliver_in_order()
 
@@ -650,6 +724,7 @@ class PbftEngine:
                                          self._config.decision_retention)
         for old_seq in [s for s in self._decided if s <= horizon]:
             del self._decided[old_seq]
+        self._pool.prune(horizon)
         self._catch_up_to_stable()
 
     def _catch_up_to_stable(self) -> None:

@@ -50,6 +50,9 @@ class GeoBftConfig:
     round_pipeline: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pbft, PbftConfig):
+            raise ConfigurationError(
+                f"pbft must be a PbftConfig, got {self.pbft!r}")
         if self.sharing_strategy not in _VALID_SHARING:
             raise ConfigurationError(
                 f"unknown sharing strategy {self.sharing_strategy!r}; "
@@ -58,6 +61,7 @@ class GeoBftConfig:
         check_config_fields(
             self, counts=("certificate_retention_rounds",),
             timeouts=("remote_timeout",),
-            windows=("recent_view_change_window",))
+            windows=("recent_view_change_window",),
+            flags=("rotate_share_targets", "threshold_certificates"))
         if self.round_pipeline is not None:
             check_config_fields(self, counts=("round_pipeline",))

@@ -206,7 +206,11 @@ class Block:
     hashes each block once: its replicas' ledgers are cursors into one
     shared chain (:class:`~repro.ledger.blockchain.ChainLog`), each with
     its own certificate column, and a ledger hands out the shared block
-    with its own certificate in it.
+    with its own certificate in it.  The engines of one PBFT group share
+    one certificate per commit set
+    (:class:`~repro.consensus.pbft.CertificatePool`), so two replicas'
+    certificates for a block are different objects only when they were
+    assembled from different commits.
     """
 
     __slots__ = ("height", "round_id", "cluster_id", "batch",

@@ -43,7 +43,10 @@ class ChainLog:
     of the first chain that appended it.  An attached
     :class:`Blockchain` is a cursor (its height) plus a column of its own
     certificates, because certificates legitimately differ between
-    replicas (the ``Block`` docstring).  Appending moves the cursor when
+    replicas (the ``Block`` docstring).  They differ only when their
+    commit sets do: a group's engines share one certificate object per
+    commit set, so a column mostly holds references to the same few
+    objects as its neighbours'.  Appending moves the cursor when
     the log's block at that height has the same ``round_id`` and
     ``cluster_id``, the same batch *object* and the ``batch_digest``
     argument as its digest; the first chain to reach the head builds and

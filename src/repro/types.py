@@ -172,13 +172,19 @@ def check_config_fields(config, counts: Iterable[str] = (),
                         timeouts: Iterable[str] = (),
                         windows: Iterable[str] = (),
                         naturals: Iterable[str] = (),
-                        fractions: Iterable[str] = ()) -> None:
+                        fractions: Iterable[str] = (),
+                        flags: Iterable[str] = ()) -> None:
     """Raise :class:`ConfigurationError` unless each named field of
     ``config`` holds a valid value: a count is an ``int`` (not a
     ``bool``) >= 1 and a natural one >= 0, a timeout a finite number
-    > 0, a window a finite number >= 0, and a fraction a finite number
-    in [0, 1].  Shared by every config dataclass (PBFT, GeoBFT,
-    experiment, traffic)."""
+    > 0, a window a finite number >= 0, a fraction a finite number in
+    [0, 1], and a flag a ``bool`` (not a truthy string or int).  Shared
+    by every config dataclass (PBFT, GeoBFT, experiment, traffic)."""
+    for name in flags:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise ConfigurationError(
+                f"{name} must be a bool, got {value!r}")
     for names, least in ((counts, 1), (naturals, 0)):
         for name in names:
             value = getattr(config, name)

@@ -184,6 +184,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig(**params)
 
+    @pytest.mark.parametrize("field, value", [
+        ("fast_crypto", "false"), ("fast_crypto", 1), ("fast_crypto", None),
+        ("instrument", 1), ("instrument", "yes"),
+        ("geobft", None), ("geobft", {}),
+    ])
+    def test_flag_and_nested_fields_typed(self, field, value):
+        """``fast_crypto="false"`` used to run with fast crypto (the
+        string is truthy), and ``geobft=None`` failed only in
+        ``Deployment`` with a bare ``TypeError``."""
+        params = dict(num_clusters=2, replicas_per_cluster=4)
+        params[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(**params)
+
     @pytest.mark.parametrize("distribution", [
         "uniform", "zipfian", "scrambled_zipfian"])
     def test_every_distribution_accepted(self, distribution):

@@ -92,6 +92,12 @@ class TestConfigValidation:
         ("recent_view_change_window", -1.0),
         ("recent_view_change_window", float("nan")),
         ("recent_view_change_window", float("inf")),
+        ("threshold_certificates", "x"),
+        ("threshold_certificates", 1),
+        ("rotate_share_targets", None),
+        ("rotate_share_targets", "false"),
+        ("pbft", None),
+        ("pbft", {"pipeline_depth": 8}),
     ])
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):

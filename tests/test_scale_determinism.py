@@ -114,3 +114,34 @@ def test_shape_deployment_digest_is_golden(config, expected_digest,
     assert deployment_digest(deployment, result) == expected_digest
     assert deployment.sim.events_processed == expected_events
 
+
+
+def _certificate_census(deployment):
+    """``(certificate objects, distinct commit sets)`` held across all
+    ledgers; a commit set is the slot, view, request object and commit
+    objects a certificate is made of."""
+    certificates = {}
+    for replica in deployment.replicas.values():
+        for block in replica.ledger:
+            certificates[id(block.certificate)] = block.certificate
+    commit_sets = {
+        (c.cluster_id, c.round_id, c.view, id(c.request),
+         tuple(map(id, c.commits)))
+        for c in certificates.values()}
+    return len(certificates), len(commit_sets)
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "geobft", "steward"])
+def test_one_certificate_object_per_commit_set(protocol):
+    """A group's replicas share one certificate per commit set, at the
+    golden digests."""
+    expected_digest, expected_events = SMALL_MATRIX[(protocol, 1)]
+    deployment, result = _run(
+        protocol=protocol, num_clusters=2, replicas_per_cluster=4,
+        batch_size=50, duration=1.0, warmup=0.25, seed=1,
+        record_count=2_000, fast_crypto=True,
+    )
+    assert deployment_digest(deployment, result) == expected_digest
+    assert deployment.sim.events_processed == expected_events
+    objects, commit_sets = _certificate_census(deployment)
+    assert objects == commit_sets > 0

@@ -1,6 +1,7 @@
 """Tests for identifier types and fault-tolerance arithmetic."""
 
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from repro.types import (
     ClusterSpec,
     NodeId,
     Quorums,
+    check_config_fields,
     client_id,
     max_faulty,
     replica_id,
@@ -115,3 +117,14 @@ class TestClusterSpec:
     def test_replicas_belong_to_cluster(self):
         spec = ClusterSpec(9, "iowa", 4)
         assert all(r.cluster == 9 for r in spec.replicas())
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_accepted(self, value):
+        check_config_fields(SimpleNamespace(on=value), flags=("on",))
+
+    @pytest.mark.parametrize("value", [0, 1, "false", "", None, 1.0])
+    def test_non_bools_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="on must be a bool"):
+            check_config_fields(SimpleNamespace(on=value), flags=("on",))
