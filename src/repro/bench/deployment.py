@@ -199,6 +199,8 @@ class ExperimentConfig:
             # An open loop (``traffic``) replaces the closed-loop
             # clients, so it alone may set this to 0.
             counts += ("clients_per_cluster",)
+        if self.max_batches_per_client is not None:
+            counts += ("max_batches_per_client",)
         check_config_fields(
             self, counts=counts,
             timeouts=("duration", "view_change_timeout",
@@ -209,6 +211,11 @@ class ExperimentConfig:
         if not isinstance(self.geobft, GeoBftConfig):
             raise ConfigurationError(
                 f"geobft must be a GeoBftConfig, got {self.geobft!r}")
+        if (self.topology is not None
+                and not isinstance(self.topology, Topology)):
+            raise ConfigurationError(
+                f"topology must be None or a Topology, got "
+                f"{self.topology!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ConfigurationError(
                 f"unknown distribution {self.distribution!r}; expected "

@@ -7,6 +7,10 @@ protocol resolves this in four phases:
 
 1. **Detection** (initiation role): each replica of C2 runs a timer per
    awaited (cluster, round); on expiry it broadcasts ``DRVC`` locally.
+   The timers for one watched cluster are the rows of one
+   :class:`~repro.net.simulator.CallLane`, whose argument is the round:
+   their deadlines never decrease, since the clock does not and the
+   cluster's timeout only grows with its remote view changes.
 2. **Agreement**: on ``n - f`` matching ``DRVC`` messages the replicas
    of C2 agree C1 failed.  A replica that *did* receive the share
    instead answers a ``DRVC`` by sending the share to the detector
@@ -27,10 +31,10 @@ a narrow interface so it can be unit-tested with a stub owner.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..consensus.messages import Drvc, Rvc
-from ..net.simulator import Timer
 from ..types import ClusterId, NodeId, Quorums, RoundId
 
 #: Returns the buffered share for (cluster, round) or None.
@@ -67,15 +71,18 @@ class RemoteViewChangeManager:
         # re-shares immediately; if a view change is triggered instead,
         # the incoming primary re-shares on installation.
         self._on_resend_requested = on_resend_requested
-        # Bound once: every timer this manager arms stores this one
-        # method object instead of binding a fresh one per arm.
-        self._timeout_callback = self._on_timeout
 
         # --- initiation role (watching remote clusters) ---
         self._vc_counts: Dict[ClusterId, int] = {}
-        # cluster -> round -> the timer awaiting that round's share; one
-        # map per known cluster, built up front.
-        self._timers: Dict[ClusterId, Dict[RoundId, Timer]] = {
+        # One call lane per watched cluster, firing that cluster's
+        # timeouts with the round as argument.
+        sim = owner.sim
+        self._lanes = {
+            cluster: sim.call_lane(partial(self._on_timeout, cluster))
+            for cluster in quorums if cluster != own_cluster}
+        # cluster -> round -> the lane position of the timeout awaiting
+        # that round's share; one map per known cluster, built up front.
+        self._timers: Dict[ClusterId, Dict[RoundId, int]] = {
             cluster: {} for cluster in quorums}
         self._broadcast_drvc: Set[Tuple[ClusterId, RoundId, int]] = set()
         self._drvc_votes: Dict[Tuple[ClusterId, RoundId, int],
@@ -126,17 +133,15 @@ class RemoteViewChangeManager:
         if self._get_share(cluster, round_id) is not None:
             return
         timeout = self._remote_timeout * (2 ** self.vc_count(cluster))
-        timers[round_id] = self._owner.set_timer(
-            timeout, self._timeout_callback, cluster, round_id
-        )
+        timers[round_id] = self._owner.sim.post_call(
+            self._lanes[cluster], timeout, round_id)
 
     def on_share_received(self, cluster: ClusterId,
                           round_id: RoundId) -> None:
         """The awaited share arrived: stop suspecting this round."""
         timers = self._timers[cluster]
         if round_id in timers:
-            timers[round_id].cancel()
-            del timers[round_id]
+            self._lanes[cluster].cancel(timers.pop(round_id))
 
     def _on_timeout(self, cluster: ClusterId, round_id: RoundId) -> None:
         timers = self._timers[cluster]
@@ -170,8 +175,8 @@ class RemoteViewChangeManager:
         """Figure 7, lines 5–13 (receipt of a DRVC from a peer)."""
         if sender.cluster != self._own_cluster or msg.replica != sender:
             return
-        if msg.target_cluster not in self._quorums:
-            return  # DRVCs must name a (known) cluster
+        if msg.target_cluster not in self._lanes:
+            return  # DRVCs must name a known remote cluster
         share = self._get_share(msg.target_cluster, msg.round_id)
         if share is not None:
             # Lines 5–7: we have the message C1 sent; help the detector.

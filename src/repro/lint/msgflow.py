@@ -52,7 +52,7 @@ WIRE_KINDS = frozenset({"broadcast", "multi-unicast", "unicast",
 
 _BROADCASTERS = {"broadcast", "multicast", "_multicast_distinct"}
 _SENDERS = {"send", "send_at"}
-_SCHEDULERS = {"post", "post_lane", "schedule"}
+_SCHEDULERS = {"post", "post_lane", "post_call", "schedule"}
 
 
 class MessageFlow:

@@ -289,7 +289,7 @@ class NoUnseededRandom(_ImportTracker):
 #: argument/iteration order becomes part of the simulated schedule.
 _EVENT_SINKS = {
     "send", "multicast", "broadcast", "_multicast_distinct",
-    "post", "post_lane", "schedule", "send_at",
+    "post", "post_lane", "post_call", "schedule", "send_at",
 }
 
 #: Methods whose result has no deterministic cross-run order.

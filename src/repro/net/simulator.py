@@ -7,7 +7,7 @@ equal timestamps fire in scheduling order, so a run is a pure function of
 its configuration and seed, which the safety and determinism tests rely
 on.
 
-Three scheduling paths share one sequence counter:
+Four scheduling paths share one sequence counter:
 
 * :meth:`Simulation.schedule` returns a cancellable :class:`Timer` —
   used for view-change timeouts and anything else that may be cancelled.
@@ -17,11 +17,14 @@ Three scheduling paths share one sequence counter:
   in the queue entry.
 * :meth:`Simulation.post_lane` queues a never-cancelled call behind the
   earlier calls of its :class:`DispatchLane`.
+* :meth:`Simulation.post_call` queues a cancellable ``fn(arg)`` call in
+  its :class:`CallLane` and returns the call's position, which
+  :meth:`CallLane.cancel` takes.
 
-Because all three paths consume the same monotonically increasing sequence
-number, mixing them cannot reorder events: determinism is a property of
-the (deadline, seq) pair, which is identical whichever path created the
-event.
+Because all four paths consume the same monotonically increasing
+sequence number, mixing them cannot reorder events: determinism is a
+property of the (deadline, seq) pair, which is identical whichever path
+created the event.
 
 Two structures together implement the exact (deadline, seq) total
 order:
@@ -41,7 +44,12 @@ order:
   tuple.  A call with nothing of its lane pending ahead of it, or one
   earlier than the lane's latest deadline, is a plain heap entry
   instead: a lone call costs what a post costs, and the order stays
-  exact for any caller.
+  exact for any caller.  A **call lane** (:class:`CallLane`,
+  :meth:`Simulation.post_call`) holds the ``fn(arg)`` calls of one
+  caller whose deadlines never decrease — a GeoBFT replica's remote
+  view-change timeouts for one watched cluster — with the argument in
+  one slot column; cancelling a call clears its slot, and the row is
+  consumed without firing when its turn comes.
 * **one binary heap** holding every :meth:`~Simulation.post` entry
   plus the head entry of each non-empty lane.  When a lane's head is
   consumed, the lane pushes its next head before the event fires, so
@@ -50,8 +58,9 @@ order:
 Almost every timer the protocols arm is cancelled long before its
 multi-second deadline.  :meth:`Timer.cancel` deletes the timer from its
 lane's dict, so a cancelled timer stays resident only as a 16-byte
-``(deadline, seq)`` pair; the cancelled event is still popped, counted
-and skipped at exactly the position it always held.
+``(deadline, seq)`` pair, and a cancelled call-lane row as its 24-byte
+row; the cancelled event is still popped, counted and skipped at
+exactly the position it always held.
 """
 
 from __future__ import annotations
@@ -75,10 +84,11 @@ def _bad_delay(delay) -> SimulationError:
 class Timer:
     """Handle to a scheduled event, allowing cancellation.
 
-    Replicas use timers for failure detection (PBFT view-change timers,
-    GeoBFT remote view-change timers).  Cancelling is O(1) and releases
-    the callback and its arguments at once; the event itself still
-    counts as queued and is skipped as a no-op at its deadline.
+    Replicas and clients use timers for failure detection (PBFT
+    progress and new-view timers, client retries).  Cancelling is O(1)
+    and releases the callback and its arguments at once; the event
+    itself still counts as queued and is skipped as a no-op at its
+    deadline.
     """
 
     __slots__ = ("deadline", "_fn", "_args", "_cancelled", "_lane", "_seq",
@@ -205,6 +215,47 @@ class DispatchLane(_Lane):
         self.args2[at:at] = gap
 
 
+class CallLane(_Lane):
+    """Queued cancellable ``fn(arg)`` calls whose deadlines never
+    decrease, in (deadline, seq) order; made by
+    :meth:`Simulation.call_lane`.
+
+    The argument of the row at ring index ``i`` is ``args[i]``; a fired
+    or cancelled row's slot holds None.  ``popped`` counts the rows
+    consumed so far, so the row at position ``pos`` (the value
+    :meth:`Simulation.post_call` returned for it) sits at ring index
+    ``(head + pos - popped) % capacity`` until it is consumed — through
+    :meth:`_grow` too, whose gap opens just before the head.  ``last``
+    is the latest deadline posted to the lane.
+    """
+
+    __slots__ = ("fn", "last", "popped", "args")
+
+    def __init__(self, fn: Callable[[Any], None]):
+        super().__init__()
+        self.fn = fn
+        self.last = 0.0
+        self.popped = 0
+        self.args: list = [None] * _LANE_SLOTS
+
+    def _open_gap(self, at: int, width: int) -> None:
+        super()._open_gap(at, width)
+        self.args[at:at] = [None] * width
+
+    def cancel(self, pos: int) -> None:
+        """Keep the call at ``pos`` from firing, in O(1) (idempotent).
+
+        A no-op once the call has been consumed — including from inside
+        its own callback.  The row stays queued and is consumed, counted
+        and skipped at its deadline, as a cancelled :class:`Timer` is.
+        """
+        k = pos - self.popped
+        if k >= self.size:
+            raise SimulationError(f"no call at position {pos!r}")
+        if k >= 0:
+            self.args[(self.head + k) % self.capacity] = None
+
+
 class Simulation:
     """A discrete-event loop with deterministic tie-breaking.
 
@@ -215,7 +266,7 @@ class Simulation:
         sim.run(until=10.0)
     """
 
-    __slots__ = ("_now", "_seq", "_heap", "_lanes", "_dispatch_lanes",
+    __slots__ = ("_now", "_seq", "_heap", "_lanes", "_made_lanes",
                  "_events_processed", "_depth", "_max_queue", "rng")
 
     def __init__(self, seed: int = 0):
@@ -227,7 +278,8 @@ class Simulation:
         # tail.
         self._heap: list = []
         self._lanes: dict = {}       # delay -> _TimerLane, non-empty only
-        self._dispatch_lanes: list = []     # every DispatchLane made
+        # Every DispatchLane and CallLane made, empty or not.
+        self._made_lanes: list = []
         self._events_processed = 0
         # Queue depth is tracked incrementally (push +1 / consume -1)
         # so the hot post() path never takes a len() call.
@@ -248,7 +300,7 @@ class Simulation:
     @property
     def pending_events(self) -> int:
         """Events still in the queue (including cancelled ones)."""
-        lanes = [*self._lanes.values(), *self._dispatch_lanes]
+        lanes = [*self._lanes.values(), *self._made_lanes]
         # The heap holds one entry per non-empty lane, its head, counted
         # here with the lane's other pairs.
         return len(self._heap) + sum(lane.size - 1 for lane in lanes
@@ -333,7 +385,7 @@ class Simulation:
                       ) -> DispatchLane:
         """A new, empty :class:`DispatchLane` whose events call ``fn``."""
         lane = DispatchLane(fn)
-        self._dispatch_lanes.append(lane)
+        self._made_lanes.append(lane)
         return lane
 
     def post_lane(self, lane: DispatchLane, delay: float,
@@ -382,6 +434,54 @@ class Simulation:
         if depth > self._max_queue:
             self._max_queue = depth
 
+    def call_lane(self, fn: Callable[[Any], None]) -> CallLane:
+        """A new, empty :class:`CallLane` whose events call ``fn``."""
+        lane = CallLane(fn)
+        self._made_lanes.append(lane)
+        return lane
+
+    def post_call(self, lane: CallLane, delay: float, arg: Any) -> int:
+        """Queue ``lane.fn(arg)`` to run ``delay`` seconds from now.
+
+        The same ordering as :meth:`schedule`; returns the call's
+        position in ``lane``, which :meth:`CallLane.cancel` takes.  The
+        call waits in the lane's columns, with no heap entry of its own
+        unless it is the lane's head.  ``arg`` must not be None (a
+        cleared slot holds None), and the deadline must not be earlier
+        than the lane's latest one: either raises
+        :class:`SimulationError`.
+        """
+        try:
+            if delay.__class__ is bool or not 0.0 <= delay < _INF:
+                raise _bad_delay(delay)
+        except TypeError:
+            raise _bad_delay(delay) from None
+        deadline = self._now + delay
+        if deadline < lane.last:
+            raise SimulationError(
+                f"call lane deadline {deadline} precedes the lane's "
+                f"latest, {lane.last}")
+        if arg is None:
+            raise SimulationError("a call lane's argument cannot be None")
+        seq = self._seq
+        self._seq = seq + 1
+        size = lane.size
+        if not size:
+            heappush(self._heap, (deadline, seq, lane, None))
+        elif size == lane.capacity:
+            lane._grow()
+        i = (lane.head + size) % lane.capacity
+        lane.deadlines[i] = deadline
+        lane.seqs[i] = seq
+        lane.args[i] = arg
+        lane.size = size + 1
+        lane.last = deadline
+        depth = self._depth + 1
+        self._depth = depth
+        if depth > self._max_queue:
+            self._max_queue = depth
+        return lane.popped + size
+
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Drain the event queue.
@@ -425,9 +525,10 @@ class Simulation:
     def _run_loop(self, until: Optional[float],
                   max_events: Optional[int]) -> int:
         """Fire events in (deadline, seq) order; return how many fired
-        (cancelled timers are consumed but not counted)."""
+        (cancelled timers and calls are consumed but not counted)."""
         heap = self._heap
         timer_lane = _TimerLane
+        call_lane = CallLane
         fired = 0
         # One float compare per event instead of a None test plus a
         # compare; +inf never stops the clock.
@@ -466,6 +567,14 @@ class Simulation:
                         continue        # cancelled: consumed, not fired
                     timer._lane = None
                     timer._fn(*timer._args)
+                elif lane.__class__ is call_lane:
+                    lane.popped += 1
+                    slots = lane.args
+                    arg = slots[i]
+                    if arg is None:
+                        continue        # cancelled: consumed, not fired
+                    slots[i] = None
+                    lane.fn(arg)
                 else:
                     args0, args1, args2 = lane.args0, lane.args1, lane.args2
                     a, b, c = args0[i], args1[i], args2[i]

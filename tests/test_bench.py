@@ -142,6 +142,9 @@ class TestExperimentConfig:
         ("cores", 0), ("cores", -5), ("cores", 2.0),
         ("checkpoint_interval", 2.5), ("checkpoint_interval", 0),
         ("pipeline_depth", 0), ("pipeline_depth", "32"),
+        ("max_batches_per_client", 0), ("max_batches_per_client", -1),
+        ("max_batches_per_client", 2.5), ("max_batches_per_client", "x"),
+        ("max_batches_per_client", True),
     ])
     def test_count_fields_must_be_ints(self, field, value):
         sizes = dict(num_clusters=2, replicas_per_cluster=4)
@@ -188,11 +191,13 @@ class TestExperimentConfig:
         ("fast_crypto", "false"), ("fast_crypto", 1), ("fast_crypto", None),
         ("instrument", 1), ("instrument", "yes"),
         ("geobft", None), ("geobft", {}),
+        ("topology", "x"), ("topology", 6),
     ])
     def test_flag_and_nested_fields_typed(self, field, value):
         """``fast_crypto="false"`` used to run with fast crypto (the
-        string is truthy), and ``geobft=None`` failed only in
-        ``Deployment`` with a bare ``TypeError``."""
+        string is truthy), ``geobft=None`` failed only in ``Deployment``
+        with a bare ``TypeError``, and ``topology="x"`` there with an
+        ``AttributeError``."""
         params = dict(num_clusters=2, replicas_per_cluster=4)
         params[field] = value
         with pytest.raises(ConfigurationError, match=field):
@@ -215,6 +220,12 @@ class TestExperimentConfig:
                 assert ExperimentConfig(**{
                     f: getattr(config, f)
                     for f in config.__dataclass_fields__}) == config
+
+    def test_batch_cap_and_topology_accept_valid_values(self):
+        config = ExperimentConfig(num_clusters=2, replicas_per_cluster=4,
+                                  max_batches_per_client=1,
+                                  topology=Topology.paper(2))
+        assert config.resolved_topology() is config.topology
 
     def test_topology_defaults_to_paper_prefix(self):
         config = ExperimentConfig(num_clusters=3)

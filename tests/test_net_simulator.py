@@ -500,6 +500,136 @@ class TestDispatchLanes:
         assert fired == list(range(17)) and lane.capacity == 8
 
 
+class TestCallLanes:
+    def test_calls_share_one_order_with_posts_and_timers(self):
+        """Call-lane rows fire in (deadline, seq) order among posts and
+        timers, behind equal-deadline events minted before them."""
+        sim = Simulation()
+        fired = []
+        lane = sim.call_lane(fired.append)
+        assert sim.post_call(lane, 1.0, "a") == 0
+        sim.post(1.0, fired.append, "post")
+        assert sim.post_call(lane, 1.0, "b") == 1
+        sim.schedule(1.0, fired.append, "timer")
+        assert sim.post_call(lane, 2.0, "c") == 2
+        # Only the lane's head is on the heap.
+        assert lane.size == 3 and len(sim._heap) == 3
+        assert sim.pending_events == 5
+        sim.run()
+        assert fired == ["a", "post", "b", "timer", "c"]
+        assert lane.size == 0 and lane.popped == 3
+        assert sim.pending_events == 0 and sim.events_processed == 5
+
+    def test_cancelled_call_is_consumed_and_counted_not_fired(self):
+        sim = Simulation()
+        fired = []
+        lane = sim.call_lane(fired.append)
+        first = sim.post_call(lane, 1.0, "a")
+        sim.post_call(lane, 2.0, "b")
+        lane.cancel(first)
+        lane.cancel(first)              # a double cancel is a no-op
+        assert lane.args[lane.head] is None
+        assert sim.pending_events == 2 and sim.max_queue_depth == 2
+        assert sim.step() and fired == ["b"] and sim.now == 2.0
+        assert sim.events_processed == 2
+
+    def test_max_events_counts_only_fired_calls(self):
+        sim = Simulation()
+        fired = []
+        lane = sim.call_lane(fired.append)
+        positions = [sim.post_call(lane, 1.0 + i, i) for i in range(4)]
+        lane.cancel(positions[1])
+        sim.run(max_events=2)
+        assert fired == [0, 2] and sim.events_processed == 3
+
+    def test_cancel_after_firing_is_a_noop(self):
+        sim = Simulation()
+        fired = []
+        lane = sim.call_lane(fired.append)
+        done = sim.post_call(lane, 1.0, "a")
+        sim.run()
+        later = sim.post_call(lane, 1.0, "b")
+        # ``done`` fired; its old ring slot now holds ``later``.
+        lane.cancel(done)
+        sim.run()
+        assert fired == ["a", "b"] and later == done + 1
+
+    def test_cancel_from_inside_a_callback(self):
+        """A call may cancel itself (a no-op: it has fired) or another
+        pending call of its lane."""
+        sim = Simulation()
+        fired = []
+
+        def call(name):
+            fired.append(name)
+            lane.cancel(positions[name])
+            if name == "a":
+                lane.cancel(positions["c"])
+
+        lane = sim.call_lane(call)
+        positions = {name: sim.post_call(lane, 1.0, name)
+                     for name in "abc"}
+        sim.run()
+        assert fired == ["a", "b"] and sim.events_processed == 3
+
+    def test_old_position_after_the_ring_grew_while_wrapped(self):
+        """The ring wraps, then widens in place; a position minted before
+        both still names its own row."""
+        sim = Simulation()
+        fired = []
+        lane = sim.call_lane(fired.append)
+        positions = [sim.post_call(lane, 0.1 * (i + 1), i) for i in range(6)]
+        sim.run(until=0.35)             # 0, 1 and 2 fire
+        positions += [sim.post_call(lane, 0.1 * (i + 1) - sim.now, i)
+                      for i in range(6, 10)]
+        assert lane.head + lane.size > lane.capacity    # wrapped
+        positions += [sim.post_call(lane, 1.1 + 0.1 * i - sim.now, 10 + i)
+                      for i in range(10)]
+        assert lane.capacity > 8                        # grew
+        for index in (1, 4, 7, 15):
+            lane.cancel(positions[index])
+        sim.run()
+        assert fired == [i for i in range(20) if i not in (4, 7, 15)]
+        assert positions == list(range(20))
+
+    def test_earlier_deadline_raises(self):
+        sim = Simulation()
+        lane = sim.call_lane(lambda arg: None)
+        sim.post_call(lane, 2.0, "a")
+        with pytest.raises(SimulationError):
+            sim.post_call(lane, 1.0, "b")
+        sim.post_call(lane, 2.0, "tie")
+        assert lane.size == 2 and sim.pending_events == 2
+
+    def test_none_argument_and_unknown_position_raise(self):
+        sim = Simulation()
+        lane = sim.call_lane(lambda arg: None)
+        with pytest.raises(SimulationError):
+            sim.post_call(lane, 1.0, None)
+        position = sim.post_call(lane, 1.0, "a")
+        with pytest.raises(SimulationError):
+            lane.cancel(position + 1)
+        assert sim.pending_events == 1
+
+    def test_fired_call_releases_its_argument(self):
+        class Payload:
+            pass
+
+        sim = Simulation()
+        lane = sim.call_lane(lambda arg: None)
+        payloads = [Payload(), Payload()]
+        refs = [weakref.ref(payload) for payload in payloads]
+        sim.post_call(lane, 1.0, payloads[0])
+        lane.cancel(sim.post_call(lane, 1.0, payloads[1]))
+        del payloads
+        sim.run(until=0.5)
+        gc.collect()
+        assert refs[0]() is not None and refs[1]() is None
+        sim.run()
+        gc.collect()
+        assert refs[0]() is None
+
+
 class TestLaneCalendarInterleaving:
     def test_calendar_tie_beats_younger_lane_entry(self):
         """At equal deadlines, an event scheduled *earlier* (smaller
@@ -562,11 +692,13 @@ class TestLaneCalendarInterleaving:
 
 
 def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
-    """GeoBFT arms a timer per awaited share and PBFT one per decision;
-    fault-free, all are cancelled.  After a run the timer lanes must hold
-    them only as (deadline, seq) pairs — still counted as pending.  The
-    replicas' certify lanes hold the dispatches still waiting on the
-    certify thread, in (deadline, seq) order."""
+    """GeoBFT awaits each remote share in a call lane per watched
+    cluster and PBFT arms a timer per decision; fault-free, all are
+    cancelled.  After a run the timer lanes must hold them only as
+    (deadline, seq) pairs and the call lanes as rows whose slot holds
+    None — still counted as pending.  The replicas' certify lanes hold
+    the dispatches still waiting on the certify thread.  Every lane is
+    in (deadline, seq) order."""
     from repro import Deployment, ExperimentConfig
 
     deployment = Deployment(ExperimentConfig(
@@ -574,20 +706,33 @@ def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
         batch_size=10, duration=0.5, warmup=0.1, fast_crypto=True))
     deployment.run()
     sim = deployment.sim
+
+    def ring(lane, column):
+        return [column[(lane.head + k) % lane.capacity]
+                for k in range(lane.size)]
+
     certify = [replica._certify_lane
                for replica in deployment.replicas.values()]
+    calls = [lane for replica in deployment.replicas.values()
+             for lane in replica.remote_view_changes._lanes.values()]
     assert sum(lane.size for lane in certify) > 10
-    for lane in certify:
-        ring = [(lane.deadlines[(lane.head + k) % lane.capacity],
-                 lane.seqs[(lane.head + k) % lane.capacity])
-                for k in range(lane.size)]
-        assert ring == sorted(ring)
     timer_lanes = list(sim._lanes.values())
+    for lane in certify + calls + timer_lanes:
+        pairs = list(zip(ring(lane, lane.deadlines), ring(lane, lane.seqs)))
+        assert pairs == sorted(pairs)
     live = [timer for lane in timer_lanes for timer in lane.live.values()]
     assert not [timer for timer in live if timer.cancelled]
+    # A call lane's row is live while its round is awaited; a cancelled
+    # row holds None.
+    awaited = sum(len(replica.remote_view_changes._timers[cluster])
+                  for replica in deployment.replicas.values()
+                  for cluster in replica.remote_view_changes._lanes)
+    rows = [arg for lane in calls for arg in ring(lane, lane.args)]
+    assert len(rows) - rows.count(None) == awaited
+    assert rows.count(None) > 100
     # Besides posted callbacks the heap holds one head per non-empty
-    # lane, timer or certify, and nothing else.
-    lanes = timer_lanes + [lane for lane in certify if lane.size]
+    # lane, timer, call or certify, and nothing else.
+    lanes = timer_lanes + [lane for lane in certify + calls if lane.size]
     posts = [entry for entry in sim._heap if entry[3] is not None]
     heads = [entry[2] for entry in sim._heap if entry[3] is None]
     assert sorted(map(id, heads)) == sorted(map(id, lanes))
@@ -607,6 +752,18 @@ class _ReferenceTimer:
     def cancel(self):
         if not self.fired:
             self.cancelled = True
+
+
+class _ReferenceCallLane:
+    """A call lane as a list of timers, one per position."""
+
+    def __init__(self, fn):
+        self.fn, self.last, self.calls = fn, 0.0, []
+
+    def cancel(self, pos):
+        if pos >= len(self.calls):
+            raise SimulationError(f"no call at position {pos}")
+        self.calls[pos].cancel()
 
 
 class _ReferenceSimulation:
@@ -637,6 +794,16 @@ class _ReferenceSimulation:
 
     def post_lane(self, lane, delay, a, b, c):
         self.schedule(delay, lane, a, b, c)
+
+    def call_lane(self, fn):
+        return _ReferenceCallLane(fn)
+
+    def post_call(self, lane, delay, arg):
+        if self.now + delay < lane.last or arg is None:
+            raise SimulationError(f"bad call: {delay}, {arg}")
+        lane.calls.append(self.schedule(delay, lane.fn, arg))
+        lane.last = self.now + delay
+        return len(lane.calls) - 1
 
     def step(self, until=float("inf")):
         while self._queue and self._queue[0][0] <= until:
@@ -669,6 +836,9 @@ class _Driver:
         self.queued = 0     # events scheduled or posted, ever
         self.lane = sim.dispatch_lane(self.fire)
         self.lane_last = 0.0    # the latest deadline posted to the lane
+        self.calls = sim.call_lane(self.fire_call)
+        self.positions = []     # post_call's answers, in posting order
+        self.calls_last = 0.0   # the latest deadline posted to ``calls``
 
     def schedule(self, delay, action):
         timer = self.sim.schedule(delay, self.fire, len(self.timers), action)
@@ -685,6 +855,28 @@ class _Driver:
         self.lane_last = max(self.lane_last, self.sim.now + delay)
         self.queued += 1
 
+    def post_call(self, deadline, action):
+        """Post to the call lane at ``deadline``, or fail as the lane
+        does when that is earlier than its latest one."""
+        now = self.sim.now
+        delay = deadline - now
+        while now + delay < deadline:   # undo the subtraction's rounding
+            delay = math.nextafter(delay, math.inf)
+        self.positions.append(self.sim.post_call(
+            self.calls, delay, (len(self.positions), action)))
+        self.calls_last = now + delay
+        self.queued += 1
+
+    def cancel_call(self, index):
+        if self.positions:
+            self.calls.cancel(self.positions[index % len(self.positions)])
+
+    def fire_call(self, arg):
+        index, action = arg
+        if action[0] == "cancel_self":
+            self.calls.cancel(self.positions[index])   # already fired
+        self.fire(("call", index), action)
+
     def fire(self, label, action, _unused=None):
         # The queue as the callback sees it: the firing event is already
         # consumed, and its lane's next head already queued.
@@ -696,8 +888,13 @@ class _Driver:
             self.schedule(arg, ("log", None))
         elif kind == "post_lane":
             self.post_lane(arg, ("log", None))
+        elif kind == "post_call":
+            self.post_call(max(self.sim.now + arg, self.calls_last),
+                           ("log", None))
         elif kind == "cancel":
             self.cancel(arg)
+        elif kind == "cancel_call":
+            self.cancel_call(arg)
         elif kind == "cancel_self" and label.__class__ is int:
             self.cancel(label)
         elif kind == "rearm" and label.__class__ is int:
@@ -715,7 +912,8 @@ class _Driver:
         sim = self.sim
         return (self.log, sim.now, sim.events_processed, sim.pending_events,
                 sim.max_queue_depth,
-                [(t.cancelled, t.fired) for t in self.timers])
+                [(t.cancelled, t.fired) for t in self.timers],
+                self.positions)
 
 
 # Zero delay (a post at the current instant, a 0.0 timer lane), delays
@@ -727,8 +925,10 @@ _delays = st.sampled_from([0.0, 0.0, 0.0002, 0.0005, 0.001, 0.0015, 0.004,
                            0.25, 2.0])
 _actions = st.one_of(
     st.just(("log", None)),
-    st.tuples(st.sampled_from(["post", "schedule", "post_lane"]), _delays),
-    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.tuples(st.sampled_from(["post", "schedule", "post_lane",
+                               "post_call"]), _delays),
+    st.tuples(st.sampled_from(["cancel", "cancel_call"]),
+              st.integers(0, 50)),
     st.just(("cancel_self", None)),
     st.just(("rearm", None)),
     st.just(("drain", None)),
@@ -780,15 +980,58 @@ class QueueDifferentialMachine(RuleBasedStateMachine):
                 deadline = max(now, tail - gap)
             side.post_lane(deadline - now, action)
 
+    @rule(order=st.sampled_from(["after", "equal", "before"]), gap=_delays,
+          action=_actions)
+    def post_call(self, order, gap, action):
+        """A call-lane post ``gap`` from now (or at the lane's tail if
+        that is later), at the tail exactly — tying with posts, timers
+        and dispatch-lane calls that share the delays — or before the
+        tail, which must fail."""
+        for side in self.sides:
+            now = side.sim.now
+            tail = max(side.calls_last, now)
+            if order == "after":
+                side.post_call(max(now + gap, tail), action)
+            elif order == "equal":
+                side.post_call(tail, action)
+            elif tail - gap >= now and gap > 0.0:
+                with pytest.raises(SimulationError):
+                    side.post_call(tail - gap, action)
+
+    @rule(action=_actions, count=st.integers(2, 24),
+          gap=st.sampled_from([0.0, 0.0001, 0.0005, 0.002]),
+          cancels=st.lists(st.integers(0, 50), max_size=6))
+    def fill_call_lane(self, action, count, gap, cancels):
+        """Calls posted at an advancing clock, so the ring wraps and then
+        widens in place; then old positions, fired or pending, are
+        cancelled."""
+        for side in self.sides:
+            for _ in range(count):
+                side.post_call(max(side.sim.now + 0.001, side.calls_last),
+                               action)
+                side.sim.run(until=side.sim.now + gap)
+            for index in cancels:
+                side.cancel_call(index)
+
+    @rule(index=st.integers(0, 50), twice=st.booleans())
+    def cancel_call(self, index, twice):
+        for side in self.sides:
+            side.cancel_call(index)
+            if twice:
+                side.cancel_call(index)
+
     @rule(delay=st.sampled_from([math.nan, math.inf, -math.inf, -0.001,
                                  True]),
-          method=st.sampled_from(["schedule", "post", "post_lane"]))
+          method=st.sampled_from(["schedule", "post", "post_lane",
+                                  "post_call"]))
     def bad_delay(self, delay, method):
         for side in self.sides:
             with pytest.raises(SimulationError):
                 if method == "post_lane":
                     side.sim.post_lane(side.lane, delay, "lane",
                                        ("log", None), None)
+                elif method == "post_call":
+                    side.sim.post_call(side.calls, delay, (0, ("log", None)))
                 else:
                     getattr(side.sim, method)(delay, side.fire, "child",
                                               ("log", None))

@@ -28,9 +28,6 @@ class StubOwner:
         self.sent = []        # (dst, message)
         self.broadcasts = []  # (dsts, message)
 
-    def set_timer(self, delay, fn, *args):
-        return self.sim.schedule(delay, fn, *args)
-
     def send(self, dst, message):
         self.sent.append((dst, message))
 
@@ -122,6 +119,30 @@ class TestDetection:
         assert drvcs[1].vc_count == 1
 
 
+    def test_rearm_after_cancel_fires_only_the_new_timeout(self, setup):
+        """A share arrives (the timeout is cancelled), then leaves the
+        lookup, and the same round is awaited again before the cancelled
+        timeout's deadline: only the new timeout fires, at its own
+        deadline."""
+        sim, _reg, _members, owner, shares, _f, manager = setup
+        manager.arm_timer(REMOTE, 1)                    # due at 1.0
+        shares[(REMOTE, 1)] = "the-share"
+        manager.on_share_received(REMOTE, 1)
+        del shares[(REMOTE, 1)]
+        sim.run(until=0.5)
+        manager.arm_timer(REMOTE, 1)                    # due at 1.5
+        sim.run(until=1.25)
+        assert owner.broadcasts == []
+        assert sim.events_processed == 1                # the cancelled one
+        sim.run(until=1.5)
+        drvcs = [m for _, m in owner.broadcasts if isinstance(m, Drvc)]
+        assert [(d.round_id, d.vc_count) for d in drvcs] == [(1, 0)]
+        assert sim.events_processed == 2
+        # The DRVC re-armed a doubled timeout, due at 3.5.
+        sim.run(until=3.4)
+        assert len(owner.broadcasts) == 1
+
+
 class TestDrvcHandling:
     def test_holder_of_share_answers_detector(self, setup):
         """Figure 7, lines 5-7: a replica that received m sends it to
@@ -162,6 +183,15 @@ class TestDrvcHandling:
         manager.handle_drvc(Drvc(REMOTE, 1, 0, foreign), foreign)
         assert owner.sent == []
         assert not manager.detection_in_progress(REMOTE, 1)
+
+    def test_drvc_naming_own_cluster_ignored(self, setup):
+        """A replica watches only remote clusters: f + 1 DRVCs naming its
+        own cluster start no detection."""
+        _sim, _reg, members, owner, _shares, _f, manager = setup
+        for peer in members[1:3]:
+            manager.handle_drvc(Drvc(OWN, 1, 0, peer), peer)
+        assert owner.broadcasts == [] and owner.sent == []
+        assert not manager.detection_in_progress(OWN, 1)
 
     def test_drvc_spoofed_sender_ignored(self, setup):
         _sim, _reg, members, _owner, _shares, _f, manager = setup
