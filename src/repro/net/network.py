@@ -27,6 +27,15 @@ advances the uplink clock, counts and posts each copy in one pass.
 Send-path faults are read once per call; when any is armed each copy is
 checked inline: suppression, tampering, extra delay, in-flight loss.
 
+A cross-region copy waits in the simulator's
+:class:`~repro.net.simulator.DispatchLane` of its (sender, destination
+region), resolved with the route, instead of as a heap entry of its
+own: the WAN egress clock only moves forward and a pair's latency is
+fixed, so deadlines to one region do not decrease, and a copy earlier
+than its lane's latest (one behind an extra-delayed copy) takes
+``post_lane``'s heap fallback.  Self-sends, local copies (in flight
+for under a millisecond) and sanitized deliveries stay plain posts.
+
 Traffic accounting
 ------------------
 The network counts what it sends — per message type, split into local
@@ -47,7 +56,7 @@ from ..errors import ConfigurationError
 from ..types import NodeId
 from .failures import FailureModel
 from .sanitizer import MessageSanitizer, sanitize_enabled
-from .simulator import Simulation
+from .simulator import DispatchLane, Simulation
 from .topology import Topology
 
 
@@ -112,7 +121,7 @@ class Network:
                  "_sanitizer", "_sends", "_self_sends", "_suppressed_sends",
                  "_in_flight_drops", "_receiver_drops", "_tampered_sends",
                  "_delayed_sends", "_local_msgs", "_global_msgs",
-                 "_pair_bytes",
+                 "_pair_bytes", "_delivery_lanes",
                  "_post_deliver", "_post_deliver_checked")
 
     def __init__(self, sim: Simulation, topology: Topology,
@@ -126,12 +135,15 @@ class Network:
         self._nodes: Dict[NodeId, NetworkNode] = {}
         # (sender, destination region) -> time the uplink frees up.
         self._uplink_free_at: Dict[Tuple[NodeId, str], float] = {}
-        # src -> dst -> (bandwidth, latency, remote): multicast's
+        # src -> dst -> (bandwidth, latency, remote, lane): multicast's
         # per-destination routing, resolved once per pair (topology and
         # node regions are fixed for a deployment's lifetime).  ``remote``
-        # is the destination's region for cross-region pairs and None
-        # for local ones.
+        # is the destination's region and ``lane`` the pair's delivery
+        # lane for cross-region pairs; both are None for local ones.
         self._routes: Dict[NodeId, Dict[NodeId, tuple]] = {}
+        # (sender, destination region) -> the DispatchLane its
+        # cross-region deliveries wait in.
+        self._delivery_lanes: Dict[Tuple[NodeId, str], DispatchLane] = {}
         # src -> its local-region uplink key, resolved once.
         self._local_keys: Dict[NodeId, Tuple[NodeId, str]] = {}
         # Empty unless a tracer or test registers one: the hot path
@@ -255,6 +267,7 @@ class Network:
         local_key = wan_key = wan_pairs = None
         sends = wan_sends = 0
         post = sim.post
+        post_lane = sim.post_lane
         deliver = self._post_deliver
         deliver_checked = self._post_deliver_checked
         # One pass: resolve, check faults, advance the uplink clock,
@@ -273,10 +286,17 @@ class Network:
                 sregion = self.node(src).region
                 rregion = self.node(dst).region  # raises if unknown
                 link = self._topology.link(sregion, rregion)
-                route = routes[dst] = (
-                    link.bandwidth_bytes_per_s, link.latency_s,
-                    None if rregion == sregion else rregion)
-            bandwidth, latency, remote = route
+                if rregion == sregion:
+                    remote = lane = None
+                else:
+                    remote = rregion
+                    lane = self._delivery_lanes.get((src, rregion))
+                    if lane is None:
+                        lane = self._delivery_lanes[src, rregion] = (
+                            sim.dispatch_lane(deliver))
+                route = routes[dst] = (link.bandwidth_bytes_per_s,
+                                       link.latency_s, remote, lane)
+            bandwidth, latency, remote, lane = route
             copy = message
             if faults:
                 if failures.suppresses_send(src, dst, message):
@@ -340,9 +360,13 @@ class Network:
             if faults and failures.drops_in_flight(src, dst, copy):
                 self._in_flight_drops += 1
                 continue
-            # Deliveries are never cancelled: use the allocation-free path.
+            # Deliveries are never cancelled; a cross-region copy waits
+            # in its (sender, region) lane (see the module docstring).
             if fingerprint is None:
-                post(delay, deliver, src, dst, copy)
+                if lane is None:
+                    post(delay, deliver, src, dst, copy)
+                else:
+                    post_lane(lane, delay, src, dst, copy)
             else:
                 post(delay, deliver_checked, src, dst, copy,
                      fingerprint if copy is message

@@ -38,18 +38,22 @@ order:
   lane is in order by construction; it keeps its still-armed timers in
   a ``{seq: Timer}`` dict.  A **dispatch lane**
   (:class:`DispatchLane`, :meth:`Simulation.post_lane`) holds the
-  ``fn(a, b, c)`` calls of one serial stage — a replica's certify
-  thread, whose completion times only grow — with the three arguments
-  in slot columns beside the pairs, so a queued call allocates no
-  tuple.  A call with nothing of its lane pending ahead of it, or one
-  earlier than the lane's latest deadline, is a plain heap entry
-  instead: a lone call costs what a post costs, and the order stays
-  exact for any caller.  A **call lane** (:class:`CallLane`,
-  :meth:`Simulation.post_call`) holds the ``fn(arg)`` calls of one
-  caller whose deadlines never decrease — a GeoBFT replica's remote
-  view-change timeouts for one watched cluster — with the argument in
-  one slot column; cancelling a call clears its slot, and the row is
-  consumed without firing when its turn comes.
+  ``fn(a, b, c)`` calls of a caller whose deadlines do not decrease —
+  a replica's certify thread, whose completion times only grow, or
+  one sender's cross-region deliveries to one region, which leave a
+  forward-moving egress clock over a fixed latency — with the three
+  arguments in slot columns beside the pairs, so a queued call
+  allocates no tuple.  A call with nothing of its lane pending ahead
+  of it, or one earlier than the lane's latest deadline, is a plain
+  heap entry instead: a lone call costs what a post costs, and the
+  order stays exact for any caller.  A dispatch lane whose ring grew
+  goes back to fresh ``_LANE_SLOTS`` columns when its last queued call
+  pops, so a burst's high-water capacity is not kept.  A **call lane**
+  (:class:`CallLane`, :meth:`Simulation.post_call`) holds the
+  ``fn(arg)`` calls of one caller whose deadlines never decrease — a
+  GeoBFT replica's remote view-change timeouts for one watched cluster
+  — with the argument in one slot column; cancelling a call clears its
+  slot, and the row is consumed without firing when its turn comes.
 * **one binary heap** holding every :meth:`~Simulation.post` entry
   plus the head entry of each non-empty lane.  When a lane's head is
   consumed, the lane pushes its next head before the event fires, so
@@ -148,10 +152,14 @@ class _Lane:
     __slots__ = ("deadlines", "seqs", "head", "size", "capacity")
 
     def __init__(self):
+        self.size = 0
+        self._new_ring()
+
+    def _new_ring(self) -> None:
+        """Fresh, empty ``_LANE_SLOTS`` columns."""
         self.deadlines = array("d", _ZERO_SLOTS)
         self.seqs = array("q", _ZERO_SLOTS)
         self.head = 0
-        self.size = 0
         self.capacity = _LANE_SLOTS
 
     def _grow(self) -> None:
@@ -188,11 +196,13 @@ class _TimerLane(_Lane):
 
 
 class DispatchLane(_Lane):
-    """Queued ``fn(a, b, c)`` calls of one serial stage, in (deadline,
+    """Queued ``fn(a, b, c)`` calls whose deadlines do not decrease (a
+    serial stage, one sender's deliveries to one region), in (deadline,
     seq) order; made by :meth:`Simulation.dispatch_lane`.
 
     The arguments of the call at ring index ``i`` are ``args0[i]``,
-    ``args1[i]`` and ``args2[i]``; a fired call's slots are cleared.
+    ``args1[i]`` and ``args2[i]``; a fired call's slots are cleared, and
+    a ring that grew is swapped for fresh columns when it drains.
     ``last`` is the latest deadline of any call posted to the lane, held
     in it or not: no earlier call may join the ring.
     """
@@ -203,6 +213,9 @@ class DispatchLane(_Lane):
         super().__init__()
         self.fn = fn
         self.last = 0.0
+
+    def _new_ring(self) -> None:
+        super()._new_ring()
         self.args0: list = [None] * _LANE_SLOTS
         self.args1: list = [None] * _LANE_SLOTS
         self.args2: list = [None] * _LANE_SLOTS
@@ -236,6 +249,9 @@ class CallLane(_Lane):
         self.fn = fn
         self.last = 0.0
         self.popped = 0
+
+    def _new_ring(self) -> None:
+        super()._new_ring()
         self.args: list = [None] * _LANE_SLOTS
 
     def _open_gap(self, at: int, width: int) -> None:
@@ -527,8 +543,9 @@ class Simulation:
         """Fire events in (deadline, seq) order; return how many fired
         (cancelled timers and calls are consumed but not counted)."""
         heap = self._heap
-        timer_lane = _TimerLane
+        dispatch_lane = DispatchLane
         call_lane = CallLane
+        lane_slots = _LANE_SLOTS
         fired = 0
         # One float compare per event instead of a None test plus a
         # compare; +inf never stops the clock.
@@ -559,14 +576,16 @@ class Simulation:
                     head = lane.head = (i + 1) % lane.capacity
                     heappush(heap, (lane.deadlines[head], lane.seqs[head],
                                     lane, None))
-                if lane.__class__ is timer_lane:
-                    if not size:
-                        del self._lanes[lane.delay]
-                    timer = lane.live.pop(seq, None)
-                    if timer is None:
-                        continue        # cancelled: consumed, not fired
-                    timer._lane = None
-                    timer._fn(*timer._args)
+                if lane.__class__ is dispatch_lane:
+                    args0, args1, args2 = lane.args0, lane.args1, lane.args2
+                    a, b, c = args0[i], args1[i], args2[i]
+                    if size or lane.capacity == lane_slots:
+                        args0[i] = args1[i] = args2[i] = None
+                    else:
+                        # Drained after a burst: give back the grown
+                        # ring, keeping ``_LANE_SLOTS`` for the next one.
+                        lane._new_ring()
+                    lane.fn(a, b, c)
                 elif lane.__class__ is call_lane:
                     lane.popped += 1
                     slots = lane.args
@@ -576,10 +595,13 @@ class Simulation:
                     slots[i] = None
                     lane.fn(arg)
                 else:
-                    args0, args1, args2 = lane.args0, lane.args1, lane.args2
-                    a, b, c = args0[i], args1[i], args2[i]
-                    args0[i] = args1[i] = args2[i] = None
-                    lane.fn(a, b, c)
+                    if not size:
+                        del self._lanes[lane.delay]
+                    timer = lane.live.pop(seq, None)
+                    if timer is None:
+                        continue        # cancelled: consumed, not fired
+                    timer._lane = None
+                    timer._fn(*timer._args)
             fired += 1
             if max_events is not None and fired >= max_events:
                 return fired

@@ -616,3 +616,128 @@ class TestMulticastEqualsSends:
         assert telemetry["receiver_drops"] == len(refused)
         assert sorted(d for _t, d, _m in batched["delivered"]) == sorted(
             d for d in arrived if d not in refused)
+
+
+class TestDeliveryLanes:
+    """Cross-region copies wait in one dispatch lane per (sender,
+    destination region); self-sends, local copies and sanitized posts
+    stay heap entries.  None of it moves a delivery."""
+
+    @staticmethod
+    def _build(sanitize=False):
+        regions = ["west", "east", "north"]
+        rtt = {("west", "west"): 1.0, ("east", "east"): 1.0,
+               ("north", "north"): 1.0, ("west", "east"): 100.0,
+               ("west", "north"): 100.0, ("east", "north"): 100.0}
+        # 8 Mbit/s = 1 MB/s everywhere: a 1,000 B copy transmits in 1 ms.
+        mbit = {pair: 8.0 for pair in rtt}
+        sim = Simulation()
+        net = Network(sim, Topology.custom(regions, rtt, mbit),
+                      sanitize=sanitize)
+        places = {"src": ("west", 1, 1), "local": ("west", 1, 2),
+                  "e1": ("east", 2, 1), "e2": ("east", 2, 2),
+                  "e3": ("east", 2, 3), "n1": ("north", 3, 1),
+                  "n2": ("north", 3, 2)}
+        ids, delivered = {}, []
+        for name, (region, cluster, index) in places.items():
+            node = FakeNode(replica_id(cluster, index), region)
+            node.deliver = (lambda m, sender, me=name:
+                            delivered.append((sim.now, me, m)))
+            net.register(node)
+            ids[name] = node.node_id
+        return sim, net, ids, delivered
+
+    def test_each_remote_region_has_one_lane(self):
+        sim, net, ids, delivered = self._build()
+        src = ids["src"]
+        dsts = ["src", "local", "e1", "n1", "e2", "n2", "e3"]
+        net.multicast(src, [ids[name] for name in dsts], FakeMessage())
+        lanes = net._delivery_lanes
+        assert set(lanes) == {(src, "east"), (src, "north")}
+        routes = net._routes[src]
+        assert routes[ids["local"]][3] is None
+        assert (routes[ids["e1"]][3] is routes[ids["e2"]][3]
+                is routes[ids["e3"]][3] is lanes[src, "east"])
+        assert routes[ids["n1"]][3] is routes[ids["n2"]][3] is lanes[
+            src, "north"]
+        # The first copy to a region is lone, a plain heap entry; the
+        # ones behind it wait in the region's lane.
+        assert lanes[src, "east"].size == 2
+        assert lanes[src, "north"].size == 1
+        # The self-send, the local copy, the two lone copies and the two
+        # lane heads.
+        assert len(sim._heap) == 6 and sim.pending_events == 7
+        # A second multicast while they are in flight joins the lanes;
+        # only its self-send and local copy add heap entries.
+        net.multicast(src, [ids[name] for name in dsts], FakeMessage())
+        assert lanes[src, "east"].size == 5
+        assert lanes[src, "north"].size == 3
+        assert len(sim._heap) == 8 and sim.pending_events == 14
+        sim.run()
+        assert [name for _t, name, _m in delivered] == (
+            ["src", "src", "local", "local"]
+            + ["e1", "n1", "e2", "n2", "e3"] * 2)
+        assert [t for t, _name, _m in delivered] == sorted(
+            t for t, _name, _m in delivered)
+        assert lanes[src, "east"].size == lanes[src, "north"].size == 0
+
+    @pytest.mark.parametrize("delayed", ["e1", "e2"])
+    def test_extra_delayed_copy_keeps_the_order(self, delayed):
+        """An extra delay lifts the lane's latest deadline; a copy
+        earlier than it is a heap entry, and every copy is delivered at
+        its (deadline, seq) place."""
+        sim, net, ids, delivered = self._build()
+        net.failures.add_delay_rule(
+            lambda s, d, m: 0.3 if d == ids[delayed] else 0.0)
+        names = ["e1", "e2", "e3"]
+        net.multicast(ids["src"], [ids[name] for name in names],
+                      FakeMessage())
+        lane = net._delivery_lanes[ids["src"], "east"]
+        # e1 is lone.  Delayed, its deadline is later than e2's and
+        # e3's, which become heap entries; else e2 waits in the lane,
+        # delayed or not, and e3 joins it only if e2 was not delayed.
+        assert lane.size == (0 if delayed == "e1" else 1)
+        assert sim.pending_events == 3
+        sim.run()
+        deadlines = {"e1": 0.051, "e2": 0.052, "e3": 0.053}
+        deadlines[delayed] += 0.3
+        expected = sorted(names, key=lambda name: (deadlines[name],
+                                                   names.index(name)))
+        assert [name for _t, name, _m in delivered] == expected
+        assert [t for t, _name, _m in delivered] == pytest.approx(
+            [deadlines[name] for name in expected])
+        assert net.telemetry()["delayed_sends"] == 1
+
+    def test_tampered_and_sanitized_copies_deliver_as_plain_posts(self):
+        """A tampered copy rides its region's lane like any other; a
+        sanitized network posts every copy to the heap, checked.  Both
+        deliver the same copies at the same instants."""
+        runs = []
+        for sanitize in (False, True):
+            sim, net, ids, delivered = self._build(sanitize=sanitize)
+            message = FakeMessage()
+            tampered = _Tampered(3_000)
+            net.failures.add_transform_rule(
+                lambda s, d, m: tampered if d == ids["e2"] else m)
+            dsts = [ids[name] for name in
+                    ["src", "local", "e1", "e2", "e3", "n1"]]
+            net.multicast(ids["src"], dsts, message)
+            net.multicast(ids["src"], dsts, message)
+            lane_sizes = sorted(lane.size
+                                for lane in net._delivery_lanes.values())
+            sim.run()
+            runs.append(dict(
+                lane_sizes=lane_sizes, events=sim.events_processed,
+                delivered=[(t, name, m is tampered)
+                           for t, name, m in delivered],
+                telemetry={k: v for k, v in net.telemetry().items()
+                           if k != "sanitizer_checks"}))
+        plain, sanitized = runs
+        # East: e1's first copy is lone; its tampered e2 copy, e3 and the
+        # whole second multicast wait in the lane.  North: n1's second.
+        assert plain.pop("lane_sizes") == [1, 5]
+        assert sanitized.pop("lane_sizes") == [0, 0]
+        assert sanitized == plain
+        assert [name for _t, name, is_tampered in plain["delivered"]
+                if is_tampered] == ["e2", "e2"]
+        assert plain["telemetry"]["tampered_sends"] == 2

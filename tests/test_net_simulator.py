@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import SimulationError
-from repro.net.simulator import Simulation
+from repro.net.simulator import _LANE_SLOTS, Simulation
 
 
 class TestScheduling:
@@ -499,6 +499,60 @@ class TestDispatchLanes:
         sim.run()
         assert fired == list(range(17)) and lane.capacity == 8
 
+    def test_drained_lane_gives_back_its_ring(self):
+        """A lane that grew past its ring is back at fresh
+        ``_LANE_SLOTS`` columns once its last queued call pops, holds
+        none of the arguments it was given, and keeps its order when
+        refilled past the ring."""
+        class Payload:
+            pass
+
+        sim = Simulation()
+        fired = []
+        lane = sim.dispatch_lane(lambda i, _payload, _c: fired.append(i))
+        payloads = [Payload() for _ in range(20)]
+        refs = [weakref.ref(payload) for payload in payloads]
+        for i, payload in enumerate(payloads):
+            sim.post_lane(lane, 0.1 * (i + 1), i, payload, None)
+        # Call 0 is lone, a heap entry; the 19 behind it grew the ring.
+        assert lane.size == 19 and lane.capacity > _LANE_SLOTS
+        del payloads, payload
+        sim.run(until=1.05)
+        assert lane.size == 10 and lane.capacity > _LANE_SLOTS
+        sim.run()
+        gc.collect()
+        assert lane.size == 0 and lane.capacity == _LANE_SLOTS
+        assert (len(lane.deadlines) == len(lane.seqs) == len(lane.args0)
+                == len(lane.args1) == len(lane.args2) == _LANE_SLOTS)
+        assert [ref() for ref in refs] == [None] * 20
+        for i in range(20, 40):
+            sim.post_lane(lane, 0.1 * (i - 19), i, None, None)
+        assert lane.size == 19 and lane.capacity > _LANE_SLOTS
+        sim.run()
+        assert fired == list(range(40)) and lane.capacity == _LANE_SLOTS
+
+    def test_last_call_may_refill_its_drained_lane(self):
+        """The drained lane's last call reads its arguments before the
+        ring is given back, and may post into the fresh ring."""
+        sim = Simulation()
+        fired = []
+
+        def call(i, _b, _c):
+            fired.append(i)
+            if i == 12:
+                for j in range(13, 25):
+                    sim.post_lane(lane, 0.01 * (j - 12), j, None, None)
+
+        lane = sim.dispatch_lane(call)
+        for i in range(13):
+            sim.post_lane(lane, 0.01 * (i + 1), i, None, None)
+        assert lane.capacity > _LANE_SLOTS
+        sim.run(until=0.13)
+        assert fired == list(range(13)) and lane.size == 11
+        assert lane.capacity > _LANE_SLOTS      # grown again by the refill
+        sim.run()
+        assert fired == list(range(25)) and lane.capacity == _LANE_SLOTS
+
 
 class TestCallLanes:
     def test_calls_share_one_order_with_posts_and_timers(self):
@@ -697,8 +751,9 @@ def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
     cancelled.  After a run the timer lanes must hold them only as
     (deadline, seq) pairs and the call lanes as rows whose slot holds
     None — still counted as pending.  The replicas' certify lanes hold
-    the dispatches still waiting on the certify thread.  Every lane is
-    in (deadline, seq) order."""
+    the dispatches still waiting on the certify thread, and the
+    network's delivery lanes the cross-region copies still in flight.
+    Every lane is in (deadline, seq) order."""
     from repro import Deployment, ExperimentConfig
 
     deployment = Deployment(ExperimentConfig(
@@ -715,9 +770,11 @@ def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
                for replica in deployment.replicas.values()]
     calls = [lane for replica in deployment.replicas.values()
              for lane in replica.remote_view_changes._lanes.values()]
+    deliveries = list(deployment.network._delivery_lanes.values())
     assert sum(lane.size for lane in certify) > 10
+    assert sum(lane.size for lane in deliveries) > 10
     timer_lanes = list(sim._lanes.values())
-    for lane in certify + calls + timer_lanes:
+    for lane in certify + calls + deliveries + timer_lanes:
         pairs = list(zip(ring(lane, lane.deadlines), ring(lane, lane.seqs)))
         assert pairs == sorted(pairs)
     live = [timer for lane in timer_lanes for timer in lane.live.values()]
@@ -731,8 +788,9 @@ def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
     assert len(rows) - rows.count(None) == awaited
     assert rows.count(None) > 100
     # Besides posted callbacks the heap holds one head per non-empty
-    # lane, timer, call or certify, and nothing else.
-    lanes = timer_lanes + [lane for lane in certify + calls if lane.size]
+    # lane, timer, call, certify or delivery, and nothing else.
+    lanes = timer_lanes + [lane for lane in certify + calls + deliveries
+                           if lane.size]
     posts = [entry for entry in sim._heap if entry[3] is not None]
     heads = [entry[2] for entry in sim._heap if entry[3] is None]
     assert sorted(map(id, heads)) == sorted(map(id, lanes))
@@ -980,6 +1038,21 @@ class QueueDifferentialMachine(RuleBasedStateMachine):
                 deadline = max(now, tail - gap)
             side.post_lane(deadline - now, action)
 
+    @rule(action=_actions, count=st.integers(10, 30),
+          gap=st.sampled_from([0.0, 0.0001, 0.0005, 0.002]),
+          refill=st.integers(1, 30))
+    def drain_and_refill_lane(self, action, count, gap, refill):
+        """The dispatch lane grows past its ring, drains — giving the
+        ring back as its last row pops — and is refilled, past the ring
+        again when ``refill`` is large."""
+        for side in self.sides:
+            for posts in (count, refill):
+                for _ in range(posts):
+                    now = side.sim.now
+                    side.post_lane(max(side.lane_last, now) + gap - now,
+                                   action)
+                side.sim.run(until=max(side.lane_last, side.sim.now))
+
     @rule(order=st.sampled_from(["after", "equal", "before"]), gap=_delays,
           action=_actions)
     def post_call(self, order, gap, action):
@@ -1065,6 +1138,12 @@ class QueueDifferentialMachine(RuleBasedStateMachine):
     def agree(self):
         real, reference = self.sides
         assert real.observe() == reference.observe()
+
+    @invariant()
+    def drained_lane_is_back_at_its_ring(self):
+        lane = self.sides[0].lane
+        if not lane.size:
+            assert lane.capacity == len(lane.args0) == _LANE_SLOTS
 
     @invariant()
     def depth_is_tracked(self):
