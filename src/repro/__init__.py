@@ -13,6 +13,13 @@ chaos engine's fault timelines.  Lower-level building blocks (protocol
 replicas, ledger, workload, topology) are also re-exported for
 convenience but their module layout is an implementation detail.
 
+Every re-export is lazy (PEP 562): ``import repro`` loads only this
+module and :mod:`repro.api`, and a name imports its defining module on
+first access.  A run therefore loads the modules its config selects —
+a PBFT deployment never imports HotStuff, GeoBFT's core, the chaos
+engine, open-loop traffic or the campaign layer.  The subpackages'
+surfaces work the same way, through :func:`_lazy_exports`.
+
 Quick start::
 
     from repro import ExperimentConfig, run_experiment
@@ -37,145 +44,65 @@ for the fault taxonomy, and ``benchmarks/`` for the scripts that
 regenerate every table and figure of the paper.
 """
 
-from . import api
-from .api import (
-    PROTOCOLS,
-    SCENARIOS,
-    ChaosContext,
-    CrashFault,
-    Deployment,
-    EquivocateFault,
-    ExperimentConfig,
-    ExperimentResult,
-    FAULT_KINDS,
-    Fault,
-    FaultTimeline,
-    Instrumentation,
-    InvariantReport,
-    LatencyHistogram,
-    LinkDelayFault,
-    MessageLossFault,
-    OmissionFault,
-    PartitionFault,
-    TRAFFIC_PROCESSES,
-    TamperFault,
-    TrafficSpec,
-    OpenLoopSource,
-    PaymentWorkload,
-    apply_scenario,
-    chaos_smoke_timeline,
-    deployment_digest,
-    fault_from_dict,
-    load_trace_jsonl,
-    register_scenario,
-    run_experiment,
-    scenario_names,
-    traffic_summary,
-)
-from .bench.charts import ascii_chart, bar_chart
-from .bench.metrics import Metrics
-from .consensus.hotstuff import HotStuffReplica
-from .consensus.pbft import PbftConfig, PbftEngine, PbftReplica
-from .consensus.steward import StewardReplica
-from .consensus.zyzzyva import ZyzzyvaReplica
-from .core.config import GeoBftConfig
-from .core.geobft import GeoBftReplica
-from .crypto.costs import CryptoCostModel
-from .crypto.signatures import KeyRegistry
-from .ledger.block import Transaction
-from .ledger.blockchain import Blockchain
-from .ledger.recovery import audit_ledger, rebuild_state, recover_from_peer
-from .net.simulator import Simulation
-from .net.topology import PAPER_REGIONS, Topology
-from .types import (ClusterSpec, NodeId, Quorums, client_id, max_faulty,
-                    replica_id)
-from .workload.client import QuorumClient
-from .workload.ycsb import YcsbWorkload
+from importlib import import_module
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 __version__ = "1.1.0"
 
 
-def __getattr__(name: str):
-    # The campaign names load on first access; see ``repro.api``.
-    if name in api._LAZY:
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _lazy_exports(namespace: Dict[str, Any],
+                  table: Dict[str, Iterable[str]],
+                  ) -> Tuple[Callable[[str], Any], List[str]]:
+    """A module ``__getattr__`` (PEP 562) and ``__all__`` for ``table``.
+
+    ``table`` maps a module path, relative to ``namespace``'s
+    ``__package__`` (so a plain module such as :mod:`repro.api` resolves
+    like a package ``__init__``), to the names it defines.  A name
+    imports its module on first access and is cached in ``namespace``,
+    so later lookups never reach ``__getattr__``.
+    """
+    owner = {name: module for module, names in table.items()
+             for name in names}
+    package, where = namespace["__package__"], namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {where!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(module, package),
+                                          name)
+        return value
+
+    return __getattr__, list(owner)
 
 
-__all__ = [
-    # stable API (repro.api)
-    "PROTOCOLS",
-    "SCENARIOS",
-    "Campaign",
-    "CampaignOutcome",
-    "ChaosContext",
-    "CrashFault",
-    "Deployment",
-    "EquivocateFault",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FAULT_KINDS",
-    "Fault",
-    "FaultTimeline",
-    "Instrumentation",
-    "InvariantReport",
-    "LatencyHistogram",
-    "LinkDelayFault",
-    "MessageLossFault",
-    "OmissionFault",
-    "PartitionFault",
-    "ReportSpec",
-    "ResultStore",
-    "RunSpec",
-    "TRAFFIC_PROCESSES",
-    "TamperFault",
-    "TrafficSpec",
-    "OpenLoopSource",
-    "PaymentWorkload",
-    "apply_scenario",
-    "calibrate_host",
-    "campaign_names",
-    "chaos_smoke_timeline",
-    "deployment_digest",
-    "expand_grid",
-    "fault_from_dict",
-    "get_campaign",
-    "load_trace_jsonl",
-    "register_campaign",
-    "register_scenario",
-    "run_campaign",
-    "run_experiment",
-    "scenario_names",
-    "traffic_summary",
+# After ``_lazy_exports``: ``repro.api`` builds its surface with it.
+from . import api  # noqa: E402
+
+__getattr__, __all__ = _lazy_exports(globals(), {
+    # stable API
+    ".api": api.__all__,
     # convenience re-exports (layout may change)
-    "Metrics",
-    "HotStuffReplica",
-    "PbftConfig",
-    "PbftEngine",
-    "PbftReplica",
-    "StewardReplica",
-    "ZyzzyvaReplica",
-    "GeoBftConfig",
-    "GeoBftReplica",
-    "CryptoCostModel",
-    "KeyRegistry",
-    "Transaction",
-    "Blockchain",
-    "audit_ledger",
-    "rebuild_state",
-    "recover_from_peer",
-    "ascii_chart",
-    "bar_chart",
-    "Simulation",
-    "PAPER_REGIONS",
-    "Topology",
-    "ClusterSpec",
-    "NodeId",
-    "Quorums",
-    "client_id",
-    "max_faulty",
-    "replica_id",
-    "QuorumClient",
-    "YcsbWorkload",
-    "__version__",
-]
+    ".bench.metrics": ("Metrics",),
+    ".consensus.hotstuff": ("HotStuffReplica",),
+    ".consensus.pbft": ("PbftConfig", "PbftEngine", "PbftReplica"),
+    ".consensus.steward": ("StewardReplica",),
+    ".consensus.zyzzyva": ("ZyzzyvaReplica",),
+    ".core.config": ("GeoBftConfig",),
+    ".core.geobft": ("GeoBftReplica",),
+    ".crypto.costs": ("CryptoCostModel",),
+    ".crypto.signatures": ("KeyRegistry",),
+    ".ledger.block": ("Transaction",),
+    ".ledger.blockchain": ("Blockchain",),
+    ".ledger.recovery": ("audit_ledger", "rebuild_state",
+                         "recover_from_peer"),
+    ".bench.charts": ("ascii_chart", "bar_chart"),
+    ".net.simulator": ("Simulation",),
+    ".net.topology": ("PAPER_REGIONS", "Topology"),
+    ".types": ("ClusterSpec", "NodeId", "Quorums", "client_id",
+               "max_faulty", "replica_id"),
+    ".workload.client": ("QuorumClient",),
+    ".workload.ycsb": ("YcsbWorkload",),
+})
+__all__.append("__version__")

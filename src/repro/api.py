@@ -57,125 +57,36 @@ Typical staged run::
     assert deployment.invariants.ok
 """
 
-from __future__ import annotations
+from . import _lazy_exports
 
-from importlib import import_module
-
-from .bench.deployment import (
-    PROTOCOLS,
-    Deployment,
-    ExperimentConfig,
-    ExperimentResult,
-    InvariantReport,
-    deployment_digest,
-    run_experiment,
-)
-from .bench.instrumentation import Instrumentation, LatencyHistogram
-from .bench.tracing import load_trace_jsonl
-from .bench.scenarios import (
-    SCENARIOS,
-    apply_scenario,
-    chaos_smoke_timeline,
-    register_scenario,
-    scenario_names,
-)
-from .net.chaos import (
-    ChaosContext,
-    CrashFault,
-    EquivocateFault,
-    FAULT_KINDS,
-    Fault,
-    FaultTimeline,
-    LinkDelayFault,
-    MessageLossFault,
-    OmissionFault,
-    PartitionFault,
-    TamperFault,
-    fault_from_dict,
-)
-from .workload.payment import PaymentWorkload
-from .workload.traffic import (
-    TRAFFIC_PROCESSES,
-    OpenLoopSource,
-    TrafficSpec,
-    traffic_summary,
-)
-
-#: The campaign layer pulls in ``multiprocessing``, ``sqlite3`` and the
-#: result stores, which a single run never touches: its names resolve
-#: on first access (PEP 562) instead of at import.
-_LAZY = dict.fromkeys((
-    "Campaign",
-    "CampaignOutcome",
-    "ReportSpec",
-    "ResultStore",
-    "RunSpec",
-    "calibrate_host",
-    "campaign_names",
-    "expand_grid",
-    "get_campaign",
-    "register_campaign",
-    "run_campaign",
-), ".sweep")
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __package__), name)
-    globals()[name] = value
-    return value
-
-
-__all__ = [
+# Each name imports its module on first access (see ``repro``): a
+# single run never loads the campaign layer (``multiprocessing``,
+# ``sqlite3``, the result stores), nor the chaos engine or open-loop
+# traffic unless it uses them.
+__getattr__, __all__ = _lazy_exports(globals(), {
     # experiments
-    "PROTOCOLS",
-    "Deployment",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "InvariantReport",
-    "deployment_digest",
-    "run_experiment",
+    ".bench.deployment": ("PROTOCOLS", "Deployment", "ExperimentConfig",
+                          "ExperimentResult", "InvariantReport",
+                          "deployment_digest", "run_experiment"),
     # observability
-    "Instrumentation",
-    "LatencyHistogram",
-    "load_trace_jsonl",
+    ".bench.instrumentation": ("Instrumentation", "LatencyHistogram"),
+    ".bench.tracing": ("load_trace_jsonl",),
     # scenarios
-    "SCENARIOS",
-    "apply_scenario",
-    "chaos_smoke_timeline",
-    "register_scenario",
-    "scenario_names",
+    ".bench.scenarios": ("SCENARIOS", "apply_scenario",
+                         "chaos_smoke_timeline", "register_scenario",
+                         "scenario_names"),
     # fault injection
-    "ChaosContext",
-    "CrashFault",
-    "EquivocateFault",
-    "FAULT_KINDS",
-    "Fault",
-    "FaultTimeline",
-    "LinkDelayFault",
-    "MessageLossFault",
-    "OmissionFault",
-    "PartitionFault",
-    "TamperFault",
-    "fault_from_dict",
+    ".net.chaos": ("ChaosContext", "CrashFault", "EquivocateFault",
+                   "FAULT_KINDS", "Fault", "FaultTimeline",
+                   "LinkDelayFault", "MessageLossFault", "OmissionFault",
+                   "PartitionFault", "TamperFault", "fault_from_dict"),
     # workloads & open-loop traffic
-    "PaymentWorkload",
-    "TRAFFIC_PROCESSES",
-    "OpenLoopSource",
-    "TrafficSpec",
-    "traffic_summary",
+    ".workload.payment": ("PaymentWorkload",),
+    ".workload.traffic": ("TRAFFIC_PROCESSES", "OpenLoopSource",
+                          "TrafficSpec", "traffic_summary"),
     # campaigns
-    "Campaign",
-    "CampaignOutcome",
-    "ReportSpec",
-    "ResultStore",
-    "RunSpec",
-    "calibrate_host",
-    "campaign_names",
-    "expand_grid",
-    "get_campaign",
-    "register_campaign",
-    "run_campaign",
-]
+    ".sweep": ("Campaign", "CampaignOutcome", "ReportSpec", "ResultStore",
+               "RunSpec", "calibrate_host", "campaign_names",
+               "expand_grid", "get_campaign", "register_campaign",
+               "run_campaign"),
+})

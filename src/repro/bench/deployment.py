@@ -7,8 +7,9 @@ PKI, metrics, clients, and the chosen protocol, and runs the simulation
 for a configured duration.
 
 Protocol placement mirrors §4, one :data:`PROTOCOL_ENTRIES` entry per
-protocol (replica class, protocol-specific constructor arguments, client
-shape, completion rule, safety audit):
+protocol (replica class, named by module path and imported only when
+that protocol is built; protocol-specific constructor arguments; client
+shape; completion rule; safety audit):
 
 * **GeoBFT** — clusters; each cluster runs its own primary; clients
   talk only to their local cluster (``"cluster"`` shape).
@@ -27,18 +28,14 @@ Adding a protocol means adding one entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Literal, Optional, Tuple
+from importlib import import_module
+from typing import (TYPE_CHECKING, Callable, Dict, List, Literal, Optional,
+                    Tuple)
 
-from ..consensus.hotstuff import HotStuffReplica
-from ..consensus.pbft import (CertificatePool, PbftConfig, PbftEngine,
-                              PbftReplica)
-from ..consensus.steward import StewardReplica
-from ..consensus.zyzzyva import ZyzzyvaReplica
+from ..consensus.pbft import CertificatePool, PbftConfig, PbftEngine
 from ..core.config import GeoBftConfig
-from ..core.geobft import GeoBftReplica
 from ..crypto.costs import CryptoCostModel
 from ..crypto.signatures import KeyRegistry, Signature, VerificationCache
-from ..crypto.threshold import ThresholdScheme
 from ..errors import ConfigurationError
 from ..ledger.blockchain import ChainLog
 from ..ledger.execution import ExecutionLog
@@ -48,13 +45,14 @@ from ..net.topology import Topology
 from ..types import (ClusterId, NodeId, Quorums, check_config_fields,
                      client_id, replica_id)
 from ..workload.client import QuorumClient
-from ..workload.traffic import (OpenLoopSource, TrafficSpec, split_users,
-                                traffic_summary)
 from ..workload.ycsb import YcsbWorkload
 from ..workload.zipfian import DISTRIBUTIONS
 from ..crypto.digests import encoding_cache_stats
 from .instrumentation import Instrumentation
 from .metrics import Metrics
+
+if TYPE_CHECKING:
+    from ..workload.traffic import TrafficSpec
 
 #: ``(config, cluster members, flat members)`` -> the replica
 #: constructor arguments specific to one protocol.
@@ -73,7 +71,10 @@ class ProtocolEntry:
     ``F + 1`` of all replicas).
     """
 
-    replica: type
+    #: The replica class as ``"module:Class"``, the module relative to
+    #: ``repro``: it is imported when the protocol is built, so a run
+    #: loads no other protocol's module.
+    replica: str
     #: Constructor arguments on top of the shared ones (and overriding
     #: them, as Steward's scaled ``costs`` do).
     args: ReplicaArgs
@@ -83,6 +84,11 @@ class ProtocolEntry:
     #: Safety is audited per (instance, height) slot rather than per
     #: ledger prefix (HotStuff's unsynchronized parallel instances).
     per_slot_safety: bool = False
+
+    def replica_class(self) -> type:
+        """Import and return the replica class named by ``replica``."""
+        module, _, name = self.replica.partition(":")
+        return getattr(import_module(module, "repro"), name)
 
 
 def _pbft_config(cfg: "ExperimentConfig") -> PbftConfig:
@@ -99,6 +105,7 @@ def _geobft_args(cfg, clusters, members) -> Dict[str, object]:
     geo_cfg = replace(cfg.geobft, pbft=_pbft_config(cfg))
     schemes = None
     if geo_cfg.threshold_certificates:
+        from ..crypto.threshold import ThresholdScheme
         schemes = {
             c: ThresholdScheme(f"cluster-{c}", cluster,
                                k=Quorums(len(cluster)).intersect)
@@ -109,20 +116,23 @@ def _geobft_args(cfg, clusters, members) -> Dict[str, object]:
 
 
 PROTOCOL_ENTRIES: Dict[str, ProtocolEntry] = {
-    "geobft": ProtocolEntry(GeoBftReplica, _geobft_args, clients="cluster"),
+    "geobft": ProtocolEntry(".core.geobft:GeoBftReplica", _geobft_args,
+                            clients="cluster"),
     "pbft": ProtocolEntry(
-        PbftReplica, clients="flat",
+        ".consensus.pbft:PbftReplica", clients="flat",
         args=lambda cfg, clusters, members: dict(
             members=members, config=_pbft_config(cfg))),
     "zyzzyva": ProtocolEntry(
-        ZyzzyvaReplica, clients="flat", zyzzyva_rule=True,
+        ".consensus.zyzzyva:ZyzzyvaReplica", clients="flat",
+        zyzzyva_rule=True,
         args=lambda cfg, clusters, members: dict(members=members)),
     "hotstuff": ProtocolEntry(
-        HotStuffReplica, clients="home", per_slot_safety=True,
+        ".consensus.hotstuff:HotStuffReplica", clients="home",
+        per_slot_safety=True,
         args=lambda cfg, clusters, members: dict(
             members=members, pipeline_depth=cfg.hotstuff_pipeline)),
     "steward": ProtocolEntry(
-        StewardReplica, clients="cluster",
+        ".consensus.steward:StewardReplica", clients="cluster",
         args=lambda cfg, clusters, members: dict(
             cluster_members=clusters, primary_cluster=1,
             config=_pbft_config(cfg),
@@ -186,7 +196,9 @@ class ExperimentConfig:
     traffic: Optional[TrafficSpec] = None
 
     def __post_init__(self) -> None:
-        self.traffic = TrafficSpec.from_value(self.traffic)
+        if self.traffic is not None:
+            from ..workload.traffic import TrafficSpec
+            self.traffic = TrafficSpec.from_value(self.traffic)
         if self.protocol not in PROTOCOLS:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; expected {PROTOCOLS}"
@@ -207,7 +219,7 @@ class ExperimentConfig:
                       "client_retry_timeout", "zyzzyva_spec_timeout",
                       "steward_crypto_factor"),
             windows=("warmup",), fractions=("write_fraction",),
-            flags=("fast_crypto", "instrument"))
+            flags=("fast_crypto", "instrument"), integers=("seed",))
         if not isinstance(self.geobft, GeoBftConfig):
             raise ConfigurationError(
                 f"geobft must be a GeoBftConfig, got {self.geobft!r}")
@@ -481,9 +493,10 @@ class Deployment:
                       metrics=self.metrics,
                       instrumentation=self.instrumentation)
         shared.update(entry.args(cfg, self.cluster_members, members))
+        replica_class = entry.replica_class()
         for c, cluster in self.cluster_members.items():
             for node in cluster:
-                self.replicas[node] = entry.replica(
+                self.replicas[node] = replica_class(
                     node_id=node, region=self._region_of(c), **shared)
         self._make_drivers(entry, members)
         # Replicas execute the same batches in the same order (§2.4), so
@@ -541,6 +554,7 @@ class Deployment:
         rule_members = members if entry.zyzzyva_rule else None
         flat = Quorums(len(members))
         if spec is not None:
+            from ..workload.traffic import OpenLoopSource, split_users
             # One source per region; the modeled population is split
             # evenly over the regions (sources are region-affine).
             shares = split_users(spec.users, cfg.num_clusters)
@@ -604,6 +618,11 @@ class Deployment:
         self.sim.run(until=self.config.duration)
         self.metrics.finish(self.sim.now)
         report = self.check_invariants()
+        traffic = None
+        if self.config.traffic is not None:
+            # Loaded with the config's TrafficSpec, not here.
+            from ..workload.traffic import traffic_summary
+            traffic = traffic_summary(self.metrics, self.config.traffic)
         return ExperimentResult(
             protocol=self.config.protocol,
             num_clusters=self.config.num_clusters,
@@ -625,8 +644,7 @@ class Deployment:
             measured_submitted_txns=self.metrics.measured_submitted_txns,
             offered_load_txn_s=self.metrics.offered_load_txn_s(),
             liveness_ok=report.liveness_ok,
-            traffic=(traffic_summary(self.metrics, self.config.traffic)
-                     if self.config.traffic is not None else None),
+            traffic=traffic,
         )
 
     def encoding_cache_delta(self) -> Dict[str, int]:

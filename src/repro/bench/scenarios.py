@@ -25,13 +25,17 @@ resilience probe for any protocol.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from ..errors import ConfigurationError
-from ..net.chaos import (CrashFault, EquivocateFault, FaultTimeline,
-                         PartitionFault, TamperFault, _live_primary)
 from ..types import NodeId
 from .deployment import PROTOCOL_ENTRIES, Deployment
+
+if TYPE_CHECKING:
+    from ..net.chaos import FaultTimeline
+
+# The chaos engine is imported by the scenarios that install faults,
+# not here: a fault-free run never loads it.
 
 #: The paper's own Figure 12 scenario names (always registered).
 SCENARIOS = ("none", "one_backup", "f_backups", "primary")
@@ -66,6 +70,7 @@ def _non_primary_victims(deployment: Deployment) -> List[NodeId]:
     victim set excludes whichever replica currently leads the cluster
     rather than assuming index 1 does.
     """
+    from ..net.chaos import _live_primary
     victims: List[NodeId] = []
     for cluster, members in deployment.cluster_members.items():
         primary = _live_primary(deployment, cluster)
@@ -92,6 +97,7 @@ def _scenario_none(deployment: Deployment, fail_at: float) -> List[NodeId]:
 
 def _scenario_one_backup(deployment: Deployment,
                          fail_at: float) -> List[NodeId]:
+    from ..net.chaos import _live_primary
     last_cluster = max(deployment.cluster_members)
     members = deployment.cluster_members[last_cluster]
     primary = _live_primary(deployment, last_cluster)
@@ -107,6 +113,7 @@ def _scenario_f_backups(deployment: Deployment,
 
 def _scenario_primary(deployment: Deployment,
                       fail_at: float) -> List[NodeId]:
+    from ..net.chaos import _live_primary
     return _crash_victims(deployment,
                           [_live_primary(deployment, 1)], fail_at)
 
@@ -140,6 +147,8 @@ def chaos_smoke_timeline(protocol: str) -> FaultTimeline:
       backups; quorum intersection blocks both, and the view change
       replaces the equivocator).
     """
+    from ..net.chaos import (CrashFault, EquivocateFault, FaultTimeline,
+                             PartitionFault, TamperFault)
     clustered = PROTOCOL_ENTRIES[protocol].clients == "cluster"
     has_view_change = protocol not in ("zyzzyva", "steward")
     crash = CrashFault("primary:1" if has_view_change else "backup:1",

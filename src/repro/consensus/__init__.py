@@ -5,19 +5,12 @@ replica runtime, the message vocabulary, the reusable PBFT engine, and
 the Zyzzyva / HotStuff / Steward baselines evaluated in §4.
 """
 
-from .hotstuff import HotStuffReplica
-from .pbft import PbftConfig, PbftEngine, PbftReplica
-from .replica import BaseReplica, CpuModel
-from .steward import StewardReplica
-from .zyzzyva import ZyzzyvaReplica
+from .. import _lazy_exports
 
-__all__ = [
-    "HotStuffReplica",
-    "PbftConfig",
-    "PbftEngine",
-    "PbftReplica",
-    "BaseReplica",
-    "CpuModel",
-    "StewardReplica",
-    "ZyzzyvaReplica",
-]
+__getattr__, __all__ = _lazy_exports(globals(), {
+    ".hotstuff": ("HotStuffReplica",),
+    ".pbft": ("PbftConfig", "PbftEngine", "PbftReplica"),
+    ".replica": ("BaseReplica", "CpuModel"),
+    ".steward": ("StewardReplica",),
+    ".zyzzyva": ("ZyzzyvaReplica",),
+})

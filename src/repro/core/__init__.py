@@ -5,22 +5,12 @@ implementations (global sharing lives inside the replica; ordering and
 remote view change are standalone, unit-testable components).
 """
 
-from .config import (
-    SHARING_ALL,
-    SHARING_OPTIMISTIC,
-    SHARING_SINGLE,
-    GeoBftConfig,
-)
-from .geobft import GeoBftReplica
-from .ordering import OrderingBuffer
-from .remote_view_change import RemoteViewChangeManager
+from .. import _lazy_exports
 
-__all__ = [
-    "SHARING_ALL",
-    "SHARING_OPTIMISTIC",
-    "SHARING_SINGLE",
-    "GeoBftConfig",
-    "GeoBftReplica",
-    "OrderingBuffer",
-    "RemoteViewChangeManager",
-]
+__getattr__, __all__ = _lazy_exports(globals(), {
+    ".config": ("SHARING_ALL", "SHARING_OPTIMISTIC", "SHARING_SINGLE",
+                "GeoBftConfig"),
+    ".geobft": ("GeoBftReplica",),
+    ".ordering": ("OrderingBuffer",),
+    ".remote_view_change": ("RemoteViewChangeManager",),
+})

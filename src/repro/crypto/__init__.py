@@ -17,20 +17,12 @@ This package provides functionally equivalent primitives:
   shows up in throughput exactly as it does in the paper's evaluation.
 """
 
-from .costs import CryptoCostModel
-from .digests import digest, digest_of
-from .macs import MacAuthenticator
-from .signatures import KeyRegistry, Signature, Signer
-from .threshold import ThresholdScheme, ThresholdSignature
+from .. import _lazy_exports
 
-__all__ = [
-    "CryptoCostModel",
-    "digest",
-    "digest_of",
-    "MacAuthenticator",
-    "KeyRegistry",
-    "Signature",
-    "Signer",
-    "ThresholdScheme",
-    "ThresholdSignature",
-]
+__getattr__, __all__ = _lazy_exports(globals(), {
+    ".costs": ("CryptoCostModel",),
+    ".digests": ("digest", "digest_of"),
+    ".macs": ("MacAuthenticator",),
+    ".signatures": ("KeyRegistry", "Signature", "Signer"),
+    ".threshold": ("ThresholdScheme", "ThresholdSignature"),
+})

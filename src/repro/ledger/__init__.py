@@ -1,23 +1,12 @@
 """Ledger substrate: blocks, the blockchain, the YCSB table, execution."""
 
-from .block import GENESIS_HASH, Batch, Block, Transaction, batch_digest, make_block
-from .blockchain import Blockchain
-from .execution import ExecutionEngine
-from .recovery import audit_ledger, rebuild_state, recover_from_peer
-from .store import DEFAULT_RECORD_COUNT, YcsbStore
+from .. import _lazy_exports
 
-__all__ = [
-    "GENESIS_HASH",
-    "Batch",
-    "Block",
-    "Transaction",
-    "batch_digest",
-    "make_block",
-    "Blockchain",
-    "ExecutionEngine",
-    "audit_ledger",
-    "rebuild_state",
-    "recover_from_peer",
-    "DEFAULT_RECORD_COUNT",
-    "YcsbStore",
-]
+__getattr__, __all__ = _lazy_exports(globals(), {
+    ".block": ("GENESIS_HASH", "Batch", "Block", "Transaction",
+               "batch_digest", "make_block"),
+    ".blockchain": ("Blockchain",),
+    ".execution": ("ExecutionEngine",),
+    ".recovery": ("audit_ledger", "rebuild_state", "recover_from_peer"),
+    ".store": ("DEFAULT_RECORD_COUNT", "YcsbStore"),
+})

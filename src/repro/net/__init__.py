@@ -5,45 +5,15 @@ See ``DESIGN.md`` §2 for the substitution argument.  Scheduled fault
 injection (the chaos engine) lives in :mod:`repro.net.chaos`.
 """
 
-from .chaos import (
-    ChaosContext,
-    CrashFault,
-    EquivocateFault,
-    FAULT_KINDS,
-    Fault,
-    FaultTimeline,
-    LinkDelayFault,
-    MessageLossFault,
-    OmissionFault,
-    PartitionFault,
-    TamperFault,
-    fault_from_dict,
-    tamper_message,
-)
-from .failures import FailureModel
-from .network import Network
-from .simulator import Simulation, Timer
-from .topology import PAPER_REGIONS, LinkSpec, Topology
+from .. import _lazy_exports
 
-__all__ = [
-    "ChaosContext",
-    "CrashFault",
-    "EquivocateFault",
-    "FAULT_KINDS",
-    "Fault",
-    "FaultTimeline",
-    "FailureModel",
-    "LinkDelayFault",
-    "LinkSpec",
-    "MessageLossFault",
-    "Network",
-    "OmissionFault",
-    "PAPER_REGIONS",
-    "PartitionFault",
-    "Simulation",
-    "TamperFault",
-    "Timer",
-    "Topology",
-    "fault_from_dict",
-    "tamper_message",
-]
+__getattr__, __all__ = _lazy_exports(globals(), {
+    ".chaos": ("ChaosContext", "CrashFault", "EquivocateFault",
+               "FAULT_KINDS", "Fault", "FaultTimeline", "LinkDelayFault",
+               "MessageLossFault", "OmissionFault", "PartitionFault",
+               "TamperFault", "fault_from_dict", "tamper_message"),
+    ".failures": ("FailureModel",),
+    ".network": ("Network",),
+    ".simulator": ("Simulation", "Timer"),
+    ".topology": ("PAPER_REGIONS", "LinkSpec", "Topology"),
+})

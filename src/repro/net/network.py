@@ -48,16 +48,27 @@ self-sends are not counted.
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
-from typing import (Callable, Dict, Iterable, Optional, Protocol, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Optional,
+                    Protocol, Sequence, Tuple)
 
 from ..errors import ConfigurationError
 from ..types import NodeId
 from .failures import FailureModel
-from .sanitizer import MessageSanitizer, sanitize_enabled
 from .simulator import DispatchLane, Simulation
 from .topology import Topology
+
+if TYPE_CHECKING:
+    from .sanitizer import MessageSanitizer
+
+
+def sanitize_enabled(explicit: Optional[bool] = None) -> bool:
+    """Resolve the sanitizer switch: explicit argument, else the
+    ``REPRO_SANITIZE=1`` environment variable."""
+    if explicit is not None:
+        return explicit
+    return os.environ.get("REPRO_SANITIZE", "") == "1"
 
 
 class NetworkNode(Protocol):
@@ -130,8 +141,11 @@ class Network:
         self._sim = sim
         self._topology = topology
         self._failures = failures or FailureModel()
-        self._sanitizer: Optional[MessageSanitizer] = (
-            MessageSanitizer() if sanitize_enabled(sanitize) else None)
+        self._sanitizer: Optional[MessageSanitizer] = None
+        if sanitize_enabled(sanitize):
+            # Imported only when armed: an unsanitized run never loads it.
+            from .sanitizer import MessageSanitizer
+            self._sanitizer = MessageSanitizer()
         self._nodes: Dict[NodeId, NetworkNode] = {}
         # (sender, destination region) -> time the uplink frees up.
         self._uplink_free_at: Dict[Tuple[NodeId, str], float] = {}

@@ -35,19 +35,12 @@ or off.
 from __future__ import annotations
 
 import hashlib
-import os
-from typing import Any, Optional
+from typing import Any
 
 from ..errors import MessageAliasingError
-
-_ENV_FLAG = "REPRO_SANITIZE"
-
-
-def sanitize_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the sanitizer switch: explicit argument, else environment."""
-    if explicit is not None:
-        return explicit
-    return os.environ.get(_ENV_FLAG, "") == "1"
+# The switch lives with ``Network``, which imports this module only
+# when the sanitizer is armed.
+from .network import sanitize_enabled  # noqa: F401  (re-exported)
 
 
 def live_fingerprint(message: Any) -> bytes:

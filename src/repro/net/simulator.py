@@ -286,6 +286,8 @@ class Simulation:
                  "_events_processed", "_depth", "_max_queue", "rng")
 
     def __init__(self, seed: int = 0):
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise SimulationError(f"seed must be an int, got {seed!r}")
         self._now = 0.0
         self._seq = 0
         # Entries are (deadline, seq, fn, args) for ``post`` and

@@ -173,25 +173,28 @@ def check_config_fields(config, counts: Iterable[str] = (),
                         windows: Iterable[str] = (),
                         naturals: Iterable[str] = (),
                         fractions: Iterable[str] = (),
-                        flags: Iterable[str] = ()) -> None:
+                        flags: Iterable[str] = (),
+                        integers: Iterable[str] = ()) -> None:
     """Raise :class:`ConfigurationError` unless each named field of
     ``config`` holds a valid value: a count is an ``int`` (not a
-    ``bool``) >= 1 and a natural one >= 0, a timeout a finite number
-    > 0, a window a finite number >= 0, a fraction a finite number in
-    [0, 1], and a flag a ``bool`` (not a truthy string or int).  Shared
-    by every config dataclass (PBFT, GeoBFT, experiment, traffic)."""
+    ``bool``) >= 1, a natural one >= 0 and an integer one of any sign
+    (a seed), a timeout a finite number > 0, a window a finite number
+    >= 0, a fraction a finite number in [0, 1], and a flag a ``bool``
+    (not a truthy string or int).  Shared by every config dataclass
+    (PBFT, GeoBFT, experiment, traffic)."""
     for name in flags:
         value = getattr(config, name)
         if not isinstance(value, bool):
             raise ConfigurationError(
                 f"{name} must be a bool, got {value!r}")
-    for names, least in ((counts, 1), (naturals, 0)):
+    for names, least in ((counts, 1), (naturals, 0), (integers, None)):
         for name in names:
             value = getattr(config, name)
             if (not isinstance(value, int) or isinstance(value, bool)
-                    or value < least):
+                    or (least is not None and value < least)):
+                bound = "" if least is None else f" >= {least}"
                 raise ConfigurationError(
-                    f"{name} must be an int >= {least}, got {value!r}")
+                    f"{name} must be an int{bound}, got {value!r}")
     for name in timeouts:
         value = getattr(config, name)
         if not (_is_finite(value) and value > 0):

@@ -1,38 +1,14 @@
 """Workload substrate: YCSB/payment generators and traffic drivers."""
 
-from .client import QuorumClient
-from .payment import DEFAULT_ACCOUNTS, PaymentWorkload
-from .traffic import (
-    TRAFFIC_PROCESSES,
-    OpenLoopSource,
-    TrafficSpec,
-    split_users,
-    traffic_summary,
-)
-from .ycsb import YcsbWorkload
-from .zipfian import (
-    DEFAULT_ZIPFIAN_CONSTANT,
-    ScrambledZipfianGenerator,
-    UniformGenerator,
-    ZipfianGenerator,
-    make_generator,
-    zeta,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "QuorumClient",
-    "YcsbWorkload",
-    "DEFAULT_ACCOUNTS",
-    "PaymentWorkload",
-    "TRAFFIC_PROCESSES",
-    "OpenLoopSource",
-    "TrafficSpec",
-    "split_users",
-    "traffic_summary",
-    "DEFAULT_ZIPFIAN_CONSTANT",
-    "ScrambledZipfianGenerator",
-    "UniformGenerator",
-    "ZipfianGenerator",
-    "make_generator",
-    "zeta",
-]
+__getattr__, __all__ = _lazy_exports(globals(), {
+    ".client": ("QuorumClient",),
+    ".ycsb": ("YcsbWorkload",),
+    ".payment": ("DEFAULT_ACCOUNTS", "PaymentWorkload"),
+    ".traffic": ("TRAFFIC_PROCESSES", "OpenLoopSource", "TrafficSpec",
+                 "split_users", "traffic_summary"),
+    ".zipfian": ("DEFAULT_ZIPFIAN_CONSTANT", "ScrambledZipfianGenerator",
+                 "UniformGenerator", "ZipfianGenerator", "make_generator",
+                 "zeta"),
+})

@@ -35,6 +35,10 @@ class YcsbWorkload:
                  value_size: int = DEFAULT_VALUE_SIZE,
                  seed: int = 0,
                  rng: Optional[random.Random] = None):
+        if (not isinstance(record_count, int)
+                or isinstance(record_count, bool)):
+            raise WorkloadError(
+                f"record_count must be an int, got {record_count!r}")
         if not 0.0 <= write_fraction <= 1.0:
             raise WorkloadError(
                 f"write_fraction must be in [0, 1], got {write_fraction}"
@@ -76,8 +80,10 @@ class YcsbWorkload:
         ``prefix`` namespaces transaction ids per client so ids stay
         globally unique across concurrent clients.
         """
-        if size < 1:
-            raise WorkloadError(f"batch size must be >= 1, got {size}")
+        # ``type() is``: no builtin call per batch, and no bool.
+        if type(size) is not int or size < 1:
+            raise WorkloadError(
+                f"batch size must be an int >= 1, got {size!r}")
         # ``next_txn``'s draws in its order (key, then write/read); a read
         # is stored as ``~key``.  Ids and values are formatted per row.
         next_key, random_ = self._keys.next, self._rng.random

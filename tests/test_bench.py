@@ -115,6 +115,17 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(duration=1.0, warmup=2.0)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, "1", None])
+    def test_seed_must_be_an_int(self, seed):
+        """``seed=True`` used to run as seed 1 and ``seed=1.5`` silently
+        (every workload seed is derived from it)."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**70])
+    def test_any_int_seed_accepted(self, seed):
+        assert ExperimentConfig(seed=seed).seed == seed
+
     @pytest.mark.parametrize("clients", [0, -1])
     def test_closed_loop_needs_a_client(self, clients):
         """No clients and no traffic used to run, complete nothing and

@@ -336,6 +336,13 @@ class TestDeterminism:
     def test_rng_is_seeded(self):
         assert Simulation(seed=7).rng.random() == Simulation(seed=7).rng.random()
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, "7", None])
+    def test_seed_must_be_an_int(self, seed):
+        """``Simulation(seed=True)`` used to run as seed 1, and
+        ``seed=1.5`` as a hash of the float."""
+        with pytest.raises(SimulationError, match="seed"):
+            Simulation(seed=seed)
+
 
 class TestQueueDepthTelemetry:
     def test_max_queue_depth_high_water_mark(self):

@@ -173,6 +173,20 @@ class TestYcsbWorkload:
         with pytest.raises(WorkloadError):
             wl.next_batch(0)
 
+    @pytest.mark.parametrize("size", [True, 2.0, "3", None])
+    def test_batch_size_must_be_an_int(self, size):
+        """``next_batch(True)`` used to mint a one-transaction batch."""
+        wl = YcsbWorkload(record_count=100, seed=1)
+        with pytest.raises(WorkloadError, match="batch size"):
+            wl.next_batch(size)
+        assert wl.generated_txns == 0
+
+    @pytest.mark.parametrize("record_count", [True, 2.5, "100", None])
+    def test_record_count_must_be_an_int(self, record_count):
+        """``record_count=True`` used to build a one-record workload."""
+        with pytest.raises(WorkloadError, match="record_count"):
+            YcsbWorkload(record_count=record_count)
+
     def test_invalid_write_fraction(self):
         with pytest.raises(WorkloadError):
             YcsbWorkload(write_fraction=1.5)
@@ -215,15 +229,56 @@ class TestPaymentWorkload:
             assert payment.generated_txns == counter
             assert_same_as_its_tuple(batch)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**64),
+           accounts=st.one_of(st.integers(1, 100_000),
+                              st.integers(0, 62).map(lambda e: 2**e),
+                              st.integers(1, 62).map(lambda e: 2**e - 1),
+                              st.integers(1, 62).map(lambda e: 2**e + 1)),
+           size=st.integers(1, 40))
+    def test_inline_draw_is_randrange_and_randint(self, seed, accounts,
+                                                  size):
+        """``next_batch`` draws with ``getrandbits`` directly; its columns
+        and the generator's state afterwards are exactly those of
+        ``randrange(accounts)``, ``randrange(accounts)``,
+        ``randint(1, 500)`` per transfer, ``accounts = 1`` and powers of
+        two (where ``bit_length`` turns over) included."""
+        payment = PaymentWorkload("b0", seed, accounts=accounts)
+        rng = random.Random(seed)
+        for prefix in ("c1-", "c2-"):
+            src, dst, amount = payment.next_batch(size, prefix)._draws
+            expected = [(rng.randrange(accounts), rng.randrange(accounts),
+                         rng.randint(1, 500)) for _ in range(size)]
+            assert list(zip(src, dst, amount)) == expected
+            assert payment._rng.getstate() == rng.getstate()
+
+    @pytest.mark.parametrize("accounts", [True, 2.5, "200", None, 0])
+    def test_accounts_must_be_a_positive_int(self, accounts):
+        """``accounts=True`` used to build a one-account table and
+        ``accounts=2.5`` to fail only in ``next_batch``."""
+        with pytest.raises(WorkloadError, match="accounts"):
+            PaymentWorkload("b0", seed=1, accounts=accounts)
+
+    @pytest.mark.parametrize("size", [True, 2.0, "3", None, 0])
+    def test_batch_size_must_be_a_positive_int(self, size):
+        """``next_batch(True)`` used to mint one transfer and
+        ``next_batch(2.0)`` raised a bare ``TypeError``."""
+        payment = PaymentWorkload("b0", seed=1)
+        with pytest.raises(WorkloadError, match="batch size"):
+            payment.next_batch(size)
+        assert payment.generated_txns == 0
+
 
 class _ScriptedRng:
     """Hands out scripted draws: ``randrange`` and ``randint`` the next
-    of ``ints``, ``random`` the next of ``floats``."""
+    of ``ints``, ``random`` the next of ``floats``, ``getrandbits`` the
+    next of ``bits``."""
 
-    def __init__(self, ints=(), floats=()):
-        ints, floats = iter(ints), iter(floats)
+    def __init__(self, ints=(), floats=(), bits=()):
+        ints, floats, bits = iter(ints), iter(floats), iter(bits)
         self.randrange = self.randint = lambda *_: next(ints)
         self.random = lambda: next(floats)
+        self.getrandbits = lambda _k: next(bits)
 
 
 def assert_same_as_q_columns(batch):
@@ -251,9 +306,10 @@ class TestColumnWidths:
         payment = PaymentWorkload("b0", seed=3, accounts=accounts)
         assert_same_as_q_columns(payment.next_batch(50, "c1-"))
         top = accounts - 1
-        # (source, destination, amount) per transfer: both range ends.
-        payment._rng = _ScriptedRng(ints=[top, 0, 500, 0, top, 1,
-                                          top, top, 500])
+        # (source, destination, amount - 1) per transfer: both range
+        # ends (an amount is 1 + its draw below 500).
+        payment._rng = _ScriptedRng(bits=[top, 0, 499, 0, top, 0,
+                                          top, top, 499])
         batch = payment.next_batch(3, "c2-")
         src, dst, amount = batch._draws
         assert (src.typecode, dst.typecode, amount.typecode) == (
