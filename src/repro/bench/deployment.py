@@ -614,7 +614,7 @@ class Deployment:
     def run(self) -> ExperimentResult:
         """Start the clients, run the clock out, and aggregate results."""
         for client in self.clients:
-            self.sim.schedule(0.0, client.start)
+            self.sim.post(0.0, client.start)
         self.sim.run(until=self.config.duration)
         self.metrics.finish(self.sim.now)
         report = self.check_invariants()

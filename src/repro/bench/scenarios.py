@@ -87,7 +87,7 @@ def _crash_victims(deployment: Deployment, victims: List[NodeId],
             failures.crash(victim)
     else:
         for victim in victims:
-            deployment.sim.schedule(fail_at, failures.crash, victim)
+            deployment.sim.post(fail_at, failures.crash, victim)
     return victims
 
 

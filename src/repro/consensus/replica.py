@@ -123,7 +123,7 @@ class BaseReplica:
         # signatures, Steward's RSA-era proofs) from scaling.
         self._certify_free_at = 0.0
         # Dispatches waiting on the certify thread, in completion order.
-        self._certify_lane = sim.dispatch_lane(self._post_dispatch)
+        self._certify_lane = sim.lane(self._post_dispatch, 3)
         network.register(self)
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ protocol resolves this in four phases:
 1. **Detection** (initiation role): each replica of C2 runs a timer per
    awaited (cluster, round); on expiry it broadcasts ``DRVC`` locally.
    The timers for one watched cluster are the rows of one
-   :class:`~repro.net.simulator.CallLane`, whose argument is the round:
+   :class:`~repro.net.simulator.Lane`, whose one slot is the round:
    their deadlines never decrease, since the clock does not and the
    cluster's timeout only grows with its remote view changes.
 2. **Agreement**: on ``n - f`` matching ``DRVC`` messages the replicas
@@ -74,11 +74,11 @@ class RemoteViewChangeManager:
 
         # --- initiation role (watching remote clusters) ---
         self._vc_counts: Dict[ClusterId, int] = {}
-        # One call lane per watched cluster, firing that cluster's
-        # timeouts with the round as argument.
+        # One lane per watched cluster, firing that cluster's timeouts
+        # with the round as argument.
         sim = owner.sim
         self._lanes = {
-            cluster: sim.call_lane(partial(self._on_timeout, cluster))
+            cluster: sim.lane(partial(self._on_timeout, cluster), 1)
             for cluster in quorums if cluster != own_cluster}
         # cluster -> round -> the lane position of the timeout awaiting
         # that round's share; one map per known cluster, built up front.
@@ -133,7 +133,7 @@ class RemoteViewChangeManager:
         if self._get_share(cluster, round_id) is not None:
             return
         timeout = self._remote_timeout * (2 ** self.vc_count(cluster))
-        timers[round_id] = self._owner.sim.post_call(
+        timers[round_id] = self._owner.sim.post_lane(
             self._lanes[cluster], timeout, round_id)
 
     def on_share_received(self, cluster: ClusterId,

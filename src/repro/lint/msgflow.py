@@ -27,7 +27,7 @@ from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Finding
 
-from .rules import ProjectRule
+from .rules import SCHEDULERS, ProjectRule
 from .specs import (MESSAGE_MODULES, PROTOCOL_SPECS, MessageSpec,
                     ProtocolSpec)
 from .symbols import ClassInfo, FunctionInfo, ProjectIndex
@@ -52,7 +52,6 @@ WIRE_KINDS = frozenset({"broadcast", "multi-unicast", "unicast",
 
 _BROADCASTERS = {"broadcast", "multicast", "_multicast_distinct"}
 _SENDERS = {"send", "send_at"}
-_SCHEDULERS = {"post", "post_lane", "post_call", "schedule"}
 
 
 class MessageFlow:
@@ -159,7 +158,7 @@ def _classify_call(call: ast.Call, parents: Dict[int, ast.AST],
         return "broadcast"
     if name in _SENDERS:
         return "multi-unicast" if _in_loop(call, parents) else "unicast"
-    if name in _SCHEDULERS:
+    if name in SCHEDULERS:
         return "scheduled"
     if name in messages:
         return "embedded"

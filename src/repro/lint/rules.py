@@ -285,12 +285,14 @@ class NoUnseededRandom(_ImportTracker):
         self.generic_visit(node)
 
 
+#: The ``Simulation`` methods that queue an event (tests/test_lint.py
+#: checks this against the class itself).
+SCHEDULERS = frozenset({"post", "post_lane", "schedule"})
+
 #: Calls that feed the event queue or the network — the sinks whose
 #: argument/iteration order becomes part of the simulated schedule.
-_EVENT_SINKS = {
-    "send", "multicast", "broadcast", "_multicast_distinct",
-    "post", "post_lane", "post_call", "schedule", "send_at",
-}
+_EVENT_SINKS = SCHEDULERS | {
+    "send", "multicast", "broadcast", "_multicast_distinct", "send_at"}
 
 #: Methods whose result has no deterministic cross-run order.
 _FS_SOURCES = {"listdir", "scandir", "iterdir", "glob", "iglob", "rglob"}

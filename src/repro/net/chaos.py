@@ -859,8 +859,8 @@ class FaultTimeline:
         deployment.timeline = self
         sim = deployment.sim
         for index, fault in enumerate(self._faults):
-            sim.schedule(max(0.0, fault.at - sim.now),
-                         self._activate, index, fault)
+            sim.post(max(0.0, fault.at - sim.now),
+                     self._activate, index, fault)
         return self
 
     def _progress(self) -> int:
@@ -874,8 +874,8 @@ class FaultTimeline:
         self._activated[index] = (ctx.sim.now, self._progress())
         self._emit(index, fault, "fault_on")
         if fault.until is not None:
-            ctx.sim.schedule(max(0.0, fault.until - ctx.sim.now),
-                             self._deactivate, index, fault)
+            ctx.sim.post(max(0.0, fault.until - ctx.sim.now),
+                         self._deactivate, index, fault)
 
     def _deactivate(self, index: int, fault: Fault) -> None:
         ctx = self._ctx

@@ -28,7 +28,7 @@ Send-path faults are read once per call; when any is armed each copy is
 checked inline: suppression, tampering, extra delay, in-flight loss.
 
 A cross-region copy waits in the simulator's
-:class:`~repro.net.simulator.DispatchLane` of its (sender, destination
+:class:`~repro.net.simulator.Lane` of its (sender, destination
 region), resolved with the route, instead of as a heap entry of its
 own: the WAN egress clock only moves forward and a pair's latency is
 fixed, so deadlines to one region do not decrease, and a copy earlier
@@ -56,7 +56,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Optional,
 from ..errors import ConfigurationError
 from ..types import NodeId
 from .failures import FailureModel
-from .simulator import DispatchLane, Simulation
+from .simulator import Lane, Simulation
 from .topology import Topology
 
 if TYPE_CHECKING:
@@ -155,9 +155,9 @@ class Network:
         # is the destination's region and ``lane`` the pair's delivery
         # lane for cross-region pairs; both are None for local ones.
         self._routes: Dict[NodeId, Dict[NodeId, tuple]] = {}
-        # (sender, destination region) -> the DispatchLane its
+        # (sender, destination region) -> the Lane its
         # cross-region deliveries wait in.
-        self._delivery_lanes: Dict[Tuple[NodeId, str], DispatchLane] = {}
+        self._delivery_lanes: Dict[Tuple[NodeId, str], Lane] = {}
         # src -> its local-region uplink key, resolved once.
         self._local_keys: Dict[NodeId, Tuple[NodeId, str]] = {}
         # Empty unless a tracer or test registers one: the hot path
@@ -307,7 +307,7 @@ class Network:
                     lane = self._delivery_lanes.get((src, rregion))
                     if lane is None:
                         lane = self._delivery_lanes[src, rregion] = (
-                            sim.dispatch_lane(deliver))
+                            sim.lane(deliver, 3))
                 route = routes[dst] = (link.bandwidth_bytes_per_s,
                                        link.latency_s, remote, lane)
             bandwidth, latency, remote, lane = route

@@ -7,64 +7,37 @@ equal timestamps fire in scheduling order, so a run is a pure function of
 its configuration and seed, which the safety and determinism tests rely
 on.
 
-Four scheduling paths share one sequence counter:
-
-* :meth:`Simulation.schedule` returns a cancellable :class:`Timer` —
-  used for view-change timeouts and anything else that may be cancelled.
-* :meth:`Simulation.post` is the fast path for the vast majority of
-  events (message deliveries, deferred sends) that are never cancelled:
-  no ``Timer`` object is allocated, the callback and args ride directly
-  in the queue entry.
-* :meth:`Simulation.post_lane` queues a never-cancelled call behind the
-  earlier calls of its :class:`DispatchLane`.
-* :meth:`Simulation.post_call` queues a cancellable ``fn(arg)`` call in
-  its :class:`CallLane` and returns the call's position, which
-  :meth:`CallLane.cancel` takes.
-
-Because all four paths consume the same monotonically increasing
-sequence number, mixing them cannot reorder events: determinism is a
-property of the (deadline, seq) pair, which is identical whichever path
+Two queueing paths share one sequence counter, so mixing them cannot
+reorder events: the order is the (deadline, seq) pair, whichever path
 created the event.
 
-Two structures together implement the exact (deadline, seq) total
-order:
+* :meth:`Simulation.post` puts ``fn(*args)`` on **one binary heap** —
+  message deliveries, deferred sends, one-off events: anything that is
+  never cancelled.
+* :meth:`Simulation.post_lane` appends a row to a :class:`Lane`, made
+  by :meth:`Simulation.lane`: a FIFO of ``fn(*row)`` calls whose
+  deadlines do not decrease — a replica's certify thread, one sender's
+  cross-region deliveries to one region, a GeoBFT replica's remote
+  view-change timeouts for one watched cluster.  Rows sit in a ring of
+  preallocated columns (``array`` deadlines and seqs, and ``width``
+  argument columns end to end in one flat ``args`` list), and only the
+  lane's head is on the heap; when the head is consumed, the lane
+  pushes its next head before the event fires, so the heap's minimum
+  is always the global minimum.  ``post_lane`` returns the row's
+  position, which :meth:`Lane.cancel` takes: a cancelled row's slots
+  hold None, and the row is consumed, counted and skipped at its
+  deadline.  A row earlier than the lane's latest deadline is a plain
+  heap entry instead, and ``post_lane`` returns -1.  A ring that grew
+  goes back to fresh ``_LANE_SLOTS`` columns when its last row pops, so
+  a burst's high-water capacity is not kept.
 
-* **lanes** — FIFOs whose events are already in (deadline, seq) order.
-  Each keeps its queued pairs in a ring of preallocated ``array``
-  columns, written and read by index (a full ring widens by an eighth,
-  in place), and only its head entry sits on the heap.  A **timer
-  lane** (:class:`_TimerLane`) holds the timers armed with one delay:
-  a deadline is ``now + delay`` and ``now`` never decreases, so the
-  lane is in order by construction; it keeps its still-armed timers in
-  a ``{seq: Timer}`` dict.  A **dispatch lane**
-  (:class:`DispatchLane`, :meth:`Simulation.post_lane`) holds the
-  ``fn(a, b, c)`` calls of a caller whose deadlines do not decrease —
-  a replica's certify thread, whose completion times only grow, or
-  one sender's cross-region deliveries to one region, which leave a
-  forward-moving egress clock over a fixed latency — with the three
-  arguments in slot columns beside the pairs, so a queued call
-  allocates no tuple.  A call with nothing of its lane pending ahead
-  of it, or one earlier than the lane's latest deadline, is a plain
-  heap entry instead: a lone call costs what a post costs, and the
-  order stays exact for any caller.  A dispatch lane whose ring grew
-  goes back to fresh ``_LANE_SLOTS`` columns when its last queued call
-  pops, so a burst's high-water capacity is not kept.  A **call lane**
-  (:class:`CallLane`, :meth:`Simulation.post_call`) holds the
-  ``fn(arg)`` calls of one caller whose deadlines never decrease — a
-  GeoBFT replica's remote view-change timeouts for one watched cluster
-  — with the argument in one slot column; cancelling a call clears its
-  slot, and the row is consumed without firing when its turn comes.
-* **one binary heap** holding every :meth:`~Simulation.post` entry
-  plus the head entry of each non-empty lane.  When a lane's head is
-  consumed, the lane pushes its next head before the event fires, so
-  the heap's minimum is always the global minimum.
-
-Almost every timer the protocols arm is cancelled long before its
-multi-second deadline.  :meth:`Timer.cancel` deletes the timer from its
-lane's dict, so a cancelled timer stays resident only as a 16-byte
-``(deadline, seq)`` pair, and a cancelled call-lane row as its 24-byte
-row; the cancelled event is still popped, counted and skipped at
-exactly the position it always held.
+:meth:`Simulation.schedule` wraps ``post_lane`` and returns a cancellable
+:class:`Timer`, for the protocol timers.  The timer is the one slot of a
+row in the lane of its delay: a deadline is ``now + delay`` and ``now``
+never decreases, so that lane is in order by construction.  Almost every
+timer the protocols arm is cancelled long before its multi-second
+deadline; a cancelled timer stays resident only as its row, a 16-byte
+``(deadline, seq)`` pair and an 8-byte slot holding None.
 """
 
 from __future__ import annotations
@@ -85,6 +58,12 @@ def _bad_delay(delay) -> SimulationError:
         f"delay must be finite and non-negative: {delay!r}")
 
 
+def _bad_row(lane: "Lane", row: tuple) -> SimulationError:
+    return SimulationError(
+        f"a lane row is {lane.width} arguments, the first not None: "
+        f"{row!r}")
+
+
 class Timer:
     """Handle to a scheduled event, allowing cancellation.
 
@@ -95,20 +74,25 @@ class Timer:
     deadline.
     """
 
-    __slots__ = ("deadline", "_fn", "_args", "_cancelled", "_lane", "_seq",
+    __slots__ = ("_fn", "_args", "_cancelled", "_lane", "_pos",
                  "__weakref__")
+    _pos: int       # the row's position in ``_lane``
 
-    def __init__(self, deadline: float, fn: Callable[..., None], args: tuple,
-                 lane: "_TimerLane", seq: int):
-        self.deadline = deadline
+    def __init__(self, fn: Callable[..., None], args: tuple, lane: "Lane"):
         # Both are dropped by cancel().
         self._fn: Optional[Callable[..., None]] = fn
         self._args: Optional[tuple] = args
         self._cancelled = False
-        # The lane holding this timer in its ``live`` dict under ``_seq``;
-        # None once the timer has fired or been cancelled.
-        self._lane: Optional[_TimerLane] = lane
-        self._seq = seq
+        # The lane holding this timer's row at ``_pos`` (set by
+        # Simulation.schedule); None once the timer has fired or been
+        # cancelled.
+        self._lane: Optional[Lane] = lane
+
+    def _fire(self) -> None:
+        """The call of a timer lane's row."""
+        self._lane = None
+        # A cancelled timer's row is never fired, so neither is None.
+        self._fn(*self._args)  # type: ignore
 
     def cancel(self) -> None:
         """Prevent the timer from firing (idempotent).
@@ -122,7 +106,10 @@ class Timer:
         self._lane = None
         self._cancelled = True
         self._fn = self._args = None
-        del lane.live[self._seq]
+        # Lane.cancel, inlined: the row is pending while ``_lane`` is
+        # set, and a timer lane's row is its one slot.
+        k = self._pos - lane.popped
+        lane.args[(lane.head + k) % lane.capacity] = None
 
     @property
     def cancelled(self) -> bool:
@@ -140,18 +127,36 @@ _LANE_SLOTS = 8
 _ZERO_SLOTS = bytes(8 * _LANE_SLOTS)
 
 
-class _Lane:
-    """A ring of queued (deadline, seq) pairs already in that order.
+class Lane:
+    """Queued ``fn(*row)`` calls whose deadlines do not decrease, in
+    (deadline, seq) order; made by :meth:`Simulation.lane`.
 
-    ``deadlines[head]`` / ``seqs[head]`` is the pair whose entry
-    ``(deadline, seq, lane, None)`` is on the heap; the ``size - 1``
-    pairs after it (modulo ``capacity``) are still to come.  Columns are
-    written and read by index, never appended to.
+    ``args`` is ``width`` columns of ``capacity`` slots end to end, so
+    the row at ring index ``i`` is ``(deadlines[i], seqs[i])`` with its
+    arguments at ``args[i::capacity]`` — an extended slice, whose
+    assignment refuses a row of another length.  The row at ``head`` is
+    the one whose entry ``(deadline, seq, lane, None)`` is on the heap;
+    the ``size - 1`` rows after it (modulo ``capacity``) are still to
+    come.  Columns are written and read by index, never appended to.  A
+    fired or cancelled row's slots hold None.
+
+    ``popped`` counts the rows consumed so far, so the row at position
+    ``pos`` (the value :meth:`Simulation.post_lane` returned for it)
+    sits at ring index ``(head + pos - popped) % capacity`` until it is
+    consumed — through :meth:`_grow` too, whose gap opens just before
+    the head.  ``last`` is the latest deadline of any row the ring took:
+    no earlier row may join it.
     """
 
-    __slots__ = ("deadlines", "seqs", "head", "size", "capacity")
+    __slots__ = ("fn", "width", "last", "popped", "blank", "deadlines",
+                 "seqs", "args", "head", "size", "capacity")
 
-    def __init__(self):
+    def __init__(self, fn: Callable[..., None], width: int):
+        self.fn = fn
+        self.width = width
+        self.last = 0.0
+        self.popped = 0
+        self.blank = [None] * width     # what a consumed row's slots hold
         self.size = 0
         self._new_ring()
 
@@ -159,117 +164,42 @@ class _Lane:
         """Fresh, empty ``_LANE_SLOTS`` columns."""
         self.deadlines = array("d", _ZERO_SLOTS)
         self.seqs = array("q", _ZERO_SLOTS)
+        self.args: list = [None] * (_LANE_SLOTS * self.width)
         self.head = 0
         self.capacity = _LANE_SLOTS
 
     def _grow(self) -> None:
         """Widen the full ring by about an eighth, in place.  The gap
-        opens just before the head, so the pairs from the head on move
+        opens just before the head, so the rows from the head on move
         up and the ring's order is kept (an eighth, not a doubling: a
-        timer lane holds ~18k pairs at the end of a 4x4 run)."""
-        head = self.head
-        extra = (self.capacity >> 3) + _LANE_SLOTS
-        self._open_gap(head, extra)
+        timer lane holds ~18k rows at the end of a 4x4 run)."""
+        head, capacity = self.head, self.capacity
+        extra = (capacity >> 3) + _LANE_SLOTS
+        gap = bytes(8 * extra)
+        self.deadlines[head:head] = array("d", gap)
+        self.seqs[head:head] = array("q", gap)
+        # The last column first, so the earlier columns' offsets hold.
+        for at in range(head + (self.width - 1) * capacity, -1, -capacity):
+            self.args[at:at] = [None] * extra
         self.head = head + extra
-        self.capacity += extra
-
-    def _open_gap(self, at: int, width: int) -> None:
-        gap = bytes(8 * width)
-        self.deadlines[at:at] = array("d", gap)
-        self.seqs[at:at] = array("q", gap)
-
-
-class _TimerLane(_Lane):
-    """The timers armed with one delay, in (deadline, seq) order.
-
-    ``live`` maps the sequence number of each still-armed timer to its
-    :class:`Timer`; a pair with no ``live`` entry is a cancelled timer,
-    skipped when its turn comes.
-    """
-
-    __slots__ = ("delay", "live")
-
-    def __init__(self, delay: float):
-        super().__init__()
-        self.delay = delay
-        self.live: dict = {}
-
-
-class DispatchLane(_Lane):
-    """Queued ``fn(a, b, c)`` calls whose deadlines do not decrease (a
-    serial stage, one sender's deliveries to one region), in (deadline,
-    seq) order; made by :meth:`Simulation.dispatch_lane`.
-
-    The arguments of the call at ring index ``i`` are ``args0[i]``,
-    ``args1[i]`` and ``args2[i]``; a fired call's slots are cleared, and
-    a ring that grew is swapped for fresh columns when it drains.
-    ``last`` is the latest deadline of any call posted to the lane, held
-    in it or not: no earlier call may join the ring.
-    """
-
-    __slots__ = ("fn", "last", "args0", "args1", "args2")
-
-    def __init__(self, fn: Callable[[Any, Any, Any], None]):
-        super().__init__()
-        self.fn = fn
-        self.last = 0.0
-
-    def _new_ring(self) -> None:
-        super()._new_ring()
-        self.args0: list = [None] * _LANE_SLOTS
-        self.args1: list = [None] * _LANE_SLOTS
-        self.args2: list = [None] * _LANE_SLOTS
-
-    def _open_gap(self, at: int, width: int) -> None:
-        super()._open_gap(at, width)
-        gap = [None] * width
-        self.args0[at:at] = gap
-        self.args1[at:at] = gap
-        self.args2[at:at] = gap
-
-
-class CallLane(_Lane):
-    """Queued cancellable ``fn(arg)`` calls whose deadlines never
-    decrease, in (deadline, seq) order; made by
-    :meth:`Simulation.call_lane`.
-
-    The argument of the row at ring index ``i`` is ``args[i]``; a fired
-    or cancelled row's slot holds None.  ``popped`` counts the rows
-    consumed so far, so the row at position ``pos`` (the value
-    :meth:`Simulation.post_call` returned for it) sits at ring index
-    ``(head + pos - popped) % capacity`` until it is consumed — through
-    :meth:`_grow` too, whose gap opens just before the head.  ``last``
-    is the latest deadline posted to the lane.
-    """
-
-    __slots__ = ("fn", "last", "popped", "args")
-
-    def __init__(self, fn: Callable[[Any], None]):
-        super().__init__()
-        self.fn = fn
-        self.last = 0.0
-        self.popped = 0
-
-    def _new_ring(self) -> None:
-        super()._new_ring()
-        self.args: list = [None] * _LANE_SLOTS
-
-    def _open_gap(self, at: int, width: int) -> None:
-        super()._open_gap(at, width)
-        self.args[at:at] = [None] * width
+        self.capacity = capacity + extra
 
     def cancel(self, pos: int) -> None:
-        """Keep the call at ``pos`` from firing, in O(1) (idempotent).
+        """Keep the row at ``pos`` from firing, in O(1) (idempotent).
 
-        A no-op once the call has been consumed — including from inside
-        its own callback.  The row stays queued and is consumed, counted
-        and skipped at its deadline, as a cancelled :class:`Timer` is.
+        A no-op once the row has been consumed — including from inside
+        its own call.  The row stays queued and is consumed, counted and
+        skipped at its deadline.  A position that :meth:`Simulation.post_lane`
+        never returned (a bool, a negative one — the heap fallback's -1
+        among them — or one not yet issued) raises
+        :class:`SimulationError`.
         """
-        k = pos - self.popped
-        if k >= self.size:
-            raise SimulationError(f"no call at position {pos!r}")
+        k = pos - self.popped if pos.__class__ is int and pos >= 0 else None
+        if k is None or k >= self.size:
+            raise SimulationError(f"no row at position {pos!r}")
         if k >= 0:
-            self.args[(self.head + k) % self.capacity] = None
+            capacity = self.capacity
+            self.args[(self.head + k) % capacity::capacity] = self.blank
 
 
 class Simulation:
@@ -282,7 +212,7 @@ class Simulation:
         sim.run(until=10.0)
     """
 
-    __slots__ = ("_now", "_seq", "_heap", "_lanes", "_made_lanes",
+    __slots__ = ("_now", "_seq", "_heap", "_lanes", "_timer_lanes",
                  "_events_processed", "_depth", "_max_queue", "rng")
 
     def __init__(self, seed: int = 0):
@@ -295,9 +225,8 @@ class Simulation:
         # unique, so tuple comparison never reaches the non-comparable
         # tail.
         self._heap: list = []
-        self._lanes: dict = {}       # delay -> _TimerLane, non-empty only
-        # Every DispatchLane and CallLane made, empty or not.
-        self._made_lanes: list = []
+        self._lanes: list = []          # every Lane made, empty or not
+        self._timer_lanes: dict = {}    # delay -> its timers' Lane
         self._events_processed = 0
         # Queue depth is tracked incrementally (push +1 / consume -1)
         # so the hot post() path never takes a len() call.
@@ -318,10 +247,9 @@ class Simulation:
     @property
     def pending_events(self) -> int:
         """Events still in the queue (including cancelled ones)."""
-        lanes = [*self._lanes.values(), *self._made_lanes]
         # The heap holds one entry per non-empty lane, its head, counted
-        # here with the lane's other pairs.
-        return len(self._heap) + sum(lane.size - 1 for lane in lanes
+        # here with the lane's other rows.
+        return len(self._heap) + sum(lane.size - 1 for lane in self._lanes
                                      if lane.size)
 
     @property
@@ -350,29 +278,15 @@ class Simulation:
         timestamp).
         """
         try:
-            if delay.__class__ is bool or not 0.0 <= delay < _INF:
-                raise _bad_delay(delay)
+            lane = self._timer_lanes.get(delay)
+            if lane is None:
+                if delay.__class__ is bool or not 0.0 <= delay < _INF:
+                    raise _bad_delay(delay)
+                lane = self._timer_lanes[delay] = self.lane(Timer._fire, 1)
         except TypeError:
             raise _bad_delay(delay) from None
-        seq = self._seq
-        self._seq = seq + 1
-        deadline = self._now + delay
-        lane = self._lanes.get(delay)
-        if lane is None:
-            lane = self._lanes[delay] = _TimerLane(delay)
-            heappush(self._heap, (deadline, seq, lane, None))
-        size = lane.size
-        if size == lane.capacity:
-            lane._grow()
-        i = (lane.head + size) % lane.capacity
-        lane.deadlines[i] = deadline
-        lane.seqs[i] = seq
-        lane.size = size + 1
-        timer = lane.live[seq] = Timer(deadline, fn, args, lane, seq)
-        depth = self._depth + 1
-        self._depth = depth
-        if depth > self._max_queue:
-            self._max_queue = depth
+        timer = Timer(fn, args, lane)
+        timer._pos = self.post_lane(lane, delay, timer)
         return timer
 
     def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
@@ -399,106 +313,69 @@ class Simulation:
         if depth > self._max_queue:
             self._max_queue = depth
 
-    def dispatch_lane(self, fn: Callable[[Any, Any, Any], None]
-                      ) -> DispatchLane:
-        """A new, empty :class:`DispatchLane` whose events call ``fn``."""
-        lane = DispatchLane(fn)
-        self._made_lanes.append(lane)
+    def lane(self, fn: Callable[..., None], width: int) -> Lane:
+        """A new, empty :class:`Lane` whose rows of ``width`` arguments
+        call ``fn``."""
+        if not callable(fn):
+            raise SimulationError(f"a lane's fn must be callable: {fn!r}")
+        if width.__class__ is not int or width < 1:
+            raise SimulationError(
+                f"a lane's width must be an int >= 1: {width!r}")
+        lane = Lane(fn, width)
+        self._lanes.append(lane)
         return lane
 
-    def post_lane(self, lane: DispatchLane, delay: float,
-                  a: Any, b: Any, c: Any) -> None:
-        """:meth:`post` ``lane.fn(a, b, c)``, queued in ``lane``.
+    def post_lane(self, lane: Lane, delay: float, *row: Any) -> int:
+        """Queue ``lane.fn(*row)`` to run ``delay`` seconds from now.
 
-        The same ordering as :meth:`post`.  Meant for a caller whose
-        deadlines do not decrease, such as a serial stage's completion
-        times: a call posted while an earlier one of the lane is still
-        pending waits in the lane's columns, with no heap entry of its
-        own.  A call with nothing pending ahead of it, or one earlier
-        than the lane's latest deadline, becomes a plain heap entry, so
-        a lone call costs what :meth:`post` costs and the order stays
-        exact for any caller.
+        The same ordering as :meth:`post`.  ``row`` holds ``lane.width``
+        arguments, the first not None (a cancelled row's slots hold
+        None); otherwise :class:`SimulationError` is raised.  Returns the
+        row's position in ``lane``, which :meth:`Lane.cancel` takes.  The
+        row waits in the lane's columns, with no heap entry of its own
+        unless it is the lane's head.  A row earlier than the lane's
+        latest deadline is a plain heap entry instead, which cannot be
+        cancelled: the return value is then -1.
         """
         try:
             if delay.__class__ is bool or not 0.0 <= delay < _INF:
                 raise _bad_delay(delay)
         except TypeError:
             raise _bad_delay(delay) from None
-        now = self._now
-        deadline = now + delay
+        if not row or row[0] is None:
+            raise _bad_row(lane, row)
+        deadline = self._now + delay
         seq = self._seq
-        self._seq = seq + 1
-        last = lane.last
-        if last <= now or deadline < last:
-            heappush(self._heap, (deadline, seq, lane.fn, (a, b, c)))
-            if deadline > last:
-                lane.last = deadline
+        if deadline < lane.last:
+            if len(row) != lane.width:
+                raise _bad_row(lane, row)
+            heappush(self._heap, (deadline, seq, lane.fn, row))
+            pos = -1
         else:
             size = lane.size
-            if not size:
-                heappush(self._heap, (deadline, seq, lane, None))
-            elif size == lane.capacity:
+            if size == lane.capacity:
                 lane._grow()
-            i = (lane.head + size) % lane.capacity
+            capacity = lane.capacity
+            i = (lane.head + size) % capacity
+            # The first write: a row of another length raises here,
+            # before anything is queued.
+            try:
+                lane.args[i::capacity] = row
+            except ValueError:
+                raise _bad_row(lane, row) from None
             lane.deadlines[i] = deadline
             lane.seqs[i] = seq
-            lane.args0[i] = a
-            lane.args1[i] = b
-            lane.args2[i] = c
+            if not size:
+                heappush(self._heap, (deadline, seq, lane, None))
             lane.size = size + 1
             lane.last = deadline
-        depth = self._depth + 1
-        self._depth = depth
-        if depth > self._max_queue:
-            self._max_queue = depth
-
-    def call_lane(self, fn: Callable[[Any], None]) -> CallLane:
-        """A new, empty :class:`CallLane` whose events call ``fn``."""
-        lane = CallLane(fn)
-        self._made_lanes.append(lane)
-        return lane
-
-    def post_call(self, lane: CallLane, delay: float, arg: Any) -> int:
-        """Queue ``lane.fn(arg)`` to run ``delay`` seconds from now.
-
-        The same ordering as :meth:`schedule`; returns the call's
-        position in ``lane``, which :meth:`CallLane.cancel` takes.  The
-        call waits in the lane's columns, with no heap entry of its own
-        unless it is the lane's head.  ``arg`` must not be None (a
-        cleared slot holds None), and the deadline must not be earlier
-        than the lane's latest one: either raises
-        :class:`SimulationError`.
-        """
-        try:
-            if delay.__class__ is bool or not 0.0 <= delay < _INF:
-                raise _bad_delay(delay)
-        except TypeError:
-            raise _bad_delay(delay) from None
-        deadline = self._now + delay
-        if deadline < lane.last:
-            raise SimulationError(
-                f"call lane deadline {deadline} precedes the lane's "
-                f"latest, {lane.last}")
-        if arg is None:
-            raise SimulationError("a call lane's argument cannot be None")
-        seq = self._seq
+            pos = lane.popped + size
         self._seq = seq + 1
-        size = lane.size
-        if not size:
-            heappush(self._heap, (deadline, seq, lane, None))
-        elif size == lane.capacity:
-            lane._grow()
-        i = (lane.head + size) % lane.capacity
-        lane.deadlines[i] = deadline
-        lane.seqs[i] = seq
-        lane.args[i] = arg
-        lane.size = size + 1
-        lane.last = deadline
         depth = self._depth + 1
         self._depth = depth
         if depth > self._max_queue:
             self._max_queue = depth
-        return lane.popped + size
+        return pos
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -543,10 +420,8 @@ class Simulation:
     def _run_loop(self, until: Optional[float],
                   max_events: Optional[int]) -> int:
         """Fire events in (deadline, seq) order; return how many fired
-        (cancelled timers and calls are consumed but not counted)."""
+        (cancelled rows are consumed but not counted)."""
         heap = self._heap
-        dispatch_lane = DispatchLane
-        call_lane = CallLane
         lane_slots = _LANE_SLOTS
         fired = 0
         # One float compare per event instead of a None test plus a
@@ -562,7 +437,7 @@ class Simulation:
             if heap[0][0] > until_f:
                 self._now = until
                 return fired
-            deadline, seq, fn, args = heappop(heap)
+            deadline, _seq, fn, args = heappop(heap)
             self._now = deadline
             self._depth -= 1
             self._events_processed += 1
@@ -574,36 +449,23 @@ class Simulation:
                 i = lane.head
                 size = lane.size - 1
                 lane.size = size
+                lane.popped += 1
+                capacity = lane.capacity
                 if size:
-                    head = lane.head = (i + 1) % lane.capacity
+                    head = lane.head = (i + 1) % capacity
                     heappush(heap, (lane.deadlines[head], lane.seqs[head],
                                     lane, None))
-                if lane.__class__ is dispatch_lane:
-                    args0, args1, args2 = lane.args0, lane.args1, lane.args2
-                    a, b, c = args0[i], args1[i], args2[i]
-                    if size or lane.capacity == lane_slots:
-                        args0[i] = args1[i] = args2[i] = None
-                    else:
-                        # Drained after a burst: give back the grown
-                        # ring, keeping ``_LANE_SLOTS`` for the next one.
-                        lane._new_ring()
-                    lane.fn(a, b, c)
-                elif lane.__class__ is call_lane:
-                    lane.popped += 1
-                    slots = lane.args
-                    arg = slots[i]
-                    if arg is None:
-                        continue        # cancelled: consumed, not fired
-                    slots[i] = None
-                    lane.fn(arg)
+                slots = lane.args
+                row = slots[i::capacity]
+                if size or capacity == lane_slots:
+                    slots[i::capacity] = lane.blank
                 else:
-                    if not size:
-                        del self._lanes[lane.delay]
-                    timer = lane.live.pop(seq, None)
-                    if timer is None:
-                        continue        # cancelled: consumed, not fired
-                    timer._lane = None
-                    timer._fn(*timer._args)
+                    # Drained after a burst: give back the grown ring,
+                    # keeping ``_LANE_SLOTS`` for the next one.
+                    lane._new_ring()
+                if row[0] is None:
+                    continue            # cancelled: consumed, not fired
+                lane.fn(*row)
             fired += 1
             if max_events is not None and fired >= max_events:
                 return fired

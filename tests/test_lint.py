@@ -174,6 +174,45 @@ class TestDeterministicIteration:
         """
         assert findings_for(bad, "deterministic-iteration")
 
+    def test_scheduler_names_are_the_simulators_queueing_methods(self):
+        """The lint rules' one list of scheduling names is exactly the
+        public ``Simulation`` methods that queue an event: those that
+        mint a sequence number, directly or through another method.  A
+        new scheduling path fails here until the list names it."""
+        import ast
+        import inspect
+
+        from repro.lint.rules import SCHEDULERS
+        from repro.net.simulator import Simulation
+
+        tree = ast.parse(textwrap.dedent(inspect.getsource(Simulation)))
+        methods = {node.name: node for node in tree.body[0].body
+                   if isinstance(node, ast.FunctionDef)}
+
+        def mints(node):
+            return any(isinstance(n, ast.Attribute) and n.attr == "_seq"
+                       and isinstance(n.ctx, ast.Store)
+                       for n in ast.walk(node))
+
+        def calls(node):
+            return {n.func.attr for n in ast.walk(node)
+                    if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and isinstance(n.func.value, ast.Name)
+                    and n.func.value.id == "self"}
+
+        queueing = {name for name, node in methods.items()
+                    if name != "__init__" and mints(node)}
+        while True:
+            more = {name for name, node in methods.items()
+                    if calls(node) & queueing} - queueing
+            if not more:
+                break
+            queueing |= more
+        public = {name for name in queueing if not name.startswith("_")}
+        assert {"post", "post_lane", "schedule"} <= public
+        assert public == SCHEDULERS
+
     def test_fires_on_set_passed_to_multicast(self):
         bad = """
             def fan_out(net, src, peers, message):

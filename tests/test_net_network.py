@@ -619,9 +619,9 @@ class TestMulticastEqualsSends:
 
 
 class TestDeliveryLanes:
-    """Cross-region copies wait in one dispatch lane per (sender,
-    destination region); self-sends, local copies and sanitized posts
-    stay heap entries.  None of it moves a delivery."""
+    """Cross-region copies wait in one lane per (sender, destination
+    region); self-sends, local copies and sanitized posts stay heap
+    entries.  None of it moves a delivery."""
 
     @staticmethod
     def _build(sanitize=False):
@@ -660,19 +660,17 @@ class TestDeliveryLanes:
                 is routes[ids["e3"]][3] is lanes[src, "east"])
         assert routes[ids["n1"]][3] is routes[ids["n2"]][3] is lanes[
             src, "north"]
-        # The first copy to a region is lone, a plain heap entry; the
-        # ones behind it wait in the region's lane.
-        assert lanes[src, "east"].size == 2
-        assert lanes[src, "north"].size == 1
-        # The self-send, the local copy, the two lone copies and the two
-        # lane heads.
-        assert len(sim._heap) == 6 and sim.pending_events == 7
+        # Every copy to a region waits in the region's lane.
+        assert lanes[src, "east"].size == 3
+        assert lanes[src, "north"].size == 2
+        # The self-send, the local copy and the two lane heads.
+        assert len(sim._heap) == 4 and sim.pending_events == 7
         # A second multicast while they are in flight joins the lanes;
         # only its self-send and local copy add heap entries.
         net.multicast(src, [ids[name] for name in dsts], FakeMessage())
-        assert lanes[src, "east"].size == 5
-        assert lanes[src, "north"].size == 3
-        assert len(sim._heap) == 8 and sim.pending_events == 14
+        assert lanes[src, "east"].size == 6
+        assert lanes[src, "north"].size == 4
+        assert len(sim._heap) == 6 and sim.pending_events == 14
         sim.run()
         assert [name for _t, name, _m in delivered] == (
             ["src", "src", "local", "local"]
@@ -693,10 +691,10 @@ class TestDeliveryLanes:
         net.multicast(ids["src"], [ids[name] for name in names],
                       FakeMessage())
         lane = net._delivery_lanes[ids["src"], "east"]
-        # e1 is lone.  Delayed, its deadline is later than e2's and
-        # e3's, which become heap entries; else e2 waits in the lane,
-        # delayed or not, and e3 joins it only if e2 was not delayed.
-        assert lane.size == (0 if delayed == "e1" else 1)
+        # e1 heads the lane.  Delayed, its deadline is later than e2's
+        # and e3's, which become heap entries; else e2 joins it, delayed
+        # or not, and e3 joins it only if e2 was not delayed.
+        assert lane.size == (1 if delayed == "e1" else 2)
         assert sim.pending_events == 3
         sim.run()
         deadlines = {"e1": 0.051, "e2": 0.052, "e3": 0.053}
@@ -733,9 +731,9 @@ class TestDeliveryLanes:
                 telemetry={k: v for k, v in net.telemetry().items()
                            if k != "sanitizer_checks"}))
         plain, sanitized = runs
-        # East: e1's first copy is lone; its tampered e2 copy, e3 and the
-        # whole second multicast wait in the lane.  North: n1's second.
-        assert plain.pop("lane_sizes") == [1, 5]
+        # East: both multicasts' e1, tampered e2 and e3 copies wait in
+        # the lane; north: both n1 copies.
+        assert plain.pop("lane_sizes") == [2, 6]
         assert sanitized.pop("lane_sizes") == [0, 0]
         assert sanitized == plain
         assert [name for _t, name, is_tampered in plain["delivered"]

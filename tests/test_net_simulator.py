@@ -85,7 +85,7 @@ class TestScheduling:
         sim = Simulation()
         with pytest.raises(SimulationError, match="delay must be"):
             if method == "post_lane":
-                sim.post_lane(sim.dispatch_lane(print), delay, 1, 2, 3)
+                sim.post_lane(sim.lane(print, 3), delay, 1, 2, 3)
             else:
                 getattr(sim, method)(delay, lambda: None)
         assert sim.pending_events == 0 and sim.max_queue_depth == 0
@@ -94,7 +94,7 @@ class TestScheduling:
                                        None])
     def test_bad_lane_delay_rejected(self, delay):
         sim = Simulation()
-        lane = sim.dispatch_lane(print)
+        lane = sim.lane(print, 3)
         with pytest.raises(SimulationError, match="delay must be"):
             sim.post_lane(lane, delay, 1, 2, 3)
         assert sim.pending_events == 0 and lane.size == 0
@@ -275,9 +275,9 @@ class TestTimers:
         assert sim.pending_events == 4
 
     def test_cancelled_timer_leaves_its_lane(self):
-        """No cancelled timer is reachable from the simulation; its
-        ``(deadline, seq)`` pair stays in the lane, still counted and
-        skipped at its deadline."""
+        """No cancelled timer is reachable from the simulation; its row
+        stays in the lane of its delay, its slot holding None, still
+        counted and skipped at its deadline."""
         sim = Simulation()
         fired = []
         keep = sim.schedule(5.0, fired.append, "keep")
@@ -289,15 +289,16 @@ class TestTimers:
         del doomed, timer
         gc.collect()
         assert [ref() for ref in refs] == [None] * 20
-        lanes = sim._lanes
+        lanes = sim._timer_lanes
         assert sorted(lanes) == [2.0, 3.0, 4.0, 5.0]
         assert [timer for lane in lanes.values()
-                for timer in lane.live.values()] == [keep]
+                for timer in lane.args if timer is not None] == [keep]
         assert sum(lane.size for lane in lanes.values()) == 21
         assert sim.pending_events == 21
         sim.run()
         assert sim.events_processed == 21 and sim.now == 5.0
-        assert fired == ["keep"] and keep.fired and not lanes
+        assert fired == ["keep"] and keep.fired
+        assert not any(lane.size for lane in lanes.values())
 
     def test_step_skips_cancelled_events(self):
         sim = Simulation()
@@ -402,177 +403,223 @@ class TestGroupedEvents:
         assert plain.events_processed == batched.events_processed == 4
 
 
+_WIDTHS = (1, 3)
+
+
+def _each_width(test):
+    """Run a lane test once per lane width, 1 and 3, under its one id."""
+    def run(self):
+        for width in _WIDTHS:
+            test(self, width)
+    run.__doc__ = test.__doc__
+    return run
+
+
+def _row(width, value):
+    """A row of ``width`` slots led by ``value``; the others name it."""
+    return (value,) + tuple((value, k) for k in range(1, width))
+
+
+def _recording_lane(sim, width, fired):
+    """A lane whose call checks that its row arrived whole and records
+    the row's first slot."""
+    def call(*row):
+        assert row == _row(width, row[0])
+        fired.append(row[0])
+
+    return sim.lane(call, width)
+
+
 class TestDispatchLanes:
-    def test_lane_and_heap_share_one_order(self):
-        """Lane calls and plain posts fire in (deadline, seq) order, a
-        lane call behind an equal-deadline post minted before it."""
+    """Lane rows that are never cancelled: a serial stage's completions,
+    one sender's deliveries to one region."""
+
+    @_each_width
+    def test_lane_and_heap_share_one_order(self, width):
+        """Lane rows and plain posts fire in (deadline, seq) order, a
+        lane row behind an equal-deadline post minted before it."""
         sim = Simulation()
         fired = []
-        lane = sim.dispatch_lane(lambda *call: fired.append(call))
-        sim.post_lane(lane, 1.0, "a", 1, None)
+        lane = _recording_lane(sim, width, fired)
+        sim.post_lane(lane, 1.0, *_row(width, "a"))
         sim.post(1.0, fired.append, "post")
-        sim.post_lane(lane, 1.0, "b", 2, None)
-        sim.post_lane(lane, 2.0, "c", 3, None)
+        sim.post_lane(lane, 1.0, *_row(width, "b"))
+        sim.post_lane(lane, 2.0, *_row(width, "c"))
         sim.post(1.5, fired.append, "mid")
-        # The lone first call is a heap entry; the two behind it wait in
-        # the lane, whose head alone is on the heap.
-        assert lane.size == 2 and len(sim._heap) == 4
+        # The three rows wait in the lane, whose head alone is on the
+        # heap.
+        assert lane.size == 3 and len(sim._heap) == 3
         assert sim.pending_events == 5
         sim.run()
-        assert fired == [("a", 1, None), "post", ("b", 2, None), "mid",
-                         ("c", 3, None)]
+        assert fired == ["a", "post", "b", "mid", "c"]
         assert lane.size == 0 and sim.pending_events == 0
         assert sim.events_processed == 5
 
-    def test_out_of_order_post_is_a_heap_entry(self):
+    @_each_width
+    def test_out_of_order_post_is_a_heap_entry(self, width):
         """A post earlier than the lane's latest deadline skips the lane,
-        and still fires in order."""
+        answers position -1, and still fires in order."""
         sim = Simulation()
         fired = []
-        lane = sim.dispatch_lane(lambda *call: fired.append(call[0]))
-        sim.post_lane(lane, 3.0, "first", None, None)
-        sim.post_lane(lane, 3.0, "late", None, None)
-        sim.post_lane(lane, 1.0, "early", None, None)
-        assert lane.size == 1 and len(sim._heap) == 3
-        sim.post_lane(lane, 3.0, "tie", None, None)
-        assert lane.size == 2 and len(sim._heap) == 3
+        lane = _recording_lane(sim, width, fired)
+        assert sim.post_lane(lane, 3.0, *_row(width, "first")) == 0
+        assert sim.post_lane(lane, 3.0, *_row(width, "late")) == 1
+        assert sim.post_lane(lane, 1.0, *_row(width, "early")) == -1
+        assert lane.size == 2 and len(sim._heap) == 2
+        assert sim.post_lane(lane, 3.0, *_row(width, "tie")) == 2
+        assert lane.size == 3 and len(sim._heap) == 2
         sim.run()
         assert fired == ["early", "first", "late", "tie"]
 
-    def test_lone_call_is_a_heap_entry(self):
-        """A call with nothing of its lane pending ahead of it goes on
-        the heap like a post; one posted while it waits joins the lane."""
+    @_each_width
+    def test_lone_row_is_a_lane_row(self, width):
+        """A row with nothing of its lane pending ahead of it is the
+        lane's head, its one heap entry; one posted while it waits joins
+        the lane behind it."""
         sim = Simulation()
         fired = []
-        lane = sim.dispatch_lane(lambda *call: fired.append(call[0]))
-        sim.post_lane(lane, 1.0, "a", None, None)
-        assert lane.size == 0 and len(sim._heap) == 1
+        lane = _recording_lane(sim, width, fired)
+        assert sim.post_lane(lane, 1.0, *_row(width, "a")) == 0
+        assert lane.size == 1 and len(sim._heap) == 1
         sim.run()
-        sim.post_lane(lane, 1.0, "b", None, None)
-        sim.post_lane(lane, 1.5, "c", None, None)
-        assert lane.size == 1 and len(sim._heap) == 2
+        assert sim.post_lane(lane, 1.0, *_row(width, "b")) == 1
+        assert sim.post_lane(lane, 1.5, *_row(width, "c")) == 2
+        assert lane.size == 2 and len(sim._heap) == 1
         sim.run()
         assert fired == ["a", "b", "c"] and sim.now == 2.5
 
-    def test_lane_grows_past_its_ring(self):
+    @_each_width
+    def test_lane_grows_past_its_ring(self, width):
         """Posts beyond the initial capacity, interleaved with firing so
         the ring wraps before it grows, keep their order."""
         sim = Simulation()
         fired = []
-        lane = sim.dispatch_lane(lambda i, _b, _c: fired.append(i))
+        lane = _recording_lane(sim, width, fired)
         for i in range(5):
-            sim.post_lane(lane, 0.1 + 0.1 * i, i, None, None)
+            sim.post_lane(lane, 0.1 + 0.1 * i, *_row(width, i))
         sim.run(until=0.35)
         for i in range(5, 40):
-            sim.post_lane(lane, 0.1 + 0.1 * i - sim.now, i, None, None)
+            sim.post_lane(lane, 0.1 + 0.1 * i - sim.now, *_row(width, i))
         assert lane.size == 37 and lane.capacity == 38
+        assert len(lane.args) == 38 * width
         assert sim.pending_events == 37 and sim.max_queue_depth == 37
         sim.run()
         assert fired == list(range(40))
 
-    def test_fired_call_releases_its_arguments(self):
+    @_each_width
+    def test_fired_call_releases_its_arguments(self, width):
         class Payload:
             pass
 
         sim = Simulation()
-        lane = sim.dispatch_lane(lambda *call: None)
-        payloads = [Payload() for _ in range(3)]
+        lane = sim.lane(lambda *row: None, width)
+        payloads = [Payload() for _ in range(width)]
         refs = [weakref.ref(payload) for payload in payloads]
-        sim.post_lane(lane, 1.0, None, None, None)
+        sim.post_lane(lane, 1.0, *_row(width, "first"))
         sim.post_lane(lane, 1.0, *payloads)
-        assert lane.size == 1
+        assert lane.size == 2
         del payloads
         sim.run()
         gc.collect()
-        assert [ref() for ref in refs] == [None, None, None]
+        assert [ref() for ref in refs] == [None] * width
 
-    def test_a_call_may_post_into_its_own_full_lane(self):
-        """The firing call's slot is read before the call runs, so a post
-        from inside it may reuse that slot."""
+    @_each_width
+    def test_a_call_may_post_into_its_own_full_lane(self, width):
+        """The firing row is read before its call runs, so a post from
+        inside the call may reuse that row's slots."""
         sim = Simulation()
         fired = []
 
-        def call(i, _b, _c):
-            fired.append(i)
-            if 1 <= i <= 8:
-                sim.post_lane(lane, 1.0, i + 8, None, None)
+        def call(*row):
+            assert row == _row(width, row[0])
+            fired.append(row[0])
+            if row[0] < 8:
+                sim.post_lane(lane, 1.0, *_row(width, row[0] + 8))
 
-        lane = sim.dispatch_lane(call)
-        # Call 0 is lone, a heap entry; calls 1-8 fill the ring, and each
-        # posts into the slot it just left.
-        for i in range(9):
-            sim.post_lane(lane, 0.001 * (i + 1), i, None, None)
+        lane = sim.lane(call, width)
+        # Rows 0-7 fill the ring, and each posts into the slots it left.
+        for i in range(8):
+            sim.post_lane(lane, 0.001 * (i + 1), *_row(width, i))
         assert lane.size == lane.capacity == 8
         sim.run()
-        assert fired == list(range(17)) and lane.capacity == 8
+        assert fired == list(range(16)) and lane.capacity == 8
 
-    def test_drained_lane_gives_back_its_ring(self):
+    @_each_width
+    def test_drained_lane_gives_back_its_ring(self, width):
         """A lane that grew past its ring is back at fresh
-        ``_LANE_SLOTS`` columns once its last queued call pops, holds
+        ``_LANE_SLOTS`` columns once its last queued row pops, holds
         none of the arguments it was given, and keeps its order when
         refilled past the ring."""
         class Payload:
-            pass
+            def __init__(self, i):
+                self.i = i
 
         sim = Simulation()
         fired = []
-        lane = sim.dispatch_lane(lambda i, _payload, _c: fired.append(i))
-        payloads = [Payload() for _ in range(20)]
+        lane = sim.lane(lambda payload, *_rest: fired.append(payload.i),
+                        width)
+        payloads = [Payload(i) for i in range(20)]
         refs = [weakref.ref(payload) for payload in payloads]
         for i, payload in enumerate(payloads):
-            sim.post_lane(lane, 0.1 * (i + 1), i, payload, None)
-        # Call 0 is lone, a heap entry; the 19 behind it grew the ring.
-        assert lane.size == 19 and lane.capacity > _LANE_SLOTS
+            sim.post_lane(lane, 0.1 * (i + 1), payload, *range(width - 1))
+        assert lane.size == 20 and lane.capacity > _LANE_SLOTS
         del payloads, payload
         sim.run(until=1.05)
         assert lane.size == 10 and lane.capacity > _LANE_SLOTS
         sim.run()
         gc.collect()
         assert lane.size == 0 and lane.capacity == _LANE_SLOTS
-        assert (len(lane.deadlines) == len(lane.seqs) == len(lane.args0)
-                == len(lane.args1) == len(lane.args2) == _LANE_SLOTS)
+        assert (len(lane.deadlines) == len(lane.seqs) == _LANE_SLOTS
+                and len(lane.args) == _LANE_SLOTS * width)
         assert [ref() for ref in refs] == [None] * 20
         for i in range(20, 40):
-            sim.post_lane(lane, 0.1 * (i - 19), i, None, None)
-        assert lane.size == 19 and lane.capacity > _LANE_SLOTS
+            sim.post_lane(lane, 0.1 * (i - 19), Payload(i),
+                          *range(width - 1))
+        assert lane.size == 20 and lane.capacity > _LANE_SLOTS
         sim.run()
         assert fired == list(range(40)) and lane.capacity == _LANE_SLOTS
 
-    def test_last_call_may_refill_its_drained_lane(self):
-        """The drained lane's last call reads its arguments before the
-        ring is given back, and may post into the fresh ring."""
+    @_each_width
+    def test_last_call_may_refill_its_drained_lane(self, width):
+        """The drained lane's last row is read before the ring is given
+        back, and its call may post into the fresh ring."""
         sim = Simulation()
         fired = []
 
-        def call(i, _b, _c):
-            fired.append(i)
-            if i == 12:
+        def call(*row):
+            assert row == _row(width, row[0])
+            fired.append(row[0])
+            if row[0] == 12:
                 for j in range(13, 25):
-                    sim.post_lane(lane, 0.01 * (j - 12), j, None, None)
+                    sim.post_lane(lane, 0.01 * (j - 12), *_row(width, j))
 
-        lane = sim.dispatch_lane(call)
+        lane = sim.lane(call, width)
         for i in range(13):
-            sim.post_lane(lane, 0.01 * (i + 1), i, None, None)
+            sim.post_lane(lane, 0.01 * (i + 1), *_row(width, i))
         assert lane.capacity > _LANE_SLOTS
         sim.run(until=0.13)
-        assert fired == list(range(13)) and lane.size == 11
+        assert fired == list(range(13)) and lane.size == 12
         assert lane.capacity > _LANE_SLOTS      # grown again by the refill
         sim.run()
         assert fired == list(range(25)) and lane.capacity == _LANE_SLOTS
 
 
 class TestCallLanes:
-    def test_calls_share_one_order_with_posts_and_timers(self):
-        """Call-lane rows fire in (deadline, seq) order among posts and
+    """Lane rows that may be cancelled by position: a GeoBFT replica's
+    remote view-change timeouts for one watched cluster."""
+
+    @_each_width
+    def test_calls_share_one_order_with_posts_and_timers(self, width):
+        """Lane rows fire in (deadline, seq) order among posts and
         timers, behind equal-deadline events minted before them."""
         sim = Simulation()
         fired = []
-        lane = sim.call_lane(fired.append)
-        assert sim.post_call(lane, 1.0, "a") == 0
+        lane = _recording_lane(sim, width, fired)
+        assert sim.post_lane(lane, 1.0, *_row(width, "a")) == 0
         sim.post(1.0, fired.append, "post")
-        assert sim.post_call(lane, 1.0, "b") == 1
+        assert sim.post_lane(lane, 1.0, *_row(width, "b")) == 1
         sim.schedule(1.0, fired.append, "timer")
-        assert sim.post_call(lane, 2.0, "c") == 2
+        assert sim.post_lane(lane, 2.0, *_row(width, "c")) == 2
         # Only the lane's head is on the heap.
         assert lane.size == 3 and len(sim._heap) == 3
         assert sim.pending_events == 5
@@ -581,70 +628,79 @@ class TestCallLanes:
         assert lane.size == 0 and lane.popped == 3
         assert sim.pending_events == 0 and sim.events_processed == 5
 
-    def test_cancelled_call_is_consumed_and_counted_not_fired(self):
+    @_each_width
+    def test_cancelled_call_is_consumed_and_counted_not_fired(self, width):
         sim = Simulation()
         fired = []
-        lane = sim.call_lane(fired.append)
-        first = sim.post_call(lane, 1.0, "a")
-        sim.post_call(lane, 2.0, "b")
+        lane = _recording_lane(sim, width, fired)
+        first = sim.post_lane(lane, 1.0, *_row(width, "a"))
+        sim.post_lane(lane, 2.0, *_row(width, "b"))
         lane.cancel(first)
         lane.cancel(first)              # a double cancel is a no-op
-        assert lane.args[lane.head] is None
+        assert lane.args[lane.head::lane.capacity] == [None] * width
         assert sim.pending_events == 2 and sim.max_queue_depth == 2
         assert sim.step() and fired == ["b"] and sim.now == 2.0
         assert sim.events_processed == 2
 
-    def test_max_events_counts_only_fired_calls(self):
+    @_each_width
+    def test_max_events_counts_only_fired_calls(self, width):
         sim = Simulation()
         fired = []
-        lane = sim.call_lane(fired.append)
-        positions = [sim.post_call(lane, 1.0 + i, i) for i in range(4)]
+        lane = _recording_lane(sim, width, fired)
+        positions = [sim.post_lane(lane, 1.0 + i, *_row(width, i))
+                     for i in range(4)]
         lane.cancel(positions[1])
         sim.run(max_events=2)
         assert fired == [0, 2] and sim.events_processed == 3
 
-    def test_cancel_after_firing_is_a_noop(self):
+    @_each_width
+    def test_cancel_after_firing_is_a_noop(self, width):
         sim = Simulation()
         fired = []
-        lane = sim.call_lane(fired.append)
-        done = sim.post_call(lane, 1.0, "a")
+        lane = _recording_lane(sim, width, fired)
+        done = sim.post_lane(lane, 1.0, *_row(width, "a"))
         sim.run()
-        later = sim.post_call(lane, 1.0, "b")
-        # ``done`` fired; its old ring slot now holds ``later``.
+        later = sim.post_lane(lane, 1.0, *_row(width, "b"))
+        # ``done`` fired; its old ring slots now hold ``later``.
         lane.cancel(done)
         sim.run()
         assert fired == ["a", "b"] and later == done + 1
 
-    def test_cancel_from_inside_a_callback(self):
-        """A call may cancel itself (a no-op: it has fired) or another
-        pending call of its lane."""
+    @_each_width
+    def test_cancel_from_inside_a_callback(self, width):
+        """A row's call may cancel the row itself (a no-op: it has
+        fired) or another pending row of its lane."""
         sim = Simulation()
         fired = []
 
-        def call(name):
+        def call(name, *_rest):
             fired.append(name)
             lane.cancel(positions[name])
             if name == "a":
                 lane.cancel(positions["c"])
 
-        lane = sim.call_lane(call)
-        positions = {name: sim.post_call(lane, 1.0, name)
+        lane = sim.lane(call, width)
+        positions = {name: sim.post_lane(lane, 1.0, *_row(width, name))
                      for name in "abc"}
         sim.run()
         assert fired == ["a", "b"] and sim.events_processed == 3
 
-    def test_old_position_after_the_ring_grew_while_wrapped(self):
+    @_each_width
+    def test_old_position_after_the_ring_grew_while_wrapped(self, width):
         """The ring wraps, then widens in place; a position minted before
         both still names its own row."""
         sim = Simulation()
         fired = []
-        lane = sim.call_lane(fired.append)
-        positions = [sim.post_call(lane, 0.1 * (i + 1), i) for i in range(6)]
+        lane = _recording_lane(sim, width, fired)
+        positions = [sim.post_lane(lane, 0.1 * (i + 1), *_row(width, i))
+                     for i in range(6)]
         sim.run(until=0.35)             # 0, 1 and 2 fire
-        positions += [sim.post_call(lane, 0.1 * (i + 1) - sim.now, i)
+        positions += [sim.post_lane(lane, 0.1 * (i + 1) - sim.now,
+                                    *_row(width, i))
                       for i in range(6, 10)]
         assert lane.head + lane.size > lane.capacity    # wrapped
-        positions += [sim.post_call(lane, 1.1 + 0.1 * i - sim.now, 10 + i)
+        positions += [sim.post_lane(lane, 1.1 + 0.1 * i - sim.now,
+                                    *_row(width, 10 + i))
                       for i in range(10)]
         assert lane.capacity > 8                        # grew
         for index in (1, 4, 7, 15):
@@ -653,35 +709,44 @@ class TestCallLanes:
         assert fired == [i for i in range(20) if i not in (4, 7, 15)]
         assert positions == list(range(20))
 
-    def test_earlier_deadline_raises(self):
+    @_each_width
+    def test_earlier_deadline_falls_back_to_the_heap(self, width):
+        """A row earlier than the lane's latest deadline is a plain heap
+        entry at position -1, which cannot be cancelled."""
         sim = Simulation()
-        lane = sim.call_lane(lambda arg: None)
-        sim.post_call(lane, 2.0, "a")
+        fired = []
+        lane = _recording_lane(sim, width, fired)
+        assert sim.post_lane(lane, 2.0, *_row(width, "a")) == 0
+        assert sim.post_lane(lane, 1.0, *_row(width, "b")) == -1
         with pytest.raises(SimulationError):
-            sim.post_call(lane, 1.0, "b")
-        sim.post_call(lane, 2.0, "tie")
-        assert lane.size == 2 and sim.pending_events == 2
+            lane.cancel(-1)
+        assert sim.post_lane(lane, 2.0, *_row(width, "tie")) == 1
+        assert lane.size == 2 and sim.pending_events == 3
+        sim.run()
+        assert fired == ["b", "a", "tie"]
 
-    def test_none_argument_and_unknown_position_raise(self):
+    @_each_width
+    def test_none_argument_and_unknown_position_raise(self, width):
         sim = Simulation()
-        lane = sim.call_lane(lambda arg: None)
+        lane = sim.lane(lambda *row: None, width)
         with pytest.raises(SimulationError):
-            sim.post_call(lane, 1.0, None)
-        position = sim.post_call(lane, 1.0, "a")
+            sim.post_lane(lane, 1.0, None, *_row(width, "x")[1:])
+        position = sim.post_lane(lane, 1.0, *_row(width, "a"))
         with pytest.raises(SimulationError):
             lane.cancel(position + 1)
         assert sim.pending_events == 1
 
-    def test_fired_call_releases_its_argument(self):
+    @_each_width
+    def test_fired_call_releases_its_argument(self, width):
         class Payload:
             pass
 
         sim = Simulation()
-        lane = sim.call_lane(lambda arg: None)
+        lane = sim.lane(lambda *row: None, width)
         payloads = [Payload(), Payload()]
         refs = [weakref.ref(payload) for payload in payloads]
-        sim.post_call(lane, 1.0, payloads[0])
-        lane.cancel(sim.post_call(lane, 1.0, payloads[1]))
+        sim.post_lane(lane, 1.0, *_row(width, payloads[0]))
+        lane.cancel(sim.post_lane(lane, 1.0, *_row(width, payloads[1])))
         del payloads
         sim.run(until=0.5)
         gc.collect()
@@ -689,6 +754,51 @@ class TestCallLanes:
         sim.run()
         gc.collect()
         assert refs[0]() is None
+
+
+class TestLaneContract:
+    """Every misuse of the lane API raises ``SimulationError`` at the
+    call, before anything is queued or cancelled."""
+
+    @pytest.mark.parametrize("pos", [True, False, -1, -3, 1.0, "0", None])
+    def test_cancel_rejects_a_position_post_lane_never_returned(self, pos):
+        """``cancel(True)`` used to cancel position 1, and ``cancel(-3)``
+        passed silently."""
+        sim = Simulation()
+        fired = []
+        lane = sim.lane(fired.append, 1)
+        assert [sim.post_lane(lane, 1.0, name) for name in "ab"] == [0, 1]
+        with pytest.raises(SimulationError, match="no row at position"):
+            lane.cancel(pos)
+        sim.run()
+        assert fired == ["a", "b"]
+
+    @pytest.mark.parametrize("fn", [None, 42, "print"])
+    def test_lane_fn_must_be_callable(self, fn):
+        """A non-callable ``fn`` used to fail mid-run, at the first row
+        it was given, with a bare ``TypeError``."""
+        sim = Simulation()
+        with pytest.raises(SimulationError, match="callable"):
+            sim.lane(fn, 1)
+        assert sim._lanes == []
+
+    @pytest.mark.parametrize("width", [0, -1, True, False, 1.0, "1", None])
+    def test_lane_width_must_be_a_positive_int(self, width):
+        sim = Simulation()
+        with pytest.raises(SimulationError, match="width"):
+            sim.lane(print, width)
+        assert sim._lanes == []
+
+    @pytest.mark.parametrize("row", [(), (1, 2), (1, 2, 3, 4)])
+    def test_row_must_fill_the_lane_width(self, row):
+        """A row of another arity used to raise a bare ``AttributeError``
+        or ``TypeError``; a short one would shift every later row."""
+        sim = Simulation()
+        lane = sim.lane(print, 3)
+        with pytest.raises(SimulationError, match="lane row"):
+            sim.post_lane(lane, 1.0, *row)
+        assert sim.pending_events == 0 and lane.size == 0
+        assert sim.max_queue_depth == 0
 
 
 class TestLaneCalendarInterleaving:
@@ -753,14 +863,13 @@ class TestLaneCalendarInterleaving:
 
 
 def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
-    """GeoBFT awaits each remote share in a call lane per watched
-    cluster and PBFT arms a timer per decision; fault-free, all are
-    cancelled.  After a run the timer lanes must hold them only as
-    (deadline, seq) pairs and the call lanes as rows whose slot holds
-    None — still counted as pending.  The replicas' certify lanes hold
-    the dispatches still waiting on the certify thread, and the
-    network's delivery lanes the cross-region copies still in flight.
-    Every lane is in (deadline, seq) order."""
+    """GeoBFT awaits each remote share in a lane per watched cluster and
+    PBFT arms a timer per decision; fault-free, all are cancelled.  After
+    a run, the timer lanes and the remote view-change lanes must hold
+    them only as rows whose slot holds None — still counted as pending.
+    The replicas' certify lanes hold the dispatches still waiting on the
+    certify thread, and the network's delivery lanes the cross-region
+    copies still in flight.  Every lane is in (deadline, seq) order."""
     from repro import Deployment, ExperimentConfig
 
     deployment = Deployment(ExperimentConfig(
@@ -773,6 +882,9 @@ def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
         return [column[(lane.head + k) % lane.capacity]
                 for k in range(lane.size)]
 
+    def first_slots(lane):
+        return ring(lane, lane.args)
+
     certify = [replica._certify_lane
                for replica in deployment.replicas.values()]
     calls = [lane for replica in deployment.replicas.values()
@@ -780,29 +892,32 @@ def test_deployment_run_leaves_no_cancelled_timer_in_the_lanes():
     deliveries = list(deployment.network._delivery_lanes.values())
     assert sum(lane.size for lane in certify) > 10
     assert sum(lane.size for lane in deliveries) > 10
-    timer_lanes = list(sim._lanes.values())
-    for lane in certify + calls + deliveries + timer_lanes:
+    timer_lanes = list(sim._timer_lanes.values())
+    made = certify + calls + deliveries + timer_lanes
+    assert sorted(map(id, sim._lanes)) == sorted(map(id, made))
+    for lane in made:
         pairs = list(zip(ring(lane, lane.deadlines), ring(lane, lane.seqs)))
         assert pairs == sorted(pairs)
-    live = [timer for lane in timer_lanes for timer in lane.live.values()]
+    # A timer lane's row holds its timer while armed; a cancelled one
+    # holds None.
+    timer_rows = [timer for lane in timer_lanes
+                  for timer in first_slots(lane)]
+    live = [timer for timer in timer_rows if timer is not None]
     assert not [timer for timer in live if timer.cancelled]
-    # A call lane's row is live while its round is awaited; a cancelled
-    # row holds None.
+    # A remote view-change row is live while its round is awaited.
     awaited = sum(len(replica.remote_view_changes._timers[cluster])
                   for replica in deployment.replicas.values()
                   for cluster in replica.remote_view_changes._lanes)
-    rows = [arg for lane in calls for arg in ring(lane, lane.args)]
+    rows = [arg for lane in calls for arg in first_slots(lane)]
     assert len(rows) - rows.count(None) == awaited
     assert rows.count(None) > 100
     # Besides posted callbacks the heap holds one head per non-empty
     # lane, timer, call, certify or delivery, and nothing else.
-    lanes = timer_lanes + [lane for lane in certify + calls + deliveries
-                           if lane.size]
+    lanes = [lane for lane in made if lane.size]
     posts = [entry for entry in sim._heap if entry[3] is not None]
     heads = [entry[2] for entry in sim._heap if entry[3] is None]
     assert sorted(map(id, heads)) == sorted(map(id, lanes))
-    timer_pairs = sum(lane.size for lane in timer_lanes)
-    assert timer_pairs - len(live) > 100
+    assert len(timer_rows) - len(live) > 100
     pairs = sum(lane.size for lane in lanes)
     assert sim.pending_events == len(posts) + pairs
     # Every event ever queued is either processed or still pending.
@@ -819,15 +934,16 @@ class _ReferenceTimer:
             self.cancelled = True
 
 
-class _ReferenceCallLane:
-    """A call lane as a list of timers, one per position."""
+class _ReferenceLane:
+    """A lane as a list of timers, one per position; a row earlier than
+    the latest one it took is a plain event, at position -1."""
 
-    def __init__(self, fn):
-        self.fn, self.last, self.calls = fn, 0.0, []
+    def __init__(self, fn, width):
+        self.fn, self.width, self.last, self.calls = fn, width, 0.0, []
 
     def cancel(self, pos):
-        if pos >= len(self.calls):
-            raise SimulationError(f"no call at position {pos}")
+        if pos.__class__ is not int or not 0 <= pos < len(self.calls):
+            raise SimulationError(f"no row at position {pos!r}")
         self.calls[pos].cancel()
 
 
@@ -844,8 +960,7 @@ class _ReferenceSimulation:
         return len(self._queue)
 
     def schedule(self, delay, fn, *args):
-        if delay.__class__ is bool or not 0.0 <= delay < math.inf:
-            raise SimulationError(f"bad delay: {delay}")
+        self._check(delay)
         timer = _ReferenceTimer(fn, args)
         insort(self._queue, (self.now + delay, self._seq, timer))
         self._seq += 1
@@ -854,19 +969,22 @@ class _ReferenceSimulation:
 
     post = schedule
 
-    def dispatch_lane(self, fn):
-        return fn
+    @staticmethod
+    def _check(delay):
+        if delay.__class__ is bool or not 0.0 <= delay < math.inf:
+            raise SimulationError(f"bad delay: {delay}")
 
-    def post_lane(self, lane, delay, a, b, c):
-        self.schedule(delay, lane, a, b, c)
+    def lane(self, fn, width):
+        return _ReferenceLane(fn, width)
 
-    def call_lane(self, fn):
-        return _ReferenceCallLane(fn)
-
-    def post_call(self, lane, delay, arg):
-        if self.now + delay < lane.last or arg is None:
-            raise SimulationError(f"bad call: {delay}, {arg}")
-        lane.calls.append(self.schedule(delay, lane.fn, arg))
+    def post_lane(self, lane, delay, *row):
+        self._check(delay)
+        if len(row) != lane.width or row[0] is None:
+            raise SimulationError(f"bad row: {row}")
+        if self.now + delay < lane.last:
+            self.schedule(delay, lane.fn, *row)
+            return -1
+        lane.calls.append(self.schedule(delay, lane.fn, *row))
         lane.last = self.now + delay
         return len(lane.calls) - 1
 
@@ -899,10 +1017,13 @@ class _Driver:
         self.delays = []
         self.log = []
         self.queued = 0     # events scheduled or posted, ever
-        self.lane = sim.dispatch_lane(self.fire)
+        # Two lanes: ``lane``, three slots a row, whose rows are never
+        # cancelled, and ``calls``, one slot a row, whose rows are.
+        self.lane = sim.lane(self.fire, 3)
+        self.lane_positions = []    # post_lane's answers for ``lane``
         self.lane_last = 0.0    # the latest deadline posted to the lane
-        self.calls = sim.call_lane(self.fire_call)
-        self.positions = []     # post_call's answers, in posting order
+        self.calls = sim.lane(self.fire_call, 1)
+        self.positions = []     # post_lane's answers for ``calls``
         self.calls_last = 0.0   # the latest deadline posted to ``calls``
 
     def schedule(self, delay, action):
@@ -916,30 +1037,40 @@ class _Driver:
         self.queued += 1
 
     def post_lane(self, delay, action):
-        self.sim.post_lane(self.lane, delay, "lane", action, None)
+        self.lane_positions.append(self.sim.post_lane(
+            self.lane, delay, "lane", action, None))
         self.lane_last = max(self.lane_last, self.sim.now + delay)
         self.queued += 1
 
     def post_call(self, deadline, action):
-        """Post to the call lane at ``deadline``, or fail as the lane
-        does when that is earlier than its latest one."""
+        """Post to ``calls`` at ``deadline``: a row of the lane, or a
+        heap entry at position -1 when that is earlier than the lane's
+        latest deadline."""
         now = self.sim.now
         delay = deadline - now
         while now + delay < deadline:   # undo the subtraction's rounding
             delay = math.nextafter(delay, math.inf)
-        self.positions.append(self.sim.post_call(
+        self.positions.append(self.sim.post_lane(
             self.calls, delay, (len(self.positions), action)))
-        self.calls_last = now + delay
+        self.calls_last = max(self.calls_last, now + delay)
         self.queued += 1
+
+    def cancel_position(self, pos):
+        """Cancel the row of ``calls`` at ``pos``; a refused position
+        (-1, the heap fallback's) is logged."""
+        try:
+            self.calls.cancel(pos)
+        except SimulationError:
+            self.log.append(("refused", pos))
 
     def cancel_call(self, index):
         if self.positions:
-            self.calls.cancel(self.positions[index % len(self.positions)])
+            self.cancel_position(self.positions[index % len(self.positions)])
 
     def fire_call(self, arg):
         index, action = arg
         if action[0] == "cancel_self":
-            self.calls.cancel(self.positions[index])   # already fired
+            self.cancel_position(self.positions[index])   # already fired
         self.fire(("call", index), action)
 
     def fire(self, label, action, _unused=None):
@@ -978,7 +1109,7 @@ class _Driver:
         return (self.log, sim.now, sim.events_processed, sim.pending_events,
                 sim.max_queue_depth,
                 [(t.cancelled, t.fired) for t in self.timers],
-                self.positions)
+                self.lane_positions, self.positions)
 
 
 # Zero delay (a post at the current instant, a 0.0 timer lane), delays
@@ -1063,10 +1194,10 @@ class QueueDifferentialMachine(RuleBasedStateMachine):
     @rule(order=st.sampled_from(["after", "equal", "before"]), gap=_delays,
           action=_actions)
     def post_call(self, order, gap, action):
-        """A call-lane post ``gap`` from now (or at the lane's tail if
+        """A post to ``calls`` ``gap`` from now (or at the lane's tail if
         that is later), at the tail exactly — tying with posts, timers
-        and dispatch-lane calls that share the delays — or before the
-        tail, which must fail."""
+        and ``lane`` rows that share the delays — or before the tail,
+        the fallback to a plain heap entry at position -1."""
         for side in self.sides:
             now = side.sim.now
             tail = max(side.calls_last, now)
@@ -1074,9 +1205,8 @@ class QueueDifferentialMachine(RuleBasedStateMachine):
                 side.post_call(max(now + gap, tail), action)
             elif order == "equal":
                 side.post_call(tail, action)
-            elif tail - gap >= now and gap > 0.0:
-                with pytest.raises(SimulationError):
-                    side.post_call(tail - gap, action)
+            else:
+                side.post_call(max(now, tail - gap), action)
 
     @rule(action=_actions, count=st.integers(2, 24),
           gap=st.sampled_from([0.0, 0.0001, 0.0005, 0.002]),
@@ -1111,10 +1241,24 @@ class QueueDifferentialMachine(RuleBasedStateMachine):
                     side.sim.post_lane(side.lane, delay, "lane",
                                        ("log", None), None)
                 elif method == "post_call":
-                    side.sim.post_call(side.calls, delay, (0, ("log", None)))
+                    side.sim.post_lane(side.calls, delay, (0, ("log", None)))
                 else:
                     getattr(side.sim, method)(delay, side.fire, "child",
                                               ("log", None))
+
+    @rule(which=st.sampled_from(["lane", "calls"]),
+          row=st.sampled_from([(), (None,), (None, 1, 2), (1, 2),
+                               (1, 2, 3, 4)]),
+          pos=st.sampled_from([True, False, -1, -2, 10 ** 6, 0.0]))
+    def bad_lane_input(self, which, row, pos):
+        """A row that does not fill its lane's width, or leads with None,
+        and a position ``post_lane`` never returned are refused."""
+        for side in self.sides:
+            lane = getattr(side, which)
+            with pytest.raises(SimulationError):
+                side.sim.post_lane(lane, 0.001, *row)
+            with pytest.raises(SimulationError):
+                lane.cancel(pos)
 
     @rule(index=st.integers(0, 50), twice=st.booleans())
     def cancel(self, index, twice):
@@ -1148,9 +1292,25 @@ class QueueDifferentialMachine(RuleBasedStateMachine):
 
     @invariant()
     def drained_lane_is_back_at_its_ring(self):
-        lane = self.sides[0].lane
-        if not lane.size:
-            assert lane.capacity == len(lane.args0) == _LANE_SLOTS
+        for lane in self.sides[0].sim._lanes:
+            if not lane.size:
+                assert lane.capacity == len(lane.deadlines) == _LANE_SLOTS
+                assert lane.args == [None] * (_LANE_SLOTS * lane.width)
+
+    @invariant()
+    def lanes_are_rings_in_order(self):
+        """Every lane's queued rows are in (deadline, seq) order, and
+        every slot outside them holds None."""
+        for lane in self.sides[0].sim._lanes:
+            width, capacity = lane.width, lane.capacity
+            assert len(lane.deadlines) == len(lane.seqs) == capacity
+            assert len(lane.args) == capacity * width
+            ring = [(lane.head + k) % capacity for k in range(lane.size)]
+            pairs = [(lane.deadlines[i], lane.seqs[i]) for i in ring]
+            assert pairs == sorted(pairs)
+            queued = {k * capacity + i for i in ring for k in range(width)}
+            assert all(slot is None for j, slot in enumerate(lane.args)
+                       if j not in queued)
 
     @invariant()
     def depth_is_tracked(self):
