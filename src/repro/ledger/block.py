@@ -15,8 +15,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, starmap
-from operator import attrgetter
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Optional
 
 from ..crypto.digests import digest_of, encode_canonical
 from ..types import ClusterId, RoundId
@@ -25,8 +24,10 @@ GENESIS_HASH = b"\x00" * 32
 
 
 def _txn_bytes(txn_id: str, op: str, key: int, value: str) -> bytes:
-    """The one copy of the transaction layout: canonical encoding of
-    ``("txn", txn_id, op, key, value)`` for exact ``str``/``int`` fields."""
+    """Canonical encoding of ``("txn", txn_id, op, key, value)`` for exact
+    ``str``/``int`` fields: the reference transaction layout.  Each
+    minter's ``body`` writes the same layout for a whole generated batch
+    at once, and the workload tests pin the two equal."""
     tid, op, val = txn_id.encode(), op.encode(), value.encode()
     key = b"%d" % key
     return (b"l5:s3:txns%d:%bs%d:%bi%d:%bs%d:%b;"
@@ -41,8 +42,11 @@ class Transaction:
     ``"modify"`` (read-modify-write), or ``"noop"``.
 
     Stores its four fields and nothing else: the canonical bytes are
-    derived when asked (:meth:`canonical_bytes`), never kept.  Generated
-    batches (:class:`MintedBatch`) hold draws, not transactions.
+    derived when asked (:meth:`canonical_bytes`), never kept.  This is
+    the row path, taken by hand-built tuple batches (no-op fills,
+    tampered or recovered batches, tests).  A generated batch
+    (:class:`MintedBatch`) holds draws, not transactions: it builds one
+    only when iterated, and its minter writes its bytes without any.
     """
 
     __slots__ = ("txn_id", "op", "key", "value")
@@ -107,26 +111,57 @@ def draw_column(low: int, high: int) -> array:
     raise OverflowError(f"no array typecode holds [{low}, {high}]")
 
 
+def counter_runs(first: int, *columns: array) -> list:
+    """``(start, stop, digits, *columns)`` for each run of the counters
+    ``first, first + 1, ...`` (one per row of ``columns``) that have the
+    same number of decimal ``digits``, with the columns' rows of that
+    run: a minter's templates fix the byte lengths of a run's ids."""
+    stop = first + len(columns[0])
+    digits = len(str(first))
+    if stop <= 10 ** digits:  # one run: no slices
+        return [(first, stop, digits, *columns)]
+    runs = []
+    start = first
+    while start < stop:
+        end = min(stop, 10 ** digits)
+        runs.append((start, end, digits,
+                     *[column[start - first:end - first]
+                       for column in columns]))
+        start, digits = end, digits + 1
+    return runs
+
+
 class MintedBatch(Sequence):
     """A generated batch, stored as its generator's draws: the counter of
-    its first transaction, one ``array`` per column of draws, and ``row``,
-    which rebuilds the fields of transaction ``first + i`` from row
-    ``i``'s draws, so transactions exist only while the batch is iterated.
-    Its length, items, equality, hash and pickle are those of
-    ``tuple(self)`` (``row`` is a closure).  Hand-built batches are tuples.
+    its first transaction, one ``array`` per column of draws, and the
+    *minter* of the client it was generated for.  Transactions exist only
+    while the batch is iterated.  Its length, items, equality, hash and
+    pickle are those of ``tuple(self)``.  Hand-built batches are tuples.
+
+    A minter is one slotted object per (generator, client prefix), shared
+    by every batch of that client, so a batch holds no function object.
+    Given a batch's first counter and draw columns, it answers:
+
+    * ``row(counter, *draws)``: the ``(txn_id, op, key, value)`` of one
+      transaction;
+    * ``body(first, *draws)``: the batch's canonical transaction bytes,
+      equal to the join of each transaction's ``canonical_bytes()``;
+    * ``plan(first, *draws)``: what
+      :func:`~repro.ledger.execution._compile_plan` returns for
+      ``tuple(self)``, or ``None`` when the batch has a read.
 
     Whenever the batch derives its bytes it records their SHA256 in
     ``_sha256``, so :func:`batch_digest` after an encode (a request's
     signature or payload digest) re-derives nothing.
     """
 
-    __slots__ = ("_first", "_draws", "_row", "_sha256")
+    __slots__ = ("_first", "_draws", "_minter", "_sha256")
 
-    def __init__(self, first: int, draws: tuple, row: Callable) -> None:
-        self._first, self._draws, self._row = first, draws, row
+    def __init__(self, first: int, draws: tuple, minter: Any) -> None:
+        self._first, self._draws, self._minter = first, draws, minter
 
     def _rows(self):
-        return starmap(self._row, zip(count(self._first), *self._draws))
+        return starmap(self._minter.row, zip(count(self._first), *self._draws))
 
     def __len__(self) -> int:
         return len(self._draws[0])
@@ -151,27 +186,17 @@ class MintedBatch(Sequence):
         return repr(tuple(self))
 
     def canonical_bytes(self) -> bytes:
-        """Canonical encoding of ``tuple(self)``, row by row; records its
-        SHA256 in ``_sha256``."""
-        body = b"".join(starmap(_txn_bytes, self._rows()))
-        encoded = b"l%d:%b;" % (len(self), body)
+        """Canonical encoding of ``tuple(self)``, built by the minter in
+        one pass over the draws; records its SHA256 in ``_sha256``."""
+        draws = self._draws
+        encoded = b"l%d:%b;" % (len(draws[0]),
+                                self._minter.body(self._first, *draws))
         self._sha256 = hashlib.sha256(encoded).digest()
         return encoded
 
 
 #: A request batch as circulated by the consensus protocols.
 Batch = Sequence[Transaction]
-
-
-_FIELDS = attrgetter("txn_id", "op", "key", "value")
-
-
-def batch_rows(batch: Batch) -> Iterator[tuple]:
-    """Each transaction's ``(txn_id, op, key, value)``, in order; a
-    minted batch hands out its rows without building transactions."""
-    if batch.__class__ is MintedBatch:
-        return batch._rows()
-    return map(_FIELDS, batch)
 
 
 def batch_digest(batch: Batch) -> bytes:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
+from operator import attrgetter
 from typing import List, Optional
 
 from ..crypto.digests import digest_of
 from ..errors import WorkloadError
-from .block import Batch, Transaction, batch_rows
+from .block import Batch, MintedBatch, Transaction
 from .store import YcsbStore
 
 
@@ -28,6 +29,8 @@ from .store import YcsbStore
 # distance between a batch's first and last execution, 179 distinct
 # batches (EXPERIMENTS.md, "Resident bytes per transaction").
 _MEMO_MAX = 512
+
+_FIELDS = attrgetter("op", "key", "value")
 
 
 def _compile_plan(batch: Batch):
@@ -38,13 +41,17 @@ def _compile_plan(batch: Batch):
     ``modify`` one step); ``results`` holds ``"ok"`` in every slot no
     receipt will overwrite.  ``None`` when the batch has a read, an unknown
     operation or a negative key — those take the per-transaction path with
-    its exact sequential semantics.
+    its exact sequential semantics.  A minted batch's minter answers
+    from the draws (``plan``); this loop is the reference it is pinned
+    against.
     """
+    if batch.__class__ is MintedBatch:
+        return batch._minter.plan(batch._first, *batch._draws)
     ops: list = []
     results: list = []
     run = None
     max_key = -1
-    for _txn_id, op, key, value in batch_rows(batch):
+    for op, key, value in map(_FIELDS, batch):
         if op != "noop":
             if key < 0:
                 return None

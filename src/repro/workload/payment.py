@@ -21,13 +21,62 @@ reach it through ``--scenario``.
 from __future__ import annotations
 
 import random
+from array import array
+from itertools import count
 
 from ..errors import WorkloadError
-from ..ledger.block import Batch, MintedBatch, draw_column
+from ..ledger.block import Batch, MintedBatch, counter_runs, draw_column
 
 #: Default shared-account table size (small on purpose: a hot account
 #: set produces real read-modify-write conflicts).
 DEFAULT_ACCOUNTS = 200
+
+
+class PaymentMinter:
+    """The rows, bytes and execution plan of one client's transfers (see
+    :class:`~repro.ledger.block.MintedBatch`), from the batch's source,
+    destination and amount columns.  Transfer ``counter``'s id is
+    ``f"{prefix}pay{counter}"``; it appends ``f"{branch}->acct{dst}:{amount}"``
+    to the source account's journal."""
+
+    __slots__ = ("_prefix", "_branch", "_id_bytes", "_entry_bytes")
+
+    def __init__(self, prefix: str, branch: str):
+        if not isinstance(prefix, str):
+            raise WorkloadError(f"prefix must be a str, got {prefix!r}")
+        self._prefix, self._branch = prefix, branch
+        self._id_bytes = len(prefix.encode()) + 3  # of "{prefix}pay"
+        self._entry_bytes = len(branch.encode()) + 6  # of "{branch}->acct"
+
+    def row(self, counter: int, src: int, dst: int, amount: int) -> tuple:
+        return (f"{self._prefix}pay{counter}", "modify", src,
+                f"{self._branch}->acct{dst}:{amount}")
+
+    def body(self, first: int, src: array, dst: array,
+             amount: array) -> bytes:
+        prefix, branch, entry = self._prefix, self._branch, self._entry_bytes
+        rows: list = []
+        for start, stop, digits, sources, dests, amounts in counter_runs(
+                first, src, dst, amount):
+            txn = f"l5:s3:txns{self._id_bytes + digits}:{prefix}pay"
+            keys = list(map(str, sources))
+            tails = list(map("{}:{}".format, dests, amounts))
+            rows += [
+                f"{txn}{c}s6:modifyi{n}:{k}s{entry + m}:{branch}->acct{t};"
+                for c, k, n, t, m in zip(range(start, stop), keys,
+                                         map(len, keys), tails,
+                                         map(len, tails))]
+        return "".join(rows).encode()
+
+    def plan(self, first: int, src: array, dst: array,
+             amount: array) -> tuple:
+        # One ``modify`` step per transfer: (slot, account, journal bytes).
+        lead = f"|{self._branch}->acct".encode()
+        ops = [(slot, key, lead + tail)
+               for slot, key, tail in zip(
+                   count(), src,
+                   map(str.encode, map("{}:{}".format, dst, amount)))]
+        return (max(src), ops, ["ok"] * len(ops))
 
 
 class PaymentWorkload:
@@ -38,10 +87,12 @@ class PaymentWorkload:
     journal entry with the submitting bank branch.
     """
 
-    __slots__ = ("_branch", "_rng", "_counter", "_accounts")
+    __slots__ = ("_branch", "_rng", "_counter", "_accounts", "_minters")
 
     def __init__(self, branch: str, seed: int,
                  accounts: int = DEFAULT_ACCOUNTS):
+        if not isinstance(branch, str):
+            raise WorkloadError(f"branch must be a str, got {branch!r}")
         if (not isinstance(accounts, int) or isinstance(accounts, bool)
                 or accounts < 1):
             raise WorkloadError(
@@ -50,6 +101,7 @@ class PaymentWorkload:
         self._rng = random.Random(seed)
         self._counter = 0
         self._accounts = accounts
+        self._minters: dict = {}  # client prefix -> its PaymentMinter
 
     @property
     def accounts(self) -> int:
@@ -68,8 +120,13 @@ class PaymentWorkload:
         if type(size) is not int or size < 1:
             raise WorkloadError(
                 f"batch size must be an int >= 1, got {size!r}")
+        try:
+            minter = self._minters[prefix]
+        except (KeyError, TypeError):  # a new client (or a bad prefix)
+            minter = PaymentMinter(prefix, self._branch)
+            self._minters[prefix] = minter
         getrandbits = self._rng.getrandbits
-        branch, accounts = self._branch, self._accounts
+        accounts = self._accounts
         src, dst = draw_column(0, accounts - 1), draw_column(0, accounts - 1)
         amount = draw_column(1, 500)
         # ``Random.randrange(accounts)`` and ``randint(1, 500)`` inlined:
@@ -90,15 +147,9 @@ class PaymentWorkload:
                 r = getrandbits(k500)
             amount.append(1 + r)
 
-        def row(counter: int, src: int, dst: int, amount: int) -> tuple:
-            # A transfer appends a journal entry to the source account's
-            # record.
-            return (f"{prefix}pay{counter}", "modify", src,
-                    f"{branch}->acct{dst}:{amount}")
-
         first = self._counter + 1
         self._counter += size
-        return MintedBatch(first, (src, dst, amount), row)
+        return MintedBatch(first, (src, dst, amount), minter)
 
 
 __all__ = ["DEFAULT_ACCOUNTS", "PaymentWorkload"]

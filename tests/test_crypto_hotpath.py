@@ -38,6 +38,7 @@ from repro.net.simulator import Simulation
 from repro.net.topology import Topology
 from repro.types import Quorums, client_id, replica_id
 from repro.workload.client import QuorumClient
+from repro.workload.ycsb import YcsbMinter
 
 from .conftest import small_config
 
@@ -262,18 +263,38 @@ class _Silent:
         self.received.append(message)
 
 
-class _CountingWorkload:
-    """Hands out minted batches whose row closure counts its calls."""
+class _CountingMinter(YcsbMinter):
+    """A YCSB minter that counts the rows it derives, as fields or as
+    bytes."""
 
-    def __init__(self):
+    __slots__ = ("rows",)
+
+    def __init__(self, prefix):
+        super().__init__(prefix, 1)
         self.rows = 0
 
-    def next_batch(self, size, prefix=""):
-        def row(counter, key):
-            self.rows += 1
-            return (f"{prefix}t{counter}", "update", key, "v")
+    def row(self, counter, key):
+        self.rows += 1
+        return super().row(counter, key)
 
-        return MintedBatch(1, (array("q", range(size)),), row)
+    def body(self, first, keys):
+        self.rows += len(keys)
+        return super().body(first, keys)
+
+
+class _CountingWorkload:
+    """Hands out minted batches whose minter counts the rows it derives."""
+
+    def __init__(self):
+        self.minters = {}
+
+    @property
+    def rows(self):
+        return sum(minter.rows for minter in self.minters.values())
+
+    def next_batch(self, size, prefix=""):
+        minter = self.minters.setdefault(prefix, _CountingMinter(prefix))
+        return MintedBatch(1, (array("q", range(size)),), minter)
 
 
 def _memo_state(message):

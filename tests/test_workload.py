@@ -2,19 +2,22 @@
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import tracemalloc
+import types
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.consensus.messages import ClientRequestBatch
 from repro.crypto.digests import digest_of, encode_canonical
 from repro.errors import WorkloadError
 from repro.ledger.block import Block, MintedBatch, Transaction, batch_digest
+from repro.ledger.execution import _compile_plan
 from repro.types import client_id
 from repro.workload.payment import PaymentWorkload
 from repro.workload.ycsb import YcsbWorkload
@@ -191,6 +194,27 @@ class TestYcsbWorkload:
         with pytest.raises(WorkloadError):
             YcsbWorkload(write_fraction=1.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"value_size": 2.5}, {"value_size": True}, {"value_size": "16"},
+        {"value_size": 0}, {"write_fraction": True},
+        {"write_fraction": "1"}, {"write_fraction": float("nan")}])
+    def test_bad_value_size_or_write_fraction_raises_at_construction(
+            self, kwargs):
+        """``value_size=2.5`` used to fail with a bare ``TypeError`` when
+        a batch was first encoded, inside the simulation;
+        ``value_size=True`` and ``write_fraction=True`` were accepted."""
+        with pytest.raises(WorkloadError, match=next(iter(kwargs))):
+            YcsbWorkload(record_count=100, **kwargs)
+
+    @pytest.mark.parametrize("prefix", [None, 5, b"c1-", ["c1-"]])
+    def test_prefix_must_be_a_str(self, prefix):
+        """``prefix=None`` and ``prefix=5`` used to mint ids ``"Nonet1"``
+        and ``"5t1"``."""
+        wl = YcsbWorkload(record_count=100, seed=1)
+        with pytest.raises(WorkloadError, match="prefix"):
+            wl.next_batch(3, prefix)
+        assert wl.generated_txns == 0
+
     def test_value_size(self):
         wl = YcsbWorkload(record_count=10, value_size=32, seed=1)
         assert len(wl.next_txn().value) == 32
@@ -268,6 +292,19 @@ class TestPaymentWorkload:
             payment.next_batch(size)
         assert payment.generated_txns == 0
 
+    @pytest.mark.parametrize("branch", [None, 5, b"b0"])
+    def test_branch_must_be_a_str(self, branch):
+        """``branch=None`` used to write ``"None->acct…"`` entries."""
+        with pytest.raises(WorkloadError, match="branch"):
+            PaymentWorkload(branch, seed=1)
+
+    @pytest.mark.parametrize("prefix", [None, 5, b"c1-", ["c1-"]])
+    def test_prefix_must_be_a_str(self, prefix):
+        payment = PaymentWorkload("b0", seed=1)
+        with pytest.raises(WorkloadError, match="prefix"):
+            payment.next_batch(3, prefix)
+        assert payment.generated_txns == 0
+
 
 class _ScriptedRng:
     """Hands out scripted draws: ``randrange`` and ``randint`` the next
@@ -286,7 +323,7 @@ def assert_same_as_q_columns(batch):
     ``array("q")`` columns, and every row field is an exact ``int``."""
     wide = MintedBatch(batch._first,
                        tuple(array("q", column) for column in batch._draws),
-                       batch._row)
+                       batch._minter)
     rows = list(batch._rows())
     assert rows == list(wide._rows())
     assert all(field.__class__ is int for row in rows for field in row
@@ -339,22 +376,123 @@ class TestColumnWidths:
         assert_same_as_q_columns(batch)
 
 
+def _ordered(plan):
+    """A plan with each dict step as its items in order: dict ``==``
+    ignores the insertion order the store keeps."""
+    if plan is None:
+        return None
+    max_key, ops, results = plan
+    return (max_key, [[step[0], list(step[1].items())]
+                      if isinstance(step, list) else step for step in ops],
+            results)
+
+
+def assert_minter_is_the_row_path(batch):
+    """The minter's bytes, digest, rows and plan for a minted batch are
+    the row path's for ``tuple(batch)``."""
+    plain = tuple(batch)
+    minter, first, draws = batch._minter, batch._first, batch._draws
+    assert minter.body(first, *draws) == b"".join(
+        [txn.canonical_bytes() for txn in plain])
+    assert batch_digest(batch) == batch_digest(plain)
+    assert list(batch._rows()) == [
+        (txn.txn_id, txn.op, txn.key, txn.value) for txn in plain]
+    assert _ordered(minter.plan(first, *draws)) == _ordered(
+        _compile_plan(plain))
+
+
+# Empty, ASCII and non-ASCII client prefixes and branch names.
+_NAMES = st.one_of(st.just(""),
+                   st.text(st.characters(max_codepoint=127), max_size=6),
+                   st.text(st.characters(min_codepoint=128), min_size=1,
+                           max_size=4),
+                   st.text(max_size=6))
+# First counters at and just below a digit boundary (9, 99, 10**k - 1,
+# so that a batch spans two id lengths), and anywhere.
+_FIRSTS = st.one_of(
+    st.integers(1, 12).map(lambda k: 10 ** k - 1),
+    st.tuples(st.integers(1, 12), st.integers(0, 200)).map(
+        lambda kj: max(1, 10 ** kj[0] - kj[1])),
+    st.integers(1, 10 ** 15))
+
+
+class TestMinters:
+    """Each generator's minter writes a batch's bytes and execution plan
+    straight from its draws; the row path (``Transaction`` and
+    ``_compile_plan``'s loop over ``tuple(batch)``) is the reference.
+    ``tests/mutants/minter.txt`` lists mutants these tests must kill."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=_NAMES, first=_FIRSTS, size=st.integers(1, 200),
+           write_fraction=st.sampled_from([0, 0.5, 1]),
+           value_size=st.integers(1, 24),
+           record_count=st.integers(1, 2000), seed=st.integers(0, 2**32))
+    @example(prefix="c\u00e9-", first=9, size=12, write_fraction=1,
+             value_size=5, record_count=3, seed=0)
+    @example(prefix="", first=99, size=3, write_fraction=0.5,
+             value_size=1, record_count=2, seed=1)
+    def test_ycsb_minter_is_the_row_path(self, prefix, first, size,
+                                         write_fraction, value_size,
+                                         record_count, seed):
+        workload = YcsbWorkload(record_count=record_count,
+                                write_fraction=write_fraction,
+                                value_size=value_size, seed=seed)
+        workload._counter = first - 1
+        batch = workload.next_batch(size, prefix)
+        assert batch._first == first
+        assert_minter_is_the_row_path(batch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=_NAMES, branch=_NAMES, first=_FIRSTS,
+           size=st.integers(1, 200), accounts=st.integers(1, 70_000),
+           seed=st.integers(0, 2**32))
+    @example(prefix="c\u00e9-", branch="\u00fc", first=9, size=12,
+             accounts=3, seed=0)
+    def test_payment_minter_is_the_row_path(self, prefix, branch, first,
+                                            size, accounts, seed):
+        payment = PaymentWorkload(branch, seed, accounts=accounts)
+        payment._counter = first - 1
+        batch = payment.next_batch(size, prefix)
+        assert batch._first == first
+        assert_minter_is_the_row_path(batch)
+
+    def test_one_minter_per_client(self):
+        """Batches of one client share its minter, and a minted batch
+        refers to no function object (the ledger pins every batch)."""
+        ycsb = YcsbWorkload(record_count=100, seed=1)
+        payment = PaymentWorkload("b0", seed=1)
+        functions = (types.FunctionType, types.MethodType,
+                     types.BuiltinFunctionType, types.CellType)
+        for generator in (ycsb, payment):
+            a = generator.next_batch(5, "c1-")
+            b = generator.next_batch(5, "c1-")
+            other = generator.next_batch(5, "c2-")
+            assert a._minter is b._minter
+            assert other._minter is not a._minter
+            batch_digest(a)
+            referents = gc.get_referents(a)
+            assert a._minter in referents
+            reachable = referents + [
+                inner for outer in referents if not isinstance(outer, type)
+                for inner in gc.get_referents(outer)]
+            assert not [obj for obj in reachable
+                        if isinstance(obj, functions)]
+
+
 class TestTransactionFootprint:
     """The ledger pins every generated batch for the whole run, so the
     bytes a batch retains per transaction are what peak RSS is made of.
     A generated batch keeps its generator's draws, not transactions."""
 
-    def test_retained_bytes_per_transaction(self):
-        """A few bytes of draws per transaction, and nothing left behind
-        by digesting or iterating a batch (188 B each when batches held
-        their transactions, 351 B when those also stored their bytes)."""
-        ycsb = YcsbWorkload(record_count=10_000, seed=2)
-        payment = PaymentWorkload("branch0", seed=2)
+    @staticmethod
+    def _retained(generator):
+        """Bytes per transaction that 100 digested 100-transaction batches
+        retain, and bytes digesting and iterating them again leaves."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             batches = [generator.next_batch(100, prefix="client0.1-")
-                       for generator in (ycsb, payment) for _ in range(100)]
+                       for _ in range(100)]
             digests = [batch_digest(batch) for batch in batches]
             retained = tracemalloc.get_traced_memory()[0] - before
             for batch in batches:
@@ -364,10 +502,24 @@ class TestTransactionFootprint:
                               - retained)
         finally:
             tracemalloc.stop()
-        assert len(set(digests)) == 200
-        assert retained / 20_000 <= 40
+        assert len(set(digests)) == 100
+        return retained / 10_000, retained_again
+
+    def test_retained_bytes_per_transaction(self):
+        """A few bytes of draws per transaction, and nothing left behind
+        by digesting or iterating a batch (188 B each when batches held
+        their transactions, 351 B when those also stored their bytes;
+        7.3 B for YCSB and 11.3 B for payment when each batch kept a row
+        closure of its own)."""
+        ycsb, ycsb_again = self._retained(
+            YcsbWorkload(record_count=10_000, seed=2))
+        payment, payment_again = self._retained(
+            PaymentWorkload("branch0", seed=2))
+        assert ycsb <= 6
+        assert payment <= 10
+        assert (ycsb + payment) / 2 <= 40
         # Nothing per transaction: at most an interpreter free-list entry.
-        assert retained_again < 256
+        assert ycsb_again < 256 and payment_again < 256
 
     def test_no_instance_dict(self):
         txn = Transaction("t1", "update", 1, "v")
