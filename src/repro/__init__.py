@@ -40,8 +40,9 @@ Fault injection::
     assert deployment.invariants.ok
 
 See ``examples/`` for runnable scenarios, ``docs/fault_injection.md``
-for the fault taxonomy, and ``benchmarks/`` for the scripts that
-regenerate every table and figure of the paper.
+for the fault taxonomy, and ``python -m repro sweep --list-campaigns``
+for the campaigns that regenerate every table and figure of the paper
+and check its claims.
 """
 
 from importlib import import_module

@@ -29,11 +29,12 @@ other internals, whose layout may change between versions:
   and :class:`PaymentWorkload` — the conflict-bearing interbank
   transfer generator behind the ``payment_network`` scenario.
 * **Campaigns** — :class:`Campaign` / :class:`RunSpec` /
-  :class:`ReportSpec` (a DAG of deterministic runs plus the artifacts
-  regenerated from them), :func:`run_campaign` (DAG scheduler with a
+  :class:`ReportSpec` / :class:`Claim` (a DAG of deterministic runs,
+  the artifacts regenerated from them, and the paper's claims checked
+  on them), :func:`run_campaign` (DAG scheduler with a
   ``jobs``-sized process pool — the package's only use of several
   host cores — returning a :class:`CampaignOutcome`),
-  :class:`ResultStore` (the digest-keyed JSONL + SQLite result store),
+  :class:`ResultStore` (the digest-keyed JSONL result store),
   :func:`register_campaign` /
   :func:`campaign_names` / :func:`get_campaign` for the campaign
   registry (mirroring the scenario registry), and
@@ -60,9 +61,9 @@ Typical staged run::
 from . import _lazy_exports
 
 # Each name imports its module on first access (see ``repro``): a
-# single run never loads the campaign layer (``multiprocessing``,
-# ``sqlite3``, the result stores), nor the chaos engine or open-loop
-# traffic unless it uses them.
+# single run never loads the campaign layer (``multiprocessing``, the
+# result stores), nor the chaos engine or open-loop traffic unless it
+# uses them.
 __getattr__, __all__ = _lazy_exports(globals(), {
     # experiments
     ".bench.deployment": ("PROTOCOLS", "Deployment", "ExperimentConfig",
@@ -85,8 +86,8 @@ __getattr__, __all__ = _lazy_exports(globals(), {
     ".workload.traffic": ("TRAFFIC_PROCESSES", "OpenLoopSource",
                           "TrafficSpec", "traffic_summary"),
     # campaigns
-    ".sweep": ("Campaign", "CampaignOutcome", "ReportSpec", "ResultStore",
-               "RunSpec", "calibrate_host", "campaign_names",
+    ".sweep": ("Campaign", "CampaignOutcome", "Claim", "ReportSpec",
+               "ResultStore", "RunSpec", "calibrate_host", "campaign_names",
                "expand_grid", "get_campaign", "register_campaign",
                "run_campaign"),
 })

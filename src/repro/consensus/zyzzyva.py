@@ -187,7 +187,14 @@ class ZyzzyvaReplica(BaseReplica):
             if len(digests) != 1 or len(signers) < self._q.certificate:
                 return
             for response in cert.responses:
-                if response.signature is None or not self.registry.verify(
+                # Each response must be signed by the replica it names
+                # and speak about the certificate's own request.
+                if (response.signature is None
+                        or response.signature.signer != response.replica
+                        or (response.view, response.seq, response.batch_id)
+                        != (cert.view, cert.seq, cert.batch_id)):
+                    return
+                if not self.registry.verify(
                     SpecResponse(
                         response.view, response.seq, response.batch_id,
                         response.history_digest, response.results_digest,

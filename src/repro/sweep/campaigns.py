@@ -15,11 +15,17 @@ Built-ins::
     fig13     batch-size sweep (z = 4, n = 7)
     table1    simulated WAN matrix (probe-only, no deployment runs)
     table2    message complexity, analytic vs measured
+    ablation-pipeline  GeoBFT round-pipeline window sweep (§2.5)
+    ablation-sharing   GeoBFT inter-cluster sharing strategies (§2.3)
     scale     engine wall-time sweep -> BENCH_scale.json
     ci-smoke  the scale sweep's n=16 point
     paper     fig10 + fig11 + scale in one DAG
     overload  open-loop traffic 0.5x-4x saturation -> BENCH_overload.json
     chaos     protocol x chaos_smoke matrix with the invariant audit
+
+The figure, table, ablation and chaos campaigns carry the paper's
+claims (:mod:`repro.sweep.claims`); ``paper`` carries those of the
+campaigns it contains.
 """
 
 from __future__ import annotations
@@ -34,9 +40,11 @@ from ..consensus.pbft import PbftConfig
 from ..core.config import GeoBftConfig
 from ..errors import ConfigurationError
 from ..workload.traffic import TrafficSpec
+from . import claims
 from .model import Campaign, ReportSpec, RunSpec
-from .reports import (build_bench, build_chaos, build_fig10, build_fig11,
-                      build_fig12, build_fig13, build_table1, build_table2)
+from .reports import (build_ablation, build_bench, build_chaos, build_fig10,
+                      build_fig11, build_fig12, build_fig13, build_table1,
+                      build_table2)
 from .store import (OVERLOAD_BENCH, OVERLOAD_SIM_DURATION, SCALE_BENCH,
                     SCALE_SIM_DURATION)
 
@@ -62,7 +70,7 @@ OVERLOAD_SATURATION = {
 
 
 # ----------------------------------------------------------------------
-# Scale control (environment knobs shared with the bench scripts)
+# Scale control (environment knobs)
 # ----------------------------------------------------------------------
 
 def full_scale() -> bool:
@@ -227,14 +235,16 @@ def fig10_campaign() -> Campaign:
         description="Figure 10 — throughput/latency vs #clusters at a "
                     "fixed total replica budget",
         runs=tuple(runs),
-        reports=(ReportSpec("fig10", "fig10.txt", build_fig10),))
+        reports=(ReportSpec("fig10", "fig10.txt", build_fig10),),
+        claims=claims.fig10_claims())
 
 
 def fig11_campaign() -> Campaign:
     z = 4
+    points = cluster_size_points()
     runs = []
     for protocol in PROTOCOLS:
-        for i, n in enumerate(cluster_size_points()):
+        for i, n in enumerate(points):
             runs.append(RunSpec(
                 run_id=f"fig11/{protocol}/n{n}",
                 config=point_config(protocol, z, n, duration=1.4),
@@ -245,7 +255,8 @@ def fig11_campaign() -> Campaign:
         description="Figure 11 — throughput/latency vs replicas per "
                     "cluster (z = 4)",
         runs=tuple(runs),
-        reports=(ReportSpec("fig11", "fig11.txt", build_fig11),))
+        reports=(ReportSpec("fig11", "fig11.txt", build_fig11),),
+        claims=claims.fig11_claims(points))
 
 
 def fig12_campaign() -> Campaign:
@@ -301,14 +312,16 @@ def fig12_campaign() -> Campaign:
         description="Figure 12 — throughput under crash failures "
                     "(one backup, f backups, primary)",
         runs=tuple(runs),
-        reports=(ReportSpec("fig12", "fig12.txt", build_fig12),))
+        reports=(ReportSpec("fig12", "fig12.txt", build_fig12),),
+        claims=claims.fig12_claims(points))
 
 
 def fig13_campaign() -> Campaign:
     z, n = 4, 7
+    points = batch_points()
     runs = []
     for protocol in PROTOCOLS:
-        for i, batch in enumerate(batch_points()):
+        for i, batch in enumerate(points):
             runs.append(RunSpec(
                 run_id=f"fig13/{protocol}/b{batch}",
                 config=point_config(protocol, z, n, batch_size=batch,
@@ -319,7 +332,8 @@ def fig13_campaign() -> Campaign:
         name="fig13",
         description="Figure 13 — throughput vs batch size (z = 4, n = 7)",
         runs=tuple(runs),
-        reports=(ReportSpec("fig13", "fig13.txt", build_fig13),))
+        reports=(ReportSpec("fig13", "fig13.txt", build_fig13),),
+        claims=claims.fig13_claims(points))
 
 
 def table1_campaign() -> Campaign:
@@ -328,7 +342,8 @@ def table1_campaign() -> Campaign:
         description="Table 1 — simulated WAN RTT/bandwidth matrix "
                     "(network probes; no deployment runs)",
         runs=(),
-        reports=(ReportSpec("table1", "table1.txt", build_table1),))
+        reports=(ReportSpec("table1", "table1.txt", build_table1),),
+        claims=claims.table1_claims())
 
 
 def table2_campaign() -> Campaign:
@@ -345,7 +360,56 @@ def table2_campaign() -> Campaign:
         description="Table 2 — message complexity per decision, "
                     "analytic vs measured",
         runs=tuple(runs),
-        reports=(ReportSpec("table2", "table2.txt", build_table2),))
+        reports=(ReportSpec("table2", "table2.txt", build_table2),),
+        claims=claims.table2_claims())
+
+
+def _ablation_run(figure: str, x: Any, xi: int,
+                  **geobft: Any) -> RunSpec:
+    """One GeoBFT point (z = 4, n = 7, batch 100) of an ablation."""
+    config = point_config("geobft", 4, 7, duration=1.4,
+                          geobft=GeoBftConfig(remote_timeout=10.0, **geobft))
+    return RunSpec(run_id=f"{figure}/{x}", config=config,
+                   tags={"figure": figure, "protocol": "geobft", "x": x,
+                         "xi": xi})
+
+
+def pipeline_ablation_campaign() -> Campaign:
+    """§2.5 disabled: a round window of 1 makes a cluster execute round
+    rho before it replicates round rho + 1, so every round pays the full
+    WAN exchange; the window grows toward unbounded overlap, the
+    paper's design."""
+    windows = (1, 2, 4, 8, 16, 32, "unbounded")
+    return Campaign(
+        name="ablation-pipeline",
+        description="Ablation — GeoBFT round-pipeline window (z = 4, "
+                    "n = 7, batch 100)",
+        runs=tuple(_ablation_run(
+            "ablation-pipeline", window, i,
+            round_pipeline=None if window == "unbounded" else window)
+            for i, window in enumerate(windows)),
+        reports=(ReportSpec("ablation-pipeline", "ablation_pipeline.txt",
+                            functools.partial(build_ablation,
+                                              "ablation-pipeline")),),
+        claims=claims.pipeline_claims())
+
+
+def sharing_ablation_campaign() -> Campaign:
+    """§2.3: how many replicas of a remote cluster receive the global
+    share — the broken single send, the paper's optimistic f + 1, or
+    every replica."""
+    strategies = ("single", "optimistic_f1", "all")
+    return Campaign(
+        name="ablation-sharing",
+        description="Ablation — GeoBFT inter-cluster sharing strategy "
+                    "(z = 4, n = 7, batch 100)",
+        runs=tuple(_ablation_run("ablation-sharing", strategy, i,
+                                 sharing_strategy=strategy)
+                   for i, strategy in enumerate(strategies)),
+        reports=(ReportSpec("ablation-sharing", "ablation_sharing.txt",
+                            functools.partial(build_ablation,
+                                              "ablation-sharing")),),
+        claims=claims.sharing_claims())
 
 
 def _scale_runs(points: Tuple[int, ...]) -> Tuple[RunSpec, ...]:
@@ -438,8 +502,9 @@ def chaos_config(protocol: str) -> ExperimentConfig:
 def chaos_campaign() -> Campaign:
     """The chaos matrix: every protocol through the seeded
     ``chaos_smoke`` timeline (crash + partition/heal + Byzantine
-    tampering), with the invariant audit as the report — the campaign
-    form of the per-protocol CI chaos-smoke jobs."""
+    tampering), with the invariant audit as the report and as hard
+    claims — the campaign form of the per-protocol CI chaos-smoke
+    jobs."""
     runs = []
     for protocol in PROTOCOLS:
         runs.append(RunSpec(
@@ -453,7 +518,8 @@ def chaos_campaign() -> Campaign:
                     "crash/partition/Byzantine timeline, audited",
         runs=tuple(runs),
         reports=(ReportSpec("chaos-audit", "chaos_audit.txt",
-                            build_chaos),))
+                            build_chaos),),
+        claims=claims.chaos_claims(PROTOCOLS))
 
 
 def ci_smoke_campaign() -> Campaign:
@@ -467,19 +533,16 @@ def ci_smoke_campaign() -> Campaign:
 def paper_campaign() -> Campaign:
     """The headline composite: geo-scale + cluster-size figures plus the
     engine scale sweep, as one DAG (run ids keep their own prefixes, so
-    ``--filter fig10/`` etc. still select one figure)."""
+    ``--filter fig10/`` etc. still select one figure) carrying the
+    figures' claims."""
     parts = (fig10_campaign(), fig11_campaign(), scale_campaign())
-    runs: Tuple[RunSpec, ...] = ()
-    reports: Tuple[ReportSpec, ...] = ()
-    for part in parts:
-        runs += part.runs
-        reports += part.reports
     return Campaign(
         name="paper",
         description="Reproduce the paper's headline results: fig10 + "
                     "fig11 + the engine scale sweep",
-        runs=runs,
-        reports=reports)
+        runs=sum((part.runs for part in parts), ()),
+        reports=sum((part.reports for part in parts), ()),
+        claims=sum((part.claims for part in parts), ()))
 
 
 register_campaign("fig10", fig10_campaign)
@@ -488,6 +551,8 @@ register_campaign("fig12", fig12_campaign)
 register_campaign("fig13", fig13_campaign)
 register_campaign("table1", table1_campaign)
 register_campaign("table2", table2_campaign)
+register_campaign("ablation-pipeline", pipeline_ablation_campaign)
+register_campaign("ablation-sharing", sharing_ablation_campaign)
 register_campaign("scale", scale_campaign)
 register_campaign("ci-smoke", ci_smoke_campaign)
 register_campaign("paper", paper_campaign)

@@ -1,4 +1,4 @@
-"""The campaign model: runs, dependencies, and grid expansion.
+"""The campaign model: runs, dependencies, claims, and grid expansion.
 
 A :class:`Campaign` is a DAG of :class:`RunSpec` nodes.  Each node is
 one deterministic, self-contained experiment (an
@@ -114,19 +114,46 @@ class ReportSpec:
 
 
 @dataclass(frozen=True)
+class Claim:
+    """One of the paper's claims, checked on a campaign's records.
+
+    ``check`` receives the campaign's successful records (in run order)
+    and returns whether the claim holds; an exception fails the claim
+    with its message (a check raises to name what broke).  ``paper``
+    says where the paper makes the claim.  A failed hard claim fails
+    the campaign; a failed soft claim (``hard=False``) is reported as a
+    deviation — for secondary claims that the scaled-down deployments
+    can bend.  Claims run in the orchestrating process after the
+    reports.
+    """
+
+    name: str
+    paper: str
+    check: Callable[[Sequence[Dict[str, Any]]], bool]
+    hard: bool = True
+
+
+@dataclass(frozen=True)
 class Campaign:
-    """A named experiment campaign: a DAG of runs plus its reports."""
+    """A named experiment campaign: a DAG of runs, its reports, and the
+    paper's claims about its results."""
 
     name: str
     description: str
     runs: Tuple[RunSpec, ...]
     reports: Tuple[ReportSpec, ...] = ()
+    claims: Tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        """Reject duplicate ids, unknown dependencies, and cycles."""
+        """Reject duplicate ids or claim names, unknown dependencies,
+        and cycles."""
+        names = [claim.name for claim in self.claims]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(
+                f"campaign {self.name!r}: duplicate claim names")
         seen: Dict[str, RunSpec] = {}
         for spec in self.runs:
             if spec.run_id in seen:
@@ -182,7 +209,8 @@ class Campaign:
     def subset(self, predicate: Callable[[RunSpec], bool]) -> "Campaign":
         """The sub-campaign of runs matching ``predicate``, closed over
         dependencies (a selected run drags its ancestors in so the DAG
-        stays executable)."""
+        stays executable).  Claims speak about the whole grid, so only a
+        subset that keeps every run keeps them."""
         by_id = {spec.run_id: spec for spec in self.runs}
         selected: set = set()
 
@@ -198,8 +226,9 @@ class Campaign:
                 pull(spec.run_id)
         runs = tuple(spec for spec in self.runs
                      if spec.run_id in selected)
+        claims = self.claims if len(runs) == len(self.runs) else ()
         return Campaign(name=self.name, description=self.description,
-                        runs=runs, reports=self.reports)
+                        runs=runs, reports=self.reports, claims=claims)
 
     def filtered(self, pattern: str) -> "Campaign":
         """``--filter``: keep runs whose id contains ``pattern``."""
@@ -273,6 +302,7 @@ def record_series(records: Iterable[Mapping[str, Any]], value: str,
 
 __all__ = [
     "Campaign",
+    "Claim",
     "ReportSpec",
     "RunSpec",
     "SWEEP_SCHEMA",

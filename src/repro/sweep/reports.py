@@ -15,7 +15,8 @@ hands every report the full record list.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..bench.charts import ascii_chart
 from ..bench.reporting import format_figure_series, format_table
@@ -23,14 +24,17 @@ from .model import record_series
 from .store import figure_records, render_bench
 
 
-def _require(records: Iterable[Mapping[str, Any]],
-             figure: str) -> List[Mapping[str, Any]]:
-    """The ``figure``-tagged records; a report with none raises."""
-    recs = figure_records(records, figure)
+def figure_of(records: Iterable[Mapping[str, Any]], figure: str,
+              panel: Optional[str] = None) -> List[Mapping[str, Any]]:
+    """The records tagged ``figure`` (and ``panel``); none raises, so a
+    report or claim never renders or decides on missing points."""
+    recs = [r for r in figure_records(records, figure)
+            if panel is None or r["tags"].get("panel") == panel]
     if not recs:
         raise ValueError(
-            f"no records tagged figure={figure!r}; run the campaign "
-            "(or drop the filter) before rendering this report")
+            f"no records tagged figure={figure!r}"
+            + (f" panel={panel!r}" if panel else "")
+            + "; run the campaign (or drop the filter) first")
     return recs
 
 
@@ -39,7 +43,7 @@ def _require(records: Iterable[Mapping[str, Any]],
 # ----------------------------------------------------------------------
 
 def build_fig10(records: Sequence[Mapping[str, Any]]) -> str:
-    recs = _require(records, "fig10")
+    recs = figure_of(records, "fig10")
     zs, throughput = record_series(recs, "throughput_txn_s")
     _, latency = record_series(recs, "avg_latency_s")
     total = recs[0]["tags"]["total"]
@@ -59,7 +63,7 @@ def build_fig10(records: Sequence[Mapping[str, Any]]) -> str:
 
 
 def build_fig11(records: Sequence[Mapping[str, Any]]) -> str:
-    recs = _require(records, "fig11")
+    recs = figure_of(records, "fig11")
     ns, throughput = record_series(recs, "throughput_txn_s")
     _, latency = record_series(recs, "avg_latency_s")
     z = recs[0]["config"]["num_clusters"]
@@ -76,7 +80,7 @@ def build_fig11(records: Sequence[Mapping[str, Any]]) -> str:
 
 
 def build_fig13(records: Sequence[Mapping[str, Any]]) -> str:
-    recs = _require(records, "fig13")
+    recs = figure_of(records, "fig13")
     batches, throughput = record_series(recs, "throughput_txn_s")
     config = recs[0]["config"]
     return "\n".join([
@@ -98,7 +102,7 @@ def build_fig13(records: Sequence[Mapping[str, Any]]) -> str:
 def fig12_panels(records: Iterable[Mapping[str, Any]],
                  ) -> Tuple[List[Any], Dict[str, Dict[str, List[float]]]]:
     """``(n_points, {panel: {protocol: [txn/s, ...]}})`` for Figure 12."""
-    recs = _require(records, "fig12")
+    recs = figure_of(records, "fig12")
     panels: Dict[str, Dict[str, List[float]]] = {}
     points: List[Any] = []
     for panel in ("one_backup", "f_backups", "primary", "baseline"):
@@ -258,7 +262,7 @@ def table2_measured(record: Mapping[str, Any]) -> Tuple[float, float]:
 def build_table2(records: Sequence[Mapping[str, Any]]) -> str:
     from ..analysis.complexity import analytic_complexity
 
-    recs = _require(records, "table2")
+    recs = figure_of(records, "table2")
     rows = []
     z = recs[0]["config"]["num_clusters"]
     n = recs[0]["config"]["replicas_per_cluster"]
@@ -285,11 +289,41 @@ def build_table2(records: Sequence[Mapping[str, Any]]) -> str:
 
 
 # ----------------------------------------------------------------------
+# Ablations — one GeoBFT design choice per campaign
+# ----------------------------------------------------------------------
+
+def build_ablation(figure: str, records: Sequence[Mapping[str, Any]]) -> str:
+    """One row per variant of the ablated design choice."""
+    recs = figure_of(records, figure)
+    rows = []
+    for record in recs:
+        result = record["result"]
+        rows.append([
+            record["tags"]["x"],
+            round(result["throughput_txn_s"]),
+            round(result["avg_latency_s"], 3),
+            result["global_messages"],
+            round(result["global_bytes"]
+                  / max(1, result["completed_txns"])),
+            "ok" if result["safety_ok"] else "VIOLATED",
+        ])
+    config = recs[0]["config"]
+    return format_table(
+        ["variant", "tput (txn/s)", "avg latency (s)", "global msgs",
+         "WAN B/txn", "safety"],
+        rows,
+        title=f"Ablation {figure} (z={config['num_clusters']}, "
+              f"n={config['replicas_per_cluster']}, "
+              f"batch={config['batch_size']})",
+    ) + "\n"
+
+
+# ----------------------------------------------------------------------
 # Scale and overload — the BENCH_<figure>.json baselines
 # ----------------------------------------------------------------------
 
 def build_bench(figure: str, records: Sequence[Mapping[str, Any]]) -> str:
-    return render_bench(_require(records, figure))
+    return render_bench(figure_of(records, figure))
 
 
 # ----------------------------------------------------------------------
@@ -297,60 +331,29 @@ def build_bench(figure: str, records: Sequence[Mapping[str, Any]]) -> str:
 # ----------------------------------------------------------------------
 
 def build_chaos(records: Sequence[Mapping[str, Any]]) -> str:
-    """The chaos-matrix audit: one row per protocol, with the
-    safety/liveness verdicts the per-protocol CI smoke jobs used to
-    assert individually."""
-    recs = _require(records, "chaos")
+    """The chaos-matrix audit: one row per protocol with its safety and
+    liveness verdicts (the chaos campaign's claims gate on them)."""
     rows = []
-    failures = []
-    for record in recs:
+    for record in figure_of(records, "chaos"):
         result = record["result"]
-        protocol = record["config"]["protocol"]
-        safety = bool(result["safety_ok"])
-        liveness = bool(result["liveness_ok"])
-        throughput = result["throughput_txn_s"]
         rows.append([
-            protocol,
+            record["config"]["protocol"],
             record.get("scenario", "none"),
-            "PASS" if safety else "FAIL",
-            "PASS" if liveness else "FAIL",
-            round(throughput),
+            "PASS" if result["safety_ok"] else "FAIL",
+            "PASS" if result["liveness_ok"] else "FAIL",
+            round(result["throughput_txn_s"]),
             record["digest"][:12],
         ])
-        if not safety:
-            failures.append(f"{protocol}: safety audit failed")
-        if not liveness:
-            failures.append(f"{protocol}: liveness audit failed")
-        if throughput <= 0:
-            failures.append(f"{protocol}: no committed transactions")
-    verdict = ("all protocols within fault bounds" if not failures
-               else "; ".join(failures))
     return format_table(
         ["protocol", "scenario", "safety", "liveness", "txn/s", "digest"],
         rows,
         title="Chaos matrix — crash + partition + Byzantine tampering, "
               "per protocol",
-    ) + f"\nverdict: {verdict}\n"
-
-
-def chaos_audit_failures(records: Sequence[Mapping[str, Any]]
-                         ) -> List[str]:
-    """Machine-checkable chaos verdicts (empty == every protocol
-    passed its invariant audit with progress)."""
-    failures: List[str] = []
-    for record in figure_records(records, "chaos"):
-        result = record["result"]
-        protocol = record["config"]["protocol"]
-        if not result["safety_ok"]:
-            failures.append(f"{protocol}: safety audit failed")
-        if not result["liveness_ok"]:
-            failures.append(f"{protocol}: liveness audit failed")
-        if result["throughput_txn_s"] <= 0:
-            failures.append(f"{protocol}: no committed transactions")
-    return failures
+    ) + "\n"
 
 
 __all__ = [
+    "build_ablation",
     "build_bench",
     "build_fig10",
     "build_fig11",
@@ -359,8 +362,8 @@ __all__ = [
     "build_chaos",
     "build_table1",
     "build_table2",
-    "chaos_audit_failures",
     "fig12_panels",
+    "figure_of",
     "figure_records",
     "format_table1",
     "probe_pair",

@@ -11,14 +11,16 @@ Scheduling rules:
 
 * a run becomes **ready** when every dependency has an ``ok`` record;
 * a ready run whose key the store already holds is a **cached hit** —
-  counted, never executed (re-running a warm campaign does nothing);
+  counted, never executed (re-running a warm campaign does nothing),
+  and its record answers under the run's own id and tags;
 * a **failed** run (error or invariant violation) marks every
   transitive dependant **skipped**;
-* at most ``jobs`` runs are in flight at once.
+* at most ``jobs`` runs are in flight at once;
+* after the reports, every claim is checked on the records; a failed
+  hard claim fails the campaign, a failed soft one is a deviation.
 
 With ``jobs = 1`` no pool is created at all: runs execute inline in
-the orchestrating process (fastest path for small campaigns and the
-benchmark shims).
+the orchestrating process (fastest path for small campaigns).
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ class CampaignOutcome:
     artifacts: Dict[str, str] = field(default_factory=dict)
     #: Report name -> artifact filename.
     artifact_names: Dict[str, str] = field(default_factory=dict)
+    #: One verdict per claim: name, paper, hard, verdict (``held``,
+    #: ``failed`` or, for a soft claim, ``deviation``) and any error.
+    claims: List[Dict[str, Any]] = field(default_factory=list)
     host: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -76,7 +81,12 @@ class CampaignOutcome:
                  f"{len(self.cached)} cached hit(s),",
                  f"{len(self.skipped)} skipped,",
                  f"{len(self.failed)} failed"]
-        return " ".join(parts)
+        lines = [" ".join(parts)]
+        for claim in self.claims:
+            error = f" — {claim['error']}" if "error" in claim else ""
+            lines.append(f"  {claim['verdict']:<9} {claim['name']} "
+                         f"({claim['paper']}){error}")
+        return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -87,6 +97,7 @@ class CampaignOutcome:
             "skipped": list(self.skipped),
             "failed": list(self.failed),
             "artifacts": sorted(self.artifacts),
+            "claims": [dict(claim) for claim in self.claims],
             "host": dict(self.host),
         }
 
@@ -139,6 +150,11 @@ class SweepScheduler:
             if not self.rerun and self.store.has(spec.key()):
                 record = self.store.get(spec.key())
                 assert record is not None
+                # The key is the config, so the record may have landed
+                # from another run or campaign: it answers under this
+                # run's id and tags, which reports and claims read.
+                record = dict(record, run_id=spec.run_id,
+                              tags=dict(spec.tags))
                 outcome.cached.append(record)
                 status[spec.run_id] = "ok"
                 self._say(f"  cached  {spec.run_id} "
@@ -153,6 +169,7 @@ class SweepScheduler:
                 self._run_inline(pending, status, outcome)
 
         self._render_reports(outcome)
+        self._judge_claims(outcome)
         return outcome
 
     # ------------------------------------------------------------------
@@ -281,6 +298,29 @@ class SweepScheduler:
                 continue
             outcome.artifacts[report.name] = content
             outcome.artifact_names[report.name] = report.filename
+
+    def _judge_claims(self, outcome: CampaignOutcome) -> None:
+        """Check every claim; a failed hard claim fails the campaign."""
+        records = outcome.records
+        for claim in self.campaign.claims:
+            verdict: Dict[str, Any] = {"name": claim.name,
+                                       "paper": claim.paper,
+                                       "hard": claim.hard}
+            try:
+                held = bool(claim.check(records))
+            # A check raises to say why its claim failed: the message
+            # lands on the verdict.  # repro: allow[no-silent-except]
+            except Exception as exc:
+                held = False
+                verdict["error"] = f"{type(exc).__name__}: {exc}"
+            if held:
+                verdict["verdict"] = "held"
+            elif claim.hard:
+                verdict["verdict"] = "failed"
+                outcome.failed.append(f"claim:{claim.name}")
+            else:
+                verdict["verdict"] = "deviation"
+            outcome.claims.append(verdict)
 
 
 def run_campaign(campaign: Campaign, store: Optional[ResultStore] = None,

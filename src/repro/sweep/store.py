@@ -1,14 +1,9 @@
-"""The queryable result store: JSONL source of truth + SQLite index.
+"""The queryable result store: one append-only JSONL file.
 
-A store is a directory holding:
-
-* ``records.jsonl`` — one canonical-JSON record per completed run,
-  append-only.  This file *is* the store; everything else derives from
-  it.
-* ``index.sqlite`` — a query index over the JSONL (key, campaign,
-  run id, protocol, deployment shape, scenario, digest → byte offset).
-  Deleting it is safe: :meth:`ResultStore.reindex` rebuilds it from
-  the JSONL on next open.
+A store is a directory holding ``records.jsonl``: one canonical-JSON
+record per completed run, append-only.  Opening a store reads the file
+once; the latest line per key wins, and keys keep the order of their
+latest lines, so a re-added key sorts last.
 
 Records are keyed by :meth:`RunSpec.key` — a digest of the full config
 + fault spec — so a campaign re-run finds every point it already has
@@ -16,9 +11,8 @@ Records are keyed by :meth:`RunSpec.key` — a digest of the full config
 simulated run rides in each record, which is what the CI digest-drift
 gate compares across machines.
 
-``ResultStore(None)`` gives an ephemeral in-memory store (no files, an
-in-memory index) — used by the benchmark shims and tests that only need
-the query API.
+``ResultStore(None)`` gives an ephemeral in-memory store (no files) —
+used by tests and campaigns that only need the query API.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ import functools
 import json
 import operator
 import os
-import sqlite3
 import warnings
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
@@ -37,46 +30,19 @@ from ..errors import ConfigurationError, StoreError
 from .model import SWEEP_SCHEMA
 
 RECORDS_NAME = "records.jsonl"
-INDEX_NAME = "index.sqlite"
 
-#: Indexed columns: record-field path -> sqlite column.
-_SCHEMA_SQL = """
-CREATE TABLE IF NOT EXISTS records (
-    key TEXT PRIMARY KEY,
-    campaign TEXT,
-    run_id TEXT,
-    protocol TEXT,
-    num_clusters INTEGER,
-    replicas_per_cluster INTEGER,
-    batch_size INTEGER,
-    seed INTEGER,
-    scenario TEXT,
-    status TEXT,
-    digest TEXT,
-    offset INTEGER
-);
-CREATE INDEX IF NOT EXISTS idx_campaign ON records (campaign);
-CREATE INDEX IF NOT EXISTS idx_run_id ON records (run_id);
-CREATE INDEX IF NOT EXISTS idx_digest ON records (digest);
-"""
+#: Query filters: top-level record fields, then config fields, each
+#: with the value a record that lacks it matches.
+_FIELDS = {"campaign": "", "run_id": "", "scenario": "none",
+           "status": "ok", "digest": ""}
+_CONFIG_FIELDS = {"protocol": "", "num_clusters": 0,
+                  "replicas_per_cluster": 0, "batch_size": 0, "seed": 0}
 
 
-def _index_row(record: Mapping[str, Any], offset: int) -> tuple:
-    config = record.get("config", {})
-    return (
-        record["key"],
-        record.get("campaign", ""),
-        record.get("run_id", ""),
-        config.get("protocol", ""),
-        config.get("num_clusters", 0),
-        config.get("replicas_per_cluster", 0),
-        config.get("batch_size", 0),
-        config.get("seed", 0),
-        record.get("scenario", "none"),
-        record.get("status", "ok"),
-        record.get("digest", ""),
-        offset,
-    )
+def _field(record: Mapping[str, Any], name: str) -> Any:
+    if name in _FIELDS:
+        return record.get(name, _FIELDS[name])
+    return record.get("config", {}).get(name, _CONFIG_FIELDS[name])
 
 
 def encode_record(record: Mapping[str, Any]) -> str:
@@ -92,130 +58,80 @@ class ResultStore:
     * :meth:`get` — the record for one run key (or ``None``).
     * :meth:`has` — whether a key has a successful record (the cached-
       hit test the scheduler uses).
-    * :meth:`query` — records matching equality filters on the indexed
-      columns, in insertion order (deterministic).
-    * :meth:`add` — append a record (overwrites the key's previous
-      record in the index; the JSONL keeps full history).
+    * :meth:`query` — records matching equality filters, in insertion
+      order (deterministic).
+    * :meth:`add` — append a record (it replaces the key's previous
+      record; the JSONL keeps full history).
     """
 
     def __init__(self, path: Optional[str]):
         self.path = path
-        #: An in-memory store's records; an index offset is a position.
-        self._lines: List[Dict[str, Any]] = []
+        #: key -> latest record, in the order of the latest lines.
+        self._records: Dict[str, Dict[str, Any]] = {}
         if path is not None:
             os.makedirs(path, exist_ok=True)
-        self._db = sqlite3.connect(
-            ":memory:" if path is None else self._index_path)
-        try:
-            self._db.executescript(_SCHEMA_SQL)
-            if path is not None and (self._cut_torn_tail()
-                                     or self._index_is_stale()):
-                self.reindex()
-        except BaseException:
-            self.close()
-            raise
+            self._load()
 
-    # ------------------------------------------------------------------
-    # Paths & lifecycle
-    # ------------------------------------------------------------------
     @property
     def records_path(self) -> str:
         assert self.path is not None
         return os.path.join(self.path, RECORDS_NAME)
 
-    @property
-    def _index_path(self) -> str:
-        assert self.path is not None
-        return os.path.join(self.path, INDEX_NAME)
-
-    def close(self) -> None:
-        self._db.close()
-
     def __enter__(self) -> "ResultStore":
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        self.close()
+        pass
 
-    def _cut_torn_tail(self) -> bool:
-        """Cut an unterminated, unparsable final line (an ``add`` torn by
-        a crash) off the JSONL, or terminate a parsable one, so the next
-        ``add`` starts a fresh line; whether the file changed."""
+    def _load(self) -> None:
+        """Read the JSONL.  An unterminated, unparsable final line (an
+        ``add`` torn by a crash) is cut off; a parsable one is
+        terminated, so the next ``add`` starts a fresh line."""
         if not os.path.exists(self.records_path):
-            return False
+            return
         with open(self.records_path, "rb+") as fh:
             data = fh.read()
             start = data.rfind(b"\n") + 1
-            if start == len(data):
-                return False
-            try:
-                json.loads(data[start:].decode("utf-8"))
-            except ValueError:
-                warnings.warn(f"{self.records_path}: cut off a torn final "
-                              f"line of {len(data) - start} bytes")
-                fh.truncate(start)
-            else:
-                fh.write(b"\n")
-        return True
+            if start < len(data):
+                try:
+                    json.loads(data[start:].decode("utf-8"))
+                except ValueError:
+                    warnings.warn(f"{self.records_path}: cut off a torn "
+                                  f"final line of {len(data) - start} "
+                                  "bytes")
+                    fh.truncate(start)
+                    data = data[:start]
+                else:
+                    fh.write(b"\n")
+        offset = 0
+        for line in data.splitlines(keepends=True):
+            if line.strip():
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError as exc:
+                    raise StoreError(
+                        f"{self.records_path}: corrupt record at byte "
+                        f"{offset}: {exc}") from exc
+                self._put(record)
+            offset += len(line)
 
-    def _index_is_stale(self) -> bool:
-        """True when the JSONL holds records the index does not."""
-        count = self._db.execute(
-            "SELECT count(*) FROM records").fetchone()[0]
-        if not os.path.exists(self.records_path):
-            return count > 0
-        # Overwritten keys make lines >= count legitimate; a fresh or
-        # deleted index (count == 0) with records present must rebuild.
-        return count == 0 and os.path.getsize(self.records_path) > 0
-
-    def reindex(self) -> int:
-        """Rebuild the SQLite index from the JSONL; returns row count."""
-        self._db.execute("DELETE FROM records")
-        total = 0
-        if os.path.exists(self.records_path):
-            with open(self.records_path, "rb") as fh:
-                offset = 0
-                for line in fh:
-                    stripped = line.strip()
-                    if stripped:
-                        try:
-                            record = json.loads(stripped.decode("utf-8"))
-                        except ValueError as exc:
-                            raise StoreError(
-                                f"{self.records_path}: corrupt record at "
-                                f"byte {offset}: {exc}") from exc
-                        self._upsert(record, offset)
-                        total += 1
-                    offset += len(line)
-        self._db.commit()
-        return total
+    def _put(self, record: Dict[str, Any]) -> None:
+        self._records.pop(record["key"], None)
+        self._records[record["key"]] = record
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _upsert(self, record: Mapping[str, Any], offset: int) -> None:
-        self._db.execute(
-            "INSERT OR REPLACE INTO records VALUES "
-            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            _index_row(record, offset))
-
     def add(self, record: Mapping[str, Any]) -> None:
         """Append one record (must carry ``key``; schema-stamped)."""
         if "key" not in record:
             raise ConfigurationError("store record must carry a 'key'")
         doc = dict(record)
         doc.setdefault("schema", SWEEP_SCHEMA)
-        if self.path is None:
-            offset = len(self._lines)
-            self._lines.append(doc)
-        else:
-            line = (encode_record(doc) + "\n").encode("utf-8")
-            offset = (os.path.getsize(self.records_path)
-                      if os.path.exists(self.records_path) else 0)
+        if self.path is not None:
             with open(self.records_path, "ab") as fh:
-                fh.write(line)
-        self._upsert(doc, offset)
-        self._db.commit()
+                fh.write((encode_record(doc) + "\n").encode("utf-8"))
+        self._put(doc)
 
     def add_all(self, records: Iterable[Mapping[str, Any]]) -> int:
         count = 0
@@ -227,20 +143,9 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _load_at(self, offset: int) -> Dict[str, Any]:
-        if self.path is None:
-            return self._lines[offset]
-        with open(self.records_path, "rb") as fh:
-            fh.seek(offset)
-            return json.loads(fh.readline().decode("utf-8"))
-
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The latest record for ``key``, or ``None``."""
-        row = self._db.execute(
-            "SELECT offset FROM records WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            return None
-        return self._load_at(row[0])
+        return self._records.get(key)
 
     def has(self, key: str) -> bool:
         """Whether ``key`` has a *successful* record (a cached hit)."""
@@ -248,7 +153,7 @@ class ResultStore:
         return record is not None and record.get("status") == "ok"
 
     def query(self, **filters: Any) -> List[Dict[str, Any]]:
-        """Records matching equality ``filters`` on indexed columns.
+        """Records matching equality ``filters``.
 
         Supported filters: ``campaign``, ``run_id``, ``protocol``,
         ``num_clusters``, ``replicas_per_cluster``, ``batch_size``,
@@ -256,33 +161,22 @@ class ResultStore:
         Records come back in insertion order — deterministic, so
         report regeneration is byte-stable.
         """
-        allowed = {"campaign", "run_id", "protocol", "num_clusters",
-                   "replicas_per_cluster", "batch_size", "seed",
-                   "scenario", "status", "digest"}
-        unknown = set(filters) - allowed
+        unknown = set(filters) - set(_FIELDS) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigurationError(
-                f"unknown store filters {sorted(unknown)}; "
-                f"expected a subset of {sorted(allowed)}")
-        clauses, params = [], []
-        for name, value in sorted(filters.items()):
-            clauses.append(f"{name} = ?")
-            params.append(value)
-        sql = "SELECT offset FROM records"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY offset"
-        rows = self._db.execute(sql, params).fetchall()
-        return [self._load_at(offset) for (offset,) in rows]
+                f"unknown store filters {sorted(unknown)}; expected a "
+                f"subset of {sorted({*_FIELDS, *_CONFIG_FIELDS})}")
+        return [record for record in self._records.values()
+                if all(_field(record, name) == value
+                       for name, value in filters.items())]
 
     def count(self, **filters: Any) -> int:
         return len(self.query(**filters))
 
     def campaigns(self) -> List[str]:
         """Campaign names present in the store (sorted)."""
-        rows = self._db.execute(
-            "SELECT DISTINCT campaign FROM records ORDER BY campaign")
-        return [name for (name,) in rows]
+        return sorted({_field(record, "campaign")
+                       for record in self._records.values()})
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,16 @@ import pytest
 
 from repro.bench.deployment import Deployment, ExperimentConfig
 from repro.consensus.messages import (
+    COMMIT_ENTRY_BYTES,
     GlobalShare,
     ThresholdCommitCertificate,
+    preprepare_size_bytes,
 )
 from repro.core.config import GeoBftConfig
 from repro.consensus.pbft import PbftConfig
+from repro.crypto.threshold import THRESHOLD_SIGNATURE_SIZE
 from repro.errors import ConfigurationError
-from repro.types import replica_id
+from repro.types import max_faulty, replica_id
 
 
 def threshold_config(**overrides):
@@ -86,6 +89,20 @@ class TestThresholdCertificates:
         assert classic_large > classic_small  # grows with n - f
         assert compact_large == compact_small  # constant proof
         assert compact_small < classic_small
+
+    def test_analytic_certificate_sizes(self):
+        """The same in closed form, at batch 100: ``n - f`` signed
+        commits against one threshold signature on the pre-prepare."""
+        def sizes(n):
+            base = preprepare_size_bytes(100)
+            return (base + COMMIT_ENTRY_BYTES * (n - max_faulty(n)),
+                    base + THRESHOLD_SIGNATURE_SIZE)
+
+        small_classic, small_threshold = sizes(4)
+        big_classic, big_threshold = sizes(31)
+        assert small_threshold == big_threshold  # constant proof size
+        assert (big_classic - big_threshold
+                > small_classic - small_threshold)  # savings grow with n
 
     def test_results_match_classic_mode(self):
         """Ledgers are identical across certificate representations —

@@ -1,9 +1,10 @@
 """The sweep package: campaign model, result store, and scheduler.
 
 Covers the DAG semantics (ordering, failure propagation, cached hits),
-the store's JSONL + SQLite round trip, the bench-file interop contract
+the store's JSONL round trip, the bench-file interop contract
 (byte-identical regeneration and the baseline gate, run once per file
-kind), pool-vs-inline record parity, the campaign registry, and
+kind), pool-vs-inline record parity, the campaign registry, the claims
+mechanism, and
 campaign-vs-bespoke parity for a Figure 10 point.
 """
 
@@ -18,6 +19,7 @@ from repro.bench.deployment import Deployment
 from repro.errors import ConfigurationError, StoreError
 from repro.sweep import (
     Campaign,
+    Claim,
     ResultStore,
     RunSpec,
     campaign_names,
@@ -145,16 +147,12 @@ class TestStore:
             store.add(self.RECORD)
             store.add(dict(self.RECORD, key="k2", run_id="r2",
                            status="failed"))
-        # Reopen: the index answers without re-reading everything.
+        # Reopen: the records come back from the JSONL.
         with ResultStore(path) as store:
             assert store.has("k1")
             assert not store.has("k2")  # failed records are not hits
             assert [r["run_id"] for r in store.query(campaign="c")] \
                 == ["r1", "r2"]
-        # Deleting the SQLite index is safe: it rebuilds from JSONL.
-        os.remove(os.path.join(path, "index.sqlite"))
-        with ResultStore(path) as store:
-            assert store.has("k1")
             assert store.count(status="ok") == 1
 
     def _store_with_two_records(self, tmp_path):
@@ -164,13 +162,16 @@ class TestStore:
             store.add(dict(self.RECORD, key="k2", run_id="r2"))
         return path, os.path.join(path, "records.jsonl")
 
-    @pytest.mark.parametrize("drop_index", [True, False])
-    def test_torn_final_line_is_cut_off(self, tmp_path, drop_index):
+    @pytest.mark.parametrize("old_index", [True, False])
+    def test_torn_final_line_is_cut_off(self, tmp_path, old_index):
         path, records = self._store_with_two_records(tmp_path)
         with open(records, "rb+") as fh:
             fh.truncate(os.path.getsize(records) - 10)
-        if drop_index:
-            os.remove(os.path.join(path, "index.sqlite"))
+        if old_index:
+            # A store written before the JSONL became the only index
+            # still holds an index file; it is ignored.
+            with open(os.path.join(path, "index.sqlite"), "wb") as fh:
+                fh.write(b"not a database")
         with pytest.warns(UserWarning, match="torn final line"):
             store = ResultStore(path)
         with store:
@@ -197,12 +198,31 @@ class TestStore:
             lines = fh.readlines()
         with open(records, "wb") as fh:
             fh.writelines([lines[0][:-10] + b"\n", lines[1]])
-        os.remove(os.path.join(path, "index.sqlite"))
-        # A failed open releases the index: a second open fails the same
-        # way instead of finding the database locked.
         for _ in range(2):
             with pytest.raises(StoreError, match="corrupt record at byte 0"):
                 ResultStore(path)
+
+    def test_rewritten_jsonl_is_what_reopens(self, tmp_path):
+        # The file is the only index: a store rewritten behind the
+        # store's back reopens as exactly what the file now holds.
+        path, records = self._store_with_two_records(tmp_path)
+        with open(records, "rb") as fh:
+            second = fh.readlines()[1]
+        with open(records, "wb") as fh:
+            fh.write(second)
+        with ResultStore(path) as store:
+            assert store.get("k1") is None
+            assert store.get("k2")["run_id"] == "r2"
+            assert [r["key"] for r in store.query()] == ["k2"]
+
+    def test_re_add_sorts_by_its_latest_line(self, tmp_path):
+        path, _ = self._store_with_two_records(tmp_path)
+        with ResultStore(path) as store:
+            store.add(dict(self.RECORD, status="failed"))
+            assert [r["key"] for r in store.query()] == ["k2", "k1"]
+        with ResultStore(path) as store:
+            assert [r["key"] for r in store.query()] == ["k2", "k1"]
+            assert not store.has("k1")
 
     def test_re_add_overwrites_key(self, tmp_path):
         with ResultStore(str(tmp_path / "store")) as store:
@@ -367,6 +387,25 @@ class TestScheduler:
                                  rerun=True)
         assert [r["run_id"] for r in third.executed] == ["a", "b"]
 
+    def test_cached_hit_answers_under_its_own_run_id_and_tags(self):
+        # Two campaigns share a point under different ids and tags (as
+        # fig11's n=7 and fig13's batch-100 points do): the second's
+        # reports and claims must see the point as its own.
+        store = ResultStore(None)
+        first, second = (Campaign(name=name, description="", runs=(
+            RunSpec(run_id=f"{name}/p", config=tiny_config(),
+                    tags={"figure": name, "protocol": "geobft", "x": x,
+                          "xi": 0}),)) for name, x in (("one", 7),
+                                                        ("two", 100)))
+        run_campaign(first, store=store, host=HOST)
+        outcome = run_campaign(second, store=store, host=HOST)
+        assert outcome.executed == []
+        record = outcome.records[0]
+        assert record["run_id"] == "two/p"
+        assert record["tags"]["figure"] == "two"
+        assert record_series(outcome.records, "throughput_txn_s")[0] \
+            == [100]
+
     def test_record_carries_schema_and_host(self):
         outcome = run_campaign(
             Campaign(name="one", description="", runs=(
@@ -474,6 +513,106 @@ class TestRegistry:
         assert primary
         for spec in primary:
             assert spec.depends_on
+
+
+class TestClaims:
+    """The claims mechanism, with no simulation: a campaign of no runs
+    whose claims hold or not as each case says."""
+
+    @pytest.fixture
+    def claims_campaign(self, monkeypatch):
+        from repro.sweep import campaigns, scheduler
+
+        monkeypatch.setattr(scheduler, "calibrate_host", lambda: 1.0)
+
+        def register(hard_holds, soft_holds):
+            monkeypatch.setitem(campaigns._CAMPAIGNS, "claims-test",
+                                lambda: Campaign(
+                name="claims-test", description="", runs=(),
+                claims=(Claim("hard claim", "§0", lambda r: hard_holds),
+                        Claim("soft claim", "§0", lambda r: soft_holds,
+                              hard=False))))
+        return register
+
+    @pytest.mark.parametrize("hard_holds, soft_holds, code, listed", [
+        (True, True, 0, ["held      hard claim", "held      soft claim"]),
+        (False, True, 1, ["failed    hard claim", "held      soft claim"]),
+        (True, False, 0, ["held      hard claim",
+                          "deviation soft claim"]),
+    ])
+    def test_exit_code_and_listing(self, claims_campaign, capsys,
+                                   hard_holds, soft_holds, code, listed):
+        from repro.cli import main
+
+        claims_campaign(hard_holds, soft_holds)
+        assert main(["sweep", "--campaign", "claims-test"]) == code
+        out = capsys.readouterr().out
+        for line in listed:
+            assert f"  {line} (§0)" in out
+
+    def test_json_carries_every_verdict(self, claims_campaign, capsys):
+        from repro.cli import main
+
+        claims_campaign(False, False)
+        assert main(["sweep", "--campaign", "claims-test", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["ok"]
+        assert doc["failed"] == ["claim:hard claim"]
+        assert doc["claims"] == [
+            {"name": "hard claim", "paper": "§0", "hard": True,
+             "verdict": "failed"},
+            {"name": "soft claim", "paper": "§0", "hard": False,
+             "verdict": "deviation"}]
+
+    def test_a_raising_check_fails_with_its_message(self):
+        def check(records):
+            raise ValueError("point z6 measured nothing")
+
+        outcome = run_campaign(Campaign(
+            name="c", description="", runs=(),
+            claims=(Claim("c1", "§0", check),)), host=HOST)
+        assert outcome.failed == ["claim:c1"]
+        assert outcome.claims[0]["error"] \
+            == "ValueError: point z6 measured nothing"
+
+    def test_claims_are_checked_on_the_whole_campaign_only(self):
+        campaign = tiny_campaign(
+            claims=(Claim("c1", "§0", lambda r: False),))
+        assert campaign.subset(lambda spec: True).claims \
+            == campaign.claims
+        assert campaign.filtered("a").claims == ()
+        with pytest.raises(ConfigurationError, match="duplicate claim"):
+            tiny_campaign(claims=campaign.claims * 2)
+
+    @pytest.mark.parametrize("name", campaign_names())
+    def test_claims_read_only_figures_their_runs_carry(self, name,
+                                                       monkeypatch):
+        """Every check runs on records made from the campaign's own
+        specs (no simulation; every measured value 1.0) without
+        raising, and reads only figure tags those runs carry."""
+        from collections import defaultdict
+
+        from repro.sweep import claims
+        from repro.sweep.model import config_fingerprint
+
+        campaign = get_campaign(name)
+        records = [{"run_id": spec.run_id, "tags": dict(spec.tags),
+                    "config": config_fingerprint(spec.config),
+                    "status": "ok",
+                    "result": defaultdict(lambda: 1.0)}
+                   for spec in campaign.runs]
+        carried = {spec.tags.get("figure") for spec in campaign.runs}
+        read = set()
+        figure_of = claims.figure_of
+
+        def spy(records, figure, panel=None):
+            read.add(figure)
+            return figure_of(records, figure, panel)
+
+        monkeypatch.setattr(claims, "figure_of", spy)
+        for claim in campaign.claims:
+            claim.check(records)
+        assert read <= carried
 
 
 class TestParity:

@@ -92,3 +92,41 @@ class TestFailureCollapse:
         deployment.metrics.finish(deployment.sim.now)
         # Every batch now pays at least the speculative timeout.
         assert deployment.metrics.avg_latency_s() >= 0.4
+
+
+class TestCommitCertificate:
+    """A replica commits on a client's certificate only when its 2f + 1
+    responses are each signed by the replica they name and each speak
+    about the certificate's own (view, seq, batch)."""
+
+    @staticmethod
+    def _certify(forger_of, seq, response_seq=None):
+        from repro.consensus.messages import SpecResponse, ZyzzyvaCommitCert
+
+        deployment = Deployment(zyz_config(num_clusters=1,
+                                           fast_crypto=False))
+        victim = deployment.replicas[replica_id(1, 2)]
+        responses = []
+        for i in (1, 2, 3):
+            named = replica_id(1, i)
+            unsigned = SpecResponse(0, seq if response_seq is None
+                                    else response_seq, "b-forged",
+                                    b"h" * 32, b"r" * 32, named, None, 5)
+            signer = deployment.replicas[forger_of(named)].signer
+            responses.append(SpecResponse(
+                unsigned.view, unsigned.seq, unsigned.batch_id,
+                unsigned.history_digest, unsigned.results_digest, named,
+                signer.sign(unsigned), unsigned.batch_len))
+        victim._on_commit_cert(
+            ZyzzyvaCommitCert("b-forged", 0, seq, tuple(responses)),
+            replica_id(1, 4))
+        return seq in victim._committed
+
+    def test_responses_signed_by_their_replicas_commit(self):
+        assert self._certify(lambda named: named, 999)
+
+    def test_one_replica_cannot_sign_for_three(self):
+        assert not self._certify(lambda named: replica_id(1, 4), 999)
+
+    def test_responses_for_another_seq_do_not_commit(self):
+        assert not self._certify(lambda named: named, 999, response_seq=7)
